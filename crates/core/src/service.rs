@@ -29,11 +29,13 @@
 //!    her *shard's* stream, and hands the curator's collection plus metrics
 //!    back.
 //!
-//! The streaming accountant ([`StreamingAccountant`]) keeps, per shard, a
-//! [`DistributionEnsemble`] over that shard's tracked origins (all of them,
-//! or the lowest-degree ones — the slowest mixers and therefore the worst-ε
-//! candidates) and advances it one round per protocol round through the
-//! exact batched kernel.  With every origin tracked, the live quote equals
+//! The streaming accountant ([`StreamingAccountant`]) tracks each shard's
+//! origins (all of them, or the lowest-degree ones — the slowest mixers and
+//! therefore the worst-ε candidates) in one [`DistributionEnsemble`] shared
+//! by all shards, each shard owning a contiguous row range, and advances it
+//! one round per protocol round through the exact batched kernel — one
+//! sweep of the operator per round for every shard.  With every origin
+//! tracked, the live quote equals
 //! [`crate::accountant::NetworkShuffleAccountant::worst_user_guarantee`] at
 //! the same round — the offline and online accountants cannot drift
 //! (`tests/sharded_engine.rs`).
@@ -138,26 +140,6 @@ impl CoordinatorConfig {
     }
 }
 
-/// One shard's tracked origins and their evolving distributions.
-#[derive(Debug, Clone)]
-struct TrackedShard {
-    /// Global ids of the tracked origins, in tracking order (degree
-    /// ascending, ties by id).
-    origins: Vec<NodeId>,
-    /// Row `r` is the exact position distribution of `origins[r]`'s report.
-    ensemble: DistributionEnsemble,
-    /// Pre-speculation state of the ensemble, captured by
-    /// [`StreamingAccountant::speculate_round`] so the commit can correct
-    /// (or, past the dense threshold, recompute) against it.  Empty until
-    /// the delta path is first used.
-    prev: Vec<f64>,
-    /// The same pre-speculation state in interleaved layout
-    /// ([`ns_graph::ensemble::interleave_rows`]), produced during
-    /// speculation so the critical-path correction gathers each source's
-    /// tracked-row masses from contiguous cache lines.
-    prev_il: Vec<f64>,
-}
-
 /// The per-round operator the streaming accountant evolves through: the
 /// static lazy walk, the realized per-round schedule of a churning
 /// deployment, or the live operator the delta path committed last round.
@@ -202,10 +184,31 @@ impl std::fmt::Debug for StreamingOperator {
 /// [`crate::accountant::NetworkShuffleAccountant::with_schedule`])
 /// restricted to the tracked rows — so with every origin tracked the live
 /// quote is **exact under churn**, not a static approximation.
+///
+/// Every shard's tracked origins live in **one** [`DistributionEnsemble`],
+/// shard `s` owning a contiguous row range, so each round sweeps the
+/// operator once for all shards rather than once per shard.  Rows never
+/// interact, so the fused layout is bitwise the per-shard one.
 #[derive(Debug, Clone)]
 pub struct StreamingAccountant {
     operator: StreamingOperator,
-    shards: Vec<TrackedShard>,
+    /// Global ids of the tracked origins, shard after shard; within a
+    /// shard in tracking order (degree ascending, ties by id).
+    origins: Vec<NodeId>,
+    /// Shard `s` owns rows `shard_starts[s]..shard_starts[s + 1]`.
+    shard_starts: Vec<usize>,
+    /// Row `r` is the exact position distribution of `origins[r]`'s report.
+    ensemble: DistributionEnsemble,
+    /// Pre-speculation state of the ensemble, captured by
+    /// [`StreamingAccountant::speculate_round`] so the commit can correct
+    /// (or, past the dense threshold, recompute) against it.  Empty until
+    /// the delta path is first used.
+    prev: Vec<f64>,
+    /// The same pre-speculation state in interleaved layout
+    /// ([`ns_graph::ensemble::interleave_rows`]), produced during
+    /// speculation so the critical-path correction gathers each source's
+    /// tracked-row masses from contiguous cache lines.
+    prev_il: Vec<f64>,
     round: usize,
     /// Whether the tracked ensembles currently hold a *speculated* round
     /// ([`StreamingAccountant::speculate_round`]) awaiting its commit.
@@ -297,23 +300,26 @@ impl StreamingAccountant {
                 "the streaming accountant needs at least one tracked origin per shard".into(),
             ));
         }
-        let n = graph.node_count();
-        let mut shards = Vec::with_capacity(partition.shard_count());
+        let mut origins = Vec::new();
+        let mut shard_starts = vec![0];
         for shard in partition.shards() {
-            let mut origins: Vec<NodeId> = shard.nodes().to_vec();
-            origins.sort_by_key(|&u| (graph.degree(u), u));
-            origins.truncate(tracked_per_shard.min(origins.len()));
-            let ensemble = DistributionEnsemble::point_masses(n, &origins)?;
-            shards.push(TrackedShard {
-                origins,
-                ensemble,
-                prev: Vec::new(),
-                prev_il: Vec::new(),
-            });
+            let mut tracked: Vec<NodeId> = shard.nodes().to_vec();
+            tracked.sort_by_key(|&u| (graph.degree(u), u));
+            tracked.truncate(tracked_per_shard.min(tracked.len()));
+            if tracked.is_empty() {
+                return Err(ns_graph::GraphError::EmptyGraph.into());
+            }
+            origins.extend(tracked);
+            shard_starts.push(origins.len());
         }
+        let ensemble = DistributionEnsemble::point_masses(graph.node_count(), &origins)?;
         Ok(StreamingAccountant {
             operator,
-            shards,
+            origins,
+            shard_starts,
+            ensemble,
+            prev: Vec::new(),
+            prev_il: Vec::new(),
             round: 0,
             speculated: false,
             delta_dense_fraction: DELTA_DENSE_FRACTION,
@@ -344,14 +350,12 @@ impl StreamingAccountant {
                 "cannot attach an operator schedule after rounds have advanced".into(),
             ));
         }
-        if let Some(shard) = self.shards.first() {
-            if schedule.node_count() != shard.ensemble.node_count() {
-                return Err(Error::InvalidConfiguration(format!(
-                    "operator schedule covers {} users but the accountant tracks {}",
-                    schedule.node_count(),
-                    shard.ensemble.node_count()
-                )));
-            }
+        if schedule.node_count() != self.ensemble.node_count() {
+            return Err(Error::InvalidConfiguration(format!(
+                "operator schedule covers {} users but the accountant tracks {}",
+                schedule.node_count(),
+                self.ensemble.node_count()
+            )));
         }
         self.operator = StreamingOperator::Scheduled(schedule);
         Ok(())
@@ -370,7 +374,7 @@ impl StreamingAccountant {
 
     /// Total tracked origins across all shards.
     pub fn tracked_count(&self) -> usize {
-        self.shards.iter().map(|s| s.origins.len()).sum()
+        self.origins.len()
     }
 
     /// The operator the accountant currently holds — what the next round is
@@ -399,10 +403,7 @@ impl StreamingAccountant {
             "cannot advance past a pending speculated round; commit it first"
         );
         let _span = self.telemetry.as_ref().map(|t| t.advance_ns.span(&t.clock));
-        let operator = Self::held(&self.operator);
-        for shard in self.shards.iter_mut() {
-            shard.ensemble.advance_auto(operator, 1);
-        }
+        self.ensemble.advance_auto(Self::held(&self.operator), 1);
         self.round += 1;
     }
 
@@ -455,12 +456,11 @@ impl StreamingAccountant {
             .telemetry
             .as_ref()
             .map(|t| t.speculate_ns.span(&t.clock));
-        let operator = Self::held(&self.operator);
-        for shard in self.shards.iter_mut() {
-            shard
-                .ensemble
-                .speculate_interleaved(operator, &mut shard.prev, &mut shard.prev_il);
-        }
+        self.ensemble.speculate_interleaved(
+            Self::held(&self.operator),
+            &mut self.prev,
+            &mut self.prev_il,
+        );
         self.speculated = true;
         if let Some(t) = &self.telemetry {
             t.speculated.inc();
@@ -492,13 +492,11 @@ impl StreamingAccountant {
     /// ensembles'.
     pub fn commit_round(&mut self, realized: DynTransition, affected: &[NodeId]) {
         let model = realized.as_ref();
-        if let Some(shard) = self.shards.first() {
-            assert_eq!(
-                model.node_count(),
-                shard.ensemble.node_count(),
-                "realized operator covers the wrong number of users"
-            );
-        }
+        assert_eq!(
+            model.node_count(),
+            self.ensemble.node_count(),
+            "realized operator covers the wrong number of users"
+        );
         let n = model.node_count().max(1);
         let dense = affected.len() as f64 > self.delta_dense_fraction * n as f64;
         let _span = self.telemetry.as_ref().map(|t| t.commit_ns.span(&t.clock));
@@ -513,16 +511,13 @@ impl StreamingAccountant {
                 }
             }
         }
-        for shard in self.shards.iter_mut() {
-            match (self.speculated, dense) {
-                (true, false) => {
-                    shard
-                        .ensemble
-                        .correct_columns_interleaved(model, affected, &shard.prev_il)
-                }
-                (true, true) => shard.ensemble.recompute_from(model, &shard.prev),
-                (false, _) => shard.ensemble.advance_auto(model, 1),
+        match (self.speculated, dense) {
+            (true, false) => {
+                self.ensemble
+                    .correct_columns_interleaved(model, affected, &self.prev_il)
             }
+            (true, true) => self.ensemble.recompute_from(model, &self.prev),
+            (false, _) => self.ensemble.advance_auto(model, 1),
         }
         self.operator = StreamingOperator::Live(realized);
         self.round += 1;
@@ -549,14 +544,7 @@ impl StreamingAccountant {
     /// origins.  With telemetry attached, the result is also published to
     /// the `ns_acct_worst_*` gauges.
     pub fn worst_stats(&self) -> RowStats {
-        let mut worst = RowStats::default();
-        for shard in &self.shards {
-            for row in 0..shard.ensemble.sources() {
-                let stats = shard.ensemble.row_stats(row);
-                worst.sum_of_squares = worst.sum_of_squares.max(stats.sum_of_squares);
-                worst.support_ratio = worst.support_ratio.max(stats.support_ratio);
-            }
-        }
+        let worst = self.ensemble.worst_stats();
         if let Some(t) = &self.telemetry {
             t.record_worst_stats(&worst);
         }
@@ -576,8 +564,8 @@ impl StreamingAccountant {
         params: &AccountantParams,
     ) -> Result<(NodeId, PrivacyGuarantee)> {
         let mut worst: Option<(NodeId, PrivacyGuarantee)> = None;
-        for shard in &self.shards {
-            let candidate = Self::shard_worst(shard, protocol, params)?;
+        for shard in 0..self.shard_count() {
+            let candidate = self.shard_worst(shard, protocol, params)?;
             let beats = worst
                 .as_ref()
                 .is_none_or(|(_, current)| candidate.1.epsilon > current.epsilon);
@@ -601,9 +589,8 @@ impl StreamingAccountant {
         protocol: ProtocolKind,
         params: &AccountantParams,
     ) -> Result<Vec<(NodeId, PrivacyGuarantee)>> {
-        self.shards
-            .iter()
-            .map(|shard| Self::shard_worst(shard, protocol, params))
+        (0..self.shard_count())
+            .map(|shard| self.shard_worst(shard, protocol, params))
             .collect()
     }
 
@@ -631,12 +618,17 @@ impl StreamingAccountant {
         }
         Ok(AccountantCheckpoint {
             round: self.round,
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| AccountantShardCheckpoint {
-                    origins: shard.origins.clone(),
-                    rows: shard.ensemble.clone().into_flat(),
+            shards: (0..self.shard_count())
+                .map(|shard| {
+                    let rows = self.shard_rows(shard);
+                    let mut flat = Vec::with_capacity(rows.len() * self.ensemble.node_count());
+                    for row in rows.clone() {
+                        flat.extend_from_slice(self.ensemble.row(row));
+                    }
+                    AccountantShardCheckpoint {
+                        origins: self.origins[rows].to_vec(),
+                        rows: flat,
+                    }
                 })
                 .collect(),
         })
@@ -662,14 +654,9 @@ impl StreamingAccountant {
         schedule: Option<TimeVaryingModel>,
         checkpoint: &AccountantCheckpoint,
     ) -> Result<Self> {
-        if checkpoint.shards.len() != partition.shard_count() {
-            return Err(Error::InvalidConfiguration(format!(
-                "checkpoint tracks {} shards but the partition has {}",
-                checkpoint.shards.len(),
-                partition.shard_count()
-            )));
-        }
         let n = graph.node_count();
+        let (origins, shard_starts, ensemble) =
+            Self::tracked_state(checkpoint, partition.shard_count(), n)?;
         let operator = match schedule {
             Some(model) => {
                 if model.node_count() != n {
@@ -682,7 +669,65 @@ impl StreamingAccountant {
             }
             None => StreamingOperator::Static(TransitionMatrix::with_laziness(graph, laziness)?),
         };
-        let mut shards = Vec::with_capacity(checkpoint.shards.len());
+        Ok(StreamingAccountant {
+            operator,
+            origins,
+            shard_starts,
+            ensemble,
+            prev: Vec::new(),
+            prev_il: Vec::new(),
+            round: checkpoint.round,
+            speculated: false,
+            delta_dense_fraction: DELTA_DENSE_FRACTION,
+            telemetry: None,
+        })
+    }
+
+    /// Replaces the tracked origins, rows and round clock with a
+    /// checkpoint's, keeping the operator the accountant already holds —
+    /// the in-place form of [`StreamingAccountant::restore`], for a
+    /// recovering deployment whose accountant already carries the attached
+    /// schedule.  On error the accountant is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamingAccountant::restore`], plus
+    /// [`Error::InvalidConfiguration`] when the accountant holds a live
+    /// delta operator (no checkpoint is taken in that state).
+    pub(crate) fn install(&mut self, checkpoint: &AccountantCheckpoint) -> Result<()> {
+        if matches!(self.operator, StreamingOperator::Live(_)) {
+            return Err(Error::InvalidConfiguration(
+                "cannot install a checkpoint into an accountant holding a live delta operator"
+                    .into(),
+            ));
+        }
+        let (origins, shard_starts, ensemble) =
+            Self::tracked_state(checkpoint, self.shard_count(), self.ensemble.node_count())?;
+        self.origins = origins;
+        self.shard_starts = shard_starts;
+        self.ensemble = ensemble;
+        self.round = checkpoint.round;
+        self.speculated = false;
+        Ok(())
+    }
+
+    /// The fused tracked state a checkpoint describes — every shard's
+    /// origins and rows concatenated in shard order — validated against
+    /// `shard_count` shards over `n` users.
+    fn tracked_state(
+        checkpoint: &AccountantCheckpoint,
+        shard_count: usize,
+        n: usize,
+    ) -> Result<(Vec<NodeId>, Vec<usize>, DistributionEnsemble)> {
+        if checkpoint.shards.len() != shard_count {
+            return Err(Error::InvalidConfiguration(format!(
+                "checkpoint tracks {} shards but the partition has {shard_count}",
+                checkpoint.shards.len()
+            )));
+        }
+        let mut origins = Vec::new();
+        let mut shard_starts = vec![0];
+        let mut flat = Vec::with_capacity(checkpoint.shards.iter().map(|s| s.rows.len()).sum());
         for (s, shard_cp) in checkpoint.shards.iter().enumerate() {
             if shard_cp.origins.is_empty() || shard_cp.rows.len() != shard_cp.origins.len() * n {
                 return Err(Error::InvalidConfiguration(format!(
@@ -698,39 +743,37 @@ impl StreamingAccountant {
                 }
                 .into());
             }
-            let ensemble = DistributionEnsemble::from_rows_at(
-                shard_cp.origins.len(),
-                shard_cp.rows.clone(),
-                checkpoint.round,
-            )?;
-            shards.push(TrackedShard {
-                origins: shard_cp.origins.clone(),
-                ensemble,
-                prev: Vec::new(),
-                prev_il: Vec::new(),
-            });
+            origins.extend_from_slice(&shard_cp.origins);
+            shard_starts.push(origins.len());
+            flat.extend_from_slice(&shard_cp.rows);
         }
-        Ok(StreamingAccountant {
-            operator,
-            shards,
-            round: checkpoint.round,
-            speculated: false,
-            delta_dense_fraction: DELTA_DENSE_FRACTION,
-            telemetry: None,
-        })
+        let ensemble = DistributionEnsemble::from_rows_at(origins.len(), flat, checkpoint.round)?;
+        Ok((origins, shard_starts, ensemble))
+    }
+
+    /// Number of shards the accountant tracks origins for.
+    fn shard_count(&self) -> usize {
+        self.shard_starts.len() - 1
+    }
+
+    /// The ensemble rows shard `shard` owns.
+    fn shard_rows(&self, shard: usize) -> std::ops::Range<usize> {
+        self.shard_starts[shard]..self.shard_starts[shard + 1]
     }
 
     /// The single per-origin fold both quote forms share: evaluate every
     /// tracked origin of one shard and keep the strictly-largest ε (ties
     /// keep the earliest tracked origin).
     fn shard_worst(
-        shard: &TrackedShard,
+        &self,
+        shard: usize,
         protocol: ProtocolKind,
         params: &AccountantParams,
     ) -> Result<(NodeId, PrivacyGuarantee)> {
         let mut worst: Option<(NodeId, PrivacyGuarantee)> = None;
-        for (row, &origin) in shard.origins.iter().enumerate() {
-            let stats = shard.ensemble.row_stats(row);
+        for row in self.shard_rows(shard) {
+            let origin = self.origins[row];
+            let stats = self.ensemble.row_stats(row);
             let guarantee = guarantee_from_stats(protocol, params, &stats)?;
             let beats = worst
                 .as_ref()
@@ -1155,26 +1198,15 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             &checkpoint.engine,
         )?;
         engine.set_telemetry(self.telemetry.as_ref().map(|t| t.engine.clone()));
-        let schedule = self
-            .outages
-            .as_ref()
-            .map(|s| s.time_varying_model(self.graph, self.config.laziness))
-            .transpose()?;
-        let mut accountant = StreamingAccountant::restore(
-            self.graph,
-            self.partition,
-            self.config.laziness,
-            schedule,
-            &checkpoint.accountant,
-        )?;
-        accountant.set_telemetry(self.telemetry.as_ref().map(|t| t.accountant.clone()));
+        // The accountant already holds the operator `with_outages` attached
+        // (or the static walk): only its tracked rows and clock change.
+        self.accountant.install(&checkpoint.accountant)?;
         self.recorder = TrafficRecorder::from_parts(
             checkpoint.recorder_rounds,
             checkpoint.recorder_messages.clone(),
             checkpoint.recorder_peaks.clone(),
         );
         self.engine = Some(engine);
-        self.accountant = accountant;
         Ok(())
     }
 

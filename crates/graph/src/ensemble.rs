@@ -10,13 +10,17 @@
 //!
 //! [`DistributionEnsemble`] stores `sources` distributions as one flat
 //! row-major `sources × n` buffer and advances all of them with a blocked
-//! kernel: rows are processed [`LANES`] at a time, transposed into an
-//! interleaved `n × lanes` scratch block, and evolved by
-//! [`TransitionModel::propagate_interleaved`] with two scratch buffers
-//! swapped per round — no per-step allocation.  For the CSR-backed
+//! kernel: rows are processed [`LANES`] at a time, transposed (tiled) into
+//! an interleaved `n × lanes` scratch block, and evolved by
+//! [`TransitionModel::propagate_round_interleaved`], the last round writing
+//! row-major straight back into the rows
+//! ([`TransitionModel::propagate_round_interleaved_rows`]).  A one-round
+//! advance therefore needs a single scratch block, and the ensemble keeps
+//! it across calls, so a caller taking one round per call allocates nothing
+//! after its first.  For the CSR-backed
 //! [`crate::transition::TransitionMatrix`] this streams the offsets/neighbour
 //! arrays once per block instead of once per origin and turns the scattered
-//! per-edge updates into contiguous `lanes`-wide ones, which is where the
+//! per-edge updates into contiguous `lanes`-wide gathers, which is where the
 //! multi-× speedup over a naive per-origin `propagate` loop comes from
 //! (`crates/bench/benches/ensemble.rs`).
 //!
@@ -25,9 +29,9 @@
 //! [`crate::distribution::PositionDistribution`] is a thin view over a 1-row
 //! ensemble and exact multi-origin accounting agrees with the historical
 //! single-origin route exactly.  With the `parallel` cargo feature, blocks
-//! are dealt to threads (`DistributionEnsemble::advance_parallel`); blocks
-//! never interact, so the parallel results are bitwise identical to the
-//! sequential ones regardless of thread count.
+//! are dealt to threads (`DistributionEnsemble::advance_parallel`; a single
+//! block runs inline); blocks never interact, so the parallel results are
+//! bitwise identical to the sequential ones regardless of thread count.
 //!
 //! The module also provides bounded-memory drivers over *all* `n` origins
 //! ([`all_origin_moments`], [`all_origin_trajectories`]): the full ensemble
@@ -161,6 +165,55 @@ pub struct DistributionEnsemble {
     data: Vec<f64>,
     /// Rounds applied so far.
     time: usize,
+    /// Kernel scratch kept between advances.
+    workspace: Workspace,
+}
+
+/// The interleaved kernel scratch an ensemble keeps between advances, so a
+/// caller taking one round per call (the streaming accountant) allocates
+/// nothing after its first call.  Pure scratch, never part of the
+/// ensemble's value: clones start empty and equality ignores it.
+#[derive(Default)]
+struct Workspace(Vec<f64>);
+
+impl Workspace {
+    /// The first `len` entries, growing the buffer when it is shorter.
+    fn take(&mut self, len: usize) -> &mut [f64] {
+        if self.0.len() < len {
+            self.0.resize(len, 0.0);
+        }
+        &mut self.0[..len]
+    }
+}
+
+impl Clone for Workspace {
+    fn clone(&self) -> Self {
+        Workspace::default()
+    }
+}
+
+impl PartialEq for Workspace {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Workspace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Workspace({} f64)", self.0.len())
+    }
+}
+
+/// Scratch one worker needs to advance blocks of up to `lanes` rows of `n`
+/// entries by `rounds` rounds: a ping-pong row for 1-row blocks, else one
+/// interleaved block, plus a second one when intermediate rounds need
+/// somewhere to land.
+fn workspace_len(n: usize, lanes: usize, rounds: usize) -> usize {
+    match (lanes, rounds) {
+        (1, _) => n,
+        (_, 1) => lanes * n,
+        _ => 2 * lanes * n,
+    }
 }
 
 impl DistributionEnsemble {
@@ -190,6 +243,7 @@ impl DistributionEnsemble {
             nodes: n,
             data,
             time: 0,
+            workspace: Workspace::default(),
         })
     }
 
@@ -242,6 +296,7 @@ impl DistributionEnsemble {
             nodes: n,
             data: flat,
             time: 0,
+            workspace: Workspace::default(),
         })
     }
 
@@ -280,6 +335,7 @@ impl DistributionEnsemble {
             nodes,
             data: flat,
             time: 0,
+            workspace: Workspace::default(),
         }
     }
 
@@ -582,85 +638,48 @@ impl DistributionEnsemble {
             return;
         }
         let n = self.nodes;
-        let mut scratch_a = vec![0.0; LANES.min(self.sources) * n];
-        // The second scratch is only needed for multi-lane blocks; 1-row
-        // ensembles (the PositionDistribution view) skip it entirely.
-        let mut scratch_b = vec![
-            0.0;
-            if self.sources > 1 {
-                LANES.min(self.sources) * n
-            } else {
-                0
-            }
-        ];
-        match stats {
-            Some(stats) => {
-                for (rows, block_stats) in self
-                    .data
-                    .chunks_mut(LANES * n)
-                    .zip(stats.chunks_mut(LANES * rounds))
-                {
-                    let lanes = rows.len() / n;
-                    let b_len = if lanes == 1 { 0 } else { lanes * n };
-                    advance_block(
-                        model,
-                        n,
-                        base_round,
-                        rounds,
-                        rows,
-                        &mut scratch_a[..lanes * n],
-                        &mut scratch_b[..b_len],
-                        Some(block_stats),
-                    );
-                }
-            }
-            None => {
-                for rows in self.data.chunks_mut(LANES * n) {
-                    let lanes = rows.len() / n;
-                    let b_len = if lanes == 1 { 0 } else { lanes * n };
-                    advance_block(
-                        model,
-                        n,
-                        base_round,
-                        rounds,
-                        rows,
-                        &mut scratch_a[..lanes * n],
-                        &mut scratch_b[..b_len],
-                        None,
-                    );
-                }
-            }
+        let scratch = self
+            .workspace
+            .take(workspace_len(n, LANES.min(self.sources), rounds));
+        let mut stats = stats.map(|stats| stats.chunks_mut(LANES * rounds));
+        for rows in self.data.chunks_mut(LANES * n) {
+            let block_stats = stats.as_mut().and_then(Iterator::next);
+            advance_block(model, n, base_round, rounds, rows, scratch, block_stats);
         }
     }
 }
 
 /// Advances one block of `rows.len() / n` rows by `rounds` rounds through
-/// the interleaved double-buffered kernel, starting from absolute round
-/// `base_round` (the ensemble's clock before the advance; step `t` of the
-/// block is executed as `propagate_round_*(base_round + t, …)`, which is
-/// what lets time-varying models schedule a distinct operator per round).
+/// the interleaved kernel, starting from absolute round `base_round` (the
+/// ensemble's clock before the advance; step `t` of the block is executed
+/// as `propagate_round_*(base_round + t, …)`, which is what lets
+/// time-varying models schedule a distinct operator per round).
+///
+/// The block is transposed into the interleaved layout once; intermediate
+/// rounds ping-pong between two interleaved buffers and the last round
+/// writes row-major straight back into `rows`
+/// ([`TransitionModel::propagate_round_interleaved_rows`]), so a one-round
+/// advance needs a single interleaved buffer.  `scratch` holds at least
+/// [`workspace_len`] entries for the block, and `rounds` is at least 1.
 /// `block_stats`, when given, has length `lanes * rounds` laid out
 /// `[lane * rounds + (t - 1)]`.
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: both drivers pass the same 8 pieces
 fn advance_block<M: TransitionModel + ?Sized>(
     model: &M,
     n: usize,
     base_round: usize,
     rounds: usize,
     rows: &mut [f64],
-    scratch_a: &mut [f64],
-    scratch_b: &mut [f64],
+    scratch: &mut [f64],
     mut block_stats: Option<&mut [RowStats]>,
 ) {
     let lanes = rows.len() / n;
-    debug_assert_eq!(scratch_a.len(), lanes * n);
     if lanes == 1 {
         // Single-row fast path: the row *is* the "interleaved" buffer, so
-        // double-buffer against one scratch directly — no gather/scatter
-        // copies, no second scratch.  This keeps `PositionDistribution`'s
-        // per-step cost at the historical `propagate` level.
+        // double-buffer against one scratch row directly — no transposes.
+        // This keeps `PositionDistribution`'s per-step cost at the
+        // historical `propagate` level.
         let mut current: &mut [f64] = rows;
-        let mut next: &mut [f64] = scratch_a;
+        let mut next: &mut [f64] = &mut scratch[..n];
         for t in 0..rounds {
             model.propagate_round_into(base_round + t, current, next);
             std::mem::swap(&mut current, &mut next);
@@ -674,17 +693,11 @@ fn advance_block<M: TransitionModel + ?Sized>(
         }
         return;
     }
-    debug_assert_eq!(scratch_b.len(), lanes * n);
-    // Gather the block into the interleaved layout.
-    for lane in 0..lanes {
-        let row = &rows[lane * n..(lane + 1) * n];
-        for (i, &x) in row.iter().enumerate() {
-            scratch_a[i * lanes + lane] = x;
-        }
-    }
-    let mut current: &mut [f64] = scratch_a;
-    let mut next: &mut [f64] = scratch_b;
-    for t in 0..rounds {
+    let (interleaved, spare) = scratch.split_at_mut(lanes * n);
+    transpose_into(lanes, n, rows, interleaved);
+    let mut current: &mut [f64] = interleaved;
+    let mut next: &mut [f64] = &mut spare[..if rounds > 1 { lanes * n } else { 0 }];
+    for t in 0..rounds - 1 {
         model.propagate_round_interleaved(base_round + t, lanes, current, next);
         std::mem::swap(&mut current, &mut next);
         if let Some(stats) = block_stats.as_deref_mut() {
@@ -693,11 +706,10 @@ fn advance_block<M: TransitionModel + ?Sized>(
             }
         }
     }
-    // Scatter the block back into row-major order.
-    for lane in 0..lanes {
-        let row = &mut rows[lane * n..(lane + 1) * n];
-        for (i, x) in row.iter_mut().enumerate() {
-            *x = current[i * lanes + lane];
+    model.propagate_round_interleaved_rows(base_round + rounds - 1, lanes, current, rows);
+    if let Some(stats) = block_stats {
+        for (lane, row) in rows.chunks(n).enumerate() {
+            stats[lane * rounds + rounds - 1] = stats_of(row.iter().copied());
         }
     }
 }
@@ -723,6 +735,12 @@ pub fn interleave_rows(rows: usize, n: usize, src: &[f64], dst: &mut Vec<f64>) {
         dst.clear();
         dst.resize(rows * n, 0.0);
     }
+    transpose_into(rows, n, src, dst);
+}
+
+/// The tiled transpose behind [`interleave_rows`], into a buffer of exactly
+/// `rows * n` entries.
+fn transpose_into(rows: usize, n: usize, src: &[f64], dst: &mut [f64]) {
     // Tile width: 128 nodes * 8 bytes = 1 KiB of each row's window, and the
     // write side touches 128 packs at a time — both L1-resident.
     const TILE: usize = 128;
@@ -747,7 +765,9 @@ pub fn interleave_rows(rows: usize, n: usize, src: &[f64], dst: &mut Vec<f64>) {
 /// **bitwise equal** to sequential ones for any thread count.
 #[cfg(feature = "parallel")]
 mod parallel {
-    use super::{advance_block, DistributionEnsemble, EnsembleTrajectory, RowStats, LANES};
+    use super::{
+        advance_block, workspace_len, DistributionEnsemble, EnsembleTrajectory, RowStats, LANES,
+    };
     use crate::transition::TransitionModel;
 
     /// One block of ensemble rows plus its optional stats window.
@@ -794,6 +814,20 @@ mod parallel {
             rounds: usize,
             stats: Option<&mut [RowStats]>,
         ) {
+            let blocks = self.sources.div_ceil(LANES);
+            let threads = if blocks > 1 {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+                    .min(blocks)
+            } else {
+                1
+            };
+            if threads <= 1 {
+                // One block (or one core): run inline rather than pay a
+                // thread spawn for no parallelism.
+                return self.advance_seq(model, rounds, stats);
+            }
             assert_eq!(
                 model.node_count(),
                 self.nodes,
@@ -801,7 +835,7 @@ mod parallel {
             );
             let base_round = self.time;
             self.time += rounds;
-            if rounds == 0 || self.sources == 0 {
+            if rounds == 0 {
                 return;
             }
             let n = self.nodes;
@@ -817,32 +851,19 @@ mod parallel {
                     .map(|rows| (rows, None))
                     .collect(),
             };
-            let threads = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(blocks.len())
-                .max(1);
             let mut per_thread: Vec<Vec<Block<'_>>> = (0..threads).map(|_| Vec::new()).collect();
             for (index, block) in blocks.into_iter().enumerate() {
                 per_thread[index % threads].push(block);
             }
+            let per_worker = workspace_len(n, LANES, rounds);
+            let scratch = self.workspace.take(threads * per_worker);
             std::thread::scope(|scope| {
-                for assignment in per_thread {
+                for (assignment, scratch) in
+                    per_thread.into_iter().zip(scratch.chunks_mut(per_worker))
+                {
                     scope.spawn(move || {
-                        let mut scratch_a = vec![0.0; LANES * n];
-                        let mut scratch_b = vec![0.0; LANES * n];
                         for (rows, block_stats) in assignment {
-                            let lanes = rows.len() / n;
-                            advance_block(
-                                model,
-                                n,
-                                base_round,
-                                rounds,
-                                rows,
-                                &mut scratch_a[..lanes * n],
-                                &mut scratch_b[..lanes * n],
-                                block_stats,
-                            );
+                            advance_block(model, n, base_round, rounds, rows, scratch, block_stats);
                         }
                     });
                 }

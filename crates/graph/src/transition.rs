@@ -96,6 +96,41 @@ pub trait TransitionModel {
         self.propagate_interleaved(lanes, input, output);
     }
 
+    /// [`TransitionModel::propagate_round_interleaved`] with a row-major
+    /// result: `input[i * lanes + l]` is entry `i` of distribution `l`, and
+    /// that distribution's next state lands in `output[l * n..(l + 1) * n]`.
+    ///
+    /// This is the ensemble's one-buffer round: a block's rows are
+    /// transposed into one interleaved scratch and the step writes the
+    /// next state straight back into the rows, with no second scratch and
+    /// no transpose back.  Same per-lane bitwise contract as
+    /// [`TransitionModel::propagate_interleaved`].  The default gathers
+    /// each lane into a scratch row and runs
+    /// [`TransitionModel::propagate_round_into`] into its output row —
+    /// correct, allocating, never fast; fused backends override it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` or `output` do not have length `lanes * n`.
+    fn propagate_round_interleaved_rows(
+        &self,
+        round: usize,
+        lanes: usize,
+        input: &[f64],
+        output: &mut [f64],
+    ) {
+        let n = self.node_count();
+        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
+        assert_eq!(output.len(), lanes * n, "output block has wrong length");
+        let mut row_in = vec![0.0; n];
+        for (lane, out_row) in output.chunks_mut(n).enumerate() {
+            for (i, x) in row_in.iter_mut().enumerate() {
+                *x = input[i * lanes + lane];
+            }
+            self.propagate_round_into(round, &row_in, out_row);
+        }
+    }
+
     /// Recomputes only `out[j]` for `j ∈ columns` of the step taken at
     /// absolute round `round`, leaving every other entry of `out` untouched.
     ///
@@ -205,6 +240,59 @@ pub trait TransitionModel {
         }
         self.propagate_round_columns_rows(round, rows, &prev, out, columns);
     }
+}
+
+/// Where a fused pull kernel stores the lanes it accumulated for one node.
+pub(crate) enum LaneOut<'a> {
+    /// The input's interleaved layout: lane `l` of node `j` at
+    /// `out[j * lanes + l]`.
+    Interleaved(&'a mut [f64]),
+    /// Row-major: lane `l` of node `j` at `out[l * n + j]`.
+    Rows(&'a mut [f64]),
+}
+
+impl LaneOut<'_> {
+    /// Stores lanes `offset..offset + L` of node `j`.
+    #[inline(always)]
+    pub(crate) fn put<const L: usize>(
+        &mut self,
+        n: usize,
+        lanes: usize,
+        offset: usize,
+        j: usize,
+        acc: &[f64; L],
+    ) {
+        match self {
+            LaneOut::Interleaved(out) => {
+                let base = j * lanes + offset;
+                out[base..base + L].copy_from_slice(acc);
+            }
+            LaneOut::Rows(out) => {
+                for (lane, &value) in acc.iter().enumerate() {
+                    out[(offset + lane) * n + j] = value;
+                }
+            }
+        }
+    }
+}
+
+/// Splits `lanes` interleaved lanes into `(offset, width)` runs of the
+/// compile-time widths the fused kernels are instantiated at — 8, then 4,
+/// 2 and 1 for the remainder — so any lane count runs on fixed-width
+/// accumulators.  Lanes never interact, so the split changes no result.
+pub(crate) fn lane_runs(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut offset = 0;
+    std::iter::from_fn(move || {
+        let width = match lanes - offset {
+            0 => return None,
+            left if left >= 8 => 8,
+            left if left >= 4 => 4,
+            left if left >= 2 => 2,
+            _ => 1,
+        };
+        offset += width;
+        Some((offset - width, width))
+    })
 }
 
 /// A black-box transition backend defined by a closure.
@@ -399,29 +487,39 @@ impl TransitionMatrix {
             lanes * n,
             "interleaved output has wrong length"
         );
-        // Dispatch to a compile-time lane width where possible: the per-edge
-        // inner loop is the hottest code in the crate, and a fixed trip
-        // count lets the compiler unroll and vectorize it (8 lanes of f64 =
-        // one cache line per delivered share).  The arithmetic is identical
-        // in every arm.
-        match lanes {
+        self.propagate_lanes(lanes, input, LaneOut::Interleaved(output));
+    }
+
+    /// Dispatches `lanes` interleaved lanes to the fused kernels, storing
+    /// through `out`.  The per-edge inner loop is the hottest code in the
+    /// crate, so every run of lanes goes to a compile-time width (see
+    /// [`lane_runs`]): a fixed trip count lets the compiler unroll and
+    /// vectorize it (8 lanes of f64 = one cache line per gathered share).
+    /// The arithmetic is identical in every arm.
+    fn propagate_lanes(&self, lanes: usize, input: &[f64], mut out: LaneOut<'_>) {
+        if lanes == 1 {
             // Degenerate block: the interleaved layout *is* the row layout.
-            1 => self.propagate_into(input, output),
-            2 => self.propagate_fixed::<2>(input, output),
-            4 => self.propagate_fixed::<4>(input, output),
-            8 => {
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: the AVX2 requirement was just checked.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        self.propagate_gather8_avx2(input, output);
+            let (LaneOut::Interleaved(output) | LaneOut::Rows(output)) = out;
+            return self.propagate_into(input, output);
+        }
+        for (offset, width) in lane_runs(lanes) {
+            match width {
+                8 => {
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY: the AVX2 requirement was just checked.
+                        #[allow(unsafe_code)]
+                        unsafe {
+                            self.propagate_gather8_avx2(lanes, offset, input, &mut out);
+                        }
+                        continue;
                     }
-                    return;
+                    self.propagate_fixed::<8>(lanes, offset, input, &mut out)
                 }
-                self.propagate_fixed::<8>(input, output)
+                4 => self.propagate_fixed::<4>(lanes, offset, input, &mut out),
+                2 => self.propagate_fixed::<2>(lanes, offset, input, &mut out),
+                _ => self.propagate_fixed::<1>(lanes, offset, input, &mut out),
             }
-            _ => self.propagate_dyn(lanes, input, output),
         }
     }
 
@@ -436,18 +534,23 @@ impl TransitionMatrix {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(unsafe_code)]
-    unsafe fn propagate_gather8_avx2(&self, input: &[f64], output: &mut [f64]) {
+    unsafe fn propagate_gather8_avx2(
+        &self,
+        lanes: usize,
+        offset: usize,
+        input: &[f64],
+        out: &mut LaneOut<'_>,
+    ) {
         use std::arch::x86_64::*;
-        const L: usize = 8;
         const PREFETCH_DISTANCE: usize = 8;
         let n = self.node_count();
         let move_factor = _mm256_set1_pd(1.0 - self.laziness);
         let laziness = _mm256_set1_pd(self.laziness);
         let in_ptr = input.as_ptr();
-        let out_ptr = output.as_mut_ptr();
         let edge_count = self.neighbors.len();
+        let mut acc = [0.0f64; 8];
         for j in 0..n {
-            let base = j * L;
+            let base = j * lanes + offset;
             let in_j0 = _mm256_loadu_pd(in_ptr.add(base));
             let in_j1 = _mm256_loadu_pd(in_ptr.add(base + 4));
             let mut acc0 = _mm256_setzero_pd();
@@ -456,7 +559,7 @@ impl TransitionMatrix {
             for idx in *self.offsets.get_unchecked(j)..*self.offsets.get_unchecked(j + 1) {
                 if idx + PREFETCH_DISTANCE < edge_count {
                     let ahead = *self.neighbors.get_unchecked(idx + PREFETCH_DISTANCE);
-                    _mm_prefetch(in_ptr.add(ahead * L) as *const i8, _MM_HINT_T0);
+                    _mm_prefetch(in_ptr.add(ahead * lanes + offset) as *const i8, _MM_HINT_T0);
                 }
                 let i = *self.neighbors.get_unchecked(idx);
                 if lazy_pending && i > j {
@@ -465,7 +568,7 @@ impl TransitionMatrix {
                     lazy_pending = false;
                 }
                 let inv_degree = _mm256_set1_pd(*self.inv_degree.get_unchecked(i));
-                let ib = i * L;
+                let ib = i * lanes + offset;
                 let v0 = _mm256_loadu_pd(in_ptr.add(ib));
                 let v1 = _mm256_loadu_pd(in_ptr.add(ib + 4));
                 acc0 = _mm256_add_pd(
@@ -481,12 +584,14 @@ impl TransitionMatrix {
                 acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(laziness, in_j0));
                 acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(laziness, in_j1));
             }
-            _mm256_storeu_pd(out_ptr.add(base), acc0);
-            _mm256_storeu_pd(out_ptr.add(base + 4), acc1);
+            _mm256_storeu_pd(acc.as_mut_ptr(), acc0);
+            _mm256_storeu_pd(acc.as_mut_ptr().add(4), acc1);
+            out.put::<8>(n, lanes, offset, j, &acc);
         }
     }
 
-    /// Fixed-lane-width body of [`TransitionMatrix::propagate_interleaved`].
+    /// Fixed-lane-width body of [`TransitionMatrix::propagate_interleaved`]:
+    /// lanes `offset..offset + L` of an interleaved block `lanes` wide.
     ///
     /// The kernel is *pull*-based: instead of scattering each node's share
     /// to its neighbours (a random read-for-ownership per edge, whose miss
@@ -509,10 +614,16 @@ impl TransitionMatrix {
     /// This is the one stretch of `unsafe` in the crate: the per-edge loads
     /// go through raw pointers because checked indexing costs more than the
     /// arithmetic.  It relies on construction invariants — every neighbour
-    /// id is `< n`, `inv_degree` has `n` entries, and the dispatcher
-    /// asserted both buffers hold `n * L` f64s.
+    /// id is `< n`, `inv_degree` has `n` entries, `offset + L <= lanes`,
+    /// and the dispatcher asserted the input holds `n * lanes` f64s.
     #[allow(unsafe_code)]
-    fn propagate_fixed<const L: usize>(&self, input: &[f64], output: &mut [f64]) {
+    fn propagate_fixed<const L: usize>(
+        &self,
+        lanes: usize,
+        offset: usize,
+        input: &[f64],
+        out: &mut LaneOut<'_>,
+    ) {
         /// How many edges ahead source lines are prefetched.
         const PREFETCH_DISTANCE: usize = 8;
         let n = self.node_count();
@@ -520,7 +631,7 @@ impl TransitionMatrix {
         let in_ptr = input.as_ptr();
         let edge_count = self.neighbors.len();
         for j in 0..n {
-            let base = j * L;
+            let base = j * lanes + offset;
             let in_j: &[f64; L] = input[base..base + L].try_into().expect("lane width");
             let mut acc = [0.0f64; L];
             let mut lazy_pending = true;
@@ -533,7 +644,7 @@ impl TransitionMatrix {
                     if idx + PREFETCH_DISTANCE < edge_count {
                         let ahead = *self.neighbors.get_unchecked(idx + PREFETCH_DISTANCE);
                         std::arch::x86_64::_mm_prefetch(
-                            in_ptr.add(ahead * L) as *const i8,
+                            in_ptr.add(ahead * lanes + offset) as *const i8,
                             std::arch::x86_64::_MM_HINT_T0,
                         );
                     }
@@ -545,7 +656,7 @@ impl TransitionMatrix {
                         lazy_pending = false;
                     }
                     let inv_degree = *self.inv_degree.get_unchecked(i);
-                    let in_i = in_ptr.add(i * L);
+                    let in_i = in_ptr.add(i * lanes + offset);
                     for (lane, acc_lane) in acc.iter_mut().enumerate() {
                         *acc_lane += move_factor * *in_i.add(lane) * inv_degree;
                     }
@@ -556,35 +667,7 @@ impl TransitionMatrix {
                     acc[lane] += self.laziness * in_j[lane];
                 }
             }
-            let out_j: &mut [f64; L] = (&mut output[base..base + L]).try_into().expect("lane");
-            *out_j = acc;
-        }
-    }
-
-    /// Runtime-lane-width fallback (ragged tail blocks).
-    fn propagate_dyn(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
-        let n = self.node_count();
-        let move_factor = 1.0 - self.laziness;
-        output.fill(0.0);
-        let mut share = vec![0.0f64; lanes];
-        for i in 0..n {
-            let base = i * lanes;
-            let inv_degree = self.inv_degree[i];
-            {
-                let in_i = &input[base..base + lanes];
-                let out_i = &mut output[base..base + lanes];
-                for lane in 0..lanes {
-                    let mass = in_i[lane];
-                    out_i[lane] += self.laziness * mass;
-                    share[lane] = move_factor * mass * inv_degree;
-                }
-            }
-            for &j in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
-                let out_j = &mut output[j * lanes..j * lanes + lanes];
-                for (out, &s) in out_j.iter_mut().zip(share.iter()) {
-                    *out += s;
-                }
-            }
+            out.put::<L>(n, lanes, offset, j, &acc);
         }
     }
 
@@ -611,6 +694,19 @@ impl TransitionModel for TransitionMatrix {
 
     fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
         TransitionMatrix::propagate_interleaved(self, lanes, input, output);
+    }
+
+    fn propagate_round_interleaved_rows(
+        &self,
+        _round: usize,
+        lanes: usize,
+        input: &[f64],
+        output: &mut [f64],
+    ) {
+        let n = self.node_count();
+        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
+        assert_eq!(output.len(), lanes * n, "output block has wrong length");
+        self.propagate_lanes(lanes, input, LaneOut::Rows(output));
     }
 
     /// Pull-form per-column recompute, bitwise identical to the scatter

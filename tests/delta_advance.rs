@@ -293,6 +293,91 @@ fn delta_advance_reproduces_blessed_goldens() {
     );
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The masked operator's fused pull kernel, directly: every lane of an
+    /// interleaved step — written back interleaved and written row-major —
+    /// is bitwise the scalar scatter reference
+    /// ([`MaskedTransition::propagate_into`]), compared through `to_bits`
+    /// so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9 and 16
+    /// (every compile-time width and ragged split), laziness 0 and 0.15,
+    /// and masks from all-available to all-dark with dark point-mass
+    /// origins, over three evolving steps from point masses mixed with
+    /// dense random rows.
+    #[test]
+    fn masked_pull_kernel_matches_the_scalar_scatter_per_lane(
+        graph in strategies::graph_zoo(20..70),
+        seed in 0u64..1_000,
+    ) {
+        use ns_graph::transition::TransitionModel;
+        let n = graph.node_count();
+        prop_assume!(n >= 4);
+        prop_assume!(graph.find_isolated_node().is_none());
+        let mut rng = seeded_rng(seed);
+        for laziness in [0.0, 0.15] {
+            for dark in [0.0, 0.2, 0.7, 1.0] {
+                for lanes in (1..=9).chain([16]) {
+                    // Lanes alternate between point masses and dense random
+                    // distributions; the first origin is always dark unless
+                    // the mask is all-available.
+                    let origins: Vec<NodeId> = (0..lanes).map(|_| rng.gen_range(0..n)).collect();
+                    let mut mask: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= dark).collect();
+                    if dark > 0.0 {
+                        mask[origins[0]] = false;
+                    }
+                    let op = MaskedTransition::new(&graph, mask, laziness).unwrap();
+                    let mut rows: Vec<Vec<f64>> = origins
+                        .iter()
+                        .enumerate()
+                        .map(|(lane, &origin)| {
+                            let mut row = vec![0.0; n];
+                            if lane % 2 == 0 {
+                                row[origin] = 1.0;
+                            } else {
+                                for x in row.iter_mut() {
+                                    *x = if rng.gen::<f64>() < 0.3 { 0.0 } else { rng.gen::<f64>() };
+                                }
+                                let total: f64 = row.iter().sum();
+                                row.iter_mut().for_each(|x| *x /= total);
+                            }
+                            row
+                        })
+                        .collect();
+                    for step in 0..3 {
+                        let flat: Vec<f64> = rows.concat();
+                        let mut input = Vec::new();
+                        ns_graph::ensemble::interleave_rows(lanes, n, &flat, &mut input);
+                        let mut interleaved = vec![f64::NAN; lanes * n];
+                        op.propagate_interleaved(lanes, &input, &mut interleaved);
+                        let mut row_major = vec![f64::NAN; lanes * n];
+                        op.propagate_round_interleaved_rows(0, lanes, &input, &mut row_major);
+                        for (lane, row) in rows.iter_mut().enumerate() {
+                            let mut want = vec![f64::NAN; n];
+                            op.propagate_into(row, &mut want);
+                            for (i, w) in want.iter().enumerate() {
+                                prop_assert_eq!(
+                                    w.to_bits(),
+                                    interleaved[i * lanes + lane].to_bits(),
+                                    "interleaved lane {} of {} diverged at node {} (step {}, dark {}, laziness {})",
+                                    lane, lanes, i, step, dark, laziness
+                                );
+                                prop_assert_eq!(
+                                    w.to_bits(),
+                                    row_major[lane * n + i].to_bits(),
+                                    "row-major lane {} of {} diverged at node {} (step {}, dark {}, laziness {})",
+                                    lane, lanes, i, step, dark, laziness
+                                );
+                            }
+                            *row = want;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The column form of every operator equals the dense kernel column by
 /// column — directly, without the ensemble on top (the contract
 /// [`ns_graph::transition::TransitionModel::propagate_round_columns`]

@@ -205,3 +205,183 @@ proptest! {
         prop_assert_eq!(&sequential, &untracked);
     }
 }
+
+/// The streaming accountant keeps every shard's tracked origins in one
+/// fused ensemble.  It must be bitwise the historical layout — one
+/// standalone ensemble per shard — in every quote and checkpoint row: over
+/// shard counts whose row totals cross the 8-lane block boundary, static
+/// and scheduled operators, dense rounds, and speculate/commit rounds.
+#[test]
+fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
+    use network_shuffle::accountant::{all_protocol_epsilon, single_protocol_epsilon};
+    use ns_dp::types::PrivacyGuarantee;
+    use ns_graph::delta::affected_columns;
+    use ns_graph::dynamic::{DynTransition, MaskedTransition, TimeVaryingModel};
+    use ns_graph::partition::Partition;
+    use ns_graph::transition::TransitionModel;
+    use ns_graph::NodeId;
+    use rand::Rng;
+    use std::sync::Arc;
+
+    let g = ns_graph::generators::barabasi_albert(72, 2, &mut seeded_rng(41)).unwrap();
+    let n = g.node_count();
+    let laziness = 0.1;
+    let params = AccountantParams::with_defaults(n, 1.0).unwrap();
+    let mut rng = seeded_rng(42);
+    let mut random_mask =
+        |dark: f64| -> Vec<bool> { (0..n).map(|_| rng.gen::<f64>() >= dark).collect() };
+    let schedule_masks: Vec<Vec<bool>> = (0..4).map(|_| random_mask(0.2)).collect();
+    let dense_rounds = 5;
+
+    for shards in [1usize, 2, 4, 8] {
+        let partition = Partition::new(&g, shards).unwrap();
+        for tracked in [1usize, 2, 3, usize::MAX] {
+            for scheduled in [false, true] {
+                let context = format!("k = {shards}, tracked = {tracked}, scheduled = {scheduled}");
+                let schedule =
+                    TimeVaryingModel::from_availability(&g, laziness, &schedule_masks).unwrap();
+                let matrix = TransitionMatrix::with_laziness(&g, laziness).unwrap();
+                let mut fused = if scheduled {
+                    StreamingAccountant::with_schedule(&g, &partition, schedule.clone(), tracked)
+                } else {
+                    StreamingAccountant::new(&g, &partition, laziness, tracked)
+                }
+                .unwrap();
+                let held: &(dyn TransitionModel + Sync) =
+                    if scheduled { &schedule } else { &matrix };
+                // The historical layout: per shard, its lowest-degree origins
+                // in one standalone ensemble.
+                let mut reference: Vec<(Vec<NodeId>, DistributionEnsemble)> = partition
+                    .shards()
+                    .iter()
+                    .map(|shard| {
+                        let mut origins = shard.nodes().to_vec();
+                        origins.sort_by_key(|&u| (g.degree(u), u));
+                        origins.truncate(tracked.min(origins.len()));
+                        let ensemble = DistributionEnsemble::point_masses(n, &origins).unwrap();
+                        (origins, ensemble)
+                    })
+                    .collect();
+
+                let check = |fused: &StreamingAccountant,
+                             reference: &[(Vec<NodeId>, DistributionEnsemble)],
+                             round: usize| {
+                    for protocol in [ProtocolKind::All, ProtocolKind::Single] {
+                        let expected: Vec<(NodeId, PrivacyGuarantee)> = reference
+                            .iter()
+                            .map(|(origins, ensemble)| {
+                                let mut worst: Option<(NodeId, PrivacyGuarantee)> = None;
+                                for (row, &origin) in origins.iter().enumerate() {
+                                    let stats = ensemble.row_stats(row);
+                                    let quote = match protocol {
+                                        ProtocolKind::All => all_protocol_epsilon(
+                                            &params,
+                                            stats.sum_of_squares,
+                                            stats.support_ratio,
+                                        ),
+                                        ProtocolKind::Single => {
+                                            single_protocol_epsilon(&params, stats.sum_of_squares)
+                                        }
+                                    }
+                                    .unwrap();
+                                    if worst.is_none_or(|(_, w)| quote.epsilon > w.epsilon) {
+                                        worst = Some((origin, quote));
+                                    }
+                                }
+                                worst.unwrap()
+                            })
+                            .collect();
+                        let quotes = fused.shard_quotes(protocol, &params).unwrap();
+                        assert_eq!(quotes.len(), expected.len(), "{context}");
+                        for ((o, q), (eo, eq)) in quotes.iter().zip(&expected) {
+                            assert_eq!(o, eo, "{context}, round {round}");
+                            assert_eq!(
+                                q.epsilon.to_bits(),
+                                eq.epsilon.to_bits(),
+                                "{context}, round {round}"
+                            );
+                            assert_eq!(
+                                q.delta.to_bits(),
+                                eq.delta.to_bits(),
+                                "{context}, round {round}"
+                            );
+                        }
+                        let (worst_origin, worst) = fused.worst_quote(protocol, &params).unwrap();
+                        let (eo, eq) = expected
+                            .iter()
+                            .fold(
+                                None,
+                                |best: Option<&(NodeId, PrivacyGuarantee)>, c| match best {
+                                    Some(b) if c.1.epsilon <= b.1.epsilon => Some(b),
+                                    _ => Some(c),
+                                },
+                            )
+                            .unwrap();
+                        assert_eq!(worst_origin, *eo, "{context}, round {round}");
+                        assert_eq!(
+                            worst.epsilon.to_bits(),
+                            eq.epsilon.to_bits(),
+                            "{context}, round {round}"
+                        );
+                    }
+                };
+
+                // Dense rounds under the held operator, with checkpoints.
+                for round in 1..=dense_rounds {
+                    fused.advance_round();
+                    for (_, ensemble) in &mut reference {
+                        ensemble.advance_auto(held, 1);
+                    }
+                    check(&fused, &reference, round);
+                    let checkpoint = fused.checkpoint().unwrap();
+                    assert_eq!(checkpoint.round, round);
+                    assert_eq!(checkpoint.shards.len(), reference.len(), "{context}");
+                    for (shard_cp, (origins, ensemble)) in checkpoint.shards.iter().zip(&reference)
+                    {
+                        assert_eq!(&shard_cp.origins, origins, "{context}");
+                        let expected = ensemble.clone().into_flat();
+                        assert_eq!(shard_cp.rows.len(), expected.len(), "{context}");
+                        assert!(
+                            shard_cp
+                                .rows
+                                .iter()
+                                .zip(&expected)
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "{context}: checkpoint rows diverged at round {round}"
+                        );
+                    }
+                }
+
+                // Speculate/commit rounds under realized masked operators,
+                // each corrected over the columns its mask change affects:
+                // a few flips take the sparse correction, half the network
+                // flipping takes the dense fallback.
+                let mut flip_rng = seeded_rng(43);
+                let mut held_mask = if scheduled {
+                    schedule_masks[dense_rounds.min(schedule_masks.len() - 1)].clone()
+                } else {
+                    vec![true; n]
+                };
+                for step in 0..4 {
+                    let mut mask = held_mask.clone();
+                    for _ in 0..if step == 2 { n / 2 } else { 2 } {
+                        let u = flip_rng.gen_range(0..n);
+                        mask[u] = !mask[u];
+                    }
+                    let touched: Vec<NodeId> =
+                        (0..n).filter(|&u| held_mask[u] != mask[u]).collect();
+                    let columns = affected_columns(&g, &touched);
+                    let realized: DynTransition =
+                        Arc::new(MaskedTransition::new(&g, mask.clone(), laziness).unwrap());
+                    fused.speculate_round();
+                    fused.commit_round(realized.clone(), &columns);
+                    for (_, ensemble) in &mut reference {
+                        ensemble.advance_auto(realized.as_ref(), 1);
+                    }
+                    check(&fused, &reference, dense_rounds + step + 1);
+                    held_mask = mask;
+                }
+            }
+        }
+    }
+}
