@@ -1,5 +1,5 @@
 //! Shard-count sweep of the sharded mixing engine at fixed population,
-//! plus a steady-state allocation audit of the unified round kernel.
+//! plus allocation audits of the delta and durable round paths.
 //!
 //! Measures the cost of one exchange-round budget (engine construction plus
 //! `ROUNDS` holder-order rounds) as the shard count grows at `n = 100_000`:
@@ -10,20 +10,15 @@
 //! phase instead.
 //!
 //! Before the criterion sweep, a counting global allocator audits the
-//! kernel's arena contract: after a short warm-up, monolithic, sharded and
-//! masked-sharded rounds must perform **zero** heap allocations per round —
-//! all counting-sort and outbox scratch lives in reusable arenas owned by
-//! the plan executors.  (The audit runs on the benchmark binary only; the
-//! engines themselves are allocator-agnostic.)
+//! delta runtime's critical path and the durable wrapper's marginal cost
+//! per round (both must be zero once warm).  The engines' own round and
+//! migration audits are tier-1 tests (`tests/engine_allocations.rs`).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use ns_graph::generators::random_regular;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
-use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
-use ns_graph::telemetry::EngineTelemetry;
 use ns_obs::MetricsRegistry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,144 +90,13 @@ fn settle_then_audit(label: &str, mut round: impl FnMut()) -> usize {
     audited
 }
 
-/// Steady-state rounds must allocate nothing — in *both* draw modes: the
-/// `fast` lane buffer is arena scratch like everything else, growing once
-/// to its high-water mark and then recycled.
-fn audit_steady_state_allocations() {
+/// The audits that need a bench-sized population and the store layer.
+fn audit_allocations() {
     let n = 20_000;
     let graph = random_regular(n, DEGREE, &mut seeded_rng(3)).expect("graph");
     let partition = Partition::new(&graph, 4).expect("partition");
-    let mask: Vec<bool> = (0..n).map(|u| u % 5 != 0).collect();
-
-    for mode in [DrawMode::Compat, DrawMode::Fast] {
-        let tag = match mode {
-            DrawMode::Compat => "compat",
-            DrawMode::Fast => "fast",
-        };
-        let mut engine = MixingEngine::one_walker_per_node(&graph).expect("engine");
-        engine.set_draw_mode(mode);
-        let mut rng = seeded_rng(4);
-        let single = settle_then_audit(&format!("monolithic {tag}"), || {
-            engine.step_holder(0.2, &mut rng, &mut ());
-        });
-
-        let mut sharded =
-            ShardedMixingEngine::one_walker_per_node(&graph, &partition, 5).expect("engine");
-        sharded.set_draw_mode(mode);
-        let multi = settle_then_audit(&format!("sharded k=4 {tag}"), || {
-            sharded.step(0.2, &mut ());
-        });
-
-        let masked = settle_then_audit(&format!("sharded k=4 + mask {tag}"), || {
-            sharded.step_masked(0.2, &mask, &mut ());
-        });
-
-        // The telemetry layer rides the same contract: span timers,
-        // counters and histograms record into preregistered slots, so
-        // re-auditing the settled engines with a live registry attached
-        // must stay at zero too.
-        let registry = MetricsRegistry::new();
-        engine.set_telemetry(Some(EngineTelemetry::register(&registry)));
-        let single_obs = settle_then_audit(&format!("monolithic {tag} + telemetry"), || {
-            engine.step_holder(0.2, &mut rng, &mut ());
-        });
-        sharded.set_telemetry(Some(EngineTelemetry::register(&registry)));
-        let multi_obs = settle_then_audit(&format!("sharded k=4 {tag} + telemetry"), || {
-            sharded.step(0.2, &mut ());
-        });
-        let masked_obs =
-            settle_then_audit(&format!("sharded k=4 + mask {tag} + telemetry"), || {
-                sharded.step_masked(0.2, &mask, &mut ());
-            });
-
-        // The arena contract of ns_graph::round: settled rounds allocate
-        // nothing.  (Threaded rounds spawn scoped threads per step; thread
-        // stacks are runtime plumbing, not per-round engine allocations, so
-        // the audit runs the sequential forms.)
-        assert_eq!(
-            single, 0,
-            "monolithic {tag} steady-state rounds must not allocate"
-        );
-        assert_eq!(
-            multi, 0,
-            "sharded {tag} steady-state rounds must not allocate"
-        );
-        assert_eq!(
-            masked, 0,
-            "masked sharded {tag} steady-state rounds must not allocate"
-        );
-        assert_eq!(
-            single_obs, 0,
-            "instrumented monolithic {tag} steady-state rounds must not allocate"
-        );
-        assert_eq!(
-            multi_obs, 0,
-            "instrumented sharded {tag} steady-state rounds must not allocate"
-        );
-        assert_eq!(
-            masked_obs, 0,
-            "instrumented masked sharded {tag} steady-state rounds must not allocate"
-        );
-        // The registry really saw the audited rounds (render is off-audit).
-        assert!(registry.render().contains("counter ns_rounds_total"));
-        black_box(sharded.position(0));
-    }
-
-    audit_migration_allocations(&graph, &partition);
     audit_delta_allocations(&graph);
     audit_durable_allocations(&graph, &partition);
-
-    #[cfg(feature = "parallel")]
-    audit_pipelined_allocations(&graph, &partition);
-}
-
-/// The online-repartitioning exchange is arena scratch too: once the
-/// per-shard buffers have hit their high-water marks for every partition
-/// shape in rotation, a `migrate_borrowed_into` + round cycle allocates
-/// nothing.  (The owned entry points box the incoming partition by design —
-/// that box is the caller's hand-off, not per-migration engine scratch.)
-fn audit_migration_allocations(graph: &ns_graph::Graph, partition: &Partition) {
-    let n = graph.node_count();
-    // A second shape: rotate a band of nodes one shard over.
-    let shifted: Vec<u32> = (0..n)
-        .map(|u| {
-            let s = partition.shard_of(u);
-            if u % 7 == 0 {
-                ((s + 1) % partition.shard_count()) as u32
-            } else {
-                s as u32
-            }
-        })
-        .collect();
-    let other =
-        Partition::from_assignment(graph, partition.shard_count(), shifted).expect("partition");
-    let mut engine = ShardedMixingEngine::one_walker_per_node(graph, partition, 8).expect("engine");
-    let mut movers = Vec::new();
-    let mut flip = false;
-    // Pre-warm past the high-water ratchet: per-shard bucket sizes keep
-    // setting records while the walk redistributes, so a lucky early
-    // zero-allocation block does not yet mean the buffers are settled.
-    for _ in 0..100 {
-        flip = !flip;
-        let next = if flip { &other } else { partition };
-        engine
-            .migrate_borrowed_into(next, &mut movers)
-            .expect("migrate");
-        engine.step(0.2, &mut ());
-    }
-    let audited = settle_then_audit("migrate + round k=4", || {
-        flip = !flip;
-        let next = if flip { &other } else { partition };
-        engine
-            .migrate_borrowed_into(next, &mut movers)
-            .expect("migrate");
-        engine.step(0.2, &mut ());
-    });
-    assert_eq!(
-        audited, 0,
-        "steady-state migrations must not allocate once buffers are warm"
-    );
-    black_box(engine.position(0));
 }
 
 /// The delta runtime's critical path — affected-column derivation plus the
@@ -345,42 +209,6 @@ fn audit_durable_allocations(graph: &ns_graph::Graph, partition: &Partition) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The pipelined exchange allocates per *call* (the alternate outbox buffer
-/// and the scoped worker threads), never per *round*: doubling the round
-/// count of a settled engine must add zero allocations.
-#[cfg(feature = "parallel")]
-fn audit_pipelined_allocations(graph: &ns_graph::Graph, partition: &Partition) {
-    for mode in [DrawMode::Compat, DrawMode::Fast] {
-        let tag = match mode {
-            DrawMode::Compat => "compat",
-            DrawMode::Fast => "fast",
-        };
-        let mut engine =
-            ShardedMixingEngine::one_walker_per_node(graph, partition, 6).expect("engine");
-        engine.set_draw_mode(mode);
-        // Settle arenas and outboxes to their high-water marks.  The marks
-        // are workload-dependent (walkers redistribute every round), so
-        // settle adaptively like `settle_then_audit` does: keep running
-        // until a longer call stops allocating more than a shorter one.
-        engine.run_pipelined(0.2, 20);
-        let mut marginal = usize::MAX;
-        for _ in 0..50 {
-            let short = allocations_during(|| engine.run_pipelined(0.2, 10));
-            let long = allocations_during(|| engine.run_pipelined(0.2, 20));
-            marginal = long.saturating_sub(short);
-            if marginal == 0 {
-                break;
-            }
-        }
-        println!("pipelined marginal allocations over 10 extra rounds [{tag}]: {marginal}");
-        assert_eq!(
-            marginal, 0,
-            "pipelined {tag} rounds must not allocate beyond the per-call setup"
-        );
-        black_box(engine.position(0));
-    }
-}
-
 fn bench_shard_count_sweep(c: &mut Criterion) {
     let graph = random_regular(USERS, DEGREE, &mut seeded_rng(1)).expect("graph");
     let mut group = c.benchmark_group("sharded_mixing_100k");
@@ -395,7 +223,7 @@ fn bench_shard_count_sweep(c: &mut Criterion) {
                     let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, partition, 7)
                         .expect("engine");
                     for _ in 0..ROUNDS {
-                        engine.step_auto(0.0, &mut ());
+                        engine.step(0.0, None, &mut ()).expect("round");
                     }
                     black_box(engine.position(0))
                 });
@@ -408,6 +236,6 @@ fn bench_shard_count_sweep(c: &mut Criterion) {
 criterion_group!(benches, bench_shard_count_sweep);
 
 fn main() {
-    audit_steady_state_allocations();
+    audit_allocations();
     benches();
 }

@@ -109,7 +109,7 @@ fn main() {
             ShardedMixingEngine::one_walker_per_node(graph, &partition, SEED).expect("engine");
         let start = Instant::now();
         for _ in 0..throughput_rounds {
-            engine.step(0.0, &mut ());
+            engine.step(0.0, None, &mut ()).expect("round");
         }
         let rounds_per_s = throughput_rounds as f64 / start.elapsed().as_secs_f64();
 

@@ -30,7 +30,7 @@
 //!      critical path + sparse column correction on it, and every
 //!      `NS_SOAK_EPOCH` rounds a bounded online refinement
 //!      ([`Partition::refined_assignment`]) migrated into the live engine
-//!      ([`ShardedMixingEngine::migrate_owned`]), movers masked for one
+//!      ([`ShardedMixingEngine::migrate`]), movers masked for one
 //!      round so the accountant prices the exchange.
 //!
 //!    The emitted per-arm series (live edge-cut fraction + critical-path
@@ -50,6 +50,7 @@ use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::{Graph, NodeId};
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -269,11 +270,14 @@ fn soak_arm(
     engine.set_draw_mode(DrawMode::Fast);
     // The engine owns its topology from here on: the borrowed `graph` and
     // `partition0` stay untouched while the owned copies track the churn.
-    engine.retarget_owned(graph.clone()).expect("retarget");
-    let movers = engine
-        .migrate_owned(partition0.clone())
+    engine
+        .retarget(Cow::Owned(graph.clone()))
+        .expect("retarget");
+    let mut pending_unmask: Vec<NodeId> = Vec::new();
+    engine
+        .migrate(Cow::Owned(partition0.clone()), &mut pending_unmask)
         .expect("initial migrate");
-    assert!(movers.is_empty(), "round-0 migration moves nobody");
+    assert!(pending_unmask.is_empty(), "round-0 migration moves nobody");
 
     let op0: DynTransition = Arc::new(dg.masked_operator(LAZINESS).expect("operator"));
     let schedule = ns_graph::dynamic::TimeVaryingModel::constant(op0).expect("schedule");
@@ -299,7 +303,6 @@ fn soak_arm(
     let mut migrations = 0usize;
     let mut movers_total = 0usize;
     let mut mask = vec![true; n];
-    let mut pending_unmask: Vec<NodeId> = Vec::new();
     let wall_start = Instant::now();
 
     for round in 0..rounds {
@@ -341,16 +344,18 @@ fn soak_arm(
             if !moved.is_empty() {
                 let next =
                     Partition::from_assignment(dg.snapshot(), SHARDS, refined).expect("partition");
-                let movers = engine.migrate_owned(next.clone()).expect("migrate");
+                // `pending_unmask` was emptied at the top of the round.
+                engine
+                    .migrate(Cow::Owned(next.clone()), &mut pending_unmask)
+                    .expect("migrate");
                 partition = next;
                 migrations += 1;
-                movers_total += movers.len();
-                for &u in &movers {
+                movers_total += pending_unmask.len();
+                for &u in &pending_unmask {
                     dg.set_available(u, false).expect("mask");
                     mask[u] = false;
                     touched.push(u);
                 }
-                pending_unmask = movers;
             }
         }
 
@@ -369,8 +374,8 @@ fn soak_arm(
         epoch_critical_s += dt;
 
         // Move the walkers over the live topology.
-        engine.retarget_owned(snapshot).expect("retarget");
-        engine.step_masked(LAZINESS, &mask, &mut ());
+        engine.retarget(Cow::Owned(snapshot)).expect("retarget");
+        engine.step(LAZINESS, Some(&mask), &mut ()).expect("round");
 
         rounds_in_window += 1;
         // Sample at the END of each epoch-boundary round — right *after*

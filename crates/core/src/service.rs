@@ -1216,7 +1216,8 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// # Errors
     ///
     /// [`Error::InvalidConfiguration`] if [`ShuffleCoordinator::begin_exchange`]
-    /// has not been called.
+    /// has not been called; the engine's round validation errors, which the
+    /// validated config and outage schedule rule out.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<()> {
         let engine = self.engine.as_mut().ok_or_else(|| {
             Error::InvalidConfiguration("call begin_exchange() before running rounds".into())
@@ -1224,16 +1225,11 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         let traffic = self.telemetry.as_ref().map(|t| &t.traffic);
         let mut observer = ObservedRounds::new(&mut self.recorder, traffic);
         for _ in 0..rounds {
-            match &self.outages {
-                None => engine.step_auto(self.config.laziness, &mut observer),
-                Some(schedule) => {
-                    // Round t (0-based) runs under mask(t); the accountant's
-                    // scheduled operator applies the same mask at the same
-                    // clock, so quotes track the realized walk exactly.
-                    let mask = schedule.mask(engine.round());
-                    engine.step_masked_auto(self.config.laziness, mask, &mut observer);
-                }
-            }
+            // Round t (0-based) runs under mask(t); the accountant's
+            // scheduled operator applies the same mask at the same clock,
+            // so quotes track the realized walk exactly.
+            let mask = self.outages.as_ref().map(|s| s.mask(engine.round()));
+            engine.step(self.config.laziness, mask, &mut observer)?;
             self.accountant.advance_round();
         }
         Ok(())

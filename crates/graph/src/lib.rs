@@ -35,7 +35,7 @@
 //!   by a bitwise-exact sparse column correction over the churn-affected
 //!   neighbourhoods ([`delta`], [`ensemble`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
-//!   with shard-local CSRs, frontier tables and quality metrics
+//!   producing a node → shard assignment with cut and balance metrics
 //!   ([`partition`]), and a multi-shard round executor with per-shard
 //!   ChaCha8 streams and a counting-sort cross-shard exchange phase that
 //!   degenerates bit for bit to the single engine under a 1-shard
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::graph::{Graph, NodeId};
     pub use crate::mixing::{mixing_time, sum_p_squared_bound, tv_bound};
     pub use crate::mixing_engine::{MixingEngine, RoundObserver, RoundStats};
-    pub use crate::partition::{FrontierEdge, IntraShardTransition, Partition, Shard};
+    pub use crate::partition::{IntraShardTransition, Partition, Shard};
     pub use crate::sharded_engine::{
         shard_stream, EngineCheckpoint, ShardCheckpoint, ShardedMixingEngine,
     };

@@ -45,8 +45,6 @@ use crate::telemetry::EngineTelemetry;
 use crate::walk::WalkConfig;
 use rand::Rng;
 
-pub(crate) use crate::round::sample_move;
-
 /// Per-round measurements streamed to a [`RoundObserver`].
 #[derive(Debug)]
 pub struct RoundStats<'a> {
@@ -380,36 +378,6 @@ impl<'g> MixingEngine<'g> {
         }
     }
 
-    /// Executes one walker-order round and streams statistics to `observer`.
-    ///
-    /// Always draws through the compat rule regardless of the engine's
-    /// [`DrawMode`] — this is a diagnostic path, not a hot loop.
-    pub fn step_observed<R: Rng + ?Sized, O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        rng: &mut R,
-        observer: &mut O,
-    ) {
-        self.sent.fill(0);
-        for pos in &mut self.positions {
-            if let Some(dest) = sample_move(self.graph, *pos as NodeId, laziness, rng) {
-                self.sent[*pos as usize] += 1;
-                *pos = dest as u32;
-            }
-        }
-        self.load.fill(0);
-        for &node in &self.positions {
-            self.load[node as usize] += 1;
-        }
-        self.round += 1;
-        self.buckets_valid = false;
-        observer.on_round(&RoundStats {
-            round: self.round,
-            sent: &self.sent,
-            load: &self.load,
-        });
-    }
-
     /// Executes one holder-order round: nodes are visited in id order, each
     /// node's held walkers in insertion order; every walker either stays
     /// (probability `laziness`) or is sent to a uniformly random neighbour.
@@ -603,16 +571,6 @@ mod parallel {
     }
 
     impl MixingEngine<'_> {
-        /// Executes one walker-order round in parallel.
-        ///
-        /// Deterministic in `seed` and the current round index; independent
-        /// of thread count.  The sampled trajectories differ from the serial
-        /// [`MixingEngine::step`] for the same seed (each chunk draws from
-        /// its own stream), but are equally distributed.
-        pub fn step_parallel(&mut self, laziness: f64, seed: u64) {
-            self.run_parallel_rounds(laziness, seed, 1);
-        }
-
         /// Runs a full walk with parallel rounds.
         ///
         /// Workers are spawned once for the whole walk, not once per round:
@@ -834,14 +792,6 @@ mod tests {
             .run_holder_observed(WalkConfig::lazy(12, 0.1), &mut rng, &mut checker)
             .unwrap();
         assert_eq!(checker.rounds_seen, 12);
-
-        let mut walker_checker = Checker {
-            walkers: 80,
-            rounds_seen: 0,
-        };
-        let mut engine2 = MixingEngine::one_walker_per_node(&g).unwrap();
-        engine2.step_observed(0.0, &mut rng, &mut walker_checker);
-        assert_eq!(walker_checker.rounds_seen, 1);
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //!   shard holding most of their neighbours without violating the balance
 //!   tolerance;
 //! * each shard gets a **local node remapping** (global ids ↔ dense local
-//!   ids), a **shard-local CSR** over its intra-shard edges, and a
-//!   **frontier table** of its cut edges — one entry per (local node,
-//!   peer shard, peer local node) incidence, mirrored exactly on the peer
-//!   shard.  The shard CSRs plus the frontier tables reconstruct the input
-//!   graph bit for bit (`tests/partition_properties.rs` proves this on the
-//!   proptest graph zoo);
+//!   ids, local order following global order).  A partition is only this
+//!   assignment: the engine samples neighbours from the one global CSR, so
+//!   no per-shard graph copies are built;
 //! * quality is quantified by [`Partition::edge_cut_fraction`] (fraction of
 //!   edges whose endpoints land in different shards — every such edge costs
-//!   a cross-shard delivery per traversal) and
-//!   [`Partition::max_shard_imbalance`] (largest shard node count relative
-//!   to the perfectly balanced `n / k`).
+//!   a cross-shard delivery per traversal),
+//!   [`Partition::cut_isolated_count`] (nodes with no same-shard
+//!   neighbour) and [`Partition::max_shard_imbalance`] (largest shard node
+//!   count relative to the perfectly balanced `n / k`).  Both cut counts
+//!   come from one pass over the edges at construction.
 //!
 //! Everything is deterministic in `(graph, shard_count)`: no RNG is drawn,
 //! ties break toward smaller ids, and refinement sweeps nodes in id order —
@@ -35,7 +34,6 @@
 //! Evolving it through the ensemble kernel prices the edge-cut fraction in
 //! ε directly — the `ablation_shard` experiment.
 
-use crate::builder::GraphBuilder;
 use crate::dynamic::{DynTransition, DynamicGraph, TimeVaryingModel};
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -48,32 +46,12 @@ const REFINEMENT_SWEEPS: usize = 12;
 /// receiving shard's degree load above `(1 + tolerance) ×` the ideal share.
 const BALANCE_TOLERANCE: f64 = 0.15;
 
-/// One cut-edge incidence in a shard's frontier table.
-///
-/// The tables are symmetric: if shard `s` records `(u_local, t, v_local)`
-/// then shard `t` records `(v_local, s, u_local)` for the same underlying
-/// edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontierEdge {
-    /// Local id (within the owning shard) of the endpoint on this side.
-    pub local_node: usize,
-    /// Shard holding the other endpoint.
-    pub peer_shard: usize,
-    /// Local id of the other endpoint within `peer_shard`.
-    pub peer_local: usize,
-}
-
-/// One shard of a [`Partition`]: remapping, local CSR and frontier table.
+/// One shard of a [`Partition`]: its nodes, whose positions are the
+/// shard-local ids.
 #[derive(Debug, Clone)]
 pub struct Shard {
     /// Global ids of this shard's nodes, ascending; local id = index.
     nodes: Vec<NodeId>,
-    /// CSR over the shard's intra-shard edges, in local ids.  Nodes whose
-    /// neighbours all live elsewhere are isolated here — the frontier table
-    /// carries their incident edges.
-    local_graph: Graph,
-    /// Cut-edge incidences, sorted by `(local_node, peer_shard, peer_local)`.
-    frontier: Vec<FrontierEdge>,
 }
 
 impl Shard {
@@ -90,17 +68,6 @@ impl Shard {
     /// Whether the shard is empty (never true for a built [`Partition`]).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The shard-local CSR over intra-shard edges (local ids).
-    pub fn local_graph(&self) -> &Graph {
-        &self.local_graph
-    }
-
-    /// The shard's frontier table, sorted by
-    /// `(local_node, peer_shard, peer_local)`.
-    pub fn frontier(&self) -> &[FrontierEdge] {
-        &self.frontier
     }
 
     /// Maps a local id back to its global node id.
@@ -124,6 +91,7 @@ pub struct Partition {
     node_count: usize,
     edge_count: usize,
     cut_edge_count: usize,
+    cut_isolated_count: usize,
     /// `shard_of[u]` is the shard holding global node `u`.
     shard_of: Vec<u32>,
     /// `local_of[u]` is `u`'s dense local id within its shard.
@@ -153,15 +121,18 @@ impl Partition {
                 "shard count must be in 1..={n}, got {shard_count}"
             )));
         }
+        if shard_count == 1 {
+            return Self::single_shard(graph);
+        }
         let mut shard_of = grow_shards(graph, shard_count);
         refine(graph, shard_count, &mut shard_of);
         Ok(Self::from_assignment_internal(graph, shard_count, shard_of))
     }
 
-    /// The canonical 1-shard partition: identity remapping, the whole graph
-    /// as the single shard CSR, an empty frontier.  Under this partition the
-    /// sharded engine degenerates bit for bit to the single
-    /// [`crate::mixing_engine::MixingEngine`] path.
+    /// The canonical 1-shard partition: every node in shard 0 under the
+    /// identity remapping (also what [`Partition::new`] returns for one
+    /// shard).  Under this partition the sharded engine degenerates bit for
+    /// bit to the single [`crate::mixing_engine::MixingEngine`] path.
     ///
     /// # Errors
     ///
@@ -211,57 +182,36 @@ impl Partition {
         Ok(Self::from_assignment_internal(graph, shard_count, shard_of))
     }
 
-    /// Materializes remappings, shard CSRs and frontier tables from a
-    /// validated assignment.
+    /// Materializes the remappings from a validated assignment and counts
+    /// the cut edges and cut-isolated nodes in one pass over the edges.
     fn from_assignment_internal(graph: &Graph, shard_count: usize, shard_of: Vec<u32>) -> Self {
         let n = graph.node_count();
-        let mut nodes_per_shard: Vec<Vec<NodeId>> = vec![Vec::new(); shard_count];
+        let mut shards = vec![Shard { nodes: Vec::new() }; shard_count];
         let mut local_of = vec![0u32; n];
-        for u in 0..n {
-            let s = shard_of[u] as usize;
-            local_of[u] = nodes_per_shard[s].len() as u32;
-            nodes_per_shard[s].push(u);
-        }
         let mut cut_edge_count = 0usize;
-        let mut shards = Vec::with_capacity(shard_count);
-        for (s, nodes) in nodes_per_shard.into_iter().enumerate() {
-            let mut builder = GraphBuilder::new(nodes.len());
-            let mut frontier = Vec::new();
-            for (lu, &u) in nodes.iter().enumerate() {
-                for &v in graph.neighbors(u) {
-                    let v = v as usize;
-                    let t = shard_of[v] as usize;
-                    if t == s {
-                        // Add each intra-shard edge once (from its lower
-                        // endpoint; local order follows global order).
-                        if u < v {
-                            builder
-                                .add_edge(lu, local_of[v] as usize)
-                                .expect("intra-shard edge indices are in range");
-                        }
-                    } else {
-                        frontier.push(FrontierEdge {
-                            local_node: lu,
-                            peer_shard: t,
-                            peer_local: local_of[v] as usize,
-                        });
-                        if u < v {
-                            cut_edge_count += 1;
-                        }
-                    }
+        let mut cut_isolated_count = 0usize;
+        for u in 0..n {
+            let s = shard_of[u];
+            let nodes = &mut shards[s as usize].nodes;
+            local_of[u] = nodes.len() as u32;
+            nodes.push(u);
+            let mut has_local_neighbor = false;
+            for &v in graph.neighbors(u) {
+                if shard_of[v as usize] == s {
+                    has_local_neighbor = true;
+                } else if u < v as usize {
+                    cut_edge_count += 1;
                 }
             }
-            frontier.sort_unstable_by_key(|e| (e.local_node, e.peer_shard, e.peer_local));
-            shards.push(Shard {
-                nodes,
-                local_graph: builder.build(),
-                frontier,
-            });
+            if !has_local_neighbor {
+                cut_isolated_count += 1;
+            }
         }
         Partition {
             node_count: n,
             edge_count: graph.edge_count(),
             cut_edge_count,
+            cut_isolated_count,
             shard_of,
             local_of,
             shards,
@@ -499,19 +449,12 @@ impl Partition {
     }
 
     /// Number of nodes whose **entire** neighbourhood lies across the cut
-    /// (shard-local degree zero).  Under a cut-restricted deployment such
+    /// (no same-shard neighbour).  Under a cut-restricted deployment such
     /// users can never relay, so their reports stay put forever; the
     /// refinement pass rescues them whenever a neighbouring shard exists,
     /// and `ablation_shard` reports the residue.
     pub fn cut_isolated_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                (0..s.len())
-                    .filter(|&lu| s.local_graph.degree(lu) == 0)
-                    .count()
-            })
-            .sum()
+        self.cut_isolated_count
     }
 }
 
@@ -595,9 +538,6 @@ fn grow_shards(graph: &Graph, shard_count: usize) -> Vec<u32> {
 /// a user would be frozen forever) is rescued into its strongest
 /// neighbouring shard even when that shard is at its balance limit.
 fn refine(graph: &Graph, shard_count: usize, shard_of: &mut [u32]) {
-    if shard_count == 1 {
-        return;
-    }
     let n = graph.node_count();
     let total_weight: usize = (0..n).map(|u| graph.degree(u) + 1).sum();
     let load_limit = (total_weight as f64 / shard_count as f64) * (1.0 + BALANCE_TOLERANCE);
@@ -917,61 +857,32 @@ mod tests {
         assert_eq!(p.cut_edge_count(), 0);
         assert_eq!(p.edge_cut_fraction(), 0.0);
         assert_eq!(p.max_shard_imbalance(), 1.0);
-        let shard = p.shard(0);
-        assert_eq!(shard.nodes(), (0..60).collect::<Vec<_>>().as_slice());
-        assert!(shard.frontier().is_empty());
-        assert_eq!(shard.local_graph(), &g);
+        assert_eq!(p.cut_isolated_count(), 0);
+        assert_eq!(p.shard(0).nodes(), (0..60).collect::<Vec<_>>().as_slice());
+        // `new` with one shard is the same assignment, without a growth pass.
+        let q = Partition::new(&g, 1).unwrap();
+        assert_eq!((q.shard_of, q.local_of), (p.shard_of, p.local_of));
     }
 
     #[test]
-    fn frontier_tables_are_symmetric_and_count_the_cut() {
-        let g = test_graph(150, 6, 4);
+    fn cut_counts_match_a_brute_force_recount() {
+        let g = generators::barabasi_albert(150, 3, &mut seeded_rng(4)).unwrap();
         let p = Partition::new(&g, 4).unwrap();
-        let mut incidences = 0usize;
-        for (s, shard) in p.shards().iter().enumerate() {
-            for e in shard.frontier() {
-                incidences += 1;
-                assert_ne!(e.peer_shard, s);
-                let mirror = FrontierEdge {
-                    local_node: e.peer_local,
-                    peer_shard: s,
-                    peer_local: e.local_node,
-                };
-                assert!(
-                    p.shard(e.peer_shard).frontier().contains(&mirror),
-                    "missing mirror of {e:?} in shard {}",
-                    e.peer_shard
-                );
-                // The underlying global edge exists.
-                let u = shard.global_of(e.local_node);
-                let v = p.shard(e.peer_shard).global_of(e.peer_local);
-                assert!(g.has_edge(u, v));
-            }
-        }
-        // Each cut edge contributes one incidence per side.
-        assert_eq!(incidences, 2 * p.cut_edge_count());
+        let cut = g
+            .edges()
+            .filter(|&(u, v)| p.shard_of(u) != p.shard_of(v))
+            .count();
+        let isolated = g
+            .nodes()
+            .filter(|&u| {
+                g.neighbors(u)
+                    .iter()
+                    .all(|&v| p.shard_of(v as usize) != p.shard_of(u))
+            })
+            .count();
+        assert_eq!(p.cut_edge_count(), cut);
+        assert_eq!(p.cut_isolated_count(), isolated);
         assert!(p.edge_cut_fraction() > 0.0 && p.edge_cut_fraction() < 1.0);
-    }
-
-    #[test]
-    fn shard_csrs_and_frontiers_reassemble_the_graph() {
-        let g = generators::barabasi_albert(120, 3, &mut seeded_rng(5)).unwrap();
-        let p = Partition::new(&g, 3).unwrap();
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for shard in p.shards() {
-            for (lu, lv) in shard.local_graph().edges() {
-                edges.push((shard.global_of(lu), shard.global_of(lv)));
-            }
-            for e in shard.frontier() {
-                let u = shard.global_of(e.local_node);
-                let v = p.shard(e.peer_shard).global_of(e.peer_local);
-                if u < v {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let rebuilt = Graph::from_edges(g.node_count(), &edges).unwrap();
-        assert_eq!(rebuilt, g);
     }
 
     #[test]

@@ -6,19 +6,20 @@
 //! through per-shard outboxes with one counting-sort exchange phase per
 //! round.  Because the per-shard decide sweep *is* the kernel's
 //! [`crate::round::decide_holder_moves`], every scenario axis the kernel
-//! supports composes here: masked rounds
-//! ([`ShardedMixingEngine::step_masked`] — a delivery to an unavailable
+//! supports composes here: masked rounds (a delivery to an unavailable
 //! recipient bounces back through the return exchange and rejoins its
-//! holder as a survivor) and live topology churn
-//! ([`ShardedMixingEngine::retarget`]) run through the same loop as the
-//! static rounds, not through divergent copies.  The design contracts:
+//! holder as a survivor), live topology churn
+//! ([`ShardedMixingEngine::retarget`]) and online repartitioning
+//! ([`ShardedMixingEngine::migrate`]) run through the one round entry point,
+//! [`ShardedMixingEngine::step`], not through divergent copies.  The design
+//! contracts:
 //!
 //! * **Seed-only determinism.**  Shard `s` draws from its own ChaCha8 stream
 //!   ([`shard_stream`]), and a round's result depends only on
 //!   `(seed, partition, starts)` — never on the order shards were executed
 //!   in ([`ShardedMixingEngine::step_in_order`] is the audit hook) nor, under
-//!   the `parallel` feature, on how many threads ran them
-//!   (`ShardedMixingEngine::step_threaded`).
+//!   the `parallel` feature, on whether [`ShardedMixingEngine::step`] ran
+//!   them on threads.
 //! * **Canonical merge order.**  After the per-shard sampling phase, each
 //!   node's next-round bucket lists its survivors first (in previous bucket
 //!   order) and then its arrivals grouped by *source shard id* in ascending
@@ -38,9 +39,8 @@
 //!   *different but equally distributed* realization of the same walk.
 //!
 //! Shards share the one immutable global CSR for neighbour sampling — this
-//! is a single-box, multi-core runtime; the per-shard CSRs and frontier
-//! tables carried by the [`Partition`] describe what each shard would have
-//! to hold in a distributed deployment.
+//! is a single-box, multi-core runtime, and a [`Partition`] carries only
+//! the node → shard assignment and the local remappings.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -49,8 +49,8 @@ use crate::partition::Partition;
 use crate::rng::{mix64, SimRng};
 use crate::round::{self, DrawMode, RoundArena, RoundPlan};
 use crate::telemetry::EngineTelemetry;
-use crate::walk::WalkConfig;
 use rand_chacha::rand_core::SeedableRng;
+use std::borrow::Cow;
 
 /// The deterministic RNG stream of shard `shard` under `seed`.
 ///
@@ -128,49 +128,17 @@ pub struct EngineCheckpoint {
     pub shards: Vec<ShardCheckpoint>,
 }
 
-/// The engine's topology slot: borrowed for the classic static-lifetime
-/// setup, owned for the incremental churn runtime where each round's
-/// snapshot is produced on the fly and has no home to outlive the engine
-/// ([`ShardedMixingEngine::retarget_owned`]).
-#[derive(Debug, Clone)]
-enum GraphRef<'g> {
-    Borrowed(&'g Graph),
-    Owned(Box<Graph>),
-}
-
-impl GraphRef<'_> {
-    fn get(&self) -> &Graph {
-        match self {
-            GraphRef::Borrowed(g) => g,
-            GraphRef::Owned(g) => g,
-        }
-    }
-}
-
-/// The engine's partition slot, mirroring [`GraphRef`] for online
-/// repartitioning ([`ShardedMixingEngine::migrate_owned`]).
-#[derive(Debug, Clone)]
-enum PartitionRef<'g> {
-    Borrowed(&'g Partition),
-    Owned(Box<Partition>),
-}
-
-impl PartitionRef<'_> {
-    fn get(&self) -> &Partition {
-        match self {
-            PartitionRef::Borrowed(p) => p,
-            PartitionRef::Owned(p) => p,
-        }
-    }
-}
-
 /// Multi-shard executor of holder-order exchange rounds.
 ///
 /// See the [module docs](self) for the determinism and degeneracy contracts.
+/// The topology and the partition are borrowed for the classic
+/// static-lifetime setup and owned where each is produced on the fly — the
+/// churn runtime's per-round snapshots ([`ShardedMixingEngine::retarget`])
+/// and partitions refined online ([`ShardedMixingEngine::migrate`]).
 #[derive(Debug, Clone)]
 pub struct ShardedMixingEngine<'g> {
-    graph: GraphRef<'g>,
-    partition: PartitionRef<'g>,
+    graph: Cow<'g, Graph>,
+    partition: Cow<'g, Partition>,
     /// `positions[w]` is the global node currently holding walker `w`,
     /// u32-compressed like the graph's CSR.
     positions: Vec<u32>,
@@ -187,7 +155,8 @@ pub struct ShardedMixingEngine<'g> {
     load: Vec<u32>,
     /// Attached telemetry (`None` = the no-op path).  Inert by
     /// construction — recording never draws randomness or touches round
-    /// state — and shared across the pipelined workers (`Sync` handles).
+    /// state — and shared by the threaded sampling workers (`Sync`
+    /// handles).
     telemetry: Option<EngineTelemetry>,
 }
 
@@ -225,6 +194,32 @@ impl<'g> ShardedMixingEngine<'g> {
         seed: u64,
     ) -> Result<Self> {
         let n = graph.node_count();
+        if let Some(&bad) = starts.iter().find(|&&s| s >= n) {
+            return Err(GraphError::NodeOutOfRange {
+                node: bad,
+                node_count: n,
+            });
+        }
+        let positions = starts.iter().map(|&s| s as u32).collect();
+        let streams = (0..partition.shard_count()).map(|s| shard_stream(seed, s));
+        let mut engine = Self::assemble(graph, partition, positions, streams)?;
+        engine.rebuild_buckets();
+        Ok(engine)
+    }
+
+    /// The constructor behind [`ShardedMixingEngine::with_starts`] and
+    /// [`ShardedMixingEngine::restore_checkpoint`]: checks that the walk can
+    /// run on `graph`, that `partition` covers it and that node and walker
+    /// ids fit in `u32`, then builds the engine at round 0 in compat mode
+    /// with shard `s` drawing from the `s`-th of `streams` and every bucket
+    /// empty.
+    fn assemble(
+        graph: &'g Graph,
+        partition: &'g Partition,
+        positions: Vec<u32>,
+        streams: impl Iterator<Item = SimRng>,
+    ) -> Result<Self> {
+        let n = graph.node_count();
         if n == 0 {
             return Err(GraphError::EmptyGraph);
         }
@@ -237,61 +232,28 @@ impl<'g> ShardedMixingEngine<'g> {
         if let Some(u) = graph.find_isolated_node() {
             return Err(GraphError::IsolatedNode(u));
         }
-        if let Some(&bad) = starts.iter().find(|&&s| s >= n) {
-            return Err(GraphError::NodeOutOfRange {
-                node: bad,
-                node_count: n,
-            });
-        }
-        if starts.len() > u32::MAX as usize || n > u32::MAX as usize {
+        if positions.len() > u32::MAX as usize || n > u32::MAX as usize {
             return Err(GraphError::InvalidParameters(format!(
                 "sharded engine supports at most 2^32 - 1 walkers and nodes, got {} walkers on {n} nodes",
-                starts.len()
+                positions.len()
             )));
         }
         let k = partition.shard_count();
-        let mut shards: Vec<ShardState> = (0..k)
-            .map(|s| {
-                let local_n = partition.shard(s).len();
-                ShardState {
-                    rng: shard_stream(seed, s),
-                    bucket_starts: vec![0; local_n + 1],
-                    bucket_walkers: Vec::new(),
-                    arena: RoundArena::new(),
-                    sent_local: vec![0; local_n],
-                    load_local: vec![0; local_n],
-                }
+        let shards = streams
+            .zip(partition.shards())
+            .map(|(rng, shard)| ShardState {
+                rng,
+                bucket_starts: vec![0; shard.len() + 1],
+                bucket_walkers: Vec::new(),
+                arena: RoundArena::new(),
+                sent_local: vec![0; shard.len()],
+                load_local: vec![0; shard.len()],
             })
             .collect();
-        // Initial buckets: route each walker to its shard once, then run
-        // the kernel's counting-sort merge per shard with no survivors and
-        // the shard's arrivals (in walker-id order) as the stream —
-        // exactly like
-        // [`crate::mixing_engine::MixingEngine::ensure_buckets`].
-        let mut initial_arrivals: Vec<Vec<(usize, u32)>> = vec![Vec::new(); k];
-        for (walker, &node) in starts.iter().enumerate() {
-            initial_arrivals[partition.shard_of(node)]
-                .push((partition.local_of(node), walker as u32));
-        }
-        for (s, state) in shards.iter_mut().enumerate() {
-            let local_n = partition.shard(s).len();
-            round::merge_round_buckets(
-                local_n,
-                &mut state.arena,
-                &mut state.load_local,
-                &mut state.bucket_starts,
-                &mut state.bucket_walkers,
-                |sink| {
-                    for &(lu, w) in &initial_arrivals[s] {
-                        sink(lu, w);
-                    }
-                },
-            );
-        }
         Ok(ShardedMixingEngine {
-            graph: GraphRef::Borrowed(graph),
-            partition: PartitionRef::Borrowed(partition),
-            positions: starts.iter().map(|&s| s as u32).collect(),
+            graph: Cow::Borrowed(graph),
+            partition: Cow::Borrowed(partition),
+            positions,
             draw_mode: DrawMode::Compat,
             round: 0,
             shards,
@@ -326,12 +288,12 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// The graph the walkers move on.
     pub fn graph(&self) -> &Graph {
-        self.graph.get()
+        &self.graph
     }
 
     /// The partition the engine shards by.
     pub fn partition(&self) -> &Partition {
-        self.partition.get()
+        &self.partition
     }
 
     /// Number of shards.
@@ -368,7 +330,7 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// Histogram of walkers per global node.
     pub fn load_vector(&self) -> Vec<usize> {
-        let mut load = vec![0usize; self.graph.get().node_count()];
+        let mut load = vec![0usize; self.graph.node_count()];
         for &node in &self.positions {
             load[node as usize] += 1;
         }
@@ -378,16 +340,14 @@ impl<'g> ShardedMixingEngine<'g> {
     /// The walkers currently held by global node `u`, in bucket order
     /// (survivors first, then arrivals grouped by source shard).
     pub fn held_by(&self, u: NodeId) -> &[u32] {
-        let partition = self.partition.get();
-        let state = &self.shards[partition.shard_of(u)];
-        let lu = partition.local_of(u);
+        let state = &self.shards[self.partition.shard_of(u)];
+        let lu = self.partition.local_of(u);
         &state.bucket_walkers[state.bucket_starts[lu]..state.bucket_starts[lu + 1]]
     }
 
     /// Groups walkers by their current holder, in bucket order.
     pub fn walkers_by_holder(&self) -> Vec<Vec<usize>> {
         self.graph
-            .get()
             .nodes()
             .map(|u| self.held_by(u).iter().map(|&w| w as usize).collect())
             .collect()
@@ -457,26 +417,14 @@ impl<'g> ShardedMixingEngine<'g> {
     /// inconsistent with `(graph, partition)` — wrong shard count, bucket
     /// CSRs that don't cover the shard's local nodes, walkers missing or
     /// duplicated, or a walker bucketed at a node other than its recorded
-    /// position.  Also the usual topology errors from
-    /// [`ShardedMixingEngine::with_starts`] validation.
+    /// position (which includes every out-of-range position).  Also the
+    /// usual topology errors from [`ShardedMixingEngine::with_starts`]
+    /// validation.
     pub fn restore_checkpoint(
         graph: &'g Graph,
         partition: &'g Partition,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self> {
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        if partition.node_count() != n {
-            return Err(GraphError::InvalidParameters(format!(
-                "partition covers {} nodes but the graph has {n}",
-                partition.node_count()
-            )));
-        }
-        if let Some(u) = graph.find_isolated_node() {
-            return Err(GraphError::IsolatedNode(u));
-        }
         let k = partition.shard_count();
         if checkpoint.shards.len() != k {
             return Err(GraphError::InvalidParameters(format!(
@@ -484,17 +432,19 @@ impl<'g> ShardedMixingEngine<'g> {
                 checkpoint.shards.len()
             )));
         }
-        if let Some(&bad) = checkpoint.positions.iter().find(|&&p| p as usize >= n) {
-            return Err(GraphError::NodeOutOfRange {
-                node: bad as NodeId,
-                node_count: n,
-            });
-        }
+        let streams = checkpoint
+            .shards
+            .iter()
+            .map(|cp| SimRng::from_state(cp.rng_key, cp.rng_counter, cp.rng_cursor));
+        let mut engine = Self::assemble(graph, partition, checkpoint.positions.clone(), streams)?;
+        engine.round = checkpoint.round;
+        engine.draw_mode = checkpoint.draw_mode;
         // Cross-check buckets against positions: every walker must appear in
         // exactly one bucket, at the local node its position maps to.
         let mut seen = vec![false; checkpoint.positions.len()];
-        for (s, shard_cp) in checkpoint.shards.iter().enumerate() {
-            let local_n = partition.shard(s).len();
+        for (s, (shard_cp, state)) in checkpoint.shards.iter().zip(&mut engine.shards).enumerate() {
+            let shard = partition.shard(s);
+            let local_n = shard.len();
             if shard_cp.bucket_starts.len() != local_n + 1
                 || shard_cp.bucket_starts[0] != 0
                 || shard_cp.bucket_starts.windows(2).any(|w| w[0] > w[1])
@@ -505,7 +455,7 @@ impl<'g> ShardedMixingEngine<'g> {
                 )));
             }
             for lu in 0..local_n {
-                let global = partition.shard(s).global_of(lu);
+                let global = shard.global_of(lu);
                 let bucket = &shard_cp.bucket_walkers
                     [shard_cp.bucket_starts[lu]..shard_cp.bucket_starts[lu + 1]];
                 for &w in bucket {
@@ -521,44 +471,15 @@ impl<'g> ShardedMixingEngine<'g> {
                     seen[w as usize] = true;
                 }
             }
+            state.bucket_starts.clone_from(&shard_cp.bucket_starts);
+            state.bucket_walkers.clone_from(&shard_cp.bucket_walkers);
         }
         if let Some(w) = seen.iter().position(|&s| !s) {
             return Err(GraphError::InvalidParameters(format!(
                 "walker {w} has a position but no bucket slot in the checkpoint"
             )));
         }
-        let shards: Vec<ShardState> = checkpoint
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard_cp)| {
-                let local_n = partition.shard(s).len();
-                ShardState {
-                    rng: SimRng::from_state(
-                        shard_cp.rng_key,
-                        shard_cp.rng_counter,
-                        shard_cp.rng_cursor,
-                    ),
-                    bucket_starts: shard_cp.bucket_starts.clone(),
-                    bucket_walkers: shard_cp.bucket_walkers.clone(),
-                    arena: RoundArena::new(),
-                    sent_local: vec![0; local_n],
-                    load_local: vec![0; local_n],
-                }
-            })
-            .collect();
-        Ok(ShardedMixingEngine {
-            graph: GraphRef::Borrowed(graph),
-            partition: PartitionRef::Borrowed(partition),
-            positions: checkpoint.positions.clone(),
-            draw_mode: checkpoint.draw_mode,
-            round: checkpoint.round,
-            shards,
-            outboxes: vec![vec![Vec::new(); k]; k],
-            sent: vec![0; n],
-            load: vec![0; n],
-            telemetry: None,
-        })
+        Ok(engine)
     }
 
     /// Swaps in a new topology for subsequent rounds — the churn runtime's
@@ -570,42 +491,26 @@ impl<'g> ShardedMixingEngine<'g> {
     /// users are stable, churn rewires edges and availability, not
     /// identity) and the new topology must have no isolated nodes.
     ///
+    /// Pass [`Cow::Owned`] for a topology with no stable home to borrow
+    /// from, such as each round's
+    /// [`crate::dynamic::DynamicGraph::snapshot`] clone.
+    ///
     /// # Errors
     ///
     /// [`GraphError::InvalidParameters`] on a node-count mismatch,
     /// [`GraphError::IsolatedNode`] if the new topology has one.
-    pub fn retarget(&mut self, graph: &'g Graph) -> Result<()> {
-        self.validate_retarget(graph)?;
-        self.graph = GraphRef::Borrowed(graph);
-        Ok(())
-    }
-
-    /// [`ShardedMixingEngine::retarget`] taking ownership of the new
-    /// topology — the hook for per-round churn snapshots that have no
-    /// stable home to borrow from (each round's
-    /// [`crate::dynamic::DynamicGraph::snapshot`] clone can be handed
-    /// straight to the engine).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::retarget`].
-    pub fn retarget_owned(&mut self, graph: Graph) -> Result<()> {
-        self.validate_retarget(&graph)?;
-        self.graph = GraphRef::Owned(Box::new(graph));
-        Ok(())
-    }
-
-    fn validate_retarget(&self, graph: &Graph) -> Result<()> {
-        if graph.node_count() != self.graph.get().node_count() {
+    pub fn retarget(&mut self, graph: Cow<'g, Graph>) -> Result<()> {
+        if graph.node_count() != self.graph.node_count() {
             return Err(GraphError::InvalidParameters(format!(
                 "cannot retarget an engine on {} nodes to a graph with {}",
-                self.graph.get().node_count(),
+                self.graph.node_count(),
                 graph.node_count()
             )));
         }
         if let Some(u) = graph.find_isolated_node() {
             return Err(GraphError::IsolatedNode(u));
         }
+        self.graph = graph;
         Ok(())
     }
 
@@ -619,115 +524,78 @@ impl<'g> ShardedMixingEngine<'g> {
     /// `(positions, partition)` — independent of the old bucket orders and
     /// of how many rounds ran before.
     ///
-    /// Returns the **movers**: the ascending list of global nodes whose
-    /// shard assignment changed.  In a distributed deployment these are the
-    /// users whose report queues are in flight between shards for one
-    /// round; mask them for the round after migrating
-    /// ([`ShardedMixingEngine::step_masked`]) and the accountant prices the
-    /// migration through the ordinary masked-operator path.
+    /// `movers` is cleared and refilled with the ascending list of global
+    /// nodes whose shard assignment changed.  In a distributed deployment
+    /// these are the users whose report queues are in flight between shards
+    /// for one round; mask them for the round after migrating and the
+    /// accountant prices the migration through the ordinary masked-operator
+    /// path.  Pass [`Cow::Owned`] for a partition refined online
+    /// ([`crate::partition::Partition::refined_assignment`]); once the
+    /// per-shard buffers and `movers` have reached their high-water marks,
+    /// a migration to a [`Cow::Borrowed`] partition performs no heap
+    /// allocation (`tests/engine_allocations.rs`).
     ///
     /// # Errors
     ///
     /// [`GraphError::InvalidParameters`] if the new partition's node count
     /// or shard count differs from the engine's (shard RNG streams are
     /// per-shard state; changing the shard count mid-run would forfeit
-    /// seed-only determinism).
-    pub fn migrate(&mut self, partition: &'g Partition) -> Result<Vec<NodeId>> {
-        let mut movers = Vec::new();
-        self.migrate_ref(PartitionRef::Borrowed(partition), &mut movers)?;
-        Ok(movers)
-    }
-
-    /// [`ShardedMixingEngine::migrate`] taking ownership of the new
-    /// partition — the hook for partitions refined online from a live
-    /// [`crate::dynamic::DynamicGraph`]
-    /// ([`crate::partition::Partition::refined_assignment`]), which have no
-    /// stable home to borrow from.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::migrate`].
-    pub fn migrate_owned(&mut self, partition: Partition) -> Result<Vec<NodeId>> {
-        let mut movers = Vec::new();
-        self.migrate_ref(PartitionRef::Owned(Box::new(partition)), &mut movers)?;
-        Ok(movers)
-    }
-
-    /// Buffer-reusing [`ShardedMixingEngine::migrate_owned`]: `movers` is
-    /// cleared and refilled, so a steady-state migration loop alternating
-    /// between warmed shapes performs no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::migrate`].
-    pub fn migrate_into(&mut self, partition: Partition, movers: &mut Vec<NodeId>) -> Result<()> {
-        self.migrate_ref(PartitionRef::Owned(Box::new(partition)), movers)
-    }
-
-    /// Buffer-reusing [`ShardedMixingEngine::migrate`] borrowing the new
-    /// partition: no box for the partition, `movers` cleared and refilled.
-    /// Once the per-shard buffers have reached their high-water marks for
-    /// every partition shape in rotation, a migration through this entry
-    /// point performs **zero** heap allocations — the property the
-    /// `sharded_mixing` steady-state audit pins.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::migrate`].
-    pub fn migrate_borrowed_into(
+    /// seed-only determinism).  The engine is unchanged on error.
+    pub fn migrate(
         &mut self,
-        partition: &'g Partition,
+        partition: Cow<'g, Partition>,
         movers: &mut Vec<NodeId>,
     ) -> Result<()> {
-        self.migrate_ref(PartitionRef::Borrowed(partition), movers)
-    }
-
-    fn migrate_ref(&mut self, new: PartitionRef<'g>, movers: &mut Vec<NodeId>) -> Result<()> {
-        let next = new.get();
-        let n = self.partition.get().node_count();
-        if next.node_count() != n {
+        let n = self.partition.node_count();
+        if partition.node_count() != n {
             return Err(GraphError::InvalidParameters(format!(
                 "cannot migrate an engine over {n} nodes to a partition over {}",
-                next.node_count()
+                partition.node_count()
             )));
         }
-        if next.shard_count() != self.shards.len() {
+        if partition.shard_count() != self.shards.len() {
             return Err(GraphError::InvalidParameters(format!(
                 "cannot migrate {} shard streams to a {}-shard partition",
                 self.shards.len(),
-                next.shard_count()
+                partition.shard_count()
             )));
         }
         movers.clear();
-        {
-            let old = self.partition.get();
-            for u in 0..n {
-                if old.shard_of(u) != next.shard_of(u) {
-                    movers.push(u);
-                }
-            }
-        }
-        // Route every walker to its new shard in walker-id order, reusing
-        // shard 0's outbox rows as the per-destination scratch (cleared at
-        // the start of every sampling phase anyway).
+        movers.extend((0..n).filter(|&u| self.partition.shard_of(u) != partition.shard_of(u)));
+        self.partition = partition;
+        self.rebuild_buckets();
+        // Positions are untouched, so the global per-node sent/load
+        // statistics still describe the last executed round.
+        Ok(())
+    }
+
+    /// Rebuilds every shard's buckets under the current partition with the
+    /// kernel's counting sort: no survivors, and each shard's walkers in
+    /// walker-id order as the arrival stream.  Shard 0's outbox rows serve
+    /// as the per-destination scratch (they are cleared at the start of
+    /// every sampling phase anyway).
+    fn rebuild_buckets(&mut self) {
+        let partition: &Partition = &self.partition;
         let routes = &mut self.outboxes[0];
         for row in routes.iter_mut() {
             row.clear();
         }
         for (w, &pos) in self.positions.iter().enumerate() {
-            routes[next.shard_of(pos as usize)].push((pos, w as u32));
+            routes[partition.shard_of(pos as usize)].push((pos, w as u32));
         }
-        // Rebuild each shard's buckets with the kernel's counting sort: no
-        // survivors, the routed walkers as the canonical arrival stream.
-        for (d, state) in self.shards.iter_mut().enumerate() {
-            let local_n = next.shard(d).len();
+        for ((state, shard), row) in self
+            .shards
+            .iter_mut()
+            .zip(partition.shards())
+            .zip(&self.outboxes[0])
+        {
+            let local_n = shard.len();
             state.bucket_starts.resize(local_n + 1, 0);
             state.sent_local.resize(local_n, 0);
             state.sent_local.fill(0);
             state.load_local.resize(local_n, 0);
             state.arena.kept_nodes.clear();
             state.arena.kept_walkers.clear();
-            let row = &self.outboxes[0][d];
             round::merge_round_buckets(
                 local_n,
                 &mut state.arena,
@@ -736,222 +604,196 @@ impl<'g> ShardedMixingEngine<'g> {
                 &mut state.bucket_walkers,
                 |sink| {
                     for &(dest, w) in row {
-                        sink(next.local_of(dest as usize), w);
+                        sink(partition.local_of(dest as usize), w);
                     }
                 },
             );
         }
-        // Positions are untouched, so the global per-node sent/load
-        // statistics still describe the last executed round.
-        self.partition = new;
-        Ok(())
     }
 
-    /// Executes one holder-order round across all shards (shard sampling in
-    /// ascending shard order, which — by the determinism contract — yields
-    /// the same result as any other order), streaming whole-population
-    /// statistics to `observer` (pass `&mut ()` to skip).
-    pub fn step<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
-        self.step_masked_opt(laziness, None, observer);
-    }
-
-    /// [`ShardedMixingEngine::step`] under an availability mask (global
-    /// node ids): a walker whose chosen recipient is unavailable stays put
-    /// for the round — in a distributed deployment, a cross-shard delivery
-    /// to a dark recipient bounces back to its source shard through the
-    /// return leg of the exchange and rejoins the holder's bucket as a
-    /// survivor, which is exactly how the kernel accounts it (not sent, not
-    /// an arrival).  With an all-available mask the round is bit-for-bit
-    /// [`ShardedMixingEngine::step`], and under a 1-shard partition it is
-    /// bit-for-bit
+    /// Executes one holder-order round across all shards and streams
+    /// whole-population statistics to `observer` (pass `&mut ()` to skip).
+    ///
+    /// With `mask = Some(available)` (global node ids) a walker whose chosen
+    /// recipient is unavailable stays put for the round — in a distributed
+    /// deployment, a cross-shard delivery to a dark recipient bounces back
+    /// to its source shard through the return leg of the exchange and
+    /// rejoins the holder's bucket as a survivor, which is exactly how the
+    /// kernel accounts it (not sent, not an arrival).  An all-available mask
+    /// is bit-for-bit `None`, and under a 1-shard partition the round is
+    /// bit-for-bit [`crate::mixing_engine::MixingEngine::step_holder`] /
     /// [`crate::mixing_engine::MixingEngine::step_holder_masked`] — RNG
     /// stream, bucket orders and statistics included.
     ///
-    /// # Panics
+    /// The sampling phase runs inline, or — under the `parallel` feature,
+    /// with more than one shard and more than one core — on scoped threads;
+    /// the result is bitwise the same either way.
     ///
-    /// Panics if `available.len()` differs from the node count.
-    pub fn step_masked<O: RoundObserver>(
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameters`] if `laziness ∉ [0, 1)` or the mask
+    /// length differs from the node count; the engine is unchanged on
+    /// error.
+    pub fn step<O: RoundObserver>(
         &mut self,
         laziness: f64,
-        available: &[bool],
+        mask: Option<&[bool]>,
         observer: &mut O,
-    ) {
-        assert_eq!(
-            available.len(),
-            self.graph.get().node_count(),
-            "availability mask has the wrong length"
-        );
-        self.step_masked_opt(laziness, Some(available), observer);
-    }
-
-    fn step_masked_opt<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: Option<&[bool]>,
-        observer: &mut O,
-    ) {
-        let graph = self.graph.get();
-        let partition = self.partition.get();
-        let mode = self.draw_mode;
-        let telemetry = self.telemetry.as_ref();
-        for (s, (state, outbox)) in self
-            .shards
-            .iter_mut()
-            .zip(self.outboxes.iter_mut())
-            .enumerate()
-        {
-            let _span = telemetry.map(|t| t.decide_ns.span(&t.clock));
-            sample_shard_round(
-                graph, partition, s, state, outbox, laziness, available, mode,
-            );
-        }
-        self.record_sampling_telemetry();
+    ) -> Result<()> {
+        self.validate_round(laziness, mask)?;
+        self.sample(laziness, mask, None);
         self.merge_round(observer);
-    }
-
-    /// Folds the finished sampling phase's per-shard accounting — mask
-    /// bounces and outbox row depths — into the attached telemetry.
-    /// Reads only; called once per round between sampling and merge.
-    fn record_sampling_telemetry(&self) {
-        if let Some(t) = &self.telemetry {
-            for state in &self.shards {
-                t.mask_bounces.add(state.arena.bounced());
-            }
-            for source in &self.outboxes {
-                for row in source {
-                    t.outbox_depth.record(row.len() as u64);
-                }
-            }
-        }
+        Ok(())
     }
 
     /// [`ShardedMixingEngine::step`] with the per-shard sampling phase run
-    /// in an explicit shard order — the determinism audit hook: any
+    /// inline in an explicit shard order — the determinism audit hook: any
     /// permutation of `0..shard_count` must produce bitwise identical
     /// results, because shards only touch their own stream and outboxes and
     /// the merge order is canonical.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `order` is not a permutation of `0..shard_count`.
+    /// As [`ShardedMixingEngine::step`], and
+    /// [`GraphError::InvalidParameters`] if `order` is not a permutation of
+    /// `0..shard_count`; the engine is unchanged on error.
     pub fn step_in_order<O: RoundObserver>(
         &mut self,
         laziness: f64,
+        mask: Option<&[bool]>,
         order: &[usize],
         observer: &mut O,
-    ) {
-        self.step_in_order_masked_opt(laziness, None, order, observer);
-    }
-
-    /// [`ShardedMixingEngine::step_masked`] with an explicit shard order —
-    /// the audit hook extended to masked rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..shard_count` or the
-    /// mask length differs from the node count.
-    pub fn step_masked_in_order<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: &[bool],
-        order: &[usize],
-        observer: &mut O,
-    ) {
-        assert_eq!(
-            available.len(),
-            self.graph.get().node_count(),
-            "availability mask has the wrong length"
-        );
-        self.step_in_order_masked_opt(laziness, Some(available), order, observer);
-    }
-
-    fn step_in_order_masked_opt<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: Option<&[bool]>,
-        order: &[usize],
-        observer: &mut O,
-    ) {
+    ) -> Result<()> {
+        self.validate_round(laziness, mask)?;
         let k = self.shards.len();
-        let mut seen = vec![false; k];
-        assert_eq!(order.len(), k, "order must cover every shard exactly once");
-        for &s in order {
-            assert!(s < k && !seen[s], "order must be a permutation of 0..{k}");
-            seen[s] = true;
+        // Quadratic in k, but allocation-free; shard counts are small.
+        let is_permutation = order.len() == k
+            && order
+                .iter()
+                .enumerate()
+                .all(|(i, &s)| s < k && !order[..i].contains(&s));
+        if !is_permutation {
+            return Err(GraphError::InvalidParameters(format!(
+                "shard order {order:?} is not a permutation of 0..{k}"
+            )));
         }
-        let graph = self.graph.get();
-        let partition = self.partition.get();
-        let mode = self.draw_mode;
-        let telemetry = self.telemetry.clone();
-        for &s in order {
-            let _span = telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
-            sample_shard_round(
-                graph,
-                partition,
-                s,
-                &mut self.shards[s],
-                &mut self.outboxes[s],
-                laziness,
-                available,
-                mode,
-            );
-        }
-        self.record_sampling_telemetry();
+        self.sample(laziness, mask, Some(order));
         self.merge_round(observer);
-    }
-
-    /// Runs a full walk of holder-order rounds, streaming statistics to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WalkConfig::validate`] errors.
-    pub fn run<O: RoundObserver>(&mut self, config: WalkConfig, observer: &mut O) -> Result<()> {
-        config.validate()?;
-        for _ in 0..config.rounds {
-            self.step(config.laziness, observer);
-        }
         Ok(())
     }
 
-    /// [`ShardedMixingEngine::step`] with the sampling phase on scoped
-    /// threads when the `parallel` feature is enabled, the plain sequential
-    /// step otherwise — bitwise identical either way.
-    pub fn step_auto<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
-        #[cfg(feature = "parallel")]
-        self.step_threaded(laziness, observer);
-        #[cfg(not(feature = "parallel"))]
-        self.step(laziness, observer);
-    }
-
-    /// [`ShardedMixingEngine::step_masked`] with the sampling phase on
-    /// scoped threads when the `parallel` feature is enabled, the plain
-    /// sequential masked step otherwise — bitwise identical either way.
+    /// [`ShardedMixingEngine::step`] without a mask, panicking on error.
+    /// Kept only for `epoch_bench/src/traced.rs`; call `step` instead.
     ///
     /// # Panics
     ///
-    /// Panics if `available.len()` differs from the node count.
+    /// Panics where [`ShardedMixingEngine::step`] returns an error.
+    pub fn step_auto<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
+        self.step(laziness, None, observer).expect("invalid round");
+    }
+
+    /// [`ShardedMixingEngine::step`] under `available`, panicking on
+    /// error.  Kept only for `epoch_bench/src/traced.rs`; call `step`
+    /// instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`ShardedMixingEngine::step`] returns an error.
     pub fn step_masked_auto<O: RoundObserver>(
         &mut self,
         laziness: f64,
         available: &[bool],
         observer: &mut O,
     ) {
-        #[cfg(feature = "parallel")]
-        self.step_masked_threaded(laziness, available, observer);
-        #[cfg(not(feature = "parallel"))]
-        self.step_masked(laziness, available, observer);
+        self.step(laziness, Some(available), observer)
+            .expect("invalid round");
     }
 
-    /// The canonical exchange phase: merges survivors and (per source
-    /// shard, in ascending shard order) deliveries into each shard's
-    /// next-round buckets via one counting sort per shard, updates walker
-    /// positions, folds the per-shard statistics into the global vectors
-    /// and reports the round.
+    /// The round-boundary checks [`ShardedMixingEngine::step`] and
+    /// [`ShardedMixingEngine::step_in_order`] share.
+    fn validate_round(&self, laziness: f64, mask: Option<&[bool]>) -> Result<()> {
+        crate::walk::validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
+        let n = self.graph.node_count();
+        match mask {
+            Some(available) if available.len() != n => Err(GraphError::InvalidParameters(format!(
+                "availability mask has {} entries for {n} nodes",
+                available.len()
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// The sampling phase: every shard's decide sweep, inline in `order`
+    /// when one is given, otherwise in ascending shard order — or, under
+    /// the `parallel` feature with more than one shard and more than one
+    /// core, dealt round-robin to scoped threads.  Each shard touches only
+    /// its own stream, state and outbox row, so the schedule never changes
+    /// the result.
+    fn sample(&mut self, laziness: f64, mask: Option<&[bool]>, order: Option<&[usize]>) {
+        let sampling = Sampling {
+            plan: RoundPlan {
+                graph: &self.graph,
+                laziness,
+                available: mask,
+            },
+            partition: &self.partition,
+            mode: self.draw_mode,
+            telemetry: self.telemetry.as_ref(),
+        };
+        if let Some(order) = order {
+            for &s in order {
+                sampling.sample_shard(s, &mut self.shards[s], &mut self.outboxes[s]);
+            }
+            return;
+        }
+        // Only a multi-shard round asks for the core count (the query
+        // itself allocates).
+        #[cfg(feature = "parallel")]
+        let threads = match self.shards.len() {
+            1 => 1,
+            k => std::thread::available_parallelism().map_or(1, |p| p.get().min(k)),
+        };
+        let work = self.shards.iter_mut().zip(self.outboxes.iter_mut());
+        #[cfg(feature = "parallel")]
+        if threads > 1 {
+            let mut per_thread: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+            for (s, item) in work.enumerate() {
+                per_thread[s % threads].push((s, item));
+            }
+            std::thread::scope(|scope| {
+                for assignment in per_thread {
+                    scope.spawn(move || {
+                        for (s, (state, outbox)) in assignment {
+                            sampling.sample_shard(s, state, outbox);
+                        }
+                    });
+                }
+            });
+            return;
+        }
+        for (s, (state, outbox)) in work.enumerate() {
+            sampling.sample_shard(s, state, outbox);
+        }
+    }
+
+    /// The canonical exchange phase: folds the sampling phase's mask
+    /// bounces and outbox row depths into the attached telemetry, merges
+    /// survivors and (per source shard, in ascending shard order)
+    /// deliveries into each shard's next-round buckets via one counting
+    /// sort per shard, updates walker positions, folds the per-shard
+    /// statistics into the global vectors and reports the round.
     fn merge_round<O: RoundObserver>(&mut self, observer: &mut O) {
-        let partition = self.partition.get();
+        let partition: &Partition = &self.partition;
         let k = self.shards.len();
-        let telemetry = self.telemetry.clone();
+        let telemetry = self.telemetry.as_ref();
+        if let Some(t) = telemetry {
+            for state in &self.shards {
+                t.mask_bounces.add(state.arena.bounced());
+            }
+            for row in self.outboxes.iter().flatten() {
+                t.outbox_depth.record(row.len() as u64);
+            }
+        }
         for d in 0..k {
             let nodes = partition.shard(d).nodes();
             let local_n = nodes.len();
@@ -961,7 +803,7 @@ impl<'g> ShardedMixingEngine<'g> {
             // the position array essentially at random, so prefetch a few
             // entries ahead.
             {
-                let _span = telemetry.as_ref().map(|t| t.exchange_ns.span(&t.clock));
+                let _span = telemetry.map(|t| t.exchange_ns.span(&t.clock));
                 for source in self.outboxes.iter() {
                     let row = &source[d];
                     for (i, &(dest, w)) in row.iter().enumerate() {
@@ -979,7 +821,7 @@ impl<'g> ShardedMixingEngine<'g> {
             let state = &mut self.shards[d];
             let outboxes = &self.outboxes;
             {
-                let _span = telemetry.as_ref().map(|t| t.merge_ns.span(&t.clock));
+                let _span = telemetry.map(|t| t.merge_ns.span(&t.clock));
                 round::merge_round_buckets(
                     local_n,
                     &mut state.arena,
@@ -1007,7 +849,7 @@ impl<'g> ShardedMixingEngine<'g> {
             "round conservation violated: survivors + arrivals + bounces must equal the walkers"
         );
         self.round += 1;
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = telemetry {
             t.rounds.inc();
         }
         observer.on_round(&RoundStats {
@@ -1018,334 +860,55 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 }
 
-/// Phase 1 for one shard: the kernel's decide sweep over the shard's nodes
-/// in ascending local (= global) order, drawing every move from the shard's
-/// own stream through the engine-wide sampling rule (compat or fast).
-/// Survivors — lazy stays *and* masked bounces — stay in the shard's arena;
-/// every delivery, intra- or cross-shard, is then routed from the arena's
-/// delivery buffers to the outbox row of its destination shard, preserving
-/// send order.
-#[allow(clippy::too_many_arguments)]
-fn sample_shard_round(
-    graph: &Graph,
-    partition: &Partition,
-    shard: usize,
-    state: &mut ShardState,
-    outbox: &mut [Vec<(u32, u32)>],
-    laziness: f64,
-    available: Option<&[bool]>,
+/// What every shard's sampling sweep of one round shares; `Copy` and
+/// `Sync`, so threaded sampling hands each worker its own copy.
+#[derive(Clone, Copy)]
+struct Sampling<'a> {
+    plan: RoundPlan<'a>,
+    partition: &'a Partition,
     mode: DrawMode,
-) {
-    for row in outbox.iter_mut() {
-        row.clear();
-    }
-    let plan = RoundPlan {
-        graph,
-        laziness,
-        available,
-    };
-    let nodes = partition.shard(shard).nodes();
-    let ShardState {
-        rng,
-        bucket_starts,
-        bucket_walkers,
-        arena,
-        sent_local,
-        ..
-    } = state;
-    let holders = nodes.iter().copied().enumerate();
-    let buckets = round::HolderBuckets {
-        starts: bucket_starts,
-        walkers: bucket_walkers,
-    };
-    match mode {
-        DrawMode::Compat => {
-            round::decide_holder_moves(&plan, holders, buckets, sent_local, arena, rng)
-        }
-        DrawMode::Fast => {
-            round::decide_holder_moves_fast(&plan, holders, buckets, sent_local, arena, rng)
-        }
-    }
-    let (dests, walkers) = arena.deliveries();
-    for (&dest, &w) in dests.iter().zip(walkers) {
-        outbox[partition.shard_of(dest as usize)].push((dest, w));
-    }
+    telemetry: Option<&'a EngineTelemetry>,
 }
 
-/// Data-parallel shard sampling (enabled by the `parallel` feature).
-///
-/// As elsewhere in the workspace, rayon is unavailable, so shards are dealt
-/// round-robin to `std::thread::scope` workers.  Each shard samples from its
-/// own stream into its own outbox row, and the merge phase is a fixed
-/// function of those outputs, so threaded rounds are **bitwise equal** to
-/// sequential ones for any thread count.
-#[cfg(feature = "parallel")]
-mod parallel {
-    use super::{sample_shard_round, ShardState, ShardedMixingEngine};
-    use crate::mixing_engine::RoundObserver;
-    use crate::round;
-
-    /// One shard's sampling-phase work item: shard id, state and outbox row.
-    type ShardWork<'a> = (usize, (&'a mut ShardState, &'a mut Vec<Vec<(u32, u32)>>));
-
-    /// A raw pointer that may cross thread boundaries.  Every use in the
-    /// pipelined round loop touches a provably disjoint region per worker
-    /// (own shard state, own outbox source row, walkers delivered to the
-    /// own shard, the own shard's slice of the global statistics), with a
-    /// barrier per round ordering the cross-worker hand-offs.
-    struct SendPtr<T>(*mut T);
-
-    impl<T> SendPtr<T> {
-        /// The wrapped pointer.  Going through a method (rather than field
-        /// access) makes closures capture the whole `SendPtr` — and with it
-        /// the `Send`/`Sync` impls — instead of the bare `*mut T` field
-        /// under edition-2021 precise capture.
-        fn get(self) -> *mut T {
-            self.0
+impl Sampling<'_> {
+    /// Phase 1 for one shard: the kernel's decide sweep over the shard's
+    /// nodes in ascending local (= global) order, drawing every move from
+    /// the shard's own stream through the engine-wide sampling rule (compat
+    /// or fast).  Survivors — lazy stays *and* masked bounces — stay in the
+    /// shard's arena; every delivery, intra- or cross-shard, is then routed
+    /// from the arena's delivery buffers to the outbox row of its
+    /// destination shard, preserving send order.
+    fn sample_shard(&self, shard: usize, state: &mut ShardState, outbox: &mut [Vec<(u32, u32)>]) {
+        let _span = self.telemetry.map(|t| t.decide_ns.span(&t.clock));
+        for row in outbox.iter_mut() {
+            row.clear();
         }
-    }
-
-    impl<T> Clone for SendPtr<T> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-    impl<T> Copy for SendPtr<T> {}
-
-    #[allow(unsafe_code)]
-    // Safety: see the struct docs — all dereferences are disjoint by
-    // construction and ordered by the per-round barrier.
-    unsafe impl<T> Send for SendPtr<T> {}
-    #[allow(unsafe_code)]
-    unsafe impl<T> Sync for SendPtr<T> {}
-
-    impl ShardedMixingEngine<'_> {
-        /// Multi-threaded [`ShardedMixingEngine::step`]; bitwise identical
-        /// results.
-        pub fn step_threaded<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
-            self.step_threaded_masked_opt(laziness, None, observer);
-        }
-
-        /// Multi-threaded [`ShardedMixingEngine::step_masked`]; bitwise
-        /// identical results.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `available.len()` differs from the node count.
-        pub fn step_masked_threaded<O: RoundObserver>(
-            &mut self,
-            laziness: f64,
-            available: &[bool],
-            observer: &mut O,
-        ) {
-            assert_eq!(
-                available.len(),
-                self.graph().node_count(),
-                "availability mask has the wrong length"
-            );
-            self.step_threaded_masked_opt(laziness, Some(available), observer);
-        }
-
-        fn step_threaded_masked_opt<O: RoundObserver>(
-            &mut self,
-            laziness: f64,
-            available: Option<&[bool]>,
-            observer: &mut O,
-        ) {
-            let graph = self.graph.get();
-            let partition = self.partition.get();
-            let mode = self.draw_mode;
-            let work: Vec<ShardWork<'_>> = self
-                .shards
-                .iter_mut()
-                .zip(self.outboxes.iter_mut())
-                .enumerate()
-                .collect();
-            let threads = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(work.len())
-                .max(1);
-            let mut per_thread: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-            for (index, item) in work.into_iter().enumerate() {
-                per_thread[index % threads].push(item);
+        let nodes = self.partition.shard(shard).nodes();
+        let ShardState {
+            rng,
+            bucket_starts,
+            bucket_walkers,
+            arena,
+            sent_local,
+            ..
+        } = state;
+        let holders = nodes.iter().copied().enumerate();
+        let buckets = round::HolderBuckets {
+            starts: bucket_starts,
+            walkers: bucket_walkers,
+        };
+        let plan = &self.plan;
+        match self.mode {
+            DrawMode::Compat => {
+                round::decide_holder_moves(plan, holders, buckets, sent_local, arena, rng)
             }
-            let telemetry = self.telemetry.clone();
-            std::thread::scope(|scope| {
-                for assignment in per_thread {
-                    let telemetry = telemetry.clone();
-                    scope.spawn(move || {
-                        for (s, (state, outbox)) in assignment {
-                            let _span = telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
-                            sample_shard_round(
-                                graph, partition, s, state, outbox, laziness, available, mode,
-                            );
-                        }
-                    });
-                }
-            });
-            self.record_sampling_telemetry();
-            self.merge_round(observer);
-        }
-
-        /// Runs `rounds` holder-order rounds with the cross-shard exchange
-        /// pipelined against the next round's compute: one worker per
-        /// shard, double-buffered outboxes and exactly one barrier per
-        /// round.  Worker `s` samples round `r` into buffer `r % 2`, waits
-        /// at the barrier (all outboxes of round `r` complete), merges its
-        /// *own* shard's arrivals — and immediately samples round `r + 1`
-        /// into the other buffer while slower workers are still merging
-        /// round `r`.  Double buffering is what makes that overlap safe:
-        /// round `r + 1` sampling writes never touch the buffer round `r`
-        /// merges read.
-        ///
-        /// Bitwise identical to `rounds` sequential
-        /// [`ShardedMixingEngine::step`] calls: the per-shard streams,
-        /// sweep orders and canonical merge order are unchanged — only the
-        /// schedule differs.  Per-round statistics are not observable
-        /// mid-run (merges of different rounds overlap); the engine's
-        /// sent/load vectors hold the final round's values afterwards.
-        pub fn run_pipelined(&mut self, laziness: f64, rounds: usize) {
-            self.run_pipelined_masked_opt(laziness, None, rounds);
-        }
-
-        /// [`ShardedMixingEngine::run_pipelined`] under a fixed
-        /// availability mask.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `available.len()` differs from the node count.
-        pub fn run_pipelined_masked(&mut self, laziness: f64, available: &[bool], rounds: usize) {
-            assert_eq!(
-                available.len(),
-                self.graph().node_count(),
-                "availability mask has the wrong length"
-            );
-            self.run_pipelined_masked_opt(laziness, Some(available), rounds);
-        }
-
-        #[allow(unsafe_code)]
-        fn run_pipelined_masked_opt(
-            &mut self,
-            laziness: f64,
-            available: Option<&[bool]>,
-            rounds: usize,
-        ) {
-            if rounds == 0 {
-                return;
+            DrawMode::Fast => {
+                round::decide_holder_moves_fast(plan, holders, buckets, sent_local, arena, rng)
             }
-            let k = self.shards.len();
-            let graph = self.graph.get();
-            let partition = self.partition.get();
-            let mode = self.draw_mode;
-            // Buffer 0 is the engine's resident outboxes, buffer 1 an
-            // identically shaped alternate; both live for the whole run, so
-            // per-call allocation is independent of the round count.
-            let mut alt: Vec<Vec<Vec<(u32, u32)>>> = vec![vec![Vec::new(); k]; k];
-            let barrier = std::sync::Barrier::new(k);
-            let shards_ptr = SendPtr(self.shards.as_mut_ptr());
-            let bufs = [
-                SendPtr(self.outboxes.as_mut_ptr()),
-                SendPtr(alt.as_mut_ptr()),
-            ];
-            let positions_ptr = SendPtr(self.positions.as_mut_ptr());
-            let sent_ptr = SendPtr(self.sent.as_mut_ptr());
-            let load_ptr = SendPtr(self.load.as_mut_ptr());
-            let telemetry = self.telemetry.clone();
-            std::thread::scope(|scope| {
-                for s in 0..k {
-                    let barrier = &barrier;
-                    let telemetry = telemetry.clone();
-                    scope.spawn(move || {
-                        for r in 0..rounds {
-                            let cur = bufs[r % 2];
-                            // Safety: worker `s` is the only one touching
-                            // `shards[s]` and outbox source row `cur[s]`;
-                            // the previous reads of this buffer (round
-                            // `r - 2`'s merges) finished before the last
-                            // barrier.
-                            let state = unsafe { &mut *shards_ptr.get().add(s) };
-                            let outbox = unsafe { &mut *cur.get().add(s) };
-                            {
-                                let _span = telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
-                                sample_shard_round(
-                                    graph, partition, s, state, outbox, laziness, available, mode,
-                                );
-                            }
-                            if let Some(t) = &telemetry {
-                                t.mask_bounces.add(state.arena.bounced());
-                                for row in outbox.iter() {
-                                    t.outbox_depth.record(row.len() as u64);
-                                }
-                            }
-                            {
-                                let _span =
-                                    telemetry.as_ref().map(|t| t.barrier_wait_ns.span(&t.clock));
-                                barrier.wait();
-                            }
-                            // Merge destination shard `s`: every source
-                            // row `cur[src][s]` is complete (barrier) and
-                            // read-only from here on; walkers arriving at
-                            // shard `s` and shard `s`'s statistics slots
-                            // are written by this worker alone.
-                            let nodes = partition.shard(s).nodes();
-                            let local_n = nodes.len();
-                            {
-                                let _span =
-                                    telemetry.as_ref().map(|t| t.exchange_ns.span(&t.clock));
-                                for src in 0..k {
-                                    let source = unsafe { &*cur.get().add(src).cast_const() };
-                                    for &(dest, w) in &source[s] {
-                                        unsafe {
-                                            *positions_ptr.get().add(w as usize) = dest;
-                                        }
-                                    }
-                                }
-                            }
-                            let state = unsafe { &mut *shards_ptr.get().add(s) };
-                            let ShardState {
-                                bucket_starts,
-                                bucket_walkers,
-                                arena,
-                                load_local,
-                                ..
-                            } = state;
-                            let _span = telemetry.as_ref().map(|t| t.merge_ns.span(&t.clock));
-                            round::merge_round_buckets(
-                                local_n,
-                                arena,
-                                load_local,
-                                bucket_starts,
-                                bucket_walkers,
-                                |sink| {
-                                    for src in 0..k {
-                                        let source = unsafe { &*cur.get().add(src).cast_const() };
-                                        for &(dest, w) in &source[s] {
-                                            sink(partition.local_of(dest as usize), w);
-                                        }
-                                    }
-                                },
-                            );
-                            for (lu, &u) in nodes.iter().enumerate() {
-                                unsafe {
-                                    *sent_ptr.get().add(u) = state.sent_local[lu];
-                                    *load_ptr.get().add(u) = state.load_local[lu];
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            drop(alt);
-            self.round += rounds;
-            if let Some(t) = &self.telemetry {
-                t.rounds.add(rounds as u64);
-            }
-            debug_assert_eq!(
-                self.load.iter().map(|&l| l as usize).sum::<usize>(),
-                self.positions.len(),
-                "round conservation violated: survivors + arrivals + bounces must equal the walkers"
-            );
+        }
+        let (dests, walkers) = arena.deliveries();
+        for (&dest, &w) in dests.iter().zip(walkers) {
+            outbox[self.partition.shard_of(dest as usize)].push((dest, w));
         }
     }
 }
@@ -1385,7 +948,7 @@ mod tests {
             let mut single = MixingEngine::one_walker_per_node(&g).unwrap();
             let mut rng = shard_stream(99, 0);
             for _ in 0..20 {
-                sharded.step(laziness, &mut ());
+                sharded.step(laziness, None, &mut ()).unwrap();
                 single.step_holder(laziness, &mut rng, &mut ());
             }
             assert_eq!(sharded.positions(), single.positions());
@@ -1405,7 +968,7 @@ mod tests {
         let p = Partition::new(&g, 3).unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 5).unwrap();
         for _ in 0..25 {
-            engine.step(0.2, &mut ());
+            engine.step(0.2, None, &mut ()).unwrap();
         }
         assert_eq!(engine.round(), 25);
         let load = engine.load_vector();
@@ -1418,31 +981,53 @@ mod tests {
         }
     }
 
+    /// Any shard order, inline or threaded, masked or not: bitwise the same
+    /// rounds.
     #[test]
-    fn shard_sampling_order_does_not_change_the_result() {
-        let g = graph(90, 6, 5);
+    fn shard_sampling_schedule_does_not_change_the_result() {
+        let g = graph(300, 6, 5);
         let p = Partition::new(&g, 4).unwrap();
-        let mut forward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
+        let mask: Vec<bool> = (0..300).map(|u| u % 5 != 2).collect();
+        let mut step = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
         let mut backward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
         let mut rotated = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        for _ in 0..15 {
-            forward.step(0.1, &mut ());
-            backward.step_in_order(0.1, &[3, 2, 1, 0], &mut ());
-            rotated.step_in_order(0.1, &[2, 3, 0, 1], &mut ());
+        for round in 0..15 {
+            let mask = (round % 3 == 0).then_some(mask.as_slice());
+            step.step(0.1, mask, &mut ()).unwrap();
+            backward
+                .step_in_order(0.1, mask, &[3, 2, 1, 0], &mut ())
+                .unwrap();
+            rotated
+                .step_in_order(0.1, mask, &[2, 3, 0, 1], &mut ())
+                .unwrap();
         }
-        assert_eq!(forward.positions(), backward.positions());
-        assert_eq!(forward.positions(), rotated.positions());
-        assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
-        assert_eq!(forward.walkers_by_holder(), rotated.walkers_by_holder());
+        assert_eq!(step.positions(), backward.positions());
+        assert_eq!(step.positions(), rotated.positions());
+        assert_eq!(step.walkers_by_holder(), backward.walkers_by_holder());
+        assert_eq!(step.walkers_by_holder(), rotated.walkers_by_holder());
     }
 
     #[test]
-    #[should_panic(expected = "permutation")]
-    fn step_in_order_rejects_non_permutations() {
+    fn malformed_rounds_are_rejected_before_any_state_changes() {
         let g = graph(30, 4, 6);
         let p = Partition::new(&g, 2).unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 1).unwrap();
-        engine.step_in_order(0.0, &[0, 0], &mut ());
+        engine.step(0.2, None, &mut ()).unwrap();
+        let positions = engine.positions().to_vec();
+        let short_mask = vec![true; 29];
+        let rejected = [
+            engine.step_in_order(0.0, None, &[0, 0], &mut ()),
+            engine.step_in_order(0.0, None, &[0, 2], &mut ()),
+            engine.step_in_order(0.0, None, &[1], &mut ()),
+            engine.step_in_order(0.0, Some(&short_mask), &[0, 1], &mut ()),
+            engine.step(0.0, Some(&short_mask), &mut ()),
+            engine.step(1.0, None, &mut ()),
+        ];
+        for result in rejected {
+            assert!(matches!(result, Err(GraphError::InvalidParameters(_))));
+            assert_eq!(engine.round(), 1);
+            assert_eq!(engine.positions(), positions.as_slice());
+        }
     }
 
     #[test]
@@ -1451,7 +1036,9 @@ mod tests {
         let p = Partition::new(&g, 5).unwrap();
         let run = |seed: u64| {
             let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, seed).unwrap();
-            engine.run(WalkConfig::lazy(12, 0.15), &mut ()).unwrap();
+            for _ in 0..12 {
+                engine.step(0.15, None, &mut ()).unwrap();
+            }
             engine.positions().to_vec()
         };
         assert_eq!(run(21), run(21));
@@ -1481,7 +1068,9 @@ mod tests {
             walkers: 80,
             rounds_seen: 0,
         };
-        engine.run(WalkConfig::lazy(10, 0.1), &mut checker).unwrap();
+        for _ in 0..10 {
+            engine.step(0.1, None, &mut checker).unwrap();
+        }
         assert_eq!(checker.rounds_seen, 10);
     }
 
@@ -1495,7 +1084,7 @@ mod tests {
             let mut single = MixingEngine::one_walker_per_node(&g).unwrap();
             let mut rng = shard_stream(55, 0);
             for _ in 0..18 {
-                sharded.step_masked(laziness, &mask, &mut ());
+                sharded.step(laziness, Some(&mask), &mut ()).unwrap();
                 single.step_holder_masked(laziness, &mask, &mut rng, &mut ());
             }
             assert_eq!(sharded.positions(), single.positions());
@@ -1515,8 +1104,8 @@ mod tests {
         let mut masked = ShardedMixingEngine::one_walker_per_node(&g, &p, 77).unwrap();
         let mut plain = ShardedMixingEngine::one_walker_per_node(&g, &p, 77).unwrap();
         for _ in 0..15 {
-            masked.step_masked(0.2, &mask, &mut ());
-            plain.step(0.2, &mut ());
+            masked.step(0.2, Some(&mask), &mut ()).unwrap();
+            plain.step(0.2, None, &mut ()).unwrap();
         }
         assert_eq!(masked.positions(), plain.positions());
         assert_eq!(masked.walkers_by_holder(), plain.walkers_by_holder());
@@ -1532,7 +1121,7 @@ mod tests {
         }
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 21).unwrap();
         let before = engine.positions().to_vec();
-        engine.step_masked(0.0, &mask, &mut ());
+        engine.step(0.0, Some(&mask), &mut ()).unwrap();
         for (walker, (&now, &was)) in engine.positions().iter().zip(&before).enumerate() {
             assert!(
                 mask[now as usize] || now == was,
@@ -1549,40 +1138,21 @@ mod tests {
                 assert_eq!(stats.sent.iter().sum::<u32>(), 0);
             }
         }
-        engine.step_masked(0.3, &dark, &mut NoTraffic);
+        engine.step(0.3, Some(&dark), &mut NoTraffic).unwrap();
         assert_eq!(engine.positions(), frozen.as_slice());
-    }
-
-    #[test]
-    fn masked_sampling_order_does_not_change_the_result() {
-        let g = graph(90, 6, 13);
-        let p = Partition::new(&g, 4).unwrap();
-        let mask: Vec<bool> = (0..90).map(|u| u % 5 != 2).collect();
-        let mut forward = ShardedMixingEngine::one_walker_per_node(&g, &p, 31).unwrap();
-        let mut backward = ShardedMixingEngine::one_walker_per_node(&g, &p, 31).unwrap();
-        for _ in 0..12 {
-            forward.step_masked(0.1, &mask, &mut ());
-            backward.step_masked_in_order(0.1, &mask, &[3, 2, 1, 0], &mut ());
-        }
-        assert_eq!(forward.positions(), backward.positions());
-        assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
     }
 
     #[test]
     fn checkpoint_restore_continues_bitwise_in_both_draw_modes() {
         let g = graph(130, 6, 17);
         for k in [1usize, 4] {
-            let p = if k == 1 {
-                Partition::single_shard(&g).unwrap()
-            } else {
-                Partition::new(&g, k).unwrap()
-            };
+            let p = Partition::new(&g, k).unwrap();
             let mask: Vec<bool> = (0..130).map(|u| u % 7 != 3).collect();
             for mode in [DrawMode::Compat, DrawMode::Fast] {
                 let mut reference = ShardedMixingEngine::one_walker_per_node(&g, &p, 404).unwrap();
                 reference.set_draw_mode(mode);
                 for _ in 0..9 {
-                    reference.step(0.2, &mut ());
+                    reference.step(0.2, None, &mut ()).unwrap();
                 }
                 let cp = reference.checkpoint();
                 assert_eq!(cp.round, 9);
@@ -1591,13 +1161,9 @@ mod tests {
                 assert_eq!(restored.round(), 9);
                 // Mix plain and masked rounds after the restore point.
                 for r in 0..10 {
-                    if r % 3 == 0 {
-                        reference.step_masked(0.2, &mask, &mut ());
-                        restored.step_masked(0.2, &mask, &mut ());
-                    } else {
-                        reference.step(0.2, &mut ());
-                        restored.step(0.2, &mut ());
-                    }
+                    let mask = (r % 3 == 0).then_some(mask.as_slice());
+                    reference.step(0.2, mask, &mut ()).unwrap();
+                    restored.step(0.2, mask, &mut ()).unwrap();
                     assert_eq!(reference.positions(), restored.positions());
                 }
                 assert_eq!(reference.walkers_by_holder(), restored.walkers_by_holder());
@@ -1617,7 +1183,7 @@ mod tests {
         let g = graph(60, 4, 18);
         let p = Partition::new(&g, 3).unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 5).unwrap();
-        engine.step(0.1, &mut ());
+        engine.step(0.1, None, &mut ()).unwrap();
         let cp = engine.checkpoint();
         // Wrong shard count.
         let p1 = Partition::single_shard(&g).unwrap();
@@ -1652,50 +1218,19 @@ mod tests {
         let full = generators::complete(24).unwrap();
         let p = Partition::new(&ring, 3).unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&ring, &p, 41).unwrap();
-        engine.step(0.0, &mut ());
+        engine.step(0.0, None, &mut ()).unwrap();
         for (walker, &pos) in engine.positions().iter().enumerate() {
             assert!(ring.neighbors(walker).contains(&pos));
         }
-        engine.retarget(&full).unwrap();
+        engine.retarget(Cow::Borrowed(&full)).unwrap();
         assert_eq!(engine.round(), 1);
-        engine.step(0.0, &mut ());
+        engine.step(0.0, None, &mut ()).unwrap();
         assert_eq!(engine.round(), 2);
         assert!(engine.positions().iter().all(|&pos| pos < 24));
         // Mismatched node counts and isolated nodes are rejected.
         let small = generators::cycle(5).unwrap();
-        assert!(engine.retarget(&small).is_err());
+        assert!(engine.retarget(Cow::Owned(small)).is_err());
         let isolated = Graph::from_edges(24, &[(0, 1)]).unwrap();
-        assert!(engine.retarget(&isolated).is_err());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_masked_step_is_bitwise_equal_to_sequential() {
-        let g = graph(300, 8, 14);
-        let p = Partition::new(&g, 5).unwrap();
-        let mask: Vec<bool> = (0..300).map(|u| u % 6 != 0).collect();
-        let mut sequential = ShardedMixingEngine::one_walker_per_node(&g, &p, 61).unwrap();
-        let mut threaded = ShardedMixingEngine::one_walker_per_node(&g, &p, 61).unwrap();
-        for _ in 0..10 {
-            sequential.step_masked(0.2, &mask, &mut ());
-            threaded.step_masked_threaded(0.2, &mask, &mut ());
-        }
-        assert_eq!(sequential.positions(), threaded.positions());
-        assert_eq!(sequential.walkers_by_holder(), threaded.walkers_by_holder());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_step_is_bitwise_equal_to_sequential() {
-        let g = graph(400, 8, 9);
-        let p = Partition::new(&g, 6).unwrap();
-        let mut sequential = ShardedMixingEngine::one_walker_per_node(&g, &p, 33).unwrap();
-        let mut threaded = ShardedMixingEngine::one_walker_per_node(&g, &p, 33).unwrap();
-        for _ in 0..12 {
-            sequential.step(0.2, &mut ());
-            threaded.step_threaded(0.2, &mut ());
-        }
-        assert_eq!(sequential.positions(), threaded.positions());
-        assert_eq!(sequential.walkers_by_holder(), threaded.walkers_by_holder());
+        assert!(engine.retarget(Cow::Owned(isolated)).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! `tests/observability.rs` against the golden round traces).  All
 //! recording writes into slots registered up front: steady-state rounds
 //! stay allocation-free with telemetry attached (audited by
-//! `cargo bench -p ns-bench --bench sharded_mixing`).
+//! `tests/engine_allocations.rs`).
 
 use ns_obs::{Clock, Counter, Histogram, MetricsRegistry};
 
@@ -22,8 +22,6 @@ pub mod names {
     pub const EXCHANGE_NS: &str = "ns_round_exchange_ns";
     /// Merge-phase duration per round (counting-sort bucket rebuild), ns.
     pub const MERGE_NS: &str = "ns_round_merge_ns";
-    /// Per-worker wait at the pipelined exchange barrier, ns.
-    pub const BARRIER_WAIT_NS: &str = "ns_round_barrier_wait_ns";
     /// Outbox row depth (deliveries routed per destination shard) per
     /// source shard per round.
     pub const OUTBOX_DEPTH: &str = "ns_round_outbox_depth";
@@ -35,18 +33,13 @@ pub mod names {
 
 /// Preregistered phase-timing handles, shared by the monolithic and the
 /// sharded engine.  Clone-cheap (`Arc` bumps); `Send + Sync`, so the
-/// pipelined workers record into the same histograms.
+/// threaded sampling workers record into the same histograms.
 #[derive(Clone, Debug)]
 pub struct EngineTelemetry {
     pub(crate) clock: Clock,
     pub(crate) decide_ns: Histogram,
     pub(crate) exchange_ns: Histogram,
     pub(crate) merge_ns: Histogram,
-    // Only the pipelined (feature = "parallel") round loop has a barrier
-    // to time; the field stays registered either way so the rendered
-    // catalogue is feature-independent.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    pub(crate) barrier_wait_ns: Histogram,
     pub(crate) outbox_depth: Histogram,
     pub(crate) mask_bounces: Counter,
     pub(crate) rounds: Counter,
@@ -60,7 +53,6 @@ impl EngineTelemetry {
             decide_ns: registry.histogram(names::DECIDE_NS),
             exchange_ns: registry.histogram(names::EXCHANGE_NS),
             merge_ns: registry.histogram(names::MERGE_NS),
-            barrier_wait_ns: registry.histogram(names::BARRIER_WAIT_NS),
             outbox_depth: registry.histogram(names::OUTBOX_DEPTH),
             mask_bounces: registry.counter(names::MASK_BOUNCES),
             rounds: registry.counter(names::ROUNDS_TOTAL),

@@ -34,18 +34,33 @@ use network_shuffle::prelude::*;
 use ns_graph::partition::Partition;
 use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
+use ns_graph::Graph;
 use ns_obs::say;
 use std::time::Instant;
 
 const TOPIC: &str = "sharded_deployment";
 
 /// Estimated bytes a shard would have to hold in a distributed deployment:
-/// its local CSR, its frontier table and its slice of the walker state.
-fn shard_working_set(partition: &Partition, shard: usize) -> usize {
-    let shard = partition.shard(shard);
-    shard.local_graph().memory_bytes()
-        + std::mem::size_of_val(shard.frontier())
-        + shard.len() * std::mem::size_of::<usize>()
+/// a local CSR over its intra-shard edges (offsets plus u32 neighbours), a
+/// frontier table of `(local node, peer shard, peer local)` entries, one per
+/// cut-edge incidence, and its slice of the walker state.
+fn shard_working_set(graph: &Graph, partition: &Partition, shard: usize) -> usize {
+    let nodes = partition.shard(shard).nodes();
+    let (mut intra, mut cut) = (0usize, 0usize);
+    for &u in nodes {
+        for &v in graph.neighbors(u) {
+            if partition.shard_of(v as usize) == shard {
+                intra += 1;
+            } else {
+                cut += 1;
+            }
+        }
+    }
+    let word = std::mem::size_of::<usize>();
+    (nodes.len() + 1) * word
+        + intra * std::mem::size_of::<u32>()
+        + cut * 3 * word
+        + std::mem::size_of_val(nodes)
 }
 
 fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
@@ -99,13 +114,13 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         let partition = Partition::new(&graph, k)?;
         let partition_time = t0.elapsed();
         let max_shard_bytes = (0..k)
-            .map(|s| shard_working_set(&partition, s))
+            .map(|s| shard_working_set(&graph, &partition, s))
             .max()
             .unwrap_or(0);
         let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed)?;
         let t1 = Instant::now();
         for _ in 0..rounds_per_config {
-            engine.step_auto(0.0, &mut ());
+            engine.step(0.0, None, &mut ())?;
         }
         let elapsed = t1.elapsed().as_secs_f64();
         say!(

@@ -1,4 +1,4 @@
-//! Contracts of the `fast` draw mode and the pipelined sharded exchange.
+//! Contracts of the `fast` draw mode.
 //!
 //! Fast mode replaces compat's rejection-sampled two-draw rule (one `f64`
 //! laziness coin, one `gen_range` neighbour index) with exactly one `u64`
@@ -10,9 +10,8 @@
 //!   statistics on the shared graph zoo must agree between modes within
 //!   sampling error;
 //! * **same composition laws** — the 1-shard sharded engine is bitwise the
-//!   monolithic holder path *in fast mode too*, threaded sampling is
-//!   bitwise sequential sampling, and the pipelined round loop is bitwise
-//!   the sequential `step` loop;
+//!   monolithic holder path *in fast mode too*, and threaded sampling is
+//!   bitwise sequential sampling, masked or not;
 //! * **seed determinism** — same seed, same trajectories; different seed,
 //!   different trajectories.
 //!
@@ -112,73 +111,18 @@ proptest! {
         single.set_draw_mode(DrawMode::Fast);
         let mut rng = shard_stream(seed, 0);
         for _ in 0..rounds {
-            sharded.step(laziness, &mut ());
+            sharded.step(laziness, None, &mut ()).unwrap();
             single.step_holder(laziness, &mut rng, &mut ());
         }
         prop_assert_eq!(sharded.positions(), single.positions());
         prop_assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
     }
 
-    /// The pipelined round loop is a *schedule*, not a semantic: for any
-    /// shard count, draw mode and mask, `run_pipelined` over `rounds`
-    /// rounds lands bitwise where `rounds` sequential `step` calls land —
-    /// positions, bucket orders and every shard's RNG stream position.
-    #[test]
-    fn pipelined_rounds_are_bitwise_the_sequential_schedule(
-        graph in strategies::graph_zoo(40..160),
-        shards in 1usize..5,
-        laziness_pct in 0usize..50,
-        rounds in 1usize..7,
-        mode_sel in 0usize..2,
-        masked_sel in 0usize..2,
-    ) {
-        let n = graph.node_count();
-        prop_assume!(n >= 20);
-        let laziness = laziness_pct as f64 / 100.0;
-        let mode = if mode_sel == 0 { DrawMode::Compat } else { DrawMode::Fast };
-        let partition = if shards == 1 {
-            Partition::single_shard(&graph).unwrap()
-        } else {
-            Partition::new(&graph, shards).unwrap()
-        };
-        let mask: Vec<bool> = (0..n).map(|u| !(u * 3 + 1).is_multiple_of(5)).collect();
-        let masked = masked_sel == 1;
-
-        let mut sequential =
-            ShardedMixingEngine::one_walker_per_node(&graph, &partition, 77).unwrap();
-        sequential.set_draw_mode(mode);
-        for _ in 0..rounds {
-            if masked {
-                sequential.step_masked(laziness, &mask, &mut ());
-            } else {
-                sequential.step(laziness, &mut ());
-            }
-        }
-
-        let mut pipelined =
-            ShardedMixingEngine::one_walker_per_node(&graph, &partition, 77).unwrap();
-        pipelined.set_draw_mode(mode);
-        if masked {
-            pipelined.run_pipelined_masked(laziness, &mask, rounds);
-        } else {
-            pipelined.run_pipelined(laziness, rounds);
-        }
-
-        prop_assert_eq!(sequential.positions(), pipelined.positions());
-        prop_assert_eq!(sequential.walkers_by_holder(), pipelined.walkers_by_holder());
-        prop_assert_eq!(sequential.round(), pipelined.round());
-        prop_assert_eq!(sequential.load_vector(), pipelined.load_vector());
-        use rand::Rng;
-        for s in 0..partition.shard_count() {
-            let a: u64 = sequential.shard_rng_mut(s).gen();
-            let b: u64 = pipelined.shard_rng_mut(s).gen();
-            prop_assert_eq!(a, b, "shard {} stream position diverged", s);
-        }
-    }
-
-    /// Threaded sampling in fast mode is bitwise the sequential fast round,
-    /// for any shard count (thread-count invariance is inherited: workers
-    /// only ever touch their own shard's stream and outbox row).
+    /// Threaded sampling in fast mode (`step` under the `parallel` feature)
+    /// is bitwise the sequential fast round, masked or not, for any shard
+    /// count — positions, bucket orders and every shard's stream position
+    /// (thread-count invariance is inherited: workers only ever touch their
+    /// own shard's stream and outbox row).
     #[test]
     fn fast_threaded_rounds_match_sequential(
         graph in strategies::graph_zoo(40..140),
@@ -197,12 +141,22 @@ proptest! {
         let mut threaded =
             ShardedMixingEngine::one_walker_per_node(&graph, &partition, 9).unwrap();
         threaded.set_draw_mode(DrawMode::Fast);
-        for _ in 0..rounds {
-            sequential.step(0.2, &mut ());
-            threaded.step_threaded(0.2, &mut ());
+        let n = graph.node_count();
+        let mask: Vec<bool> = (0..n).map(|u| !(u * 3 + 1).is_multiple_of(5)).collect();
+        let ascending: Vec<usize> = (0..partition.shard_count()).collect();
+        for round in 0..rounds {
+            let mask = (round % 2 == 1).then_some(mask.as_slice());
+            sequential.step_in_order(0.2, mask, &ascending, &mut ()).unwrap();
+            threaded.step(0.2, mask, &mut ()).unwrap();
         }
         prop_assert_eq!(sequential.positions(), threaded.positions());
         prop_assert_eq!(sequential.walkers_by_holder(), threaded.walkers_by_holder());
+        use rand::Rng;
+        for s in 0..partition.shard_count() {
+            let a: u64 = sequential.shard_rng_mut(s).gen();
+            let b: u64 = threaded.shard_rng_mut(s).gen();
+            prop_assert_eq!(a, b, "shard {} stream position diverged", s);
+        }
     }
 }
 

@@ -172,7 +172,7 @@ fn trace_sharded_rounds(out: &mut String, shards: usize, mode: DrawMode) {
         engine.set_draw_mode(mode);
         for round in 1..=6 {
             let mut tap = StatsTap::default();
-            engine.step(laziness, &mut tap);
+            engine.step(laziness, None, &mut tap).unwrap();
             record_round(
                 out,
                 round,

@@ -14,9 +14,8 @@
 //! * [`ShardedMixingEngine::migrate`] rebuilds every shard's buckets as a
 //!   pure function of `(positions, partition)` — bitwise the buckets of a
 //!   fresh engine started from the same positions — while positions, the
-//!   round counter, load and the per-shard RNG streams carry over, and all
-//!   three entry points (`migrate` / `migrate_owned` / `migrate_into`)
-//!   are interchangeable;
+//!   round counter, load and the per-shard RNG streams carry over, and a
+//!   borrowed and an owned partition are interchangeable;
 //! * the [`StreamingAccountant`] delta path (speculate + commit) prices a
 //!   churn-plus-migration history **exactly** like the scheduled dense
 //!   path: equal [`RowStats`] every round, movers masked for the round
@@ -34,6 +33,7 @@ use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::NodeId;
 use proptest::prelude::*;
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Applies one deterministic churn wave and returns the touched set (dirty
@@ -166,7 +166,7 @@ fn migrate_rebuckets_like_a_fresh_engine_and_preserves_state() {
     let old = Partition::new(&g, 4).unwrap();
     let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &old, 99).unwrap();
     for _ in 0..10 {
-        engine.step(0.1, &mut ());
+        engine.step(0.1, None, &mut ()).unwrap();
     }
     let positions_before = engine.positions().to_vec();
     let load_before = engine.load_vector();
@@ -181,7 +181,8 @@ fn migrate_rebuckets_like_a_fresh_engine_and_preserves_state() {
     }
     let new = Partition::from_assignment(&g, 4, assignment).unwrap();
 
-    let movers = engine.migrate(&new).unwrap();
+    let mut movers = Vec::new();
+    engine.migrate(Cow::Borrowed(&new), &mut movers).unwrap();
     assert_eq!(movers, expected_movers);
     assert_eq!(engine.positions(), positions_before.as_slice());
     assert_eq!(engine.load_vector(), load_before);
@@ -207,9 +208,9 @@ fn migrate_rebuckets_like_a_fresh_engine_and_preserves_state() {
     }
 }
 
-/// `migrate`, `migrate_owned` and `migrate_into` are interchangeable: the
-/// same migration through each entry point leaves three engines bitwise
-/// identical through further masked rounds.
+/// A borrowed and an owned partition are interchangeable in `migrate`, and
+/// stale `movers` contents are cleared: the same migration three ways
+/// leaves three engines bitwise identical through further masked rounds.
 #[test]
 fn migration_entry_points_are_interchangeable_and_deterministic() {
     let g = ns_graph::generators::barabasi_albert(120, 4, &mut seeded_rng(60)).unwrap();
@@ -218,9 +219,9 @@ fn migration_entry_points_are_interchangeable_and_deterministic() {
     let mut b = ShardedMixingEngine::one_walker_per_node(&g, &old, 7).unwrap();
     let mut c = ShardedMixingEngine::one_walker_per_node(&g, &old, 7).unwrap();
     for _ in 0..6 {
-        a.step(0.2, &mut ());
-        b.step(0.2, &mut ());
-        c.step(0.2, &mut ());
+        for engine in [&mut a, &mut b, &mut c] {
+            engine.step(0.2, None, &mut ()).unwrap();
+        }
     }
     let mut assignment: Vec<u32> = (0..120).map(|u| old.shard_of(u) as u32).collect();
     for u in (0..120).step_by(5) {
@@ -228,10 +229,12 @@ fn migration_entry_points_are_interchangeable_and_deterministic() {
     }
     let new = Partition::from_assignment(&g, 3, assignment).unwrap();
 
-    let movers_a = a.migrate(&new).unwrap();
-    let movers_b = b.migrate_owned(new.clone()).unwrap();
+    let mut movers_a = Vec::new();
+    a.migrate(Cow::Borrowed(&new), &mut movers_a).unwrap();
+    let mut movers_b = Vec::new();
+    b.migrate(Cow::Owned(new.clone()), &mut movers_b).unwrap();
     let mut movers_c = vec![usize::MAX; 3]; // stale contents must be cleared
-    c.migrate_into(new.clone(), &mut movers_c).unwrap();
+    c.migrate(Cow::Owned(new.clone()), &mut movers_c).unwrap();
     assert_eq!(movers_a, movers_b);
     assert_eq!(movers_a, movers_c);
 
@@ -240,13 +243,11 @@ fn migration_entry_points_are_interchangeable_and_deterministic() {
     for &u in &movers_a {
         mask[u] = false;
     }
-    a.step_masked(0.2, &mask, &mut ());
-    b.step_masked(0.2, &mask, &mut ());
-    c.step_masked(0.2, &mask, &mut ());
-    for _ in 0..5 {
-        a.step(0.2, &mut ());
-        b.step(0.2, &mut ());
-        c.step(0.2, &mut ());
+    for engine in [&mut a, &mut b, &mut c] {
+        engine.step(0.2, Some(&mask), &mut ()).unwrap();
+        for _ in 0..5 {
+            engine.step(0.2, None, &mut ()).unwrap();
+        }
     }
     assert_eq!(a.positions(), b.positions());
     assert_eq!(a.positions(), c.positions());
@@ -262,12 +263,13 @@ fn migrate_rejects_mismatched_partitions() {
     // Wrong node count.
     let small = ns_graph::generators::random_regular(40, 4, &mut seeded_rng(71)).unwrap();
     let wrong_n = Partition::new(&small, 4).unwrap();
-    assert!(engine.migrate(&wrong_n).is_err());
+    let mut movers = Vec::new();
+    assert!(engine.migrate(Cow::Owned(wrong_n), &mut movers).is_err());
     // Wrong shard count (RNG streams are per-shard state).
     let wrong_k = Partition::new(&g, 5).unwrap();
-    assert!(engine.migrate(&wrong_k).is_err());
+    assert!(engine.migrate(Cow::Owned(wrong_k), &mut movers).is_err());
     // The failed migrations left the engine usable.
-    engine.step(0.0, &mut ());
+    engine.step(0.0, None, &mut ()).unwrap();
     assert_eq!(engine.round(), 1);
 }
 

@@ -194,7 +194,7 @@ fn trace_sharded_rounds(
         engine.set_telemetry(Some(EngineTelemetry::register(registry)));
         for round in 1..=6 {
             let mut tap = StatsTap::default();
-            engine.step(laziness, &mut tap);
+            engine.step(laziness, None, &mut tap).unwrap();
             record_round(
                 out,
                 round,
@@ -298,12 +298,8 @@ fn run_sharded(
         engine.set_telemetry(Some(EngineTelemetry::register(registry)));
     }
     for round in 1..=rounds {
-        if masked {
-            let mask = mask_for_round(n, round);
-            engine.step_masked(laziness, &mask, &mut ());
-        } else {
-            engine.step(laziness, &mut ());
-        }
+        let mask = masked.then(|| mask_for_round(n, round));
+        engine.step(laziness, mask.as_deref(), &mut ()).unwrap();
     }
     let positions = engine.positions().to_vec();
     let holders = engine.walkers_by_holder();

@@ -5,18 +5,18 @@
 //!
 //! * every node lands in exactly one shard, and the local remappings are
 //!   consistent in both directions;
-//! * the frontier (cut-edge) tables are symmetric across shards;
-//! * the shard-local CSRs plus the frontier tables reassemble the input
-//!   graph **bit for bit**;
+//! * the cut-edge and cut-isolated counts match a brute-force recount from
+//!   the assignment;
+//! * one shard is exactly the single-shard assignment;
 //! * the quality metrics are well-defined and the partition is
 //!   deterministic.
 
 mod common;
 
 use common::strategies;
-use ns_graph::partition::{FrontierEdge, IntraShardTransition, Partition};
+use ns_graph::partition::{IntraShardTransition, Partition};
 use ns_graph::transition::TransitionModel;
-use ns_graph::{Graph, NodeId};
+use ns_graph::Graph;
 use proptest::prelude::*;
 
 /// Checks every structural invariant of one partition.
@@ -40,41 +40,23 @@ fn check_partition(graph: &Graph, partition: &Partition) {
     }
     assert!(seen.iter().all(|&b| b), "some node is unassigned");
 
-    // Frontier tables are symmetric and count the cut twice (once per side).
-    let mut incidences = 0usize;
-    for (s, shard) in partition.shards().iter().enumerate() {
-        for e in shard.frontier() {
-            incidences += 1;
-            assert_ne!(e.peer_shard, s, "frontier entry within shard {s}");
-            let mirror = FrontierEdge {
-                local_node: e.peer_local,
-                peer_shard: s,
-                peer_local: e.local_node,
-            };
-            assert!(
-                partition.shard(e.peer_shard).frontier().contains(&mirror),
-                "frontier entry {e:?} of shard {s} has no mirror"
-            );
-        }
-    }
-    assert_eq!(incidences, 2 * partition.cut_edge_count());
-
-    // Shard CSRs plus frontier tables reassemble the graph bit for bit.
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for shard in partition.shards() {
-        for (lu, lv) in shard.local_graph().edges() {
-            edges.push((shard.global_of(lu), shard.global_of(lv)));
-        }
-        for e in shard.frontier() {
-            let u = shard.global_of(e.local_node);
-            let v = partition.shard(e.peer_shard).global_of(e.peer_local);
-            if u < v {
-                edges.push((u, v));
-            }
-        }
-    }
-    let rebuilt = Graph::from_edges(n, &edges).expect("reassembled edge list is well-formed");
-    assert_eq!(&rebuilt, graph, "shard union diverged from the input graph");
+    // The cut counts agree with a brute-force recount from `shard_of`.
+    let cut = graph
+        .edges()
+        .filter(|&(u, v)| partition.shard_of(u) != partition.shard_of(v))
+        .count();
+    assert_eq!(partition.cut_edge_count(), cut);
+    let isolated = graph
+        .nodes()
+        .filter(|&u| {
+            let s = partition.shard_of(u);
+            graph
+                .neighbors(u)
+                .iter()
+                .all(|&v| partition.shard_of(v as usize) != s)
+        })
+        .count();
+    assert_eq!(partition.cut_isolated_count(), isolated);
 
     // Metrics are well-defined.
     let cut = partition.edge_cut_fraction();
@@ -104,6 +86,17 @@ proptest! {
         let again = Partition::new(&graph, k).unwrap();
         for u in 0..n {
             prop_assert_eq!(partition.shard_of(u), again.shard_of(u));
+        }
+
+        // One shard is the canonical single-shard assignment, node for node.
+        let one = Partition::new(&graph, 1).unwrap();
+        let single = Partition::single_shard(&graph).unwrap();
+        check_partition(&graph, &one);
+        for u in 0..n {
+            prop_assert_eq!(
+                (one.shard_of(u), one.local_of(u)),
+                (single.shard_of(u), single.local_of(u))
+            );
         }
     }
 

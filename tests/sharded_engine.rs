@@ -39,7 +39,7 @@ fn one_shard_engine_is_bitwise_the_single_engine_path() {
             ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut sharded_recorder = TrafficRecorder::new(400);
         for _ in 0..rounds {
-            sharded.step(laziness, &mut sharded_recorder);
+            sharded.step(laziness, None, &mut sharded_recorder).unwrap();
         }
 
         let mut single = MixingEngine::one_walker_per_node(&graph).unwrap();
@@ -172,7 +172,7 @@ fn multi_shard_runs_are_statistically_equivalent_to_single_engine_runs() {
                     ShardedMixingEngine::one_walker_per_node(&graph, &partition, 1000 + trial)
                         .unwrap();
                 for _ in 0..rounds {
-                    engine.step(0.0, &mut ());
+                    engine.step(0.0, None, &mut ()).unwrap();
                 }
                 engine.positions().to_vec()
             } else {
@@ -216,8 +216,8 @@ proptest! {
 
     /// Cross-shard determinism on the graph zoo: a k-shard round sequence
     /// is bitwise invariant to the shard sampling order and to threaded
-    /// execution, for any graph family, shard count, laziness and round
-    /// budget.
+    /// execution (`step` samples on threads under the `parallel` feature),
+    /// for any graph family, shard count, laziness and round budget.
     #[test]
     fn sharded_rounds_are_invariant_to_execution_order(
         graph in strategies::graph_zoo(40..160),
@@ -235,11 +235,12 @@ proptest! {
         let mut forward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut backward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut threaded = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+        let ascending: Vec<usize> = (0..k).collect();
         let reversed: Vec<usize> = (0..k).rev().collect();
         for _ in 0..rounds {
-            forward.step(laziness, &mut ());
-            backward.step_in_order(laziness, &reversed, &mut ());
-            threaded.step_threaded(laziness, &mut ());
+            forward.step_in_order(laziness, None, &ascending, &mut ()).unwrap();
+            backward.step_in_order(laziness, None, &reversed, &mut ()).unwrap();
+            threaded.step(laziness, None, &mut ()).unwrap();
         }
         prop_assert_eq!(forward.positions(), backward.positions());
         prop_assert_eq!(forward.positions(), threaded.positions());

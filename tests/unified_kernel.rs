@@ -146,7 +146,7 @@ proptest! {
         let mut rng = shard_stream(seed, 0);
         for round in 0..rounds {
             let mask = mask_for_round(n, round);
-            sharded.step_masked(laziness, &mask, &mut ());
+            sharded.step(laziness, Some(&mask), &mut ()).unwrap();
             single.step_holder_masked(laziness, &mask, &mut rng, &mut ());
         }
         prop_assert_eq!(sharded.positions(), single.positions());
@@ -178,9 +178,9 @@ proptest! {
         let mut reordered = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let reversed: Vec<usize> = (0..k).rev().collect();
         for _ in 0..rounds {
-            masked.step_masked(laziness, &mask, &mut ());
-            plain.step(laziness, &mut ());
-            reordered.step_masked_in_order(laziness, &mask, &reversed, &mut ());
+            masked.step(laziness, Some(&mask), &mut ()).unwrap();
+            plain.step(laziness, None, &mut ()).unwrap();
+            reordered.step_in_order(laziness, Some(&mask), &reversed, &mut ()).unwrap();
         }
         prop_assert_eq!(masked.positions(), plain.positions());
         prop_assert_eq!(masked.walkers_by_holder(), plain.walkers_by_holder());
