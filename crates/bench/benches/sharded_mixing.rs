@@ -1,5 +1,5 @@
 //! Shard-count sweep of the sharded mixing engine at fixed population,
-//! plus allocation audits of the delta and durable round paths.
+//! plus an allocation audit of the durable round path.
 //!
 //! Measures the cost of one exchange-round budget (engine construction plus
 //! `ROUNDS` holder-order rounds) as the shard count grows at `n = 100_000`:
@@ -10,9 +10,9 @@
 //! phase instead.
 //!
 //! Before the criterion sweep, a counting global allocator audits the
-//! delta runtime's critical path and the durable wrapper's marginal cost
-//! per round (both must be zero once warm).  The engines' own round and
-//! migration audits are tier-1 tests (`tests/engine_allocations.rs`).
+//! durable wrapper's marginal cost per round (it must be zero once warm).
+//! The engines' own round audits are tier-1 tests
+//! (`tests/engine_allocations.rs`).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use ns_graph::generators::random_regular;
@@ -61,78 +61,15 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// Warms an engine until a whole block of rounds allocates nothing, then
-/// returns the allocation count of a final audited block (which the caller
-/// asserts is zero).  The kernel's arenas and the exchange outboxes grow
-/// monotonically to their high-water marks — bounded by the walker count,
-/// so the number of growth events is finite — and a later round can only
-/// allocate if it breaks a high-water mark; warm-up length is therefore
-/// workload-dependent, and the audit warms adaptively instead of guessing.
-fn settle_then_audit(label: &str, mut round: impl FnMut()) -> usize {
-    const BLOCK: usize = 10;
-    const MAX_BLOCKS: usize = 50;
-    for _ in 0..MAX_BLOCKS {
-        let during_warmup = allocations_during(|| {
-            for _ in 0..BLOCK {
-                round();
-            }
-        });
-        if during_warmup == 0 {
-            break;
-        }
-    }
-    let audited = allocations_during(|| {
-        for _ in 0..BLOCK {
-            round();
-        }
-    });
-    println!("steady-state allocations over {BLOCK} rounds [{label}]: {audited}");
-    audited
-}
-
-/// The audits that need a bench-sized population and the store layer.
+/// The audit that needs a bench-sized population and the store layer.
 fn audit_allocations() {
     let n = 20_000;
     let graph = random_regular(n, DEGREE, &mut seeded_rng(3)).expect("graph");
     let partition = Partition::new(&graph, 4).expect("partition");
-    audit_delta_allocations(&graph);
     audit_durable_allocations(&graph, &partition);
 }
 
-/// The delta runtime's critical path — affected-column derivation plus the
-/// per-column ensemble correction — is allocation-free once its buffers are
-/// warm.  (The speculative advance runs off the critical path and uses the
-/// dense kernel's per-call scratch, so it is not part of this audit.)
-fn audit_delta_allocations(graph: &ns_graph::Graph) {
-    use ns_graph::delta::affected_columns_into;
-    use ns_graph::dynamic::DynamicGraph;
-    use ns_graph::ensemble::DistributionEnsemble;
-
-    let n = graph.node_count();
-    let mut dg = DynamicGraph::from_graph(graph).expect("dynamic");
-    let operator = dg.masked_operator(0.2).expect("operator");
-    let origins: Vec<usize> = (0..32).map(|r| r * (n / 32)).collect();
-    let mut ensemble = DistributionEnsemble::point_masses(n, &origins).expect("ensemble");
-    let mut prev = Vec::new();
-    let mut prev_il = Vec::new();
-    ensemble.speculate_interleaved(&operator, &mut prev, &mut prev_il);
-    let touched: Vec<usize> = (0..n).step_by(97).collect();
-    let mut stamp = vec![false; n];
-    let mut columns = Vec::new();
-    let snapshot = dg.snapshot().clone();
-    let audited = settle_then_audit("delta correction 32 rows", || {
-        affected_columns_into(&snapshot, &touched, &mut stamp, &mut columns);
-        ensemble.correct_columns_interleaved(&operator, &columns, &prev_il);
-        ensemble.correct_columns(&operator, &columns, &prev);
-    });
-    assert_eq!(
-        audited, 0,
-        "the delta critical path must not allocate once buffers are warm"
-    );
-    black_box(ensemble.row(0)[0]);
-}
-
-/// The durable wrapper's append path honors the arena contract too: with
+/// The durable wrapper's append path honors the arena contract: with
 /// snapshots disabled, a settled [`DurableCoordinator`] adds **zero**
 /// steady-state allocations per round over the plain coordinator it wraps —
 /// the round record encodes into a reused scratch buffer, the RNG clocks

@@ -401,9 +401,9 @@ pub fn bench_output_path(env_key: &str, default: &str) -> PathBuf {
 /// Writes a `BENCH_*.json` artifact: the pre-rendered flat `entries` as a
 /// JSON array, closed with one `{"bench": "telemetry", ...}` entry
 /// embedding the metric snapshot of the registry the run was instrumented
-/// with.  Both bench binaries (`roundloop`, `churn_soak`) route their
-/// output through here, so every artifact carries the phase-time and
-/// counter telemetry it was produced under alongside the measurements.
+/// with.  The `roundloop` bench binary routes its output through here, so
+/// its artifact carries the phase-time and counter telemetry it was
+/// produced under alongside the measurements.
 ///
 /// `entries` are raw JSON objects (the workspace serde shim is a no-op, so
 /// callers hand-write their bytes); leading whitespace is normalised to a

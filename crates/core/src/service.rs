@@ -38,7 +38,9 @@
 //! tracked, the live quote equals
 //! [`crate::accountant::NetworkShuffleAccountant::worst_user_guarantee`] at
 //! the same round — the offline and online accountants cannot drift
-//! (`tests/sharded_engine.rs`).
+//! (`tests/sharded_engine.rs`).  Every round's operator is known before
+//! the round runs (the static walk, or an outage schedule attached before
+//! round 0), so each round is one dense advance under it.
 //!
 //! **Churn composes.**  Attaching a realized [`OutageSchedule`]
 //! ([`ShuffleCoordinator::with_outages`] /
@@ -75,7 +77,7 @@ use crate::server::Curator;
 use crate::simulation::SimulationOutcome;
 use crate::telemetry::{AccountantTelemetry, CoordinatorTelemetry, ObservedRounds};
 use ns_dp::types::PrivacyGuarantee;
-use ns_graph::dynamic::{DynTransition, TimeVaryingModel};
+use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::{DistributionEnsemble, RowStats};
 use ns_graph::partition::Partition;
 use ns_graph::rng::SimRng;
@@ -141,9 +143,9 @@ impl CoordinatorConfig {
 }
 
 /// The per-round operator the streaming accountant evolves through: the
-/// static lazy walk, the realized per-round schedule of a churning
-/// deployment, or the live operator the delta path committed last round.
-#[derive(Clone)]
+/// static lazy walk or the realized per-round schedule of a churning
+/// deployment.
+#[derive(Debug, Clone)]
 enum StreamingOperator {
     /// The static lazy-walk matrix — every round applies the same operator.
     Static(TransitionMatrix),
@@ -152,24 +154,6 @@ enum StreamingOperator {
     /// the offline [`crate::accountant::NetworkShuffleAccountant::with_schedule`]
     /// route.
     Scheduled(TimeVaryingModel),
-    /// The operator realized by the last committed delta round
-    /// ([`StreamingAccountant::commit_round`]); until the next commit it is
-    /// the best forecast of the coming round, so speculation advances under
-    /// it.
-    Live(DynTransition),
-}
-
-impl std::fmt::Debug for StreamingOperator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamingOperator::Static(m) => f.debug_tuple("Static").field(m).finish(),
-            StreamingOperator::Scheduled(s) => f.debug_tuple("Scheduled").field(s).finish(),
-            StreamingOperator::Live(d) => f
-                .debug_struct("Live")
-                .field("node_count", &d.node_count())
-                .finish(),
-        }
-    }
 }
 
 /// Streaming exact accounting over per-shard tracked origins.
@@ -199,35 +183,11 @@ pub struct StreamingAccountant {
     shard_starts: Vec<usize>,
     /// Row `r` is the exact position distribution of `origins[r]`'s report.
     ensemble: DistributionEnsemble,
-    /// Pre-speculation state of the ensemble, captured by
-    /// [`StreamingAccountant::speculate_round`] so the commit can correct
-    /// (or, past the dense threshold, recompute) against it.  Empty until
-    /// the delta path is first used.
-    prev: Vec<f64>,
-    /// The same pre-speculation state in interleaved layout
-    /// ([`ns_graph::ensemble::interleave_rows`]), produced during
-    /// speculation so the critical-path correction gathers each source's
-    /// tracked-row masses from contiguous cache lines.
-    prev_il: Vec<f64>,
     round: usize,
-    /// Whether the tracked ensembles currently hold a *speculated* round
-    /// ([`StreamingAccountant::speculate_round`]) awaiting its commit.
-    speculated: bool,
-    /// Affected-column fraction beyond which
-    /// [`StreamingAccountant::commit_round`] falls back to a dense
-    /// recompute instead of the sparse column correction.
-    delta_dense_fraction: f64,
-    /// Phase timers and delta counters; `None` (the default) is the
+    /// Phase timers and worst-moment gauges; `None` (the default) is the
     /// inert no-op path.
     telemetry: Option<AccountantTelemetry>,
 }
-
-/// Default affected-column fraction beyond which the delta commit recomputes
-/// densely ([`StreamingAccountant::set_delta_dense_fraction`]).  Past about
-/// a quarter of the columns the per-column pull pass stops beating the
-/// contiguous dense kernel, mirroring
-/// [`ns_graph::dynamic::REBUILD_DIRTY_FRACTION`] on the snapshot side.
-pub const DELTA_DENSE_FRACTION: f64 = 0.25;
 
 impl StreamingAccountant {
     /// Builds the accountant for `graph` under `partition`, tracking up to
@@ -318,17 +278,13 @@ impl StreamingAccountant {
             origins,
             shard_starts,
             ensemble,
-            prev: Vec::new(),
-            prev_il: Vec::new(),
             round: 0,
-            speculated: false,
-            delta_dense_fraction: DELTA_DENSE_FRACTION,
             telemetry: None,
         })
     }
 
     /// Attaches (or detaches, with `None`) the accountant's phase timers
-    /// and delta counters.  Recording never touches the tracked
+    /// and worst-moment gauges.  Recording never touches the tracked
     /// distributions, so quotes are unchanged bit for bit.
     pub fn set_telemetry(&mut self, telemetry: Option<AccountantTelemetry>) {
         self.telemetry = telemetry;
@@ -377,13 +333,11 @@ impl StreamingAccountant {
         self.origins.len()
     }
 
-    /// The operator the accountant currently holds — what the next round is
-    /// expected to apply (and what speculation advances under).
+    /// The operator the tracked distributions evolve through.
     fn held(operator: &StreamingOperator) -> &(dyn TransitionModel + Sync) {
         match operator {
             StreamingOperator::Static(matrix) => matrix,
             StreamingOperator::Scheduled(schedule) => schedule,
-            StreamingOperator::Live(operator) => operator.as_ref(),
         }
     }
 
@@ -391,153 +345,10 @@ impl StreamingAccountant {
     /// deployment's realized operator (the ensembles carry the absolute
     /// round clock, so a scheduled accountant applies `operator(t)` at
     /// round `t`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a speculated round is pending
-    /// ([`StreamingAccountant::speculate_round`]) — commit or discard it
-    /// first.
     pub fn advance_round(&mut self) {
-        assert!(
-            !self.speculated,
-            "cannot advance past a pending speculated round; commit it first"
-        );
         let _span = self.telemetry.as_ref().map(|t| t.advance_ns.span(&t.clock));
         self.ensemble.advance_auto(Self::held(&self.operator), 1);
         self.round += 1;
-    }
-
-    /// Sets the affected-column fraction beyond which
-    /// [`StreamingAccountant::commit_round`] abandons the sparse correction
-    /// and recomputes the round densely.  `0.0` forces every commit dense
-    /// (the non-incremental baseline), `1.0` always corrects sparsely.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfiguration`] if `fraction` is not a finite value
-    /// in `[0, 1]`.
-    pub fn set_delta_dense_fraction(&mut self, fraction: f64) -> Result<()> {
-        if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
-            return Err(Error::InvalidConfiguration(format!(
-                "delta dense fraction must be in [0, 1], got {fraction}"
-            )));
-        }
-        self.delta_dense_fraction = fraction;
-        Ok(())
-    }
-
-    /// The current dense-fallback threshold of the delta commit.
-    pub fn delta_dense_fraction(&self) -> f64 {
-        self.delta_dense_fraction
-    }
-
-    /// Whether a speculated round is pending its commit.
-    pub fn is_speculated(&self) -> bool {
-        self.speculated
-    }
-
-    /// Speculatively advances every tracked distribution one round under
-    /// the operator the accountant already **holds** — off the critical
-    /// path, before the round's churn delta is known.  The pre-round state
-    /// is retained, so [`StreamingAccountant::commit_round`] can later
-    /// repair exactly the columns the realized operator changed (or, above
-    /// the dense threshold, recompute from it).  The round counter does not
-    /// move until the commit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a speculated round is already pending.
-    pub fn speculate_round(&mut self) {
-        assert!(
-            !self.speculated,
-            "round already speculated; commit it first"
-        );
-        let _span = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.speculate_ns.span(&t.clock));
-        self.ensemble.speculate_interleaved(
-            Self::held(&self.operator),
-            &mut self.prev,
-            &mut self.prev_il,
-        );
-        self.speculated = true;
-        if let Some(t) = &self.telemetry {
-            t.speculated.inc();
-        }
-    }
-
-    /// Commits one round under the **realized** operator, given the sorted
-    /// `affected` column set of the round's churn delta
-    /// ([`ns_graph::delta::affected_columns`] over the nodes the delta
-    /// touched).  The critical-path cost depends on what is pending:
-    ///
-    /// * a speculated round with `|affected|` at or below the dense
-    ///   threshold — the sparse per-column correction, `O(Σ_{j ∈ affected}
-    ///   deg(j))` per tracked row and **bitwise equal** to the dense
-    ///   advance (the per-column contract of
-    ///   [`ns_graph::transition::TransitionModel::propagate_round_columns`]);
-    /// * a speculated round above the threshold — a dense recompute from
-    ///   the retained pre-round state;
-    /// * no speculation — the ordinary dense advance (the non-incremental
-    ///   baseline; this is [`StreamingAccountant::advance_round`] under the
-    ///   realized operator).
-    ///
-    /// Afterwards the accountant holds `realized` as its live operator —
-    /// the forecast the next speculation advances under.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `realized`'s node count differs from the tracked
-    /// ensembles'.
-    pub fn commit_round(&mut self, realized: DynTransition, affected: &[NodeId]) {
-        let model = realized.as_ref();
-        assert_eq!(
-            model.node_count(),
-            self.ensemble.node_count(),
-            "realized operator covers the wrong number of users"
-        );
-        let n = model.node_count().max(1);
-        let dense = affected.len() as f64 > self.delta_dense_fraction * n as f64;
-        let _span = self.telemetry.as_ref().map(|t| t.commit_ns.span(&t.clock));
-        if let Some(t) = &self.telemetry {
-            t.affected_permille
-                .record((affected.len() as u64).saturating_mul(1000) / n as u64);
-            if self.speculated {
-                if dense {
-                    t.commits_dense.inc();
-                } else {
-                    t.commits_sparse.inc();
-                }
-            }
-        }
-        match (self.speculated, dense) {
-            (true, false) => {
-                self.ensemble
-                    .correct_columns_interleaved(model, affected, &self.prev_il)
-            }
-            (true, true) => self.ensemble.recompute_from(model, &self.prev),
-            (false, _) => self.ensemble.advance_auto(model, 1),
-        }
-        self.operator = StreamingOperator::Live(realized);
-        self.round += 1;
-        self.speculated = false;
-    }
-
-    /// [`StreamingAccountant::speculate_round`] +
-    /// [`StreamingAccountant::commit_round`] in one call — the delta
-    /// pipeline without the off-critical-path overlap (speculation under
-    /// the held operator, then the sparse repair).  If a speculation is
-    /// already pending, only the commit runs.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`StreamingAccountant::commit_round`].
-    pub fn advance_round_delta(&mut self, realized: DynTransition, affected: &[NodeId]) {
-        if !self.speculated {
-            self.speculate_round();
-        }
-        self.commit_round(realized, affected);
     }
 
     /// The component-wise worst accounting moments over all tracked
@@ -601,21 +412,9 @@ impl StreamingAccountant {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfiguration`] if a speculated round is pending or
-    /// the accountant holds a live delta operator — both belong to the
-    /// delta-incremental pipeline, whose mid-flight state is not a round
-    /// boundary (commit first).
+    /// Never today: the accountant is always at a round boundary.  The
+    /// `Result` keeps the signature its callers propagate.
     pub fn checkpoint(&self) -> Result<AccountantCheckpoint> {
-        if self.speculated {
-            return Err(Error::InvalidConfiguration(
-                "cannot checkpoint a speculated round; commit it first".into(),
-            ));
-        }
-        if matches!(self.operator, StreamingOperator::Live(_)) {
-            return Err(Error::InvalidConfiguration(
-                "cannot checkpoint an accountant holding a live delta operator".into(),
-            ));
-        }
         Ok(AccountantCheckpoint {
             round: self.round,
             shards: (0..self.shard_count())
@@ -674,11 +473,7 @@ impl StreamingAccountant {
             origins,
             shard_starts,
             ensemble,
-            prev: Vec::new(),
-            prev_il: Vec::new(),
             round: checkpoint.round,
-            speculated: false,
-            delta_dense_fraction: DELTA_DENSE_FRACTION,
             telemetry: None,
         })
     }
@@ -691,23 +486,14 @@ impl StreamingAccountant {
     ///
     /// # Errors
     ///
-    /// As [`StreamingAccountant::restore`], plus
-    /// [`Error::InvalidConfiguration`] when the accountant holds a live
-    /// delta operator (no checkpoint is taken in that state).
+    /// As [`StreamingAccountant::restore`].
     pub(crate) fn install(&mut self, checkpoint: &AccountantCheckpoint) -> Result<()> {
-        if matches!(self.operator, StreamingOperator::Live(_)) {
-            return Err(Error::InvalidConfiguration(
-                "cannot install a checkpoint into an accountant holding a live delta operator"
-                    .into(),
-            ));
-        }
         let (origins, shard_starts, ensemble) =
             Self::tracked_state(checkpoint, self.shard_count(), self.ensemble.node_count())?;
         self.origins = origins;
         self.shard_starts = shard_starts;
         self.ensemble = ensemble;
         self.round = checkpoint.round;
-        self.speculated = false;
         Ok(())
     }
 
@@ -1146,7 +932,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// # Errors
     ///
     /// [`Error::InvalidConfiguration`] if the exchange phase has not
-    /// started; accountant checkpoint errors (pending speculation).
+    /// started.
     pub fn checkpoint(&self) -> Result<CoordinatorCheckpoint> {
         let engine = self.engine.as_ref().ok_or_else(|| {
             Error::InvalidConfiguration("call begin_exchange() before checkpointing".into())

@@ -223,7 +223,7 @@ fn run_protocol_inner<P: Clone>(
                     schedule.mask(t),
                     &mut rng,
                     &mut recorder,
-                );
+                )?;
             }
         }
     }

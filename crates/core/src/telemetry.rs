@@ -32,18 +32,6 @@ pub mod names {
     ///
     /// [`advance_round`]: crate::service::StreamingAccountant::advance_round
     pub const ACCT_ADVANCE_NS: &str = "ns_acct_advance_ns";
-    /// Speculative (off-critical-path) advance per round, ns.
-    pub const ACCT_SPECULATE_NS: &str = "ns_acct_speculate_ns";
-    /// Delta-commit critical path per round (correct or recompute), ns.
-    pub const ACCT_COMMIT_NS: &str = "ns_acct_commit_ns";
-    /// Rounds speculated ahead of their commit.
-    pub const ACCT_SPECULATED_TOTAL: &str = "ns_acct_speculated_total";
-    /// Delta commits repaired by the sparse column correction.
-    pub const ACCT_COMMITS_SPARSE_TOTAL: &str = "ns_acct_commits_sparse_total";
-    /// Delta commits that fell back to a dense recompute.
-    pub const ACCT_COMMITS_DENSE_TOTAL: &str = "ns_acct_commits_dense_total";
-    /// Affected-column fraction per delta commit, in permille of `n`.
-    pub const ACCT_AFFECTED_PERMILLE: &str = "ns_acct_affected_permille";
     /// Worst tracked `Σ p²` moment, scaled by 1e6
     /// ([`super::AccountantTelemetry::record_worst_stats`]).
     pub const ACCT_WORST_SUM_SQ_MICRO: &str = "ns_acct_worst_sum_sq_micro";
@@ -61,19 +49,12 @@ pub mod names {
     pub const TRAFFIC_PEAK_LOAD: &str = "ns_traffic_peak_load";
 }
 
-/// Preregistered handles for the streaming accountant's phase breakdown:
-/// dense advances, speculate-vs-commit timing and the affected-column
-/// fractions of the delta pipeline.
+/// Preregistered handles for the streaming accountant: the per-round
+/// advance timer and the worst-moment gauges.
 #[derive(Clone, Debug)]
 pub struct AccountantTelemetry {
     pub(crate) clock: Clock,
     pub(crate) advance_ns: Histogram,
-    pub(crate) speculate_ns: Histogram,
-    pub(crate) commit_ns: Histogram,
-    pub(crate) speculated: Counter,
-    pub(crate) commits_sparse: Counter,
-    pub(crate) commits_dense: Counter,
-    pub(crate) affected_permille: Histogram,
     worst_sum_sq_micro: Gauge,
     worst_support_permille: Gauge,
 }
@@ -84,12 +65,6 @@ impl AccountantTelemetry {
         AccountantTelemetry {
             clock: registry.clock().clone(),
             advance_ns: registry.histogram(names::ACCT_ADVANCE_NS),
-            speculate_ns: registry.histogram(names::ACCT_SPECULATE_NS),
-            commit_ns: registry.histogram(names::ACCT_COMMIT_NS),
-            speculated: registry.counter(names::ACCT_SPECULATED_TOTAL),
-            commits_sparse: registry.counter(names::ACCT_COMMITS_SPARSE_TOTAL),
-            commits_dense: registry.counter(names::ACCT_COMMITS_DENSE_TOTAL),
-            affected_permille: registry.histogram(names::ACCT_AFFECTED_PERMILLE),
             worst_sum_sq_micro: registry.gauge(names::ACCT_WORST_SUM_SQ_MICRO),
             worst_support_permille: registry.gauge(names::ACCT_WORST_SUPPORT_PERMILLE),
         }

@@ -8,8 +8,9 @@
 //! * [`DynamicGraph`] — a mutable delta layer over the immutable CSR
 //!   [`Graph`]: per-node availability flags plus edge insertions/removals,
 //!   materialized back into a CSR snapshot incrementally (unchanged row
-//!   spans are spliced with bulk copies; past a dirty-node threshold the
-//!   snapshot is rebuilt outright, which is cheaper than patching).
+//!   spans are spliced with bulk copies; past [`REBUILD_DIRTY_FRACTION`]
+//!   dirty nodes the snapshot is rebuilt outright, which is cheaper than
+//!   patching).
 //! * [`MaskedTransition`] — the exact one-round operator of the lazy walk on
 //!   a graph with an availability mask: a report whose *chosen recipient* is
 //!   unavailable stays put for the round.  With every node available this is
@@ -40,12 +41,11 @@ use std::sync::Arc;
 /// A shared, type-erased transition operator usable as one schedule entry.
 pub type DynTransition = Arc<dyn TransitionModel + Send + Sync>;
 
-/// Default dirty-node fraction beyond which [`DynamicGraph`] rebuilds its
-/// CSR snapshot from the adjacency lists instead of splicing the old
-/// snapshot: with more than a quarter of the rows changed there is little
-/// clean span left to bulk-copy, and the patch path's bookkeeping stops
-/// paying for itself.  Tunable per graph via
-/// [`DynamicGraph::with_rebuild_dirty_fraction`].
+/// Dirty-node fraction beyond which [`DynamicGraph`] rebuilds its CSR
+/// snapshot from the adjacency lists instead of splicing the old snapshot:
+/// with more than a quarter of the rows changed there is little clean span
+/// left to bulk-copy, and the patch path's bookkeeping stops paying for
+/// itself.
 pub const REBUILD_DIRTY_FRACTION: f64 = 0.25;
 
 /// A mutable communication network: an undirected graph under edge
@@ -70,9 +70,6 @@ pub struct DynamicGraph {
     /// Nodes whose adjacency changed since the last snapshot.
     dirty: Vec<NodeId>,
     dirty_flag: Vec<bool>,
-    /// Patch-vs-rebuild threshold of [`DynamicGraph::snapshot`]; defaults to
-    /// [`REBUILD_DIRTY_FRACTION`].
-    rebuild_dirty_fraction: f64,
 }
 
 impl DynamicGraph {
@@ -97,45 +94,7 @@ impl DynamicGraph {
             snapshot: graph.clone(),
             dirty: Vec::new(),
             dirty_flag: vec![false; n],
-            rebuild_dirty_fraction: REBUILD_DIRTY_FRACTION,
         })
-    }
-
-    /// Builder knob: sets the dirty-node fraction beyond which
-    /// [`DynamicGraph::snapshot`] rebuilds the CSR outright instead of
-    /// patching the previous snapshot.  `0.0` always rebuilds, `1.0`
-    /// (effectively) always patches; either way the resulting snapshots are
-    /// identical — only the materialization cost changes.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if `fraction` is not a finite value
-    /// in `[0, 1]`.
-    pub fn with_rebuild_dirty_fraction(mut self, fraction: f64) -> Result<Self> {
-        self.set_rebuild_dirty_fraction(fraction)?;
-        Ok(self)
-    }
-
-    /// In-place form of [`DynamicGraph::with_rebuild_dirty_fraction`].
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if `fraction` is not a finite value
-    /// in `[0, 1]`.
-    pub fn set_rebuild_dirty_fraction(&mut self, fraction: f64) -> Result<()> {
-        if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
-            return Err(GraphError::InvalidParameters(format!(
-                "rebuild dirty fraction must be in [0, 1], got {fraction}"
-            )));
-        }
-        self.rebuild_dirty_fraction = fraction;
-        Ok(())
-    }
-
-    /// The current patch-vs-rebuild threshold (see
-    /// [`DynamicGraph::with_rebuild_dirty_fraction`]).
-    pub fn rebuild_dirty_fraction(&self) -> f64 {
-        self.rebuild_dirty_fraction
     }
 
     /// Number of nodes (fixed for the lifetime of the dynamic graph; churn
@@ -269,28 +228,9 @@ impl DynamicGraph {
         Ok(true)
     }
 
-    /// Current sorted neighbour list of `u` — the live adjacency, which may
-    /// be ahead of the last CSR snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.adjacency[u]
-    }
-
     /// Number of nodes whose adjacency changed since the last snapshot.
     pub fn dirty_nodes(&self) -> usize {
         self.dirty.len()
-    }
-
-    /// The nodes whose adjacency changed since the last snapshot, in
-    /// first-touched order.  Capture this *before* calling
-    /// [`DynamicGraph::snapshot`] (which clears it) when deriving the
-    /// affected-column set for a delta-incremental ensemble advance (see
-    /// [`crate::delta`]).
-    pub fn dirty_list(&self) -> &[NodeId] {
-        &self.dirty
     }
 
     /// The current topology as an immutable CSR [`Graph`].
@@ -303,8 +243,7 @@ impl DynamicGraph {
     /// wholesale.  Both paths produce identical graphs (tested).
     pub fn snapshot(&mut self) -> &Graph {
         if !self.dirty.is_empty() {
-            let threshold =
-                (self.node_count() as f64 * self.rebuild_dirty_fraction).ceil() as usize;
+            let threshold = (self.node_count() as f64 * REBUILD_DIRTY_FRACTION).ceil() as usize;
             self.snapshot = if self.dirty.len() > threshold {
                 self.rebuild_csr()
             } else {
@@ -503,13 +442,15 @@ impl MaskedTransition {
     /// register accumulators and stores its lanes once, instead of every
     /// source scattering a read-for-ownership write per edge.
     ///
-    /// Bit parity with [`MaskedTransition::propagate_into`] per lane is the
-    /// argument of [`MaskedTransition::propagate_round_columns`]: `j`'s stay
-    /// term (laziness plus one identical share per unavailable neighbour)
-    /// is folded into the ascending-source gather at `j`'s own position,
-    /// and an unavailable `j` receives only its stay term.  Zero-mass
-    /// sources, which the scatter form skips, add `+0.0`, which never
-    /// changes a non-negative accumulation.
+    /// Bit parity with [`MaskedTransition::propagate_into`] per lane: the
+    /// scatter form accumulates `out[j]` in ascending source order, adding
+    /// `j`'s own stay term (laziness plus one identical share per
+    /// unavailable neighbour, accumulated in CSR neighbour order) when the
+    /// sweep passes `j`.  The pull form folds that stay term into the
+    /// ascending-source gather at `j`'s own position, so it reproduces the
+    /// same sequence of adds, and an unavailable `j` receives only its stay
+    /// term.  Zero-mass sources, which the scatter form skips, add `+0.0`,
+    /// which never changes a non-negative accumulation.
     ///
     /// The gathers go through raw pointers, like
     /// [`TransitionMatrix`]'s fused kernel, relying on the same invariants:
@@ -661,192 +602,6 @@ impl TransitionModel for MaskedTransition {
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
         assert_eq!(output.len(), lanes * n, "output block has wrong length");
         self.pull_lanes(lanes, input, LaneOut::Rows(output));
-    }
-
-    /// Pull-form recomputation of selected columns, bitwise identical to the
-    /// scatter sweep of [`MaskedTransition::propagate_into`]: column `j`
-    /// accumulates its incoming shares in ascending source order with `j`'s
-    /// own stay term (laziness plus shares bounced off unavailable
-    /// recipients, themselves accumulated in `j`'s CSR neighbour order)
-    /// folded in at `j`'s position in that order.  Contributions from
-    /// zero-mass sources, which the scatter form skips, add `±0.0` and never
-    /// change a non-negative accumulation.  An unavailable column receives
-    /// no incoming shares — only its own stay term.
-    fn propagate_round_columns(
-        &self,
-        _round: usize,
-        p: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(p.len(), n, "input distribution has wrong length");
-        assert_eq!(out.len(), n, "output buffer has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        for &j in columns {
-            let row = self.shared.neighbors(j);
-            // j's own stay term, in the scatter sweep's accumulation order.
-            let mut stay = self.laziness * p[j];
-            let share_j = move_factor * p[j] * self.shared.inv_degree[j];
-            for &k in row {
-                if !self.available[k as usize] {
-                    stay += share_j;
-                }
-            }
-            let mut acc = 0.0f64;
-            if self.available[j] {
-                let mut stay_pending = true;
-                for &i in row {
-                    let i = i as usize;
-                    if stay_pending && i > j {
-                        acc += stay;
-                        stay_pending = false;
-                    }
-                    acc += move_factor * p[i] * self.shared.inv_degree[i];
-                }
-                if stay_pending {
-                    acc += stay;
-                }
-            } else {
-                acc += stay;
-            }
-            out[j] = acc;
-        }
-    }
-
-    /// Accumulator-blocked form of the masked per-column pull: each
-    /// column's neighbour list is walked once for up to 8 rows at a time.
-    /// Every row evaluates exactly the per-row kernel's expressions in
-    /// exactly its order — stay term accumulated in CSR neighbour order,
-    /// incoming shares in ascending source order with the stay folded at
-    /// `j`'s position — so blocking never changes a bit.
-    fn propagate_round_columns_rows(
-        &self,
-        _round: usize,
-        rows: usize,
-        prev: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(prev.len(), rows * n, "input block has wrong length");
-        assert_eq!(out.len(), rows * n, "output block has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        const BLOCK: usize = 8;
-        let mut base = 0;
-        while base < rows {
-            let b = BLOCK.min(rows - base);
-            let prev_block = &prev[base * n..(base + b) * n];
-            let out_block = &mut out[base * n..(base + b) * n];
-            for &j in columns {
-                let row = self.shared.neighbors(j);
-                // j's own stay term per row, in the scatter sweep's
-                // accumulation order.
-                let mut stay = [0.0f64; BLOCK];
-                for (r, s) in stay.iter_mut().enumerate().take(b) {
-                    *s = self.laziness * prev_block[r * n + j];
-                }
-                for &k in row {
-                    if !self.available[k as usize] {
-                        for (r, s) in stay.iter_mut().enumerate().take(b) {
-                            *s += move_factor * prev_block[r * n + j] * self.shared.inv_degree[j];
-                        }
-                    }
-                }
-                let mut acc = [0.0f64; BLOCK];
-                if self.available[j] {
-                    let mut stay_pending = true;
-                    for &i in row {
-                        let i = i as usize;
-                        if stay_pending && i > j {
-                            for (r, a) in acc.iter_mut().enumerate().take(b) {
-                                *a += stay[r];
-                            }
-                            stay_pending = false;
-                        }
-                        for (r, a) in acc.iter_mut().enumerate().take(b) {
-                            *a += move_factor * prev_block[r * n + i] * self.shared.inv_degree[i];
-                        }
-                    }
-                    if stay_pending {
-                        for (r, a) in acc.iter_mut().enumerate().take(b) {
-                            *a += stay[r];
-                        }
-                    }
-                } else {
-                    acc[..b].copy_from_slice(&stay[..b]);
-                }
-                for (r, &a) in acc.iter().enumerate().take(b) {
-                    out_block[r * n + j] = a;
-                }
-            }
-            base += BLOCK;
-        }
-    }
-
-    fn propagate_round_columns_rows_interleaved(
-        &self,
-        _round: usize,
-        rows: usize,
-        prev_il: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(prev_il.len(), rows * n, "input block has wrong length");
-        assert_eq!(out.len(), rows * n, "output block has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        const BLOCK: usize = 8;
-        let mut base = 0;
-        while base < rows {
-            let b = BLOCK.min(rows - base);
-            let out_block = &mut out[base * n..(base + b) * n];
-            for &j in columns {
-                let row = self.shared.neighbors(j);
-                let own = &prev_il[j * rows + base..j * rows + base + b];
-                // j's own stay term per row, in the scatter sweep's
-                // accumulation order.
-                let mut stay = [0.0f64; BLOCK];
-                for (r, s) in stay.iter_mut().enumerate().take(b) {
-                    *s = self.laziness * own[r];
-                }
-                for &k in row {
-                    if !self.available[k as usize] {
-                        for (r, s) in stay.iter_mut().enumerate().take(b) {
-                            *s += move_factor * own[r] * self.shared.inv_degree[j];
-                        }
-                    }
-                }
-                let mut acc = [0.0f64; BLOCK];
-                if self.available[j] {
-                    let mut stay_pending = true;
-                    for &i in row {
-                        let i = i as usize;
-                        if stay_pending && i > j {
-                            for (r, a) in acc.iter_mut().enumerate().take(b) {
-                                *a += stay[r];
-                            }
-                            stay_pending = false;
-                        }
-                        let src = &prev_il[i * rows + base..i * rows + base + b];
-                        for (r, a) in acc.iter_mut().enumerate().take(b) {
-                            *a += move_factor * src[r] * self.shared.inv_degree[i];
-                        }
-                    }
-                    if stay_pending {
-                        for (r, a) in acc.iter_mut().enumerate().take(b) {
-                            *a += stay[r];
-                        }
-                    }
-                } else {
-                    acc[..b].copy_from_slice(&stay[..b]);
-                }
-                for (r, &a) in acc.iter().enumerate().take(b) {
-                    out_block[r * n + j] = a;
-                }
-            }
-            base += BLOCK;
-        }
     }
 }
 
@@ -1029,35 +784,6 @@ impl TransitionModel for TimeVaryingModel {
     ) {
         self.operator(round)
             .propagate_round_interleaved_rows(0, lanes, input, output);
-    }
-
-    fn propagate_round_columns(&self, round: usize, p: &[f64], out: &mut [f64], columns: &[usize]) {
-        self.operator(round)
-            .propagate_round_columns(0, p, out, columns);
-    }
-
-    fn propagate_round_columns_rows(
-        &self,
-        round: usize,
-        rows: usize,
-        prev: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        self.operator(round)
-            .propagate_round_columns_rows(0, rows, prev, out, columns);
-    }
-
-    fn propagate_round_columns_rows_interleaved(
-        &self,
-        round: usize,
-        rows: usize,
-        prev_il: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        self.operator(round)
-            .propagate_round_columns_rows_interleaved(0, rows, prev_il, out, columns);
     }
 }
 

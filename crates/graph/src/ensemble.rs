@@ -451,174 +451,6 @@ impl DistributionEnsemble {
         }
     }
 
-    /// Speculative one-round advance for the delta-incremental runtime: the
-    /// pre-advance rows are saved into `prev` (cleared and refilled, so a
-    /// steady-state caller reuses its capacity) and every row is advanced one
-    /// round under `held` — the operator the caller *currently* holds, which
-    /// may be stale by the time the round's churn delta lands.
-    ///
-    /// Follow with [`DistributionEnsemble::correct_columns`] (small delta) or
-    /// [`DistributionEnsemble::recompute_from`] (fallback) once the realized
-    /// operator is known; see [`crate::delta`] for the affected-column set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `held.node_count()` differs from the ensemble's.
-    pub fn speculate_auto<M: TransitionModel + Sync + ?Sized>(
-        &mut self,
-        held: &M,
-        prev: &mut Vec<f64>,
-    ) {
-        prev.clear();
-        prev.extend_from_slice(&self.data);
-        self.advance_auto(held, 1);
-    }
-
-    /// Repairs a speculative advance: recomputes `out[j]` for every
-    /// `j ∈ columns` of every row from the saved pre-advance rows `prev`,
-    /// under the *realized* operator of the round just taken.
-    ///
-    /// After this call the ensemble is **bitwise** what a dense
-    /// one-round advance under `realized` from `prev` would have produced —
-    /// provided `columns` covers every column whose incoming mass can differ
-    /// between the held and realized operators
-    /// ([`crate::delta::affected_columns`] over the union of both deltas):
-    /// unaffected columns receive the same shares in the same order under
-    /// both operators, so the speculative values are already exact, and
-    /// affected columns are overwritten through
-    /// [`TransitionModel::propagate_round_columns`], whose per-column
-    /// contract is bitwise the dense kernel's.  Cost is
-    /// `O(sources · Σ_{j ∈ columns} deg(j))` instead of `O(sources · m)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round has been taken, `realized.node_count()` differs
-    /// from the ensemble's, or `prev` has the wrong length.
-    pub fn correct_columns<M: TransitionModel + ?Sized>(
-        &mut self,
-        realized: &M,
-        columns: &[NodeId],
-        prev: &[f64],
-    ) {
-        assert!(self.time > 0, "correct_columns needs a speculated round");
-        assert_eq!(
-            realized.node_count(),
-            self.nodes,
-            "transition model and ensemble disagree on the node count"
-        );
-        assert_eq!(prev.len(), self.data.len(), "prev has the wrong length");
-        let base_round = self.time - 1;
-        realized.propagate_round_columns_rows(
-            base_round,
-            self.sources,
-            prev,
-            &mut self.data,
-            columns,
-        );
-    }
-
-    /// [`DistributionEnsemble::speculate_auto`] that additionally leaves an
-    /// **interleaved** copy of the pre-advance rows in `prev_il`
-    /// (`prev_il[i * sources + r] == prev[r * n + i]`, see
-    /// [`interleave_rows`]).
-    ///
-    /// The transpose is a streaming pass that rides along with the
-    /// speculative advance — off the critical path — and is what makes the
-    /// later [`DistributionEnsemble::correct_columns_interleaved`] fast: the
-    /// correction gathers every tracked row's mass at each source node, and
-    /// interleaved those values share a handful of cache lines instead of
-    /// landing on `sources` different ones.
-    pub fn speculate_interleaved<M: TransitionModel + Sync + ?Sized>(
-        &mut self,
-        held: &M,
-        prev: &mut Vec<f64>,
-        prev_il: &mut Vec<f64>,
-    ) {
-        self.speculate_auto(held, prev);
-        interleave_rows(self.sources, self.nodes, prev, prev_il);
-    }
-
-    /// [`DistributionEnsemble::correct_columns`] reading the saved
-    /// pre-advance rows in interleaved layout (as produced by
-    /// [`DistributionEnsemble::speculate_interleaved`]).
-    ///
-    /// Bitwise the same result — interleaving changes where each value is
-    /// read from, never which value is accumulated or in which order — but
-    /// the gathers on the critical path become contiguous, which is the
-    /// difference between the correction being latency-bound and
-    /// bandwidth-bound at large `n`.
-    ///
-    /// # Panics
-    ///
-    /// As [`DistributionEnsemble::correct_columns`].
-    pub fn correct_columns_interleaved<M: TransitionModel + ?Sized>(
-        &mut self,
-        realized: &M,
-        columns: &[NodeId],
-        prev_il: &[f64],
-    ) {
-        assert!(self.time > 0, "correct_columns needs a speculated round");
-        assert_eq!(
-            realized.node_count(),
-            self.nodes,
-            "transition model and ensemble disagree on the node count"
-        );
-        assert_eq!(prev_il.len(), self.data.len(), "prev has the wrong length");
-        let base_round = self.time - 1;
-        realized.propagate_round_columns_rows_interleaved(
-            base_round,
-            self.sources,
-            prev_il,
-            &mut self.data,
-            columns,
-        );
-    }
-
-    /// Dense fallback of the speculative advance: discards the speculated
-    /// round, restores the rows saved by
-    /// [`DistributionEnsemble::speculate_auto`] and re-takes the round under
-    /// `realized` with the full kernel.  Used when the delta's affected
-    /// fraction makes the sparse correction a bad trade.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round has been taken, `realized.node_count()` differs
-    /// from the ensemble's, or `prev` has the wrong length.
-    pub fn recompute_from<M: TransitionModel + Sync + ?Sized>(
-        &mut self,
-        realized: &M,
-        prev: &[f64],
-    ) {
-        assert!(self.time > 0, "recompute_from needs a speculated round");
-        assert_eq!(prev.len(), self.data.len(), "prev has the wrong length");
-        self.data.copy_from_slice(prev);
-        self.time -= 1;
-        self.advance_auto(realized, 1);
-    }
-
-    /// One delta-incremental round in a single call: speculate under `held`,
-    /// then repair `columns` under `realized`.  Equivalent to — and bitwise
-    /// equal to — a dense one-round [`DistributionEnsemble::advance_auto`]
-    /// under `realized` whenever `columns` covers the operators' differences
-    /// (see [`DistributionEnsemble::correct_columns`]).
-    ///
-    /// # Panics
-    ///
-    /// As the two steps.
-    pub fn advance_corrected<H, R>(
-        &mut self,
-        held: &H,
-        realized: &R,
-        columns: &[NodeId],
-        prev: &mut Vec<f64>,
-    ) where
-        H: TransitionModel + Sync + ?Sized,
-        R: TransitionModel + ?Sized,
-    {
-        self.speculate_auto(held, prev);
-        self.correct_columns(realized, columns, prev);
-    }
-
     /// Sequential blocked advance; `stats`, when given, has length
     /// `sources * rounds` laid out `[row * rounds + (t - 1)]`.
     fn advance_seq<M: TransitionModel + ?Sized>(
@@ -715,31 +547,10 @@ fn advance_block<M: TransitionModel + ?Sized>(
 }
 
 /// Transposes `rows` row-major rows of length `n` from `src` into the
-/// interleaved layout `dst[i * rows + r] = src[r * n + i]`.
-///
-/// This is the layout [`TransitionModel::propagate_round_columns_rows_interleaved`]
-/// consumes: all rows' mass at one node packed contiguously, so the
-/// per-column correction's gathers hit `⌈rows / 8⌉` cache lines per source
-/// instead of `rows`.  The pass is tiled over nodes so the strided writes
-/// stay within a cache-resident window; it is a pure copy — every
+/// interleaved layout `dst[i * rows + r] = src[r * n + i]`, a buffer of
+/// exactly `rows * n` entries.  The pass is tiled over nodes so the strided
+/// writes stay within a cache-resident window; it is a pure copy — every
 /// destination value is bitwise a source value.
-///
-/// `dst` is resized to `rows * n`.
-///
-/// # Panics
-///
-/// Panics if `src.len() != rows * n`.
-pub fn interleave_rows(rows: usize, n: usize, src: &[f64], dst: &mut Vec<f64>) {
-    assert_eq!(src.len(), rows * n, "source block has the wrong length");
-    if dst.len() != rows * n {
-        dst.clear();
-        dst.resize(rows * n, 0.0);
-    }
-    transpose_into(rows, n, src, dst);
-}
-
-/// The tiled transpose behind [`interleave_rows`], into a buffer of exactly
-/// `rows * n` entries.
 fn transpose_into(rows: usize, n: usize, src: &[f64], dst: &mut [f64]) {
     // Tile width: 128 nodes * 8 bytes = 1 KiB of each row's window, and the
     // write side touches 128 packs at a time — both L1-resident.

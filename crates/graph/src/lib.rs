@@ -30,10 +30,7 @@
 //! * time-varying topologies: a dynamic-graph delta layer with incremental
 //!   CSR snapshots, availability-masked transition operators and per-round
 //!   operator schedules that drive the ensemble kernel through products of
-//!   distinct per-round transitions ([`dynamic`]), plus the delta-incremental
-//!   ensemble advance — speculative rounds under the held operator repaired
-//!   by a bitwise-exact sparse column correction over the churn-affected
-//!   neighbourhoods ([`delta`], [`ensemble`]),
+//!   distinct per-round transitions ([`dynamic`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
 //!   producing a node → shard assignment with cut and balance metrics
 //!   ([`partition`]), and a multi-shard round executor with per-shard
@@ -70,7 +67,6 @@
 pub mod builder;
 pub mod connectivity;
 pub mod degree;
-pub mod delta;
 pub mod distribution;
 pub mod dynamic;
 pub mod ensemble;

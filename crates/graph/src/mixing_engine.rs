@@ -334,16 +334,31 @@ impl<'g> MixingEngine<'g> {
     /// send never happens).  With an all-available mask this consumes the
     /// RNG and moves walkers exactly like [`MixingEngine::step`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `available.len()` differs from the node count.
-    pub fn step_masked<R: Rng + ?Sized>(&mut self, laziness: f64, available: &[bool], rng: &mut R) {
-        assert_eq!(
-            available.len(),
-            self.graph.node_count(),
-            "availability mask has the wrong length"
-        );
+    /// [`GraphError::InvalidParameters`] if `available.len()` differs from
+    /// the node count, before any state changes or any RNG draw.
+    pub fn step_masked<R: Rng + ?Sized>(
+        &mut self,
+        laziness: f64,
+        available: &[bool],
+        rng: &mut R,
+    ) -> Result<()> {
+        self.check_mask(available)?;
         self.step_inner(laziness, Some(available), rng);
+        Ok(())
+    }
+
+    /// Rejects an availability mask that does not cover every node.
+    fn check_mask(&self, available: &[bool]) -> Result<()> {
+        let n = self.graph.node_count();
+        if available.len() != n {
+            return Err(GraphError::InvalidParameters(format!(
+                "availability mask has {} entries for {n} nodes",
+                available.len()
+            )));
+        }
+        Ok(())
     }
 
     fn step_inner<R: Rng + ?Sized>(
@@ -403,22 +418,20 @@ impl<'g> MixingEngine<'g> {
     /// all-available mask the round is bit-for-bit [`MixingEngine::step_holder`],
     /// RNG stream, bucket order and statistics included.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `available.len()` differs from the node count.
+    /// [`GraphError::InvalidParameters`] if `available.len()` differs from
+    /// the node count, before any state changes or any RNG draw.
     pub fn step_holder_masked<R: Rng + ?Sized, O: RoundObserver>(
         &mut self,
         laziness: f64,
         available: &[bool],
         rng: &mut R,
         observer: &mut O,
-    ) {
-        assert_eq!(
-            available.len(),
-            self.graph.node_count(),
-            "availability mask has the wrong length"
-        );
+    ) -> Result<()> {
+        self.check_mask(available)?;
         self.step_holder_inner(laziness, Some(available), rng, observer);
+        Ok(())
     }
 
     fn step_holder_inner<R: Rng + ?Sized, O: RoundObserver>(
@@ -719,7 +732,9 @@ mod tests {
             if round % 2 == 0 {
                 engine.step_holder(0.2, &mut rng, &mut ());
             } else {
-                engine.step_holder_masked(0.2, &mask, &mut rng, &mut ());
+                engine
+                    .step_holder_masked(0.2, &mask, &mut rng, &mut ())
+                    .unwrap();
             }
         }
         let load = engine.load_vector();
@@ -806,10 +821,12 @@ mod tests {
             for round in 0..20 {
                 if round % 2 == 0 {
                     plain.step(laziness, &mut rng_a);
-                    masked.step_masked(laziness, &mask, &mut rng_b);
+                    masked.step_masked(laziness, &mask, &mut rng_b).unwrap();
                 } else {
                     plain.step_holder(laziness, &mut rng_a, &mut ());
-                    masked.step_holder_masked(laziness, &mask, &mut rng_b, &mut ());
+                    masked
+                        .step_holder_masked(laziness, &mask, &mut rng_b, &mut ())
+                        .unwrap();
                 }
             }
             assert_eq!(plain.positions(), masked.positions());
@@ -830,7 +847,7 @@ mod tests {
         let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
         let before = engine.positions().to_vec();
         let mut rng = seeded_rng(11);
-        engine.step_masked(0.0, &mask, &mut rng);
+        engine.step_masked(0.0, &mask, &mut rng).unwrap();
         for (walker, (&now, &was)) in engine.positions().iter().zip(&before).enumerate() {
             assert!(
                 mask[now as usize] || now == was,
@@ -840,7 +857,9 @@ mod tests {
         // The totally-dark network freezes everyone.
         let dark = vec![false; 100];
         let frozen = engine.positions().to_vec();
-        engine.step_holder_masked(0.3, &dark, &mut rng, &mut ());
+        engine
+            .step_holder_masked(0.3, &dark, &mut rng, &mut ())
+            .unwrap();
         assert_eq!(engine.positions(), frozen.as_slice());
         // The failed sends were not counted as traffic.
         struct NoTraffic;
@@ -849,7 +868,9 @@ mod tests {
                 assert_eq!(stats.sent.iter().sum::<u32>(), 0);
             }
         }
-        engine.step_holder_masked(0.3, &dark, &mut rng, &mut NoTraffic);
+        engine
+            .step_holder_masked(0.3, &dark, &mut rng, &mut NoTraffic)
+            .unwrap();
     }
 
     #[test]

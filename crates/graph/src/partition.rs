@@ -34,7 +34,7 @@
 //! Evolving it through the ensemble kernel prices the edge-cut fraction in
 //! ε directly — the `ablation_shard` experiment.
 
-use crate::dynamic::{DynTransition, DynamicGraph, TimeVaryingModel};
+use crate::dynamic::{DynTransition, TimeVaryingModel};
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::transition::TransitionModel;
@@ -291,161 +291,6 @@ impl Partition {
     /// Per-shard node counts, in shard-id order.
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(Shard::len).collect()
-    }
-
-    /// Number of undirected edges of the **live** topology crossing the cut
-    /// — the build-time [`Partition::cut_edge_count`] recomputed against a
-    /// churned [`DynamicGraph`], so a long-running deployment can chart cut
-    /// decay without re-materializing a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if the dynamic graph's node count
-    /// differs from the partition's.
-    pub fn live_cut_edge_count(&self, graph: &DynamicGraph) -> Result<usize> {
-        if graph.node_count() != self.node_count {
-            return Err(GraphError::InvalidParameters(format!(
-                "dynamic graph has {} nodes but the partition covers {}",
-                graph.node_count(),
-                self.node_count
-            )));
-        }
-        let mut cut = 0usize;
-        for u in 0..self.node_count {
-            let s = self.shard_of[u];
-            for &v in graph.neighbors(u) {
-                if u < v && self.shard_of[v] != s {
-                    cut += 1;
-                }
-            }
-        }
-        Ok(cut)
-    }
-
-    /// [`Partition::edge_cut_fraction`] of the **live** topology: the
-    /// fraction of the dynamic graph's current edges crossing this
-    /// partition's cut (`0.0` for an edgeless graph).
-    ///
-    /// # Errors
-    ///
-    /// As [`Partition::live_cut_edge_count`].
-    pub fn live_edge_cut_fraction(&self, graph: &DynamicGraph) -> Result<f64> {
-        let cut = self.live_cut_edge_count(graph)?;
-        Ok(if graph.edge_count() == 0 {
-            0.0
-        } else {
-            cut as f64 / graph.edge_count() as f64
-        })
-    }
-
-    /// One bounded pass of online label-propagation refinement against the
-    /// **live** topology: candidates — `seeds` plus their live neighbours,
-    /// swept once in ascending id order — are pulled toward the shard
-    /// holding most of their live neighbours under the same
-    /// strictly-improving / balance-tolerance / never-empty-a-shard rules as
-    /// the build-time refinement (ties toward the smaller shard id, moves
-    /// applied immediately), stopping after `max_moves` moves.
-    ///
-    /// Returns the refined node → shard assignment plus the moved nodes in
-    /// ascending id order.  The caller materializes the result with
-    /// [`Partition::from_assignment`] on a snapshot and hands the movers to
-    /// [`crate::sharded_engine::ShardedMixingEngine::migrate`]; masking the
-    /// movers for one round prices the migration through the accountant's
-    /// existing masked-operator path.  Deterministic in
-    /// `(partition, graph, seeds, max_moves)`.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if the dynamic graph's node count
-    /// differs from the partition's or a seed is out of range.
-    pub fn refined_assignment(
-        &self,
-        graph: &DynamicGraph,
-        seeds: &[NodeId],
-        max_moves: usize,
-    ) -> Result<(Vec<u32>, Vec<NodeId>)> {
-        let n = self.node_count;
-        if graph.node_count() != n {
-            return Err(GraphError::InvalidParameters(format!(
-                "dynamic graph has {} nodes but the partition covers {}",
-                graph.node_count(),
-                n
-            )));
-        }
-        if let Some(&bad) = seeds.iter().find(|&&u| u >= n) {
-            return Err(GraphError::InvalidParameters(format!(
-                "seed node {bad} out of range for {n} nodes"
-            )));
-        }
-        let shard_count = self.shards.len();
-        let mut shard_of = self.shard_of.clone();
-        // Candidate set: seeds plus their live neighbourhoods, ascending.
-        let mut candidates: Vec<NodeId> = Vec::with_capacity(seeds.len());
-        for &u in seeds {
-            candidates.push(u);
-            candidates.extend(graph.neighbors(u).iter().copied());
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut movers = Vec::new();
-        if shard_count == 1 || max_moves == 0 {
-            return Ok((shard_of, movers));
-        }
-        // Loads/limits against the live degrees, as the build-time pass does
-        // against the build-time graph.
-        let total_weight: usize = (0..n).map(|u| graph.degree(u) + 1).sum();
-        let load_limit = (total_weight as f64 / shard_count as f64) * (1.0 + BALANCE_TOLERANCE);
-        let mut loads = vec![0.0f64; shard_count];
-        let mut members = vec![0usize; shard_count];
-        for (u, &s) in shard_of.iter().enumerate() {
-            loads[s as usize] += (graph.degree(u) + 1) as f64;
-            members[s as usize] += 1;
-        }
-        let mut adjacency = vec![0usize; shard_count];
-        let mut touched: Vec<usize> = Vec::with_capacity(shard_count);
-        for &u in &candidates {
-            let cur = shard_of[u] as usize;
-            if members[cur] == 1 {
-                continue;
-            }
-            touched.clear();
-            for &v in graph.neighbors(u) {
-                let t = shard_of[v] as usize;
-                if adjacency[t] == 0 {
-                    touched.push(t);
-                }
-                adjacency[t] += 1;
-            }
-            let mut best = cur;
-            let mut best_count = adjacency[cur];
-            for &t in &touched {
-                if adjacency[t] > best_count || (adjacency[t] == best_count && t < best) {
-                    best = t;
-                    best_count = adjacency[t];
-                }
-            }
-            let weight = (graph.degree(u) + 1) as f64;
-            let improves = adjacency[best] > adjacency[cur];
-            let fits = loads[best] + weight <= load_limit || adjacency[cur] == 0;
-            if best != cur && improves && fits {
-                shard_of[u] = best as u32;
-                loads[cur] -= weight;
-                loads[best] += weight;
-                members[cur] -= 1;
-                members[best] += 1;
-                movers.push(u);
-                if movers.len() >= max_moves {
-                    for &t in &touched {
-                        adjacency[t] = 0;
-                    }
-                    break;
-                }
-            }
-            for &t in &touched {
-                adjacency[t] = 0;
-            }
-        }
-        Ok((shard_of, movers))
     }
 
     /// Number of nodes whose **entire** neighbourhood lies across the cut

@@ -8,11 +8,10 @@
 //! [`crate::round::decide_holder_moves`], every scenario axis the kernel
 //! supports composes here: masked rounds (a delivery to an unavailable
 //! recipient bounces back through the return exchange and rejoins its
-//! holder as a survivor), live topology churn
-//! ([`ShardedMixingEngine::retarget`]) and online repartitioning
-//! ([`ShardedMixingEngine::migrate`]) run through the one round entry point,
-//! [`ShardedMixingEngine::step`], not through divergent copies.  The design
-//! contracts:
+//! holder as a survivor) and live topology churn
+//! ([`ShardedMixingEngine::retarget`]) run through the one round entry
+//! point, [`ShardedMixingEngine::step`], not through divergent copies.  The
+//! design contracts:
 //!
 //! * **Seed-only determinism.**  Shard `s` draws from its own ChaCha8 stream
 //!   ([`shard_stream`]), and a round's result depends only on
@@ -87,10 +86,11 @@ struct ShardState {
 ///
 /// Bucket CSRs must be captured, not rebuilt: a running engine's bucket
 /// order is history-dependent (survivors first, then arrivals grouped by
-/// source shard), whereas [`ShardedMixingEngine::migrate`]'s deterministic
-/// rebuild produces walker-id order.  Restoring via a rebuild would be a
-/// *distribution-identical but not bitwise* continuation — exactly what the
-/// durable runtime's recovery proof forbids.
+/// source shard), whereas the initial buckets of
+/// [`ShardedMixingEngine::with_starts`] are in walker-id order.  Restoring
+/// via a rebuild would be a *distribution-identical but not bitwise*
+/// continuation — exactly what the durable runtime's recovery proof
+/// forbids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardCheckpoint {
     /// ChaCha8 key words of the shard stream.
@@ -131,14 +131,13 @@ pub struct EngineCheckpoint {
 /// Multi-shard executor of holder-order exchange rounds.
 ///
 /// See the [module docs](self) for the determinism and degeneracy contracts.
-/// The topology and the partition are borrowed for the classic
-/// static-lifetime setup and owned where each is produced on the fly — the
-/// churn runtime's per-round snapshots ([`ShardedMixingEngine::retarget`])
-/// and partitions refined online ([`ShardedMixingEngine::migrate`]).
+/// The partition is borrowed; the topology is borrowed for the classic
+/// static-lifetime setup and owned where it is produced on the fly — the
+/// churn runtime's per-round snapshots ([`ShardedMixingEngine::retarget`]).
 #[derive(Debug, Clone)]
 pub struct ShardedMixingEngine<'g> {
     graph: Cow<'g, Graph>,
-    partition: Cow<'g, Partition>,
+    partition: &'g Partition,
     /// `positions[w]` is the global node currently holding walker `w`,
     /// u32-compressed like the graph's CSR.
     positions: Vec<u32>,
@@ -252,7 +251,7 @@ impl<'g> ShardedMixingEngine<'g> {
             .collect();
         Ok(ShardedMixingEngine {
             graph: Cow::Borrowed(graph),
-            partition: Cow::Borrowed(partition),
+            partition,
             positions,
             draw_mode: DrawMode::Compat,
             round: 0,
@@ -293,7 +292,7 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// The partition the engine shards by.
     pub fn partition(&self) -> &Partition {
-        &self.partition
+        self.partition
     }
 
     /// Number of shards.
@@ -514,72 +513,14 @@ impl<'g> ShardedMixingEngine<'g> {
         Ok(())
     }
 
-    /// Migrates the engine to a new shard assignment mid-run — the online
-    /// repartitioning exchange.  Walker positions, per-shard RNG streams,
-    /// the draw mode and the round counter carry over unchanged; every
-    /// shard's buckets are rebuilt deterministically under the new
-    /// partition by one counting-sort pass fed with the shard's walkers in
-    /// walker-id order (the [`ShardedMixingEngine::with_starts`]
-    /// initial-bucket rule), so the result is a fixed function of
-    /// `(positions, partition)` — independent of the old bucket orders and
-    /// of how many rounds ran before.
-    ///
-    /// `movers` is cleared and refilled with the ascending list of global
-    /// nodes whose shard assignment changed.  In a distributed deployment
-    /// these are the users whose report queues are in flight between shards
-    /// for one round; mask them for the round after migrating and the
-    /// accountant prices the migration through the ordinary masked-operator
-    /// path.  Pass [`Cow::Owned`] for a partition refined online
-    /// ([`crate::partition::Partition::refined_assignment`]); once the
-    /// per-shard buffers and `movers` have reached their high-water marks,
-    /// a migration to a [`Cow::Borrowed`] partition performs no heap
-    /// allocation (`tests/engine_allocations.rs`).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if the new partition's node count
-    /// or shard count differs from the engine's (shard RNG streams are
-    /// per-shard state; changing the shard count mid-run would forfeit
-    /// seed-only determinism).  The engine is unchanged on error.
-    pub fn migrate(
-        &mut self,
-        partition: Cow<'g, Partition>,
-        movers: &mut Vec<NodeId>,
-    ) -> Result<()> {
-        let n = self.partition.node_count();
-        if partition.node_count() != n {
-            return Err(GraphError::InvalidParameters(format!(
-                "cannot migrate an engine over {n} nodes to a partition over {}",
-                partition.node_count()
-            )));
-        }
-        if partition.shard_count() != self.shards.len() {
-            return Err(GraphError::InvalidParameters(format!(
-                "cannot migrate {} shard streams to a {}-shard partition",
-                self.shards.len(),
-                partition.shard_count()
-            )));
-        }
-        movers.clear();
-        movers.extend((0..n).filter(|&u| self.partition.shard_of(u) != partition.shard_of(u)));
-        self.partition = partition;
-        self.rebuild_buckets();
-        // Positions are untouched, so the global per-node sent/load
-        // statistics still describe the last executed round.
-        Ok(())
-    }
-
-    /// Rebuilds every shard's buckets under the current partition with the
-    /// kernel's counting sort: no survivors, and each shard's walkers in
-    /// walker-id order as the arrival stream.  Shard 0's outbox rows serve
-    /// as the per-destination scratch (they are cleared at the start of
-    /// every sampling phase anyway).
+    /// Builds every shard's initial buckets with the kernel's counting
+    /// sort: no survivors, and each shard's walkers in walker-id order as
+    /// the arrival stream.  Shard 0's outbox rows serve as the
+    /// per-destination scratch (they are cleared at the start of every
+    /// sampling phase anyway).
     fn rebuild_buckets(&mut self) {
-        let partition: &Partition = &self.partition;
+        let partition = self.partition;
         let routes = &mut self.outboxes[0];
-        for row in routes.iter_mut() {
-            row.clear();
-        }
         for (w, &pos) in self.positions.iter().enumerate() {
             routes[partition.shard_of(pos as usize)].push((pos, w as u32));
         }
@@ -589,15 +530,8 @@ impl<'g> ShardedMixingEngine<'g> {
             .zip(partition.shards())
             .zip(&self.outboxes[0])
         {
-            let local_n = shard.len();
-            state.bucket_starts.resize(local_n + 1, 0);
-            state.sent_local.resize(local_n, 0);
-            state.sent_local.fill(0);
-            state.load_local.resize(local_n, 0);
-            state.arena.kept_nodes.clear();
-            state.arena.kept_walkers.clear();
             round::merge_round_buckets(
-                local_n,
+                shard.len(),
                 &mut state.arena,
                 &mut state.load_local,
                 &mut state.bucket_starts,
@@ -736,7 +670,7 @@ impl<'g> ShardedMixingEngine<'g> {
                 laziness,
                 available: mask,
             },
-            partition: &self.partition,
+            partition: self.partition,
             mode: self.draw_mode,
             telemetry: self.telemetry.as_ref(),
         };
@@ -783,7 +717,7 @@ impl<'g> ShardedMixingEngine<'g> {
     /// sort per shard, updates walker positions, folds the per-shard
     /// statistics into the global vectors and reports the round.
     fn merge_round<O: RoundObserver>(&mut self, observer: &mut O) {
-        let partition: &Partition = &self.partition;
+        let partition = self.partition;
         let k = self.shards.len();
         let telemetry = self.telemetry.as_ref();
         if let Some(t) = telemetry {
@@ -1085,7 +1019,9 @@ mod tests {
             let mut rng = shard_stream(55, 0);
             for _ in 0..18 {
                 sharded.step(laziness, Some(&mask), &mut ()).unwrap();
-                single.step_holder_masked(laziness, &mask, &mut rng, &mut ());
+                single
+                    .step_holder_masked(laziness, &mask, &mut rng, &mut ())
+                    .unwrap();
             }
             assert_eq!(sharded.positions(), single.positions());
             assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());

@@ -130,116 +130,6 @@ pub trait TransitionModel {
             self.propagate_round_into(round, &row_in, out_row);
         }
     }
-
-    /// Recomputes only `out[j]` for `j ∈ columns` of the step taken at
-    /// absolute round `round`, leaving every other entry of `out` untouched.
-    ///
-    /// The contract is *bitwise per column*: each recomputed entry must equal
-    /// what [`TransitionModel::propagate_round_into`] would have written
-    /// there.  This is the sparse-correction hook of the delta-incremental
-    /// ensemble advance ([`crate::ensemble::DistributionEnsemble::correct_columns`]):
-    /// after a speculative advance under a stale operator, only the columns
-    /// whose incoming mass could differ under the realized operator (see
-    /// [`crate::delta::affected_columns`]) are recomputed, at `O(Σ deg(j))`
-    /// instead of `O(n + m)`.
-    ///
-    /// The default recomputes the full round into a scratch buffer and
-    /// copies the requested columns — always correct, never fast.  Backends
-    /// with a per-column pull form override it (see
-    /// [`TransitionMatrix`]'s implementation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p`/`out` do not have length `n` or a column is out of
-    /// range.
-    fn propagate_round_columns(&self, round: usize, p: &[f64], out: &mut [f64], columns: &[usize]) {
-        let n = self.node_count();
-        assert_eq!(p.len(), n, "input distribution has wrong length");
-        assert_eq!(out.len(), n, "output buffer has wrong length");
-        let mut full = vec![0.0f64; n];
-        self.propagate_round_into(round, p, &mut full);
-        for &j in columns {
-            out[j] = full[j];
-        }
-    }
-
-    /// [`TransitionModel::propagate_round_columns`] over `rows` row-major
-    /// concatenated distributions at once — the shape
-    /// [`crate::ensemble::DistributionEnsemble::correct_columns`] calls with.
-    ///
-    /// The contract is the per-row one, row by row: each recomputed entry
-    /// must be **bitwise** what the single-row form writes.  The default
-    /// simply loops; sparse backends override it to walk each column's
-    /// neighbour list *once* for the whole row block (accumulator blocking),
-    /// which is what makes the sparse correction beat the dense advance at
-    /// realistic tracked-row counts — the per-row form re-reads the CSR per
-    /// row, the blocked form amortizes it across all of them.  Overrides
-    /// keep every row's accumulation order identical to the per-row kernel
-    /// (same source order, same expression shapes), so blocking never
-    /// changes a bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prev`/`out` do not have length `rows * n` or a column is
-    /// out of range.
-    fn propagate_round_columns_rows(
-        &self,
-        round: usize,
-        rows: usize,
-        prev: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(prev.len(), rows * n, "input block has wrong length");
-        assert_eq!(out.len(), rows * n, "output block has wrong length");
-        for (prev_row, out_row) in prev.chunks(n).zip(out.chunks_mut(n)) {
-            self.propagate_round_columns(round, prev_row, out_row, columns);
-        }
-    }
-
-    /// [`TransitionModel::propagate_round_columns_rows`] reading the
-    /// pre-round state in **interleaved** layout: `prev_il[i * rows + r]`
-    /// holds row `r`'s mass at node `i` (see
-    /// [`crate::ensemble::interleave_rows`]), while `out` stays row-major.
-    ///
-    /// This is the cache shape of the delta runtime's critical path.  The
-    /// correction's cost is dominated by gathering each source node's mass
-    /// for every tracked row: row-major, those `rows` values sit on `rows`
-    /// different cache lines; interleaved they are contiguous.  Producing
-    /// `prev_il` is a streaming transpose that rides along with the
-    /// speculative advance — *off* the critical path — so the correction
-    /// keeps the locality without paying for it.
-    ///
-    /// Same bitwise contract as the row-major form: interleaving changes
-    /// where a value is read from, never which value or in which order it
-    /// is accumulated.  The default materializes the row-major block and
-    /// delegates — correct, allocating, never fast; sparse backends
-    /// override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prev_il`/`out` do not have length `rows * n` or a column
-    /// is out of range.
-    fn propagate_round_columns_rows_interleaved(
-        &self,
-        round: usize,
-        rows: usize,
-        prev_il: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(prev_il.len(), rows * n, "input block has wrong length");
-        assert_eq!(out.len(), rows * n, "output block has wrong length");
-        let mut prev = vec![0.0f64; rows * n];
-        for i in 0..n {
-            for r in 0..rows {
-                prev[r * n + i] = prev_il[i * rows + r];
-            }
-        }
-        self.propagate_round_columns_rows(round, rows, &prev, out, columns);
-    }
 }
 
 /// Where a fused pull kernel stores the lanes it accumulated for one node.
@@ -707,138 +597,6 @@ impl TransitionModel for TransitionMatrix {
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
         assert_eq!(output.len(), lanes * n, "output block has wrong length");
         self.propagate_lanes(lanes, input, LaneOut::Rows(output));
-    }
-
-    /// Pull-form per-column recompute, bitwise identical to the scatter
-    /// sweep of [`TransitionMatrix::propagate_into`]: column `j` gathers
-    /// `move_factor · P_i · inv_deg(i)` from its sorted neighbour list with
-    /// the lazy self-term folded in at the first neighbour `> j` — the same
-    /// parity argument as `TransitionMatrix::propagate_fixed`
-    /// (contributions from zero-mass sources, which the scatter form skips,
-    /// add `±0.0`, which never changes a non-negative accumulation).
-    fn propagate_round_columns(
-        &self,
-        _round: usize,
-        p: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(p.len(), n, "input distribution has wrong length");
-        assert_eq!(out.len(), n, "output buffer has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        for &j in columns {
-            let lazy = self.laziness * p[j];
-            let mut acc = 0.0f64;
-            let mut lazy_pending = true;
-            for &i in &self.neighbors[self.offsets[j]..self.offsets[j + 1]] {
-                if lazy_pending && i > j {
-                    acc += lazy;
-                    lazy_pending = false;
-                }
-                acc += move_factor * p[i] * self.inv_degree[i];
-            }
-            if lazy_pending {
-                acc += lazy;
-            }
-            out[j] = acc;
-        }
-    }
-
-    /// Accumulator-blocked form of the per-column pull: each column's
-    /// neighbour list is walked once for up to 8 rows at a time, every row
-    /// evaluating exactly the per-row kernel's expressions in exactly its
-    /// order — bitwise the per-row result, at a fraction of the CSR
-    /// traffic.
-    fn propagate_round_columns_rows(
-        &self,
-        _round: usize,
-        rows: usize,
-        prev: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(prev.len(), rows * n, "input block has wrong length");
-        assert_eq!(out.len(), rows * n, "output block has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        const BLOCK: usize = 8;
-        let mut base = 0;
-        while base < rows {
-            let b = BLOCK.min(rows - base);
-            let prev_block = &prev[base * n..(base + b) * n];
-            let out_block = &mut out[base * n..(base + b) * n];
-            for &j in columns {
-                let mut acc = [0.0f64; BLOCK];
-                let mut lazy_pending = true;
-                for &i in &self.neighbors[self.offsets[j]..self.offsets[j + 1]] {
-                    if lazy_pending && i > j {
-                        for (r, a) in acc.iter_mut().enumerate().take(b) {
-                            *a += self.laziness * prev_block[r * n + j];
-                        }
-                        lazy_pending = false;
-                    }
-                    for (r, a) in acc.iter_mut().enumerate().take(b) {
-                        *a += move_factor * prev_block[r * n + i] * self.inv_degree[i];
-                    }
-                }
-                if lazy_pending {
-                    for (r, a) in acc.iter_mut().enumerate().take(b) {
-                        *a += self.laziness * prev_block[r * n + j];
-                    }
-                }
-                for (r, &a) in acc.iter().enumerate().take(b) {
-                    out_block[r * n + j] = a;
-                }
-            }
-            base += BLOCK;
-        }
-    }
-
-    fn propagate_round_columns_rows_interleaved(
-        &self,
-        _round: usize,
-        rows: usize,
-        prev_il: &[f64],
-        out: &mut [f64],
-        columns: &[usize],
-    ) {
-        let n = self.node_count();
-        assert_eq!(prev_il.len(), rows * n, "input block has wrong length");
-        assert_eq!(out.len(), rows * n, "output block has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        const BLOCK: usize = 8;
-        let mut base = 0;
-        while base < rows {
-            let b = BLOCK.min(rows - base);
-            let out_block = &mut out[base * n..(base + b) * n];
-            for &j in columns {
-                let mut acc = [0.0f64; BLOCK];
-                let mut lazy_pending = true;
-                let stay = &prev_il[j * rows + base..j * rows + base + b];
-                for &i in &self.neighbors[self.offsets[j]..self.offsets[j + 1]] {
-                    if lazy_pending && i > j {
-                        for (r, a) in acc.iter_mut().enumerate().take(b) {
-                            *a += self.laziness * stay[r];
-                        }
-                        lazy_pending = false;
-                    }
-                    let src = &prev_il[i * rows + base..i * rows + base + b];
-                    for (r, a) in acc.iter_mut().enumerate().take(b) {
-                        *a += move_factor * src[r] * self.inv_degree[i];
-                    }
-                }
-                if lazy_pending {
-                    for (r, a) in acc.iter_mut().enumerate().take(b) {
-                        *a += self.laziness * stay[r];
-                    }
-                }
-                for (r, &a) in acc.iter().enumerate().take(b) {
-                    out_block[r * n + j] = a;
-                }
-            }
-            base += BLOCK;
-        }
     }
 }
 

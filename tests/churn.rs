@@ -109,7 +109,7 @@ fn iid_dropout_through_the_engine_matches_the_lazy_walk_moments() {
         let mut engine = MixingEngine::with_starts(&g, vec![origin]).unwrap();
         let mut rng = seeded_rng(500_000 + trial as u64);
         for (t, round_counts) in counts.iter_mut().enumerate() {
-            engine.step_masked(0.0, schedule.mask(t), &mut rng);
+            engine.step_masked(0.0, schedule.mask(t), &mut rng).unwrap();
             round_counts[engine.position(0)] += 1;
         }
     }

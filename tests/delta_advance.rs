@@ -1,41 +1,35 @@
-//! Exactness of the delta-incremental ensemble advance.
+//! The dense masked ensemble advance under edge churn.
 //!
-//! The incremental churn runtime advances tracked ensembles speculatively
-//! under the operator it already holds and then repairs only the columns
-//! the realized operator could have changed
-//! ([`DistributionEnsemble::correct_columns`] over
-//! [`ns_graph::delta::affected_columns`]).  The contract these tests pin is
-//! **f64-exactness**: the corrected state equals the dense advance under
-//! the realized operator bit for bit — every `f64` compared through
-//! `to_bits` — across churn intensities from "nothing changed" to "every
-//! row dirty" (the dense-fallback boundary), on every strategy family of
-//! the shared graph zoo, in both feature configurations (the root test
-//! target builds ns-graph with `parallel`, the graph crate's own CI leg
-//! without).  That exactness is what lets the streaming accountant's live
-//! quote stay *exact* under churn while skipping the dense propagate.
+//! A churning deployment evolves its tracked distributions one dense round
+//! at a time under each round's realized [`MaskedTransition`].  These tests
+//! pin that path and the layers under it:
 //!
-//! Also here: the per-graph snapshot rebuild threshold (satellite of the
-//! same change) — both extreme settings must produce identical snapshots —
-//! and a blessed golden trace of the corrected ensembles
-//! (`tests/golden/delta_advance.txt`, regenerate with `NS_BLESS=1`).
+//! * a blessed golden trace (`tests/golden/delta_advance.txt`, regenerate
+//!   with `NS_BLESS=1`): a fixed churn scenario records, per round, the
+//!   columns the round's edits can reach and every tracked row as raw f64
+//!   bit patterns;
+//! * the masked operator's fused pull kernel, lane by lane, against the
+//!   scalar scatter reference;
+//! * both [`DynamicGraph`] snapshot paths (patching the previous CSR and
+//!   rebuilding it past [`ns_graph::dynamic::REBUILD_DIRTY_FRACTION`]
+//!   dirty nodes) against a from-scratch build of the same edge set.
 
 mod common;
 
 use common::strategies;
-use ns_graph::delta::affected_columns;
 use ns_graph::dynamic::{DynamicGraph, MaskedTransition};
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::rng::seeded_rng;
-use ns_graph::NodeId;
+use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// One churn wave: toggles up to `edge_moves` random edges (removals are
 /// skipped when they would isolate an endpoint) and flips the availability
-/// of `flips` random nodes.  Returns the **touched** set — the dirty list
-/// captured *before* any snapshot plus the availability flips — exactly
-/// what the runtime feeds to [`affected_columns`].
+/// of `flips` random nodes.  Returns the **touched** nodes: both endpoints
+/// of every edit applied, plus every flipped node.
 fn churn_wave<R: Rng>(
     dg: &mut DynamicGraph,
     rng: &mut R,
@@ -43,189 +37,91 @@ fn churn_wave<R: Rng>(
     flips: usize,
 ) -> Vec<NodeId> {
     let n = dg.node_count();
-    let mut flipped = Vec::new();
+    let mut touched = Vec::new();
     for _ in 0..edge_moves {
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
         if u == v {
             continue;
         }
-        if dg.has_edge(u, v) {
-            if dg.degree(u) > 1 && dg.degree(v) > 1 {
-                dg.remove_edge(u, v).unwrap();
-            }
+        let applied = if dg.has_edge(u, v) {
+            dg.degree(u) > 1 && dg.degree(v) > 1 && dg.remove_edge(u, v).unwrap()
         } else {
-            dg.add_edge(u, v).unwrap();
+            dg.add_edge(u, v).unwrap()
+        };
+        if applied {
+            touched.extend([u, v]);
         }
     }
     for _ in 0..flips {
         let u = rng.gen_range(0..n);
         dg.set_available(u, !dg.is_available(u)).unwrap();
-        flipped.push(u);
+        touched.push(u);
     }
-    let mut touched: Vec<NodeId> = dg.dirty_list().to_vec();
-    touched.extend(flipped);
     touched
 }
 
-/// Bitwise equality of two ensembles' tracked rows.
-fn rows_bitwise_equal(a: &DistributionEnsemble, b: &DistributionEnsemble) -> bool {
-    a.sources() == b.sources()
-        && (0..a.sources()).all(|r| {
-            a.row(r)
-                .iter()
-                .zip(b.row(r))
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The tentpole exactness property, over the shared zoo: for every
-    /// churn intensity — including zero churn (empty correction) and the
-    /// everything-dirty regime past the dense-fallback boundary — both
-    /// incremental routes (sparse column correction, dense recompute from
-    /// the retained pre-round state) equal the dense advance under the
-    /// realized operator bit for bit, round after round.
-    #[test]
-    fn delta_advance_is_bitwise_the_dense_advance(
-        graph in strategies::graph_zoo(30..90),
-        seed in 0u64..1_000,
-        laziness_pct in 0usize..40,
-        churn_scale in 0usize..4,
-    ) {
-        let n = graph.node_count();
-        prop_assume!(n >= 10);
-        prop_assume!(graph.find_isolated_node().is_none());
-        let laziness = laziness_pct as f64 / 100.0;
-        let mut dg = DynamicGraph::from_graph(&graph).unwrap();
-        let mut rng = seeded_rng(seed);
-        let origins: Vec<NodeId> = (0..n).step_by(4).collect();
-        let mut dense = DistributionEnsemble::point_masses(n, &origins).unwrap();
-        let mut corrected = DistributionEnsemble::point_masses(n, &origins).unwrap();
-        let mut recomputed = DistributionEnsemble::point_masses(n, &origins).unwrap();
-        let mut interleaved = DistributionEnsemble::point_masses(n, &origins).unwrap();
-        let mut held: MaskedTransition = dg.masked_operator(laziness).unwrap();
-        let mut prev_c = Vec::new();
-        let mut prev_r = Vec::new();
-        let mut prev_i = Vec::new();
-        let mut prev_i_il = Vec::new();
-        // churn_scale 0 leaves the operator untouched; 3 dirties most rows,
-        // crossing any sensible dense-fallback threshold.
-        let edge_moves = churn_scale * n / 3;
-        let flips = churn_scale * 2;
-        for _round in 0..5 {
-            let touched = churn_wave(&mut dg, &mut rng, edge_moves, flips);
-            let realized = dg.masked_operator(laziness).unwrap();
-            let columns = affected_columns(dg.snapshot(), &touched);
-            dense.advance_auto(&realized, 1);
-            corrected.advance_corrected(&held, &realized, &columns, &mut prev_c);
-            recomputed.speculate_auto(&held, &mut prev_r);
-            recomputed.recompute_from(&realized, &prev_r);
-            interleaved.speculate_interleaved(&held, &mut prev_i, &mut prev_i_il);
-            interleaved.correct_columns_interleaved(&realized, &columns, &prev_i_il);
-            prop_assert!(
-                rows_bitwise_equal(&dense, &corrected),
-                "sparse column correction diverged from the dense advance"
-            );
-            prop_assert!(
-                rows_bitwise_equal(&dense, &recomputed),
-                "dense recompute-from-speculation diverged from the dense advance"
-            );
-            prop_assert!(
-                rows_bitwise_equal(&dense, &interleaved),
-                "interleaved-layout correction diverged from the dense advance"
-            );
-            prop_assert_eq!(dense.time(), corrected.time());
-            held = realized;
-        }
+/// The columns a wave can change: the touched nodes plus their neighbours
+/// in the realized `snapshot`, sorted and deduplicated.
+fn touched_columns(snapshot: &Graph, touched: &[NodeId]) -> Vec<NodeId> {
+    let mut columns = touched.to_vec();
+    for &u in touched {
+        columns.extend(snapshot.neighbors(u).iter().map(|&v| v as NodeId));
     }
+    columns.sort_unstable();
+    columns.dedup();
+    columns
 }
 
-/// Zero churn means an empty affected set, and the correction must then be
-/// a no-op on a bitwise level: speculation under the held operator already
-/// *is* the realized round.
-#[test]
-fn empty_delta_needs_no_correction() {
-    let g = ns_graph::generators::random_regular(60, 4, &mut seeded_rng(7)).unwrap();
-    let mut dg = DynamicGraph::from_graph(&g).unwrap();
-    let origins: Vec<NodeId> = (0..60).step_by(3).collect();
-    let mut dense = DistributionEnsemble::point_masses(60, &origins).unwrap();
-    let mut corrected = DistributionEnsemble::point_masses(60, &origins).unwrap();
-    let held = dg.masked_operator(0.15).unwrap();
-    let mut prev = Vec::new();
-    for _ in 0..8 {
-        let realized = dg.masked_operator(0.15).unwrap();
-        dense.advance_auto(&realized, 1);
-        corrected.advance_corrected(&held, &realized, &[], &mut prev);
-        assert!(rows_bitwise_equal(&dense, &corrected));
-    }
-}
-
-/// Satellite: the snapshot rebuild threshold is now a per-graph tunable,
-/// and *any* setting must produce identical snapshots — `0.0` (always
-/// rebuild from the adjacency lists) and `1.0` (always patch the previous
-/// CSR) are the two extreme code paths.
+/// Both snapshot paths of one graph — a small wave patches the previous
+/// CSR, a wave dirtying more than a quarter of the nodes rebuilds it — each
+/// equal to a from-scratch build of the edge set the test maintains.
 #[test]
 fn rebuild_threshold_settings_produce_identical_snapshots() {
     let g = ns_graph::generators::barabasi_albert(120, 3, &mut seeded_rng(8)).unwrap();
-    let mut rebuilds = DynamicGraph::from_graph(&g)
-        .unwrap()
-        .with_rebuild_dirty_fraction(0.0)
-        .unwrap();
-    let mut patches = DynamicGraph::from_graph(&g)
-        .unwrap()
-        .with_rebuild_dirty_fraction(1.0)
-        .unwrap();
-    assert_eq!(rebuilds.rebuild_dirty_fraction(), 0.0);
-    assert_eq!(patches.rebuild_dirty_fraction(), 1.0);
-    assert_eq!(
-        DynamicGraph::from_graph(&g)
-            .unwrap()
-            .rebuild_dirty_fraction(),
-        ns_graph::dynamic::REBUILD_DIRTY_FRACTION
-    );
+    let n = g.node_count();
+    let threshold = (n as f64 * ns_graph::dynamic::REBUILD_DIRTY_FRACTION).ceil() as usize;
+    let mut dg = DynamicGraph::from_graph(&g).unwrap();
+    let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
     let mut rng = seeded_rng(9);
-    for _wave in 0..6 {
-        // Same deterministic edit stream applied to both graphs.
-        let ops: Vec<(usize, usize)> = (0..40)
-            .map(|_| (rng.gen_range(0..120), rng.gen_range(0..120)))
-            .collect();
-        for &(u, v) in &ops {
+    for (wave, edits) in [(0, 6), (1, 120)] {
+        for _ in 0..edits {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
             if u == v {
                 continue;
             }
-            for dg in [&mut rebuilds, &mut patches] {
-                if dg.has_edge(u, v) {
-                    if dg.degree(u) > 1 && dg.degree(v) > 1 {
-                        dg.remove_edge(u, v).unwrap();
-                    }
-                } else {
-                    dg.add_edge(u, v).unwrap();
+            let edge = (u.min(v), u.max(v));
+            if edges.contains(&edge) {
+                if dg.degree(u) > 1 && dg.degree(v) > 1 {
+                    assert!(dg.remove_edge(u, v).unwrap());
+                    edges.remove(&edge);
                 }
+            } else {
+                assert!(dg.add_edge(u, v).unwrap());
+                edges.insert(edge);
             }
         }
-        assert_eq!(rebuilds.snapshot(), patches.snapshot());
+        let dirty = dg.dirty_nodes();
+        if wave == 0 {
+            assert!(
+                dirty > 0 && dirty <= threshold,
+                "wave 0 must patch ({dirty} dirty)"
+            );
+        } else {
+            assert!(dirty > threshold, "wave 1 must rebuild ({dirty} dirty)");
+        }
+        let expected = Graph::from_edges(n, &edges.iter().copied().collect::<Vec<_>>()).unwrap();
+        assert_eq!(dg.snapshot(), &expected, "wave {wave}");
+        assert_eq!(dg.edge_count(), edges.len());
     }
-    // The knob validates its range.
-    assert!(DynamicGraph::from_graph(&g)
-        .unwrap()
-        .with_rebuild_dirty_fraction(1.5)
-        .is_err());
-    assert!(DynamicGraph::from_graph(&g)
-        .unwrap()
-        .with_rebuild_dirty_fraction(f64::NAN)
-        .is_err());
 }
 
 const GOLDEN_PATH: &str = "tests/golden/delta_advance.txt";
 
-/// Blessed goldens for the delta advance: a fixed churn scenario records,
-/// per round, the affected-column set and every corrected tracked row as
-/// raw f64 bit patterns.  The builder *also* asserts the corrected state
-/// equals the dense advance, so the golden file doubles as checked-in
-/// evidence of the exactness contract on a concrete trace (regenerate with
+/// Blessed goldens for the dense masked advance under churn: a fixed churn
+/// scenario records, per round, the columns the round's edits can reach
+/// and every tracked row after the dense advance under the round's
+/// realized operator, as raw f64 bit patterns (regenerate with
 /// `NS_BLESS=1 cargo test --test delta_advance`).
 fn build_delta_trace() -> String {
     let mut out = String::new();
@@ -234,21 +130,13 @@ fn build_delta_trace() -> String {
     let mut dg = DynamicGraph::from_graph(&g).unwrap();
     let origins: Vec<NodeId> = (0..n).step_by(5).collect();
     let mut dense = DistributionEnsemble::point_masses(n, &origins).unwrap();
-    let mut corrected = DistributionEnsemble::point_masses(n, &origins).unwrap();
-    let mut held = dg.masked_operator(0.2).unwrap();
-    let mut prev = Vec::new();
     let mut rng = seeded_rng(22);
     writeln!(out, "# delta-advance goldens n={n} laziness=0.2").unwrap();
     for round in 1..=5 {
         let touched = churn_wave(&mut dg, &mut rng, 10, 3);
         let realized = dg.masked_operator(0.2).unwrap();
-        let columns = affected_columns(dg.snapshot(), &touched);
+        let columns = touched_columns(dg.snapshot(), &touched);
         dense.advance_auto(&realized, 1);
-        corrected.advance_corrected(&held, &realized, &columns, &mut prev);
-        assert!(
-            rows_bitwise_equal(&dense, &corrected),
-            "golden scenario lost exactness at round {round}"
-        );
         write!(out, "round {round} columns").unwrap();
         for &c in &columns {
             write!(out, " {c}").unwrap();
@@ -256,12 +144,11 @@ fn build_delta_trace() -> String {
         out.push('\n');
         for (r, _) in origins.iter().enumerate() {
             write!(out, "round {round} row {r}").unwrap();
-            for &p in corrected.row(r) {
+            for &p in dense.row(r) {
                 write!(out, " {:016x}", p.to_bits()).unwrap();
             }
             out.push('\n');
         }
-        held = realized;
     }
     out
 }
@@ -345,9 +232,8 @@ proptest! {
                         })
                         .collect();
                     for step in 0..3 {
-                        let flat: Vec<f64> = rows.concat();
-                        let mut input = Vec::new();
-                        ns_graph::ensemble::interleave_rows(lanes, n, &flat, &mut input);
+                        let input: Vec<f64> =
+                            (0..n).flat_map(|i| rows.iter().map(move |row| row[i])).collect();
                         let mut interleaved = vec![f64::NAN; lanes * n];
                         op.propagate_interleaved(lanes, &input, &mut interleaved);
                         let mut row_major = vec![f64::NAN; lanes * n];
@@ -373,84 +259,6 @@ proptest! {
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-/// The column form of every operator equals the dense kernel column by
-/// column — directly, without the ensemble on top (the contract
-/// [`ns_graph::transition::TransitionModel::propagate_round_columns`]
-/// documents).
-#[test]
-fn per_column_kernels_match_the_dense_kernels_bitwise() {
-    use ns_graph::transition::{TransitionMatrix, TransitionModel};
-    let g = ns_graph::generators::random_regular(50, 6, &mut seeded_rng(31)).unwrap();
-    let n = g.node_count();
-    let p: Vec<f64> = {
-        let mut rng = seeded_rng(32);
-        let raw: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
-        let total: f64 = raw.iter().sum();
-        raw.iter().map(|x| x / total).collect()
-    };
-    let mask: Vec<bool> = (0..n).map(|u| u % 5 != 0).collect();
-    let lazy = TransitionMatrix::with_laziness(&g, 0.3).unwrap();
-    let masked = MaskedTransition::new(&g, mask, 0.3).unwrap();
-    let all_columns: Vec<NodeId> = (0..n).collect();
-    for model in [&lazy as &dyn TransitionModel, &masked] {
-        let mut full = vec![0.0f64; n];
-        model.propagate_round_into(0, &p, &mut full);
-        let mut cols = vec![0.0f64; n];
-        model.propagate_round_columns(0, &p, &mut cols, &all_columns);
-        for (j, (a, b)) in full.iter().zip(&cols).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "column {j} diverged between the dense and per-column kernels"
-            );
-        }
-        // The row-blocked form equals the per-row form bit for bit — at
-        // every block-remainder shape (1 row, full blocks, ragged tail).
-        for rows in [1usize, 3, 8, 11] {
-            let block: Vec<f64> = (0..rows)
-                .flat_map(|r| p.iter().map(move |&x| x / (r + 1) as f64))
-                .collect();
-            let mut per_row = vec![0.0f64; rows * n];
-            for (prev_row, out_row) in block.chunks(n).zip(per_row.chunks_mut(n)) {
-                model.propagate_round_columns(0, prev_row, out_row, &all_columns);
-            }
-            let mut blocked = vec![0.0f64; rows * n];
-            model.propagate_round_columns_rows(0, rows, &block, &mut blocked, &all_columns);
-            for (i, (a, b)) in per_row.iter().zip(&blocked).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "entry {i} diverged between per-row and row-blocked kernels ({rows} rows)"
-                );
-            }
-            // ... and so does the interleaved-input form, whose transpose is
-            // a pure copy.
-            let mut block_il = Vec::new();
-            ns_graph::ensemble::interleave_rows(rows, n, &block, &mut block_il);
-            for (r, row) in block.chunks(n).enumerate() {
-                for (i, &x) in row.iter().enumerate() {
-                    assert_eq!(x.to_bits(), block_il[i * rows + r].to_bits());
-                }
-            }
-            let mut il_out = vec![0.0f64; rows * n];
-            model.propagate_round_columns_rows_interleaved(
-                0,
-                rows,
-                &block_il,
-                &mut il_out,
-                &all_columns,
-            );
-            for (i, (a, b)) in per_row.iter().zip(&il_out).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "entry {i} diverged between per-row and interleaved kernels ({rows} rows)"
-                );
             }
         }
     }

@@ -209,19 +209,17 @@ proptest! {
 /// The streaming accountant keeps every shard's tracked origins in one
 /// fused ensemble.  It must be bitwise the historical layout — one
 /// standalone ensemble per shard — in every quote and checkpoint row: over
-/// shard counts whose row totals cross the 8-lane block boundary, static
-/// and scheduled operators, dense rounds, and speculate/commit rounds.
+/// shard counts whose row totals cross the 8-lane block boundary and over
+/// static and scheduled operators.
 #[test]
 fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
     use network_shuffle::accountant::{all_protocol_epsilon, single_protocol_epsilon};
     use ns_dp::types::PrivacyGuarantee;
-    use ns_graph::delta::affected_columns;
-    use ns_graph::dynamic::{DynTransition, MaskedTransition, TimeVaryingModel};
+    use ns_graph::dynamic::TimeVaryingModel;
     use ns_graph::partition::Partition;
     use ns_graph::transition::TransitionModel;
     use ns_graph::NodeId;
     use rand::Rng;
-    use std::sync::Arc;
 
     let g = ns_graph::generators::barabasi_albert(72, 2, &mut seeded_rng(41)).unwrap();
     let n = g.node_count();
@@ -326,7 +324,7 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
                     }
                 };
 
-                // Dense rounds under the held operator, with checkpoints.
+                // Dense rounds, with checkpoints.
                 for round in 1..=dense_rounds {
                     fused.advance_round();
                     for (_, ensemble) in &mut reference {
@@ -350,36 +348,6 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
                             "{context}: checkpoint rows diverged at round {round}"
                         );
                     }
-                }
-
-                // Speculate/commit rounds under realized masked operators,
-                // each corrected over the columns its mask change affects:
-                // a few flips take the sparse correction, half the network
-                // flipping takes the dense fallback.
-                let mut flip_rng = seeded_rng(43);
-                let mut held_mask = if scheduled {
-                    schedule_masks[dense_rounds.min(schedule_masks.len() - 1)].clone()
-                } else {
-                    vec![true; n]
-                };
-                for step in 0..4 {
-                    let mut mask = held_mask.clone();
-                    for _ in 0..if step == 2 { n / 2 } else { 2 } {
-                        let u = flip_rng.gen_range(0..n);
-                        mask[u] = !mask[u];
-                    }
-                    let touched: Vec<NodeId> =
-                        (0..n).filter(|&u| held_mask[u] != mask[u]).collect();
-                    let columns = affected_columns(&g, &touched);
-                    let realized: DynTransition =
-                        Arc::new(MaskedTransition::new(&g, mask.clone(), laziness).unwrap());
-                    fused.speculate_round();
-                    fused.commit_round(realized.clone(), &columns);
-                    for (_, ensemble) in &mut reference {
-                        ensemble.advance_auto(realized.as_ref(), 1);
-                    }
-                    check(&fused, &reference, dense_rounds + step + 1);
-                    held_mask = mask;
                 }
             }
         }

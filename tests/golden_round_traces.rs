@@ -106,7 +106,9 @@ fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
             let mut tap = StatsTap::default();
             if masked {
                 let mask = mask_for_round(n, round);
-                engine.step_holder_masked(laziness, &mask, &mut rng, &mut tap);
+                engine
+                    .step_holder_masked(laziness, &mask, &mut rng, &mut tap)
+                    .unwrap();
             } else {
                 engine.step_holder(laziness, &mut rng, &mut tap);
             }
@@ -137,7 +139,7 @@ fn trace_walker_rounds(out: &mut String, masked: bool, mode: DrawMode) {
         for round in 1..=6 {
             if masked {
                 let mask = mask_for_round(n, round);
-                engine.step_masked(laziness, &mask, &mut rng);
+                engine.step_masked(laziness, &mask, &mut rng).unwrap();
             } else {
                 engine.step(laziness, &mut rng);
             }

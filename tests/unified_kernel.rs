@@ -14,7 +14,9 @@
 //!   unmasked sharded round;
 //! * the 1-shard coordinator under a realized outage schedule is bitwise
 //!   `run_protocol_under_outages` — the composed service path degenerates
-//!   to the monolithic churn path exactly.
+//!   to the monolithic churn path exactly;
+//! * `MixingEngine`'s masked rounds reject a wrong-length mask with a
+//!   classified error before touching any state or the caller's stream.
 
 mod common;
 
@@ -29,7 +31,7 @@ use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
-use ns_graph::{Graph, NodeId};
+use ns_graph::{Graph, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -115,7 +117,7 @@ proptest! {
         for round in 0..rounds {
             if masked {
                 let mask = mask_for_round(n, round);
-                engine.step_holder_masked(laziness, &mask, &mut engine_rng, &mut ());
+                engine.step_holder_masked(laziness, &mask, &mut engine_rng, &mut ()).unwrap();
                 reference.step(&graph, laziness, Some(&mask), &mut reference_rng);
             } else {
                 engine.step_holder(laziness, &mut engine_rng, &mut ());
@@ -147,7 +149,7 @@ proptest! {
         for round in 0..rounds {
             let mask = mask_for_round(n, round);
             sharded.step(laziness, Some(&mask), &mut ()).unwrap();
-            single.step_holder_masked(laziness, &mask, &mut rng, &mut ());
+            single.step_holder_masked(laziness, &mask, &mut rng, &mut ()).unwrap();
         }
         prop_assert_eq!(sharded.positions(), single.positions());
         prop_assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
@@ -270,4 +272,40 @@ fn one_shard_coordinator_under_outages_is_bitwise_run_protocol_under_outages() {
             assert_eq!(service.metrics, reference.metrics);
         }
     }
+}
+
+/// A mask whose length is not `n` is a classified error on both
+/// `MixingEngine` masked round forms, returned before any state changes or
+/// any RNG draw: the round counter, positions, holder buckets and the
+/// caller's next draw are exactly what they were.
+#[test]
+fn wrong_length_masks_are_rejected_before_any_state_changes() {
+    let g = ns_graph::generators::random_regular(40, 4, &mut seeded_rng(51)).unwrap();
+    let n = g.node_count();
+    let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+    let mut rng = seeded_rng(52);
+    engine.step_holder(0.2, &mut rng, &mut ());
+    let round = engine.round();
+    let positions = engine.positions().to_vec();
+    let holders = engine.walkers_by_holder();
+    let mut twin = rng.clone();
+    for len in [n - 1, n + 1] {
+        let mask = vec![true; len];
+        let walker_order = engine.step_masked(0.2, &mask, &mut rng);
+        let holder_order = engine.step_holder_masked(0.2, &mask, &mut rng, &mut ());
+        for result in [walker_order, holder_order] {
+            assert!(
+                matches!(result, Err(GraphError::InvalidParameters(_))),
+                "a {len}-entry mask over {n} nodes: {result:?}"
+            );
+        }
+        assert_eq!(engine.round(), round);
+        assert_eq!(engine.positions(), positions.as_slice());
+        assert_eq!(engine.walkers_by_holder(), holders);
+    }
+    assert_eq!(
+        rng.gen::<u64>(),
+        twin.gen::<u64>(),
+        "a rejected round drew randomness"
+    );
 }
