@@ -18,10 +18,16 @@
 //! 2. **Rounds** — each round is executed by the multi-shard engine
 //!    ([`ns_graph::sharded_engine::ShardedMixingEngine`]) with per-shard
 //!    deterministic streams, traffic metrics streaming into a
-//!    [`TrafficRecorder`], and — in lockstep — the streaming accountant
-//!    advancing its tracked distributions by one round.
+//!    [`TrafficRecorder`], and — on a helper thread during the engine step
+//!    — the streaming accountant advancing its tracked distributions by one
+//!    round.  The engine never reads the accountant and every round's
+//!    operator is fixed before round 0, so the overlap is bitwise the
+//!    serial step-then-advance.
 //! 3. **Quotes & gating** — [`ShuffleCoordinator::live_quote`] returns the
-//!    worst tracked user's current guarantee without stopping the run;
+//!    worst tracked user's current guarantee without stopping the run, in
+//!    O(tracked rows): each advance re-folds every tracked row's moments
+//!    once, and quotes (the live quote, the durable runtime's per-round
+//!    trace quote, the admission audit) read them;
 //!    [`ShuffleCoordinator::run_until_epsilon`] keeps exchanging until a
 //!    target ε is met (or a round budget runs out).
 //! 4. **Finalization** — [`ShuffleCoordinator::finalize`] applies the
@@ -86,6 +92,9 @@ use ns_graph::sharded_engine::{EngineCheckpoint, ShardedMixingEngine};
 use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use ns_graph::walk::validate_laziness;
 use ns_graph::{Graph, NodeId};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// Configuration of a sharded shuffle deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,15 +165,19 @@ enum StreamingOperator {
     Scheduled(TimeVaryingModel),
 }
 
+/// The tracked state behind a [`StreamingAccountant`]: origin ids shard
+/// after shard, each shard's first row (plus the end), and the rows.
+type Tracked = (Vec<NodeId>, Vec<usize>, DistributionEnsemble);
+
 /// Streaming exact accounting over per-shard tracked origins.
 ///
 /// The accountant evolves the tracked origins' position distributions under
 /// the deployment's *realized* per-round operator — the static (lazy) walk,
 /// or, under churn, the round's actual masked operator — one round per call
 /// to [`StreamingAccountant::advance_round`], through the batched ensemble
-/// kernel.  A quote is always available at the engine's current round for
-/// the cost of a [`RowStats`] fold, and the evolution is bitwise the
-/// offline ensemble route (static or
+/// kernel.  Each advance also re-folds every tracked row's [`RowStats`], so
+/// a quote at the engine's current round costs O(tracked rows), and the
+/// evolution is bitwise the offline ensemble route (static or
 /// [`crate::accountant::NetworkShuffleAccountant::with_schedule`])
 /// restricted to the tracked rows — so with every origin tracked the live
 /// quote is **exact under churn**, not a static approximation.
@@ -183,6 +196,10 @@ pub struct StreamingAccountant {
     shard_starts: Vec<usize>,
     /// Row `r` is the exact position distribution of `origins[r]`'s report.
     ensemble: DistributionEnsemble,
+    /// `moments[r]` is `ensemble.row_stats(r)`, re-folded whenever the rows
+    /// change, so a quote reads O(tracked rows) values instead of folding
+    /// every row over all `n` users.
+    moments: Vec<RowStats>,
     round: usize,
     /// Phase timers and worst-moment gauges; `None` (the default) is the
     /// inert no-op path.
@@ -273,14 +290,38 @@ impl StreamingAccountant {
             shard_starts.push(origins.len());
         }
         let ensemble = DistributionEnsemble::point_masses(graph.node_count(), &origins)?;
-        Ok(StreamingAccountant {
+        Ok(StreamingAccountant::assemble(
+            operator,
+            (origins, shard_starts, ensemble),
+            0,
+        ))
+    }
+
+    /// An accountant over `tracked` rows at round `round`, its moment cache
+    /// folded from the rows.
+    fn assemble(operator: StreamingOperator, tracked: Tracked, round: usize) -> Self {
+        let (origins, shard_starts, ensemble) = tracked;
+        let mut accountant = StreamingAccountant {
             operator,
             origins,
             shard_starts,
             ensemble,
-            round: 0,
+            moments: Vec::new(),
+            round,
             telemetry: None,
-        })
+        };
+        accountant.refresh_moments();
+        accountant
+    }
+
+    /// Re-folds every tracked row's moments into the cache the quotes read.
+    /// With the row count unchanged (every advance) the cache is rewritten
+    /// in place, without allocating.
+    fn refresh_moments(&mut self) {
+        let ensemble = &self.ensemble;
+        self.moments.clear();
+        self.moments
+            .extend((0..ensemble.sources()).map(|row| ensemble.row_stats(row)));
     }
 
     /// Attaches (or detaches, with `None`) the accountant's phase timers
@@ -344,18 +385,19 @@ impl StreamingAccountant {
     /// Advances every tracked distribution by one round through the
     /// deployment's realized operator (the ensembles carry the absolute
     /// round clock, so a scheduled accountant applies `operator(t)` at
-    /// round `t`).
+    /// round `t`), then re-folds every row's moments for the quotes.
     pub fn advance_round(&mut self) {
         let _span = self.telemetry.as_ref().map(|t| t.advance_ns.span(&t.clock));
         self.ensemble.advance_auto(Self::held(&self.operator), 1);
+        self.refresh_moments();
         self.round += 1;
     }
 
     /// The component-wise worst accounting moments over all tracked
-    /// origins.  With telemetry attached, the result is also published to
-    /// the `ns_acct_worst_*` gauges.
+    /// origins, read from the moment cache.  With telemetry attached, the
+    /// result is also published to the `ns_acct_worst_*` gauges.
     pub fn worst_stats(&self) -> RowStats {
-        let worst = self.ensemble.worst_stats();
+        let worst = RowStats::worst_of(self.moments.iter().copied());
         if let Some(t) = &self.telemetry {
             t.record_worst_stats(&worst);
         }
@@ -454,8 +496,7 @@ impl StreamingAccountant {
         checkpoint: &AccountantCheckpoint,
     ) -> Result<Self> {
         let n = graph.node_count();
-        let (origins, shard_starts, ensemble) =
-            Self::tracked_state(checkpoint, partition.shard_count(), n)?;
+        let tracked = Self::tracked_state(checkpoint, partition.shard_count(), n)?;
         let operator = match schedule {
             Some(model) => {
                 if model.node_count() != n {
@@ -468,14 +509,11 @@ impl StreamingAccountant {
             }
             None => StreamingOperator::Static(TransitionMatrix::with_laziness(graph, laziness)?),
         };
-        Ok(StreamingAccountant {
+        Ok(StreamingAccountant::assemble(
             operator,
-            origins,
-            shard_starts,
-            ensemble,
-            round: checkpoint.round,
-            telemetry: None,
-        })
+            tracked,
+            checkpoint.round,
+        ))
     }
 
     /// Replaces the tracked origins, rows and round clock with a
@@ -494,6 +532,7 @@ impl StreamingAccountant {
         self.shard_starts = shard_starts;
         self.ensemble = ensemble;
         self.round = checkpoint.round;
+        self.refresh_moments();
         Ok(())
     }
 
@@ -504,7 +543,7 @@ impl StreamingAccountant {
         checkpoint: &AccountantCheckpoint,
         shard_count: usize,
         n: usize,
-    ) -> Result<(Vec<NodeId>, Vec<usize>, DistributionEnsemble)> {
+    ) -> Result<Tracked> {
         if checkpoint.shards.len() != shard_count {
             return Err(Error::InvalidConfiguration(format!(
                 "checkpoint tracks {} shards but the partition has {shard_count}",
@@ -559,8 +598,7 @@ impl StreamingAccountant {
         let mut worst: Option<(NodeId, PrivacyGuarantee)> = None;
         for row in self.shard_rows(shard) {
             let origin = self.origins[row];
-            let stats = self.ensemble.row_stats(row);
-            let guarantee = guarantee_from_stats(protocol, params, &stats)?;
+            let guarantee = guarantee_from_stats(protocol, params, &self.moments[row])?;
             let beats = worst
                 .as_ref()
                 .is_none_or(|(_, current)| guarantee.epsilon > current.epsilon);
@@ -634,6 +672,147 @@ fn guarantee_from_stats(
     }
 }
 
+/// Why the coordinator's accountant can be missing: only a panic that
+/// unwound through a round, taking the accountant with it.
+const ACCOUNTANT_HOME: &str = "the accountant is home between rounds";
+
+/// The helper thread that advances the streaming accountant while the
+/// caller's thread steps the engine.
+///
+/// Every round's operator is fixed before round 0 and the engine never
+/// reads the accountant, so the two sweeps of a round can run at once.
+/// The accountant travels by value through one preallocated
+/// [`Mutex`] + [`Condvar`] slot — no per-round spawn, no allocation.  A
+/// panic in the advance is caught on the helper and resumed on the caller;
+/// dropping the helper stops and joins its thread.
+#[derive(Debug)]
+struct AdvanceHelper {
+    slot: Arc<HandOff>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// The slot the accountant travels through, and the signal that it moved.
+#[derive(Debug)]
+struct HandOff {
+    job: Mutex<Job>,
+    moved: Condvar,
+}
+
+/// What the slot holds.
+#[derive(Debug)]
+enum Job {
+    /// Nothing in flight: the accountant is with the coordinator, or with
+    /// the helper mid-advance.
+    Idle,
+    /// An accountant to advance by one round.
+    Advance(StreamingAccountant),
+    /// The advanced accountant, or the panic that interrupted its advance.
+    Done(std::thread::Result<StreamingAccountant>),
+    /// The coordinator is gone: the helper exits.
+    Stop,
+}
+
+impl AdvanceHelper {
+    /// Starts the helper thread, idle until the first round.
+    fn start() -> Result<Self> {
+        let slot = Arc::new(HandOff {
+            job: Mutex::new(Job::Idle),
+            moved: Condvar::new(),
+        });
+        let served = Arc::clone(&slot);
+        let thread = std::thread::Builder::new()
+            .name("ns-accountant".into())
+            .spawn(move || served.serve())
+            .map_err(|e| {
+                Error::InvalidConfiguration(format!("cannot start the accountant thread: {e}"))
+            })?;
+        Ok(AdvanceHelper {
+            slot,
+            thread: Some(thread),
+        })
+    }
+
+    /// Advances `accountant` by one round on the helper while `step` runs
+    /// on this thread, and returns both once both are done.
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic raised by the advance, after `step` has returned.
+    fn advance_during<R>(
+        &self,
+        accountant: StreamingAccountant,
+        step: impl FnOnce() -> R,
+    ) -> (StreamingAccountant, R) {
+        self.slot.put(Job::Advance(accountant));
+        let stepped = step();
+        (self.slot.take_done(), stepped)
+    }
+}
+
+impl Drop for AdvanceHelper {
+    fn drop(&mut self) {
+        self.slot.put(Job::Stop);
+        if let Some(thread) = self.thread.take() {
+            // Advance panics are caught on the helper, so the join reports
+            // none; there is nothing else to propagate from a drop.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl HandOff {
+    fn lock(&self) -> MutexGuard<'_, Job> {
+        // Every update under the lock is one whole-value store, so the job
+        // is valid even if a holder panicked; `Drop` must lock too.
+        self.job.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Replaces the slot's job and wakes the other side.
+    fn put(&self, job: Job) {
+        *self.lock() = job;
+        self.moved.notify_all();
+    }
+
+    /// Waits for the helper's advanced accountant; resumes its panic.
+    fn take_done(&self) -> StreamingAccountant {
+        let mut job = self
+            .moved
+            .wait_while(self.lock(), |job| !matches!(job, Job::Done(_)))
+            .unwrap_or_else(PoisonError::into_inner);
+        let Job::Done(done) = std::mem::replace(&mut *job, Job::Idle) else {
+            unreachable!("waited for a finished advance")
+        };
+        drop(job);
+        done.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// The helper thread: advance whatever is handed over, hand it back,
+    /// until told to stop.
+    fn serve(&self) {
+        let mut job = self.lock();
+        loop {
+            job = self
+                .moved
+                .wait_while(job, |job| !matches!(job, Job::Advance(_) | Job::Stop))
+                .unwrap_or_else(PoisonError::into_inner);
+            let Job::Advance(mut accountant) = std::mem::replace(&mut *job, Job::Idle) else {
+                return;
+            };
+            drop(job);
+            let done = std::panic::catch_unwind(AssertUnwindSafe(move || {
+                accountant.advance_round();
+                accountant
+            }));
+            job = self.lock();
+            if matches!(*job, Job::Stop) {
+                return;
+            }
+            *job = Job::Done(done);
+            self.moved.notify_all();
+        }
+    }
+}
+
 /// The sharded shuffle coordinator: admission, rounds, live quotes,
 /// finalization.  See the [module docs](self).
 #[derive(Debug)]
@@ -649,7 +828,12 @@ pub struct ShuffleCoordinator<'g, P> {
     /// The exchange engine; `None` until [`ShuffleCoordinator::begin_exchange`].
     engine: Option<ShardedMixingEngine<'g>>,
     recorder: TrafficRecorder,
-    accountant: StreamingAccountant,
+    /// The streaming accountant: home here between rounds, on `helper`
+    /// while a round's engine step runs.
+    accountant: Option<StreamingAccountant>,
+    /// The thread that advances the accountant during each engine step;
+    /// started with the engine by [`ShuffleCoordinator::begin_exchange`].
+    helper: Option<AdvanceHelper>,
     /// Realized availability schedule; round `t` of the exchange runs with
     /// `outages.mask(t)` when present.
     outages: Option<OutageSchedule>,
@@ -687,7 +871,8 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             origins: Vec::new(),
             engine: None,
             recorder: TrafficRecorder::new(0),
-            accountant,
+            accountant: Some(accountant),
+            helper: None,
             outages: None,
             telemetry: None,
         })
@@ -698,7 +883,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// already built.  Observability is inert by construction: an
     /// instrumented run is bitwise identical to a bare one.
     pub fn set_telemetry(&mut self, telemetry: Option<CoordinatorTelemetry>) {
-        self.accountant
+        self.accountant_mut()
             .set_telemetry(telemetry.as_ref().map(|t| t.accountant.clone()));
         if let Some(engine) = &mut self.engine {
             engine.set_telemetry(telemetry.as_ref().map(|t| t.engine.clone()));
@@ -727,7 +912,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
                 .quote_params
                 .as_ref()
                 .and_then(|params| {
-                    self.accountant
+                    self.accountant()
                         .worst_quote(self.config.protocol, params)
                         .ok()
                 })
@@ -772,7 +957,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             ));
         }
         let model = schedule.time_varying_model(self.graph, self.config.laziness)?;
-        self.accountant.reschedule(model)?;
+        self.accountant_mut().reschedule(model)?;
         self.outages = Some(schedule);
         Ok(())
     }
@@ -810,7 +995,11 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
 
     /// The streaming accountant (for direct inspection of tracked moments).
     pub fn accountant(&self) -> &StreamingAccountant {
-        &self.accountant
+        self.accountant.as_ref().expect(ACCOUNTANT_HOME)
+    }
+
+    fn accountant_mut(&mut self) -> &mut StreamingAccountant {
+        self.accountant.as_mut().expect(ACCOUNTANT_HOME)
     }
 
     /// Number of reports admitted so far.
@@ -912,6 +1101,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         )?;
         engine.set_draw_mode(self.config.draw_mode);
         engine.set_telemetry(self.telemetry.as_ref().map(|t| t.engine.clone()));
+        self.helper = Some(AdvanceHelper::start()?);
         self.engine = Some(engine);
         Ok(())
     }
@@ -939,7 +1129,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         })?;
         Ok(CoordinatorCheckpoint {
             engine: engine.checkpoint(),
-            accountant: self.accountant.checkpoint()?,
+            accountant: self.accountant().checkpoint()?,
             recorder_rounds: self.recorder.rounds(),
             recorder_messages: self.recorder.messages_per_user().to_vec(),
             recorder_peaks: self.recorder.peak_reports_per_user().to_vec(),
@@ -986,7 +1176,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         engine.set_telemetry(self.telemetry.as_ref().map(|t| t.engine.clone()));
         // The accountant already holds the operator `with_outages` attached
         // (or the static walk): only its tracked rows and clock change.
-        self.accountant.install(&checkpoint.accountant)?;
+        self.accountant_mut().install(&checkpoint.accountant)?;
         self.recorder = TrafficRecorder::from_parts(
             checkpoint.recorder_rounds,
             checkpoint.recorder_messages.clone(),
@@ -997,17 +1187,24 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     }
 
     /// Executes `rounds` exchange rounds (threaded under the `parallel`
-    /// feature), advancing the streaming accountant in lockstep.
+    /// feature).  Each round's engine step runs on the calling thread while
+    /// the helper thread advances the streaming accountant by the same
+    /// round; the two share no state, so the result is bitwise the serial
+    /// step-then-advance.  A panic in the advance resumes on this thread.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfiguration`] if [`ShuffleCoordinator::begin_exchange`]
     /// has not been called; the engine's round validation errors, which the
-    /// validated config and outage schedule rule out.
+    /// validated config and outage schedule rule out.  A rejected round
+    /// changes neither the engine nor the accountant.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<()> {
-        let engine = self.engine.as_mut().ok_or_else(|| {
-            Error::InvalidConfiguration("call begin_exchange() before running rounds".into())
-        })?;
+        let (Some(engine), Some(helper)) = (self.engine.as_mut(), self.helper.as_ref()) else {
+            return Err(Error::InvalidConfiguration(
+                "call begin_exchange() before running rounds".into(),
+            ));
+        };
+        let laziness = self.config.laziness;
         let traffic = self.telemetry.as_ref().map(|t| &t.traffic);
         let mut observer = ObservedRounds::new(&mut self.recorder, traffic);
         for _ in 0..rounds {
@@ -1015,8 +1212,14 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             // scheduled operator applies the same mask at the same clock,
             // so quotes track the realized walk exactly.
             let mask = self.outages.as_ref().map(|s| s.mask(engine.round()));
-            engine.step(self.config.laziness, mask, &mut observer)?;
-            self.accountant.advance_round();
+            // Checked before the hand-off, so a round the engine rejects
+            // leaves the accountant's clock where the engine's stays.
+            engine.validate_round(laziness, mask)?;
+            let accountant = self.accountant.take().expect(ACCOUNTANT_HOME);
+            let (accountant, stepped) =
+                helper.advance_during(accountant, || engine.step(laziness, mask, &mut observer));
+            self.accountant = Some(accountant);
+            stepped?;
         }
         Ok(())
     }
@@ -1029,7 +1232,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     ///
     /// Parameter validation errors from the closed forms.
     pub fn live_quote(&self, params: &AccountantParams) -> Result<(NodeId, PrivacyGuarantee)> {
-        self.accountant.worst_quote(self.config.protocol, params)
+        self.accountant().worst_quote(self.config.protocol, params)
     }
 
     /// Runs rounds until the live worst-user ε drops to `target_epsilon` or
@@ -1473,6 +1676,99 @@ mod tests {
         bad.accountant.shards[0].rows[0] += 0.5;
         assert!(c.install_checkpoint(&bad).is_err());
         assert!(c.install_checkpoint(&cp).is_ok());
+    }
+
+    /// Asserts the moment cache holds exactly the rows' moments.
+    fn assert_moments_match_rows(accountant: &StreamingAccountant, when: &str) {
+        let rows = accountant.ensemble.sources();
+        assert_eq!(accountant.moments.len(), rows, "{when}");
+        for row in 0..rows {
+            let want = accountant.ensemble.row_stats(row);
+            let got = accountant.moments[row];
+            assert_eq!(
+                (got.sum_of_squares.to_bits(), got.support_ratio.to_bits()),
+                (want.sum_of_squares.to_bits(), want.support_ratio.to_bits()),
+                "{when}, row {row}"
+            );
+        }
+    }
+
+    #[test]
+    fn cached_moments_equal_the_row_moments_bitwise() {
+        let g = ns_graph::generators::two_degree_class(40, 4, 5).unwrap();
+        let p = Partition::new(&g, 3).unwrap();
+        let schedule = OutageModel::MarkovOnOff {
+            fail: 0.2,
+            recover: 0.3,
+        }
+        .sample_schedule(40, 6, 9)
+        .unwrap();
+        let mut coordinator: ShuffleCoordinator<'_, u32> =
+            ShuffleCoordinator::new(&g, &p, CoordinatorConfig::single(3, 4)).unwrap();
+        assert_moments_match_rows(coordinator.accountant(), "construction");
+        coordinator.with_outages(schedule.clone()).unwrap();
+        assert_moments_match_rows(coordinator.accountant(), "with_outages");
+        let mut accountant = coordinator.accountant().clone();
+        for round in 1..=6 {
+            accountant.advance_round();
+            assert_moments_match_rows(&accountant, &format!("advance {round}"));
+        }
+        let checkpoint = accountant.checkpoint().unwrap();
+        let model = schedule.time_varying_model(&g, 0.0).unwrap();
+        let restored = StreamingAccountant::restore(&g, &p, 0.0, Some(model), &checkpoint).unwrap();
+        assert_moments_match_rows(&restored, "restore");
+        assert_eq!(restored.moments, accountant.moments);
+        let mut installed = coordinator.accountant().clone();
+        installed.install(&checkpoint).unwrap();
+        assert_moments_match_rows(&installed, "install");
+        assert_eq!(installed.moments, accountant.moments);
+    }
+
+    #[test]
+    fn a_rejected_round_moves_neither_clock() {
+        let g = graph(40, 4, 33);
+        let p = Partition::new(&g, 2).unwrap();
+        let mut coordinator: ShuffleCoordinator<'_, u32> =
+            ShuffleCoordinator::new(&g, &p, CoordinatorConfig::all(5, 4)).unwrap();
+        coordinator.admit_population((0..40).collect()).unwrap();
+        coordinator.begin_exchange().unwrap();
+        coordinator.run_rounds(2).unwrap();
+        let before = coordinator.checkpoint().unwrap();
+        // A laziness the validated config rules out: the engine rejects
+        // the round, and the accountant must not have advanced either.
+        coordinator.config.laziness = 1.0;
+        assert!(coordinator.run_rounds(1).is_err());
+        assert_eq!(coordinator.round(), 2);
+        assert_eq!(coordinator.accountant().round(), 2);
+        assert_eq!(coordinator.checkpoint().unwrap(), before);
+        coordinator.config.laziness = 0.0;
+        coordinator.run_rounds(1).unwrap();
+        assert_eq!(coordinator.accountant().round(), 3);
+    }
+
+    #[test]
+    fn helper_panics_resurface_and_drop_joins_the_helper() {
+        let g = graph(40, 4, 34);
+        let p = Partition::new(&g, 1).unwrap();
+        let mut coordinator: ShuffleCoordinator<'_, u32> =
+            ShuffleCoordinator::new(&g, &p, CoordinatorConfig::all(5, 2)).unwrap();
+        coordinator.admit_population((0..40).collect()).unwrap();
+        coordinator.begin_exchange().unwrap();
+        coordinator.run_rounds(1).unwrap();
+        let slot = Arc::downgrade(&coordinator.helper.as_ref().unwrap().slot);
+        // An operator over the wrong node count makes the advance panic on
+        // the helper.
+        let other = graph(30, 4, 35);
+        coordinator.accountant_mut().operator =
+            StreamingOperator::Static(TransitionMatrix::new(&other).unwrap());
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| coordinator.run_rounds(1)));
+        assert!(run.is_err(), "the helper's panic must resume on the caller");
+        assert!(slot.upgrade().is_some());
+        drop(coordinator);
+        assert!(
+            slot.upgrade().is_none(),
+            "dropping the coordinator joins the helper"
+        );
     }
 
     #[test]

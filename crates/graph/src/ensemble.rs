@@ -71,31 +71,97 @@ impl Default for RowStats {
     }
 }
 
-/// Computes [`RowStats`] from a distribution's entries in index order.
+impl RowStats {
+    /// The component-wise worst (largest) of `stats`, folded in order from
+    /// the default — a valid input for a guarantee that must cover every
+    /// source at once.
+    pub fn worst_of(stats: impl IntoIterator<Item = RowStats>) -> RowStats {
+        stats
+            .into_iter()
+            .fold(RowStats::default(), |worst, stats| RowStats {
+                sum_of_squares: worst.sum_of_squares.max(stats.sum_of_squares),
+                support_ratio: worst.support_ratio.max(stats.support_ratio),
+            })
+    }
+}
+
+/// Independent chains the max and min-positive folds are split across.
+const CHAINS: usize = 4;
+
+/// The running fold behind [`RowStats`]: `Σx²` as one chain in index order,
+/// the max and the min over positive entries as [`CHAINS`] independent
+/// chains (entry `i` feeds chain `i % CHAINS`) merged at the end.
 ///
-/// The fold orders replicate `degree::sum_of_squares` and
-/// `PositionDistribution::support_ratio` element for element, so the stats
-/// of an ensemble row are bitwise equal to the single-distribution routes.
-fn stats_of(values: impl Iterator<Item = f64>) -> RowStats {
-    let mut sum_of_squares = 0.0f64;
-    let mut max = f64::NAN;
-    let mut min_nonzero = f64::INFINITY;
-    for x in values {
-        sum_of_squares += x * x;
-        max = max.max(x);
-        if x > 0.0 {
-            min_nonzero = min_nonzero.min(x);
+/// The split chains are bitwise the single ordered fold: `f64::max`
+/// ignores NaN, so the max of the non-NaN entries is the same value in any
+/// order up to the sign of a zero; the min skips every non-positive entry,
+/// so it has no signed zeros; and a zero max means no entry is positive,
+/// where the support ratio is 1 whatever the zero's sign.
+struct Moments {
+    sum_of_squares: f64,
+    max: [f64; CHAINS],
+    min_positive: [f64; CHAINS],
+}
+
+impl Moments {
+    fn new() -> Self {
+        Moments {
+            sum_of_squares: 0.0,
+            max: [f64::NAN; CHAINS],
+            min_positive: [f64::INFINITY; CHAINS],
         }
     }
-    let support_ratio = if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
-        1.0
-    } else {
-        max / min_nonzero
-    };
-    RowStats {
-        sum_of_squares,
-        support_ratio,
+
+    #[inline(always)]
+    fn push(&mut self, chain: usize, x: f64) {
+        self.sum_of_squares += x * x;
+        self.max[chain] = self.max[chain].max(x);
+        if x > 0.0 {
+            self.min_positive[chain] = self.min_positive[chain].min(x);
+        }
     }
+
+    fn finish(self) -> RowStats {
+        let max = self.max.into_iter().fold(f64::NAN, f64::max);
+        let min_nonzero = self.min_positive.into_iter().fold(f64::INFINITY, f64::min);
+        let support_ratio = if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
+            1.0
+        } else {
+            max / min_nonzero
+        };
+        RowStats {
+            sum_of_squares: self.sum_of_squares,
+            support_ratio,
+        }
+    }
+}
+
+/// Computes [`RowStats`] from a distribution's entries in index order.
+///
+/// The results replicate `degree::sum_of_squares` and
+/// `PositionDistribution::support_ratio` bit for bit (the `Σx²` fold order
+/// is theirs element for element; see [`Moments`] for the max and min), so
+/// the stats of an ensemble row are bitwise equal to the single-distribution
+/// routes.
+fn stats_of(row: &[f64]) -> RowStats {
+    lane_stats_of(row, 1, 0)
+}
+
+/// [`stats_of`] over lane `lane` of an interleaved block of `lanes` lanes:
+/// the entries `block[i * lanes + lane]` in node order.
+#[inline]
+fn lane_stats_of(block: &[f64], lanes: usize, lane: usize) -> RowStats {
+    let mut moments = Moments::new();
+    let mut groups = block.chunks_exact(lanes * CHAINS);
+    for group in &mut groups {
+        for chain in 0..CHAINS {
+            moments.push(chain, group[chain * lanes + lane]);
+        }
+    }
+    for (chain, node) in groups.remainder().chunks_exact(lanes).enumerate() {
+        moments.push(chain, node[lane]);
+    }
+    moments.finish()
 }
 
 /// Per-round, per-row statistics recorded by
@@ -374,22 +440,13 @@ impl DistributionEnsemble {
     ///
     /// Panics if `row >= sources`.
     pub fn row_stats(&self, row: usize) -> RowStats {
-        stats_of(self.row(row).iter().copied())
+        stats_of(self.row(row))
     }
 
     /// The component-wise worst (largest) moments over all rows — a valid
     /// input for a guarantee that must cover every source at once.
     pub fn worst_stats(&self) -> RowStats {
-        let mut worst = RowStats {
-            sum_of_squares: 0.0,
-            support_ratio: 1.0,
-        };
-        for row in 0..self.sources {
-            let stats = self.row_stats(row);
-            worst.sum_of_squares = worst.sum_of_squares.max(stats.sum_of_squares);
-            worst.support_ratio = worst.support_ratio.max(stats.support_ratio);
-        }
-        worst
+        RowStats::worst_of((0..self.sources).map(|row| self.row_stats(row)))
     }
 
     /// Advances every row by `rounds` rounds under `model`.
@@ -516,7 +573,7 @@ fn advance_block<M: TransitionModel + ?Sized>(
             model.propagate_round_into(base_round + t, current, next);
             std::mem::swap(&mut current, &mut next);
             if let Some(stats) = block_stats.as_deref_mut() {
-                stats[t] = stats_of(current.iter().copied());
+                stats[t] = stats_of(current);
             }
         }
         if !rounds.is_multiple_of(2) {
@@ -534,14 +591,14 @@ fn advance_block<M: TransitionModel + ?Sized>(
         std::mem::swap(&mut current, &mut next);
         if let Some(stats) = block_stats.as_deref_mut() {
             for lane in 0..lanes {
-                stats[lane * rounds + t] = stats_of((0..n).map(|i| current[i * lanes + lane]));
+                stats[lane * rounds + t] = lane_stats_of(current, lanes, lane);
             }
         }
     }
     model.propagate_round_interleaved_rows(base_round + rounds - 1, lanes, current, rows);
     if let Some(stats) = block_stats {
         for (lane, row) in rows.chunks(n).enumerate() {
-            stats[lane * rounds + rounds - 1] = stats_of(row.iter().copied());
+            stats[lane * rounds + rounds - 1] = stats_of(row);
         }
     }
 }
@@ -922,12 +979,80 @@ mod tests {
     #[test]
     fn stats_of_matches_the_historical_helpers() {
         let p = [0.0, 0.2, 0.5, 0.3, 0.0];
-        let stats = stats_of(p.iter().copied());
+        let stats = stats_of(&p);
         assert_eq!(stats.sum_of_squares, crate::degree::sum_of_squares(&p));
         let dist = PositionDistribution::from_probabilities(p.to_vec()).unwrap();
         assert_eq!(stats.support_ratio, dist.support_ratio().unwrap());
         // Degenerate all-zero input falls back to ratio 1.
-        assert_eq!(stats_of([0.0, 0.0].into_iter()).support_ratio, 1.0);
+        assert_eq!(stats_of(&[0.0, 0.0]).support_ratio, 1.0);
+    }
+
+    /// The single ordered fold `stats_of` replaced, kept as the reference
+    /// its split chains must reproduce bit for bit.
+    fn reference_stats_of(values: impl Iterator<Item = f64>) -> RowStats {
+        let mut sum_of_squares = 0.0f64;
+        let mut max = f64::NAN;
+        let mut min_nonzero = f64::INFINITY;
+        for x in values {
+            sum_of_squares += x * x;
+            max = max.max(x);
+            if x > 0.0 {
+                min_nonzero = min_nonzero.min(x);
+            }
+        }
+        let support_ratio = if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
+            1.0
+        } else {
+            max / min_nonzero
+        };
+        RowStats {
+            sum_of_squares,
+            support_ratio,
+        }
+    }
+
+    fn assert_same_bits(got: RowStats, want: RowStats, what: &str) {
+        assert_eq!(
+            (got.sum_of_squares.to_bits(), got.support_ratio.to_bits()),
+            (want.sum_of_squares.to_bits(), want.support_ratio.to_bits()),
+            "{what}: {got:?} vs {want:?}"
+        );
+    }
+
+    #[test]
+    fn split_chain_fold_is_bitwise_the_ordered_fold() {
+        let tiny = f64::from_bits(1); // the smallest positive subnormal
+        let rows: Vec<Vec<f64>> = vec![
+            vec![0.0; 7],
+            vec![0.0, 0.0, 0.0, 1.0, 0.0],
+            vec![1.0],
+            vec![f64::NAN; 5],
+            vec![0.25, f64::NAN, 0.5, f64::NAN, 0.25, 0.0],
+            vec![-0.0, 0.0, -0.0, -0.0, 0.0, -0.0],
+            vec![0.0, -0.0, 0.3, -0.0, 0.7, 0.0, -0.0],
+            vec![
+                tiny,
+                0.5,
+                2.0 * tiny,
+                0.5 - 3.0 * tiny,
+                f64::MIN_POSITIVE / 2.0,
+            ],
+            vec![f64::INFINITY, 0.5, 0.25],
+            vec![-1.0, -0.5, 0.125, -0.0],
+            vec![f64::NEG_INFINITY, f64::NAN],
+        ];
+        for row in &rows {
+            // Every length, including those not divisible by the chain
+            // count, and every rotation so each entry meets every chain.
+            for len in 0..=row.len() {
+                for shift in 0..len.max(1) {
+                    let mut values = row[..len].to_vec();
+                    values.rotate_left(shift);
+                    let want = reference_stats_of(values.iter().copied());
+                    assert_same_bits(stats_of(&values), want, &format!("{values:?}"));
+                }
+            }
+        }
     }
 
     #[cfg(feature = "parallel")]

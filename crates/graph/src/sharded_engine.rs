@@ -644,8 +644,15 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// The round-boundary checks [`ShardedMixingEngine::step`] and
-    /// [`ShardedMixingEngine::step_in_order`] share.
-    fn validate_round(&self, laziness: f64, mask: Option<&[bool]>) -> Result<()> {
+    /// [`ShardedMixingEngine::step_in_order`] make before any state
+    /// changes — for a caller that commits other work to a round before
+    /// stepping it.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameters`] if `laziness ∉ [0, 1)` or the mask
+    /// length differs from the node count.
+    pub fn validate_round(&self, laziness: f64, mask: Option<&[bool]>) -> Result<()> {
         crate::walk::validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
         let n = self.graph.node_count();
         match mask {

@@ -635,8 +635,10 @@ impl<'g> DurableCoordinator<'g> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::InvalidState`] for an exhausted origin; coordinator
-    /// admission errors; WAL I/O errors.
+    /// [`StoreError::InvalidState`] for an exhausted origin or a batch
+    /// whose record exceeds [`crate::wal::MAX_RECORD_LEN`] (refused before
+    /// anything is logged or admitted); coordinator admission errors; WAL
+    /// I/O errors.
     pub fn admit(&mut self, batch: Vec<(NodeId, Vec<u8>)>) -> Result<()> {
         // Validate before logging: a WAL record whose apply step fails would
         // fail identically on every recovery and wedge the store.
@@ -705,7 +707,9 @@ impl<'g> DurableCoordinator<'g> {
     ///
     /// # Errors
     ///
-    /// Coordinator errors; WAL I/O errors.
+    /// [`StoreError::InvalidState`] for a schedule whose record exceeds
+    /// [`crate::wal::MAX_RECORD_LEN`] (refused before anything is logged or
+    /// attached); coordinator errors; WAL I/O errors.
     pub fn with_outages(&mut self, schedule: OutageSchedule) -> Result<()> {
         if self.coordinator.engine().is_some() || self.coordinator.outages().is_some() {
             return Err(StoreError::InvalidState(

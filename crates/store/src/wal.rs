@@ -115,12 +115,16 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// I/O errors from the page writes.
+    /// [`StoreError::InvalidState`] for a payload longer than
+    /// [`MAX_RECORD_LEN`], before any byte is written; I/O errors from the
+    /// page writes.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        assert!(
-            payload.len() as u64 <= MAX_RECORD_LEN as u64,
-            "record exceeds MAX_RECORD_LEN"
-        );
+        if payload.len() as u64 > u64::from(MAX_RECORD_LEN) {
+            return Err(StoreError::InvalidState(format!(
+                "a {}-byte record exceeds the {MAX_RECORD_LEN}-byte limit",
+                payload.len()
+            )));
+        }
         let len = (payload.len() as u32).to_le_bytes();
         let crc = crc32(payload).to_le_bytes();
         self.push(&len)?;
@@ -362,6 +366,28 @@ mod tests {
         assert_eq!(scan.tail, TailStatus::Clean);
         assert_eq!(scan.valid_len, valid);
         assert_eq!(scan.records, vec![b"only".to_vec()]);
+    }
+
+    #[test]
+    fn oversize_records_are_refused_before_any_byte_is_written() {
+        let path = temp_wal("oversize.bin");
+        let mut wal = WalWriter::open(&path, 0).unwrap();
+        wal.append(b"kept").unwrap();
+        let len = wal.len();
+        // Zeroed pages the length check never touches: no memory is
+        // committed for them.
+        let oversize = vec![0u8; MAX_RECORD_LEN as usize + 1];
+        assert!(matches!(
+            wal.append(&oversize),
+            Err(StoreError::InvalidState(_))
+        ));
+        drop(oversize);
+        assert_eq!(wal.len(), len);
+        wal.append(b"after").unwrap();
+        wal.sync().unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.tail, TailStatus::Clean);
+        assert_eq!(scan.records, vec![b"kept".to_vec(), b"after".to_vec()]);
     }
 
     #[test]

@@ -204,6 +204,66 @@ proptest! {
         untracked.advance_parallel(&transition, rounds);
         prop_assert_eq!(&sequential, &untracked);
     }
+
+    /// Every row's moments — read from the rows, and recorded per round by
+    /// a tracked advance from the interleaved block — are bitwise the
+    /// single ordered fold over the row in index order.
+    #[test]
+    fn row_moments_are_bitwise_the_ordered_fold(
+        graph in strategies::graph_zoo(60..220),
+        rounds in 1usize..6,
+        laziness_pct in 0usize..60,
+    ) {
+        let nodes = graph.node_count();
+        let transition =
+            TransitionMatrix::with_laziness(&graph, laziness_pct as f64 / 100.0).unwrap();
+        let origins: Vec<usize> = (0..nodes).step_by(2).collect();
+        let mut ensemble = DistributionEnsemble::point_masses(nodes, &origins).unwrap();
+        for t in 1..=rounds {
+            let trajectory = ensemble.advance_tracked(&transition, 2);
+            for row in 0..origins.len() {
+                let mut stepped = DistributionEnsemble::point_masses(nodes, &origins[row..=row])
+                    .unwrap();
+                stepped.advance(&transition, 2 * t - 1);
+                let midway = ordered_fold(stepped.row(0));
+                let want = ordered_fold(ensemble.row(row));
+                prop_assert_eq!(bits(ensemble.row_stats(row)), bits(want), "row {}", row);
+                prop_assert_eq!(bits(trajectory.after(row, 2)), bits(want), "row {}", row);
+                prop_assert_eq!(bits(trajectory.after(row, 1)), bits(midway), "row {}", row);
+            }
+        }
+    }
+}
+
+/// The moments as one ordered fold over a row in index order — the
+/// reference the ensemble's split-chain fold must reproduce bit for bit.
+fn ordered_fold(row: &[f64]) -> ensemble::RowStats {
+    let mut sum_of_squares = 0.0f64;
+    let mut max = f64::NAN;
+    let mut min_nonzero = f64::INFINITY;
+    for &x in row {
+        sum_of_squares += x * x;
+        max = max.max(x);
+        if x > 0.0 {
+            min_nonzero = min_nonzero.min(x);
+        }
+    }
+    let support_ratio = if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
+        1.0
+    } else {
+        max / min_nonzero
+    };
+    ensemble::RowStats {
+        sum_of_squares,
+        support_ratio,
+    }
+}
+
+fn bits(stats: ensemble::RowStats) -> (u64, u64) {
+    (
+        stats.sum_of_squares.to_bits(),
+        stats.support_ratio.to_bits(),
+    )
 }
 
 /// The streaming accountant keeps every shard's tracked origins in one

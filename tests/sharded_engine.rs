@@ -248,3 +248,122 @@ proptest! {
         prop_assert_eq!(forward.walkers_by_holder(), threaded.walkers_by_holder());
     }
 }
+
+/// The coordinator steps the engine on the calling thread while a helper
+/// thread advances the streaming accountant.  A serial twin — a hand-built
+/// engine, accountant and traffic recorder driven step-then-advance — must
+/// match it after every round: positions, RNG clocks, accountant rows,
+/// quote bits and traffic metrics, at k ∈ {1, 4}, static and under churn,
+/// and across a checkpoint installed into a freshly begun coordinator.
+#[test]
+fn overlapped_rounds_are_bitwise_the_serial_round() {
+    let graph = ns_graph::generators::barabasi_albert(300, 3, &mut seeded_rng(41)).unwrap();
+    let n = graph.node_count();
+    let params = AccountantParams::with_defaults(n, 1.0).unwrap();
+    let rounds = 12;
+    let install_at = 5;
+    for (shards, mode) in [(1usize, DrawMode::Compat), (4, DrawMode::Fast)] {
+        let partition = Partition::new(&graph, shards).unwrap();
+        for churn in [false, true] {
+            let schedule = churn.then(|| {
+                OutageModel::MarkovOnOff {
+                    fail: 0.1,
+                    recover: 0.3,
+                }
+                .sample_schedule(n, rounds, 7)
+                .unwrap()
+            });
+            let mut config = CoordinatorConfig::single(29, 3);
+            config.laziness = 0.1;
+            config.draw_mode = mode;
+            let begun = || {
+                let mut coordinator: ShuffleCoordinator<'_, u32> =
+                    ShuffleCoordinator::new(&graph, &partition, config).unwrap();
+                if let Some(schedule) = &schedule {
+                    coordinator.with_outages(schedule.clone()).unwrap();
+                }
+                coordinator
+                    .admit_population((0..n as u32).collect())
+                    .unwrap();
+                coordinator.begin_exchange().unwrap();
+                coordinator
+            };
+            let mut coordinator = begun();
+
+            let mut engine =
+                ShardedMixingEngine::with_starts(&graph, &partition, (0..n).collect(), config.seed)
+                    .unwrap();
+            engine.set_draw_mode(mode);
+            let mut accountant = match &schedule {
+                Some(schedule) => StreamingAccountant::with_schedule(
+                    &graph,
+                    &partition,
+                    schedule
+                        .time_varying_model(&graph, config.laziness)
+                        .unwrap(),
+                    config.tracked_per_shard,
+                ),
+                None => StreamingAccountant::new(
+                    &graph,
+                    &partition,
+                    config.laziness,
+                    config.tracked_per_shard,
+                ),
+            }
+            .unwrap();
+            let mut recorder = TrafficRecorder::with_initial_load(&vec![1; n]);
+
+            for round in 0..rounds {
+                if round == install_at {
+                    let checkpoint = coordinator.checkpoint().unwrap();
+                    coordinator = begun();
+                    coordinator.install_checkpoint(&checkpoint).unwrap();
+                }
+                coordinator.run_rounds(1).unwrap();
+                let mask = schedule.as_ref().map(|s| s.mask(round));
+                engine.step(config.laziness, mask, &mut recorder).unwrap();
+                accountant.advance_round();
+
+                let label = format!("k = {shards}, churn {churn}, round {}", round + 1);
+                let live = coordinator.engine().unwrap();
+                assert_eq!(live.positions(), engine.positions(), "{label}");
+                for shard in 0..shards {
+                    assert_eq!(live.rng_clock(shard), engine.rng_clock(shard), "{label}");
+                }
+                let checkpoint = coordinator.checkpoint().unwrap();
+                let rows = |cp: &AccountantCheckpoint| -> Vec<u64> {
+                    cp.shards
+                        .iter()
+                        .flat_map(|s| s.rows.iter().map(|x| x.to_bits()))
+                        .collect()
+                };
+                let serial = accountant.checkpoint().unwrap();
+                assert_eq!(checkpoint.accountant.round, serial.round, "{label}");
+                assert_eq!(rows(&checkpoint.accountant), rows(&serial), "{label}");
+                let (origin, quote) = coordinator.live_quote(&params).unwrap();
+                let (want_origin, want) = accountant
+                    .worst_quote(ProtocolKind::Single, &params)
+                    .unwrap();
+                assert_eq!(
+                    (origin, quote.epsilon.to_bits(), quote.delta.to_bits()),
+                    (want_origin, want.epsilon.to_bits(), want.delta.to_bits()),
+                    "{label}"
+                );
+                assert_eq!(checkpoint.recorder_rounds, recorder.rounds(), "{label}");
+                assert_eq!(
+                    checkpoint.recorder_messages,
+                    recorder.messages_per_user(),
+                    "{label}"
+                );
+                assert_eq!(
+                    checkpoint.recorder_peaks,
+                    recorder.peak_reports_per_user(),
+                    "{label}"
+                );
+            }
+            let outcome = coordinator.finalize(|_| 0).unwrap();
+            let metrics = recorder.into_metrics(outcome.collected.report_count());
+            assert_eq!(outcome.metrics, metrics, "k = {shards}, churn {churn}");
+        }
+    }
+}
