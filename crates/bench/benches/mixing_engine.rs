@@ -11,7 +11,9 @@ use network_shuffle::simulation::reference::run_protocol_reference;
 use network_shuffle::simulation::{run_protocol, SimulationConfig};
 use ns_graph::generators::random_regular;
 use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::walk::WalkConfig;
 use ns_graph::Graph;
 use std::time::Instant;
@@ -66,13 +68,16 @@ fn bench_engine_rounds(c: &mut Criterion) {
             black_box(engine.positions().len())
         });
     });
+    let partition = Partition::single_shard(&graph).expect("partition");
     group.bench_function("holder_order_30r", |b| {
-        let mut rng = seeded_rng(4);
+        let mut seed = 4;
         b.iter(|| {
-            let mut engine = MixingEngine::one_walker_per_node(&graph).expect("engine");
-            engine
-                .run_holder_observed(WalkConfig::simple(ROUNDS), &mut rng, &mut ())
-                .expect("run");
+            let mut engine =
+                ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).expect("engine");
+            for _ in 0..ROUNDS {
+                engine.step(0.0, None, &mut ()).expect("round");
+            }
+            seed += 1;
             black_box(engine.positions().len())
         });
     });

@@ -2,9 +2,9 @@
 //!
 //! Measures the cost of one exchange-round budget (engine construction plus
 //! `ROUNDS` holder-order rounds) as the shard count grows at `n = 100_000`:
-//! the sequential sweep isolates the overhead of the per-shard sampling
-//! phase plus the counting-sort exchange versus the monolithic engine
-//! (`k = 1` is bit-for-bit the single-engine path).  With
+//! the sequential sweep isolates the overhead of splitting the decide
+//! sweep and the RNG stream across shards versus the monolithic round
+//! (`k = 1`, the protocol's holder-order round).  With
 //! `--features parallel` the same sweep exercises the threaded sampling
 //! phase instead.
 //!

@@ -1,12 +1,13 @@
-//! Micro-benchmarks of the report-walk engine and distribution updates —
+//! Micro-benchmarks of walker-order report walks and distribution updates —
 //! the per-round cost that backs the Table 3 complexity claims.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ns_graph::distribution::PositionDistribution;
 use ns_graph::generators::random_regular;
+use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::rng::seeded_rng;
 use ns_graph::transition::TransitionMatrix;
-use ns_graph::walk::{WalkConfig, WalkEngine};
+use ns_graph::walk::WalkConfig;
 
 fn bench_walk_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("walk_round");
@@ -15,7 +16,7 @@ fn bench_walk_rounds(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("one_round_all_reports", n), &n, |b, _| {
             let mut rng = seeded_rng(2);
             b.iter(|| {
-                let mut engine = WalkEngine::one_walker_per_node(&graph).expect("engine");
+                let mut engine = MixingEngine::one_walker_per_node(&graph).expect("engine");
                 engine.step(0.0, &mut rng);
                 black_box(engine.positions().len())
             });
@@ -23,7 +24,7 @@ fn bench_walk_rounds(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ten_rounds", n), &n, |b, _| {
             let mut rng = seeded_rng(3);
             b.iter(|| {
-                let mut engine = WalkEngine::one_walker_per_node(&graph).expect("engine");
+                let mut engine = MixingEngine::one_walker_per_node(&graph).expect("engine");
                 engine.run(WalkConfig::simple(10), &mut rng).expect("run");
                 black_box(engine.load_vector())
             });

@@ -16,8 +16,9 @@
 //! and prefetching target.
 //!
 //! Both sweep orders of the unified kernel are measured: `walker` is the
-//! pure transport round (positions + CSR gather only), `holder` adds the
-//! per-node report buckets through the counting-sort exchange.  One warm-up
+//! pure transport round of `MixingEngine` (positions + CSR gather only),
+//! `holder` is the 1-shard `ShardedMixingEngine` round, which adds the
+//! per-node report buckets through the counting-sort merge.  One warm-up
 //! block runs before timing (it also settles the kernel arenas to their
 //! high-water marks); the timed block then counts allocations, so the
 //! emitted `allocs_per_round` doubles as the steady-state audit on the
@@ -34,8 +35,10 @@
 
 use ns_graph::generators::strided_circulant;
 use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::telemetry::EngineTelemetry;
 use ns_graph::Graph;
 use ns_obs::MetricsRegistry;
@@ -95,9 +98,10 @@ struct Measurement {
 /// the fast lane's prefetch lookahead does the most, since compat's inline
 /// draws leave nothing to prefetch against), `holder` additionally
 /// maintains the per-node report buckets through the counting-sort
-/// exchange, whose scatter traffic is identical in both modes.
+/// merge, whose scatter traffic is identical in both modes.
 fn measure(
     graph: &Graph,
+    partition: &Partition,
     mode: DrawMode,
     order: &'static str,
     rounds: usize,
@@ -105,32 +109,36 @@ fn measure(
     registry: &MetricsRegistry,
 ) -> Measurement {
     let n = graph.node_count();
-    let mut engine = MixingEngine::one_walker_per_node(graph).expect("engine");
-    engine.set_draw_mode(mode);
     // Telemetry stays attached through the timed block: the allocs/round
     // audit below therefore covers the instrumented hot path, which must
     // record into its preregistered slots without allocating.
-    engine.set_telemetry(Some(EngineTelemetry::register(registry)));
-    let mut rng = seeded_rng(0xB0B);
-    let round = |engine: &mut MixingEngine, rng: &mut _| match order {
-        "walker" => engine.step(laziness, rng),
-        _ => engine.step_holder(laziness, rng, &mut ()),
-    };
-    // Warm-up: pulls the CSR and position array through the cache hierarchy
-    // once and settles the kernel arenas to their high-water marks.
+    let telemetry = Some(EngineTelemetry::register(registry));
+    let seed = 0xB0B;
     let warmup = rounds.clamp(2, 5);
-    for _ in 0..warmup {
-        round(&mut engine, &mut rng);
-    }
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        round(&mut engine, &mut rng);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    // Keep the final state observable so the loop cannot be elided.
-    assert_eq!(engine.round(), warmup + rounds);
+    // Keep each engine's final state observable so the loop cannot be
+    // elided.
+    let (elapsed, allocs) = match order {
+        "walker" => {
+            let mut engine = MixingEngine::one_walker_per_node(graph).expect("engine");
+            engine.set_draw_mode(mode);
+            engine.set_telemetry(telemetry);
+            let mut rng = seeded_rng(seed);
+            let timed = time_rounds(warmup, rounds, || engine.step(laziness, &mut rng));
+            assert_eq!(engine.round(), warmup + rounds);
+            timed
+        }
+        _ => {
+            let mut engine =
+                ShardedMixingEngine::one_walker_per_node(graph, partition, seed).expect("engine");
+            engine.set_draw_mode(mode);
+            engine.set_telemetry(telemetry);
+            let timed = time_rounds(warmup, rounds, || {
+                engine.step(laziness, None, &mut ()).expect("round")
+            });
+            assert_eq!(engine.round(), warmup + rounds);
+            timed
+        }
+    };
     Measurement {
         mode,
         order,
@@ -138,6 +146,23 @@ fn measure(
         moves_per_s: (n * rounds) as f64 / elapsed,
         allocs_per_round: allocs as f64 / rounds as f64,
     }
+}
+
+/// Runs `warmup` rounds — pulling the CSR and position array through the
+/// cache hierarchy once and settling the kernel arenas to their high-water
+/// marks — then `rounds` timed rounds, and returns the timed block's
+/// seconds and allocation count.
+fn time_rounds(warmup: usize, rounds: usize, mut round: impl FnMut()) -> (f64, usize) {
+    for _ in 0..warmup {
+        round();
+    }
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    for _ in 0..rounds {
+        round();
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    (elapsed, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
 }
 
 fn mode_name(mode: DrawMode) -> &'static str {
@@ -187,11 +212,12 @@ fn main() {
         _ => vec!["walker", "holder"],
     };
 
+    let partition = Partition::single_shard(&graph).expect("partition");
     let registry = MetricsRegistry::new();
     let mut results = Vec::new();
     for &order in &orders {
         for &mode in &modes {
-            let m = measure(&graph, mode, order, rounds, laziness, &registry);
+            let m = measure(&graph, &partition, mode, order, rounds, laziness, &registry);
             println!(
                 "n={n} rounds={} order={} mode={} report-moves/s={:.3}M allocs/round={:.1}",
                 m.rounds,

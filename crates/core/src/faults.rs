@@ -13,7 +13,7 @@
 //! * [`OutageModel`] / [`OutageSchedule`] — the churn runtime: a generator
 //!   of *realized* per-round availability masks covering three outage
 //!   classes, which drive the engine's masked rounds
-//!   ([`ns_graph::mixing_engine::MixingEngine::step_holder_masked`]) and,
+//!   ([`ns_graph::sharded_engine::ShardedMixingEngine::step`]) and,
 //!   through [`OutageSchedule::time_varying_model`], the exact per-user
 //!   accounting on the realized schedule
 //!   ([`crate::accountant::NetworkShuffleAccountant::with_schedule`]).

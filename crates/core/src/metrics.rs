@@ -11,7 +11,7 @@
 //! sent/load vectors into the running totals, so no post-hoc sweep over
 //! per-client counters is needed.
 
-use ns_graph::mixing_engine::{RoundObserver, RoundStats};
+use ns_graph::sharded_engine::{RoundObserver, RoundStats};
 use serde::{Deserialize, Serialize};
 
 /// Per-run traffic and memory measurements.

@@ -1,8 +1,9 @@
 //! The per-user client state machine (Algorithms 1 and 2).
 //!
 //! Since the batched-engine refactor, report *movement* is executed by
-//! [`ns_graph::mixing_engine::MixingEngine`] over flat arrays — the fast
-//! path in [`crate::simulation::run_protocol`] never constructs a `Client`.
+//! [`ns_graph::sharded_engine::ShardedMixingEngine`] over flat arrays — the
+//! fast path in [`crate::simulation::run_protocol`] never constructs a
+//! `Client`.
 //! What remains here is the cryptographic per-user state machine: sealing
 //! the own report for the curator, the two-layer envelope exchange of the
 //! wire protocol ([`Client::relay_round`] / [`Client::receive`], used by the

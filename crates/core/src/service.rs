@@ -76,11 +76,10 @@ use crate::crypto::Envelope;
 use crate::error::{Error, Result};
 use crate::faults::{OutageModel, OutageSchedule};
 use crate::metrics::{TrafficMetrics, TrafficRecorder};
-use crate::protocol::client::{FinalizeChoice, FinalizePolicy, SealedSubmission};
 use crate::protocol::ProtocolKind;
 use crate::report::Report;
 use crate::server::Curator;
-use crate::simulation::SimulationOutcome;
+use crate::simulation::{collect_final_round, SimulationOutcome};
 use crate::telemetry::{AccountantTelemetry, CoordinatorTelemetry, ObservedRounds};
 use ns_dp::types::PrivacyGuarantee;
 use ns_graph::dynamic::TimeVaryingModel;
@@ -113,7 +112,7 @@ pub struct CoordinatorConfig {
     pub tracked_per_shard: usize,
     /// How the exchange engine draws randomness
     /// ([`ns_graph::round::DrawMode`]); applied when the exchange phase
-    /// starts.  `Compat` is bitwise the classic single-engine realization;
+    /// starts.  `Compat` is bitwise the classic protocol realization;
     /// `Fast` is a different, equally distributed realization.
     pub draw_mode: DrawMode,
 }
@@ -1276,40 +1275,18 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// curator decryption errors (a protocol bug) otherwise.
     pub fn finalize(
         mut self,
-        mut make_dummy: impl FnMut(&mut SimRng) -> P,
+        make_dummy: impl FnMut(&mut SimRng) -> P,
     ) -> Result<SimulationOutcome<P>> {
         let engine = self.engine.as_mut().ok_or_else(|| {
             Error::InvalidConfiguration("call begin_exchange() before finalizing".into())
         })?;
-        let n = self.graph.node_count();
-        let policy: FinalizePolicy = self.config.protocol.into();
-        let mut submissions = Vec::with_capacity(n);
-        for submitter in 0..n {
-            let held: Vec<u32> = engine.held_by(submitter).to_vec();
-            let shard = self.partition.shard_of(submitter);
-            let rng = engine.shard_rng_mut(shard);
-            let reports = match policy.choose(held.len(), rng) {
-                FinalizeChoice::All => held
-                    .iter()
-                    .map(|&report| {
-                        self.arena[report as usize]
-                            .take()
-                            .expect("a report is submitted once")
-                    })
-                    .collect(),
-                FinalizeChoice::Dummy => {
-                    let dummy = Report::dummy(submitter, make_dummy(rng));
-                    vec![Envelope::seal(self.curator.public_key(), dummy)]
-                }
-                FinalizeChoice::Pick(index) => {
-                    vec![self.arena[held[index] as usize]
-                        .take()
-                        .expect("a report is submitted once")]
-                }
-            };
-            submissions.push(SealedSubmission { submitter, reports });
-        }
-        let collected = self.curator.collect(submissions)?;
+        let collected = collect_final_round(
+            engine,
+            &mut self.arena,
+            &self.curator,
+            self.config.protocol,
+            make_dummy,
+        )?;
         let metrics: TrafficMetrics = self.recorder.into_metrics(collected.report_count());
         Ok(SimulationOutcome { collected, metrics })
     }

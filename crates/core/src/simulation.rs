@@ -13,13 +13,18 @@
 //! 4. at the final round every user uploads according to the chosen protocol
 //!    (`A_all` or `A_single`), and the curator decrypts and aggregates.
 //!
-//! Since the batched-engine refactor, the exchange phase is executed by
-//! [`ns_graph::mixing_engine::MixingEngine`] over struct-of-arrays state:
-//! the curator-sealed envelopes live in a flat arena keyed by report id
-//! (= origin), the engine moves report ids between holders with counting-sort
-//! routing, and the Table 3 traffic metrics stream out of the engine's
-//! [`RoundObserver`](ns_graph::mixing_engine::RoundObserver) hook instead of
-//! being collected per client afterwards.  The historical per-client
+//! The exchange phase runs on the holder-order engine,
+//! [`ns_graph::sharded_engine::ShardedMixingEngine`], under the 1-shard
+//! partition ([`Partition::single_shard`]) — the same engine the sharded
+//! coordinator steps, with shard 0's stream `SimRng::seed_from_u64(seed)`
+//! as the protocol RNG.  The curator-sealed envelopes live in a flat arena
+//! keyed by report id (= origin), the engine moves report ids between
+//! holders with one counting-sort merge per round, and the Table 3 traffic
+//! metrics stream out of the engine's
+//! [`RoundObserver`](ns_graph::sharded_engine::RoundObserver) hook instead
+//! of being collected per client afterwards.  The final round is one
+//! routine shared with [`crate::service::ShuffleCoordinator::finalize`].
+//! The historical per-client
 //! message-passing loop — one [`Client`](crate::protocol::client::Client) object per user, with
 //! per-hop end-to-end envelopes — is preserved verbatim in
 //! [`mod@reference`]; it is the
@@ -39,7 +44,9 @@ use crate::protocol::ProtocolKind;
 use crate::report::Report;
 use crate::server::{CollectedReports, Curator};
 use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
 use ns_graph::rng::SimRng;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::walk::{validate_laziness, WalkConfig};
 use ns_graph::Graph;
 use rand_chacha::rand_core::SeedableRng;
@@ -128,7 +135,7 @@ fn validate_run_inputs<P>(
 }
 
 /// Runs one complete network-shuffling protocol execution on the batched
-/// mixing engine.
+/// holder-order engine (the 1-shard `ShardedMixingEngine`).
 ///
 /// `payloads[i]` is user `i`'s already locally-randomized report payload;
 /// `make_dummy` produces a dummy payload for `A_single` users who end the
@@ -189,10 +196,9 @@ fn run_protocol_inner<P: Clone>(
     payloads: Vec<P>,
     config: SimulationConfig,
     outages: Option<&crate::faults::OutageSchedule>,
-    mut make_dummy: impl FnMut(&mut SimRng) -> P,
+    make_dummy: impl FnMut(&mut SimRng) -> P,
 ) -> Result<SimulationOutcome<P>> {
     let n = validate_run_inputs(graph, &payloads, &config)?;
-    let mut rng = SimRng::seed_from_u64(config.seed);
 
     // Key setup (Figure 3): the curator's envelope key pair.  Per-user
     // end-to-end keys only exist on the wire; the arena path has no
@@ -211,52 +217,62 @@ fn run_protocol_inner<P: Clone>(
         })
         .collect();
 
-    // Exchange phase: batched holder-order rounds, metrics streamed.
-    let mut engine = MixingEngine::one_walker_per_node(graph)?;
+    // Exchange phase: holder-order rounds on the 1-shard engine, metrics
+    // streamed.
+    let partition = Partition::single_shard(graph)?;
+    let mut engine = ShardedMixingEngine::one_walker_per_node(graph, &partition, config.seed)?;
     let mut recorder = TrafficRecorder::new(n);
-    match outages {
-        None => engine.run_holder_observed(config.walk(), &mut rng, &mut recorder)?,
-        Some(schedule) => {
-            for t in 0..config.rounds {
-                engine.step_holder_masked(
-                    config.laziness,
-                    schedule.mask(t),
-                    &mut rng,
-                    &mut recorder,
-                )?;
-            }
-        }
+    for t in 0..config.rounds {
+        let mask = outages.map(|schedule| schedule.mask(t));
+        engine.step(config.laziness, mask, &mut recorder)?;
     }
 
-    // Final round: submissions stream to the curator, holders in user order
-    // (no intermediate submission buffer).
-    engine.ensure_buckets();
-    let policy: FinalizePolicy = config.protocol.into();
-    let collected = curator.collect_from((0..n).map(|submitter| {
-        let held = engine.held_by(submitter);
-        let reports = match policy.choose(held.len(), &mut rng) {
-            FinalizeChoice::All => held
-                .iter()
-                .map(|&report| {
-                    arena[report as usize]
-                        .take()
-                        .expect("a report is submitted once")
-                })
-                .collect(),
-            FinalizeChoice::Dummy => {
-                let dummy = Report::dummy(submitter, make_dummy(&mut rng));
-                vec![Envelope::seal(curator.public_key(), dummy)]
-            }
-            FinalizeChoice::Pick(index) => {
-                vec![arena[held[index] as usize]
-                    .take()
-                    .expect("a report is submitted once")]
-            }
-        };
-        SealedSubmission { submitter, reports }
-    }))?;
+    let collected = collect_final_round(
+        &mut engine,
+        &mut arena,
+        &curator,
+        config.protocol,
+        make_dummy,
+    )?;
     let metrics = recorder.into_metrics(collected.report_count());
     Ok(SimulationOutcome { collected, metrics })
+}
+
+/// The final round (Figure 3, step 4), shared by [`run_protocol`] and
+/// [`crate::service::ShuffleCoordinator::finalize`]: every user, in id
+/// order, submits what she holds by the protocol's rule, drawing her
+/// choice — and, under `A_single` with nothing held, her dummy payload —
+/// from her shard's stream.  `arena[w]` holds walker `w`'s sealed report
+/// and gives it up when submitted; submissions stream into the curator
+/// without an intermediate buffer.
+pub(crate) fn collect_final_round<P>(
+    engine: &mut ShardedMixingEngine<'_>,
+    arena: &mut [Option<Envelope<Report<P>>>],
+    curator: &Curator,
+    protocol: ProtocolKind,
+    mut make_dummy: impl FnMut(&mut SimRng) -> P,
+) -> Result<CollectedReports<P>> {
+    let n = engine.graph().node_count();
+    let partition = engine.partition();
+    let policy: FinalizePolicy = protocol.into();
+    let mut take = |report: u32| {
+        arena[report as usize]
+            .take()
+            .expect("a report is submitted once")
+    };
+    curator.collect_from((0..n).map(|submitter| {
+        let shard = partition.shard_of(submitter);
+        let held = engine.held_by(submitter).len();
+        let reports = match policy.choose(held, engine.shard_rng_mut(shard)) {
+            FinalizeChoice::All => engine.held_by(submitter).iter().map(|&r| take(r)).collect(),
+            FinalizeChoice::Dummy => {
+                let dummy = Report::dummy(submitter, make_dummy(engine.shard_rng_mut(shard)));
+                vec![Envelope::seal(curator.public_key(), dummy)]
+            }
+            FinalizeChoice::Pick(index) => vec![take(engine.held_by(submitter)[index])],
+        };
+        SealedSubmission { submitter, reports }
+    }))
 }
 
 /// Convenience wrapper: runs the protocol with payloads produced by applying

@@ -20,7 +20,7 @@
 //! gauges — so no behavior changes with telemetry detached.
 
 use crate::accountant::closed_form::AccountantParams;
-use ns_graph::mixing_engine::{RoundObserver, RoundStats};
+use ns_graph::sharded_engine::{RoundObserver, RoundStats};
 use ns_graph::telemetry::EngineTelemetry;
 use ns_obs::{Clock, Counter, Gauge, Histogram, MetricsRegistry, TraceEvent, TraceWriter};
 use std::io;

@@ -9,7 +9,7 @@ use crate::graph::{Graph, NodeId};
 /// single undirected edge) but rejects self-loops and out-of-range endpoints,
 /// because neither has a meaning in the communication-network model of the
 /// paper: a user does not relay a report to herself in one hop (laziness is
-/// modelled explicitly by [`crate::walk::LazyWalk`] instead).
+/// modelled explicitly by the walk's laziness, [`crate::walk::WalkConfig::lazy`]).
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     node_count: usize,

@@ -23,22 +23,23 @@
 //!   `Γ_G = n · Σ_i π_i²` ([`stationary`], [`degree`]),
 //! * spectral-gap estimation via deflated power iteration ([`spectral`]) and
 //!   the mixing-time rule `t ≈ α⁻¹ log n` ([`mixing`]),
-//! * a batched, struct-of-arrays round-execution core shared by the walk
-//!   engine and the protocol simulation, with streaming per-round metrics,
-//!   per-round availability masks and optional data-parallel rounds
-//!   ([`mixing_engine`]),
+//! * one round kernel ([`round`]) behind two engines: walker-order rounds
+//!   over struct-of-arrays state with per-round availability masks and
+//!   optional data-parallel rounds ([`mixing_engine`]), and the
+//!   holder-order engine below,
 //! * time-varying topologies: a dynamic-graph delta layer with incremental
 //!   CSR snapshots, availability-masked transition operators and per-round
 //!   operator schedules that drive the ensemble kernel through products of
 //!   distinct per-round transitions ([`dynamic`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
 //!   producing a node → shard assignment with cut and balance metrics
-//!   ([`partition`]), and a multi-shard round executor with per-shard
-//!   ChaCha8 streams and a counting-sort cross-shard exchange phase that
-//!   degenerates bit for bit to the single engine under a 1-shard
-//!   partition ([`sharded_engine`]),
-//! * a discrete random-walk engine that moves actual reports between nodes,
-//!   including the lazy walk used for fault-tolerance modelling ([`walk`]),
+//!   ([`partition`]), and the holder-order round executor with per-shard
+//!   ChaCha8 streams, one set of holder buckets over global node ids and
+//!   one counting-sort merge per round, streaming per-round traffic
+//!   metrics; under a 1-shard partition it is the monolithic protocol
+//!   round ([`sharded_engine`]),
+//! * the walk configuration (rounds, laziness) shared by both engines and
+//!   the protocol layer ([`walk`]),
 //! * simple edge-list I/O ([`io`]).
 //!
 //! # Example
@@ -103,13 +104,14 @@ pub mod prelude {
     pub use crate::error::{GraphError, Result};
     pub use crate::graph::{Graph, NodeId};
     pub use crate::mixing::{mixing_time, sum_p_squared_bound, tv_bound};
-    pub use crate::mixing_engine::{MixingEngine, RoundObserver, RoundStats};
+    pub use crate::mixing_engine::MixingEngine;
     pub use crate::partition::{IntraShardTransition, Partition, Shard};
     pub use crate::sharded_engine::{
-        shard_stream, EngineCheckpoint, ShardCheckpoint, ShardedMixingEngine,
+        shard_stream, EngineCheckpoint, RoundObserver, RoundStats, ShardCheckpoint,
+        ShardedMixingEngine,
     };
     pub use crate::spectral::{SpectralAnalysis, SpectralOptions};
     pub use crate::stationary::stationary_distribution;
     pub use crate::transition::{BlackBoxModel, TransitionMatrix, TransitionModel};
-    pub use crate::walk::{LazyWalk, WalkConfig, WalkEngine};
+    pub use crate::walk::WalkConfig;
 }

@@ -1,83 +1,34 @@
-//! Batched, struct-of-arrays execution core for exchange rounds.
+//! Walker-order exchange rounds over struct-of-arrays state.
 //!
-//! Both the walk engine ([`crate::walk`]) and the full protocol simulation in
-//! the core crate ultimately do the same thing: every round, each report held
-//! at node `u` moves to a uniformly random neighbour of `u` (staying put with
-//! probability `laziness`).  Historically the two layers each had their own
-//! round loop — a flat per-walker sweep here, and a per-client object graph in
-//! the core crate that allocated an `in_flight` vector of messages and routed
-//! them one by one.  This module is the single shared core both drive.
+//! [`MixingEngine`] moves walkers (reports) between nodes one round at a
+//! time in *walker order*: a round sweeps the position array once, moving
+//! walker `w` to a uniformly random neighbour of its node or, with
+//! probability `laziness`, leaving it in place.  Walkers do not interact
+//! within such a round, so it is the cheapest round form — no holder
+//! buckets, no per-round statistics — and the one the Monte-Carlo
+//! estimators, the walk-level utility experiments and the walker-order
+//! goldens use.  With the `parallel` cargo feature,
+//! `MixingEngine::run_parallel` executes walker-order rounds across threads
+//! in fixed-size chunks with per-chunk deterministic RNG streams (results
+//! depend only on the seed, never on the number of threads).
 //!
-//! State is kept in flat arrays: `positions[w]` is the node holding walker
-//! `w`, and an optional CSR bucket structure (`bucket_starts`/`bucket_walkers`)
-//! groups walkers by holder for protocols that need per-holder iteration
-//! order.  Rounds execute in one of two orders:
-//!
-//! * **walker order** ([`MixingEngine::step`]) — sweep `positions` once;
-//!   the cheapest possible round, used by the walk engine;
-//! * **holder order** ([`MixingEngine::step_holder`]) — iterate nodes in id
-//!   order and each node's held walkers in insertion order (survivors of the
-//!   previous round first, then arrivals in global send order).  This is
-//!   draw-for-draw identical to the historical per-client simulation loop,
-//!   which lets the core crate replace its object-graph round loop without
-//!   changing a single sampled trajectory.  Deliveries are routed by a
-//!   counting sort over destinations instead of per-message routing.
-//!
-//! Per-round statistics stream through [`RoundObserver`], so traffic metrics
-//! are computed incrementally instead of post-hoc per client.  With the
-//! `parallel` cargo feature, `MixingEngine::run_parallel` executes
-//! walker-order rounds across threads in fixed-size chunks with per-chunk
-//! deterministic RNG streams (results depend only on the seed, never on the
-//! number of threads).
-//!
-//! Since the unified-kernel refactor, every round form is a thin plan
-//! builder over [`crate::round`]: `step_holder` / `step_holder_masked`
-//! build a [`RoundPlan`] and hand it to the shared decide/merge routines,
-//! and `step` / `step_masked` use the shared walker-order sweep — the same
-//! routines the sharded engine executes per shard, which is what makes
-//! masked, dynamic (retarget) and sharded rounds compose instead of
-//! multiplying loop copies.
+//! Holder-order rounds — users in id order, each user's reports in arrival
+//! order, with per-round traffic statistics — run on
+//! [`crate::sharded_engine::ShardedMixingEngine`], whose 1-shard form
+//! ([`crate::partition::Partition::single_shard`]) is the monolithic
+//! protocol round.  Both engines draw through the one kernel in
+//! [`crate::round`], so masked and dynamic (retarget) rounds compose the
+//! same way in both.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::round::{self, DrawMode, RoundArena, RoundPlan};
+use crate::round::{self, DrawMode, RoundPlan};
 use crate::telemetry::EngineTelemetry;
 use crate::walk::WalkConfig;
 use rand::Rng;
 
-/// Per-round measurements streamed to a [`RoundObserver`].
-#[derive(Debug)]
-pub struct RoundStats<'a> {
-    /// 1-based index of the round that just finished.
-    pub round: usize,
-    /// Messages sent by each node this round (walkers that moved away).
-    pub sent: &'a [u32],
-    /// Walkers held by each node after the round.
-    pub load: &'a [u32],
-}
-
-/// Streaming consumer of per-round statistics.
-///
-/// Implementations accumulate whatever they need (total traffic, peak load,
-/// mixing diagnostics) while the engine runs, so no per-client post-hoc pass
-/// over the population is required.
-pub trait RoundObserver {
-    /// Called once per executed round, after all moves of the round.
-    fn on_round(&mut self, stats: &RoundStats<'_>);
-}
-
-/// The no-op observer: rounds are executed without collecting statistics.
-impl RoundObserver for () {
-    fn on_round(&mut self, _stats: &RoundStats<'_>) {}
-}
-
-impl<O: RoundObserver + ?Sized> RoundObserver for &mut O {
-    fn on_round(&mut self, stats: &RoundStats<'_>) {
-        (**self).on_round(stats);
-    }
-}
-
-/// Shared, batched executor of exchange rounds over struct-of-arrays state.
+/// Batched executor of walker-order exchange rounds over struct-of-arrays
+/// state.
 ///
 /// Walker `w` is identified by its index in the position array; callers
 /// attach meaning (e.g. "report produced by user `w`") externally.
@@ -92,21 +43,9 @@ pub struct MixingEngine<'g> {
     draw_mode: DrawMode,
     /// Rounds executed so far.
     round: usize,
-    /// CSR bucket structure: walkers held by node `u` are
-    /// `bucket_walkers[bucket_starts[u]..bucket_starts[u + 1]]`, in insertion
-    /// order.  Maintained by holder-order rounds; rebuilt (in walker-id
-    /// order) on demand after walker-order rounds.
-    bucket_starts: Vec<usize>,
-    bucket_walkers: Vec<u32>,
-    buckets_valid: bool,
-    /// Per-round statistics, valid after an observed round.
-    sent: Vec<u32>,
-    load: Vec<u32>,
-    /// Counting-sort scratch owned by the plan executor, reused across
-    /// rounds (no steady-state allocation).  Also carries the decide
-    /// phase's delivery buffers — the engine's single "outbox" — and the
-    /// fast draw mode's RNG lane buffer.
-    arena: RoundArena,
+    /// The fast draw mode's RNG lane buffer, reused across rounds (no
+    /// steady-state allocation).
+    lane: Vec<u64>,
     /// Attached telemetry (`None` = the no-op path).  Inert by
     /// construction: recording never draws randomness or touches round
     /// state, so instrumented rounds are bitwise the bare rounds.
@@ -155,18 +94,12 @@ impl<'g> MixingEngine<'g> {
                 starts.len()
             )));
         }
-        let walkers = starts.len();
         Ok(MixingEngine {
             graph,
             positions: starts.iter().map(|&s| s as u32).collect(),
             draw_mode: DrawMode::Compat,
             round: 0,
-            bucket_starts: vec![0; n + 1],
-            bucket_walkers: Vec::with_capacity(walkers),
-            buckets_valid: false,
-            sent: vec![0; n],
-            load: vec![0; n],
-            arena: RoundArena::new(),
+            lane: Vec::new(),
             telemetry: None,
         })
     }
@@ -200,11 +133,11 @@ impl<'g> MixingEngine<'g> {
     }
 
     /// Swaps in a new topology for subsequent rounds — the per-round
-    /// topology hook of the churn runtime.  Walker positions, buckets and
-    /// the round counter carry over unchanged; only where walkers can move
-    /// *next* changes.  The new graph must have the same node count (users
-    /// are stable; churn removes availability, not identity) and no
-    /// isolated nodes.
+    /// topology hook of the churn runtime.  Walker positions and the round
+    /// counter carry over unchanged; only where walkers can move *next*
+    /// changes.  The new graph must have the same node count (users are
+    /// stable; churn removes availability, not identity) and no isolated
+    /// nodes.
     ///
     /// # Errors
     ///
@@ -256,75 +189,20 @@ impl<'g> MixingEngine<'g> {
     }
 
     /// Groups walkers by their current holder: `holders[u]` lists the walker
-    /// ids currently at node `u` — the multiset `{s_j}ᵢ` of reports held by
-    /// each user at the end of the exchange phase (Figure 2).
-    ///
-    /// Ordering within a node follows the engine's bucket order when rounds
-    /// ran in holder order (survivors first, then arrivals in send order),
-    /// and walker-id order otherwise.
+    /// ids currently at node `u`, in walker-id order — the multiset `{s_j}ᵢ`
+    /// of reports held by each user at the end of the exchange phase
+    /// (Figure 2).
     pub fn walkers_by_holder(&self) -> Vec<Vec<usize>> {
         let mut holders = vec![Vec::new(); self.graph.node_count()];
-        if self.buckets_valid {
-            for u in self.graph.nodes() {
-                holders[u] = self.held_by(u).iter().map(|&w| w as usize).collect();
-            }
-        } else {
-            for (walker, &node) in self.positions.iter().enumerate() {
-                holders[node as usize].push(walker);
-            }
+        for (walker, &node) in self.positions.iter().enumerate() {
+            holders[node as usize].push(walker);
         }
         holders
-    }
-
-    /// The walkers currently held by node `u`, in bucket order.
-    ///
-    /// Requires the bucket structure to be valid; call
-    /// [`MixingEngine::ensure_buckets`] first if rounds ran in walker order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buckets are stale.
-    pub fn held_by(&self, u: NodeId) -> &[u32] {
-        assert!(
-            self.buckets_valid,
-            "holder buckets are stale; call ensure_buckets()"
-        );
-        &self.bucket_walkers[self.bucket_starts[u]..self.bucket_starts[u + 1]]
-    }
-
-    /// (Re)builds the holder buckets from the position array, grouping
-    /// walkers by node in walker-id order — the kernel's counting-sort
-    /// merge with no survivors and the position array as the arrival
-    /// stream.
-    pub fn ensure_buckets(&mut self) {
-        if self.buckets_valid {
-            return;
-        }
-        let n = self.graph.node_count();
-        let MixingEngine {
-            positions,
-            bucket_starts,
-            bucket_walkers,
-            load,
-            arena,
-            ..
-        } = self;
-        arena.kept_nodes.clear();
-        arena.kept_walkers.clear();
-        round::merge_round_buckets(n, arena, load, bucket_starts, bucket_walkers, |sink| {
-            for (walker, &node) in positions.iter().enumerate() {
-                sink(node as usize, walker as u32);
-            }
-        });
-        self.buckets_valid = true;
     }
 
     /// Executes one walker-order round: sweep the position array once, moving
     /// every walker to a uniformly random neighbour of its current node
     /// (staying put with probability `laziness`).
-    ///
-    /// This is the fastest round form; it does not maintain holder buckets or
-    /// per-round statistics.
     pub fn step<R: Rng + ?Sized>(&mut self, laziness: f64, rng: &mut R) {
         self.step_inner(laziness, None, rng);
     }
@@ -344,13 +222,6 @@ impl<'g> MixingEngine<'g> {
         available: &[bool],
         rng: &mut R,
     ) -> Result<()> {
-        self.check_mask(available)?;
-        self.step_inner(laziness, Some(available), rng);
-        Ok(())
-    }
-
-    /// Rejects an availability mask that does not cover every node.
-    fn check_mask(&self, available: &[bool]) -> Result<()> {
         let n = self.graph.node_count();
         if available.len() != n {
             return Err(GraphError::InvalidParameters(format!(
@@ -358,6 +229,7 @@ impl<'g> MixingEngine<'g> {
                 available.len()
             )));
         }
+        self.step_inner(laziness, Some(available), rng);
         Ok(())
     }
 
@@ -378,152 +250,15 @@ impl<'g> MixingEngine<'g> {
             let _span = self.telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
             match self.draw_mode {
                 DrawMode::Compat => round::sweep_walker_order(&plan, &mut self.positions, rng),
-                DrawMode::Fast => round::sweep_walker_order_fast(
-                    &plan,
-                    &mut self.positions,
-                    &mut self.arena.lane,
-                    rng,
-                ),
+                DrawMode::Fast => {
+                    round::sweep_walker_order_fast(&plan, &mut self.positions, &mut self.lane, rng)
+                }
             }
         }
         self.round += 1;
-        self.buckets_valid = false;
         if let Some(t) = &self.telemetry {
             t.rounds.inc();
         }
-    }
-
-    /// Executes one holder-order round: nodes are visited in id order, each
-    /// node's held walkers in insertion order; every walker either stays
-    /// (probability `laziness`) or is sent to a uniformly random neighbour.
-    /// Deliveries are routed with a counting sort over destinations, so a
-    /// node's bucket for the next round lists its survivors first, then its
-    /// arrivals in global send order — exactly the order in which a
-    /// message-passing simulation would have appended them.
-    ///
-    /// Statistics for the finished round stream to `observer` (pass
-    /// `&mut ()` to skip).
-    pub fn step_holder<R: Rng + ?Sized, O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        rng: &mut R,
-        observer: &mut O,
-    ) {
-        self.step_holder_inner(laziness, None, rng, observer);
-    }
-
-    /// [`MixingEngine::step_holder`] under an availability mask: a walker
-    /// whose chosen recipient is unavailable stays put (it counts as a
-    /// survivor, not a sent message — the delivery never happened).  With an
-    /// all-available mask the round is bit-for-bit [`MixingEngine::step_holder`],
-    /// RNG stream, bucket order and statistics included.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if `available.len()` differs from
-    /// the node count, before any state changes or any RNG draw.
-    pub fn step_holder_masked<R: Rng + ?Sized, O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: &[bool],
-        rng: &mut R,
-        observer: &mut O,
-    ) -> Result<()> {
-        self.check_mask(available)?;
-        self.step_holder_inner(laziness, Some(available), rng, observer);
-        Ok(())
-    }
-
-    fn step_holder_inner<R: Rng + ?Sized, O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: Option<&[bool]>,
-        rng: &mut R,
-        observer: &mut O,
-    ) {
-        self.ensure_buckets();
-        let n = self.graph.node_count();
-        let draw_mode = self.draw_mode;
-        let MixingEngine {
-            graph,
-            positions,
-            bucket_starts,
-            bucket_walkers,
-            sent,
-            load,
-            arena,
-            telemetry,
-            ..
-        } = self;
-        let telemetry = telemetry.as_ref();
-        let plan = RoundPlan {
-            graph,
-            laziness,
-            available,
-        };
-        // Decide: survivors into the arena, deliveries into its delivery
-        // buffers in send order.
-        {
-            let _span = telemetry.map(|t| t.decide_ns.span(&t.clock));
-            let holders = (0..n).map(|u| (u, u));
-            let buckets = round::HolderBuckets {
-                starts: bucket_starts,
-                walkers: bucket_walkers,
-            };
-            match draw_mode {
-                DrawMode::Compat => {
-                    round::decide_holder_moves(&plan, holders, buckets, sent, arena, rng)
-                }
-                DrawMode::Fast => {
-                    round::decide_holder_moves_fast(&plan, holders, buckets, sent, arena, rng)
-                }
-            }
-        }
-        // Replay the deliveries into the position array (each delivered
-        // walker appears exactly once), prefetching the randomly-indexed
-        // position slots a few entries ahead.
-        {
-            let _span = telemetry.map(|t| t.exchange_ns.span(&t.clock));
-            let (dests, walkers) = arena.deliveries();
-            for (i, (&d, &w)) in dests.iter().zip(walkers).enumerate() {
-                if let Some(&wf) = walkers.get(i + 8) {
-                    round::prefetch_read(positions, wf as usize);
-                }
-                positions[w as usize] = d;
-            }
-        }
-        // Merge: survivors first, then arrivals in global send order.  The
-        // delivery buffers are taken out of the arena for the duration of
-        // the merge (a move, not an allocation) because the merge borrows
-        // the arena's counting-sort scratch mutably.
-        {
-            let _span = telemetry.map(|t| t.merge_ns.span(&t.clock));
-            let deliver_dests = std::mem::take(&mut arena.deliver_dests);
-            let deliver_walkers = std::mem::take(&mut arena.deliver_walkers);
-            round::merge_round_buckets(n, arena, load, bucket_starts, bucket_walkers, |sink| {
-                for (&d, &w) in deliver_dests.iter().zip(deliver_walkers.iter()) {
-                    sink(d as usize, w);
-                }
-            });
-            arena.deliver_dests = deliver_dests;
-            arena.deliver_walkers = deliver_walkers;
-        }
-        if let Some(t) = telemetry {
-            // `bounced` is 0 on unmasked rounds by the arena contract.
-            t.mask_bounces.add(arena.bounced());
-            t.rounds.inc();
-        }
-        debug_assert_eq!(
-            self.bucket_starts[n],
-            self.positions.len(),
-            "round conservation violated: survivors + arrivals + bounces must equal the walkers"
-        );
-        self.round += 1;
-        observer.on_round(&RoundStats {
-            round: self.round,
-            sent: &self.sent,
-            load: &self.load,
-        });
     }
 
     /// Runs a full walk in walker order.
@@ -535,24 +270,6 @@ impl<'g> MixingEngine<'g> {
         config.validate()?;
         for _ in 0..config.rounds {
             self.step(config.laziness, rng);
-        }
-        Ok(())
-    }
-
-    /// Runs a full walk in holder order, streaming statistics to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WalkConfig::validate`] errors.
-    pub fn run_holder_observed<R: Rng + ?Sized, O: RoundObserver>(
-        &mut self,
-        config: WalkConfig,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> Result<()> {
-        config.validate()?;
-        for _ in 0..config.rounds {
-            self.step_holder(config.laziness, rng, observer);
         }
         Ok(())
     }
@@ -645,7 +362,6 @@ mod parallel {
                 }
             });
             self.round += rounds;
-            self.buckets_valid = false;
         }
     }
 }
@@ -697,116 +413,57 @@ mod tests {
         // Fast rounds must be seed-deterministic, stay on the graph, and
         // differ from compat rounds only in realization.
         let g = generators::random_regular(300, 6, &mut seeded_rng(21)).unwrap();
-        let run = |mode: crate::round::DrawMode, seed: u64| {
+        let run = |mode: DrawMode, seed: u64| {
             let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
             engine.set_draw_mode(mode);
             let mut rng = seeded_rng(seed);
-            for round in 0..12 {
-                if round % 2 == 0 {
-                    engine.step(0.2, &mut rng);
-                } else {
-                    engine.step_holder(0.2, &mut rng, &mut ());
-                }
+            for _ in 0..12 {
+                engine.step(0.2, &mut rng);
             }
             engine.positions().to_vec()
         };
-        let fast_a = run(crate::round::DrawMode::Fast, 5);
-        let fast_b = run(crate::round::DrawMode::Fast, 5);
+        let fast_a = run(DrawMode::Fast, 5);
+        let fast_b = run(DrawMode::Fast, 5);
         assert_eq!(fast_a, fast_b, "fast mode must be seed-deterministic");
         assert_ne!(
             fast_a,
-            run(crate::round::DrawMode::Fast, 6),
+            run(DrawMode::Fast, 6),
             "fast mode must depend on the seed"
         );
         assert!(fast_a.iter().all(|&p| (p as usize) < 300));
     }
 
     #[test]
-    fn fast_holder_rounds_conserve_walkers_and_track_positions() {
-        let g = generators::random_regular(150, 4, &mut seeded_rng(22)).unwrap();
-        let mask: Vec<bool> = (0..150).map(|u| u % 5 != 0).collect();
+    fn load_vector_and_holders_count_every_walker_exactly_once() {
+        let g = generators::complete(8).unwrap();
         let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
-        engine.set_draw_mode(crate::round::DrawMode::Fast);
-        let mut rng = seeded_rng(23);
-        for round in 0..20 {
-            if round % 2 == 0 {
-                engine.step_holder(0.2, &mut rng, &mut ());
-            } else {
-                engine
-                    .step_holder_masked(0.2, &mask, &mut rng, &mut ())
-                    .unwrap();
-            }
-        }
-        let load = engine.load_vector();
-        assert_eq!(load.iter().sum::<usize>(), 150);
-        for u in g.nodes() {
-            assert_eq!(engine.held_by(u).len(), load[u]);
-            for &w in engine.held_by(u) {
-                assert_eq!(engine.position(w as usize), u);
-            }
-        }
-    }
-
-    #[test]
-    fn holder_order_conserves_walkers_and_tracks_positions() {
-        let g = generators::random_regular(120, 4, &mut seeded_rng(2)).unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
-        let mut rng = seeded_rng(5);
-        for _ in 0..30 {
-            engine.step_holder(0.2, &mut rng, &mut ());
-        }
-        assert_eq!(engine.round(), 30);
-        // Buckets and positions agree.
-        let load = engine.load_vector();
-        assert_eq!(load.iter().sum::<usize>(), 120);
-        for u in g.nodes() {
-            assert_eq!(engine.held_by(u).len(), load[u]);
-            for &w in engine.held_by(u) {
-                assert_eq!(engine.position(w as usize), u);
-            }
-        }
-    }
-
-    #[test]
-    fn holder_order_buckets_keep_survivors_before_arrivals() {
-        // With laziness ~1 nothing moves, so buckets must be stable across
-        // rounds (survivors keep their relative order).
-        let g = generators::complete(10).unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+        assert!((0..8).all(|w| engine.position(w) == w));
         let mut rng = seeded_rng(3);
-        engine.ensure_buckets();
-        let before = engine.walkers_by_holder();
-        engine.step_holder(0.999_999, &mut rng, &mut ());
-        assert_eq!(engine.walkers_by_holder(), before);
+        engine.run(WalkConfig::simple(10), &mut rng).unwrap();
+        assert_eq!(engine.round(), 10);
+        let load = engine.load_vector();
+        assert_eq!(load.iter().sum::<usize>(), 8);
+        for (u, held) in engine.walkers_by_holder().iter().enumerate() {
+            assert_eq!(held.len(), load[u]);
+            assert!(held.iter().all(|&w| engine.position(w) == u));
+        }
     }
 
     #[test]
-    fn observer_sees_conserved_load_and_sent_counts() {
-        struct Checker {
-            walkers: usize,
-            rounds_seen: usize,
+    fn empirical_distribution_matches_uniform_limit_on_complete_graph() {
+        let g = generators::complete(10).unwrap();
+        let mut rng = seeded_rng(4);
+        let mut counts = vec![0usize; 10];
+        // Many independent walks of walker 0; final position should be ~uniform.
+        for _ in 0..3_000 {
+            let mut engine = MixingEngine::with_starts(&g, vec![0]).unwrap();
+            engine.run(WalkConfig::simple(6), &mut rng).unwrap();
+            counts[engine.position(0)] += 1;
         }
-        impl RoundObserver for Checker {
-            fn on_round(&mut self, stats: &RoundStats<'_>) {
-                self.rounds_seen += 1;
-                assert_eq!(stats.round, self.rounds_seen);
-                let total: u64 = stats.load.iter().map(|&l| l as u64).sum();
-                assert_eq!(total as usize, self.walkers);
-                let sent: u64 = stats.sent.iter().map(|&s| s as u64).sum();
-                assert!(sent as usize <= self.walkers);
-            }
+        for &c in &counts {
+            let freq = c as f64 / 3_000.0;
+            assert!((freq - 0.1).abs() < 0.03, "frequency {freq} far from 0.1");
         }
-        let g = generators::random_regular(80, 4, &mut seeded_rng(4)).unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
-        let mut rng = seeded_rng(6);
-        let mut checker = Checker {
-            walkers: 80,
-            rounds_seen: 0,
-        };
-        engine
-            .run_holder_observed(WalkConfig::lazy(12, 0.1), &mut rng, &mut checker)
-            .unwrap();
-        assert_eq!(checker.rounds_seen, 12);
     }
 
     #[test]
@@ -814,23 +471,19 @@ mod tests {
         let g = generators::random_regular(150, 6, &mut seeded_rng(9)).unwrap();
         let mask = vec![true; 150];
         for laziness in [0.0, 0.25] {
-            let mut plain = MixingEngine::one_walker_per_node(&g).unwrap();
-            let mut masked = MixingEngine::one_walker_per_node(&g).unwrap();
-            let mut rng_a = seeded_rng(77);
-            let mut rng_b = seeded_rng(77);
-            for round in 0..20 {
-                if round % 2 == 0 {
+            for mode in [DrawMode::Compat, DrawMode::Fast] {
+                let mut plain = MixingEngine::one_walker_per_node(&g).unwrap();
+                let mut masked = MixingEngine::one_walker_per_node(&g).unwrap();
+                plain.set_draw_mode(mode);
+                masked.set_draw_mode(mode);
+                let mut rng_a = seeded_rng(77);
+                let mut rng_b = seeded_rng(77);
+                for _ in 0..20 {
                     plain.step(laziness, &mut rng_a);
                     masked.step_masked(laziness, &mask, &mut rng_b).unwrap();
-                } else {
-                    plain.step_holder(laziness, &mut rng_a, &mut ());
-                    masked
-                        .step_holder_masked(laziness, &mask, &mut rng_b, &mut ())
-                        .unwrap();
                 }
+                assert_eq!(plain.positions(), masked.positions());
             }
-            assert_eq!(plain.positions(), masked.positions());
-            assert_eq!(plain.walkers_by_holder(), masked.walkers_by_holder());
         }
     }
 
@@ -857,20 +510,8 @@ mod tests {
         // The totally-dark network freezes everyone.
         let dark = vec![false; 100];
         let frozen = engine.positions().to_vec();
-        engine
-            .step_holder_masked(0.3, &dark, &mut rng, &mut ())
-            .unwrap();
+        engine.step_masked(0.3, &dark, &mut rng).unwrap();
         assert_eq!(engine.positions(), frozen.as_slice());
-        // The failed sends were not counted as traffic.
-        struct NoTraffic;
-        impl RoundObserver for NoTraffic {
-            fn on_round(&mut self, stats: &RoundStats<'_>) {
-                assert_eq!(stats.sent.iter().sum::<u32>(), 0);
-            }
-        }
-        engine
-            .step_holder_masked(0.3, &dark, &mut rng, &mut NoTraffic)
-            .unwrap();
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!   **label-propagation refinement** sweeps that pull nodes toward the
 //!   shard holding most of their neighbours without violating the balance
 //!   tolerance;
-//! * each shard gets a **local node remapping** (global ids ↔ dense local
-//!   ids, local order following global order).  A partition is only this
-//!   assignment: the engine samples neighbours from the one global CSR, so
-//!   no per-shard graph copies are built;
+//! * each shard lists its nodes in ascending global id (a node's position
+//!   in that list is its local id, which the engine's checkpoint layout
+//!   uses), and the same nodes as maximal runs of consecutive ids, which
+//!   the engine sweeps.  A partition is only this assignment: the engine
+//!   keeps its buckets over global ids and samples neighbours from the one
+//!   global CSR, so no per-shard graph copies are built;
 //! * quality is quantified by [`Partition::edge_cut_fraction`] (fraction of
 //!   edges whose endpoints land in different shards — every such edge costs
 //!   a cross-shard delivery per traversal),
@@ -38,6 +40,7 @@ use crate::dynamic::{DynTransition, TimeVaryingModel};
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::transition::TransitionModel;
+use std::ops::Range;
 
 /// How many label-propagation refinement sweeps [`Partition::new`] runs.
 const REFINEMENT_SWEEPS: usize = 12;
@@ -48,16 +51,25 @@ const BALANCE_TOLERANCE: f64 = 0.15;
 
 /// One shard of a [`Partition`]: its nodes, whose positions are the
 /// shard-local ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Shard {
     /// Global ids of this shard's nodes, ascending; local id = index.
     nodes: Vec<NodeId>,
+    /// The same nodes as maximal runs of consecutive ids, ascending.
+    runs: Vec<Range<NodeId>>,
 }
 
 impl Shard {
     /// Global ids of the shard's nodes, ascending (local id = index).
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
+    }
+
+    /// The shard's nodes as maximal runs of consecutive global ids,
+    /// ascending — a single run `0..n` under the 1-shard partition.  The
+    /// engine sweeps a shard's holders run by run.
+    pub fn runs(&self) -> &[Range<NodeId>] {
+        &self.runs
     }
 
     /// Number of nodes in the shard.
@@ -94,8 +106,6 @@ pub struct Partition {
     cut_isolated_count: usize,
     /// `shard_of[u]` is the shard holding global node `u`.
     shard_of: Vec<u32>,
-    /// `local_of[u]` is `u`'s dense local id within its shard.
-    local_of: Vec<u32>,
     shards: Vec<Shard>,
 }
 
@@ -129,10 +139,10 @@ impl Partition {
         Ok(Self::from_assignment_internal(graph, shard_count, shard_of))
     }
 
-    /// The canonical 1-shard partition: every node in shard 0 under the
-    /// identity remapping (also what [`Partition::new`] returns for one
-    /// shard).  Under this partition the sharded engine degenerates bit for
-    /// bit to the single [`crate::mixing_engine::MixingEngine`] path.
+    /// The canonical 1-shard partition: every node in shard 0, local id =
+    /// global id (also what [`Partition::new`] returns for one shard).
+    /// Under this partition the sharded engine runs the monolithic
+    /// holder-order round.
     ///
     /// # Errors
     ///
@@ -182,19 +192,22 @@ impl Partition {
         Ok(Self::from_assignment_internal(graph, shard_count, shard_of))
     }
 
-    /// Materializes the remappings from a validated assignment and counts
-    /// the cut edges and cut-isolated nodes in one pass over the edges.
+    /// Materializes each shard's node list from a validated assignment and
+    /// counts the cut edges and cut-isolated nodes in one pass over the
+    /// edges.
     fn from_assignment_internal(graph: &Graph, shard_count: usize, shard_of: Vec<u32>) -> Self {
         let n = graph.node_count();
-        let mut shards = vec![Shard { nodes: Vec::new() }; shard_count];
-        let mut local_of = vec![0u32; n];
+        let mut shards = vec![Shard::default(); shard_count];
         let mut cut_edge_count = 0usize;
         let mut cut_isolated_count = 0usize;
         for u in 0..n {
             let s = shard_of[u];
-            let nodes = &mut shards[s as usize].nodes;
-            local_of[u] = nodes.len() as u32;
-            nodes.push(u);
+            let shard = &mut shards[s as usize];
+            shard.nodes.push(u);
+            match shard.runs.last_mut() {
+                Some(run) if run.end == u => run.end += 1,
+                _ => shard.runs.push(u..u + 1),
+            }
             let mut has_local_neighbor = false;
             for &v in graph.neighbors(u) {
                 if shard_of[v as usize] == s {
@@ -213,7 +226,6 @@ impl Partition {
             cut_edge_count,
             cut_isolated_count,
             shard_of,
-            local_of,
             shards,
         }
     }
@@ -236,16 +248,6 @@ impl Partition {
     #[inline]
     pub fn shard_of(&self, u: NodeId) -> usize {
         self.shard_of[u] as usize
-    }
-
-    /// `u`'s dense local id within [`Partition::shard_of`]`(u)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn local_of(&self, u: NodeId) -> usize {
-        self.local_of[u] as usize
     }
 
     /// The shards, in shard-id order.
@@ -681,11 +683,13 @@ mod tests {
             assert_eq!(p.shard_count(), k);
             let mut seen = [false; 200];
             for (s, shard) in p.shards().iter().enumerate() {
+                let expanded: Vec<NodeId> = shard.runs().iter().cloned().flatten().collect();
+                assert_eq!(expanded, shard.nodes(), "runs must cover exactly the nodes");
+                assert!(shard.runs().windows(2).all(|w| w[0].end < w[1].start));
                 for (local, &u) in shard.nodes().iter().enumerate() {
                     assert!(!seen[u], "node {u} appears twice");
                     seen[u] = true;
                     assert_eq!(p.shard_of(u), s);
-                    assert_eq!(p.local_of(u), local);
                     assert_eq!(shard.global_of(local), u);
                 }
             }
@@ -704,9 +708,10 @@ mod tests {
         assert_eq!(p.max_shard_imbalance(), 1.0);
         assert_eq!(p.cut_isolated_count(), 0);
         assert_eq!(p.shard(0).nodes(), (0..60).collect::<Vec<_>>().as_slice());
+        assert_eq!(p.shard(0).runs(), std::slice::from_ref(&(0..60)));
         // `new` with one shard is the same assignment, without a growth pass.
         let q = Partition::new(&g, 1).unwrap();
-        assert_eq!((q.shard_of, q.local_of), (p.shard_of, p.local_of));
+        assert_eq!(q.shard_of, p.shard_of);
     }
 
     #[test]

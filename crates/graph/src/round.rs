@@ -1,42 +1,41 @@
-//! The unified round-execution kernel: one holder-order step routine for
-//! every engine.
+//! The round-execution kernel: the holder-order decide/merge pair behind
+//! [`crate::sharded_engine::ShardedMixingEngine`] and the walker-order
+//! sweeps behind [`crate::mixing_engine::MixingEngine`].
 //!
-//! Historically the holder-order exchange round existed in four divergent
-//! copies — `MixingEngine::step_holder`, `MixingEngine::step_holder_masked`,
-//! the dynamic retarget path and the per-shard loop in
-//! [`crate::sharded_engine`] — so every new scenario axis (masking, churn,
-//! sharding) multiplied loop variants instead of composing.  This module is
-//! the merge point: the *update stream* (which topology, which availability
-//! mask, which RNG stream) is described by a [`RoundPlan`], and a single
-//! pair of phase routines executes it for every engine:
+//! A holder-order round (Algorithms 1–2 of the paper: users in id order,
+//! each user's reports in arrival order, every report forwarded to a
+//! uniformly random neighbour) runs in two phases over one
+//! [`HolderBuckets`] CSR keyed by global node id:
 //!
-//! * [`decide_holder_moves`] — the **decide phase**: sweep a holder range in
-//!   id order, each holder's bucket in insertion order, drawing every
-//!   walker's move through the one sampling rule (`sample_move_masked`).
-//!   Survivors (lazy stays *and* masked bounces) are appended to the
-//!   caller's [`RoundArena`], and every delivery is appended to the arena's
-//!   delivery buffers in send order — the monolithic engine replays them as
-//!   a flat arrival list, the sharded engine routes them into
-//!   per-destination shard outboxes.
-//! * [`merge_round_buckets`] — the **merge phase**: one counting sort that
-//!   rebuilds the next round's holder buckets from survivors (first, in
-//!   previous bucket order) and an ordered arrival stream (second, in the
-//!   order the caller replays it).  The monolithic engine replays its own
-//!   send order; the sharded engine replays arrivals grouped by source
-//!   shard in ascending id — which is exactly what makes its exchange phase
-//!   execution-order-free.
+//! * [`decide_holder_moves`] / [`decide_holder_moves_fast`] — the **decide
+//!   phase**: sweep one shard's holders in ascending id order (run by run
+//!   of consecutive ids, [`crate::partition::Shard::runs`]), each holder's
+//!   bucket in order, drawing every walker's move from the shard's stream
+//!   through the one sampling rule of the draw mode.  Survivors (lazy
+//!   stays *and* masked bounces) and deliveries (in send order) go to the
+//!   shard's [`RoundArena`].  Shards only read the shared buckets and
+//!   write their own arena and stream, so they may run on threads.
+//! * [`HolderBuckets::merge`] — the **merge phase**: one counting sort over
+//!   every node that rebuilds the buckets from every shard's survivors
+//!   (first, in previous bucket order) and then every shard's deliveries
+//!   in ascending shard id, each in send order.  That canonical order is a
+//!   fixed function of the per-shard draws, so a round does not depend on
+//!   the order shards were sampled in; under one shard it is the
+//!   historical message-passing loop (survivors first, then arrivals in
+//!   global send order).  The merge also yields the round's statistics:
+//!   `load[u]` is `u`'s new bucket length, and `sent[u]` is what `u` held
+//!   at the round's start minus its survivors.
 //!
 //! [`sweep_walker_order`] is the degenerate walker-order form (no buckets,
 //! no statistics) behind `MixingEngine::step` / `step_masked`.
 //!
 //! # The `RoundPlan` contract
 //!
-//! A plan is a *view*: the topology may be a static CSR [`Graph`], a
+//! A plan is a *view*: the topology may be a static CSR [`Graph`] or a
 //! [`crate::dynamic::DynamicGraph`] snapshot (engines re-read their graph
-//! reference every round, so `retarget` composes with every plan), or the
-//! shared global CSR that a shard samples its local holder range against.
-//! The mask, when present, must cover every node of that topology.  The
-//! kernel guarantees:
+//! every round, so `retarget` composes with every plan).  The mask, when
+//! present, must cover every node of that topology.  The kernel
+//! guarantees:
 //!
 //! * **One sampling rule per draw mode.**  In [`DrawMode::Compat`] every
 //!   walker consumes the stream identically — one lazy `f64` (only when
@@ -53,25 +52,25 @@
 //!   `available: None` is bit-for-bit a plan with an all-available mask in
 //!   both modes.
 //! * **Exact compositions.**  Masked × static, masked × dynamic
-//!   (retarget), and masked × sharded rounds are all executions of this one
+//!   (retarget) and masked × sharded rounds are all executions of this one
 //!   routine, so their degeneracies are exact: all-available masks
 //!   reproduce the unmasked round bitwise (RNG stream included), and a
-//!   1-shard plan reproduces the monolithic engine bitwise.  Multi-shard
-//!   plans split the RNG into per-shard streams, so *across* shard counts
-//!   the walk is statistically equivalent, never bitwise — the one
-//!   composition that is statistical rather than exact.
+//!   1-shard round is the historical holder-order loop bitwise.
+//!   Multi-shard rounds split the RNG into per-shard streams, so *across*
+//!   shard counts the walk is statistically equivalent, never bitwise —
+//!   the one composition that is statistical rather than exact.
 //! * **Conservation.**  In debug builds the merge asserts that the
-//!   counting-sort cursors land exactly on their bucket boundaries (the
-//!   two arrival replays agree), and each engine asserts after the merge
-//!   that survivors + arrivals (bounced walkers are survivors) equal its
-//!   walker count — one shared discipline instead of per-engine ad hoc
-//!   checks.
-//! * **No steady-state allocation.**  All counting-sort scratch lives in
-//!   the caller's [`RoundArena`] and is reused; after warm-up, rounds
-//!   allocate nothing (measured in `crates/bench/benches/sharded_mixing.rs`).
+//!   counting-sort cursors land exactly on their bucket boundaries, and
+//!   the engine asserts after the merge that survivors + arrivals (bounced
+//!   walkers are survivors) equal its walker count.
+//! * **No steady-state allocation.**  The decide scratch lives in each
+//!   shard's [`RoundArena`] and the counting-sort scratch in the
+//!   [`HolderBuckets`]; both are reused, so after warm-up rounds allocate
+//!   nothing (audited by `tests/engine_allocations.rs`).
 
 use crate::graph::{Graph, NodeId};
 use rand::Rng;
+use std::ops::Range;
 
 /// How a round draws randomness for each walker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,9 +173,8 @@ pub(crate) fn sample_move_masked<R: Rng + ?Sized>(
 /// contract.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundPlan<'a> {
-    /// The topology walkers move on this round — a static CSR, a
-    /// [`crate::dynamic::DynamicGraph`] snapshot, or the shared global CSR
-    /// a shard samples against.
+    /// The topology walkers move on this round — a static CSR or a
+    /// [`crate::dynamic::DynamicGraph`] snapshot.
     pub graph: &'a Graph,
     /// Per-round stay probability of the lazy walk.
     pub laziness: f64,
@@ -194,47 +192,20 @@ impl<'a> RoundPlan<'a> {
             available: None,
         }
     }
-
-    /// A plan under an availability mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask length differs from the node count — the one
-    /// shape error the kernel cannot express as a stay.
-    pub fn masked(graph: &'a Graph, laziness: f64, available: &'a [bool]) -> Self {
-        assert_eq!(
-            available.len(),
-            graph.node_count(),
-            "availability mask has the wrong length"
-        );
-        RoundPlan {
-            graph,
-            laziness,
-            available: Some(available),
-        }
-    }
 }
 
-/// Reusable counting-sort scratch owned by a plan executor — one per
-/// monolithic engine, one per shard.  Buffers grow to their steady-state
-/// capacity during the first rounds and are only ever cleared afterwards,
-/// so warm rounds perform no heap allocation.
+/// Decide-phase scratch of one holder range — one per shard.  Buffers grow
+/// to their steady-state capacity during the first rounds and are only
+/// ever cleared afterwards, so warm rounds perform no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct RoundArena {
-    /// Survivors of the decide phase: local holder node of each kept
-    /// walker, grouped by holder in ascending sweep order.
+    /// Survivors of the decide phase: holder node of each kept walker,
+    /// grouped by holder in ascending sweep order.
     pub(crate) kept_nodes: Vec<u32>,
     /// Walker ids parallel to `kept_nodes`.
     pub(crate) kept_walkers: Vec<u32>,
-    /// Next-round bucket array under construction (swapped with the live
-    /// buckets at the end of the merge).
-    pub(crate) next_walkers: Vec<u32>,
-    /// Per-node scatter cursors of the counting sort.
-    pub(crate) cursor: Vec<usize>,
-    /// This round's deliveries in send order: destination (global node,
-    /// u32-compressed) of each delivered walker.  The monolithic engine
-    /// replays these as its flat arrival list; the sharded engine routes
-    /// them into per-destination-shard outboxes.
+    /// This round's deliveries in send order: destination node
+    /// (u32-compressed) of each delivered walker.
     pub(crate) deliver_dests: Vec<u32>,
     /// Walker ids parallel to `deliver_dests`.
     pub(crate) deliver_walkers: Vec<u32>,
@@ -268,35 +239,187 @@ impl RoundArena {
     }
 }
 
-/// A borrowed view of one holder range's CSR buckets: the walkers held by
-/// local node `lu` are `walkers[starts[lu]..starts[lu + 1]]`, in insertion
-/// order.
-#[derive(Debug, Clone, Copy)]
-pub struct HolderBuckets<'a> {
-    /// CSR offsets, one entry per local node plus the terminator.
-    pub starts: &'a [usize],
-    /// Walker ids, bucketed by local node.
-    pub walkers: &'a [u32],
+/// The holder buckets of a whole population: a CSR over global node ids in
+/// which the walkers held by node `u` are `walkers[starts[u]..starts[u +
+/// 1]]`, in bucket order, the per-node statistics of the last merge, and
+/// the merge's counting-sort scratch.
+#[derive(Debug, Clone, Default)]
+pub struct HolderBuckets {
+    /// CSR offsets, one entry per node plus the terminator.
+    starts: Vec<usize>,
+    /// Walker ids, bucketed by node.
+    walkers: Vec<u32>,
+    /// `sent[u]`: walkers `u` held before the last merge minus its
+    /// survivors (all zeros before the first merge).
+    sent: Vec<u32>,
+    /// `load[u]`: the length of `u`'s bucket.
+    load: Vec<u32>,
+    /// Next-round walker array under construction (swapped in at the end
+    /// of the merge).
+    next: Vec<u32>,
+    /// Per-node scatter cursors of the counting sort.
+    cursor: Vec<usize>,
+}
+
+impl HolderBuckets {
+    /// Buckets over `node_count` nodes with walker `w` held by
+    /// `positions[w]`, each bucket in walker-id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is `>= node_count`.
+    pub fn from_positions(node_count: usize, positions: &[u32]) -> Self {
+        let mut load = vec![0u32; node_count];
+        for &p in positions {
+            load[p as usize] += 1;
+        }
+        let mut starts = Vec::with_capacity(node_count + 1);
+        let mut end = 0;
+        starts.push(end);
+        for &l in &load {
+            end += l as usize;
+            starts.push(end);
+        }
+        let mut cursor = starts[..node_count].to_vec();
+        let mut walkers = vec![0u32; positions.len()];
+        for (w, &p) in positions.iter().enumerate() {
+            walkers[cursor[p as usize]] = w as u32;
+            cursor[p as usize] += 1;
+        }
+        HolderBuckets {
+            starts,
+            walkers,
+            sent: vec![0; node_count],
+            load,
+            next: Vec::new(),
+            cursor,
+        }
+    }
+
+    /// Buckets from raw CSR parts, which the caller has validated.
+    pub(crate) fn from_csr(starts: Vec<usize>, walkers: Vec<u32>) -> Self {
+        debug_assert_eq!(starts.last(), Some(&walkers.len()));
+        let load: Vec<u32> = starts.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        HolderBuckets {
+            starts,
+            walkers,
+            sent: vec![0; load.len()],
+            load,
+            next: Vec::new(),
+            cursor: Vec::new(),
+        }
+    }
+
+    /// The walkers held by node `u`, in bucket order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[inline]
+    pub fn held_by(&self, u: NodeId) -> &[u32] {
+        &self.walkers[self.starts[u]..self.starts[u + 1]]
+    }
+
+    /// The walkers held by the nodes of `run`, node by node, each bucket
+    /// in order — one contiguous slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run` reaches past the last node.
+    #[inline]
+    pub fn held_in(&self, run: &Range<NodeId>) -> &[u32] {
+        &self.walkers[self.starts[run.start]..self.starts[run.end]]
+    }
+
+    /// Per-node sends of the last merge: the walkers each node held before
+    /// it minus its survivors (all zeros before the first merge).
+    pub fn sent(&self) -> &[u32] {
+        &self.sent
+    }
+
+    /// Per-node bucket lengths: the walkers each node holds.
+    pub fn load(&self) -> &[u32] {
+        &self.load
+    }
+
+    /// The merge phase of one holder-order round: a counting sort that
+    /// rebuilds the buckets from every arena's survivors and then every
+    /// arena's deliveries, and updates [`HolderBuckets::sent`] and
+    /// [`HolderBuckets::load`].
+    ///
+    /// `arenas` yields the decide arenas in ascending shard id.  Each
+    /// node's next bucket lists its survivors first (all from its own
+    /// shard, grouped by node in sweep order — a decide-phase invariant),
+    /// then its arrivals grouped by source arena in iteration order, each
+    /// group in that arena's send order.  A bounce is a survivor, not a
+    /// send.
+    pub fn merge<'a>(&mut self, arenas: impl Iterator<Item = &'a RoundArena> + Clone) {
+        let n = self.starts.len() - 1;
+        // What each node held becomes its sends once its survivors are
+        // taken off; its new load counts survivors, then arrivals.
+        std::mem::swap(&mut self.sent, &mut self.load);
+        let HolderBuckets {
+            starts,
+            walkers,
+            sent,
+            load,
+            next,
+            cursor,
+        } = self;
+        load.fill(0);
+        for arena in arenas.clone() {
+            for &u in &arena.kept_nodes {
+                load[u as usize] += 1;
+                sent[u as usize] -= 1;
+            }
+        }
+        for arena in arenas.clone() {
+            for &d in &arena.deliver_dests {
+                load[d as usize] += 1;
+            }
+        }
+        // Lay out the new buckets, each scatter cursor at its bucket's
+        // start.
+        cursor.resize(n, 0);
+        for (u, (&l, c)) in load.iter().zip(cursor.iter_mut()).enumerate() {
+            *c = starts[u];
+            starts[u + 1] = starts[u] + l as usize;
+        }
+        // Scatter: every survivor, then every arena's deliveries in turn.
+        next.resize(starts[n], 0);
+        for arena in arenas.clone() {
+            for (&u, &w) in arena.kept_nodes.iter().zip(&arena.kept_walkers) {
+                next[cursor[u as usize]] = w;
+                cursor[u as usize] += 1;
+            }
+        }
+        for arena in arenas {
+            for (&d, &w) in arena.deliver_dests.iter().zip(&arena.deliver_walkers) {
+                next[cursor[d as usize]] = w;
+                cursor[d as usize] += 1;
+            }
+        }
+        debug_assert!(
+            cursor.iter().zip(&starts[1..]).all(|(c, s)| c == s),
+            "round conservation violated: a counting-sort cursor missed its bucket boundary"
+        );
+        std::mem::swap(walkers, next);
+    }
 }
 
 /// The decide phase of one holder-order round over one holder range, in
 /// [`DrawMode::Compat`].
 ///
-/// `holders` enumerates `(local index, global node)` pairs in the order the
-/// range is swept — `(u, u)` for the monolithic engine, the shard's
-/// `(local id, global id)` table for a shard.  Each holder's walkers (its
-/// [`HolderBuckets`] slice) are visited in insertion order and each draws
-/// one move from `rng` through the plan's sampling rule.  Survivors — lazy
-/// stays *and* masked bounces — are appended to `arena`; every delivery is
-/// appended to the arena's delivery buffers (see
-/// [`RoundArena::deliveries`]) in send order, and the holder's slot in
-/// `sent_local` is incremented (bounces are *not* sent: the delivery never
-/// happened).
+/// `holders` lists the range's nodes as ascending runs of consecutive ids,
+/// swept in that order.  Each holder's bucket is visited in order and
+/// every walker draws one move from `rng` through the plan's sampling rule.
+/// Survivors — lazy stays *and* masked bounces — are appended to `arena`,
+/// and every delivery is appended to the arena's delivery buffers (see
+/// [`RoundArena::deliveries`]) in send order.
 pub fn decide_holder_moves<R: Rng + ?Sized>(
     plan: &RoundPlan<'_>,
-    holders: impl Iterator<Item = (usize, NodeId)>,
-    buckets: HolderBuckets<'_>,
-    sent_local: &mut [u32],
+    holders: &[Range<NodeId>],
+    buckets: &HolderBuckets,
     arena: &mut RoundArena,
     rng: &mut R,
 ) {
@@ -305,23 +428,22 @@ pub fn decide_holder_moves<R: Rng + ?Sized>(
     arena.deliver_dests.clear();
     arena.deliver_walkers.clear();
     arena.bounced = 0;
-    sent_local.fill(0);
-    for (lu, u) in holders {
-        let held = &buckets.walkers[buckets.starts[lu]..buckets.starts[lu + 1]];
-        for &w in held {
-            // Same draw sequence as `sample_move_masked`; unrolled so a
-            // bounce (move drawn, recipient dark) is distinguishable from
-            // a lazy stay (no move drawn) for the arena's bounce count.
-            match sample_move(plan.graph, u, plan.laziness, rng) {
-                Some(dest) if plan.available.is_none_or(|mask| mask[dest]) => {
-                    sent_local[lu] += 1;
-                    arena.deliver_dests.push(dest as u32);
-                    arena.deliver_walkers.push(w);
-                }
-                stay => {
-                    arena.bounced += stay.is_some() as u64;
-                    arena.kept_nodes.push(lu as u32);
-                    arena.kept_walkers.push(w);
+    for run in holders {
+        for u in run.clone() {
+            for &w in buckets.held_by(u) {
+                // Same draw sequence as `sample_move_masked`; unrolled so a
+                // bounce (move drawn, recipient dark) is distinguishable
+                // from a lazy stay (no move drawn) for the bounce count.
+                match sample_move(plan.graph, u, plan.laziness, rng) {
+                    Some(dest) if plan.available.is_none_or(|mask| mask[dest]) => {
+                        arena.deliver_dests.push(dest as u32);
+                        arena.deliver_walkers.push(w);
+                    }
+                    stay => {
+                        arena.bounced += stay.is_some() as u64;
+                        arena.kept_nodes.push(u as u32);
+                        arena.kept_walkers.push(w);
+                    }
                 }
             }
         }
@@ -339,19 +461,17 @@ pub fn decide_holder_moves<R: Rng + ?Sized>(
 /// reduction of the high 32 bits over the holder's degree, and the
 /// stay/deliver choice is an arithmetic select — both outcome slots are
 /// written unconditionally and the matching cursor advances by the flag, so
-/// the loop carries no data-dependent branch.  `holders` must cover the
-/// bucket range exactly (every walker in `buckets.walkers` is visited
-/// once); total stream consumption is `buckets.walkers.len()` draws,
-/// masked or not.
+/// the loop carries no data-dependent branch.  Total stream consumption is
+/// the number of walkers the swept holders hold, masked or not — counted
+/// run by run before the sweep, so the lane never draws past the last one.
 pub fn decide_holder_moves_fast<R: Rng + ?Sized>(
     plan: &RoundPlan<'_>,
-    holders: impl Iterator<Item = (usize, NodeId)>,
-    buckets: HolderBuckets<'_>,
-    sent_local: &mut [u32],
+    holders: &[Range<NodeId>],
+    buckets: &HolderBuckets,
     arena: &mut RoundArena,
     rng: &mut R,
 ) {
-    let total = buckets.walkers.len();
+    let total: usize = holders.iter().map(|run| buckets.held_in(run).len()).sum();
     arena.kept_nodes.resize(total, 0);
     arena.kept_walkers.resize(total, 0);
     arena.deliver_dests.resize(total, 0);
@@ -359,7 +479,6 @@ pub fn decide_holder_moves_fast<R: Rng + ?Sized>(
     if arena.lane.len() < LANE_CHUNK.min(total) {
         arena.lane.resize(LANE_CHUNK.min(total), 0);
     }
-    sent_local.fill(0);
     let (offsets, neighbors) = plan.graph.csr_parts();
     let threshold = lazy_threshold(plan.laziness);
     let mut kept_len = 0usize;
@@ -368,35 +487,33 @@ pub fn decide_holder_moves_fast<R: Rng + ?Sized>(
     let mut lane_pos = 0usize;
     let mut lane_len = 0usize;
     let mut bounced = 0u64;
-    for (lu, u) in holders {
-        let row = &neighbors[offsets[u]..offsets[u + 1]];
-        let deg = row.len() as u64;
-        debug_assert!(deg > 0, "isolated nodes are rejected at construction");
-        let held = &buckets.walkers[buckets.starts[lu]..buckets.starts[lu + 1]];
-        let mut kept_in_bucket = 0u32;
-        for &w in held {
-            if lane_pos == lane_len {
-                lane_len = LANE_CHUNK.min(total - drawn);
-                rng.fill_u64(&mut arena.lane[..lane_len]);
-                drawn += lane_len;
-                lane_pos = 0;
+    for run in holders {
+        for u in run.clone() {
+            let row = &neighbors[offsets[u]..offsets[u + 1]];
+            let deg = row.len() as u64;
+            debug_assert!(deg > 0, "isolated nodes are rejected at construction");
+            for &w in buckets.held_by(u) {
+                if lane_pos == lane_len {
+                    lane_len = LANE_CHUNK.min(total - drawn);
+                    rng.fill_u64(&mut arena.lane[..lane_len]);
+                    drawn += lane_len;
+                    lane_pos = 0;
+                }
+                let r = arena.lane[lane_pos];
+                lane_pos += 1;
+                let dest = row[(((r >> 32) * deg) >> 32) as usize];
+                let lazy = (r as u32 as u64) < threshold;
+                let dark = plan.available.is_some_and(|mask| !mask[dest as usize]);
+                let stay = lazy | dark;
+                bounced += (!lazy & dark) as u64;
+                arena.kept_nodes[kept_len] = u as u32;
+                arena.kept_walkers[kept_len] = w;
+                kept_len += stay as usize;
+                arena.deliver_dests[sent_len] = dest;
+                arena.deliver_walkers[sent_len] = w;
+                sent_len += !stay as usize;
             }
-            let r = arena.lane[lane_pos];
-            lane_pos += 1;
-            let dest = row[(((r >> 32) * deg) >> 32) as usize];
-            let lazy = (r as u32 as u64) < threshold;
-            let dark = plan.available.is_some_and(|mask| !mask[dest as usize]);
-            let stay = lazy | dark;
-            bounced += (!lazy & dark) as u64;
-            arena.kept_nodes[kept_len] = lu as u32;
-            arena.kept_walkers[kept_len] = w;
-            kept_len += stay as usize;
-            arena.deliver_dests[sent_len] = dest;
-            arena.deliver_walkers[sent_len] = w;
-            sent_len += !stay as usize;
-            kept_in_bucket += stay as u32;
         }
-        sent_local[lu] = held.len() as u32 - kept_in_bucket;
     }
     debug_assert_eq!(
         kept_len + sent_len,
@@ -408,76 +525,6 @@ pub fn decide_holder_moves_fast<R: Rng + ?Sized>(
     arena.deliver_dests.truncate(sent_len);
     arena.deliver_walkers.truncate(sent_len);
     arena.bounced = bounced;
-}
-
-/// The merge phase of one holder-order round over one holder range: a
-/// counting sort that rebuilds `bucket_walkers` (and its `bucket_starts`
-/// offsets and `load_local` histogram) for the next round from the arena's
-/// survivors and an ordered arrival stream.
-///
-/// `for_each_arrival` must replay the round's arrivals — as
-/// `(local destination node, walker)` — in the *canonical* order, and is
-/// called exactly twice (once to count, once to scatter); both passes must
-/// produce the same sequence.  Survivors land first in each bucket (they
-/// are already grouped by node in ascending order, a decide-phase
-/// invariant), then arrivals in replay order — exactly the order in which
-/// a message-passing simulation would have appended them.
-///
-/// Debug builds assert that the two arrival replays agree — every
-/// counting-sort cursor must land exactly on its bucket boundary — and the
-/// engines assert full conservation (survivors + arrivals + bounces =
-/// walkers) against their walker counts after the merge.
-pub fn merge_round_buckets(
-    local_n: usize,
-    arena: &mut RoundArena,
-    load_local: &mut [u32],
-    bucket_starts: &mut [usize],
-    bucket_walkers: &mut Vec<u32>,
-    mut for_each_arrival: impl FnMut(&mut dyn FnMut(usize, u32)),
-) {
-    debug_assert_eq!(load_local.len(), local_n);
-    debug_assert_eq!(bucket_starts.len(), local_n + 1);
-    // Next-round load: survivors plus arrivals.
-    load_local.fill(0);
-    for &lu in &arena.kept_nodes {
-        load_local[lu as usize] += 1;
-    }
-    for_each_arrival(&mut |lu, _w| {
-        load_local[lu] += 1;
-    });
-    bucket_starts[0] = 0;
-    for lu in 0..local_n {
-        bucket_starts[lu + 1] = bucket_starts[lu] + load_local[lu] as usize;
-    }
-    let total = bucket_starts[local_n];
-    // Scatter: survivors first, then arrivals in replay order.
-    arena.cursor.clear();
-    arena.cursor.extend_from_slice(&bucket_starts[..local_n]);
-    arena.next_walkers.resize(total, 0);
-    for (&lu, &w) in arena.kept_nodes.iter().zip(&arena.kept_walkers) {
-        arena.next_walkers[arena.cursor[lu as usize]] = w;
-        arena.cursor[lu as usize] += 1;
-    }
-    {
-        let RoundArena {
-            next_walkers,
-            cursor,
-            ..
-        } = arena;
-        for_each_arrival(&mut |lu, w| {
-            next_walkers[cursor[lu]] = w;
-            cursor[lu] += 1;
-        });
-    }
-    debug_assert!(
-        arena
-            .cursor
-            .iter()
-            .zip(&bucket_starts[1..])
-            .all(|(c, s)| c == s),
-        "round conservation violated: a counting-sort cursor missed its bucket boundary"
-    );
-    std::mem::swap(bucket_walkers, &mut arena.next_walkers);
 }
 
 /// The walker-order round in [`DrawMode::Compat`]: sweep `positions` once,
@@ -565,68 +612,40 @@ mod tests {
     use crate::rng::seeded_rng;
 
     #[test]
-    fn masked_plan_rejects_wrong_mask_length() {
-        let g = generators::cycle(6).unwrap();
-        let mask = vec![true; 5];
-        let result = std::panic::catch_unwind(|| RoundPlan::masked(&g, 0.0, &mask));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn decide_and_merge_compose_into_one_round() {
-        // A hand-driven single-shard round: decide into a flat arrival
-        // list, merge, and check positions/buckets agree with a naive
+        // A hand-driven single-range round: decide, apply the deliveries,
+        // merge, and check buckets and statistics against a naive
         // re-derivation.
         let g = generators::random_regular(24, 4, &mut seeded_rng(1)).unwrap();
         let n = g.node_count();
         let plan = RoundPlan::new(&g, 0.2);
         let mut arena = RoundArena::new();
-        // Initial buckets: walker i at node i.
-        let mut bucket_starts: Vec<usize> = (0..=n).collect();
-        let mut bucket_walkers: Vec<u32> = (0..n as u32).collect();
-        let mut positions: Vec<usize> = (0..n).collect();
-        let mut sent = vec![0u32; n];
-        let mut load = vec![0u32; n];
+        let everyone = 0..n;
+        let holders = std::slice::from_ref(&everyone);
+        let mut positions: Vec<u32> = (0..n as u32).collect();
+        let mut buckets = HolderBuckets::from_positions(n, &positions);
         let mut rng = seeded_rng(2);
-        decide_holder_moves(
-            &plan,
-            (0..n).map(|u| (u, u)),
-            HolderBuckets {
-                starts: &bucket_starts,
-                walkers: &bucket_walkers,
-            },
-            &mut sent,
-            &mut arena,
-            &mut rng,
-        );
-        let arrivals: Vec<(u32, u32)> = {
-            let (dests, walkers) = arena.deliveries();
-            dests.iter().copied().zip(walkers.iter().copied()).collect()
-        };
-        for &(d, w) in &arrivals {
-            positions[w as usize] = d as usize;
+        decide_holder_moves(&plan, holders, &buckets, &mut arena, &mut rng);
+        let (dests, walkers) = arena.deliveries();
+        for (&d, &w) in dests.iter().zip(walkers) {
+            positions[w as usize] = d;
         }
-        assert_eq!(arena.kept_nodes.len() + arrivals.len(), n);
+        assert_eq!(arena.kept_nodes.len() + dests.len(), n);
+        let mut expect_sent = vec![0u32; n];
+        for &w in walkers {
+            expect_sent[w as usize] += 1;
+        }
+        buckets.merge(std::iter::once(&arena));
         assert_eq!(
-            sent.iter().map(|&s| s as usize).sum::<usize>(),
-            arrivals.len()
+            buckets.sent(),
+            expect_sent,
+            "one walker per node: sent[u] = did u's walker move"
         );
-        merge_round_buckets(
-            n,
-            &mut arena,
-            &mut load,
-            &mut bucket_starts,
-            &mut bucket_walkers,
-            |sink| {
-                for &(d, w) in &arrivals {
-                    sink(d as usize, w);
-                }
-            },
-        );
-        assert_eq!(load.iter().map(|&l| l as usize).sum::<usize>(), n);
-        for u in 0..n {
-            for &w in &bucket_walkers[bucket_starts[u]..bucket_starts[u + 1]] {
-                assert_eq!(positions[w as usize], u);
+        assert_eq!(buckets.load().iter().map(|&l| l as usize).sum::<usize>(), n);
+        for (u, &l) in buckets.load().iter().enumerate() {
+            assert_eq!(buckets.held_by(u).len(), l as usize);
+            for &w in buckets.held_by(u) {
+                assert_eq!(positions[w as usize] as usize, u);
             }
         }
     }
@@ -635,13 +654,17 @@ mod tests {
     fn all_available_mask_is_bitwise_the_unmasked_plan() {
         let g = generators::random_regular(40, 4, &mut seeded_rng(3)).unwrap();
         let mask = vec![true; 40];
+        let masked = RoundPlan {
+            available: Some(&mask),
+            ..RoundPlan::new(&g, 0.3)
+        };
         let mut a: Vec<u32> = (0..40).collect();
         let mut b = a.clone();
         let mut rng_a = seeded_rng(4);
         let mut rng_b = seeded_rng(4);
         for _ in 0..10 {
             sweep_walker_order(&RoundPlan::new(&g, 0.3), &mut a, &mut rng_a);
-            sweep_walker_order(&RoundPlan::masked(&g, 0.3, &mask), &mut b, &mut rng_b);
+            sweep_walker_order(&masked, &mut b, &mut rng_b);
         }
         assert_eq!(a, b);
         use rand::Rng;
@@ -654,6 +677,10 @@ mod tests {
         // both consume exactly one u64 per walker per round.
         let g = generators::random_regular(48, 4, &mut seeded_rng(5)).unwrap();
         let mask = vec![true; 48];
+        let masked = RoundPlan {
+            available: Some(&mask),
+            ..RoundPlan::new(&g, 0.3)
+        };
         let mut a: Vec<u32> = (0..48).collect();
         let mut b = a.clone();
         let mut rng_a = seeded_rng(6);
@@ -663,12 +690,7 @@ mod tests {
         let mut lane_b = Vec::new();
         for _ in 0..8 {
             sweep_walker_order_fast(&RoundPlan::new(&g, 0.3), &mut a, &mut lane_a, &mut rng_a);
-            sweep_walker_order_fast(
-                &RoundPlan::masked(&g, 0.3, &mask),
-                &mut b,
-                &mut lane_b,
-                &mut rng_b,
-            );
+            sweep_walker_order_fast(&masked, &mut b, &mut lane_b, &mut rng_b);
         }
         assert_eq!(a, b);
         use rand::Rng;
@@ -690,22 +712,12 @@ mod tests {
         let n = g.node_count();
         let plan = RoundPlan::new(&g, 0.25);
         let mut arena = RoundArena::new();
-        let bucket_starts: Vec<usize> = (0..=n).collect();
-        let bucket_walkers: Vec<u32> = (0..n as u32).collect();
-        let mut sent = vec![0u32; n];
-        let mut rng = seeded_rng(8);
-        decide_holder_moves_fast(
-            &plan,
-            (0..n).map(|u| (u, u)),
-            HolderBuckets {
-                starts: &bucket_starts,
-                walkers: &bucket_walkers,
-            },
-            &mut sent,
-            &mut arena,
-            &mut rng,
-        );
+        let everyone = 0..n;
+        let holders = std::slice::from_ref(&everyone);
         let mut positions: Vec<u32> = (0..n as u32).collect();
+        let buckets = HolderBuckets::from_positions(n, &positions);
+        let mut rng = seeded_rng(8);
+        decide_holder_moves_fast(&plan, holders, &buckets, &mut arena, &mut rng);
         let mut lane = Vec::new();
         let mut sweep_rng = seeded_rng(8);
         sweep_walker_order_fast(&plan, &mut positions, &mut lane, &mut sweep_rng);
@@ -718,10 +730,8 @@ mod tests {
         for (&d, &w) in dests.iter().zip(walkers) {
             assert_eq!(positions[w as usize], d);
         }
-        for (&lu, &w) in arena.kept_nodes.iter().zip(&arena.kept_walkers) {
-            assert_eq!(positions[w as usize], lu, "survivor moved");
-            let _ = w;
+        for (&u, &w) in arena.kept_nodes.iter().zip(&arena.kept_walkers) {
+            assert_eq!(positions[w as usize], u, "survivor moved");
         }
-        assert_eq!(sent.iter().map(|&s| s as usize).sum::<usize>(), dests.len());
     }
 }

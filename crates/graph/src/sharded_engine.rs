@@ -1,17 +1,17 @@
-//! Multi-shard execution of exchange rounds with deterministic RNG splitting.
+//! Holder-order exchange rounds over a partition, with deterministic RNG
+//! splitting — the one engine every holder-order caller runs on.
 //!
-//! [`ShardedMixingEngine`] runs the unified holder-order round kernel
-//! ([`crate::round`]) independently per shard of a
-//! [`crate::partition::Partition`], then routes cross-shard deliveries
-//! through per-shard outboxes with one counting-sort exchange phase per
-//! round.  Because the per-shard decide sweep *is* the kernel's
-//! [`crate::round::decide_holder_moves`], every scenario axis the kernel
-//! supports composes here: masked rounds (a delivery to an unavailable
-//! recipient bounces back through the return exchange and rejoins its
-//! holder as a survivor) and live topology churn
+//! [`ShardedMixingEngine`] keeps one set of holder buckets over global
+//! node ids ([`crate::round::HolderBuckets`]).  Each round, every shard of a
+//! [`crate::partition::Partition`] sweeps its own holders with the round
+//! kernel's decide phase ([`crate::round::decide_holder_moves`]), drawing
+//! from its own stream into its own arena; one counting-sort merge then
+//! rebuilds the buckets from all shards' survivors and deliveries.  Every
+//! scenario axis the kernel supports composes here: masked rounds (a
+//! delivery to an unavailable recipient bounces back and rejoins its
+//! holder's bucket as a survivor) and live topology churn
 //! ([`ShardedMixingEngine::retarget`]) run through the one round entry
-//! point, [`ShardedMixingEngine::step`], not through divergent copies.  The
-//! design contracts:
+//! point, [`ShardedMixingEngine::step`].  The design contracts:
 //!
 //! * **Seed-only determinism.**  Shard `s` draws from its own ChaCha8 stream
 //!   ([`shard_stream`]), and a round's result depends only on
@@ -19,44 +19,73 @@
 //!   in ([`ShardedMixingEngine::step_in_order`] is the audit hook) nor, under
 //!   the `parallel` feature, on whether [`ShardedMixingEngine::step`] ran
 //!   them on threads.
-//! * **Canonical merge order.**  After the per-shard sampling phase, each
-//!   node's next-round bucket lists its survivors first (in previous bucket
-//!   order) and then its arrivals grouped by *source shard id* in ascending
-//!   order, each group in that shard's send order.  This is a fixed function
-//!   of the per-shard draws, which is what makes the exchange phase
+//! * **Canonical merge order.**  After the sampling phase, each node's
+//!   next-round bucket lists its survivors first (in previous bucket order)
+//!   and then its arrivals grouped by *source shard id* in ascending order,
+//!   each group in that shard's send order.  This is a fixed function of the
+//!   per-shard draws, which is what makes the exchange phase
 //!   execution-order-free.
 //! * **1-shard degeneracy.**  Under [`crate::partition::Partition::single_shard`]
-//!   the engine is **bit for bit** the single
-//!   [`MixingEngine`](crate::mixing_engine::MixingEngine) holder-order
-//!   path: [`shard_stream`]`(seed, 0)` is exactly
-//!   `SimRng::seed_from_u64(seed)`, the sampling sweep visits the same
-//!   nodes and walkers in the same order drawing through the same
-//!   [`crate::mixing_engine`] sampling rule, and the merge degenerates to the
-//!   engine's counting sort — positions, bucket orders, per-round
-//!   sent/load statistics and the RNG stream itself all coincide
-//!   (`tests/sharded_engine.rs`).  For `k > 1` the split streams are a
-//!   *different but equally distributed* realization of the same walk.
+//!   the engine is the classic monolithic holder-order round:
+//!   [`shard_stream`]`(seed, 0)` is exactly `SimRng::seed_from_u64(seed)`,
+//!   the sweep visits nodes in id order and each node's walkers in bucket
+//!   order, and the merge appends arrivals in global send order — draw for
+//!   draw the historical message-passing loop (`tests/unified_kernel.rs`,
+//!   and the holder scenarios of `tests/golden_round_traces.rs`).  For
+//!   `k > 1` the split streams are a *different but equally distributed*
+//!   realization of the same walk.
 //!
 //! Shards share the one immutable global CSR for neighbour sampling — this
 //! is a single-box, multi-core runtime, and a [`Partition`] carries only
-//! the node → shard assignment and the local remappings.
+//! the node → shard assignment.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::mixing_engine::{RoundObserver, RoundStats};
 use crate::partition::Partition;
 use crate::rng::{mix64, SimRng};
-use crate::round::{self, DrawMode, RoundArena, RoundPlan};
+use crate::round::{self, DrawMode, HolderBuckets, RoundArena, RoundPlan};
 use crate::telemetry::EngineTelemetry;
 use rand_chacha::rand_core::SeedableRng;
 use std::borrow::Cow;
 
+/// Per-round measurements streamed to a [`RoundObserver`].
+#[derive(Debug)]
+pub struct RoundStats<'a> {
+    /// 1-based index of the round that just finished.
+    pub round: usize,
+    /// Messages sent by each node this round (walkers that moved away).
+    pub sent: &'a [u32],
+    /// Walkers held by each node after the round.
+    pub load: &'a [u32],
+}
+
+/// Streaming consumer of per-round statistics.
+///
+/// Implementations accumulate whatever they need (total traffic, peak load,
+/// mixing diagnostics) while the engine runs, so no per-client post-hoc pass
+/// over the population is required.
+pub trait RoundObserver {
+    /// Called once per executed round, after all moves of the round.
+    fn on_round(&mut self, stats: &RoundStats<'_>);
+}
+
+/// The no-op observer: rounds are executed without collecting statistics.
+impl RoundObserver for () {
+    fn on_round(&mut self, _stats: &RoundStats<'_>) {}
+}
+
+impl<O: RoundObserver + ?Sized> RoundObserver for &mut O {
+    fn on_round(&mut self, stats: &RoundStats<'_>) {
+        (**self).on_round(stats);
+    }
+}
+
 /// The deterministic RNG stream of shard `shard` under `seed`.
 ///
 /// Shard 0 inherits the base stream `SimRng::seed_from_u64(seed)` — so the
-/// canonical 1-shard engine consumes exactly the stream the single-engine
-/// path would — and every further shard gets a SplitMix64-decorrelated
-/// stream of its own.
+/// canonical 1-shard engine consumes exactly the stream of the historical
+/// protocol loop — and every further shard gets a
+/// SplitMix64-decorrelated stream of its own.
 pub fn shard_stream(seed: u64, shard: usize) -> SimRng {
     if shard == 0 {
         SimRng::seed_from_u64(seed)
@@ -65,24 +94,19 @@ pub fn shard_stream(seed: u64, shard: usize) -> SimRng {
     }
 }
 
-/// Per-shard mutable state: the shard's walker buckets, RNG stream and
-/// round scratch.  Walker ids are global; node ids inside the buckets are
-/// shard-local.
+/// Per-shard mutable state: the shard's RNG stream and decide scratch.
 #[derive(Debug, Clone)]
 struct ShardState {
     rng: SimRng,
-    /// CSR buckets over local nodes: walkers held by local node `lu` are
-    /// `bucket_walkers[bucket_starts[lu]..bucket_starts[lu + 1]]`.
-    bucket_starts: Vec<usize>,
-    bucket_walkers: Vec<u32>,
-    /// The kernel's counting-sort scratch, reused across rounds.
+    /// The kernel's decide scratch (survivors and deliveries in send
+    /// order), reused across rounds.
     arena: RoundArena,
-    sent_local: Vec<u32>,
-    load_local: Vec<u32>,
 }
 
 /// One shard's captured state inside an [`EngineCheckpoint`]: the exact
-/// ChaCha8 stream position plus the shard's walker buckets.
+/// ChaCha8 stream position plus the buckets of the shard's nodes, as a CSR
+/// over the shard's local ids (local id = index in
+/// [`crate::partition::Shard::nodes`]).
 ///
 /// Bucket CSRs must be captured, not rebuilt: a running engine's bucket
 /// order is history-dependent (survivors first, then arrivals grouped by
@@ -112,10 +136,11 @@ pub struct ShardCheckpoint {
 /// with the uninterrupted engine
 /// ([`ShardedMixingEngine::restore_checkpoint`]).
 ///
-/// Not captured (and provably not needed at a round boundary): the round
-/// arenas and outboxes (cleared at the start of every sampling phase), the
-/// global/local sent and load vectors (fully overwritten every round), and
-/// the fast-mode RNG lane buffer (refilled fresh inside every decide call).
+/// Not captured (and provably not needed at a round boundary): the decide
+/// arenas and the merge scratch (cleared at the start of every round), the
+/// sent and load vectors (load is the bucket lengths, and both are
+/// rewritten every round), and the fast-mode RNG lane buffer (refilled
+/// fresh inside every decide call).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineCheckpoint {
     /// `positions[w]` = global node holding walker `w`.
@@ -128,7 +153,7 @@ pub struct EngineCheckpoint {
     pub shards: Vec<ShardCheckpoint>,
 }
 
-/// Multi-shard executor of holder-order exchange rounds.
+/// Executor of holder-order exchange rounds over a partition.
 ///
 /// See the [module docs](self) for the determinism and degeneracy contracts.
 /// The partition is borrowed; the topology is borrowed for the classic
@@ -144,14 +169,10 @@ pub struct ShardedMixingEngine<'g> {
     /// How rounds draw randomness (see [`DrawMode`]); `Compat` by default.
     draw_mode: DrawMode,
     round: usize,
+    /// Every node's bucket, over global node ids, with the last round's
+    /// per-node sent and load statistics.
+    buckets: HolderBuckets,
     shards: Vec<ShardState>,
-    /// `outboxes[s][d]` holds shard `s`'s cross-(and intra-)shard sends to
-    /// shard `d` this round, as `(destination global node, walker)` in send
-    /// order.
-    outboxes: Vec<Vec<Vec<(u32, u32)>>>,
-    /// Whole-population per-round statistics (global node order).
-    sent: Vec<u32>,
-    load: Vec<u32>,
     /// Attached telemetry (`None` = the no-op path).  Inert by
     /// construction — recording never draws randomness or touches round
     /// state — and shared by the threaded sampling workers (`Sync`
@@ -177,8 +198,7 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// Creates a sharded engine with walkers at the given starting nodes.
     ///
-    /// Initial buckets group walkers by holder in walker-id order, exactly
-    /// like [`crate::mixing_engine::MixingEngine::ensure_buckets`].
+    /// Initial buckets group walkers by holder in walker-id order.
     ///
     /// # Errors
     ///
@@ -202,7 +222,7 @@ impl<'g> ShardedMixingEngine<'g> {
         let positions = starts.iter().map(|&s| s as u32).collect();
         let streams = (0..partition.shard_count()).map(|s| shard_stream(seed, s));
         let mut engine = Self::assemble(graph, partition, positions, streams)?;
-        engine.rebuild_buckets();
+        engine.buckets = HolderBuckets::from_positions(n, &engine.positions);
         Ok(engine)
     }
 
@@ -210,8 +230,8 @@ impl<'g> ShardedMixingEngine<'g> {
     /// [`ShardedMixingEngine::restore_checkpoint`]: checks that the walk can
     /// run on `graph`, that `partition` covers it and that node and walker
     /// ids fit in `u32`, then builds the engine at round 0 in compat mode
-    /// with shard `s` drawing from the `s`-th of `streams` and every bucket
-    /// empty.
+    /// with shard `s` drawing from the `s`-th of `streams` and no buckets
+    /// yet (the caller installs them).
     fn assemble(
         graph: &'g Graph,
         partition: &'g Partition,
@@ -237,16 +257,10 @@ impl<'g> ShardedMixingEngine<'g> {
                 positions.len()
             )));
         }
-        let k = partition.shard_count();
         let shards = streams
-            .zip(partition.shards())
-            .map(|(rng, shard)| ShardState {
+            .map(|rng| ShardState {
                 rng,
-                bucket_starts: vec![0; shard.len() + 1],
-                bucket_walkers: Vec::new(),
                 arena: RoundArena::new(),
-                sent_local: vec![0; shard.len()],
-                load_local: vec![0; shard.len()],
             })
             .collect();
         Ok(ShardedMixingEngine {
@@ -255,10 +269,8 @@ impl<'g> ShardedMixingEngine<'g> {
             positions,
             draw_mode: DrawMode::Compat,
             round: 0,
+            buckets: HolderBuckets::default(),
             shards,
-            outboxes: vec![vec![Vec::new(); k]; k],
-            sent: vec![0; n],
-            load: vec![0; n],
             telemetry: None,
         })
     }
@@ -291,7 +303,7 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// The partition the engine shards by.
-    pub fn partition(&self) -> &Partition {
+    pub fn partition(&self) -> &'g Partition {
         self.partition
     }
 
@@ -324,10 +336,10 @@ impl<'g> ShardedMixingEngine<'g> {
     /// Per-node relay messages sent in the latest completed round
     /// (`sent[u]` for global node `u`; all zeros before the first round).
     pub fn sent_counts(&self) -> &[u32] {
-        &self.sent
+        self.buckets.sent()
     }
 
-    /// Histogram of walkers per global node.
+    /// Histogram of walkers per global node: entry `L_i` of Lemma 5.1.
     pub fn load_vector(&self) -> Vec<usize> {
         let mut load = vec![0usize; self.graph.node_count()];
         for &node in &self.positions {
@@ -339,12 +351,12 @@ impl<'g> ShardedMixingEngine<'g> {
     /// The walkers currently held by global node `u`, in bucket order
     /// (survivors first, then arrivals grouped by source shard).
     pub fn held_by(&self, u: NodeId) -> &[u32] {
-        let state = &self.shards[self.partition.shard_of(u)];
-        let lu = self.partition.local_of(u);
-        &state.bucket_walkers[state.bucket_starts[lu]..state.bucket_starts[lu + 1]]
+        self.buckets.held_by(u)
     }
 
-    /// Groups walkers by their current holder, in bucket order.
+    /// Groups walkers by their current holder, in bucket order: the
+    /// multiset `{s_j}ᵢ` of reports each user holds at the end of the
+    /// exchange phase (Figure 2).
     pub fn walkers_by_holder(&self) -> Vec<Vec<usize>> {
         self.graph
             .nodes()
@@ -354,10 +366,9 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// Mutable access to shard `shard`'s RNG stream.
     ///
-    /// The service layer draws its final-round submission choices from the
-    /// submitter's shard stream, so a 1-shard deployment consumes the walk
-    /// *and* finalization draws exactly like the single-engine protocol
-    /// path.
+    /// The final round draws each submitter's choice from her shard's
+    /// stream, so a 1-shard run consumes the walk *and* finalization draws
+    /// from the one stream `SimRng::seed_from_u64(seed)`.
     ///
     /// # Panics
     ///
@@ -390,14 +401,26 @@ impl<'g> ShardedMixingEngine<'g> {
             shards: self
                 .shards
                 .iter()
-                .map(|state| {
+                .zip(self.partition.shards())
+                .map(|(state, shard)| {
                     let (rng_key, rng_counter, rng_cursor) = state.rng.state();
+                    let mut bucket_starts = Vec::with_capacity(shard.len() + 1);
+                    bucket_starts.push(0);
+                    let mut held = 0;
+                    for &u in shard.nodes() {
+                        held += self.held_by(u).len();
+                        bucket_starts.push(held);
+                    }
+                    let mut bucket_walkers = Vec::with_capacity(held);
+                    for run in shard.runs() {
+                        bucket_walkers.extend_from_slice(self.buckets.held_in(run));
+                    }
                     ShardCheckpoint {
                         rng_key,
                         rng_counter,
                         rng_cursor,
-                        bucket_starts: state.bucket_starts.clone(),
-                        bucket_walkers: state.bucket_walkers.clone(),
+                        bucket_starts,
+                        bucket_walkers,
                     }
                 })
                 .collect(),
@@ -438,57 +461,72 @@ impl<'g> ShardedMixingEngine<'g> {
         let mut engine = Self::assemble(graph, partition, checkpoint.positions.clone(), streams)?;
         engine.round = checkpoint.round;
         engine.draw_mode = checkpoint.draw_mode;
-        // Cross-check buckets against positions: every walker must appear in
-        // exactly one bucket, at the local node its position maps to.
+        // Scatter the per-shard local CSRs into one global CSR, checking
+        // buckets against positions: every walker must appear in exactly
+        // one bucket, at the node its position names.
+        let n = graph.node_count();
+        let mut starts = vec![0usize; n + 1];
         let mut seen = vec![false; checkpoint.positions.len()];
-        for (s, (shard_cp, state)) in checkpoint.shards.iter().zip(&mut engine.shards).enumerate() {
-            let shard = partition.shard(s);
+        for (s, (shard_cp, shard)) in checkpoint.shards.iter().zip(partition.shards()).enumerate() {
             let local_n = shard.len();
-            if shard_cp.bucket_starts.len() != local_n + 1
-                || shard_cp.bucket_starts[0] != 0
-                || shard_cp.bucket_starts.windows(2).any(|w| w[0] > w[1])
-                || shard_cp.bucket_starts[local_n] != shard_cp.bucket_walkers.len()
+            let cp_starts = &shard_cp.bucket_starts;
+            if cp_starts.len() != local_n + 1
+                || cp_starts[0] != 0
+                || cp_starts.windows(2).any(|w| w[0] > w[1])
+                || cp_starts[local_n] != shard_cp.bucket_walkers.len()
             {
                 return Err(GraphError::InvalidParameters(format!(
                     "shard {s} checkpoint buckets do not form a CSR over {local_n} local nodes"
                 )));
             }
-            for lu in 0..local_n {
-                let global = shard.global_of(lu);
-                let bucket = &shard_cp.bucket_walkers
-                    [shard_cp.bucket_starts[lu]..shard_cp.bucket_starts[lu + 1]];
+            for (lu, &u) in shard.nodes().iter().enumerate() {
+                let bucket = &shard_cp.bucket_walkers[cp_starts[lu]..cp_starts[lu + 1]];
                 for &w in bucket {
                     let valid = (w as usize) < seen.len()
                         && !seen[w as usize]
-                        && checkpoint.positions[w as usize] as usize == global;
+                        && checkpoint.positions[w as usize] as usize == u;
                     if !valid {
                         return Err(GraphError::InvalidParameters(format!(
-                            "shard {s} checkpoint bucket at node {global} holds walker {w}, \
+                            "shard {s} checkpoint bucket at node {u} holds walker {w}, \
                              which is out of range, duplicated, or positioned elsewhere"
                         )));
                     }
                     seen[w as usize] = true;
                 }
+                starts[u + 1] = bucket.len();
             }
-            state.bucket_starts.clone_from(&shard_cp.bucket_starts);
-            state.bucket_walkers.clone_from(&shard_cp.bucket_walkers);
         }
         if let Some(w) = seen.iter().position(|&s| !s) {
             return Err(GraphError::InvalidParameters(format!(
                 "walker {w} has a position but no bucket slot in the checkpoint"
             )));
         }
+        for u in 0..n {
+            starts[u + 1] += starts[u];
+        }
+        // A run's buckets are contiguous in both layouts.
+        let mut walkers = vec![0u32; starts[n]];
+        for (shard_cp, shard) in checkpoint.shards.iter().zip(partition.shards()) {
+            let mut local = 0;
+            for run in shard.runs() {
+                let held = &shard_cp.bucket_walkers
+                    [shard_cp.bucket_starts[local]..shard_cp.bucket_starts[local + run.len()]];
+                walkers[starts[run.start]..starts[run.end]].copy_from_slice(held);
+                local += run.len();
+            }
+        }
+        engine.buckets = HolderBuckets::from_csr(starts, walkers);
         Ok(engine)
     }
 
     /// Swaps in a new topology for subsequent rounds — the churn runtime's
-    /// `retarget`/delta-apply hook, mirroring
+    /// per-round topology hook, mirroring
     /// [`crate::mixing_engine::MixingEngine::retarget`].  Walker positions,
-    /// per-shard buckets, RNG streams and the round counter carry over
-    /// unchanged; only where walkers can move *next* changes.  The node
-    /// count must match (the partition's shard assignment stays valid:
-    /// users are stable, churn rewires edges and availability, not
-    /// identity) and the new topology must have no isolated nodes.
+    /// buckets, RNG streams and the round counter carry over unchanged;
+    /// only where walkers can move *next* changes.  The node count must
+    /// match (the partition's shard assignment stays valid: users are
+    /// stable, churn rewires edges and availability, not identity) and the
+    /// new topology must have no isolated nodes.
     ///
     /// Pass [`Cow::Owned`] for a topology with no stable home to borrow
     /// from, such as each round's
@@ -513,51 +551,15 @@ impl<'g> ShardedMixingEngine<'g> {
         Ok(())
     }
 
-    /// Builds every shard's initial buckets with the kernel's counting
-    /// sort: no survivors, and each shard's walkers in walker-id order as
-    /// the arrival stream.  Shard 0's outbox rows serve as the
-    /// per-destination scratch (they are cleared at the start of every
-    /// sampling phase anyway).
-    fn rebuild_buckets(&mut self) {
-        let partition = self.partition;
-        let routes = &mut self.outboxes[0];
-        for (w, &pos) in self.positions.iter().enumerate() {
-            routes[partition.shard_of(pos as usize)].push((pos, w as u32));
-        }
-        for ((state, shard), row) in self
-            .shards
-            .iter_mut()
-            .zip(partition.shards())
-            .zip(&self.outboxes[0])
-        {
-            round::merge_round_buckets(
-                shard.len(),
-                &mut state.arena,
-                &mut state.load_local,
-                &mut state.bucket_starts,
-                &mut state.bucket_walkers,
-                |sink| {
-                    for &(dest, w) in row {
-                        sink(partition.local_of(dest as usize), w);
-                    }
-                },
-            );
-        }
-    }
-
     /// Executes one holder-order round across all shards and streams
     /// whole-population statistics to `observer` (pass `&mut ()` to skip).
     ///
     /// With `mask = Some(available)` (global node ids) a walker whose chosen
     /// recipient is unavailable stays put for the round — in a distributed
-    /// deployment, a cross-shard delivery to a dark recipient bounces back
-    /// to its source shard through the return leg of the exchange and
-    /// rejoins the holder's bucket as a survivor, which is exactly how the
-    /// kernel accounts it (not sent, not an arrival).  An all-available mask
-    /// is bit-for-bit `None`, and under a 1-shard partition the round is
-    /// bit-for-bit [`crate::mixing_engine::MixingEngine::step_holder`] /
-    /// [`crate::mixing_engine::MixingEngine::step_holder_masked`] — RNG
-    /// stream, bucket orders and statistics included.
+    /// deployment, a delivery to a dark recipient bounces back to its
+    /// holder and rejoins the holder's bucket as a survivor, which is
+    /// exactly how the kernel accounts it (not sent, not an arrival).  An
+    /// all-available mask is bit-for-bit `None`.
     ///
     /// The sampling phase runs inline, or — under the `parallel` feature,
     /// with more than one shard and more than one core — on scoped threads;
@@ -583,7 +585,7 @@ impl<'g> ShardedMixingEngine<'g> {
     /// [`ShardedMixingEngine::step`] with the per-shard sampling phase run
     /// inline in an explicit shard order — the determinism audit hook: any
     /// permutation of `0..shard_count` must produce bitwise identical
-    /// results, because shards only touch their own stream and outboxes and
+    /// results, because shards only touch their own stream and arena and
     /// the merge order is canonical.
     ///
     /// # Errors
@@ -667,9 +669,9 @@ impl<'g> ShardedMixingEngine<'g> {
     /// The sampling phase: every shard's decide sweep, inline in `order`
     /// when one is given, otherwise in ascending shard order — or, under
     /// the `parallel` feature with more than one shard and more than one
-    /// core, dealt round-robin to scoped threads.  Each shard touches only
-    /// its own stream, state and outbox row, so the schedule never changes
-    /// the result.
+    /// core, dealt round-robin to scoped threads.  Each shard reads the
+    /// shared buckets and touches only its own stream and arena, so the
+    /// schedule never changes the result.
     fn sample(&mut self, laziness: f64, mask: Option<&[bool]>, order: Option<&[usize]>) {
         let sampling = Sampling {
             plan: RoundPlan {
@@ -678,12 +680,13 @@ impl<'g> ShardedMixingEngine<'g> {
                 available: mask,
             },
             partition: self.partition,
+            buckets: &self.buckets,
             mode: self.draw_mode,
             telemetry: self.telemetry.as_ref(),
         };
         if let Some(order) = order {
             for &s in order {
-                sampling.sample_shard(s, &mut self.shards[s], &mut self.outboxes[s]);
+                sampling.sample_shard(s, &mut self.shards[s]);
             }
             return;
         }
@@ -694,98 +697,66 @@ impl<'g> ShardedMixingEngine<'g> {
             1 => 1,
             k => std::thread::available_parallelism().map_or(1, |p| p.get().min(k)),
         };
-        let work = self.shards.iter_mut().zip(self.outboxes.iter_mut());
         #[cfg(feature = "parallel")]
         if threads > 1 {
             let mut per_thread: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-            for (s, item) in work.enumerate() {
-                per_thread[s % threads].push((s, item));
+            for (s, state) in self.shards.iter_mut().enumerate() {
+                per_thread[s % threads].push((s, state));
             }
             std::thread::scope(|scope| {
                 for assignment in per_thread {
                     scope.spawn(move || {
-                        for (s, (state, outbox)) in assignment {
-                            sampling.sample_shard(s, state, outbox);
+                        for (s, state) in assignment {
+                            sampling.sample_shard(s, state);
                         }
                     });
                 }
             });
             return;
         }
-        for (s, (state, outbox)) in work.enumerate() {
-            sampling.sample_shard(s, state, outbox);
+        for (s, state) in self.shards.iter_mut().enumerate() {
+            sampling.sample_shard(s, state);
         }
     }
 
-    /// The canonical exchange phase: folds the sampling phase's mask
-    /// bounces and outbox row depths into the attached telemetry, merges
-    /// survivors and (per source shard, in ascending shard order)
-    /// deliveries into each shard's next-round buckets via one counting
-    /// sort per shard, updates walker positions, folds the per-shard
-    /// statistics into the global vectors and reports the round.
+    /// The exchange and merge phases: folds the sampling phase's mask
+    /// bounces into the attached telemetry, writes every delivered
+    /// walker's new position, rebuilds the buckets and the round's
+    /// statistics with one counting sort over all shards' survivors and
+    /// deliveries (ascending shard order), and reports the round.
     fn merge_round<O: RoundObserver>(&mut self, observer: &mut O) {
-        let partition = self.partition;
-        let k = self.shards.len();
         let telemetry = self.telemetry.as_ref();
         if let Some(t) = telemetry {
             for state in &self.shards {
                 t.mask_bounces.add(state.arena.bounced());
             }
-            for row in self.outboxes.iter().flatten() {
-                t.outbox_depth.record(row.len() as u64);
-            }
         }
-        for d in 0..k {
-            let nodes = partition.shard(d).nodes();
-            let local_n = nodes.len();
-            // Record delivered walkers' new positions (send order within a
-            // source row; final values are order-independent — each walker
-            // appears in exactly one outbox entry).  The walker ids index
-            // the position array essentially at random, so prefetch a few
-            // entries ahead.
-            {
-                let _span = telemetry.map(|t| t.exchange_ns.span(&t.clock));
-                for source in self.outboxes.iter() {
-                    let row = &source[d];
-                    for (i, &(dest, w)) in row.iter().enumerate() {
-                        if let Some(&(_, wf)) = row.get(i + 8) {
-                            round::prefetch_read(&self.positions, wf as usize);
-                        }
-                        self.positions[w as usize] = dest;
+        // Record delivered walkers' new positions (each walker appears in
+        // exactly one delivery).  The walker ids index the position array
+        // essentially at random, so prefetch a few entries ahead.
+        {
+            let _span = telemetry.map(|t| t.exchange_ns.span(&t.clock));
+            for state in &self.shards {
+                let (dests, walkers) = state.arena.deliveries();
+                for (i, (&dest, &w)) in dests.iter().zip(walkers).enumerate() {
+                    if let Some(&wf) = walkers.get(i + 8) {
+                        round::prefetch_read(&self.positions, wf as usize);
                     }
+                    self.positions[w as usize] = dest;
                 }
             }
-            // The kernel's counting-sort merge: survivors first (grouped by
-            // local node, a decide-phase invariant), then arrivals by
-            // source shard in ascending id, each row in send order — the
-            // canonical order that makes the exchange execution-order-free.
-            let state = &mut self.shards[d];
-            let outboxes = &self.outboxes;
-            {
-                let _span = telemetry.map(|t| t.merge_ns.span(&t.clock));
-                round::merge_round_buckets(
-                    local_n,
-                    &mut state.arena,
-                    &mut state.load_local,
-                    &mut state.bucket_starts,
-                    &mut state.bucket_walkers,
-                    |sink| {
-                        for source in outboxes.iter() {
-                            for &(dest, w) in &source[d] {
-                                sink(partition.local_of(dest as usize), w);
-                            }
-                        }
-                    },
-                );
-            }
-            // Fold this shard's statistics into the global vectors.
-            for (lu, &u) in nodes.iter().enumerate() {
-                self.sent[u] = state.sent_local[lu];
-                self.load[u] = state.load_local[lu];
-            }
+        }
+        {
+            let _span = telemetry.map(|t| t.merge_ns.span(&t.clock));
+            self.buckets
+                .merge(self.shards.iter().map(|state| &state.arena));
         }
         debug_assert_eq!(
-            self.load.iter().map(|&l| l as usize).sum::<usize>(),
+            self.buckets
+                .load()
+                .iter()
+                .map(|&l| l as usize)
+                .sum::<usize>(),
             self.positions.len(),
             "round conservation violated: survivors + arrivals + bounces must equal the walkers"
         );
@@ -795,8 +766,8 @@ impl<'g> ShardedMixingEngine<'g> {
         }
         observer.on_round(&RoundStats {
             round: self.round,
-            sent: &self.sent,
-            load: &self.load,
+            sent: self.buckets.sent(),
+            load: self.buckets.load(),
         });
     }
 }
@@ -807,49 +778,28 @@ impl<'g> ShardedMixingEngine<'g> {
 struct Sampling<'a> {
     plan: RoundPlan<'a>,
     partition: &'a Partition,
+    buckets: &'a HolderBuckets,
     mode: DrawMode,
     telemetry: Option<&'a EngineTelemetry>,
 }
 
 impl Sampling<'_> {
-    /// Phase 1 for one shard: the kernel's decide sweep over the shard's
-    /// nodes in ascending local (= global) order, drawing every move from
-    /// the shard's own stream through the engine-wide sampling rule (compat
-    /// or fast).  Survivors — lazy stays *and* masked bounces — stay in the
-    /// shard's arena; every delivery, intra- or cross-shard, is then routed
-    /// from the arena's delivery buffers to the outbox row of its
-    /// destination shard, preserving send order.
-    fn sample_shard(&self, shard: usize, state: &mut ShardState, outbox: &mut [Vec<(u32, u32)>]) {
+    /// The sampling phase for one shard: the kernel's decide sweep over the
+    /// shard's nodes in ascending id order, run by run, drawing every move from the
+    /// shard's own stream through the engine-wide sampling rule (compat or
+    /// fast).  Survivors — lazy stays *and* masked bounces — and every
+    /// delivery, in send order, land in the shard's arena.
+    fn sample_shard(&self, shard: usize, state: &mut ShardState) {
         let _span = self.telemetry.map(|t| t.decide_ns.span(&t.clock));
-        for row in outbox.iter_mut() {
-            row.clear();
-        }
-        let nodes = self.partition.shard(shard).nodes();
-        let ShardState {
-            rng,
-            bucket_starts,
-            bucket_walkers,
-            arena,
-            sent_local,
-            ..
-        } = state;
-        let holders = nodes.iter().copied().enumerate();
-        let buckets = round::HolderBuckets {
-            starts: bucket_starts,
-            walkers: bucket_walkers,
-        };
-        let plan = &self.plan;
+        let holders = self.partition.shard(shard).runs();
+        let ShardState { rng, arena } = state;
         match self.mode {
             DrawMode::Compat => {
-                round::decide_holder_moves(plan, holders, buckets, sent_local, arena, rng)
+                round::decide_holder_moves(&self.plan, holders, self.buckets, arena, rng)
             }
             DrawMode::Fast => {
-                round::decide_holder_moves_fast(plan, holders, buckets, sent_local, arena, rng)
+                round::decide_holder_moves_fast(&self.plan, holders, self.buckets, arena, rng)
             }
-        }
-        let (dests, walkers) = arena.deliveries();
-        for (&dest, &w) in dests.iter().zip(walkers) {
-            outbox[self.partition.shard_of(dest as usize)].push((dest, w));
         }
     }
 }
@@ -858,7 +808,6 @@ impl Sampling<'_> {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::mixing_engine::MixingEngine;
     use crate::rng::seeded_rng;
 
     fn graph(n: usize, k: usize, seed: u64) -> Graph {
@@ -878,29 +827,6 @@ mod tests {
         let isolated = Graph::from_edges(40, &[(0, 1)]).unwrap();
         let pi = Partition::single_shard(&isolated).unwrap();
         assert!(ShardedMixingEngine::one_walker_per_node(&isolated, &pi, 7).is_err());
-    }
-
-    #[test]
-    fn one_shard_is_bitwise_the_single_engine() {
-        let g = graph(160, 6, 3);
-        let p = Partition::single_shard(&g).unwrap();
-        for laziness in [0.0, 0.3] {
-            let mut sharded = ShardedMixingEngine::one_walker_per_node(&g, &p, 99).unwrap();
-            let mut single = MixingEngine::one_walker_per_node(&g).unwrap();
-            let mut rng = shard_stream(99, 0);
-            for _ in 0..20 {
-                sharded.step(laziness, None, &mut ()).unwrap();
-                single.step_holder(laziness, &mut rng, &mut ());
-            }
-            assert_eq!(sharded.positions(), single.positions());
-            assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-            // The engine consumed exactly the same stream: the next draws
-            // coincide.
-            use rand::Rng;
-            let a: u64 = sharded.shard_rng_mut(0).gen();
-            let b: u64 = rng.gen();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -1013,30 +939,6 @@ mod tests {
             engine.step(0.1, None, &mut checker).unwrap();
         }
         assert_eq!(checker.rounds_seen, 10);
-    }
-
-    #[test]
-    fn one_shard_masked_is_bitwise_the_single_engine_masked_path() {
-        let g = graph(140, 6, 10);
-        let p = Partition::single_shard(&g).unwrap();
-        let mask: Vec<bool> = (0..140).map(|u| u % 4 != 0).collect();
-        for laziness in [0.0, 0.3] {
-            let mut sharded = ShardedMixingEngine::one_walker_per_node(&g, &p, 55).unwrap();
-            let mut single = MixingEngine::one_walker_per_node(&g).unwrap();
-            let mut rng = shard_stream(55, 0);
-            for _ in 0..18 {
-                sharded.step(laziness, Some(&mask), &mut ()).unwrap();
-                single
-                    .step_holder_masked(laziness, &mask, &mut rng, &mut ())
-                    .unwrap();
-            }
-            assert_eq!(sharded.positions(), single.positions());
-            assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-            use rand::Rng;
-            let a: u64 = sharded.shard_rng_mut(0).gen();
-            let b: u64 = rng.gen();
-            assert_eq!(a, b, "RNG stream diverged under the mask");
-        }
     }
 
     #[test]

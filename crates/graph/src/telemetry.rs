@@ -17,22 +17,19 @@ use ns_obs::{Clock, Counter, Histogram, MetricsRegistry};
 pub mod names {
     /// Decide-phase duration per round (holder sweeps + draws), ns.
     pub const DECIDE_NS: &str = "ns_round_decide_ns";
-    /// Exchange-phase duration per round (delivery routing / position
+    /// Exchange-phase duration per round (delivered walkers' position
     /// writes), ns.
     pub const EXCHANGE_NS: &str = "ns_round_exchange_ns";
     /// Merge-phase duration per round (counting-sort bucket rebuild), ns.
     pub const MERGE_NS: &str = "ns_round_merge_ns";
-    /// Outbox row depth (deliveries routed per destination shard) per
-    /// source shard per round.
-    pub const OUTBOX_DEPTH: &str = "ns_round_outbox_depth";
     /// Walkers whose drawn move bounced off an unavailable recipient.
     pub const MASK_BOUNCES: &str = "ns_round_mask_bounces";
     /// Rounds executed.
     pub const ROUNDS_TOTAL: &str = "ns_rounds_total";
 }
 
-/// Preregistered phase-timing handles, shared by the monolithic and the
-/// sharded engine.  Clone-cheap (`Arc` bumps); `Send + Sync`, so the
+/// Preregistered phase-timing handles, shared by the walker-order and the
+/// holder-order engine.  Clone-cheap (`Arc` bumps); `Send + Sync`, so the
 /// threaded sampling workers record into the same histograms.
 #[derive(Clone, Debug)]
 pub struct EngineTelemetry {
@@ -40,7 +37,6 @@ pub struct EngineTelemetry {
     pub(crate) decide_ns: Histogram,
     pub(crate) exchange_ns: Histogram,
     pub(crate) merge_ns: Histogram,
-    pub(crate) outbox_depth: Histogram,
     pub(crate) mask_bounces: Counter,
     pub(crate) rounds: Counter,
 }
@@ -53,7 +49,6 @@ impl EngineTelemetry {
             decide_ns: registry.histogram(names::DECIDE_NS),
             exchange_ns: registry.histogram(names::EXCHANGE_NS),
             merge_ns: registry.histogram(names::MERGE_NS),
-            outbox_depth: registry.histogram(names::OUTBOX_DEPTH),
             mask_bounces: registry.counter(names::MASK_BOUNCES),
             rounds: registry.counter(names::ROUNDS_TOTAL),
         }

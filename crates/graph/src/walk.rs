@@ -1,23 +1,17 @@
-//! Discrete random-walk engine for report exchange.
+//! Walk configuration shared by the engines and the protocol layer.
 //!
-//! The distribution-level machinery in [`crate::distribution`] tracks where a
-//! report *probably* is; this module moves concrete walkers (reports) between
-//! nodes, which is what the protocol simulation in the core crate and the
-//! utility experiments (Figure 9) need.  Every report performs an independent
-//! random walk: in each round, each report held at node `u` is forwarded to a
-//! uniformly random neighbour of `u` (Algorithms 1 and 2 of the paper).
-//!
-//! [`WalkEngine`] is a thin adapter over the shared batched round-execution
-//! core in [`crate::mixing_engine`]; it exists to keep the historical
-//! walker-oriented API (and its exact sampled trajectories) stable while the
-//! heavy lifting lives in one place.  [`LazyWalk`] adds a per-round
-//! probability of a report staying put, which models temporarily unavailable
+//! Every report performs an independent random walk: in each round, each
+//! report held at node `u` is forwarded to a uniformly random neighbour of
+//! `u` (Algorithms 1 and 2 of the paper), or — in the lazy walk — stays
+//! put with a fixed probability, which models temporarily unavailable
 //! users (Section 4.5) and also restores ergodicity on bipartite graphs.
+//! [`WalkConfig`] names such a walk (rounds and laziness), and
+//! [`validate_laziness`] is the one domain rule every layer that accepts
+//! a laziness checks against.  The walks themselves run on
+//! [`crate::mixing_engine::MixingEngine`] (walker order) and
+//! [`crate::sharded_engine::ShardedMixingEngine`] (holder order).
 
 use crate::error::{GraphError, Result};
-use crate::graph::{Graph, NodeId};
-use crate::mixing_engine::MixingEngine;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Checks the shared laziness-domain invariant `laziness ∈ [0, 1)`.
@@ -78,230 +72,9 @@ impl Default for WalkConfig {
     }
 }
 
-/// Moves a set of walkers (reports) over a graph, one round at a time.
-///
-/// Walker `w` is identified by its index in the position vector; the caller
-/// attaches meaning (e.g. "report produced by user `w`") externally.  All
-/// state and round execution are delegated to the shared
-/// [`MixingEngine`]; rounds run in walker order, which reproduces the
-/// historical `WalkEngine` trajectories draw for draw.
-#[derive(Debug, Clone)]
-pub struct WalkEngine<'g> {
-    inner: MixingEngine<'g>,
-}
-
-impl<'g> WalkEngine<'g> {
-    /// Creates an engine with one walker per node, walker `i` starting at
-    /// node `i` — the initial condition of network shuffling, where every
-    /// user holds exactly her own randomized report.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EmptyGraph`] / [`GraphError::IsolatedNode`] for graphs
-    /// the walk cannot run on.
-    pub fn one_walker_per_node(graph: &'g Graph) -> Result<Self> {
-        Ok(WalkEngine {
-            inner: MixingEngine::one_walker_per_node(graph)?,
-        })
-    }
-
-    /// Creates an engine with walkers at the given starting nodes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WalkEngine::one_walker_per_node`], plus
-    /// [`GraphError::NodeOutOfRange`] if a start is out of range.
-    pub fn with_starts(graph: &'g Graph, starts: Vec<NodeId>) -> Result<Self> {
-        Ok(WalkEngine {
-            inner: MixingEngine::with_starts(graph, starts)?,
-        })
-    }
-
-    /// The shared round-execution core backing this walk.
-    pub fn engine(&mut self) -> &mut MixingEngine<'g> {
-        &mut self.inner
-    }
-
-    /// Number of walkers being tracked.
-    pub fn walker_count(&self) -> usize {
-        self.inner.walker_count()
-    }
-
-    /// Number of rounds executed so far.
-    pub fn round(&self) -> usize {
-        self.inner.round()
-    }
-
-    /// Current position of walker `w`.
-    pub fn position(&self, walker: usize) -> NodeId {
-        self.inner.position(walker)
-    }
-
-    /// Current positions of all walkers (`positions[w] = holder of w`),
-    /// in the engine's u32-compressed storage (graphs are capped at
-    /// `2^32 - 1` nodes, so the cast to [`NodeId`] is lossless).
-    pub fn positions(&self) -> &[u32] {
-        self.inner.positions()
-    }
-
-    /// Executes one round: every walker moves to a uniformly random
-    /// neighbour of its current node (staying put with probability
-    /// `laziness`).
-    pub fn step<R: Rng + ?Sized>(&mut self, laziness: f64, rng: &mut R) {
-        self.inner.step(laziness, rng);
-    }
-
-    /// Runs a full walk according to `config`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WalkConfig::validate`] errors.
-    pub fn run<R: Rng + ?Sized>(&mut self, config: WalkConfig, rng: &mut R) -> Result<()> {
-        self.inner.run(config, rng)
-    }
-
-    /// Groups walkers by their current holder: `holders[u]` lists the walker
-    /// ids currently at node `u`.  This is the multiset `{s_j}ᵢ` of reports
-    /// held by each user at the end of the exchange phase (Figure 2).
-    pub fn walkers_by_holder(&self) -> Vec<Vec<usize>> {
-        self.inner.walkers_by_holder()
-    }
-
-    /// Histogram of reports-per-holder sizes: entry `L_i` of Lemma 5.1.
-    pub fn load_vector(&self) -> Vec<usize> {
-        self.inner.load_vector()
-    }
-}
-
-/// Convenience wrapper running a lazy walk with one walker per node.
-#[derive(Debug, Clone, Copy)]
-pub struct LazyWalk {
-    /// Stay probability per round.
-    pub laziness: f64,
-}
-
-impl LazyWalk {
-    /// Creates a lazy-walk runner.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if `laziness ∉ [0, 1)`.
-    pub fn new(laziness: f64) -> Result<Self> {
-        WalkConfig::lazy(0, laziness).validate()?;
-        Ok(LazyWalk { laziness })
-    }
-
-    /// Runs `rounds` lazy rounds with one walker per node and returns the
-    /// final positions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine construction errors.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        graph: &Graph,
-        rounds: usize,
-        rng: &mut R,
-    ) -> Result<Vec<NodeId>> {
-        let mut engine = WalkEngine::one_walker_per_node(graph)?;
-        engine.run(WalkConfig::lazy(rounds, self.laziness), rng)?;
-        Ok(engine.positions().iter().map(|&p| p as NodeId).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::rng::seeded_rng;
-
-    #[test]
-    fn walkers_start_at_their_own_node() {
-        let g = generators::cycle(5).unwrap();
-        let engine = WalkEngine::one_walker_per_node(&g).unwrap();
-        assert_eq!(engine.walker_count(), 5);
-        for w in 0..5 {
-            assert_eq!(engine.position(w), w);
-        }
-        assert_eq!(engine.round(), 0);
-    }
-
-    #[test]
-    fn step_moves_every_walker_to_a_neighbor() {
-        let g = generators::cycle(6).unwrap();
-        let mut engine = WalkEngine::one_walker_per_node(&g).unwrap();
-        let before = engine.positions().to_vec();
-        let mut rng = seeded_rng(1);
-        engine.step(0.0, &mut rng);
-        for (w, (&b, &a)) in before.iter().zip(engine.positions().iter()).enumerate() {
-            assert!(
-                g.neighbors(b as usize).contains(&a),
-                "walker {w} moved from {b} to non-neighbor {a}"
-            );
-        }
-        assert_eq!(engine.round(), 1);
-    }
-
-    #[test]
-    fn lazy_step_can_keep_walkers_in_place() {
-        let g = generators::cycle(6).unwrap();
-        let mut engine = WalkEngine::one_walker_per_node(&g).unwrap();
-        let mut rng = seeded_rng(2);
-        engine.step(0.95, &mut rng);
-        let stayed = engine
-            .positions()
-            .iter()
-            .enumerate()
-            .filter(|(w, &p)| p as usize == *w)
-            .count();
-        assert!(
-            stayed >= 4,
-            "expected most walkers to stay, {stayed} stayed"
-        );
-    }
-
-    #[test]
-    fn load_vector_counts_every_walker_exactly_once() {
-        let g = generators::complete(8).unwrap();
-        let mut engine = WalkEngine::one_walker_per_node(&g).unwrap();
-        let mut rng = seeded_rng(3);
-        engine.run(WalkConfig::simple(10), &mut rng).unwrap();
-        let load = engine.load_vector();
-        assert_eq!(load.iter().sum::<usize>(), 8);
-        let holders = engine.walkers_by_holder();
-        let total: usize = holders.iter().map(|h| h.len()).sum();
-        assert_eq!(total, 8);
-        for (u, h) in holders.iter().enumerate() {
-            assert_eq!(h.len(), load[u]);
-        }
-    }
-
-    #[test]
-    fn empirical_distribution_matches_uniform_limit_on_complete_graph() {
-        let g = generators::complete(10).unwrap();
-        let mut rng = seeded_rng(4);
-        let mut counts = vec![0usize; 10];
-        // Many independent walks of walker 0; final position should be ~uniform.
-        for _ in 0..3_000 {
-            let mut engine = WalkEngine::with_starts(&g, vec![0]).unwrap();
-            engine.run(WalkConfig::simple(6), &mut rng).unwrap();
-            counts[engine.position(0)] += 1;
-        }
-        for &c in &counts {
-            let freq = c as f64 / 3_000.0;
-            assert!((freq - 0.1).abs() < 0.03, "frequency {freq} far from 0.1");
-        }
-    }
-
-    #[test]
-    fn with_starts_validates_inputs() {
-        let g = generators::cycle(4).unwrap();
-        assert!(WalkEngine::with_starts(&g, vec![0, 5]).is_err());
-        let empty = Graph::from_edges(0, &[]).unwrap();
-        assert!(WalkEngine::one_walker_per_node(&empty).is_err());
-        let isolated = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        assert!(WalkEngine::one_walker_per_node(&isolated).is_err());
-    }
 
     #[test]
     fn config_validation() {
@@ -310,16 +83,5 @@ mod tests {
         assert!(WalkConfig::lazy(5, 0.3).validate().is_ok());
         assert!(WalkConfig::simple(5).validate().is_ok());
         assert!(validate_laziness(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn lazy_walk_runner_end_to_end() {
-        let g = generators::cycle(4).unwrap(); // bipartite; lazy walk still fine
-        let lazy = LazyWalk::new(0.4).unwrap();
-        let mut rng = seeded_rng(5);
-        let positions = lazy.run(&g, 20, &mut rng).unwrap();
-        assert_eq!(positions.len(), 4);
-        assert!(positions.iter().all(|&p| p < 4));
-        assert!(LazyWalk::new(1.2).is_err());
     }
 }

@@ -11,18 +11,25 @@
 //! ```
 //!
 //! Where the quickstart example runs the full protocol (crypto envelopes,
-//! curator, accountant), this one exercises the shared round-execution core
-//! directly: a million-node regular graph, 30 exchange rounds over flat
-//! struct-of-arrays state, and a custom [`RoundObserver`] that watches the
-//! load distribution converge toward the balls-into-bins limit while the
-//! rounds execute — no post-hoc pass over a million client objects.
+//! curator, accountant), this one exercises the round engines directly: a
+//! million-node regular graph and 30 exchange rounds over flat
+//! struct-of-arrays state.  Serially it runs the protocol's holder-order
+//! rounds on the 1-shard `ShardedMixingEngine`, with a custom
+//! `RoundObserver` that watches the load distribution converge toward the
+//! balls-into-bins limit while the rounds execute — no post-hoc pass over a
+//! million client objects.  With `parallel` it runs `MixingEngine`'s
+//! data-parallel walker-order rounds instead.
 
 use ns_graph::generators::random_regular;
+#[cfg(feature = "parallel")]
 use ns_graph::mixing_engine::MixingEngine;
 #[cfg(not(feature = "parallel"))]
-use ns_graph::mixing_engine::{RoundObserver, RoundStats};
+use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
+#[cfg(not(feature = "parallel"))]
+use ns_graph::sharded_engine::{RoundObserver, RoundStats, ShardedMixingEngine};
+#[cfg(feature = "parallel")]
 use ns_graph::walk::WalkConfig;
 use ns_obs::say;
 use std::time::Instant;
@@ -74,26 +81,34 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let mut rng = seeded_rng(7);
     let graph = random_regular(n, 8, &mut rng)?;
 
-    let mut engine = MixingEngine::one_walker_per_node(&graph)?;
-    engine.set_draw_mode(mode);
-    let start = Instant::now();
-
     #[cfg(feature = "parallel")]
-    {
+    let (engine, start) = {
+        let mut engine = MixingEngine::one_walker_per_node(&graph)?;
+        engine.set_draw_mode(mode);
         say!(
             TOPIC,
             "running {rounds} data-parallel walker-order rounds ..."
         );
+        let start = Instant::now();
         engine.run_parallel(WalkConfig::simple(rounds), 42)?;
-    }
+        (engine, start)
+    };
     #[cfg(not(feature = "parallel"))]
-    {
+    let partition = Partition::single_shard(&graph)?;
+    #[cfg(not(feature = "parallel"))]
+    let (engine, start) = {
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, 42)?;
+        engine.set_draw_mode(mode);
         say!(
             TOPIC,
             "running {rounds} holder-order rounds with streaming metrics ..."
         );
-        engine.run_holder_observed(WalkConfig::simple(rounds), &mut rng, &mut LoadWatcher)?;
-    }
+        let start = Instant::now();
+        for _ in 0..rounds {
+            engine.step(0.0, None, &mut LoadWatcher)?;
+        }
+        (engine, start)
+    };
 
     let elapsed = start.elapsed();
     let load = engine.load_vector();

@@ -1,18 +1,18 @@
-//! Allocation audit of the engines' round paths.
+//! Allocation audit of the holder-order round path.
 //!
-//! Every engine keeps its round scratch — counting-sort arenas, outboxes,
-//! the fast mode's RNG lane buffer — in buffers that grow to a high-water
-//! mark and are then reused, so a settled round must allocate nothing, with
-//! or without telemetry attached (spans, counters and histograms record
-//! into preregistered slots).  A counting global allocator proves it; the
-//! allocator is per binary, which is why this audit has its own test
-//! target.  Counts are per thread, so the test harness's own bookkeeping on
+//! The engine keeps its round scratch — the per-shard decide arenas, the
+//! merge's counting-sort buffers, the fast mode's RNG lane buffer — in
+//! buffers that grow to a high-water mark and are then reused, so a settled
+//! round must allocate nothing, with or without telemetry attached (spans,
+//! counters and histograms record into preregistered slots).  The 1-shard
+//! `step` is the monolithic holder round every protocol run uses.  A
+//! counting global allocator proves it; the allocator is per binary, which
+//! is why this audit has its own test target.  Counts are per thread, so the test harness's own bookkeeping on
 //! other threads never leaks in — which is also why the 4-shard rounds run
 //! through `step_in_order`, the inline schedule: threaded sampling spawns
 //! its workers per round.
 
 use ns_graph::generators::random_regular;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
@@ -115,18 +115,6 @@ fn settled_rounds_allocate_nothing() {
                     "{mode:?}, telemetry {instrumented}, masked {}",
                     mask.is_some()
                 );
-
-                let mut holder = MixingEngine::one_walker_per_node(&graph).unwrap();
-                holder.set_draw_mode(mode);
-                holder.set_telemetry(telemetry.clone());
-                let mut rng = seeded_rng(4);
-                let allocations = settled_allocations(|| match mask {
-                    Some(available) => holder
-                        .step_holder_masked(0.2, available, &mut rng, &mut ())
-                        .unwrap(),
-                    None => holder.step_holder(0.2, &mut rng, &mut ()),
-                });
-                assert_eq!(allocations, 0, "MixingEngine::step_holder, {label}");
 
                 let mut single = ShardedMixingEngine::one_walker_per_node(&graph, &one, 5).unwrap();
                 single.set_draw_mode(mode);

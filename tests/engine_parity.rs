@@ -9,11 +9,11 @@ use network_shuffle::prelude::*;
 use network_shuffle::simulation::reference::run_protocol_reference;
 use network_shuffle::simulation::SimulationOutcome;
 use ns_graph::mixing_engine::MixingEngine;
-use ns_graph::walk::{WalkConfig, WalkEngine};
+use ns_graph::walk::WalkConfig;
 use ns_graph::NodeId;
 use rand::Rng;
 
-/// The pre-refactor `WalkEngine::step`, kept verbatim as the old behaviour.
+/// The pre-refactor walk step, kept verbatim as the old behaviour.
 fn legacy_walk_step<R: Rng + ?Sized>(
     graph: &ns_graph::Graph,
     positions: &mut [NodeId],
@@ -29,14 +29,14 @@ fn legacy_walk_step<R: Rng + ?Sized>(
     }
 }
 
-/// Walk layer: the adapter (and thus the engine's walker-order rounds)
-/// reproduces the pre-refactor walk trajectories draw for draw.
+/// Walk layer: the engine's walker-order rounds reproduce the pre-refactor
+/// walk trajectories draw for draw.
 #[test]
 fn walk_engine_positions_match_legacy_loop() {
     let mut graph_rng = ns_graph::rng::seeded_rng(1);
     let graph = ns_graph::generators::random_regular(800, 6, &mut graph_rng).unwrap();
     for (seed, laziness, rounds) in [(7u64, 0.0, 40), (8, 0.25, 40), (9, 0.7, 15)] {
-        let mut engine = WalkEngine::one_walker_per_node(&graph).unwrap();
+        let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
         let mut engine_rng = ns_graph::rng::seeded_rng(seed);
         engine
             .run(WalkConfig::lazy(rounds, laziness), &mut engine_rng)

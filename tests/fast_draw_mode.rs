@@ -9,9 +9,9 @@
 //! * **same distribution** — Monte-Carlo return-rate and empty-fraction
 //!   statistics on the shared graph zoo must agree between modes within
 //!   sampling error;
-//! * **same composition laws** — the 1-shard sharded engine is bitwise the
-//!   monolithic holder path *in fast mode too*, and threaded sampling is
-//!   bitwise sequential sampling, masked or not;
+//! * **same composition laws** — the 1-shard engine is bitwise a plain
+//!   holder-order loop drawing one `u64` per walker *in fast mode too*, and
+//!   threaded sampling is bitwise sequential sampling, masked or not;
 //! * **seed determinism** — same seed, same trajectories; different seed,
 //!   different trajectories.
 //!
@@ -21,13 +21,13 @@
 mod common;
 
 use common::strategies;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
-use ns_graph::Graph;
+use ns_graph::sharded_engine::ShardedMixingEngine;
+use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
+use rand::RngCore;
 
 /// Mean return-rate (walkers back at their origin) and empty-fraction
 /// (nodes holding no walker) over `trials` independent runs of `rounds`
@@ -40,13 +40,15 @@ fn monte_carlo_stats(
     trials: u64,
 ) -> (f64, f64) {
     let n = graph.node_count();
+    let partition = Partition::single_shard(graph).unwrap();
     let (mut returned, mut empty) = (0usize, 0usize);
     for trial in 0..trials {
-        let mut engine = MixingEngine::one_walker_per_node(graph).unwrap();
+        let mut engine =
+            ShardedMixingEngine::one_walker_per_node(graph, &partition, 0x5EED_0000 + trial)
+                .unwrap();
         engine.set_draw_mode(mode);
-        let mut rng = seeded_rng(0x5EED_0000 + trial);
         for _ in 0..rounds {
-            engine.step_holder(laziness, &mut rng, &mut ());
+            engine.step(laziness, None, &mut ()).unwrap();
         }
         returned += engine
             .positions()
@@ -61,6 +63,38 @@ fn monte_carlo_stats(
     }
     let scale = (trials as f64) * n as f64;
     (returned as f64 / scale, empty as f64 / scale)
+}
+
+/// One fast-mode holder-order round, written out plainly: holders in id
+/// order, each bucket in order, one `u64` per walker — the low 32 bits
+/// against `floor(laziness · 2^32)` for the lazy stay, the high 32 bits
+/// times the degree, shifted down 32, for the neighbour index — and next
+/// buckets listing survivors first, then arrivals in send order.
+fn reference_fast_round(
+    graph: &Graph,
+    laziness: f64,
+    buckets: &mut Vec<Vec<u32>>,
+    rng: &mut impl RngCore,
+) {
+    let threshold = (laziness * 4_294_967_296.0) as u64;
+    let mut next: Vec<Vec<u32>> = vec![Vec::new(); buckets.len()];
+    let mut moved: Vec<(NodeId, u32)> = Vec::new();
+    for (u, bucket) in buckets.iter().enumerate() {
+        let nbrs = graph.neighbors(u);
+        for &w in bucket {
+            let r = rng.next_u64();
+            if (r & 0xFFFF_FFFF) < threshold {
+                next[u].push(w);
+            } else {
+                let index = ((r >> 32) * nbrs.len() as u64) >> 32;
+                moved.push((nbrs[index as usize] as NodeId, w));
+            }
+        }
+    }
+    for (dest, w) in moved {
+        next[dest].push(w);
+    }
+    *buckets = next;
 }
 
 proptest! {
@@ -91,11 +125,11 @@ proptest! {
         );
     }
 
-    /// The 1-shard degeneracy holds in fast mode: the sharded engine under
-    /// a single-shard partition is bitwise the monolithic holder-order path
-    /// drawing from `shard_stream(seed, 0)`.
+    /// The 1-shard degeneracy holds in fast mode: the engine under a
+    /// single-shard partition is bitwise [`reference_fast_round`] drawing
+    /// from `seeded_rng(seed)` — bucket orders and stream position.
     #[test]
-    fn fast_one_shard_is_bitwise_the_monolithic_fast_engine(
+    fn fast_one_shard_is_bitwise_the_reference_fast_loop(
         graph in strategies::graph_zoo(30..120),
         laziness_pct in 0usize..50,
         rounds in 1usize..8,
@@ -104,25 +138,28 @@ proptest! {
         prop_assume!(graph.node_count() >= 10);
         let laziness = laziness_pct as f64 / 100.0;
         let partition = Partition::single_shard(&graph).unwrap();
-        let mut sharded =
+        let mut engine =
             ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        sharded.set_draw_mode(DrawMode::Fast);
-        let mut single = MixingEngine::one_walker_per_node(&graph).unwrap();
-        single.set_draw_mode(DrawMode::Fast);
-        let mut rng = shard_stream(seed, 0);
+        engine.set_draw_mode(DrawMode::Fast);
+        let mut buckets: Vec<Vec<u32>> = (0..graph.node_count() as u32).map(|u| vec![u]).collect();
+        let mut rng = seeded_rng(seed);
         for _ in 0..rounds {
-            sharded.step(laziness, None, &mut ()).unwrap();
-            single.step_holder(laziness, &mut rng, &mut ());
+            engine.step(laziness, None, &mut ()).unwrap();
+            reference_fast_round(&graph, laziness, &mut buckets, &mut rng);
         }
-        prop_assert_eq!(sharded.positions(), single.positions());
-        prop_assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
+        let expected: Vec<Vec<usize>> = buckets
+            .iter()
+            .map(|b| b.iter().map(|&w| w as usize).collect())
+            .collect();
+        prop_assert_eq!(engine.walkers_by_holder(), expected);
+        prop_assert_eq!(engine.shard_rng_mut(0).next_u64(), rng.next_u64());
     }
 
     /// Threaded sampling in fast mode (`step` under the `parallel` feature)
     /// is bitwise the sequential fast round, masked or not, for any shard
     /// count — positions, bucket orders and every shard's stream position
     /// (thread-count invariance is inherited: workers only ever touch their
-    /// own shard's stream and outbox row).
+    /// own shard's stream and decide arena).
     #[test]
     fn fast_threaded_rounds_match_sequential(
         graph in strategies::graph_zoo(40..140),
@@ -164,12 +201,13 @@ proptest! {
 #[test]
 fn fast_mode_is_deterministic_in_the_seed() {
     let graph = ns_graph::generators::random_regular(200, 6, &mut seeded_rng(5)).unwrap();
+    let partition = Partition::single_shard(&graph).unwrap();
     let run = |seed: u64| {
-        let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
+        let mut engine =
+            ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         engine.set_draw_mode(DrawMode::Fast);
-        let mut rng = seeded_rng(seed);
         for _ in 0..12 {
-            engine.step_holder(0.1, &mut rng, &mut ());
+            engine.step(0.1, None, &mut ()).unwrap();
         }
         engine.positions().to_vec()
     };

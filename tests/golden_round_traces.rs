@@ -10,16 +10,21 @@
 //! any deviation in sampling order, merge order or stream consumption fails
 //! the comparison bit for bit.
 //!
+//! The holder scenarios were captured from `MixingEngine::step_holder` and
+//! `step_holder_masked` drawing from `seeded_rng(101)`; they now run on the
+//! 1-shard `ShardedMixingEngine` seeded with 101, whose stream is that same
+//! `seeded_rng(101)` (pinned by the stream-identity scenario).
+//!
 //! Regenerate with `NS_BLESS=1 cargo test --test golden_round_traces` —
 //! but only ever from a commit whose engines are proven equivalent to the
 //! pre-refactor ones, or the goldens stop being pre-refactor evidence.
 
 use ns_graph::generators;
-use ns_graph::mixing_engine::{MixingEngine, RoundObserver, RoundStats};
+use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
+use ns_graph::sharded_engine::{shard_stream, RoundObserver, RoundStats, ShardedMixingEngine};
 use rand::Rng;
 use std::fmt::Write as _;
 
@@ -93,25 +98,19 @@ impl RoundObserver for StatsTap {
 fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
     let g = generators::barabasi_albert(80, 3, &mut seeded_rng(11)).unwrap();
     let n = g.node_count();
+    let partition = Partition::single_shard(&g).unwrap();
     for laziness in [0.0, 0.3] {
         writeln!(
             out,
             "# scenario holder masked={masked} n={n} laziness={laziness}"
         )
         .unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &partition, 101).unwrap();
         engine.set_draw_mode(mode);
-        let mut rng = seeded_rng(101);
         for round in 1..=6 {
             let mut tap = StatsTap::default();
-            if masked {
-                let mask = mask_for_round(n, round);
-                engine
-                    .step_holder_masked(laziness, &mask, &mut rng, &mut tap)
-                    .unwrap();
-            } else {
-                engine.step_holder(laziness, &mut rng, &mut tap);
-            }
+            let mask = masked.then(|| mask_for_round(n, round));
+            engine.step(laziness, mask.as_deref(), &mut tap).unwrap();
             record_round(
                 out,
                 round,
@@ -120,7 +119,7 @@ fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
                 Some((&tap.sent, &tap.load)),
             );
         }
-        writeln!(out, "rng-draw {}", rng.gen::<u64>()).unwrap();
+        writeln!(out, "rng-draw {}", engine.shard_rng_mut(0).gen::<u64>()).unwrap();
     }
 }
 
@@ -143,7 +142,6 @@ fn trace_walker_rounds(out: &mut String, masked: bool, mode: DrawMode) {
             } else {
                 engine.step(laziness, &mut rng);
             }
-            engine.ensure_buckets();
             record_round(
                 out,
                 round,

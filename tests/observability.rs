@@ -25,11 +25,11 @@ use common::strategies;
 use network_shuffle::prelude::{AccountantParams, CoordinatorConfig, ShuffleCoordinator};
 use network_shuffle::telemetry::CoordinatorTelemetry;
 use ns_graph::generators;
-use ns_graph::mixing_engine::{MixingEngine, RoundObserver, RoundStats};
+use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
+use ns_graph::sharded_engine::{shard_stream, RoundObserver, RoundStats, ShardedMixingEngine};
 use ns_graph::telemetry::EngineTelemetry;
 use ns_graph::Graph;
 use ns_obs::MetricsRegistry;
@@ -107,26 +107,20 @@ impl RoundObserver for StatsTap {
 fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode, registry: &MetricsRegistry) {
     let g = generators::barabasi_albert(80, 3, &mut seeded_rng(11)).unwrap();
     let n = g.node_count();
+    let partition = Partition::single_shard(&g).unwrap();
     for laziness in [0.0, 0.3] {
         writeln!(
             out,
             "# scenario holder masked={masked} n={n} laziness={laziness}"
         )
         .unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &partition, 101).unwrap();
         engine.set_draw_mode(mode);
         engine.set_telemetry(Some(EngineTelemetry::register(registry)));
-        let mut rng = seeded_rng(101);
         for round in 1..=6 {
             let mut tap = StatsTap::default();
-            if masked {
-                let mask = mask_for_round(n, round);
-                engine
-                    .step_holder_masked(laziness, &mask, &mut rng, &mut tap)
-                    .unwrap();
-            } else {
-                engine.step_holder(laziness, &mut rng, &mut tap);
-            }
+            let mask = masked.then(|| mask_for_round(n, round));
+            engine.step(laziness, mask.as_deref(), &mut tap).unwrap();
             record_round(
                 out,
                 round,
@@ -135,7 +129,7 @@ fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode, registry:
                 Some((&tap.sent, &tap.load)),
             );
         }
-        writeln!(out, "rng-draw {}", rng.gen::<u64>()).unwrap();
+        writeln!(out, "rng-draw {}", engine.shard_rng_mut(0).gen::<u64>()).unwrap();
     }
 }
 
@@ -159,7 +153,6 @@ fn trace_walker_rounds(out: &mut String, masked: bool, mode: DrawMode, registry:
             } else {
                 engine.step(laziness, &mut rng);
             }
-            engine.ensure_buckets();
             record_round(
                 out,
                 round,

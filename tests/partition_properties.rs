@@ -24,7 +24,7 @@ fn check_partition(graph: &Graph, partition: &Partition) {
     let n = graph.node_count();
     assert_eq!(partition.node_count(), n);
 
-    // Every node in exactly one shard; remappings invert each other.
+    // Every node in exactly one shard, at the local id its position names.
     let mut seen = vec![false; n];
     for (s, shard) in partition.shards().iter().enumerate() {
         assert!(!shard.is_empty(), "shard {s} is empty");
@@ -32,11 +32,15 @@ fn check_partition(graph: &Graph, partition: &Partition) {
             assert!(!seen[u], "node {u} assigned twice");
             seen[u] = true;
             assert_eq!(partition.shard_of(u), s);
-            assert_eq!(partition.local_of(u), local);
             assert_eq!(shard.global_of(local), u);
         }
-        // Local ids preserve global order.
+        // Local ids preserve global order, and the runs are the same nodes
+        // as maximal runs of consecutive ids.
         assert!(shard.nodes().windows(2).all(|w| w[0] < w[1]));
+        let expanded: Vec<usize> = shard.runs().iter().cloned().flatten().collect();
+        assert_eq!(expanded, shard.nodes(), "shard {s} runs miss or add nodes");
+        assert!(shard.runs().iter().all(|run| !run.is_empty()));
+        assert!(shard.runs().windows(2).all(|w| w[0].end < w[1].start));
     }
     assert!(seen.iter().all(|&b| b), "some node is unassigned");
 
@@ -93,11 +97,9 @@ proptest! {
         let single = Partition::single_shard(&graph).unwrap();
         check_partition(&graph, &one);
         for u in 0..n {
-            prop_assert_eq!(
-                (one.shard_of(u), one.local_of(u)),
-                (single.shard_of(u), single.local_of(u))
-            );
+            prop_assert_eq!(one.shard_of(u), single.shard_of(u));
         }
+        prop_assert_eq!(one.shard(0).nodes(), single.shard(0).nodes());
     }
 
     /// The cut-restricted operator conserves mass and confines it to the

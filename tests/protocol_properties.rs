@@ -114,7 +114,7 @@ proptest! {
         }
     }
 
-    /// Walk-engine positions always remain valid nodes and the load vector
+    /// Walker-order positions always remain valid nodes and the load vector
     /// always sums to the number of walkers.
     #[test]
     fn walk_engine_invariants(
@@ -124,7 +124,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let n = graph.node_count();
-        let mut engine = ns_graph::walk::WalkEngine::one_walker_per_node(&graph).unwrap();
+        let mut engine = ns_graph::mixing_engine::MixingEngine::one_walker_per_node(&graph).unwrap();
         let mut rng = ns_graph::rng::seeded_rng(seed);
         engine.run(ns_graph::walk::WalkConfig::lazy(rounds, laziness), &mut rng).unwrap();
         prop_assert!(engine.positions().iter().all(|&p| (p as usize) < n));

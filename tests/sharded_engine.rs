@@ -2,16 +2,21 @@
 //!
 //! The sharded engine's contract, at integration level:
 //!
-//! * under the canonical 1-shard partition the engine — and the whole
-//!   service path on top of it — is **bit for bit** the single
-//!   [`MixingEngine`] / [`run_protocol`] path: positions, bucket orders,
-//!   RNG stream, submissions and [`TrafficMetrics`];
+//! * every round, at every shard count, masked or not and in both draw
+//!   modes, rebuilds the holder buckets and the sent/load statistics
+//!   exactly as a model that sees only the pre-round buckets, the
+//!   post-round positions and the partition predicts — survivors first,
+//!   then arrivals grouped by source shard ascending, each group in that
+//!   shard's send order;
+//! * under the canonical 1-shard partition the service path on top of it
+//!   is **bit for bit** [`run_protocol`]: walk, submissions and
+//!   [`TrafficMetrics`];
 //! * for `k > 1` the result is a pure function of `(seed, partition)`:
 //!   invariant to the order shards are sampled in and (with the `parallel`
 //!   feature, which the root test target enables) to threaded execution;
 //! * the k-shard stream split is a *different but equally distributed*
 //!   realization of the same walk: aggregate mixing statistics agree with
-//!   the single-engine run within Monte-Carlo tolerance.
+//!   the 1-shard run within Monte-Carlo tolerance.
 
 mod common;
 
@@ -19,49 +24,13 @@ use common::strategies;
 use network_shuffle::prelude::*;
 use network_shuffle::service::{CoordinatorConfig, ShuffleCoordinator};
 use network_shuffle::simulation::{run_protocol, SimulationConfig, SimulationOutcome};
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
+use ns_graph::prelude::{RoundObserver, RoundStats};
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use proptest::prelude::*;
 use rand::Rng;
-
-/// 1-shard degeneracy at the engine layer: positions, bucket orders, the
-/// per-round statistics stream (via [`TrafficRecorder`]) and the RNG stream
-/// itself all coincide with the single engine.
-#[test]
-fn one_shard_engine_is_bitwise_the_single_engine_path() {
-    let graph = ns_graph::generators::barabasi_albert(400, 4, &mut seeded_rng(1)).unwrap();
-    let partition = Partition::single_shard(&graph).unwrap();
-    for (seed, laziness, rounds) in [(7u64, 0.0, 30), (8, 0.25, 25), (9, 0.6, 15)] {
-        let mut sharded =
-            ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut sharded_recorder = TrafficRecorder::new(400);
-        for _ in 0..rounds {
-            sharded.step(laziness, None, &mut sharded_recorder).unwrap();
-        }
-
-        let mut single = MixingEngine::one_walker_per_node(&graph).unwrap();
-        let mut rng = shard_stream(seed, 0);
-        let mut single_recorder = TrafficRecorder::new(400);
-        for _ in 0..rounds {
-            single.step_holder(laziness, &mut rng, &mut single_recorder);
-        }
-
-        assert_eq!(sharded.positions(), single.positions(), "seed {seed}");
-        assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-        assert_eq!(
-            sharded_recorder.clone().into_metrics(400),
-            single_recorder.clone().into_metrics(400),
-            "traffic metrics diverged at seed {seed}"
-        );
-        // The RNG streams are in the same state: the next draw coincides.
-        let a: u64 = sharded.shard_rng_mut(0).gen();
-        let b: u64 = rng.gen();
-        assert_eq!(a, b, "RNG stream diverged at seed {seed}");
-    }
-}
 
 fn curator_view<P: Copy>(outcome: &SimulationOutcome<P>) -> Vec<(usize, usize, bool, P)> {
     outcome
@@ -153,43 +122,36 @@ fn multi_shard_coordinator_conserves_reports() {
 }
 
 /// The k-shard split streams realize the *same walk distribution* as the
-/// single engine: over many seeds, the return-to-origin rate and the
-/// empty-holder fraction after mixing agree within Monte-Carlo tolerance.
+/// single-stream (1-shard) engine: over many seeds, the return-to-origin
+/// rate and the empty-holder fraction after mixing agree within
+/// Monte-Carlo tolerance.
 #[test]
 fn multi_shard_runs_are_statistically_equivalent_to_single_engine_runs() {
     let graph = {
         let mut rng = seeded_rng(4);
         ns_graph::generators::random_regular(400, 8, &mut rng).unwrap()
     };
-    let partition = Partition::new(&graph, 4).unwrap();
+    let four = Partition::new(&graph, 4).unwrap();
+    let one = Partition::single_shard(&graph).unwrap();
     let rounds = 12;
     let trials = 60u64;
     let stats = |sharded: bool| -> (f64, f64) {
+        let partition = if sharded { &four } else { &one };
         let (mut returned, mut empty) = (0usize, 0usize);
         for trial in 0..trials {
-            let positions: Vec<u32> = if sharded {
-                let mut engine =
-                    ShardedMixingEngine::one_walker_per_node(&graph, &partition, 1000 + trial)
-                        .unwrap();
-                for _ in 0..rounds {
-                    engine.step(0.0, None, &mut ()).unwrap();
-                }
-                engine.positions().to_vec()
-            } else {
-                let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
-                let mut rng = seeded_rng(1000 + trial);
-                for _ in 0..rounds {
-                    engine.step_holder(0.0, &mut rng, &mut ());
-                }
-                engine.positions().to_vec()
-            };
+            let mut engine =
+                ShardedMixingEngine::one_walker_per_node(&graph, partition, 1000 + trial).unwrap();
+            for _ in 0..rounds {
+                engine.step(0.0, None, &mut ()).unwrap();
+            }
+            let positions = engine.positions();
             returned += positions
                 .iter()
                 .enumerate()
                 .filter(|&(w, &p)| w == p as usize)
                 .count();
             let mut load = vec![0usize; 400];
-            for &p in &positions {
+            for &p in positions {
                 load[p as usize] += 1;
             }
             empty += load.iter().filter(|&&l| l == 0).count();
@@ -246,6 +208,111 @@ proptest! {
         prop_assert_eq!(forward.positions(), threaded.positions());
         prop_assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
         prop_assert_eq!(forward.walkers_by_holder(), threaded.walkers_by_holder());
+    }
+}
+
+/// Copies each round's sent/load vectors out of the observer hook.
+#[derive(Default)]
+struct StatsTap {
+    sent: Vec<u32>,
+    load: Vec<u32>,
+}
+
+impl RoundObserver for StatsTap {
+    fn on_round(&mut self, stats: &RoundStats<'_>) {
+        self.sent = stats.sent.to_vec();
+        self.load = stats.load.to_vec();
+    }
+}
+
+/// A rotating ~25%-dark availability mask, deterministic in the round.
+fn mask_for_round(n: usize, round: usize) -> Vec<bool> {
+    (0..n).map(|u| !(u * 3 + round).is_multiple_of(4)).collect()
+}
+
+/// The round contract, predicted from outside the engine.  Given the
+/// pre-round buckets, the post-round positions and the partition (zoo
+/// graphs have no self-loops, so a walker moved iff its node changed):
+/// `sent[u]` counts `u`'s walkers that left, `load[u]` the walkers at `u`
+/// afterwards, and `u`'s next bucket lists its survivors in their previous
+/// order, then its arrivals grouped by source shard ascending, each group
+/// in that shard's send order (its nodes ascending, each node's bucket in
+/// order).
+fn predict_round(
+    partition: &Partition,
+    before: &[Vec<usize>],
+    after: &[u32],
+) -> (Vec<Vec<usize>>, Vec<u32>, Vec<u32>) {
+    let moved = |u: usize, w: usize| after[w] as usize != u;
+    let mut buckets: Vec<Vec<usize>> = before
+        .iter()
+        .enumerate()
+        .map(|(u, held)| held.iter().copied().filter(|&w| !moved(u, w)).collect())
+        .collect();
+    let sent = before
+        .iter()
+        .enumerate()
+        .map(|(u, held)| held.iter().filter(|&&w| moved(u, w)).count() as u32)
+        .collect();
+    for shard in partition.shards() {
+        for &u in shard.nodes() {
+            for &w in before[u].iter().filter(|&&w| moved(u, w)) {
+                buckets[after[w] as usize].push(w);
+            }
+        }
+    }
+    let load = buckets.iter().map(|b| b.len() as u32).collect();
+    (buckets, sent, load)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every round, at every shard count, in both draw modes, masked or
+    /// not, matches [`predict_round`]: holder buckets, the observer's sent
+    /// and load vectors and `sent_counts`.  Moves also stay on the graph
+    /// and never reach a dark node.
+    #[test]
+    fn every_round_matches_the_bucket_model(
+        graph in strategies::graph_zoo(20..120),
+        shards in 1usize..7,
+        rounds in 1usize..6,
+        laziness_pct in 0usize..60,
+    ) {
+        let n = graph.node_count();
+        prop_assume!(n >= 8);
+        let k = shards.min(n);
+        let laziness = laziness_pct as f64 / 100.0;
+        let partition = Partition::new(&graph, k).unwrap();
+        for mode in [DrawMode::Compat, DrawMode::Fast] {
+            for masked in [false, true] {
+                let mut engine =
+                    ShardedMixingEngine::one_walker_per_node(&graph, &partition, 0x0DE1).unwrap();
+                engine.set_draw_mode(mode);
+                for round in 0..rounds {
+                    let before = engine.walkers_by_holder();
+                    let mask = masked.then(|| mask_for_round(n, round));
+                    let mut tap = StatsTap::default();
+                    engine.step(laziness, mask.as_deref(), &mut tap).unwrap();
+                    let after = engine.positions();
+                    let (buckets, sent, load) = predict_round(&partition, &before, after);
+                    let label = format!("k = {k}, {mode:?}, masked {masked}, round {}", round + 1);
+                    prop_assert_eq!(engine.walkers_by_holder(), buckets, "{}", &label);
+                    prop_assert_eq!(&tap.sent, &sent, "{}", &label);
+                    prop_assert_eq!(engine.sent_counts(), sent.as_slice(), "{}", &label);
+                    prop_assert_eq!(&tap.load, &load, "{}", &label);
+                    for (u, held) in before.iter().enumerate() {
+                        for &w in held {
+                            let v = after[w] as usize;
+                            if v != u {
+                                prop_assert!(graph.neighbors(u).contains(&(v as _)), "{}", &label);
+                                prop_assert!(mask.as_ref().is_none_or(|m| m[v]), "{}", &label);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

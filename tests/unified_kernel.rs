@@ -1,22 +1,21 @@
 //! Bitwise-parity properties of the unified round kernel.
 //!
 //! `ns_graph::round` merged four divergent holder-order round loops into
-//! one plan executor.  `tests/golden_round_traces.rs` pins the refactored
-//! engines against traces captured from the *pre-refactor* code; this file
-//! proves the same contracts property-style on the shared graph zoo:
+//! one plan executor, and every holder-order round now runs on the sharded
+//! engine.  `tests/golden_round_traces.rs` pins the engines against traces
+//! captured from the *pre-refactor* code; this file proves the same
+//! contracts property-style on the shared graph zoo:
 //!
-//! * the refactored masked/static holder-order path is draw-for-draw the
-//!   historical message-passing loop (an independent reference
+//! * the 1-shard holder-order round, masked and static, is draw-for-draw
+//!   the historical message-passing loop (an independent reference
 //!   implementation kept verbatim below);
-//! * sharded + masked under a 1-shard partition is bitwise
-//!   `MixingEngine::step_holder_masked`;
 //! * an all-available mask through the sharded path is bitwise the
 //!   unmasked sharded round;
 //! * the 1-shard coordinator under a realized outage schedule is bitwise
 //!   `run_protocol_under_outages` — the composed service path degenerates
 //!   to the monolithic churn path exactly;
-//! * `MixingEngine`'s masked rounds reject a wrong-length mask with a
-//!   classified error before touching any state or the caller's stream.
+//! * both engines' masked rounds reject a wrong-length mask with a
+//!   classified error before touching any state or any stream.
 
 mod common;
 
@@ -30,7 +29,7 @@ use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::{Graph, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
@@ -97,7 +96,7 @@ fn mask_for_round(n: usize, round: usize) -> Vec<bool> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// (a) The refactored holder-order path — static and masked — is
+    /// (a) The 1-shard holder-order round — static and masked — is
     /// draw-for-draw the historical per-client loop on any zoo graph.
     #[test]
     fn refactored_holder_rounds_match_the_pre_refactor_loop(
@@ -110,51 +109,18 @@ proptest! {
         prop_assume!(n >= 8);
         let laziness = laziness_pct as f64 / 100.0;
         let masked = masked_sel == 1;
-        let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
+        let partition = Partition::single_shard(&graph).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, 0xFEED).unwrap();
         let mut reference = ReferenceLoop::new(n);
-        let mut engine_rng = seeded_rng(0xFEED);
         let mut reference_rng = seeded_rng(0xFEED);
         for round in 0..rounds {
-            if masked {
-                let mask = mask_for_round(n, round);
-                engine.step_holder_masked(laziness, &mask, &mut engine_rng, &mut ()).unwrap();
-                reference.step(&graph, laziness, Some(&mask), &mut reference_rng);
-            } else {
-                engine.step_holder(laziness, &mut engine_rng, &mut ());
-                reference.step(&graph, laziness, None, &mut reference_rng);
-            }
+            let mask = masked.then(|| mask_for_round(n, round));
+            engine.step(laziness, mask.as_deref(), &mut ()).unwrap();
+            reference.step(&graph, laziness, mask.as_deref(), &mut reference_rng);
         }
         prop_assert_eq!(engine.walkers_by_holder(), reference.holders());
-        let a: u64 = engine_rng.gen();
+        let a: u64 = engine.shard_rng_mut(0).gen();
         let b: u64 = reference_rng.gen();
-        prop_assert_eq!(a, b, "RNG streams diverged");
-    }
-
-    /// (b) Sharded + masked under a 1-shard partition is bitwise
-    /// `step_holder_masked` — positions, bucket orders and RNG stream.
-    #[test]
-    fn one_shard_masked_rounds_are_bitwise_the_single_engine(
-        graph in strategies::graph_zoo(20..120),
-        laziness_pct in 0usize..60,
-        rounds in 1usize..8,
-    ) {
-        let n = graph.node_count();
-        prop_assume!(n >= 8);
-        let laziness = laziness_pct as f64 / 100.0;
-        let partition = Partition::single_shard(&graph).unwrap();
-        let seed = 0xBEEF;
-        let mut sharded = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut single = MixingEngine::one_walker_per_node(&graph).unwrap();
-        let mut rng = shard_stream(seed, 0);
-        for round in 0..rounds {
-            let mask = mask_for_round(n, round);
-            sharded.step(laziness, Some(&mask), &mut ()).unwrap();
-            single.step_holder_masked(laziness, &mask, &mut rng, &mut ()).unwrap();
-        }
-        prop_assert_eq!(sharded.positions(), single.positions());
-        prop_assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-        let a: u64 = sharded.shard_rng_mut(0).gen();
-        let b: u64 = rng.gen();
         prop_assert_eq!(a, b, "RNG streams diverged");
     }
 
@@ -274,38 +240,49 @@ fn one_shard_coordinator_under_outages_is_bitwise_run_protocol_under_outages() {
     }
 }
 
-/// A mask whose length is not `n` is a classified error on both
-/// `MixingEngine` masked round forms, returned before any state changes or
-/// any RNG draw: the round counter, positions, holder buckets and the
-/// caller's next draw are exactly what they were.
+/// A mask whose length is not `n` is a classified error on both masked
+/// round forms — walker order (`MixingEngine::step_masked`) and holder
+/// order (the 1-shard `ShardedMixingEngine::step`) — returned before any
+/// state changes or any RNG draw: round counters, positions, holder
+/// buckets and both streams' next draws are exactly what they were.
 #[test]
 fn wrong_length_masks_are_rejected_before_any_state_changes() {
     let g = ns_graph::generators::random_regular(40, 4, &mut seeded_rng(51)).unwrap();
     let n = g.node_count();
-    let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+    let partition = Partition::single_shard(&g).unwrap();
+    let mut walker = MixingEngine::one_walker_per_node(&g).unwrap();
+    let mut holder = ShardedMixingEngine::one_walker_per_node(&g, &partition, 52).unwrap();
     let mut rng = seeded_rng(52);
-    engine.step_holder(0.2, &mut rng, &mut ());
-    let round = engine.round();
-    let positions = engine.positions().to_vec();
-    let holders = engine.walkers_by_holder();
+    walker.step(0.2, &mut rng);
+    holder.step(0.2, None, &mut ()).unwrap();
+    let rounds = (walker.round(), holder.round());
+    let positions = (walker.positions().to_vec(), holder.positions().to_vec());
+    let holders = holder.walkers_by_holder();
     let mut twin = rng.clone();
+    let mut holder_twin = holder.shard_rng_mut(0).clone();
     for len in [n - 1, n + 1] {
         let mask = vec![true; len];
-        let walker_order = engine.step_masked(0.2, &mask, &mut rng);
-        let holder_order = engine.step_holder_masked(0.2, &mask, &mut rng, &mut ());
+        let walker_order = walker.step_masked(0.2, &mask, &mut rng);
+        let holder_order = holder.step(0.2, Some(&mask), &mut ());
         for result in [walker_order, holder_order] {
             assert!(
                 matches!(result, Err(GraphError::InvalidParameters(_))),
                 "a {len}-entry mask over {n} nodes: {result:?}"
             );
         }
-        assert_eq!(engine.round(), round);
-        assert_eq!(engine.positions(), positions.as_slice());
-        assert_eq!(engine.walkers_by_holder(), holders);
+        assert_eq!((walker.round(), holder.round()), rounds);
+        assert_eq!(walker.positions(), positions.0.as_slice());
+        assert_eq!(holder.positions(), positions.1.as_slice());
+        assert_eq!(holder.walkers_by_holder(), holders);
     }
     assert_eq!(
         rng.gen::<u64>(),
         twin.gen::<u64>(),
-        "a rejected round drew randomness"
+        "a rejected walker-order round drew randomness"
+    );
+    assert_eq!(
+        holder.shard_rng_mut(0).gen::<u64>(),
+        holder_twin.gen::<u64>(),
+        "a rejected holder-order round drew randomness"
     );
 }
