@@ -2,11 +2,10 @@
 //!
 //! Measures the cost of one exchange-round budget (engine construction plus
 //! `ROUNDS` holder-order rounds) as the shard count grows at `n = 100_000`:
-//! the sequential sweep isolates the overhead of splitting the decide
-//! sweep and the RNG stream across shards versus the monolithic round
-//! (`k = 1`, the protocol's holder-order round).  With
-//! `--features parallel` the same sweep exercises the threaded sampling
-//! phase instead.
+//! every round samples its shards inline, so the sweep isolates the
+//! overhead of splitting the decide sweep and the RNG stream across shards
+//! versus the monolithic round (`k = 1`, the protocol's holder-order
+//! round).
 //!
 //! The allocation audits of these rounds are tier-1 tests: the engines'
 //! in `tests/engine_allocations.rs`, the plain and durable coordinator's,

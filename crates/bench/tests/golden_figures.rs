@@ -7,7 +7,7 @@
 //! as far as its Chung–Lu calibration allows (`max_reduced_divisor`),
 //! independent of the `NS_BENCH_SCALE` environment override — and the whole
 //! pipeline is deterministic: seeded generators, deterministic spectral
-//! iteration and closed-form accounting, in both feature configurations.
+//! iteration and closed-form accounting.
 //!
 //! To regenerate after an *intentional* change, write
 //! `fig4_table(FigScale::Reduced(40)).csv_string()` (and the fig6

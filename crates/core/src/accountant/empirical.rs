@@ -17,19 +17,15 @@
 //! Trials run on the same batched, struct-of-arrays
 //! [`ns_graph::mixing_engine::MixingEngine`] as the protocol simulation —
 //! one walker per origin, all origins per run — so a single run already
-//! provides `n` samples, and the `parallel` feature's deterministic chunked
-//! execution applies to Monte-Carlo estimation too.
+//! provides `n` samples.
 
 use crate::error::{Error, Result};
 use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::rng::SimRng;
 use ns_graph::walk::WalkConfig;
 use ns_graph::Graph;
-use serde::{Deserialize, Serialize};
-
-#[cfg(not(feature = "parallel"))]
-use ns_graph::rng::SimRng;
-#[cfg(not(feature = "parallel"))]
 use rand_chacha::rand_core::SeedableRng;
+use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo estimation of the position-distribution moments.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,12 +50,8 @@ pub struct EmpiricalMixing {
 /// collision estimator `(Σ_i c_i(c_i−1)) / (T(T−1))` where `c_i` counts how
 /// often the report landed on user `i`; it is averaged over all origins.
 ///
-/// Determinism caveat: results depend only on `seed`, but the `parallel`
-/// cargo feature switches the trials onto the engine's chunked per-seed RNG
-/// streams, so the sampled trajectories — and hence the exact estimate —
-/// differ between the two feature configurations (equally distributed
-/// either way; the sequential build reproduces the historical draws
-/// draw for draw).
+/// Results depend only on `seed`: trial `k` runs the walker-order engine
+/// on its own ChaCha8 stream seeded from `seed` and `k`.
 ///
 /// # Errors
 ///
@@ -88,22 +80,12 @@ pub fn estimate_mixing(
     let mut counts: Vec<std::collections::HashMap<usize, u32>> =
         vec![std::collections::HashMap::new(); n];
 
-    // Each trial is one batched engine run over all n walkers at once.  The
-    // sequential path consumes the RNG draw-for-draw like it always has;
-    // with the `parallel` feature the engine's chunked deterministic streams
-    // take over, so estimates depend only on `seed` and never on the thread
-    // count (the sampled trajectories differ from the sequential ones but
-    // are equally distributed).
+    // Each trial is one batched engine run over all n walkers at once.
     for trial in 0..trials {
         let trial_seed = seed.wrapping_add(trial as u64).wrapping_mul(0x9e37_79b9);
         let mut engine = MixingEngine::one_walker_per_node(graph)?;
-        #[cfg(feature = "parallel")]
-        engine.run_parallel(WalkConfig::lazy(rounds, laziness), trial_seed)?;
-        #[cfg(not(feature = "parallel"))]
-        {
-            let mut rng = SimRng::seed_from_u64(trial_seed);
-            engine.run(WalkConfig::lazy(rounds, laziness), &mut rng)?;
-        }
+        let mut rng = SimRng::seed_from_u64(trial_seed);
+        engine.run(WalkConfig::lazy(rounds, laziness), &mut rng)?;
         for (origin, &holder) in engine.positions().iter().enumerate() {
             *counts[origin].entry(holder as usize).or_insert(0) += 1;
         }

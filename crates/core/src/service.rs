@@ -374,7 +374,7 @@ impl StreamingAccountant {
     }
 
     /// The operator the tracked distributions evolve through.
-    fn held(operator: &StreamingOperator) -> &(dyn TransitionModel + Sync) {
+    fn held(operator: &StreamingOperator) -> &dyn TransitionModel {
         match operator {
             StreamingOperator::Static(matrix) => matrix,
             StreamingOperator::Scheduled(schedule) => schedule,
@@ -387,7 +387,7 @@ impl StreamingAccountant {
     /// round `t`), then re-folds every row's moments for the quotes.
     pub fn advance_round(&mut self) {
         let _span = self.telemetry.as_ref().map(|t| t.advance_ns.span(&t.clock));
-        self.ensemble.advance_auto(Self::held(&self.operator), 1);
+        self.ensemble.advance(Self::held(&self.operator), 1);
         self.refresh_moments();
         self.round += 1;
     }
@@ -1185,11 +1185,11 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         Ok(())
     }
 
-    /// Executes `rounds` exchange rounds (threaded under the `parallel`
-    /// feature).  Each round's engine step runs on the calling thread while
-    /// the helper thread advances the streaming accountant by the same
-    /// round; the two share no state, so the result is bitwise the serial
-    /// step-then-advance.  A panic in the advance resumes on this thread.
+    /// Executes `rounds` exchange rounds.  Each round's engine step runs on
+    /// the calling thread while the helper thread advances the streaming
+    /// accountant by the same round; the two share no state, so the result
+    /// is bitwise the serial step-then-advance.  A panic in the advance
+    /// resumes on this thread.
     ///
     /// # Errors
     ///

@@ -7,10 +7,8 @@
 //!
 //! * [`DynamicGraph`] — a mutable delta layer over the immutable CSR
 //!   [`Graph`]: per-node availability flags plus edge insertions/removals,
-//!   materialized back into a CSR snapshot incrementally (unchanged row
-//!   spans are spliced with bulk copies; past [`REBUILD_DIRTY_FRACTION`]
-//!   dirty nodes the snapshot is rebuilt outright, which is cheaper than
-//!   patching).
+//!   materialized back into a CSR snapshot on demand (one pass over the
+//!   adjacency lists, cached until the next edge change).
 //! * [`MaskedTransition`] — the exact one-round operator of the lazy walk on
 //!   a graph with an availability mask: a report whose *chosen recipient* is
 //!   unavailable stays put for the round.  With every node available this is
@@ -27,10 +25,9 @@
 //!   schedule therefore reproduces the static results bitwise — the
 //!   degeneracy the tests pin down.
 //!
-//! Maintaining the structure incrementally instead of re-deriving it from
-//! scratch per round follows the updates-under-evaluation pattern of
-//! incremental view maintenance (cf. Berkholz et al., "Answering FO+MOD
-//! queries under updates").
+//! The adjacency lists take each edge update in `O(deg)`, and the CSR
+//! snapshot is rebuilt only when a snapshot is asked for after an edge
+//! changed: availability flips and repeated snapshot calls cost nothing.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -41,21 +38,13 @@ use std::sync::Arc;
 /// A shared, type-erased transition operator usable as one schedule entry.
 pub type DynTransition = Arc<dyn TransitionModel + Send + Sync>;
 
-/// Dirty-node fraction beyond which [`DynamicGraph`] rebuilds its CSR
-/// snapshot from the adjacency lists instead of splicing the old snapshot:
-/// with more than a quarter of the rows changed there is little clean span
-/// left to bulk-copy, and the patch path's bookkeeping stops paying for
-/// itself.
-pub const REBUILD_DIRTY_FRACTION: f64 = 0.25;
-
 /// A mutable communication network: an undirected graph under edge
 /// insertions/removals plus a per-node availability mask.
 ///
 /// The graph of record is a set of sorted adjacency lists (`O(deg)` edge
 /// updates); [`DynamicGraph::snapshot`] materializes the current topology as
-/// an immutable CSR [`Graph`] for the engines and accountants, patching the
-/// previous snapshot incrementally when few rows changed (see
-/// [`REBUILD_DIRTY_FRACTION`]).
+/// an immutable CSR [`Graph`] for the engines and accountants, rebuilding it
+/// only after an edge changed.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     /// Sorted neighbour list per node — the current truth.
@@ -67,9 +56,8 @@ pub struct DynamicGraph {
     edge_count: usize,
     /// CSR materialization of `adjacency` as of the last snapshot call.
     snapshot: Graph,
-    /// Nodes whose adjacency changed since the last snapshot.
-    dirty: Vec<NodeId>,
-    dirty_flag: Vec<bool>,
+    /// Whether an edge changed since the last snapshot.
+    changed: bool,
 }
 
 impl DynamicGraph {
@@ -92,8 +80,7 @@ impl DynamicGraph {
             available: vec![true; n],
             edge_count: graph.edge_count(),
             snapshot: graph.clone(),
-            dirty: Vec::new(),
-            dirty_flag: vec![false; n],
+            changed: false,
         })
     }
 
@@ -141,7 +128,7 @@ impl DynamicGraph {
     }
 
     /// Marks node `u` available/unavailable.  Availability does not touch
-    /// the topology (and hence never dirties the CSR snapshot); it is
+    /// the topology (and hence never invalidates the CSR snapshot); it is
     /// consumed by [`DynamicGraph::masked_operator`] and the engine's masked
     /// rounds.
     ///
@@ -175,13 +162,6 @@ impl DynamicGraph {
         Ok(())
     }
 
-    fn mark_dirty(&mut self, u: NodeId) {
-        if !self.dirty_flag[u] {
-            self.dirty_flag[u] = true;
-            self.dirty.push(u);
-        }
-    }
-
     /// Adds the undirected edge `(u, v)`; returns `false` (and changes
     /// nothing) if it already exists.
     ///
@@ -200,8 +180,7 @@ impl DynamicGraph {
             .expect_err("adjacency lists must mirror each other");
         self.adjacency[v].insert(slot, u);
         self.edge_count += 1;
-        self.mark_dirty(u);
-        self.mark_dirty(v);
+        self.changed = true;
         Ok(true)
     }
 
@@ -223,39 +202,24 @@ impl DynamicGraph {
             .expect("adjacency lists must mirror each other");
         self.adjacency[v].remove(slot);
         self.edge_count -= 1;
-        self.mark_dirty(u);
-        self.mark_dirty(v);
+        self.changed = true;
         Ok(true)
-    }
-
-    /// Number of nodes whose adjacency changed since the last snapshot.
-    pub fn dirty_nodes(&self) -> usize {
-        self.dirty.len()
     }
 
     /// The current topology as an immutable CSR [`Graph`].
     ///
-    /// With no pending deltas this is free (the cached snapshot).  With a
-    /// *small* delta the previous snapshot is patched: clean row spans are
-    /// spliced into the new CSR with bulk copies and only dirty rows are
-    /// re-read from the adjacency lists.  Past [`REBUILD_DIRTY_FRACTION`]
-    /// dirty nodes the snapshot is rebuilt from the adjacency lists
-    /// wholesale.  Both paths produce identical graphs (tested).
+    /// With no edge change since the last call this is free (the cached
+    /// snapshot); otherwise the snapshot is rebuilt from the adjacency
+    /// lists in one `O(n + m)` pass.
     pub fn snapshot(&mut self) -> &Graph {
-        if !self.dirty.is_empty() {
-            let threshold = (self.node_count() as f64 * REBUILD_DIRTY_FRACTION).ceil() as usize;
-            self.snapshot = if self.dirty.len() > threshold {
-                self.rebuild_csr()
-            } else {
-                self.patch_csr()
-            };
-            self.dirty.clear();
-            self.dirty_flag.iter_mut().for_each(|f| *f = false);
+        if self.changed {
+            self.snapshot = self.rebuild_csr();
+            self.changed = false;
         }
         &self.snapshot
     }
 
-    /// Full rebuild: flatten every adjacency list.
+    /// Flattens every adjacency list into a fresh CSR.
     fn rebuild_csr(&self) -> Graph {
         let n = self.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -264,37 +228,6 @@ impl DynamicGraph {
         for list in &self.adjacency {
             neighbors.extend(list.iter().map(|&v| v as u32));
             offsets.push(neighbors.len());
-        }
-        Graph::from_csr(offsets, neighbors)
-    }
-
-    /// Incremental patch: splice unchanged row spans out of the previous
-    /// snapshot and only dirty rows out of the adjacency lists.
-    fn patch_csr(&self) -> Graph {
-        let n = self.node_count();
-        let (old_offsets, old_neighbors) = self.snapshot.csr_parts();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * self.edge_count);
-        offsets.push(0usize);
-        let mut u = 0;
-        while u < n {
-            if self.dirty_flag[u] {
-                neighbors.extend(self.adjacency[u].iter().map(|&v| v as u32));
-                offsets.push(neighbors.len());
-                u += 1;
-            } else {
-                let mut v = u;
-                while v < n && !self.dirty_flag[v] {
-                    v += 1;
-                }
-                let start = old_offsets[u];
-                neighbors.extend_from_slice(&old_neighbors[start..old_offsets[v]]);
-                let shift = offsets[u] as isize - start as isize;
-                for w in u..v {
-                    offsets.push((old_offsets[w + 1] as isize + shift) as usize);
-                }
-                u = v;
-            }
         }
         Graph::from_csr(offsets, neighbors)
     }
@@ -823,52 +756,59 @@ mod tests {
     }
 
     #[test]
-    fn incremental_patch_matches_full_rebuild() {
+    fn snapshots_match_a_from_scratch_build_after_small_and_large_edits() {
         let g = test_graph(2);
         let n = g.node_count();
         let mut rng = seeded_rng(3);
         let mut dynamic = DynamicGraph::from_graph(&g).unwrap();
         use rand::Rng;
-        // Small delta: stays below the rebuild threshold -> patch path.
+        use std::collections::BTreeSet;
+        // The edge set of record, kept apart from the dynamic graph.
+        let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
+        let from_scratch = |edges: &BTreeSet<(NodeId, NodeId)>| {
+            let edges: Vec<_> = edges.iter().copied().collect();
+            Graph::from_edges(n, &edges).unwrap()
+        };
+        // Small wave: a few toggled edges.
         for _ in 0..4 {
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
             if u != v {
+                let edge = (u.min(v), u.max(v));
                 if dynamic.has_edge(u, v) {
                     dynamic.remove_edge(u, v).unwrap();
+                    edges.remove(&edge);
                 } else {
                     dynamic.add_edge(u, v).unwrap();
+                    edges.insert(edge);
                 }
             }
         }
-        assert!(dynamic.dirty_nodes() <= 8);
-        let patched = dynamic.snapshot().clone();
-        assert_eq!(patched, dynamic.rebuild_csr());
-        assert_eq!(dynamic.dirty_nodes(), 0);
-        // Large delta: exceeds the threshold -> rebuild path; the snapshot
-        // must still equal a from-scratch construction from the edge set.
+        assert_eq!(dynamic.snapshot(), &from_scratch(&edges));
+        // Large wave: a new edge at almost every node.
         for u in 0..n {
             let v = (u + 7) % n;
-            if u != v && !dynamic.has_edge(u, v) {
+            if !dynamic.has_edge(u, v) {
                 dynamic.add_edge(u, v).unwrap();
+                edges.insert((u.min(v), u.max(v)));
             }
         }
-        assert!(dynamic.dirty_nodes() > n / 4);
         let rebuilt = dynamic.snapshot().clone();
-        let edges: Vec<_> = rebuilt.edges().collect();
-        assert_eq!(rebuilt, Graph::from_edges(n, &edges).unwrap());
+        assert_eq!(rebuilt, from_scratch(&edges));
         assert_eq!(rebuilt.edge_count(), dynamic.edge_count());
     }
 
     #[test]
-    fn snapshot_is_cached_until_dirty() {
+    fn snapshot_is_cached_until_an_edge_changes() {
         let g = test_graph(4);
         let mut dynamic = DynamicGraph::from_graph(&g).unwrap();
         assert_eq!(dynamic.snapshot(), &g);
+        // Availability does not touch the topology snapshot.
         dynamic.set_available(0, false).unwrap();
-        // Availability does not dirty the topology snapshot.
-        assert_eq!(dynamic.dirty_nodes(), 0);
         assert_eq!(dynamic.snapshot(), &g);
+        let (u, v) = g.edges().next().unwrap();
+        dynamic.remove_edge(u, v).unwrap();
+        assert!(!dynamic.snapshot().has_edge(u, v));
     }
 
     #[test]

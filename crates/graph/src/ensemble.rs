@@ -28,10 +28,8 @@
 //! `TransitionModel::propagate_interleaved`'s contract), so
 //! [`crate::distribution::PositionDistribution`] is a thin view over a 1-row
 //! ensemble and exact multi-origin accounting agrees with the historical
-//! single-origin route exactly.  With the `parallel` cargo feature, blocks
-//! are dealt to threads (`DistributionEnsemble::advance_parallel`; a single
-//! block runs inline); blocks never interact, so the parallel results are
-//! bitwise identical to the sequential ones regardless of thread count.
+//! single-origin route exactly.  Blocks run one after another on the
+//! calling thread and never interact.
 //!
 //! The module also provides bounded-memory drivers over *all* `n` origins
 //! ([`all_origin_moments`], [`all_origin_trajectories`]): the full ensemble
@@ -270,8 +268,8 @@ impl std::fmt::Debug for Workspace {
     }
 }
 
-/// Scratch one worker needs to advance blocks of up to `lanes` rows of `n`
-/// entries by `rounds` rounds: a ping-pong row for 1-row blocks, else one
+/// Scratch needed to advance blocks of up to `lanes` rows of `n` entries by
+/// `rounds` rounds: a ping-pong row for 1-row blocks, else one
 /// interleaved block, plus a second one when intermediate rounds need
 /// somewhere to land.
 fn workspace_len(n: usize, lanes: usize, rounds: usize) -> usize {
@@ -455,7 +453,7 @@ impl DistributionEnsemble {
     ///
     /// Panics if `model.node_count()` differs from the ensemble's.
     pub fn advance<M: TransitionModel + ?Sized>(&mut self, model: &M, rounds: usize) {
-        self.advance_seq(model, rounds, None);
+        self.advance_blocks(model, rounds, None);
     }
 
     /// Advances every row by `rounds` rounds, recording the [`RowStats`] of
@@ -472,7 +470,7 @@ impl DistributionEnsemble {
         rounds: usize,
     ) -> EnsembleTrajectory {
         let mut stats = vec![RowStats::default(); self.sources * rounds];
-        self.advance_seq(model, rounds, Some(&mut stats));
+        self.advance_blocks(model, rounds, Some(&mut stats));
         EnsembleTrajectory {
             sources: self.sources,
             rounds,
@@ -480,37 +478,9 @@ impl DistributionEnsemble {
         }
     }
 
-    /// [`DistributionEnsemble::advance`], but with the row blocks dealt to
-    /// threads when the `parallel` feature is enabled.  Falls back to the
-    /// sequential path otherwise; the results are bitwise identical either
-    /// way (blocks never interact).
-    pub fn advance_auto<M: TransitionModel + Sync + ?Sized>(&mut self, model: &M, rounds: usize) {
-        #[cfg(feature = "parallel")]
-        self.advance_parallel(model, rounds);
-        #[cfg(not(feature = "parallel"))]
-        self.advance(model, rounds);
-    }
-
-    /// [`DistributionEnsemble::advance_tracked`] with the `parallel`-aware
-    /// dispatch of [`DistributionEnsemble::advance_auto`].
-    pub fn advance_tracked_auto<M: TransitionModel + Sync + ?Sized>(
-        &mut self,
-        model: &M,
-        rounds: usize,
-    ) -> EnsembleTrajectory {
-        #[cfg(feature = "parallel")]
-        {
-            self.advance_tracked_parallel(model, rounds)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            self.advance_tracked(model, rounds)
-        }
-    }
-
-    /// Sequential blocked advance; `stats`, when given, has length
-    /// `sources * rounds` laid out `[row * rounds + (t - 1)]`.
-    fn advance_seq<M: TransitionModel + ?Sized>(
+    /// Blocked advance; `stats`, when given, has length `sources * rounds`
+    /// laid out `[row * rounds + (t - 1)]`.
+    fn advance_blocks<M: TransitionModel + ?Sized>(
         &mut self,
         model: &M,
         rounds: usize,
@@ -624,122 +594,6 @@ fn transpose_into(rows: usize, n: usize, src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// Data-parallel block dispatch (enabled by the `parallel` feature).
-///
-/// As in the mixing engine, rayon is unavailable in this build environment,
-/// so blocks are dealt round-robin to `std::thread::scope` workers.  Unlike
-/// the RNG-driven engine, the kernel is deterministic arithmetic: each block
-/// is computed exactly as in the sequential path, so parallel results are
-/// **bitwise equal** to sequential ones for any thread count.
-#[cfg(feature = "parallel")]
-mod parallel {
-    use super::{
-        advance_block, workspace_len, DistributionEnsemble, EnsembleTrajectory, RowStats, LANES,
-    };
-    use crate::transition::TransitionModel;
-
-    /// One block of ensemble rows plus its optional stats window.
-    type Block<'a> = (&'a mut [f64], Option<&'a mut [RowStats]>);
-
-    impl DistributionEnsemble {
-        /// Multi-threaded [`DistributionEnsemble::advance`]; bitwise
-        /// identical results.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `model.node_count()` differs from the ensemble's.
-        pub fn advance_parallel<M: TransitionModel + Sync + ?Sized>(
-            &mut self,
-            model: &M,
-            rounds: usize,
-        ) {
-            self.advance_par(model, rounds, None);
-        }
-
-        /// Multi-threaded [`DistributionEnsemble::advance_tracked`]; bitwise
-        /// identical results.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `model.node_count()` differs from the ensemble's.
-        pub fn advance_tracked_parallel<M: TransitionModel + Sync + ?Sized>(
-            &mut self,
-            model: &M,
-            rounds: usize,
-        ) -> EnsembleTrajectory {
-            let mut stats = vec![RowStats::default(); self.sources * rounds];
-            self.advance_par(model, rounds, Some(&mut stats));
-            EnsembleTrajectory {
-                sources: self.sources,
-                rounds,
-                stats,
-            }
-        }
-
-        fn advance_par<M: TransitionModel + Sync + ?Sized>(
-            &mut self,
-            model: &M,
-            rounds: usize,
-            stats: Option<&mut [RowStats]>,
-        ) {
-            let blocks = self.sources.div_ceil(LANES);
-            let threads = if blocks > 1 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-                    .min(blocks)
-            } else {
-                1
-            };
-            if threads <= 1 {
-                // One block (or one core): run inline rather than pay a
-                // thread spawn for no parallelism.
-                return self.advance_seq(model, rounds, stats);
-            }
-            assert_eq!(
-                model.node_count(),
-                self.nodes,
-                "transition model and ensemble disagree on the node count"
-            );
-            let base_round = self.time;
-            self.time += rounds;
-            if rounds == 0 {
-                return;
-            }
-            let n = self.nodes;
-            let blocks: Vec<Block<'_>> = match stats {
-                Some(stats) => self
-                    .data
-                    .chunks_mut(LANES * n)
-                    .zip(stats.chunks_mut(LANES * rounds).map(Some))
-                    .collect(),
-                None => self
-                    .data
-                    .chunks_mut(LANES * n)
-                    .map(|rows| (rows, None))
-                    .collect(),
-            };
-            let mut per_thread: Vec<Vec<Block<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-            for (index, block) in blocks.into_iter().enumerate() {
-                per_thread[index % threads].push(block);
-            }
-            let per_worker = workspace_len(n, LANES, rounds);
-            let scratch = self.workspace.take(threads * per_worker);
-            std::thread::scope(|scope| {
-                for (assignment, scratch) in
-                    per_thread.into_iter().zip(scratch.chunks_mut(per_worker))
-                {
-                    scope.spawn(move || {
-                        for (rows, block_stats) in assignment {
-                            advance_block(model, n, base_round, rounds, rows, scratch, block_stats);
-                        }
-                    });
-                }
-            });
-        }
-    }
-}
-
 /// Rows per streaming batch: targets [`BATCH_TARGET_BYTES`] of buffer per
 /// batch, rounded to whole [`LANES`] blocks.
 fn batch_rows(n: usize) -> usize {
@@ -757,14 +611,12 @@ fn batch_rows(n: usize) -> usize {
 ///
 /// This is the exact multi-origin route of the accountant: entry `o` is the
 /// exact `(Σ_i P_i^o(t)², ρ*_o)` of user `o`'s report on an arbitrary graph,
-/// where the spectral route can only bound the worst case.  Uses the
-/// parallel block dispatch when the `parallel` feature is enabled (bitwise
-/// identical results).
+/// where the spectral route can only bound the worst case.
 ///
 /// # Errors
 ///
 /// [`GraphError::EmptyGraph`] if the model has no nodes.
-pub fn all_origin_moments<M: TransitionModel + Sync + ?Sized>(
+pub fn all_origin_moments<M: TransitionModel + ?Sized>(
     model: &M,
     rounds: usize,
 ) -> Result<Vec<RowStats>> {
@@ -779,7 +631,7 @@ pub fn all_origin_moments<M: TransitionModel + Sync + ?Sized>(
         let end = (start + batch).min(n);
         let origins: Vec<NodeId> = (start..end).collect();
         let mut ensemble = DistributionEnsemble::point_masses(n, &origins)?;
-        ensemble.advance_auto(model, rounds);
+        ensemble.advance(model, rounds);
         for row in 0..ensemble.sources() {
             out.push(ensemble.row_stats(row));
         }
@@ -807,7 +659,7 @@ pub fn all_origin_trajectories<M, E, F>(
     mut visit: F,
 ) -> std::result::Result<(), E>
 where
-    M: TransitionModel + Sync + ?Sized,
+    M: TransitionModel + ?Sized,
     E: From<GraphError>,
     F: FnMut(usize, &EnsembleTrajectory) -> std::result::Result<(), E>,
 {
@@ -821,7 +673,7 @@ where
         let end = (start + batch).min(n);
         let origins: Vec<NodeId> = (start..end).collect();
         let mut ensemble = DistributionEnsemble::point_masses(n, &origins)?;
-        let trajectory = ensemble.advance_tracked_auto(model, rounds);
+        let trajectory = ensemble.advance_tracked(model, rounds);
         visit(start, &trajectory)?;
         start = end;
     }
@@ -1053,19 +905,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_advance_is_bitwise_equal_to_sequential() {
-        let g = irregular_graph(7);
-        let t = TransitionMatrix::with_laziness(&g, 0.15).unwrap();
-        let origins: Vec<usize> = (0..150).collect();
-        let mut sequential = DistributionEnsemble::point_masses(150, &origins).unwrap();
-        let seq_trajectory = sequential.advance_tracked(&t, 10);
-        let mut parallel = DistributionEnsemble::point_masses(150, &origins).unwrap();
-        let par_trajectory = parallel.advance_tracked_parallel(&t, 10);
-        assert_eq!(sequential, parallel);
-        assert_eq!(seq_trajectory, par_trajectory);
     }
 }

@@ -70,9 +70,8 @@ impl Graph {
         Graph { offsets, neighbors }
     }
 
-    /// The raw CSR arrays `(offsets, neighbors)` — used by the dynamic-graph
-    /// delta layer to splice unchanged row spans with bulk copies, and by
-    /// the round kernel's prefetched gather.
+    /// The raw CSR arrays `(offsets, neighbors)` — used by the round
+    /// kernel's prefetched gather and the masked operator's CSR.
     pub(crate) fn csr_parts(&self) -> (&[usize], &[u32]) {
         (&self.offsets, &self.neighbors)
     }

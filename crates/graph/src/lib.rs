@@ -24,11 +24,10 @@
 //! * spectral-gap estimation via deflated power iteration ([`spectral`]) and
 //!   the mixing-time rule `t ≈ α⁻¹ log n` ([`mixing`]),
 //! * one round kernel ([`round`]) behind two engines: walker-order rounds
-//!   over struct-of-arrays state with per-round availability masks and
-//!   optional data-parallel rounds ([`mixing_engine`]), and the
-//!   holder-order engine below,
-//! * time-varying topologies: a dynamic-graph delta layer with incremental
-//!   CSR snapshots, availability-masked transition operators and per-round
+//!   over struct-of-arrays state with per-round availability masks
+//!   ([`mixing_engine`]), and the holder-order engine below,
+//! * time-varying topologies: a dynamic-graph delta layer with cached CSR
+//!   snapshots, availability-masked transition operators and per-round
 //!   operator schedules that drive the ensemble kernel through products of
 //!   distinct per-round transitions ([`dynamic`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner

@@ -7,10 +7,8 @@
 //! within such a round, so it is the cheapest round form — no holder
 //! buckets, no per-round statistics — and the one the Monte-Carlo
 //! estimators, the walk-level utility experiments and the walker-order
-//! goldens use.  With the `parallel` cargo feature,
-//! `MixingEngine::run_parallel` executes walker-order rounds across threads
-//! in fixed-size chunks with per-chunk deterministic RNG streams (results
-//! depend only on the seed, never on the number of threads).
+//! goldens use.  Every round draws from the one RNG the caller passes in,
+//! so a walk depends only on that RNG's seed.
 //!
 //! Holder-order rounds — users in id order, each user's reports in arrival
 //! order, with per-round traffic statistics — run on
@@ -275,100 +273,6 @@ impl<'g> MixingEngine<'g> {
     }
 }
 
-/// Data-parallel walker-order rounds (enabled by the `parallel` feature).
-///
-/// Rayon is not available in this build environment, so parallelism is
-/// implemented directly on `std::thread::scope`: the position array is split
-/// into fixed-size chunks, each chunk is stepped with its own ChaCha8 stream
-/// derived from `(seed, round, chunk index)`, and chunks are dealt to threads
-/// round-robin.  Because the chunk size and the per-chunk streams are fixed,
-/// the result depends only on the seed — never on how many threads ran.
-#[cfg(feature = "parallel")]
-mod parallel {
-    use super::MixingEngine;
-    use crate::rng::SimRng;
-    use crate::round::{self, DrawMode, RoundPlan};
-    use crate::walk::WalkConfig;
-    use rand::SeedableRng;
-
-    /// Walkers per deterministic RNG chunk.
-    pub const CHUNK_WALKERS: usize = 1 << 16;
-
-    use crate::rng::mix64;
-
-    fn chunk_rng(seed: u64, round: usize, chunk: usize) -> SimRng {
-        SimRng::seed_from_u64(mix64(mix64(seed ^ round as u64) ^ chunk as u64))
-    }
-
-    impl MixingEngine<'_> {
-        /// Runs a full walk with parallel rounds.
-        ///
-        /// Workers are spawned once for the whole walk, not once per round:
-        /// walkers never interact within walker-order rounds, so each thread
-        /// advances its chunks through all rounds independently — same
-        /// result as round-by-round execution, without per-round thread
-        /// churn.
-        ///
-        /// # Errors
-        ///
-        /// Propagates [`WalkConfig::validate`] errors.
-        pub fn run_parallel(&mut self, config: WalkConfig, seed: u64) -> crate::error::Result<()> {
-            config.validate()?;
-            self.run_parallel_rounds(config.laziness, seed, config.rounds);
-            Ok(())
-        }
-
-        fn run_parallel_rounds(&mut self, laziness: f64, seed: u64, rounds: usize) {
-            if rounds == 0 {
-                return;
-            }
-            let base_round = self.round;
-            let graph = self.graph;
-            let draw_mode = self.draw_mode;
-            let plan = RoundPlan::new(graph, laziness);
-            let threads = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let chunks: Vec<(usize, &mut [u32])> = self
-                .positions
-                .chunks_mut(CHUNK_WALKERS)
-                .enumerate()
-                .collect();
-            let threads = threads.min(chunks.len()).max(1);
-            let mut per_thread: Vec<Vec<(usize, &mut [u32])>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (index, chunk) in chunks {
-                per_thread[index % threads].push((index, chunk));
-            }
-            std::thread::scope(|scope| {
-                for assignment in per_thread {
-                    let plan = &plan;
-                    scope.spawn(move || {
-                        let mut lane = Vec::new();
-                        for (chunk_index, chunk) in assignment {
-                            for round in base_round..base_round + rounds {
-                                let mut rng = chunk_rng(seed, round, chunk_index);
-                                match draw_mode {
-                                    DrawMode::Compat => {
-                                        round::sweep_walker_order(plan, chunk, &mut rng)
-                                    }
-                                    DrawMode::Fast => round::sweep_walker_order_fast(
-                                        plan, chunk, &mut lane, &mut rng,
-                                    ),
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            self.round += rounds;
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-pub use parallel::CHUNK_WALKERS;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,24 +449,5 @@ mod tests {
         assert!(MixingEngine::one_walker_per_node(&isolated).is_err());
         let g = generators::cycle(4).unwrap();
         assert!(MixingEngine::with_starts(&g, vec![0, 9]).is_err());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_rounds_are_deterministic_and_conserve_walkers() {
-        let g = generators::random_regular(5_000, 8, &mut seeded_rng(7)).unwrap();
-        let run = |seed: u64| {
-            let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
-            engine
-                .run_parallel(WalkConfig::lazy(10, 0.2), seed)
-                .unwrap();
-            engine.positions().to_vec()
-        };
-        let a = run(11);
-        let b = run(11);
-        let c = run(12);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.iter().all(|&p| p < 5_000));
     }
 }

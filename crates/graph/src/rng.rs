@@ -16,9 +16,8 @@ pub fn seeded_rng(seed: u64) -> SimRng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// SplitMix64 finalizer, used to derive decorrelated per-component seeds
-/// (per-chunk streams in the data-parallel engine, per-shard streams in the
-/// sharded runtime) from one base seed.
+/// SplitMix64 finalizer, used to derive decorrelated per-shard streams in
+/// the sharded runtime from one base seed.
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -14,7 +14,7 @@
 //!   through the one sampling rule of the draw mode.  Survivors (lazy
 //!   stays *and* masked bounces) and deliveries (in send order) go to the
 //!   shard's [`RoundArena`].  Shards only read the shared buckets and
-//!   write their own arena and stream, so they may run on threads.
+//!   write their own arena and stream, so they may run in any order.
 //! * [`HolderBuckets::merge`] — the **merge phase**: one counting sort over
 //!   every node that rebuilds the buckets from every shard's survivors
 //!   (first, in previous bucket order) and then every shard's deliveries
@@ -125,9 +125,9 @@ pub(crate) fn prefetch_read<T>(data: &[T], idx: usize) {
 /// the uniformly chosen neighbour.
 ///
 /// This is the single definition of the per-walker sampling rule.  Every
-/// round form (walker order, holder order, sharded, data-parallel) draws
-/// through it, in the same order — one `f64` for the lazy decision (only
-/// when `laziness > 0`), then one uniform index — which is what keeps the
+/// round form (walker order, holder order, sharded) draws through it, in
+/// the same order — one `f64` for the lazy decision (only when
+/// `laziness > 0`), then one uniform index — which is what keeps the
 /// draw-for-draw parity contract with the historical loops in one place.
 #[inline]
 pub(crate) fn sample_move<R: Rng + ?Sized>(

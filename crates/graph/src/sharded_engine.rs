@@ -16,9 +16,7 @@
 //! * **Seed-only determinism.**  Shard `s` draws from its own ChaCha8 stream
 //!   ([`shard_stream`]), and a round's result depends only on
 //!   `(seed, partition, starts)` — never on the order shards were executed
-//!   in ([`ShardedMixingEngine::step_in_order`] is the audit hook) nor, under
-//!   the `parallel` feature, on whether [`ShardedMixingEngine::step`] ran
-//!   them on threads.
+//!   in ([`ShardedMixingEngine::step_in_order`] is the audit hook).
 //! * **Canonical merge order.**  After the sampling phase, each node's
 //!   next-round bucket lists its survivors first (in previous bucket order)
 //!   and then its arrivals grouped by *source shard id* in ascending order,
@@ -36,8 +34,8 @@
 //!   realization of the same walk.
 //!
 //! Shards share the one immutable global CSR for neighbour sampling — this
-//! is a single-box, multi-core runtime, and a [`Partition`] carries only
-//! the node → shard assignment.
+//! is a single-box runtime, and a [`Partition`] carries only the node →
+//! shard assignment.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -174,9 +172,8 @@ pub struct ShardedMixingEngine<'g> {
     buckets: HolderBuckets,
     shards: Vec<ShardState>,
     /// Attached telemetry (`None` = the no-op path).  Inert by
-    /// construction — recording never draws randomness or touches round
-    /// state — and shared by the threaded sampling workers (`Sync`
-    /// handles).
+    /// construction: recording never draws randomness or touches round
+    /// state.
     telemetry: Option<EngineTelemetry>,
 }
 
@@ -290,9 +287,9 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// Selects how subsequent rounds draw randomness.  Switching modes
-    /// changes the realization of the walk but not its distribution; all
-    /// determinism contracts (seed-only, shard-order-free, thread-count
-    /// invariance) hold in both modes.
+    /// changes the realization of the walk but not its distribution; both
+    /// determinism contracts (seed-only, shard-order-free) hold in both
+    /// modes.
     pub fn set_draw_mode(&mut self, mode: DrawMode) {
         self.draw_mode = mode;
     }
@@ -561,9 +558,7 @@ impl<'g> ShardedMixingEngine<'g> {
     /// exactly how the kernel accounts it (not sent, not an arrival).  An
     /// all-available mask is bit-for-bit `None`.
     ///
-    /// The sampling phase runs inline, or — under the `parallel` feature,
-    /// with more than one shard and more than one core — on scoped threads;
-    /// the result is bitwise the same either way.
+    /// The sampling phase runs inline, shard by shard in ascending order.
     ///
     /// # Errors
     ///
@@ -667,11 +662,9 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// The sampling phase: every shard's decide sweep, inline in `order`
-    /// when one is given, otherwise in ascending shard order — or, under
-    /// the `parallel` feature with more than one shard and more than one
-    /// core, dealt round-robin to scoped threads.  Each shard reads the
-    /// shared buckets and touches only its own stream and arena, so the
-    /// schedule never changes the result.
+    /// when one is given, otherwise in ascending shard order.  Each shard
+    /// reads the shared buckets and touches only its own stream and arena,
+    /// so the order never changes the result.
     fn sample(&mut self, laziness: f64, mask: Option<&[bool]>, order: Option<&[usize]>) {
         let sampling = Sampling {
             plan: RoundPlan {
@@ -684,38 +677,17 @@ impl<'g> ShardedMixingEngine<'g> {
             mode: self.draw_mode,
             telemetry: self.telemetry.as_ref(),
         };
-        if let Some(order) = order {
-            for &s in order {
-                sampling.sample_shard(s, &mut self.shards[s]);
-            }
-            return;
-        }
-        // Only a multi-shard round asks for the core count (the query
-        // itself allocates).
-        #[cfg(feature = "parallel")]
-        let threads = match self.shards.len() {
-            1 => 1,
-            k => std::thread::available_parallelism().map_or(1, |p| p.get().min(k)),
-        };
-        #[cfg(feature = "parallel")]
-        if threads > 1 {
-            let mut per_thread: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-            for (s, state) in self.shards.iter_mut().enumerate() {
-                per_thread[s % threads].push((s, state));
-            }
-            std::thread::scope(|scope| {
-                for assignment in per_thread {
-                    scope.spawn(move || {
-                        for (s, state) in assignment {
-                            sampling.sample_shard(s, state);
-                        }
-                    });
+        match order {
+            Some(order) => {
+                for &s in order {
+                    sampling.sample_shard(s, &mut self.shards[s]);
                 }
-            });
-            return;
-        }
-        for (s, state) in self.shards.iter_mut().enumerate() {
-            sampling.sample_shard(s, state);
+            }
+            None => {
+                for (s, state) in self.shards.iter_mut().enumerate() {
+                    sampling.sample_shard(s, state);
+                }
+            }
         }
     }
 
@@ -772,9 +744,7 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 }
 
-/// What every shard's sampling sweep of one round shares; `Copy` and
-/// `Sync`, so threaded sampling hands each worker its own copy.
-#[derive(Clone, Copy)]
+/// What every shard's sampling sweep of one round reads.
 struct Sampling<'a> {
     plan: RoundPlan<'a>,
     partition: &'a Partition,
@@ -848,8 +818,7 @@ mod tests {
         }
     }
 
-    /// Any shard order, inline or threaded, masked or not: bitwise the same
-    /// rounds.
+    /// Any shard order, masked or not: bitwise the same rounds.
     #[test]
     fn shard_sampling_schedule_does_not_change_the_result() {
         let g = graph(300, 6, 5);

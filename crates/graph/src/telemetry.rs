@@ -29,8 +29,7 @@ pub mod names {
 }
 
 /// Preregistered phase-timing handles, shared by the walker-order and the
-/// holder-order engine.  Clone-cheap (`Arc` bumps); `Send + Sync`, so the
-/// threaded sampling workers record into the same histograms.
+/// holder-order engine.  Clone-cheap (`Arc` bumps).
 #[derive(Clone, Debug)]
 pub struct EngineTelemetry {
     pub(crate) clock: Clock,

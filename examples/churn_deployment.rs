@@ -22,8 +22,8 @@
 //! static quote drifts.  The example then replays the blackout through the
 //! protocol engine (failed deliveries stay put, are never counted as
 //! traffic) and finishes with live topology churn: edges rewiring under a
-//! `DynamicGraph` whose incrementally-patched CSR snapshots feed one
-//! persistent engine through `MixingEngine::retarget`.
+//! `DynamicGraph` whose per-round CSR snapshots feed one persistent engine
+//! through `MixingEngine::retarget`.
 
 use network_shuffle::prelude::*;
 use ns_graph::dynamic::DynamicGraph;
@@ -135,9 +135,8 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     assert!(dark.metrics.total_messages() < clear.metrics.total_messages());
 
     // 4. Live topology churn: 1% of edges rewire every round.  The dynamic
-    // graph patches its CSR snapshot incrementally (clean row spans are
-    // bulk-copied, only touched rows are re-read) and each round's snapshot
-    // is materialized up front, so ONE engine walks the whole history,
+    // graph takes each edit in O(deg) and each round's CSR snapshot is
+    // materialized up front, so ONE engine walks the whole history,
     // retargeting between rounds — positions and the round counter carry
     // over.
     let mut dynamic = DynamicGraph::from_graph(&graph)?;
@@ -169,7 +168,6 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
             dynamic.add_edge(a, b)?;
             rewired += 1;
         }
-        assert!(dynamic.dirty_nodes() > 0);
         snapshots.push(dynamic.snapshot().clone());
     }
     let mut engine = MixingEngine::one_walker_per_node(&snapshots[0])?;

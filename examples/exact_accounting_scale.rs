@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --example exact_accounting_scale
-//! NS_EXACT_N=100000 cargo run --release --features parallel --example exact_accounting_scale
+//! NS_EXACT_N=100000 cargo run --release --example exact_accounting_scale
 //! ```
 //!
 //! Builds a Chung–Lu graph with a heterogeneous expected-degree sequence —
@@ -15,8 +15,7 @@
 //! The default population (`n = 10_000`) finishes in well under a minute on
 //! one core.  Set `NS_EXACT_N` to scale up: `NS_EXACT_N=100000` is the
 //! 100k-user demonstration (all 100k origins evolved exactly — an
-//! `O(n · t · m)` computation; expect tens of minutes on a single core, and
-//! use `--features parallel` on multi-core machines).
+//! `O(n · t · m)` computation; expect tens of minutes on one core).
 
 use network_shuffle::prelude::*;
 use ns_graph::connectivity::largest_connected_component;

@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! cargo run --release --example mixing_engine_scale
-//! # with data-parallel rounds:
-//! cargo run --release --features parallel --example mixing_engine_scale
 //! # CI smoke run at a small population:
 //! NS_SCALE_N=20000 cargo run --release --example mixing_engine_scale
 //! # lane-buffered draw mode (one u64 per walker; statistically equivalent):
@@ -13,34 +11,25 @@
 //! Where the quickstart example runs the full protocol (crypto envelopes,
 //! curator, accountant), this one exercises the round engines directly: a
 //! million-node regular graph and 30 exchange rounds over flat
-//! struct-of-arrays state.  Serially it runs the protocol's holder-order
-//! rounds on the 1-shard `ShardedMixingEngine`, with a custom
-//! `RoundObserver` that watches the load distribution converge toward the
-//! balls-into-bins limit while the rounds execute — no post-hoc pass over a
-//! million client objects.  With `parallel` it runs `MixingEngine`'s
-//! data-parallel walker-order rounds instead.
+//! struct-of-arrays state.  It runs the protocol's holder-order rounds on
+//! the 1-shard `ShardedMixingEngine`, with a custom `RoundObserver` that
+//! watches the load distribution converge toward the balls-into-bins limit
+//! while the rounds execute — no post-hoc pass over a million client
+//! objects.
 
 use ns_graph::generators::random_regular;
-#[cfg(feature = "parallel")]
-use ns_graph::mixing_engine::MixingEngine;
-#[cfg(not(feature = "parallel"))]
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-#[cfg(not(feature = "parallel"))]
 use ns_graph::sharded_engine::{RoundObserver, RoundStats, ShardedMixingEngine};
-#[cfg(feature = "parallel")]
-use ns_graph::walk::WalkConfig;
 use ns_obs::say;
 use std::time::Instant;
 
 const TOPIC: &str = "mixing_engine_scale";
 
 /// Streams a per-round summary of the load vector.
-#[cfg(not(feature = "parallel"))]
 struct LoadWatcher;
 
-#[cfg(not(feature = "parallel"))]
 impl RoundObserver for LoadWatcher {
     fn on_round(&mut self, stats: &RoundStats<'_>) {
         if !stats.round.is_multiple_of(5) {
@@ -81,34 +70,17 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let mut rng = seeded_rng(7);
     let graph = random_regular(n, 8, &mut rng)?;
 
-    #[cfg(feature = "parallel")]
-    let (engine, start) = {
-        let mut engine = MixingEngine::one_walker_per_node(&graph)?;
-        engine.set_draw_mode(mode);
-        say!(
-            TOPIC,
-            "running {rounds} data-parallel walker-order rounds ..."
-        );
-        let start = Instant::now();
-        engine.run_parallel(WalkConfig::simple(rounds), 42)?;
-        (engine, start)
-    };
-    #[cfg(not(feature = "parallel"))]
     let partition = Partition::single_shard(&graph)?;
-    #[cfg(not(feature = "parallel"))]
-    let (engine, start) = {
-        let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, 42)?;
-        engine.set_draw_mode(mode);
-        say!(
-            TOPIC,
-            "running {rounds} holder-order rounds with streaming metrics ..."
-        );
-        let start = Instant::now();
-        for _ in 0..rounds {
-            engine.step(0.0, None, &mut LoadWatcher)?;
-        }
-        (engine, start)
-    };
+    let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, 42)?;
+    engine.set_draw_mode(mode);
+    say!(
+        TOPIC,
+        "running {rounds} holder-order rounds with streaming metrics ..."
+    );
+    let start = Instant::now();
+    for _ in 0..rounds {
+        engine.step(0.0, None, &mut LoadWatcher)?;
+    }
 
     let elapsed = start.elapsed();
     let load = engine.load_vector();

@@ -3,8 +3,6 @@
 //!
 //! ```text
 //! cargo run --release --example sharded_deployment
-//! # with threaded shard rounds:
-//! cargo run --release --features parallel --example sharded_deployment
 //! # CI smoke run at a small population:
 //! NS_SHARD_N=5000 cargo run --release --example sharded_deployment
 //! ```

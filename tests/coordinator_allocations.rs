@@ -6,12 +6,9 @@
 //! settled round must allocate nothing on any of those threads, so the
 //! counting allocator here is process-global rather than per thread — which
 //! is also why this file holds a single test: no other test may run beside
-//! it.
-//!
-//! At k = 4 the root test target builds ns-graph with `parallel`, so the
-//! engine's own sampling phase may spawn scoped workers each round; there
-//! the audit is marginal instead: a durable twin must allocate exactly what
-//! the plain coordinator it wraps does.
+//! it.  The audit is absolute at k = 1 and at k = 4 (the sharded benchmark
+//! shape), static and under a churn schedule, for the plain and the durable
+//! coordinator alike.
 
 use network_shuffle::prelude::*;
 use ns_graph::generators::random_regular;
@@ -62,14 +59,12 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-/// Rounds per audited block.
-const BLOCK: usize = 10;
-
 /// Runs `round` in blocks until `STREAK` blocks in a row allocate nothing,
 /// then returns the allocations of one more block.  Buffers only grow when
 /// a round breaks a high-water mark, and there are finitely many such
 /// rounds, but when the last one comes depends on the walk.
 fn settled_allocations(mut round: impl FnMut()) -> usize {
+    const BLOCK: usize = 10;
     const STREAK: usize = 5;
     const MAX_BLOCKS: usize = 200;
     let mut block = || {
@@ -164,60 +159,34 @@ fn settled_coordinator_rounds_allocate_nothing_on_any_thread() {
     .unwrap();
     let registry = MetricsRegistry::new();
 
-    let one = Partition::new(&graph, 1).unwrap();
     let config = CoordinatorConfig::all(17, 2);
-    for schedule in [None, Some(&schedule)] {
-        let label = format!("k = 1, scheduled {}", schedule.is_some());
+    for k in [1, 4] {
+        let partition = Partition::new(&graph, k).unwrap();
+        for schedule in [None, Some(&schedule)] {
+            let label = format!("k = {k}, scheduled {}", schedule.is_some());
 
-        let mut coordinator = plain(&graph, &one, config, schedule);
-        let allocations = settled_allocations(|| {
-            coordinator.run_rounds(1).unwrap();
-            coordinator.live_quote(&params).unwrap();
-        });
-        assert_eq!(
-            allocations, 0,
-            "ShuffleCoordinator::run_rounds(1) + live_quote, {label}"
-        );
-
-        let name = format!("one-{}", schedule.is_some());
-        let mut store = durable(&graph, &one, config, schedule, params, &registry, &name);
-        let allocations = settled_allocations(|| store.run_rounds(1).unwrap());
-        assert_eq!(
-            allocations, 0,
-            "DurableCoordinator::run_rounds(1) with telemetry, {label}"
-        );
-        drop(store);
-        let _ = std::fs::remove_dir_all(store_dir(&name));
-    }
-
-    // k = 4: the durable wrapper adds nothing over the plain coordinator.
-    const WARMUP: usize = 80;
-    let four = Partition::new(&graph, 4).unwrap();
-    for schedule in [None, Some(&schedule)] {
-        let label = format!("k = 4, scheduled {}", schedule.is_some());
-        let name = format!("four-{}", schedule.is_some());
-        let mut coordinator = plain(&graph, &four, config, schedule);
-        let mut store = durable(&graph, &four, config, schedule, params, &registry, &name);
-        for _ in 0..WARMUP {
-            coordinator.run_rounds(1).unwrap();
-            store.run_rounds(1).unwrap();
-        }
-        let plain_cost = allocations_during(|| {
-            for _ in 0..BLOCK {
+            let mut coordinator = plain(&graph, &partition, config, schedule);
+            let allocations = settled_allocations(|| {
                 coordinator.run_rounds(1).unwrap();
-            }
-        });
-        let durable_cost = allocations_during(|| {
-            for _ in 0..BLOCK {
-                store.run_rounds(1).unwrap();
-            }
-        });
-        assert_eq!(
-            durable_cost, plain_cost,
-            "the instrumented durable wrapper adds allocations per round, {label}"
-        );
-        drop(store);
-        let _ = std::fs::remove_dir_all(store_dir(&name));
+                coordinator.live_quote(&params).unwrap();
+            });
+            assert_eq!(
+                allocations, 0,
+                "ShuffleCoordinator::run_rounds(1) + live_quote, {label}"
+            );
+
+            let name = format!("k{k}-{}", schedule.is_some());
+            let mut store = durable(
+                &graph, &partition, config, schedule, params, &registry, &name,
+            );
+            let allocations = settled_allocations(|| store.run_rounds(1).unwrap());
+            assert_eq!(
+                allocations, 0,
+                "DurableCoordinator::run_rounds(1) with telemetry, {label}"
+            );
+            drop(store);
+            let _ = std::fs::remove_dir_all(store_dir(&name));
+        }
     }
     // The instrumented rounds really recorded.
     assert!(registry.render().contains("ns_rounds_total"));

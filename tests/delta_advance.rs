@@ -10,9 +10,8 @@
 //!   bit patterns;
 //! * the masked operator's fused pull kernel, lane by lane, against the
 //!   scalar scatter reference;
-//! * both [`DynamicGraph`] snapshot paths (patching the previous CSR and
-//!   rebuilding it past [`ns_graph::dynamic::REBUILD_DIRTY_FRACTION`]
-//!   dirty nodes) against a from-scratch build of the same edge set.
+//! * [`DynamicGraph`] snapshots after a small and a large wave of edits
+//!   against a from-scratch build of the same edge set.
 
 mod common;
 
@@ -73,14 +72,12 @@ fn touched_columns(snapshot: &Graph, touched: &[NodeId]) -> Vec<NodeId> {
     columns
 }
 
-/// Both snapshot paths of one graph — a small wave patches the previous
-/// CSR, a wave dirtying more than a quarter of the nodes rebuilds it — each
+/// The snapshot after a small wave of edits and after a large one, each
 /// equal to a from-scratch build of the edge set the test maintains.
 #[test]
-fn rebuild_threshold_settings_produce_identical_snapshots() {
+fn snapshots_match_a_from_scratch_build_after_each_wave() {
     let g = ns_graph::generators::barabasi_albert(120, 3, &mut seeded_rng(8)).unwrap();
     let n = g.node_count();
-    let threshold = (n as f64 * ns_graph::dynamic::REBUILD_DIRTY_FRACTION).ceil() as usize;
     let mut dg = DynamicGraph::from_graph(&g).unwrap();
     let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
     let mut rng = seeded_rng(9);
@@ -100,15 +97,6 @@ fn rebuild_threshold_settings_produce_identical_snapshots() {
                 assert!(dg.add_edge(u, v).unwrap());
                 edges.insert(edge);
             }
-        }
-        let dirty = dg.dirty_nodes();
-        if wave == 0 {
-            assert!(
-                dirty > 0 && dirty <= threshold,
-                "wave 0 must patch ({dirty} dirty)"
-            );
-        } else {
-            assert!(dirty > threshold, "wave 1 must rebuild ({dirty} dirty)");
         }
         let expected = Graph::from_edges(n, &edges.iter().copied().collect::<Vec<_>>()).unwrap();
         assert_eq!(dg.snapshot(), &expected, "wave {wave}");
@@ -136,7 +124,7 @@ fn build_delta_trace() -> String {
         let touched = churn_wave(&mut dg, &mut rng, 10, 3);
         let realized = dg.masked_operator(0.2).unwrap();
         let columns = touched_columns(dg.snapshot(), &touched);
-        dense.advance_auto(&realized, 1);
+        dense.advance(&realized, 1);
         write!(out, "round {round} columns").unwrap();
         for &c in &columns {
             write!(out, " {c}").unwrap();

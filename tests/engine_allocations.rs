@@ -5,12 +5,13 @@
 //! buffers that grow to a high-water mark and are then reused, so a settled
 //! round must allocate nothing, with or without telemetry attached (spans,
 //! counters and histograms record into preregistered slots).  The 1-shard
-//! `step` is the monolithic holder round every protocol run uses.  A
-//! counting global allocator proves it; the allocator is per binary, which
-//! is why this audit has its own test target.  Counts are per thread, so the test harness's own bookkeeping on
-//! other threads never leaks in — which is also why the 4-shard rounds run
-//! through `step_in_order`, the inline schedule: threaded sampling spawns
-//! its workers per round.
+//! `step` is the monolithic holder round every protocol run uses, and the
+//! 4-shard `step` and `step_in_order` are the sharded round.  A counting
+//! global allocator proves it; the allocator is per binary, which is why
+//! this audit has its own test target.  Counts are per thread, so the test
+//! harness's own bookkeeping on other threads never leaks in; every round
+//! runs on the calling thread, so the per-thread count is the whole
+//! round's, and the audit is absolute at k = 4 too.
 
 use ns_graph::generators::random_regular;
 use ns_graph::partition::Partition;
@@ -116,18 +117,25 @@ fn settled_rounds_allocate_nothing() {
                     mask.is_some()
                 );
 
-                let mut single = ShardedMixingEngine::one_walker_per_node(&graph, &one, 5).unwrap();
-                single.set_draw_mode(mode);
-                single.set_telemetry(telemetry.clone());
+                let engine = |partition, seed| {
+                    let mut engine =
+                        ShardedMixingEngine::one_walker_per_node(&graph, partition, seed).unwrap();
+                    engine.set_draw_mode(mode);
+                    engine.set_telemetry(telemetry.clone());
+                    engine
+                };
+
+                let mut single = engine(&one, 5);
                 let allocations = settled_allocations(|| single.step(0.2, mask, &mut ()).unwrap());
                 assert_eq!(allocations, 0, "step at k = 1, {label}");
 
-                let mut sharded =
-                    ShardedMixingEngine::one_walker_per_node(&graph, &four, 6).unwrap();
-                sharded.set_draw_mode(mode);
-                sharded.set_telemetry(telemetry);
+                let mut sharded = engine(&four, 6);
+                let allocations = settled_allocations(|| sharded.step(0.2, mask, &mut ()).unwrap());
+                assert_eq!(allocations, 0, "step at k = 4, {label}");
+
+                let mut ordered = engine(&four, 6);
                 let allocations = settled_allocations(|| {
-                    sharded
+                    ordered
                         .step_in_order(0.2, mask, &[0, 1, 2, 3], &mut ())
                         .unwrap()
                 });

@@ -1,9 +1,8 @@
-//! Parity and scale tests for the batched mixing engine.
+//! Parity tests for the batched mixing engine.
 //!
 //! The refactor's contract: the struct-of-arrays engine must be a drop-in
 //! replacement for the historical per-object round loops — same seed, same
-//! trajectories, same submissions, same metrics — while scaling to
-//! populations the object-graph path cannot touch.
+//! trajectories, same submissions, same metrics.
 
 use network_shuffle::prelude::*;
 use network_shuffle::simulation::reference::run_protocol_reference;
@@ -116,31 +115,4 @@ fn protocol_parity_includes_dummy_consuming_closures() {
         run_protocol_reference(&graph, payloads, config, |rng| rng.gen::<u32>()).unwrap();
     assert_eq!(curator_view(&batched), curator_view(&reference));
     assert_eq!(batched.metrics, reference.metrics);
-}
-
-/// Scale smoke test: 100k-node regular graph, data-parallel rounds (the
-/// `parallel` feature), conservation + determinism checks.
-#[test]
-fn hundred_thousand_node_parallel_smoke() {
-    let n = 100_000;
-    let mut graph_rng = ns_graph::rng::seeded_rng(4);
-    let graph = ns_graph::generators::random_regular(n, 8, &mut graph_rng).unwrap();
-
-    let run = |seed: u64| {
-        let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
-        engine.run_parallel(WalkConfig::lazy(6, 0.1), seed).unwrap();
-        engine
-    };
-    let engine = run(42);
-    assert_eq!(engine.round(), 6);
-    assert_eq!(engine.walker_count(), n);
-    assert!(engine.positions().iter().all(|&p| (p as usize) < n));
-    let load = engine.load_vector();
-    assert_eq!(load.iter().sum::<usize>(), n);
-
-    // Deterministic in the seed, independent of thread scheduling.
-    let again = run(42);
-    assert_eq!(engine.positions(), again.positions());
-    let other = run(43);
-    assert_ne!(engine.positions(), other.positions());
 }

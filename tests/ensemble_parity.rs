@@ -1,10 +1,8 @@
-//! Parity, dominance and determinism tests for the distribution-ensemble
-//! kernel.
+//! Parity and dominance tests for the distribution-ensemble kernel.
 //!
 //! The refactor's contract: the blocked multi-origin kernel must agree with
-//! the historical single-distribution route bit for bit, the exact route
-//! must relate to the spectral bound the way the theory says, and the
-//! `parallel` feature must never change a single bit of any result.
+//! the historical single-distribution route bit for bit, and the exact
+//! route must relate to the spectral bound the way the theory says.
 
 mod common;
 
@@ -173,38 +171,6 @@ fn streaming_moments_match_materialized_ensemble() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Parallel-vs-sequential determinism across generator families (the
-    /// shared mixed-family strategy: degree-bounded, connected G(n, p) and
-    /// SBM draws): the block-parallel ensemble advance must produce
-    /// bitwise-identical rows and trajectories for any graph, origin set,
-    /// laziness and round count.  (The root test target enables the
-    /// `parallel` feature of ns-graph, so both paths are available in one
-    /// build.)
-    #[test]
-    fn parallel_ensemble_is_bitwise_deterministic(
-        graph in strategies::graph_zoo(60..220),
-        rounds in 1usize..12,
-        laziness_pct in 0usize..60,
-    ) {
-        let nodes = graph.node_count();
-        prop_assume!(nodes >= 8);
-        let laziness = laziness_pct as f64 / 100.0;
-        let transition = TransitionMatrix::with_laziness(&graph, laziness).unwrap();
-        let origins: Vec<usize> = (0..nodes).step_by(3).collect();
-
-        let mut sequential = DistributionEnsemble::point_masses(nodes, &origins).unwrap();
-        let seq_trajectory = sequential.advance_tracked(&transition, rounds);
-        let mut parallel = DistributionEnsemble::point_masses(nodes, &origins).unwrap();
-        let par_trajectory = parallel.advance_tracked_parallel(&transition, rounds);
-        prop_assert_eq!(&sequential, &parallel);
-        prop_assert_eq!(&seq_trajectory, &par_trajectory);
-
-        // And the untracked parallel path agrees with both.
-        let mut untracked = DistributionEnsemble::point_masses(nodes, &origins).unwrap();
-        untracked.advance_parallel(&transition, rounds);
-        prop_assert_eq!(&sequential, &untracked);
-    }
-
     /// Every row's moments — read from the rows, and recorded per round by
     /// a tracked advance from the interleaved block — are bitwise the
     /// single ordered fold over the row in index order.
@@ -305,8 +271,7 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
                     StreamingAccountant::new(&g, &partition, laziness, tracked)
                 }
                 .unwrap();
-                let held: &(dyn TransitionModel + Sync) =
-                    if scheduled { &schedule } else { &matrix };
+                let held: &dyn TransitionModel = if scheduled { &schedule } else { &matrix };
                 // The historical layout: per shard, its lowest-degree origins
                 // in one standalone ensemble.
                 let mut reference: Vec<(Vec<NodeId>, DistributionEnsemble)> = partition
@@ -388,7 +353,7 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
                 for round in 1..=dense_rounds {
                     fused.advance_round();
                     for (_, ensemble) in &mut reference {
-                        ensemble.advance_auto(held, 1);
+                        ensemble.advance(held, 1);
                     }
                     check(&fused, &reference, round);
                     let checkpoint = fused.checkpoint().unwrap();

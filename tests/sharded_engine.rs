@@ -12,8 +12,7 @@
 //!   is **bit for bit** [`run_protocol`]: walk, submissions and
 //!   [`TrafficMetrics`];
 //! * for `k > 1` the result is a pure function of `(seed, partition)`:
-//!   invariant to the order shards are sampled in and (with the `parallel`
-//!   feature, which the root test target enables) to threaded execution;
+//!   invariant to the order shards are sampled in;
 //! * the k-shard stream split is a *different but equally distributed*
 //!   realization of the same walk: aggregate mixing statistics agree with
 //!   the 1-shard run within Monte-Carlo tolerance.
@@ -177,9 +176,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Cross-shard determinism on the graph zoo: a k-shard round sequence
-    /// is bitwise invariant to the shard sampling order and to threaded
-    /// execution (`step` samples on threads under the `parallel` feature),
-    /// for any graph family, shard count, laziness and round budget.
+    /// is bitwise invariant to the shard sampling order, and `step` is
+    /// bitwise both explicit orders, for any graph family, shard count,
+    /// laziness and round budget.
     #[test]
     fn sharded_rounds_are_invariant_to_execution_order(
         graph in strategies::graph_zoo(40..160),
@@ -196,18 +195,18 @@ proptest! {
 
         let mut forward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut backward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut threaded = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+        let mut stepped = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let ascending: Vec<usize> = (0..k).collect();
         let reversed: Vec<usize> = (0..k).rev().collect();
         for _ in 0..rounds {
             forward.step_in_order(laziness, None, &ascending, &mut ()).unwrap();
             backward.step_in_order(laziness, None, &reversed, &mut ()).unwrap();
-            threaded.step(laziness, None, &mut ()).unwrap();
+            stepped.step(laziness, None, &mut ()).unwrap();
         }
         prop_assert_eq!(forward.positions(), backward.positions());
-        prop_assert_eq!(forward.positions(), threaded.positions());
+        prop_assert_eq!(forward.positions(), stepped.positions());
         prop_assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
-        prop_assert_eq!(forward.walkers_by_holder(), threaded.walkers_by_holder());
+        prop_assert_eq!(forward.walkers_by_holder(), stepped.walkers_by_holder());
     }
 }
 
