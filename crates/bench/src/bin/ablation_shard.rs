@@ -126,8 +126,7 @@ fn main() {
 
         // The same cut-restricted walk under the realized Markov churn:
         // every origin evolves through the per-round masked operator.
-        let churned_model = IntraShardTransition::new(graph, &partition, 0.0)
-            .expect("operator")
+        let churned_model = model
             .availability_schedule(churn_schedule.masks())
             .expect("churned operator schedule");
         let mut churned = DistributionEnsemble::all_origins(n).expect("ensemble");

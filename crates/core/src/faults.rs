@@ -407,9 +407,11 @@ impl OutageSchedule {
     }
 
     /// Lifts the schedule into the exact per-round operator product on
-    /// `graph`: one [`ns_graph::dynamic::MaskedTransition`] per round, with
-    /// the engine-matching semantics (unavailable recipient ⇒ the report
-    /// stays put), plus the intrinsic `laziness` of the walk.
+    /// `graph`: one masked walk operator
+    /// ([`ns_graph::transition::TransitionMatrix::masked`]) per round, all
+    /// sharing one CSR copy, with the engine-matching semantics
+    /// (unavailable recipient ⇒ the report stays put), plus the intrinsic
+    /// `laziness` of the walk.
     ///
     /// # Errors
     ///

@@ -1,20 +1,21 @@
-//! Time-varying topologies: dynamic graphs, availability-masked transitions
-//! and per-round operator schedules.
+//! Time-varying topologies: dynamic graphs and per-round operator
+//! schedules.
 //!
 //! The paper's deployment discussion (Section 4.5) folds every form of churn
 //! into a single laziness constant.  This module keeps the *realized* network
-//! history instead, in three layers:
+//! history instead, in two layers over the one walk operator,
+//! [`TransitionMatrix`], whose availability-masked form
+//! ([`TransitionMatrix::masked`]) is the exact one-round operator under a
+//! mask — a report whose *chosen recipient* is unavailable stays put for the
+//! round; with an i.i.d. random mask its expectation over masks is the lazy
+//! walk with laziness equal to the dropout probability, which is exactly the
+//! paper's reduction:
 //!
 //! * [`DynamicGraph`] — a mutable delta layer over the immutable CSR
 //!   [`Graph`]: per-node availability flags plus edge insertions/removals,
 //!   materialized back into a CSR snapshot on demand (one pass over the
-//!   adjacency lists, cached until the next edge change).
-//! * [`MaskedTransition`] — the exact one-round operator of the lazy walk on
-//!   a graph with an availability mask: a report whose *chosen recipient* is
-//!   unavailable stays put for the round.  With every node available this is
-//!   bit-for-bit the lazy [`TransitionMatrix`]; with an i.i.d. random mask
-//!   its expectation over masks is the lazy walk with laziness equal to the
-//!   dropout probability, which is exactly the paper's reduction.
+//!   adjacency lists, cached until the next edge change), and the masked
+//!   operator of its current state ([`DynamicGraph::masked_operator`]).
 //! * [`TimeVaryingModel`] — a per-round schedule of transition operators
 //!   implementing [`TransitionModel`].  The ensemble kernel drives models
 //!   through the round-aware entry points
@@ -31,8 +32,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::transition::{lane_runs, LaneOut, TransitionMatrix, TransitionModel};
-use crate::walk::validate_laziness;
+use crate::transition::{TransitionMatrix, TransitionModel, WalkCsr};
 use std::sync::Arc;
 
 /// A shared, type-erased transition operator usable as one schedule entry.
@@ -50,7 +50,7 @@ pub struct DynamicGraph {
     /// Sorted neighbour list per node — the current truth.
     adjacency: Vec<Vec<NodeId>>,
     /// Availability flags; unavailable nodes still appear in the topology
-    /// but cannot *receive* reports (see [`MaskedTransition`]).
+    /// but cannot *receive* reports (see [`TransitionMatrix::masked`]).
     available: Vec<bool>,
     /// Undirected edge count of `adjacency`.
     edge_count: usize,
@@ -232,309 +232,15 @@ impl DynamicGraph {
         Graph::from_csr(offsets, neighbors)
     }
 
-    /// The lazy-walk transition matrix of the *current* topology (ignoring
-    /// availability — pair with [`DynamicGraph::masked_operator`] for the
-    /// availability-aware operator).
-    ///
-    /// # Errors
-    ///
-    /// Matrix construction errors (isolated node, invalid laziness).
-    pub fn transition(&mut self, laziness: f64) -> Result<TransitionMatrix> {
-        self.snapshot();
-        TransitionMatrix::with_laziness(&self.snapshot, laziness)
-    }
-
     /// The availability-masked one-round operator of the current topology
     /// and mask.
     ///
     /// # Errors
     ///
     /// Operator construction errors (isolated node, invalid laziness).
-    pub fn masked_operator(&mut self, laziness: f64) -> Result<MaskedTransition> {
+    pub fn masked_operator(&mut self, laziness: f64) -> Result<TransitionMatrix> {
         self.snapshot();
-        MaskedTransition::new(&self.snapshot, self.available.clone(), laziness)
-    }
-}
-
-/// The exact one-round operator of a lazy walk under an availability mask.
-///
-/// Semantics (matching [`crate::mixing_engine::MixingEngine`]'s masked
-/// rounds and the paper's dropout story): the holder of a report first stays
-/// put with probability `laziness`; otherwise it picks a neighbour uniformly
-/// at random, and if that *recipient* is unavailable the report stays put
-/// for the round.  Holders always attempt to send — only recipient
-/// availability matters — which is what makes the expectation over i.i.d.
-/// masks *exactly* the lazy walk (see the laziness-equivalence notes in the
-/// core crate's `faults` module).
-///
-/// With every node available the operator is bit-for-bit
-/// [`TransitionMatrix::with_laziness`] on the same graph.
-///
-/// The CSR topology (plus reciprocal degrees) lives behind an [`Arc`], so a
-/// whole schedule of per-round masks over one topology — the common case in
-/// [`TimeVaryingModel::from_availability`] — shares a single copy and each
-/// additional round costs only its `n`-bool mask.
-#[derive(Debug, Clone)]
-pub struct MaskedTransition {
-    shared: Arc<MaskedCsr>,
-    available: Vec<bool>,
-    laziness: f64,
-}
-
-/// The mask-independent part of a [`MaskedTransition`]: one CSR copy shared
-/// by every operator built on the same topology, with `u32` neighbour ids
-/// as in [`Graph`].
-#[derive(Debug)]
-struct MaskedCsr {
-    inv_degree: Vec<f64>,
-    offsets: Vec<usize>,
-    neighbors: Vec<u32>,
-}
-
-impl MaskedCsr {
-    /// Validates `graph` and copies its CSR once.
-    fn of(graph: &Graph) -> Result<Arc<Self>> {
-        if graph.node_count() == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        if let Some(u) = graph.find_isolated_node() {
-            return Err(GraphError::IsolatedNode(u));
-        }
-        let (offsets, neighbors) = graph.csr_parts();
-        Ok(Arc::new(MaskedCsr {
-            inv_degree: graph
-                .nodes()
-                .map(|u| 1.0 / graph.degree(u) as f64)
-                .collect(),
-            offsets: offsets.to_vec(),
-            neighbors: neighbors.to_vec(),
-        }))
-    }
-
-    /// The sorted neighbour list of `u`.
-    fn neighbors(&self, u: NodeId) -> &[u32] {
-        &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
-    }
-}
-
-impl MaskedTransition {
-    /// Builds the masked operator for `graph` and `available`.
-    ///
-    /// # Errors
-    ///
-    /// * [`GraphError::EmptyGraph`] / [`GraphError::IsolatedNode`] for
-    ///   degenerate graphs,
-    /// * [`GraphError::InvalidParameters`] if `laziness ∉ [0, 1)` or the
-    ///   mask length differs from the node count.
-    pub fn new(graph: &Graph, available: Vec<bool>, laziness: f64) -> Result<Self> {
-        Self::with_shared(MaskedCsr::of(graph)?, available, laziness)
-    }
-
-    /// Builds an operator over an already-validated shared topology.
-    fn with_shared(shared: Arc<MaskedCsr>, available: Vec<bool>, laziness: f64) -> Result<Self> {
-        validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
-        let n = shared.inv_degree.len();
-        if available.len() != n {
-            return Err(GraphError::InvalidParameters(format!(
-                "availability mask has {} entries for {n} nodes",
-                available.len()
-            )));
-        }
-        Ok(MaskedTransition {
-            shared,
-            available,
-            laziness,
-        })
-    }
-
-    /// The walk's laziness (mask-independent stay probability).
-    pub fn laziness(&self) -> f64 {
-        self.laziness
-    }
-
-    /// The availability mask the operator routes around.
-    pub fn availability(&self) -> &[bool] {
-        &self.available
-    }
-
-    /// Runs the fused pull kernel over every lane of an interleaved block,
-    /// one compile-time width at a time (see [`lane_runs`]).
-    fn pull_lanes(&self, lanes: usize, input: &[f64], mut out: LaneOut<'_>) {
-        for (offset, width) in lane_runs(lanes) {
-            match width {
-                8 => self.pull::<8>(lanes, offset, input, &mut out),
-                4 => self.pull::<4>(lanes, offset, input, &mut out),
-                2 => self.pull::<2>(lanes, offset, input, &mut out),
-                _ => self.pull::<1>(lanes, offset, input, &mut out),
-            }
-        }
-    }
-
-    /// Pull-form round for lanes `offset..offset + L` of an interleaved
-    /// block `lanes` wide: each node `j` gathers its incoming shares into
-    /// register accumulators and stores its lanes once, instead of every
-    /// source scattering a read-for-ownership write per edge.
-    ///
-    /// Bit parity with [`MaskedTransition::propagate_into`] per lane: the
-    /// scatter form accumulates `out[j]` in ascending source order, adding
-    /// `j`'s own stay term (laziness plus one identical share per
-    /// unavailable neighbour, accumulated in CSR neighbour order) when the
-    /// sweep passes `j`.  The pull form folds that stay term into the
-    /// ascending-source gather at `j`'s own position, so it reproduces the
-    /// same sequence of adds, and an unavailable `j` receives only its stay
-    /// term.  Zero-mass sources, which the scatter form skips, add `+0.0`,
-    /// which never changes a non-negative accumulation.
-    ///
-    /// The gathers go through raw pointers, like
-    /// [`TransitionMatrix`]'s fused kernel, relying on the same invariants:
-    /// every neighbour id is `< n`, `offset + L <= lanes`, and the caller
-    /// asserted the input holds `n * lanes` f64s.
-    #[allow(unsafe_code)]
-    fn pull<const L: usize>(
-        &self,
-        lanes: usize,
-        offset: usize,
-        input: &[f64],
-        out: &mut LaneOut<'_>,
-    ) {
-        /// How many edges ahead source lines are prefetched: twice the
-        /// static kernel's look-ahead, which measured faster here at 1M
-        /// nodes (the per-node dark-neighbour pass eats into the lead).
-        const PREFETCH_DISTANCE: usize = 16;
-        let csr = &*self.shared;
-        let n = csr.inv_degree.len();
-        let move_factor = 1.0 - self.laziness;
-        let in_ptr = input.as_ptr();
-        let edge_count = csr.neighbors.len();
-        for j in 0..n {
-            let base = j * lanes + offset;
-            let own: &[f64; L] = input[base..base + L].try_into().expect("lane width");
-            let mut stay = [0.0f64; L];
-            for lane in 0..L {
-                stay[lane] = self.laziness * own[lane];
-            }
-            let dark = csr
-                .neighbors(j)
-                .iter()
-                .filter(|&&k| !self.available[k as usize])
-                .count();
-            if dark > 0 {
-                let inv_degree = csr.inv_degree[j];
-                let mut share = [0.0f64; L];
-                for lane in 0..L {
-                    share[lane] = move_factor * own[lane] * inv_degree;
-                }
-                for _ in 0..dark {
-                    for lane in 0..L {
-                        stay[lane] += share[lane];
-                    }
-                }
-            }
-            if !self.available[j] {
-                out.put::<L>(n, lanes, offset, j, &stay);
-                continue;
-            }
-            let mut acc = [0.0f64; L];
-            let mut stay_pending = true;
-            for idx in csr.offsets[j]..csr.offsets[j + 1] {
-                // SAFETY: see the function docs; `idx` stays inside node
-                // `j`'s CSR window, every neighbour id is `< n`, and the
-                // prefetch look-ahead is bounds-checked explicitly.
-                unsafe {
-                    #[cfg(target_arch = "x86_64")]
-                    if idx + PREFETCH_DISTANCE < edge_count {
-                        let ahead = *csr.neighbors.get_unchecked(idx + PREFETCH_DISTANCE) as usize;
-                        std::arch::x86_64::_mm_prefetch(
-                            in_ptr.add(ahead * lanes + offset) as *const i8,
-                            std::arch::x86_64::_MM_HINT_T0,
-                        );
-                    }
-                    let i = *csr.neighbors.get_unchecked(idx) as usize;
-                    if stay_pending && i > j {
-                        for lane in 0..L {
-                            acc[lane] += stay[lane];
-                        }
-                        stay_pending = false;
-                    }
-                    let inv_degree = *csr.inv_degree.get_unchecked(i);
-                    let in_i = in_ptr.add(i * lanes + offset);
-                    for (lane, acc_lane) in acc.iter_mut().enumerate() {
-                        *acc_lane += move_factor * *in_i.add(lane) * inv_degree;
-                    }
-                }
-            }
-            if stay_pending {
-                for lane in 0..L {
-                    acc[lane] += stay[lane];
-                }
-            }
-            out.put::<L>(n, lanes, offset, j, &acc);
-        }
-    }
-}
-
-impl TransitionModel for MaskedTransition {
-    fn node_count(&self) -> usize {
-        self.shared.inv_degree.len()
-    }
-
-    /// Scatter-form update in the same per-node, per-neighbour order as
-    /// [`TransitionMatrix::propagate_into`], with each share redirected back
-    /// to the sender when the recipient is unavailable.  The self terms of
-    /// node `i` (laziness plus redirected shares) land in `out[i]` while the
-    /// sweep processes `i`, exactly where the static kernel adds its lazy
-    /// term — so with an all-available mask the accumulation sequence, and
-    /// hence every rounding, is identical to the static matrix.
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        let n = self.node_count();
-        assert_eq!(p.len(), n, "input distribution has wrong length");
-        assert_eq!(out.len(), n, "output buffer has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        out.fill(0.0);
-        for i in 0..n {
-            let mass = p[i];
-            if mass == 0.0 {
-                continue;
-            }
-            let mut stay = self.laziness * mass;
-            let share = move_factor * mass * self.shared.inv_degree[i];
-            for &j in self.shared.neighbors(i) {
-                let j = j as usize;
-                if self.available[j] {
-                    out[j] += share;
-                } else {
-                    stay += share;
-                }
-            }
-            out[i] += stay;
-        }
-    }
-
-    /// Fused interleaved form: a pull kernel (each node gathers its
-    /// incoming shares), one CSR sweep per run of up to 8 lanes, each lane
-    /// bitwise [`MaskedTransition::propagate_into`].
-    fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
-        let n = self.node_count();
-        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(
-            output.len(),
-            lanes * n,
-            "interleaved output has wrong length"
-        );
-        self.pull_lanes(lanes, input, LaneOut::Interleaved(output));
-    }
-
-    fn propagate_round_interleaved_rows(
-        &self,
-        _round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-    ) {
-        let n = self.node_count();
-        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(output.len(), lanes * n, "output block has wrong length");
-        self.pull_lanes(lanes, input, LaneOut::Rows(output));
+        TransitionMatrix::masked(&self.snapshot, self.available.clone(), laziness)
     }
 }
 
@@ -637,8 +343,9 @@ impl TimeVaryingModel {
         )
     }
 
-    /// A schedule of [`MaskedTransition`] operators, one per round, from a
-    /// sequence of realized availability masks on a static topology.
+    /// A schedule of masked [`TransitionMatrix`] operators
+    /// ([`TransitionMatrix::masked`]), one per round, from a sequence of
+    /// realized availability masks on a static topology.
     ///
     /// # Errors
     ///
@@ -648,11 +355,11 @@ impl TimeVaryingModel {
         // One shared CSR copy for the whole schedule: each round adds only
         // its n-bool mask, so a t_mix-length schedule stays O(n + m + t·n)
         // instead of O(t · (n + m)).
-        let shared = MaskedCsr::of(graph)?;
+        let csr = WalkCsr::of(graph)?;
         let schedule: Vec<DynTransition> = masks
             .iter()
             .map(|mask| {
-                MaskedTransition::with_shared(Arc::clone(&shared), mask.clone(), laziness)
+                TransitionMatrix::over(Arc::clone(&csr), mask.clone(), laziness)
                     .map(|op| Arc::new(op) as DynTransition)
             })
             .collect::<Result<_>>()?;
@@ -809,73 +516,6 @@ mod tests {
         let (u, v) = g.edges().next().unwrap();
         dynamic.remove_edge(u, v).unwrap();
         assert!(!dynamic.snapshot().has_edge(u, v));
-    }
-
-    #[test]
-    fn masked_transition_with_everyone_available_is_the_lazy_matrix_bitwise() {
-        let g = test_graph(5);
-        let n = g.node_count();
-        for laziness in [0.0, 0.3] {
-            let matrix = TransitionMatrix::with_laziness(&g, laziness).unwrap();
-            let masked = MaskedTransition::new(&g, vec![true; n], laziness).unwrap();
-            let mut p = vec![0.0; n];
-            p[3] = 0.25;
-            p[17] = 0.75;
-            for _ in 0..9 {
-                let mut a = vec![0.0; n];
-                let mut b = vec![0.0; n];
-                TransitionModel::propagate_into(&matrix, &p, &mut a);
-                masked.propagate_into(&p, &mut b);
-                assert_eq!(a, b);
-                p = a;
-            }
-        }
-    }
-
-    #[test]
-    fn masked_transition_conserves_mass_and_blocks_unavailable_recipients() {
-        let g = test_graph(6);
-        let n = g.node_count();
-        let mut available = vec![true; n];
-        for u in (0..n).step_by(3) {
-            available[u] = false;
-        }
-        let masked = MaskedTransition::new(&g, available.clone(), 0.2).unwrap();
-        let mut ensemble = DistributionEnsemble::point_masses(n, &[0, 5, n - 1]).unwrap();
-        ensemble.advance(&masked, 6);
-        for row in 0..3 {
-            let sum: f64 = ensemble.row(row).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "row {row} sums to {sum}");
-        }
-        // One step from a point mass: unavailable neighbours receive nothing,
-        // the redirected shares stay at the origin.
-        let origin = 1;
-        let mut p = vec![0.0; n];
-        p[origin] = 1.0;
-        let mut out = vec![0.0; n];
-        masked.propagate_into(&p, &mut out);
-        let unavailable_nbrs = g
-            .neighbors(origin)
-            .iter()
-            .filter(|&&j| !available[j as usize])
-            .count();
-        let expected_stay = 0.2 + 0.8 * unavailable_nbrs as f64 / g.degree(origin) as f64;
-        assert!((out[origin] - expected_stay).abs() < 1e-12);
-        for &j in g.neighbors(origin) {
-            if !available[j as usize] {
-                assert_eq!(out[j as usize], 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn masked_transition_validates_inputs() {
-        let g = test_graph(8);
-        let n = g.node_count();
-        assert!(MaskedTransition::new(&g, vec![true; n - 1], 0.0).is_err());
-        assert!(MaskedTransition::new(&g, vec![true; n], 1.0).is_err());
-        let isolated = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        assert!(MaskedTransition::new(&isolated, vec![true; 3], 0.0).is_err());
     }
 
     #[test]

@@ -71,7 +71,8 @@ impl Graph {
     }
 
     /// The raw CSR arrays `(offsets, neighbors)` — used by the round
-    /// kernel's prefetched gather and the masked operator's CSR.
+    /// kernel's prefetched gather and the walk and spectral operators'
+    /// CSR copies.
     pub(crate) fn csr_parts(&self) -> (&[usize], &[u32]) {
         (&self.offsets, &self.neighbors)
     }

@@ -12,9 +12,9 @@
 //!   topologies,
 //! * connectivity / bipartiteness checks that decide ergodicity of the walk
 //!   ([`connectivity`], Theorem 4.3 of the paper),
-//! * the transition matrix `M = A B⁻¹` and the evolution of the position
-//!   probability distribution `P(t+1) = Mᵀ P(t)` ([`transition`],
-//!   [`distribution`]),
+//! * the walk operator `M = A B⁻¹`, with or without an availability mask,
+//!   and the evolution of the position probability distribution
+//!   `P(t+1) = Mᵀ P(t)` ([`transition`], [`distribution`]),
 //! * batched evolution of whole *ensembles* of position distributions — one
 //!   per report origin — through a blocked, lane-interleaved kernel behind
 //!   the [`transition::TransitionModel`] trait, enabling exact multi-origin
@@ -27,9 +27,9 @@
 //!   over struct-of-arrays state with per-round availability masks
 //!   ([`mixing_engine`]), and the holder-order engine below,
 //! * time-varying topologies: a dynamic-graph delta layer with cached CSR
-//!   snapshots, availability-masked transition operators and per-round
-//!   operator schedules that drive the ensemble kernel through products of
-//!   distinct per-round transitions ([`dynamic`]),
+//!   snapshots and per-round operator schedules — availability-masked walk
+//!   operators sharing one CSR — that drive the ensemble kernel through
+//!   products of distinct per-round transitions ([`dynamic`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
 //!   producing a node → shard assignment with cut and balance metrics
 //!   ([`partition`]), and the holder-order round executor with per-shard
@@ -55,12 +55,14 @@
 //! assert!(t_mix > 0);
 //! ```
 
-// `deny` rather than `forbid`: the distribution-ensemble gather kernels in
-// `transition.rs` (`TransitionMatrix::propagate_fixed` and its AVX2
-// instantiation `propagate_gather8_avx2`) carry audited
-// `allow(unsafe_code)` blocks — unchecked CSR/neighbour indexing and
-// raw-pointer lane loads justified by construction invariants, plus an
-// x86-64 prefetch hint.  Everything else in the crate stays safe.
+// `deny` rather than `forbid`: the walk operator's two pull-kernel bodies in
+// `transition.rs` (`TransitionMatrix::pull`, portable and generic over lane
+// width and mask, and `propagate_gather8_avx2`, its unmasked 8-lane AVX2
+// form) carry audited `allow(unsafe_code)` blocks — unchecked
+// CSR/neighbour indexing and raw-pointer lane loads justified by
+// construction invariants, plus an x86-64 prefetch hint — and so does the
+// round kernel's prefetch hint (`round::prefetch_read`).  Everything else in
+// the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -98,7 +100,7 @@ pub mod prelude {
     };
     pub use crate::degree::DegreeStats;
     pub use crate::distribution::PositionDistribution;
-    pub use crate::dynamic::{DynTransition, DynamicGraph, MaskedTransition, TimeVaryingModel};
+    pub use crate::dynamic::{DynTransition, DynamicGraph, TimeVaryingModel};
     pub use crate::ensemble::{DistributionEnsemble, EnsembleTrajectory, RowStats};
     pub use crate::error::{GraphError, Result};
     pub use crate::graph::{Graph, NodeId};

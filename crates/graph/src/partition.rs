@@ -34,13 +34,17 @@
 //! cut: the walk operator of a deployment whose cross-shard exchange is
 //! disabled (a chosen cut-crossing delivery bounces back to the holder).
 //! Evolving it through the ensemble kernel prices the edge-cut fraction in
-//! ε directly — the `ablation_shard` experiment.
+//! ε directly — the `ablation_shard` experiment.  It sweeps the walk
+//! operator's shared `u32` CSR with its own scatter, and its availability
+//! schedule's rounds share that CSR and the shard assignment, each adding
+//! only its mask.
 
 use crate::dynamic::{DynTransition, TimeVaryingModel};
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::transition::TransitionModel;
+use crate::transition::{TransitionModel, WalkCsr};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// How many label-propagation refinement sweeps [`Partition::new`] runs.
 const REFINEMENT_SWEEPS: usize = 12;
@@ -456,13 +460,11 @@ fn refine(graph: &Graph, shard_count: usize, shard_of: &mut [u32]) {
 /// cross-shard traffic buys (`ablation_shard`).
 #[derive(Debug, Clone)]
 pub struct IntraShardTransition {
-    /// CSR copied from the graph (same rationale as
-    /// [`crate::transition::TransitionMatrix`]).
-    offsets: Vec<usize>,
-    neighbors: Vec<NodeId>,
-    inv_degree: Vec<f64>,
-    shard_of: Vec<u32>,
+    csr: Arc<WalkCsr>,
+    shard_of: Arc<[u32]>,
     laziness: f64,
+    /// `available[u]`: can `u` receive this round?  `None` is everyone.
+    available: Option<Vec<bool>>,
 }
 
 impl IntraShardTransition {
@@ -482,51 +484,28 @@ impl IntraShardTransition {
             )));
         }
         crate::walk::validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        if let Some(u) = graph.find_isolated_node() {
-            return Err(GraphError::IsolatedNode(u));
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0usize);
-        for u in graph.nodes() {
-            neighbors.extend(graph.neighbors(u).iter().map(|&v| v as NodeId));
-            offsets.push(neighbors.len());
-        }
-        let inv_degree = graph
-            .nodes()
-            .map(|u| 1.0 / graph.degree(u) as f64)
-            .collect();
         Ok(IntraShardTransition {
-            offsets,
-            neighbors,
-            inv_degree,
-            shard_of: partition.shard_of.clone(),
+            csr: WalkCsr::of(graph)?,
+            shard_of: partition.shard_of.as_slice().into(),
             laziness,
+            available: None,
         })
     }
-}
 
-impl IntraShardTransition {
     /// Lifts the cut-restricted operator onto a realized availability
-    /// history: one [`MaskedIntraShard`] per round, all sharing this one
-    /// CSR copy behind an [`std::sync::Arc`].  Round `t` of the resulting
-    /// [`TimeVaryingModel`] bounces a draw back to its holder when it
-    /// crosses the cut **or** its recipient is dark in `masks[t]` — the
-    /// exact operator of a sharded deployment that refuses to cross the
-    /// cut *and* suffers churn, which is how `ablation_shard` prices the
-    /// edge cut under 20% Markov churn.
+    /// history: one operator per round, all sharing this one's CSR and
+    /// shard assignment.  Round `t` of the resulting [`TimeVaryingModel`]
+    /// bounces a draw back to its holder when it crosses the cut **or** its
+    /// recipient is dark in `masks[t]` — the exact operator of a sharded
+    /// deployment that refuses to cross the cut *and* suffers churn, which
+    /// is how `ablation_shard` prices the edge cut under 20% Markov churn.
     ///
     /// # Errors
     ///
     /// [`GraphError::InvalidParameters`] on an empty mask sequence or a
     /// mask whose length differs from the node count.
-    pub fn availability_schedule(self, masks: &[Vec<bool>]) -> Result<TimeVaryingModel> {
+    pub fn availability_schedule(&self, masks: &[Vec<bool>]) -> Result<TimeVaryingModel> {
         let n = self.node_count();
-        let shared = std::sync::Arc::new(self);
         let schedule: Vec<DynTransition> = masks
             .iter()
             .map(|mask| {
@@ -536,9 +515,11 @@ impl IntraShardTransition {
                         mask.len()
                     )));
                 }
-                Ok(std::sync::Arc::new(MaskedIntraShard {
-                    shared: std::sync::Arc::clone(&shared),
-                    available: mask.clone(),
+                Ok(Arc::new(IntraShardTransition {
+                    csr: Arc::clone(&self.csr),
+                    shard_of: Arc::clone(&self.shard_of),
+                    laziness: self.laziness,
+                    available: Some(mask.clone()),
                 }) as DynTransition)
             })
             .collect::<Result<_>>()?;
@@ -548,24 +529,20 @@ impl IntraShardTransition {
 
 impl TransitionModel for IntraShardTransition {
     fn node_count(&self) -> usize {
-        self.inv_degree.len()
+        self.csr.node_count()
     }
 
+    /// The cut-restricted sweep: a draw bounces back to the holder when it
+    /// crosses the cut or its recipient is dark.  Each bounce adds to
+    /// `out[i]` on its own, in CSR neighbour order, and the accumulation
+    /// order is the same with and without a mask, so an all-available mask
+    /// is bitwise the unmasked operator.
     fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        self.propagate_masked_into(None, p, out);
-    }
-}
-
-impl IntraShardTransition {
-    /// The shared sweep of the cut-restricted operator, with an optional
-    /// availability mask: the accumulation order is identical with and
-    /// without a mask (an all-available mask is bitwise the unmasked
-    /// operator); a draw bounces back to the holder when it crosses the
-    /// cut or its recipient is dark.
-    fn propagate_masked_into(&self, available: Option<&[bool]>, p: &[f64], out: &mut [f64]) {
         let n = self.node_count();
         assert_eq!(p.len(), n, "input distribution has wrong length");
         assert_eq!(out.len(), n, "output buffer has wrong length");
+        let csr = &*self.csr;
+        let available = self.available.as_deref();
         let move_factor = 1.0 - self.laziness;
         out.fill(0.0);
         for i in 0..n {
@@ -574,11 +551,10 @@ impl IntraShardTransition {
                 continue;
             }
             out[i] += self.laziness * mass;
-            let share = move_factor * mass * self.inv_degree[i];
+            let share = move_factor * mass * csr.inv_degree(i);
             let home = self.shard_of[i];
-            for &j in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
-                // A cut-crossing draw — or one aimed at a dark recipient —
-                // bounces back to the holder.
+            for &j in csr.neighbors(i) {
+                let j = j as usize;
                 let deliverable = self.shard_of[j] == home && available.is_none_or(|mask| mask[j]);
                 if deliverable {
                     out[j] += share;
@@ -587,26 +563,6 @@ impl IntraShardTransition {
                 }
             }
         }
-    }
-}
-
-/// One round of the cut-restricted walk under an availability mask: built
-/// by [`IntraShardTransition::availability_schedule`], sharing the base
-/// operator's CSR across the whole schedule.
-#[derive(Debug, Clone)]
-pub struct MaskedIntraShard {
-    shared: std::sync::Arc<IntraShardTransition>,
-    available: Vec<bool>,
-}
-
-impl TransitionModel for MaskedIntraShard {
-    fn node_count(&self) -> usize {
-        self.shared.node_count()
-    }
-
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        self.shared
-            .propagate_masked_into(Some(&self.available), p, out);
     }
 }
 
@@ -627,7 +583,7 @@ mod tests {
         let base = IntraShardTransition::new(&g, &p, 0.1).unwrap();
         // All-available schedule: bitwise the unmasked operator per round.
         let all_up = vec![vec![true; 60]; 4];
-        let schedule = base.clone().availability_schedule(&all_up).unwrap();
+        let schedule = base.availability_schedule(&all_up).unwrap();
         let mut plain = crate::ensemble::DistributionEnsemble::point_masses(60, &[0, 7]).unwrap();
         let mut masked = crate::ensemble::DistributionEnsemble::point_masses(60, &[0, 7]).unwrap();
         plain.advance(&base, 4);
@@ -637,7 +593,6 @@ mod tests {
         // never crosses the cut.
         let mask: Vec<bool> = (0..60).map(|u| u % 3 != 1).collect();
         let schedule = base
-            .clone()
             .availability_schedule(std::slice::from_ref(&mask))
             .unwrap();
         let origin = 5;
@@ -654,10 +609,7 @@ mod tests {
             }
         }
         // Ragged masks are rejected.
-        assert!(base
-            .clone()
-            .availability_schedule(&[vec![true; 59]])
-            .is_err());
+        assert!(base.availability_schedule(&[vec![true; 59]]).is_err());
         assert!(base.availability_schedule(&[]).is_err());
     }
 

@@ -183,17 +183,6 @@ pub struct RoundPlan<'a> {
     pub available: Option<&'a [bool]>,
 }
 
-impl<'a> RoundPlan<'a> {
-    /// The fully-available plan.
-    pub fn new(graph: &'a Graph, laziness: f64) -> Self {
-        RoundPlan {
-            graph,
-            laziness,
-            available: None,
-        }
-    }
-}
-
 /// Decide-phase scratch of one holder range — one per shard.  Buffers grow
 /// to their steady-state capacity during the first rounds and are only
 /// ever cleared afterwards, so warm rounds perform no heap allocation.
@@ -618,7 +607,11 @@ mod tests {
         // re-derivation.
         let g = generators::random_regular(24, 4, &mut seeded_rng(1)).unwrap();
         let n = g.node_count();
-        let plan = RoundPlan::new(&g, 0.2);
+        let plan = RoundPlan {
+            graph: &g,
+            laziness: 0.2,
+            available: None,
+        };
         let mut arena = RoundArena::new();
         let everyone = 0..n;
         let holders = std::slice::from_ref(&everyone);
@@ -654,16 +647,21 @@ mod tests {
     fn all_available_mask_is_bitwise_the_unmasked_plan() {
         let g = generators::random_regular(40, 4, &mut seeded_rng(3)).unwrap();
         let mask = vec![true; 40];
+        let unmasked = RoundPlan {
+            graph: &g,
+            laziness: 0.3,
+            available: None,
+        };
         let masked = RoundPlan {
             available: Some(&mask),
-            ..RoundPlan::new(&g, 0.3)
+            ..unmasked
         };
         let mut a: Vec<u32> = (0..40).collect();
         let mut b = a.clone();
         let mut rng_a = seeded_rng(4);
         let mut rng_b = seeded_rng(4);
         for _ in 0..10 {
-            sweep_walker_order(&RoundPlan::new(&g, 0.3), &mut a, &mut rng_a);
+            sweep_walker_order(&unmasked, &mut a, &mut rng_a);
             sweep_walker_order(&masked, &mut b, &mut rng_b);
         }
         assert_eq!(a, b);
@@ -677,9 +675,14 @@ mod tests {
         // both consume exactly one u64 per walker per round.
         let g = generators::random_regular(48, 4, &mut seeded_rng(5)).unwrap();
         let mask = vec![true; 48];
+        let unmasked = RoundPlan {
+            graph: &g,
+            laziness: 0.3,
+            available: None,
+        };
         let masked = RoundPlan {
             available: Some(&mask),
-            ..RoundPlan::new(&g, 0.3)
+            ..unmasked
         };
         let mut a: Vec<u32> = (0..48).collect();
         let mut b = a.clone();
@@ -689,7 +692,7 @@ mod tests {
         let mut lane_a = Vec::new();
         let mut lane_b = Vec::new();
         for _ in 0..8 {
-            sweep_walker_order_fast(&RoundPlan::new(&g, 0.3), &mut a, &mut lane_a, &mut rng_a);
+            sweep_walker_order_fast(&unmasked, &mut a, &mut lane_a, &mut rng_a);
             sweep_walker_order_fast(&masked, &mut b, &mut lane_b, &mut rng_b);
         }
         assert_eq!(a, b);
@@ -710,7 +713,11 @@ mod tests {
         // to the same destination the sweep computes from the same stream.
         let g = generators::random_regular(32, 4, &mut seeded_rng(7)).unwrap();
         let n = g.node_count();
-        let plan = RoundPlan::new(&g, 0.25);
+        let plan = RoundPlan {
+            graph: &g,
+            laziness: 0.25,
+            available: None,
+        };
         let mut arena = RoundArena::new();
         let everyone = 0..n;
         let holders = std::slice::from_ref(&everyone);

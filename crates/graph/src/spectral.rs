@@ -155,10 +155,11 @@ impl SpectralAnalysis {
     }
 }
 
-/// Implicit normalized adjacency operator `N = B^{-1/2} A B^{-1/2}`.
+/// Implicit normalized adjacency operator `N = B^{-1/2} A B^{-1/2}`, over a
+/// copy of the graph's CSR with `u32` neighbour ids.
 struct NormalizedAdjacency {
     offsets: Vec<usize>,
-    neighbors: Vec<usize>,
+    neighbors: Vec<u32>,
     inv_sqrt_degree: Vec<f64>,
     /// `√deg / ‖√deg‖` — the top eigenvector `e₁`.
     top_eigenvector: Vec<f64>,
@@ -166,14 +167,7 @@ struct NormalizedAdjacency {
 
 impl NormalizedAdjacency {
     fn new(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0);
-        for u in graph.nodes() {
-            neighbors.extend(graph.neighbors(u).iter().map(|&v| v as usize));
-            offsets.push(neighbors.len());
-        }
+        let (offsets, neighbors) = graph.csr_parts();
         let inv_sqrt_degree: Vec<f64> = graph
             .nodes()
             .map(|u| 1.0 / (graph.degree(u) as f64).sqrt())
@@ -187,8 +181,8 @@ impl NormalizedAdjacency {
             *x /= norm;
         }
         NormalizedAdjacency {
-            offsets,
-            neighbors,
+            offsets: offsets.to_vec(),
+            neighbors: neighbors.to_vec(),
             inv_sqrt_degree,
             top_eigenvector: top,
         }
@@ -209,6 +203,7 @@ impl NormalizedAdjacency {
                 continue;
             }
             for &j in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
+                let j = j as usize;
                 y[j] += xi * self.inv_sqrt_degree[j];
             }
         }

@@ -1,13 +1,25 @@
-//! The random-walk transition matrix `M = A B⁻¹` and distribution updates.
+//! The random-walk transition operator `M = A B⁻¹` and distribution updates.
 //!
 //! `M_{ij} = A_{ij} / deg(i)` is the probability that a report held by user
 //! `i` is relayed to user `j` in one round.  The position probability
 //! distribution evolves as `P(t+1) = Mᵀ P(t)` (Section 4.1).  The matrix is
 //! never materialized densely; updates stream over the CSR adjacency so a
 //! single round costs `O(n + m)`.
+//!
+//! [`TransitionMatrix`] is the one walk operator: the lazy walk, and its
+//! dropout form under an availability mask (Section 4.5), in which a report
+//! sent to an unavailable user stays where it is.  It keeps the graph's CSR
+//! with `u32` neighbour ids behind an [`Arc`], shared by every operator over
+//! one topology, and has two kernels: a scalar scatter
+//! ([`TransitionMatrix::propagate_into`]) and a pull kernel for interleaved
+//! blocks of distributions, generic over lane width and over masked or not,
+//! with an AVX2 body for unmasked 8-lane runs.  Every lane of the pull
+//! kernel is bitwise the scatter.
 
 use crate::error::{GraphError, Result};
-use crate::graph::Graph;
+use crate::graph::{Graph, NodeId};
+use crate::walk::validate_laziness;
+use std::sync::Arc;
 
 /// A backend that can evolve position distributions by one round.
 ///
@@ -133,7 +145,7 @@ pub trait TransitionModel {
 }
 
 /// Where a fused pull kernel stores the lanes it accumulated for one node.
-pub(crate) enum LaneOut<'a> {
+enum LaneOut<'a> {
     /// The input's interleaved layout: lane `l` of node `j` at
     /// `out[j * lanes + l]`.
     Interleaved(&'a mut [f64]),
@@ -144,7 +156,7 @@ pub(crate) enum LaneOut<'a> {
 impl LaneOut<'_> {
     /// Stores lanes `offset..offset + L` of node `j`.
     #[inline(always)]
-    pub(crate) fn put<const L: usize>(
+    fn put<const L: usize>(
         &mut self,
         n: usize,
         lanes: usize,
@@ -170,7 +182,7 @@ impl LaneOut<'_> {
 /// compile-time widths the fused kernels are instantiated at — 8, then 4,
 /// 2 and 1 for the remainder — so any lane count runs on fixed-width
 /// accumulators.  Lanes never interact, so the split changes no result.
-pub(crate) fn lane_runs(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
+fn lane_runs(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut offset = 0;
     std::iter::from_fn(move || {
         let width = match lanes - offset {
@@ -223,19 +235,82 @@ impl<F: Fn(&[f64], &mut [f64])> TransitionModel for BlackBoxModel<F> {
     }
 }
 
-/// A sparse, implicit representation of the transition matrix of the simple
-/// (optionally lazy) random walk on a graph.
-#[derive(Debug, Clone)]
-pub struct TransitionMatrix {
+/// The walk operator's topology: the graph's CSR with `u32` neighbour ids,
+/// as in [`Graph`], plus reciprocal degrees.  Copied once per graph and
+/// shared behind an [`Arc`] by every operator built over that topology —
+/// a whole schedule of per-round masks, or the cut-restricted operator's
+/// rounds ([`crate::partition::IntraShardTransition`]).  The kernels sweep
+/// this copy rather than the graph's own arrays, which measured about 20%
+/// slower in the scatter.
+#[derive(Debug)]
+pub(crate) struct WalkCsr {
     /// Reciprocal degrees `1 / deg(i)`.
     inv_degree: Vec<f64>,
-    /// Offsets/neighbors copied from the graph (borrowing would tie the
-    /// matrix's lifetime to the graph; the copy is 2m + n words and keeps the
-    /// API simple).
     offsets: Vec<usize>,
-    neighbors: Vec<usize>,
+    neighbors: Vec<u32>,
+}
+
+impl WalkCsr {
+    /// Validates `graph` (non-empty, no isolated node) and copies its CSR.
+    pub(crate) fn of(graph: &Graph) -> Result<Arc<Self>> {
+        if graph.node_count() == 0 {
+            return Err(GraphError::EmptyGraph);
+        }
+        if let Some(u) = graph.find_isolated_node() {
+            return Err(GraphError::IsolatedNode(u));
+        }
+        let (offsets, neighbors) = graph.csr_parts();
+        Ok(Arc::new(WalkCsr {
+            inv_degree: graph
+                .nodes()
+                .map(|u| 1.0 / graph.degree(u) as f64)
+                .collect(),
+            offsets: offsets.to_vec(),
+            neighbors: neighbors.to_vec(),
+        }))
+    }
+
+    /// Number of nodes.
+    pub(crate) fn node_count(&self) -> usize {
+        self.inv_degree.len()
+    }
+
+    /// `1 / deg(u)`.
+    pub(crate) fn inv_degree(&self, u: NodeId) -> f64 {
+        self.inv_degree[u]
+    }
+
+    /// The sorted neighbour list of `u`.
+    pub(crate) fn neighbors(&self, u: NodeId) -> &[u32] {
+        &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
+    }
+}
+
+/// The one-round operator of the simple (optionally lazy) random walk on a
+/// graph, optionally under an availability mask — a sparse, implicit
+/// representation of `M = A B⁻¹`.
+///
+/// The holder of a report stays put with probability `laziness`; otherwise
+/// it picks a neighbour uniformly at random.  Under a mask
+/// ([`TransitionMatrix::masked`]), a report whose chosen recipient is
+/// unavailable stays put for the round (Section 4.5's dropout, matching the
+/// engines' masked rounds).  Holders always attempt to send — only
+/// recipient availability matters — which is what makes the expectation
+/// over i.i.d. masks *exactly* the lazy walk with laziness equal to the
+/// dropout probability (see the core crate's `faults` module).  With every
+/// node available the masked operator is bit-for-bit the unmasked one.
+///
+/// The CSR lives behind an [`Arc`], so a schedule of per-round masks over
+/// one topology ([`crate::dynamic::TimeVaryingModel::from_availability`])
+/// shares a single copy and each additional round costs only its `n`-bool
+/// mask.
+#[derive(Debug, Clone)]
+pub struct TransitionMatrix {
+    csr: Arc<WalkCsr>,
     /// Probability of staying put in one round (0 for the simple walk).
     laziness: f64,
+    /// `available[u]`: can `u` receive this round?  `None` is everyone.
+    available: Option<Vec<bool>>,
 }
 
 impl TransitionMatrix {
@@ -261,40 +336,47 @@ impl TransitionMatrix {
     /// Same as [`TransitionMatrix::new`], plus
     /// [`GraphError::InvalidParameters`] if `laziness` is outside `[0, 1)`.
     pub fn with_laziness(graph: &Graph, laziness: f64) -> Result<Self> {
-        if !(0.0..1.0).contains(&laziness) {
+        validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
+        Ok(TransitionMatrix {
+            csr: WalkCsr::of(graph)?,
+            laziness,
+            available: None,
+        })
+    }
+
+    /// Builds the lazy walk's operator under the availability mask
+    /// `available` (`available[u]`: can `u` receive this round?).
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::EmptyGraph`] / [`GraphError::IsolatedNode`] for
+    ///   degenerate graphs,
+    /// * [`GraphError::InvalidParameters`] if `laziness ∉ [0, 1)` or the
+    ///   mask length differs from the node count.
+    pub fn masked(graph: &Graph, available: Vec<bool>, laziness: f64) -> Result<Self> {
+        Self::over(WalkCsr::of(graph)?, available, laziness)
+    }
+
+    /// A masked operator over an already-validated shared CSR.
+    pub(crate) fn over(csr: Arc<WalkCsr>, available: Vec<bool>, laziness: f64) -> Result<Self> {
+        validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
+        let n = csr.node_count();
+        if available.len() != n {
             return Err(GraphError::InvalidParameters(format!(
-                "laziness must be in [0, 1), got {laziness}"
+                "availability mask has {} entries for {n} nodes",
+                available.len()
             )));
         }
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        if let Some(u) = graph.find_isolated_node() {
-            return Err(GraphError::IsolatedNode(u));
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0usize);
-        for u in graph.nodes() {
-            neighbors.extend(graph.neighbors(u).iter().map(|&v| v as usize));
-            offsets.push(neighbors.len());
-        }
-        let inv_degree = graph
-            .nodes()
-            .map(|u| 1.0 / graph.degree(u) as f64)
-            .collect();
         Ok(TransitionMatrix {
-            inv_degree,
-            offsets,
-            neighbors,
+            csr,
             laziness,
+            available: Some(available),
         })
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.inv_degree.len()
+        self.csr.node_count()
     }
 
     /// The laziness (self-loop probability) of the walk.
@@ -302,16 +384,35 @@ impl TransitionMatrix {
         self.laziness
     }
 
-    /// Transition probability `Pr[next = j | current = i]`.
+    /// The availability mask the operator routes around; `None` when every
+    /// node is available.
+    pub fn availability(&self) -> Option<&[bool]> {
+        self.available.as_deref()
+    }
+
+    /// Transition probability `Pr[next = j | current = i]`.  Under a mask,
+    /// a share aimed at an unavailable `j` stays at `i`; `j ≥ n` has
+    /// probability 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= n`.
     pub fn probability(&self, i: usize, j: usize) -> f64 {
-        let stay = if i == j { self.laziness } else { 0.0 };
-        let nbrs = &self.neighbors[self.offsets[i]..self.offsets[i + 1]];
-        let move_mass = if nbrs.binary_search(&j).is_ok() {
-            (1.0 - self.laziness) * self.inv_degree[i]
+        let neighbors = self.csr.neighbors(i);
+        let share = (1.0 - self.laziness) * self.csr.inv_degree(i);
+        if i == j {
+            let dark = self.available.as_deref().map_or(0, |mask| {
+                neighbors.iter().filter(|&&k| !mask[k as usize]).count()
+            });
+            return self.laziness + share * dark as f64;
+        }
+        let delivers = u32::try_from(j).is_ok_and(|j| neighbors.binary_search(&j).is_ok())
+            && self.available.as_deref().is_none_or(|mask| mask[j]);
+        if delivers {
+            share
         } else {
             0.0
-        };
-        stay + move_mass
+        }
     }
 
     /// One step of the distribution update: returns `P(t+1) = Mᵀ P(t)`.
@@ -333,22 +434,39 @@ impl TransitionMatrix {
         let n = self.node_count();
         assert_eq!(p.len(), n, "input distribution has wrong length");
         assert_eq!(out.len(), n, "output buffer has wrong length");
-        let move_factor = 1.0 - self.laziness;
-        for x in out.iter_mut() {
-            *x = 0.0;
+        match self.available.as_deref() {
+            None => self.scatter::<false>(&[], p, out),
+            Some(mask) => self.scatter::<true>(mask, p, out),
         }
-        // Scatter: node i sends (1-laziness) * P_i / deg(i) to each neighbour
-        // and keeps laziness * P_i.
-        for i in 0..n {
-            let mass = p[i];
+    }
+
+    /// The scalar scatter: node `i` sends `(1 − laziness) · P_i / deg(i)`
+    /// to each neighbour and keeps `laziness · P_i`; when `MASKED`, a share
+    /// aimed at an unavailable neighbour joins the kept mass instead, one
+    /// add per share in CSR neighbour order.  The kept mass lands in
+    /// `out[i]` while the sweep processes `i` — neighbour lists hold no
+    /// self-loop, so every `out[j]` accumulates in ascending source order,
+    /// the sequence the pull kernels reproduce — and with an all-available
+    /// mask the adds, hence every rounding, are the unmasked ones.
+    fn scatter<const MASKED: bool>(&self, mask: &[bool], p: &[f64], out: &mut [f64]) {
+        let csr = &*self.csr;
+        let move_factor = 1.0 - self.laziness;
+        out.fill(0.0);
+        for (i, &mass) in p.iter().enumerate() {
             if mass == 0.0 {
                 continue;
             }
-            out[i] += self.laziness * mass;
-            let share = move_factor * mass * self.inv_degree[i];
-            for &j in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
-                out[j] += share;
+            let mut stay = self.laziness * mass;
+            let share = move_factor * mass * csr.inv_degree(i);
+            for &j in csr.neighbors(i) {
+                let j = j as usize;
+                if !MASKED || mask[j] {
+                    out[j] += share;
+                } else {
+                    stay += share;
+                }
             }
+            out[i] += stay;
         }
     }
 
@@ -359,12 +477,10 @@ impl TransitionMatrix {
     /// This is the hot kernel behind [`crate::ensemble::DistributionEnsemble`]:
     /// the offsets/neighbour arrays — the dominant memory traffic of
     /// [`TransitionMatrix::propagate_into`] — are streamed once per *block*
-    /// of lanes instead of once per distribution, and every delivered share
+    /// of lanes instead of once per distribution, and every gathered share
     /// updates `lanes` adjacent f64s (one cache line for 8 lanes) instead of
     /// a single scattered one.  Lane `l`'s result is bit-for-bit identical to
-    /// `propagate_into` applied to lane `l` alone: the per-node and
-    /// per-neighbour iteration order, and the rounding of every intermediate,
-    /// are the same.
+    /// `propagate_into` applied to lane `l` alone.
     ///
     /// # Panics
     ///
@@ -380,47 +496,68 @@ impl TransitionMatrix {
         self.propagate_lanes(lanes, input, LaneOut::Interleaved(output));
     }
 
-    /// Dispatches `lanes` interleaved lanes to the fused kernels, storing
-    /// through `out`.  The per-edge inner loop is the hottest code in the
-    /// crate, so every run of lanes goes to a compile-time width (see
-    /// [`lane_runs`]): a fixed trip count lets the compiler unroll and
-    /// vectorize it (8 lanes of f64 = one cache line per gathered share).
-    /// The arithmetic is identical in every arm.
+    /// Dispatches `lanes` interleaved lanes, storing through `out`; both
+    /// callers have checked that the buffers hold `lanes * n` f64s, which
+    /// the pull kernels' unchecked loads rely on.  A 1-lane block is the
+    /// row layout, so it runs the scatter; wider blocks run the pull
+    /// kernel, masked or not as the operator is.
     fn propagate_lanes(&self, lanes: usize, input: &[f64], mut out: LaneOut<'_>) {
         if lanes == 1 {
-            // Degenerate block: the interleaved layout *is* the row layout.
             let (LaneOut::Interleaved(output) | LaneOut::Rows(output)) = out;
             return self.propagate_into(input, output);
         }
+        match self.available {
+            None => self.pull_runs::<false>(lanes, input, &mut out),
+            Some(_) => self.pull_runs::<true>(lanes, input, &mut out),
+        }
+    }
+
+    /// Runs every lane of an interleaved block through the pull kernel,
+    /// one run of lanes at a time at a compile-time width (see
+    /// [`lane_runs`]): a fixed trip count lets the compiler unroll and
+    /// vectorize the per-edge loop (8 lanes of f64 = one cache line per
+    /// gathered share).  Unmasked 8-lane runs take the AVX2 body on hosts
+    /// that have it.  The arithmetic is identical in every arm.
+    fn pull_runs<const MASKED: bool>(&self, lanes: usize, input: &[f64], out: &mut LaneOut<'_>) {
         for (offset, width) in lane_runs(lanes) {
             match width {
                 8 => {
                     #[cfg(target_arch = "x86_64")]
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: the AVX2 requirement was just checked.
+                    if !MASKED && std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY: AVX2 was just checked, `lane_runs` keeps
+                        // `offset + 8 <= lanes`, and the callers of
+                        // `propagate_lanes` checked that `input` holds
+                        // `n * lanes` f64s.
                         #[allow(unsafe_code)]
                         unsafe {
-                            self.propagate_gather8_avx2(lanes, offset, input, &mut out);
+                            self.propagate_gather8_avx2(lanes, offset, input, out);
                         }
                         continue;
                     }
-                    self.propagate_fixed::<8>(lanes, offset, input, &mut out)
+                    self.pull::<8, MASKED>(lanes, offset, input, out)
                 }
-                4 => self.propagate_fixed::<4>(lanes, offset, input, &mut out),
-                2 => self.propagate_fixed::<2>(lanes, offset, input, &mut out),
-                _ => self.propagate_fixed::<1>(lanes, offset, input, &mut out),
+                4 => self.pull::<4, MASKED>(lanes, offset, input, out),
+                2 => self.pull::<2, MASKED>(lanes, offset, input, out),
+                _ => self.pull::<1, MASKED>(lanes, offset, input, out),
             }
         }
     }
 
-    /// AVX2 instantiation of the 8-lane gather kernel.
+    /// AVX2 instantiation of the unmasked 8-lane pull kernel.
     ///
-    /// Emits exactly the scalar kernel's arithmetic — per lane, each edge
+    /// Emits exactly the portable kernel's arithmetic — per lane, each edge
     /// contributes `(move_factor · mass) · inv_degree` via two `vmulpd`s
     /// and one `vaddpd`, never an FMA — so results stay bitwise identical
-    /// to [`TransitionMatrix::propagate_fixed`] and hence to
+    /// to [`TransitionMatrix::pull`] and hence to
     /// [`TransitionMatrix::propagate_into`]; only the instruction-level
     /// parallelism changes (two independent 4-lane accumulator chains).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2, `offset + 8 <= lanes`, and `input` must
+    /// hold `n * lanes` f64s; the loads also rely on the CSR's construction
+    /// invariants (every neighbour id is `< n`, `inv_degree` has `n`
+    /// entries).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(unsafe_code)]
@@ -433,11 +570,12 @@ impl TransitionMatrix {
     ) {
         use std::arch::x86_64::*;
         const PREFETCH_DISTANCE: usize = 8;
-        let n = self.node_count();
+        let csr = &*self.csr;
+        let n = csr.node_count();
         let move_factor = _mm256_set1_pd(1.0 - self.laziness);
         let laziness = _mm256_set1_pd(self.laziness);
         let in_ptr = input.as_ptr();
-        let edge_count = self.neighbors.len();
+        let edge_count = csr.neighbors.len();
         let mut acc = [0.0f64; 8];
         for j in 0..n {
             let base = j * lanes + offset;
@@ -446,18 +584,18 @@ impl TransitionMatrix {
             let mut acc0 = _mm256_setzero_pd();
             let mut acc1 = _mm256_setzero_pd();
             let mut lazy_pending = true;
-            for idx in *self.offsets.get_unchecked(j)..*self.offsets.get_unchecked(j + 1) {
+            for idx in *csr.offsets.get_unchecked(j)..*csr.offsets.get_unchecked(j + 1) {
                 if idx + PREFETCH_DISTANCE < edge_count {
-                    let ahead = *self.neighbors.get_unchecked(idx + PREFETCH_DISTANCE);
+                    let ahead = *csr.neighbors.get_unchecked(idx + PREFETCH_DISTANCE) as usize;
                     _mm_prefetch(in_ptr.add(ahead * lanes + offset) as *const i8, _MM_HINT_T0);
                 }
-                let i = *self.neighbors.get_unchecked(idx);
+                let i = *csr.neighbors.get_unchecked(idx) as usize;
                 if lazy_pending && i > j {
                     acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(laziness, in_j0));
                     acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(laziness, in_j1));
                     lazy_pending = false;
                 }
-                let inv_degree = _mm256_set1_pd(*self.inv_degree.get_unchecked(i));
+                let inv_degree = _mm256_set1_pd(*csr.inv_degree.get_unchecked(i));
                 let ib = i * lanes + offset;
                 let v0 = _mm256_loadu_pd(in_ptr.add(ib));
                 let v1 = _mm256_loadu_pd(in_ptr.add(ib + 4));
@@ -480,81 +618,114 @@ impl TransitionMatrix {
         }
     }
 
-    /// Fixed-lane-width body of [`TransitionMatrix::propagate_interleaved`]:
-    /// lanes `offset..offset + L` of an interleaved block `lanes` wide.
+    /// The portable pull kernel: lanes `offset..offset + L` of an
+    /// interleaved block `lanes` wide, under the mask when `MASKED`.
     ///
-    /// The kernel is *pull*-based: instead of scattering each node's share
-    /// to its neighbours (a random read-for-ownership per edge, whose miss
-    /// latency serializes the loop), each destination row gathers
-    /// `move_factor · mass_i · inv_deg_i` from its sorted neighbour list
-    /// and accumulates in registers, writing each output line exactly once.
-    /// Random memory traffic becomes plain reads, which the core can keep
-    /// many of in flight (helped along by an explicit prefetch a few edges
-    /// ahead).
+    /// Instead of scattering each node's share to its neighbours (a random
+    /// read-for-ownership per edge, whose miss latency serializes the
+    /// loop), each destination `j` gathers `move_factor · mass_i ·
+    /// inv_deg_i` from its sorted neighbour list into register
+    /// accumulators and stores its lanes once.  Random memory traffic
+    /// becomes plain reads, which the core can keep many of in flight,
+    /// helped along by an explicit prefetch a few edges ahead.
     ///
-    /// Bit parity with [`TransitionMatrix::propagate_into`] per lane:
-    /// the push form accumulates `out[j]` in ascending source order over
-    /// one sweep (`i = 0..n`), the lazy self-term landing when the sweep
-    /// passes `i = j`.  Neighbour lists are sorted ascending, so gathering
-    /// in list order and folding the self-term in at the first neighbour
-    /// `> j` reproduces that sequence of adds — and its roundings — exactly
-    /// (contributions from zero-mass sources, which the push form skips,
-    /// add `±0.0`, which never changes a non-negative accumulation).
+    /// Bit parity with [`TransitionMatrix::propagate_into`] per lane: the
+    /// scatter accumulates `out[j]` in ascending source order, adding `j`'s
+    /// own stay term (laziness plus, when masked, one share per unavailable
+    /// neighbour, accumulated in CSR neighbour order) when the sweep passes
+    /// `j`.  Neighbour lists are sorted ascending, so gathering in list
+    /// order and folding the stay term in at the first neighbour `> j`
+    /// reproduces that sequence of adds — and its roundings — exactly, and
+    /// an unavailable `j` receives only its stay term.  Zero-mass sources,
+    /// which the scatter skips, add `+0.0`, which never changes a
+    /// non-negative accumulation.  Unmasked, the dark-neighbour pass and
+    /// the dark-`j` store compile out.
     ///
-    /// This is the one stretch of `unsafe` in the crate: the per-edge loads
-    /// go through raw pointers because checked indexing costs more than the
-    /// arithmetic.  It relies on construction invariants — every neighbour
-    /// id is `< n`, `inv_degree` has `n` entries, `offset + L <= lanes`,
-    /// and the dispatcher asserted the input holds `n * lanes` f64s.
+    /// The per-edge loads go through raw pointers because checked indexing
+    /// costs more than the arithmetic.  They rely on construction
+    /// invariants: every neighbour id is `< n`, `inv_degree` has `n`
+    /// entries, `offset + L <= lanes`, and the dispatcher asserted the
+    /// input holds `n * lanes` f64s.
     #[allow(unsafe_code)]
-    fn propagate_fixed<const L: usize>(
+    fn pull<const L: usize, const MASKED: bool>(
         &self,
         lanes: usize,
         offset: usize,
         input: &[f64],
         out: &mut LaneOut<'_>,
     ) {
-        /// How many edges ahead source lines are prefetched.
-        const PREFETCH_DISTANCE: usize = 8;
-        let n = self.node_count();
+        // How many edges ahead source lines are prefetched.  The masked
+        // form looks twice as far, which measured faster at 1M nodes (its
+        // per-node dark-neighbour pass eats into the lead).
+        let prefetch_distance = if MASKED { 16 } else { 8 };
+        let csr = &*self.csr;
+        let mask = self.available.as_deref().unwrap_or_default();
+        let n = csr.node_count();
         let move_factor = 1.0 - self.laziness;
         let in_ptr = input.as_ptr();
-        let edge_count = self.neighbors.len();
+        let edge_count = csr.neighbors.len();
         for j in 0..n {
             let base = j * lanes + offset;
-            let in_j: &[f64; L] = input[base..base + L].try_into().expect("lane width");
+            let own: &[f64; L] = input[base..base + L].try_into().expect("lane width");
+            let mut stay = [0.0f64; L];
+            for lane in 0..L {
+                stay[lane] = self.laziness * own[lane];
+            }
+            if MASKED {
+                let dark = csr
+                    .neighbors(j)
+                    .iter()
+                    .filter(|&&k| !mask[k as usize])
+                    .count();
+                if dark > 0 {
+                    let inv_degree = csr.inv_degree(j);
+                    let mut share = [0.0f64; L];
+                    for lane in 0..L {
+                        share[lane] = move_factor * own[lane] * inv_degree;
+                    }
+                    for _ in 0..dark {
+                        for lane in 0..L {
+                            stay[lane] += share[lane];
+                        }
+                    }
+                }
+                if !mask[j] {
+                    out.put::<L>(n, lanes, offset, j, &stay);
+                    continue;
+                }
+            }
             let mut acc = [0.0f64; L];
-            let mut lazy_pending = true;
-            for idx in self.offsets[j]..self.offsets[j + 1] {
+            let mut stay_pending = true;
+            for idx in csr.offsets[j]..csr.offsets[j + 1] {
                 // SAFETY: see the function docs; `idx` stays inside node
                 // `j`'s CSR window, every neighbour id is `< n`, and the
                 // prefetch look-ahead is bounds-checked explicitly.
                 unsafe {
                     #[cfg(target_arch = "x86_64")]
-                    if idx + PREFETCH_DISTANCE < edge_count {
-                        let ahead = *self.neighbors.get_unchecked(idx + PREFETCH_DISTANCE);
+                    if idx + prefetch_distance < edge_count {
+                        let ahead = *csr.neighbors.get_unchecked(idx + prefetch_distance) as usize;
                         std::arch::x86_64::_mm_prefetch(
                             in_ptr.add(ahead * lanes + offset) as *const i8,
                             std::arch::x86_64::_MM_HINT_T0,
                         );
                     }
-                    let i = *self.neighbors.get_unchecked(idx);
-                    if lazy_pending && i > j {
+                    let i = *csr.neighbors.get_unchecked(idx) as usize;
+                    if stay_pending && i > j {
                         for lane in 0..L {
-                            acc[lane] += self.laziness * in_j[lane];
+                            acc[lane] += stay[lane];
                         }
-                        lazy_pending = false;
+                        stay_pending = false;
                     }
-                    let inv_degree = *self.inv_degree.get_unchecked(i);
+                    let inv_degree = *csr.inv_degree.get_unchecked(i);
                     let in_i = in_ptr.add(i * lanes + offset);
                     for (lane, acc_lane) in acc.iter_mut().enumerate() {
                         *acc_lane += move_factor * *in_i.add(lane) * inv_degree;
                     }
                 }
             }
-            if lazy_pending {
+            if stay_pending {
                 for lane in 0..L {
-                    acc[lane] += self.laziness * in_j[lane];
+                    acc[lane] += stay[lane];
                 }
             }
             out.put::<L>(n, lanes, offset, j, &acc);
@@ -683,5 +854,93 @@ mod tests {
         assert!(TransitionMatrix::with_laziness(&g, -0.1).is_err());
         assert!(TransitionMatrix::new(&Graph::from_edges(0, &[]).unwrap()).is_err());
         assert!(TransitionMatrix::new(&Graph::from_edges(2, &[]).unwrap()).is_err());
+        assert!(TransitionMatrix::masked(&g, vec![true; 2], 0.0).is_err());
+        assert!(TransitionMatrix::masked(&g, vec![true; 3], 1.0).is_err());
+        let isolated = Graph::from_edges(3, &[(0, 1)]).unwrap();
+        assert!(TransitionMatrix::masked(&isolated, vec![true; 3], 0.0).is_err());
+    }
+
+    fn masked_test_graph(seed: u64) -> Graph {
+        generators::barabasi_albert(120, 3, &mut crate::rng::seeded_rng(seed)).unwrap()
+    }
+
+    #[test]
+    fn all_available_mask_is_the_unmasked_operator_bitwise() {
+        let g = masked_test_graph(5);
+        let n = g.node_count();
+        for laziness in [0.0, 0.3] {
+            let matrix = TransitionMatrix::with_laziness(&g, laziness).unwrap();
+            let masked = TransitionMatrix::masked(&g, vec![true; n], laziness).unwrap();
+            assert_eq!(matrix.availability(), None);
+            assert_eq!(masked.availability(), Some(&vec![true; n][..]));
+            let mut p = vec![0.0; n];
+            p[3] = 0.25;
+            p[17] = 0.75;
+            for _ in 0..9 {
+                let a = matrix.propagate(&p);
+                assert_eq!(a, masked.propagate(&p));
+                p = a;
+            }
+        }
+    }
+
+    #[test]
+    fn masked_operator_conserves_mass_and_blocks_unavailable_recipients() {
+        let g = masked_test_graph(6);
+        let n = g.node_count();
+        let mut available = vec![true; n];
+        for u in (0..n).step_by(3) {
+            available[u] = false;
+        }
+        let masked = TransitionMatrix::masked(&g, available.clone(), 0.2).unwrap();
+        let mut ensemble =
+            crate::ensemble::DistributionEnsemble::point_masses(n, &[0, 5, n - 1]).unwrap();
+        ensemble.advance(&masked, 6);
+        for row in 0..3 {
+            let sum: f64 = ensemble.row(row).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-9, "row {row} sums to {sum}");
+        }
+        // One step from a point mass: unavailable neighbours receive nothing,
+        // the redirected shares stay at the origin.
+        let origin = 1;
+        let mut p = vec![0.0; n];
+        p[origin] = 1.0;
+        let out = masked.propagate(&p);
+        let unavailable_nbrs = g
+            .neighbors(origin)
+            .iter()
+            .filter(|&&j| !available[j as usize])
+            .count();
+        let expected_stay = 0.2 + 0.8 * unavailable_nbrs as f64 / g.degree(origin) as f64;
+        assert!((out[origin] - expected_stay).abs() < 1e-12);
+        for &j in g.neighbors(origin) {
+            if !available[j as usize] {
+                assert_eq!(out[j as usize], 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn masked_probabilities_are_the_rows_of_the_scatter() {
+        let g = masked_test_graph(7);
+        let n = g.node_count();
+        let available: Vec<bool> = (0..n).map(|u| u % 4 != 1).collect();
+        let masked = TransitionMatrix::masked(&g, available.clone(), 0.15).unwrap();
+        for i in 0..n {
+            let mut point = vec![0.0; n];
+            point[i] = 1.0;
+            let row = masked.propagate(&point);
+            let probabilities: Vec<f64> = (0..n).map(|j| masked.probability(i, j)).collect();
+            let sum: f64 = probabilities.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-12, "row {i} sums to {sum}");
+            for (j, (&p, &q)) in probabilities.iter().zip(&row).enumerate() {
+                assert!((p - q).abs() < 1e-12, "entry ({i}, {j}): {p} vs {q}");
+                if j != i && !available[j] {
+                    assert_eq!(p, 0.0, "dark {j} received a share from {i}");
+                }
+            }
+            assert_eq!(masked.probability(i, n), 0.0);
+            assert_eq!(masked.probability(i, u32::MAX as usize + 1 + i), 0.0);
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! Acceptance contract of the time-varying refactor:
 //!
 //! * a [`TimeVaryingModel`] with a constant schedule reproduces the static
-//!   [`TransitionMatrix`] ensemble results **bitwise**;
+//!   [`TransitionMatrix`] ensemble results **bitwise**, and the per-round
+//!   operators of an outage schedule are that same walk operator under each
+//!   round's availability mask ([`TransitionMatrix::masked`]);
 //! * the engine's masked rounds with a fully-available mask are **bitwise**
 //!   the static rounds (RNG stream included), so the churn protocol path
 //!   degenerates to the classic one exactly;
@@ -136,8 +138,9 @@ fn iid_dropout_through_the_engine_matches_the_lazy_walk_moments() {
 }
 
 /// The laziness equivalence is an expectation over masks, and the exact
-/// operator algebra shows it directly: averaging `MaskedTransition` over
-/// many i.i.d. masks converges to the lazy matrix row by row.
+/// operator algebra shows it directly: averaging the masked walk operator
+/// (`TransitionMatrix::masked`) over many i.i.d. masks converges to the
+/// lazy matrix row by row.
 #[test]
 fn averaged_masked_operators_converge_to_the_lazy_matrix() {
     let n = 60;
@@ -159,8 +162,8 @@ fn averaged_masked_operators_converge_to_the_lazy_matrix() {
     let mut out = vec![0.0f64; n];
     for _ in 0..trials {
         let mask: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= q).collect();
-        let masked = ns_graph::dynamic::MaskedTransition::new(&g, mask, 0.0).unwrap();
-        ns_graph::transition::TransitionModel::propagate_into(&masked, &p, &mut out);
+        let masked = TransitionMatrix::masked(&g, mask, 0.0).unwrap();
+        masked.propagate_into(&p, &mut out);
         for (m, &o) in mean.iter_mut().zip(out.iter()) {
             *m += o;
         }
@@ -226,8 +229,8 @@ fn scheduled_accounting_is_deterministic_and_dominated_by_outages() {
     for slot in night.iter_mut().take(50) {
         *slot = false;
     }
-    let day_op = ns_graph::dynamic::MaskedTransition::new(&g, vec![true; 150], 0.0).unwrap();
-    let night_op = ns_graph::dynamic::MaskedTransition::new(&g, night, 0.0).unwrap();
+    let day_op = TransitionMatrix::masked(&g, vec![true; 150], 0.0).unwrap();
+    let night_op = TransitionMatrix::masked(&g, night, 0.0).unwrap();
     let schedule = TimeVaryingModel::cycling(vec![
         Arc::new(day_op) as DynTransition,
         Arc::new(night_op) as DynTransition,

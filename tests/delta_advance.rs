@@ -1,24 +1,27 @@
 //! The dense masked ensemble advance under edge churn.
 //!
 //! A churning deployment evolves its tracked distributions one dense round
-//! at a time under each round's realized [`MaskedTransition`].  These tests
-//! pin that path and the layers under it:
+//! at a time under each round's realized masked walk operator
+//! ([`TransitionMatrix::masked`]).  These tests pin that path and the
+//! layers under it:
 //!
 //! * a blessed golden trace (`tests/golden/delta_advance.txt`, regenerate
 //!   with `NS_BLESS=1`): a fixed churn scenario records, per round, the
 //!   columns the round's edits can reach and every tracked row as raw f64
 //!   bit patterns;
-//! * the masked operator's fused pull kernel, lane by lane, against the
-//!   scalar scatter reference;
+//! * the walk operator's pull kernel, masked and unmasked (the portable
+//!   body and, on AVX2 hosts, the unmasked 8-lane AVX2 body), lane by lane
+//!   against the scalar scatter reference;
 //! * [`DynamicGraph`] snapshots after a small and a large wave of edits
 //!   against a from-scratch build of the same edge set.
 
 mod common;
 
 use common::strategies;
-use ns_graph::dynamic::{DynamicGraph, MaskedTransition};
+use ns_graph::dynamic::DynamicGraph;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::rng::seeded_rng;
+use ns_graph::transition::TransitionMatrix;
 use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
@@ -171,17 +174,18 @@ fn delta_advance_reproduces_blessed_goldens() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The masked operator's fused pull kernel, directly: every lane of an
+    /// The walk operator's pull kernel, directly: every lane of an
     /// interleaved step — written back interleaved and written row-major —
     /// is bitwise the scalar scatter reference
-    /// ([`MaskedTransition::propagate_into`]), compared through `to_bits`
+    /// ([`TransitionMatrix::propagate_into`]), compared through `to_bits`
     /// so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9 and 16
-    /// (every compile-time width and ragged split), laziness 0 and 0.15,
-    /// and masks from all-available to all-dark with dark point-mass
-    /// origins, over three evolving steps from point masses mixed with
-    /// dense random rows.
+    /// (every compile-time width and ragged split; unmasked 8- and 16-lane
+    /// blocks run the AVX2 body on hosts that have it), laziness 0 and
+    /// 0.15, no mask, and masks from all-available to all-dark with dark
+    /// point-mass origins, over three evolving steps from point masses
+    /// mixed with dense random rows.
     #[test]
-    fn masked_pull_kernel_matches_the_scalar_scatter_per_lane(
+    fn pull_kernel_matches_the_scalar_scatter_per_lane(
         graph in strategies::graph_zoo(20..70),
         seed in 0u64..1_000,
     ) {
@@ -191,17 +195,24 @@ proptest! {
         prop_assume!(graph.find_isolated_node().is_none());
         let mut rng = seeded_rng(seed);
         for laziness in [0.0, 0.15] {
-            for dark in [0.0, 0.2, 0.7, 1.0] {
+            // `None` is the unmasked operator.
+            for dark in [None, Some(0.0), Some(0.2), Some(0.7), Some(1.0)] {
                 for lanes in (1..=9).chain([16]) {
                     // Lanes alternate between point masses and dense random
                     // distributions; the first origin is always dark unless
                     // the mask is all-available.
                     let origins: Vec<NodeId> = (0..lanes).map(|_| rng.gen_range(0..n)).collect();
-                    let mut mask: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= dark).collect();
-                    if dark > 0.0 {
-                        mask[origins[0]] = false;
-                    }
-                    let op = MaskedTransition::new(&graph, mask, laziness).unwrap();
+                    let op = match dark {
+                        None => TransitionMatrix::with_laziness(&graph, laziness).unwrap(),
+                        Some(dark) => {
+                            let mut mask: Vec<bool> =
+                                (0..n).map(|_| rng.gen::<f64>() >= dark).collect();
+                            if dark > 0.0 {
+                                mask[origins[0]] = false;
+                            }
+                            TransitionMatrix::masked(&graph, mask, laziness).unwrap()
+                        }
+                    };
                     let mut rows: Vec<Vec<f64>> = origins
                         .iter()
                         .enumerate()
@@ -233,13 +244,13 @@ proptest! {
                                 prop_assert_eq!(
                                     w.to_bits(),
                                     interleaved[i * lanes + lane].to_bits(),
-                                    "interleaved lane {} of {} diverged at node {} (step {}, dark {}, laziness {})",
+                                    "interleaved lane {} of {} diverged at node {} (step {}, dark {:?}, laziness {})",
                                     lane, lanes, i, step, dark, laziness
                                 );
                                 prop_assert_eq!(
                                     w.to_bits(),
                                     row_major[lane * n + i].to_bits(),
-                                    "row-major lane {} of {} diverged at node {} (step {}, dark {}, laziness {})",
+                                    "row-major lane {} of {} diverged at node {} (step {}, dark {:?}, laziness {})",
                                     lane, lanes, i, step, dark, laziness
                                 );
                             }
