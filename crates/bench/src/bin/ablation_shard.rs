@@ -127,7 +127,7 @@ fn main() {
         // The same cut-restricted walk under the realized Markov churn:
         // every origin evolves through the per-round masked operator.
         let churned_model = model
-            .availability_schedule(churn_schedule.masks())
+            .availability_schedule(churn_schedule.masks().shared())
             .expect("churned operator schedule");
         let mut churned = DistributionEnsemble::all_origins(n).expect("ensemble");
         churned.advance(&churned_model, t_mix);

@@ -41,6 +41,7 @@ use ns_graph::rng::SimRng;
 use ns_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A simple independent-dropout model: in every round, each user is
 /// unavailable with probability `dropout_probability`, independently of
@@ -334,11 +335,15 @@ impl OutageModel {
 /// consumes churn — the engine's masked rounds, the churn-aware protocol
 /// simulation ([`crate::simulation::run_protocol_under_outages`]) and the
 /// exact accountant via [`OutageSchedule::time_varying_model`].
+///
+/// Each mask is stored once, shared: cloning the schedule and lifting it
+/// into per-round operators ([`OutageSchedule::time_varying_model`]) hold
+/// the same buffers instead of copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutageSchedule {
     node_count: usize,
     /// `masks[t][u]` — is user `u` reachable in round `t`?
-    masks: Vec<Vec<bool>>,
+    masks: Vec<Arc<[bool]>>,
 }
 
 impl OutageSchedule {
@@ -359,6 +364,7 @@ impl OutageSchedule {
                 "outage masks must be non-empty and all of the same length".into(),
             ));
         }
+        let masks = masks.into_iter().map(Arc::from).collect();
         Ok(OutageSchedule { node_count, masks })
     }
 
@@ -395,9 +401,10 @@ impl OutageSchedule {
 
     /// All per-round masks, in round order — the raw history for lifting
     /// onto other operators (e.g.
-    /// [`ns_graph::partition::IntraShardTransition::availability_schedule`]).
-    pub fn masks(&self) -> &[Vec<bool>] {
-        &self.masks
+    /// [`ns_graph::partition::IntraShardTransition::availability_schedule`])
+    /// or for logging.
+    pub fn masks(&self) -> ScheduleMasks<'_> {
+        ScheduleMasks(&self.masks)
     }
 
     /// Fraction of users available in round `t`.
@@ -426,6 +433,24 @@ impl OutageSchedule {
             )));
         }
         TimeVaryingModel::from_availability(graph, laziness, &self.masks).map_err(Into::into)
+    }
+}
+
+/// An [`OutageSchedule`]'s per-round masks, borrowed in round order.
+#[derive(Debug, Clone, Copy)]
+pub struct ScheduleMasks<'a>(&'a [Arc<[bool]>]);
+
+impl<'a> ScheduleMasks<'a> {
+    /// The masks as the schedule shares them: operators built from these
+    /// hold the schedule's buffers, not copies.
+    pub fn shared(self) -> &'a [Arc<[bool]>] {
+        self.0
+    }
+
+    /// Owned copies, one vector per round — the form the durable log
+    /// records.
+    pub fn to_vec(self) -> Vec<Vec<bool>> {
+        self.0.iter().map(|mask| mask.to_vec()).collect()
     }
 }
 
@@ -637,6 +662,35 @@ mod tests {
         // Node-count mismatch is rejected.
         let small = generators::cycle(5).unwrap();
         assert!(schedule.time_varying_model(&small, 0.1).is_err());
+    }
+
+    #[test]
+    fn scheduled_operators_share_the_schedule_masks() {
+        let g = generators::random_regular(60, 4, &mut seeded_rng(4)).unwrap();
+        let schedule = OutageModel::MarkovOnOff {
+            fail: 0.2,
+            recover: 0.3,
+        }
+        .sample_schedule(60, 5, 8)
+        .unwrap();
+        let model = schedule.time_varying_model(&g, 0.1).unwrap();
+        let clone = schedule.clone();
+        for t in 0..5 {
+            let held = model.operator(t).availability().expect("a masked operator");
+            assert_eq!(held, schedule.mask(t));
+            assert_eq!(
+                held.as_ptr(),
+                schedule.mask(t).as_ptr(),
+                "round {t}'s operator copied its mask"
+            );
+            assert_eq!(clone.mask(t).as_ptr(), schedule.mask(t).as_ptr());
+        }
+        let copies = schedule.masks().to_vec();
+        assert_eq!(copies.len(), 5);
+        assert!(copies
+            .iter()
+            .enumerate()
+            .all(|(t, mask)| mask[..] == *schedule.mask(t)));
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! 2. **Rounds** — each round is executed by the multi-shard engine
 //!    ([`ns_graph::sharded_engine::ShardedMixingEngine`]) with per-shard
 //!    deterministic streams, traffic metrics streaming into a
-//!    [`TrafficRecorder`], and — on a helper thread during the engine step
-//!    — the streaming accountant advancing its tracked distributions by one
-//!    round.  The engine never reads the accountant and every round's
-//!    operator is fixed before round 0, so the overlap is bitwise the
+//!    [`TrafficRecorder`], while the streaming accountant advances its
+//!    tracked distributions by one round as shared work
+//!    ([`ns_graph::ensemble::RoundSweep`]): a persistent worker thread
+//!    starts the sweep during the engine step, and the calling thread
+//!    joins it, destination range by destination range, once its step
+//!    returns.  The engine never reads the accountant, every round's
+//!    operator is fixed before round 0, and every destination's adds keep
+//!    their order whichever thread runs them, so the round is bitwise the
 //!    serial step-then-advance.
 //! 3. **Quotes & gating** — [`ShuffleCoordinator::live_quote`] returns the
 //!    worst tracked user's current guarantee without stopping the run, in
@@ -90,10 +94,8 @@ use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::{EngineCheckpoint, ShardedMixingEngine};
 use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use ns_graph::walk::validate_laziness;
+use ns_graph::worker::Worker;
 use ns_graph::{Graph, NodeId};
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 
 /// Configuration of a sharded shuffle deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -374,7 +376,7 @@ impl StreamingAccountant {
     }
 
     /// The operator the tracked distributions evolve through.
-    fn held(operator: &StreamingOperator) -> &dyn TransitionModel {
+    fn held(operator: &StreamingOperator) -> &(dyn TransitionModel + Sync) {
         match operator {
             StreamingOperator::Static(matrix) => matrix,
             StreamingOperator::Scheduled(schedule) => schedule,
@@ -384,10 +386,45 @@ impl StreamingAccountant {
     /// Advances every tracked distribution by one round through the
     /// deployment's realized operator (the ensembles carry the absolute
     /// round clock, so a scheduled accountant applies `operator(t)` at
-    /// round `t`), then re-folds every row's moments for the quotes.
+    /// round `t`), then re-folds every row's moments for the quotes.  The
+    /// round's sweep runs on this thread alone.
     pub fn advance_round(&mut self) {
-        let _span = self.telemetry.as_ref().map(|t| t.advance_ns.span(&t.clock));
-        self.ensemble.advance(Self::held(&self.operator), 1);
+        self.advance(|sweep| sweep());
+    }
+
+    /// [`StreamingAccountant::advance_round`] with the sweep shared: it
+    /// starts on `worker` while `step` runs here, and this thread joins it
+    /// once `step` returns.  Returns `step`'s result.
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic from either thread once both have stopped touching
+    /// the rows.
+    fn advance_during<R>(&mut self, worker: &mut Worker, step: impl FnOnce() -> R) -> R {
+        let mut stepped = None;
+        self.advance(|sweep| {
+            worker.join(sweep, || {
+                stepped = Some(step());
+                sweep();
+            })
+        });
+        stepped.expect("join returns only after `here` has run")
+    }
+
+    /// One round: `drive` runs the sweep job (on as many threads as it
+    /// likes, each calling it), then the moments are re-folded here.  With
+    /// telemetry attached, `ns_acct_advance_ns` records the sweep from its
+    /// start until its last unit finishes, on whichever thread ran that.
+    fn advance(&mut self, drive: impl FnOnce(&(dyn Fn() + Sync))) {
+        let telemetry = self.telemetry.as_ref();
+        let started = telemetry.map(|t| t.clock.now_ns());
+        let sweep = self.ensemble.round_sweep(Self::held(&self.operator));
+        drive(&|| {
+            if let (true, Some(t), Some(started)) = (sweep.run(), telemetry, started) {
+                t.advance_ns
+                    .record(t.clock.now_ns().saturating_sub(started));
+            }
+        });
         self.refresh_moments();
         self.round += 1;
     }
@@ -671,147 +708,6 @@ fn guarantee_from_stats(
     }
 }
 
-/// Why the coordinator's accountant can be missing: only a panic that
-/// unwound through a round, taking the accountant with it.
-const ACCOUNTANT_HOME: &str = "the accountant is home between rounds";
-
-/// The helper thread that advances the streaming accountant while the
-/// caller's thread steps the engine.
-///
-/// Every round's operator is fixed before round 0 and the engine never
-/// reads the accountant, so the two sweeps of a round can run at once.
-/// The accountant travels by value through one preallocated
-/// [`Mutex`] + [`Condvar`] slot — no per-round spawn, no allocation.  A
-/// panic in the advance is caught on the helper and resumed on the caller;
-/// dropping the helper stops and joins its thread.
-#[derive(Debug)]
-struct AdvanceHelper {
-    slot: Arc<HandOff>,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// The slot the accountant travels through, and the signal that it moved.
-#[derive(Debug)]
-struct HandOff {
-    job: Mutex<Job>,
-    moved: Condvar,
-}
-
-/// What the slot holds.
-#[derive(Debug)]
-enum Job {
-    /// Nothing in flight: the accountant is with the coordinator, or with
-    /// the helper mid-advance.
-    Idle,
-    /// An accountant to advance by one round.
-    Advance(StreamingAccountant),
-    /// The advanced accountant, or the panic that interrupted its advance.
-    Done(std::thread::Result<StreamingAccountant>),
-    /// The coordinator is gone: the helper exits.
-    Stop,
-}
-
-impl AdvanceHelper {
-    /// Starts the helper thread, idle until the first round.
-    fn start() -> Result<Self> {
-        let slot = Arc::new(HandOff {
-            job: Mutex::new(Job::Idle),
-            moved: Condvar::new(),
-        });
-        let served = Arc::clone(&slot);
-        let thread = std::thread::Builder::new()
-            .name("ns-accountant".into())
-            .spawn(move || served.serve())
-            .map_err(|e| {
-                Error::InvalidConfiguration(format!("cannot start the accountant thread: {e}"))
-            })?;
-        Ok(AdvanceHelper {
-            slot,
-            thread: Some(thread),
-        })
-    }
-
-    /// Advances `accountant` by one round on the helper while `step` runs
-    /// on this thread, and returns both once both are done.
-    ///
-    /// # Panics
-    ///
-    /// Resumes a panic raised by the advance, after `step` has returned.
-    fn advance_during<R>(
-        &self,
-        accountant: StreamingAccountant,
-        step: impl FnOnce() -> R,
-    ) -> (StreamingAccountant, R) {
-        self.slot.put(Job::Advance(accountant));
-        let stepped = step();
-        (self.slot.take_done(), stepped)
-    }
-}
-
-impl Drop for AdvanceHelper {
-    fn drop(&mut self) {
-        self.slot.put(Job::Stop);
-        if let Some(thread) = self.thread.take() {
-            // Advance panics are caught on the helper, so the join reports
-            // none; there is nothing else to propagate from a drop.
-            let _ = thread.join();
-        }
-    }
-}
-
-impl HandOff {
-    fn lock(&self) -> MutexGuard<'_, Job> {
-        // Every update under the lock is one whole-value store, so the job
-        // is valid even if a holder panicked; `Drop` must lock too.
-        self.job.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Replaces the slot's job and wakes the other side.
-    fn put(&self, job: Job) {
-        *self.lock() = job;
-        self.moved.notify_all();
-    }
-
-    /// Waits for the helper's advanced accountant; resumes its panic.
-    fn take_done(&self) -> StreamingAccountant {
-        let mut job = self
-            .moved
-            .wait_while(self.lock(), |job| !matches!(job, Job::Done(_)))
-            .unwrap_or_else(PoisonError::into_inner);
-        let Job::Done(done) = std::mem::replace(&mut *job, Job::Idle) else {
-            unreachable!("waited for a finished advance")
-        };
-        drop(job);
-        done.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-    }
-
-    /// The helper thread: advance whatever is handed over, hand it back,
-    /// until told to stop.
-    fn serve(&self) {
-        let mut job = self.lock();
-        loop {
-            job = self
-                .moved
-                .wait_while(job, |job| !matches!(job, Job::Advance(_) | Job::Stop))
-                .unwrap_or_else(PoisonError::into_inner);
-            let Job::Advance(mut accountant) = std::mem::replace(&mut *job, Job::Idle) else {
-                return;
-            };
-            drop(job);
-            let done = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                accountant.advance_round();
-                accountant
-            }));
-            job = self.lock();
-            if matches!(*job, Job::Stop) {
-                return;
-            }
-            *job = Job::Done(done);
-            self.moved.notify_all();
-        }
-    }
-}
-
 /// The sharded shuffle coordinator: admission, rounds, live quotes,
 /// finalization.  See the [module docs](self).
 #[derive(Debug)]
@@ -827,12 +723,12 @@ pub struct ShuffleCoordinator<'g, P> {
     /// The exchange engine; `None` until [`ShuffleCoordinator::begin_exchange`].
     engine: Option<ShardedMixingEngine<'g>>,
     recorder: TrafficRecorder,
-    /// The streaming accountant: home here between rounds, on `helper`
-    /// while a round's engine step runs.
-    accountant: Option<StreamingAccountant>,
-    /// The thread that advances the accountant during each engine step;
-    /// started with the engine by [`ShuffleCoordinator::begin_exchange`].
-    helper: Option<AdvanceHelper>,
+    /// The streaming accountant.
+    accountant: StreamingAccountant,
+    /// The thread that shares each round's accountant sweep, starting it
+    /// during the engine step; started with the engine by
+    /// [`ShuffleCoordinator::begin_exchange`].
+    worker: Option<Worker>,
     /// Realized availability schedule; round `t` of the exchange runs with
     /// `outages.mask(t)` when present.
     outages: Option<OutageSchedule>,
@@ -870,8 +766,8 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             origins: Vec::new(),
             engine: None,
             recorder: TrafficRecorder::new(0),
-            accountant: Some(accountant),
-            helper: None,
+            accountant,
+            worker: None,
             outages: None,
             telemetry: None,
         })
@@ -882,7 +778,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// already built.  Observability is inert by construction: an
     /// instrumented run is bitwise identical to a bare one.
     pub fn set_telemetry(&mut self, telemetry: Option<CoordinatorTelemetry>) {
-        self.accountant_mut()
+        self.accountant
             .set_telemetry(telemetry.as_ref().map(|t| t.accountant.clone()));
         if let Some(engine) = &mut self.engine {
             engine.set_telemetry(telemetry.as_ref().map(|t| t.engine.clone()));
@@ -911,7 +807,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
                 .quote_params
                 .as_ref()
                 .and_then(|params| {
-                    self.accountant()
+                    self.accountant
                         .worst_quote(self.config.protocol, params)
                         .ok()
                 })
@@ -956,7 +852,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             ));
         }
         let model = schedule.time_varying_model(self.graph, self.config.laziness)?;
-        self.accountant_mut().reschedule(model)?;
+        self.accountant.reschedule(model)?;
         self.outages = Some(schedule);
         Ok(())
     }
@@ -994,11 +890,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
 
     /// The streaming accountant (for direct inspection of tracked moments).
     pub fn accountant(&self) -> &StreamingAccountant {
-        self.accountant.as_ref().expect(ACCOUNTANT_HOME)
-    }
-
-    fn accountant_mut(&mut self) -> &mut StreamingAccountant {
-        self.accountant.as_mut().expect(ACCOUNTANT_HOME)
+        &self.accountant
     }
 
     /// Number of reports admitted so far.
@@ -1100,7 +992,10 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         )?;
         engine.set_draw_mode(self.config.draw_mode);
         engine.set_telemetry(self.telemetry.as_ref().map(|t| t.engine.clone()));
-        self.helper = Some(AdvanceHelper::start()?);
+        let worker = Worker::start("ns-accountant").map_err(|e| {
+            Error::InvalidConfiguration(format!("cannot start the accountant thread: {e}"))
+        })?;
+        self.worker = Some(worker);
         self.engine = Some(engine);
         Ok(())
     }
@@ -1128,7 +1023,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         })?;
         Ok(CoordinatorCheckpoint {
             engine: engine.checkpoint(),
-            accountant: self.accountant().checkpoint()?,
+            accountant: self.accountant.checkpoint()?,
             recorder_rounds: self.recorder.rounds(),
             recorder_messages: self.recorder.messages_per_user().to_vec(),
             recorder_peaks: self.recorder.peak_reports_per_user().to_vec(),
@@ -1175,7 +1070,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         engine.set_telemetry(self.telemetry.as_ref().map(|t| t.engine.clone()));
         // The accountant already holds the operator `with_outages` attached
         // (or the static walk): only its tracked rows and clock change.
-        self.accountant_mut().install(&checkpoint.accountant)?;
+        self.accountant.install(&checkpoint.accountant)?;
         self.recorder = TrafficRecorder::from_parts(
             checkpoint.recorder_rounds,
             checkpoint.recorder_messages.clone(),
@@ -1186,10 +1081,11 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     }
 
     /// Executes `rounds` exchange rounds.  Each round's engine step runs on
-    /// the calling thread while the helper thread advances the streaming
-    /// accountant by the same round; the two share no state, so the result
-    /// is bitwise the serial step-then-advance.  A panic in the advance
-    /// resumes on this thread.
+    /// the calling thread while the worker thread starts the streaming
+    /// accountant's sweep of the same round, which this thread joins once
+    /// its step returns; the step and the sweep share no state, so the
+    /// result is bitwise the serial step-then-advance.  A panic on either
+    /// thread resumes on this one once both have stopped.
     ///
     /// # Errors
     ///
@@ -1198,7 +1094,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// validated config and outage schedule rule out.  A rejected round
     /// changes neither the engine nor the accountant.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<()> {
-        let (Some(engine), Some(helper)) = (self.engine.as_mut(), self.helper.as_ref()) else {
+        let (Some(engine), Some(worker)) = (self.engine.as_mut(), self.worker.as_mut()) else {
             return Err(Error::InvalidConfiguration(
                 "call begin_exchange() before running rounds".into(),
             ));
@@ -1211,14 +1107,11 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
             // scheduled operator applies the same mask at the same clock,
             // so quotes track the realized walk exactly.
             let mask = self.outages.as_ref().map(|s| s.mask(engine.round()));
-            // Checked before the hand-off, so a round the engine rejects
+            // Checked before the sweep starts, so a round the engine rejects
             // leaves the accountant's clock where the engine's stays.
             engine.validate_round(laziness, mask)?;
-            let accountant = self.accountant.take().expect(ACCOUNTANT_HOME);
-            let (accountant, stepped) =
-                helper.advance_during(accountant, || engine.step(laziness, mask, &mut observer));
-            self.accountant = Some(accountant);
-            stepped?;
+            self.accountant
+                .advance_during(worker, || engine.step(laziness, mask, &mut observer))?;
         }
         Ok(())
     }
@@ -1231,7 +1124,7 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     ///
     /// Parameter validation errors from the closed forms.
     pub fn live_quote(&self, params: &AccountantParams) -> Result<(NodeId, PrivacyGuarantee)> {
-        self.accountant().worst_quote(self.config.protocol, params)
+        self.accountant.worst_quote(self.config.protocol, params)
     }
 
     /// Runs rounds until the live worst-user ε drops to `target_epsilon` or
@@ -1296,8 +1189,13 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
 mod tests {
     use super::*;
     use crate::accountant::{NetworkShuffleAccountant, Scenario};
+    use ns_graph::dynamic::DynTransition;
     use ns_graph::generators;
     use ns_graph::rng::seeded_rng;
+    use std::cell::RefCell;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
 
     fn graph(n: usize, k: usize, seed: u64) -> Graph {
         generators::random_regular(n, k, &mut seeded_rng(seed)).unwrap()
@@ -1723,29 +1621,154 @@ mod tests {
         assert_eq!(coordinator.accountant().round(), 3);
     }
 
+    /// The side of a coordinator round a [`RangeTrap`] panics on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Side {
+        Worker,
+        Caller,
+    }
+
+    /// What a [`RangeTrap`] has seen.
+    #[derive(Default)]
+    struct TrapState {
+        worker_entered: bool,
+        caller_entered: bool,
+        /// The target side is about to panic.
+        sprung: bool,
+        /// Ranges the other side is running.
+        in_range: usize,
+        /// Ranges the other side finished.
+        finished_elsewhere: usize,
+    }
+
+    /// The walk operator with a trap in its range kernel.  Each side's
+    /// first range waits until both sides have entered one; then the
+    /// `target` side panics and the other side, still inside its range,
+    /// finishes it only after the panic has started — so the panic always
+    /// strikes while the other side is touching the rows, whichever side
+    /// reaches the sweep first.
+    struct RangeTrap {
+        inner: TransitionMatrix,
+        target: Side,
+        state: Mutex<TrapState>,
+        changed: Condvar,
+        worker_exited: Arc<AtomicBool>,
+    }
+
+    thread_local! {
+        /// Set on the worker thread by a trap; flags its owner's exit.
+        static ON_EXIT: RefCell<Option<ExitFlag>> = const { RefCell::new(None) };
+    }
+
+    /// Sets its flag when the thread holding it exits.
+    struct ExitFlag(Arc<AtomicBool>);
+
+    impl Drop for ExitFlag {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl TransitionModel for RangeTrap {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
+            self.inner.propagate_into(p, out);
+        }
+
+        fn has_range_kernel(&self, _round: usize) -> bool {
+            true
+        }
+
+        fn propagate_round_interleaved_rows_range(
+            &self,
+            round: usize,
+            lanes: usize,
+            input: &[f64],
+            nodes: std::ops::Range<usize>,
+            rows: &mut [&mut [f64]],
+        ) {
+            let side = if std::thread::current().name() == Some("ns-accountant") {
+                ON_EXIT.with(|slot| {
+                    slot.borrow_mut()
+                        .get_or_insert_with(|| ExitFlag(Arc::clone(&self.worker_exited)));
+                });
+                Side::Worker
+            } else {
+                Side::Caller
+            };
+            let mut state = self.state.lock().unwrap();
+            match side {
+                Side::Worker => state.worker_entered = true,
+                Side::Caller => state.caller_entered = true,
+            }
+            self.changed.notify_all();
+            let mut state = self
+                .changed
+                .wait_while(state, |s| !(s.worker_entered && s.caller_entered))
+                .unwrap();
+            if side == self.target {
+                state.sprung = true;
+                self.changed.notify_all();
+                drop(state);
+                panic!("trapped range on the {side:?} side");
+            }
+            state.in_range += 1;
+            drop(self.changed.wait_while(state, |s| !s.sprung).unwrap());
+            self.inner
+                .propagate_round_interleaved_rows_range(round, lanes, input, nodes, rows);
+            let mut state = self.state.lock().unwrap();
+            state.in_range -= 1;
+            state.finished_elsewhere += 1;
+        }
+    }
+
     #[test]
     fn helper_panics_resurface_and_drop_joins_the_helper() {
         let g = graph(40, 4, 34);
         let p = Partition::new(&g, 1).unwrap();
-        let mut coordinator: ShuffleCoordinator<'_, u32> =
-            ShuffleCoordinator::new(&g, &p, CoordinatorConfig::all(5, 2)).unwrap();
-        coordinator.admit_population((0..40).collect()).unwrap();
-        coordinator.begin_exchange().unwrap();
-        coordinator.run_rounds(1).unwrap();
-        let slot = Arc::downgrade(&coordinator.helper.as_ref().unwrap().slot);
-        // An operator over the wrong node count makes the advance panic on
-        // the helper.
-        let other = graph(30, 4, 35);
-        coordinator.accountant_mut().operator =
-            StreamingOperator::Static(TransitionMatrix::new(&other).unwrap());
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| coordinator.run_rounds(1)));
-        assert!(run.is_err(), "the helper's panic must resume on the caller");
-        assert!(slot.upgrade().is_some());
-        drop(coordinator);
-        assert!(
-            slot.upgrade().is_none(),
-            "dropping the coordinator joins the helper"
-        );
+        for target in [Side::Worker, Side::Caller] {
+            // Two tracked rows: one 2-lane block, swept by range.
+            let mut coordinator: ShuffleCoordinator<'_, u32> =
+                ShuffleCoordinator::new(&g, &p, CoordinatorConfig::all(5, 2)).unwrap();
+            coordinator.admit_population((0..40).collect()).unwrap();
+            coordinator.begin_exchange().unwrap();
+            coordinator.run_rounds(1).unwrap();
+            let worker_exited = Arc::new(AtomicBool::new(false));
+            let trap = Arc::new(RangeTrap {
+                inner: TransitionMatrix::new(&g).unwrap(),
+                target,
+                state: Mutex::default(),
+                changed: Condvar::new(),
+                worker_exited: Arc::clone(&worker_exited),
+            });
+            let schedule = TimeVaryingModel::new(vec![Arc::clone(&trap) as DynTransition]).unwrap();
+            coordinator.accountant.operator = StreamingOperator::Scheduled(schedule);
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| coordinator.run_rounds(1)));
+            let panic = run.expect_err("the trapped range's panic must resume on the caller");
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert_eq!(message, &format!("trapped range on the {target:?} side"));
+            let state = trap.state.lock().unwrap();
+            assert_eq!(
+                state.in_range, 0,
+                "{target:?}: the panic resumed while a range was still running"
+            );
+            // The other side finished the range it held when the trap
+            // sprang (and perhaps more, before it saw the abandonment).
+            assert!(state.finished_elsewhere >= 1, "{target:?}");
+            drop(state);
+            assert!(
+                !worker_exited.load(Ordering::SeqCst),
+                "{target:?}: the worker outlives a caught panic"
+            );
+            drop(coordinator);
+            assert!(
+                worker_exited.load(Ordering::SeqCst),
+                "{target:?}: dropping the coordinator joins the worker"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@ use std::sync::{Arc, Mutex};
 
 /// Metric names the service layer registers (the README's catalogue).
 pub mod names {
-    /// Dense accountant advance per round ([`advance_round`]), ns.
+    /// Accountant sweep per round ([`advance_round`], or the two-thread
+    /// sweep of a coordinator round), ns: from the sweep's start until its
+    /// last unit finishes, on whichever thread ran that unit.
     ///
     /// [`advance_round`]: crate::service::StreamingAccountant::advance_round
     pub const ACCT_ADVANCE_NS: &str = "ns_acct_advance_ns";

@@ -33,6 +33,7 @@
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::transition::{TransitionMatrix, TransitionModel, WalkCsr};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A shared, type-erased transition operator usable as one schedule entry.
@@ -345,21 +346,26 @@ impl TimeVaryingModel {
 
     /// A schedule of masked [`TransitionMatrix`] operators
     /// ([`TransitionMatrix::masked`]), one per round, from a sequence of
-    /// realized availability masks on a static topology.
+    /// realized availability masks on a static topology.  Shared masks
+    /// (`Arc<[bool]>`) are held, not copied, so the operators and the
+    /// schedule they came from keep one copy of each mask.
     ///
     /// # Errors
     ///
     /// Operator construction errors (degenerate graph, bad laziness or mask
     /// shape), or an empty mask sequence.
-    pub fn from_availability(graph: &Graph, laziness: f64, masks: &[Vec<bool>]) -> Result<Self> {
-        // One shared CSR copy for the whole schedule: each round adds only
-        // its n-bool mask, so a t_mix-length schedule stays O(n + m + t·n)
-        // instead of O(t · (n + m)).
+    pub fn from_availability<M>(graph: &Graph, laziness: f64, masks: &[M]) -> Result<Self>
+    where
+        M: Clone + Into<Arc<[bool]>>,
+    {
+        // One shared CSR copy for the whole schedule: each round adds at
+        // most its n-bool mask, so a t_mix-length schedule stays
+        // O(n + m + t·n) instead of O(t · (n + m)).
         let csr = WalkCsr::of(graph)?;
         let schedule: Vec<DynTransition> = masks
             .iter()
             .map(|mask| {
-                TransitionMatrix::over(Arc::clone(&csr), mask.clone(), laziness)
+                TransitionMatrix::over(Arc::clone(&csr), mask.clone().into(), laziness)
                     .map(|op| Arc::new(op) as DynTransition)
             })
             .collect::<Result<_>>()?;
@@ -424,6 +430,22 @@ impl TransitionModel for TimeVaryingModel {
     ) {
         self.operator(round)
             .propagate_round_interleaved_rows(0, lanes, input, output);
+    }
+
+    fn has_range_kernel(&self, round: usize) -> bool {
+        self.operator(round).has_range_kernel(0)
+    }
+
+    fn propagate_round_interleaved_rows_range(
+        &self,
+        round: usize,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        rows: &mut [&mut [f64]],
+    ) {
+        self.operator(round)
+            .propagate_round_interleaved_rows_range(0, lanes, input, nodes, rows);
     }
 }
 

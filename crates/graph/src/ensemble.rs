@@ -28,8 +28,17 @@
 //! `TransitionModel::propagate_interleaved`'s contract), so
 //! [`crate::distribution::PositionDistribution`] is a thin view over a 1-row
 //! ensemble and exact multi-origin accounting agrees with the historical
-//! single-origin route exactly.  Blocks run one after another on the
-//! calling thread and never interact.
+//! single-origin route exactly.  Blocks run one after another and never
+//! interact.
+//!
+//! One round can also run as shared work
+//! ([`DistributionEnsemble::round_sweep`]): each block is transposed once
+//! and then, when the model has a destination-range kernel
+//! ([`TransitionModel::has_range_kernel`]), split into 64 near-equal
+//! destination ranges that any thread calling [`RoundSweep::run`] claims in
+//! turn.  Every destination's adds keep their order and their code
+//! whichever thread runs its range, so the rows are bitwise the serial
+//! advance.
 //!
 //! The module also provides bounded-memory drivers over *all* `n` origins
 //! ([`all_origin_moments`], [`all_origin_trajectories`]): the full ensemble
@@ -41,6 +50,8 @@ use crate::error::{GraphError, Result};
 use crate::graph::NodeId;
 use crate::transition::TransitionModel;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Rows per kernel block: 8 lanes × 8-byte f64 = one 64-byte cache line per
 /// delivered share.
@@ -48,6 +59,11 @@ pub const LANES: usize = 8;
 
 /// Per-buffer memory target of the streaming all-origin drivers, in bytes.
 const BATCH_TARGET_BYTES: usize = 64 << 20;
+
+/// Destination ranges each interleaved block of a [`RoundSweep`] is split
+/// into (one per node on graphs with fewer nodes): enough that threads
+/// claiming them in turn finish within one small range of each other.
+const SWEEP_RANGES: usize = 64;
 
 /// The accounting moments of one position distribution: exactly the two
 /// quantities Theorems 5.3–5.6 consume.
@@ -478,6 +494,46 @@ impl DistributionEnsemble {
         }
     }
 
+    /// One round of every row under `model`, set up as shared work that
+    /// any number of threads may join by calling [`RoundSweep::run`] on the
+    /// returned sweep.  Once the sweep has run to the end, the rows and the
+    /// clock are bitwise what [`DistributionEnsemble::advance`]`(model, 1)`
+    /// leaves, whichever threads ran which part.  The clock moves when the
+    /// sweep is made, and the ensemble stays borrowed until it is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model.node_count()` differs from the ensemble's.
+    pub fn round_sweep<'a, M>(&'a mut self, model: &'a M) -> RoundSweep<'a, M>
+    where
+        M: TransitionModel + Sync + ?Sized,
+    {
+        assert_eq!(
+            model.node_count(),
+            self.nodes,
+            "transition model and ensemble disagree on the node count"
+        );
+        let n = self.nodes;
+        let round = self.time;
+        self.time += 1;
+        let scratch = self
+            .workspace
+            .take(workspace_len(n, LANES.min(self.sources), 1));
+        RoundSweep {
+            model,
+            n,
+            round,
+            scratch: RwLock::new(scratch),
+            claims: Mutex::new(Claims {
+                blocks: self.data.chunks_mut(LANES * n),
+                phase: Phase::NextBlock,
+                in_flight: 0,
+                abandoned: false,
+            }),
+            settled: Condvar::new(),
+        }
+    }
+
     /// Blocked advance; `stats`, when given, has length `sources * rounds`
     /// laid out `[row * rounds + (t - 1)]`.
     fn advance_blocks<M: TransitionModel + ?Sized>(
@@ -504,6 +560,260 @@ impl DistributionEnsemble {
         for rows in self.data.chunks_mut(LANES * n) {
             let block_stats = stats.as_mut().and_then(Iterator::next);
             advance_block(model, n, base_round, rounds, rows, scratch, block_stats);
+        }
+    }
+}
+
+/// One round of a [`DistributionEnsemble`] as shared work
+/// ([`DistributionEnsemble::round_sweep`]).
+///
+/// The round is a sequence of units, claimed in order under one lock.
+/// Each block of [`LANES`] rows starts with one unit that no other unit
+/// overlaps, because the blocks share one scratch buffer: it transposes
+/// the block into the scratch or, for a 1-row block or a model without a
+/// range kernel, advances the whole block.  A transposed block is then cut
+/// into up to 64 destination ranges, handed out as disjoint per-row output
+/// slices, which run at once on whichever threads claim them.  A unit that
+/// panics marks the sweep abandoned and wakes every waiter, so the other
+/// threads stop claiming instead of waiting for it.
+pub struct RoundSweep<'a, M: ?Sized> {
+    model: &'a M,
+    n: usize,
+    /// The absolute round the sweep applies.
+    round: usize,
+    /// The interleaved block: written by a block's first unit, read by its
+    /// ranges.
+    scratch: RwLock<&'a mut [f64]>,
+    claims: Mutex<Claims<'a>>,
+    /// Signalled when a unit others may be waiting for finishes, and when
+    /// the sweep is abandoned.
+    settled: Condvar,
+}
+
+/// The claim state of a [`RoundSweep`].
+struct Claims<'a> {
+    /// Blocks not yet started, [`LANES`] rows each (the last may be
+    /// shorter).
+    blocks: std::slice::ChunksMut<'a, f64>,
+    phase: Phase<'a>,
+    /// Units claimed and not yet finished.
+    in_flight: usize,
+    /// A unit panicked: nothing more is claimed.
+    abandoned: bool,
+}
+
+/// Where a [`RoundSweep`] stands.
+enum Phase<'a> {
+    /// The next unit starts the next block, once no unit is in flight.
+    NextBlock,
+    /// A block's first unit is running.
+    Starting,
+    /// The current block's destination ranges are being handed out.
+    Ranges(Ranges<'a>),
+}
+
+/// One claimed unit of a [`RoundSweep`].
+enum Unit<'a> {
+    /// A block's first unit, over the block's rows.
+    Start(&'a mut [f64]),
+    /// One destination range of the current block.
+    Range(RangeUnit<'a>),
+}
+
+/// A destination range and the rows' slices over it.
+struct RangeUnit<'a> {
+    nodes: Range<usize>,
+    /// `rows[l]` covers `nodes` of the block's row `l`, for `l < lanes`.
+    rows: [&'a mut [f64]; LANES],
+    lanes: usize,
+}
+
+/// The destination ranges of one transposed block, handed out in node
+/// order as disjoint per-row output slices.
+struct Ranges<'a> {
+    /// Per row, the entries not handed out yet.
+    tails: [&'a mut [f64]; LANES],
+    lanes: usize,
+    n: usize,
+    /// Ranges in the block, and how many were handed out.
+    count: usize,
+    taken: usize,
+}
+
+impl<'a> Ranges<'a> {
+    fn new(rows: &'a mut [f64], n: usize) -> Self {
+        let lanes = rows.len() / n;
+        let mut tails: [&'a mut [f64]; LANES] = Default::default();
+        for (tail, row) in tails.iter_mut().zip(rows.chunks_mut(n)) {
+            *tail = row;
+        }
+        Ranges {
+            tails,
+            lanes,
+            n,
+            count: SWEEP_RANGES.min(n),
+            taken: 0,
+        }
+    }
+}
+
+impl<'a> Iterator for Ranges<'a> {
+    type Item = RangeUnit<'a>;
+
+    fn next(&mut self) -> Option<RangeUnit<'a>> {
+        if self.taken == self.count {
+            return None;
+        }
+        // Range `r` covers `r·n/count .. (r+1)·n/count`: never empty, as
+        // `count <= n`.
+        let start = self.taken * self.n / self.count;
+        self.taken += 1;
+        let end = self.taken * self.n / self.count;
+        let mut rows: [&'a mut [f64]; LANES] = Default::default();
+        for (row, tail) in rows.iter_mut().zip(&mut self.tails[..self.lanes]) {
+            let (head, rest) = std::mem::take(tail).split_at_mut(end - start);
+            *row = head;
+            *tail = rest;
+        }
+        Some(RangeUnit {
+            nodes: start..end,
+            rows,
+            lanes: self.lanes,
+        })
+    }
+}
+
+impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
+    /// Claims and runs units until none is left to claim, waiting while
+    /// the next unit depends on one still running elsewhere.  Returns
+    /// `true` on exactly one call per completed sweep: the one that
+    /// finished its last unit (what a caller timing the sweep keys on).
+    pub fn run(&self) -> bool {
+        let mut finished = false;
+        while let Some(unit) = self.claim() {
+            finished |= self.execute(unit);
+        }
+        finished
+    }
+
+    /// Claims and runs one unit, waiting first while the next unit depends
+    /// on one still running elsewhere; `false` when no unit was left to
+    /// claim.  Lets a caller choose which thread runs which unit.
+    pub fn run_unit(&self) -> bool {
+        self.claim().map(|unit| self.execute(unit)).is_some()
+    }
+
+    /// The next unit, or `None` once every unit is claimed or the sweep is
+    /// abandoned.
+    fn claim(&self) -> Option<Unit<'a>> {
+        let mut guard = self.lock();
+        loop {
+            let claims = &mut *guard;
+            if claims.abandoned {
+                return None;
+            }
+            if let Phase::Ranges(ranges) = &mut claims.phase {
+                if let Some(range) = ranges.next() {
+                    claims.in_flight += 1;
+                    return Some(Unit::Range(range));
+                }
+                claims.phase = Phase::NextBlock;
+            }
+            if matches!(claims.phase, Phase::NextBlock) {
+                if claims.blocks.len() == 0 {
+                    return None;
+                }
+                if claims.in_flight == 0 {
+                    claims.phase = Phase::Starting;
+                    claims.in_flight += 1;
+                    return claims.blocks.next().map(Unit::Start);
+                }
+            }
+            // A block's first unit, or the last ranges before the next
+            // block reuses the scratch, are still running.
+            guard = self
+                .settled
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Runs a claimed unit; returns whether it was the sweep's last.
+    fn execute(&self, unit: Unit<'a>) -> bool {
+        let abandon = AbandonOnUnwind(self);
+        let next = match unit {
+            Unit::Start(rows) => Some(self.start_block(rows)),
+            Unit::Range(RangeUnit {
+                nodes,
+                mut rows,
+                lanes,
+            }) => {
+                let scratch = self.scratch.read().unwrap_or_else(PoisonError::into_inner);
+                self.model.propagate_round_interleaved_rows_range(
+                    self.round,
+                    lanes,
+                    &scratch[..lanes * self.n],
+                    nodes,
+                    &mut rows[..lanes],
+                );
+                None
+            }
+        };
+        drop(abandon);
+        let mut claims = self.lock();
+        claims.in_flight -= 1;
+        let wake = next.is_some() || claims.in_flight == 0;
+        if let Some(phase) = next {
+            claims.phase = phase;
+        }
+        let exhausted = match &claims.phase {
+            Phase::NextBlock => true,
+            Phase::Starting => false,
+            Phase::Ranges(ranges) => ranges.taken == ranges.count,
+        };
+        let finished = claims.in_flight == 0 && exhausted && claims.blocks.len() == 0;
+        drop(claims);
+        if wake {
+            self.settled.notify_all();
+        }
+        finished
+    }
+
+    /// A block's first unit: transposes the block for its ranges, or
+    /// advances it whole when it is a single row (whose scatter beats the
+    /// 1-lane pull) or the model has no range kernel.  Returns the phase
+    /// that follows.
+    fn start_block(&self, rows: &'a mut [f64]) -> Phase<'a> {
+        let n = self.n;
+        let lanes = rows.len() / n;
+        let mut scratch = self.scratch.write().unwrap_or_else(PoisonError::into_inner);
+        if lanes > 1 && self.model.has_range_kernel(self.round) {
+            transpose_into(lanes, n, rows, &mut scratch[..lanes * n]);
+            Phase::Ranges(Ranges::new(rows, n))
+        } else {
+            advance_block(self.model, n, self.round, 1, rows, &mut scratch, None);
+            Phase::NextBlock
+        }
+    }
+}
+
+impl<'a, M: ?Sized> RoundSweep<'a, M> {
+    fn lock(&self) -> MutexGuard<'_, Claims<'a>> {
+        // No code under the lock panics; a poisoned lock still holds
+        // consistent claims.
+        self.claims.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Marks its sweep abandoned if the unit it guards unwinds, and wakes
+/// every waiter.
+struct AbandonOnUnwind<'s, 'a, M: ?Sized>(&'s RoundSweep<'a, M>);
+
+impl<M: ?Sized> Drop for AbandonOnUnwind<'_, '_, M> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().abandoned = true;
+            self.0.settled.notify_all();
         }
     }
 }
@@ -686,7 +996,7 @@ mod tests {
     use crate::distribution::PositionDistribution;
     use crate::generators;
     use crate::rng::seeded_rng;
-    use crate::transition::{BlackBoxModel, TransitionMatrix};
+    use crate::transition::{BlackBoxModel, TransitionMatrix, TransitionModel};
     use crate::Graph;
 
     fn irregular_graph(seed: u64) -> Graph {
@@ -837,6 +1147,62 @@ mod tests {
         assert_eq!(stats.support_ratio, dist.support_ratio().unwrap());
         // Degenerate all-zero input falls back to ratio 1.
         assert_eq!(stats_of(&[0.0, 0.0]).support_ratio, 1.0);
+    }
+
+    #[test]
+    fn exactly_one_run_reports_the_finished_sweep() {
+        let g = irregular_graph(7);
+        let t = TransitionMatrix::with_laziness(&g, 0.2).unwrap();
+        for rows in [1usize, 8, 13] {
+            let origins: Vec<usize> = (0..rows).map(|i| i * 11 % 150).collect();
+            let mut serial = DistributionEnsemble::point_masses(150, &origins).unwrap();
+            let mut swept = serial.clone();
+            serial.advance(&t, 1);
+            let sweep = swept.round_sweep(&t);
+            let finished = std::thread::scope(|scope| {
+                let other = scope.spawn(|| sweep.run());
+                let here = sweep.run();
+                [other.join().unwrap(), here]
+            });
+            assert_eq!(finished.iter().filter(|&&f| f).count(), 1, "{rows} rows");
+            assert!(!sweep.run(), "a finished sweep has nothing left");
+            assert_eq!(swept, serial, "{rows} rows");
+        }
+    }
+
+    /// A model without a range kernel whose every step panics.
+    struct Exploding(usize);
+
+    impl TransitionModel for Exploding {
+        fn node_count(&self) -> usize {
+            self.0
+        }
+
+        fn propagate_into(&self, _: &[f64], _: &mut [f64]) {
+            panic!("exploded");
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_abandons_the_sweep_without_stranding_waiters() {
+        // Two blocks with no range kernel: two units, each excluding every
+        // other.  Whichever thread claims the first panics; the other
+        // either waits for it and is woken, or finds the sweep abandoned —
+        // it must return, not hang, and claim nothing.
+        let origins: Vec<usize> = (0..12).collect();
+        let mut ensemble = DistributionEnsemble::point_masses(30, &origins).unwrap();
+        let model = Exploding(30);
+        let sweep = ensemble.round_sweep(&model);
+        let outcomes = std::thread::scope(|scope| {
+            let threads = [scope.spawn(|| sweep.run()), scope.spawn(|| sweep.run())];
+            threads.map(|thread| thread.join())
+        });
+        assert_eq!(
+            outcomes.iter().filter(|outcome| outcome.is_err()).count(),
+            1
+        );
+        assert!(outcomes.iter().any(|outcome| matches!(outcome, Ok(false))));
+        assert!(!sweep.run_unit(), "an abandoned sweep hands out nothing");
     }
 
     /// The single ordered fold `stats_of` replaced, kept as the reference

@@ -18,7 +18,9 @@
 //! * batched evolution of whole *ensembles* of position distributions — one
 //!   per report origin — through a blocked, lane-interleaved kernel behind
 //!   the [`transition::TransitionModel`] trait, enabling exact multi-origin
-//!   accounting on irregular graphs ([`ensemble`]),
+//!   accounting on irregular graphs ([`ensemble`]); one round of it can run
+//!   as shared work split by destination range, beside a persistent
+//!   [`worker`] thread,
 //! * the stationary distribution `k / 2m` and the irregularity measure
 //!   `Γ_G = n · Σ_i π_i²` ([`stationary`], [`degree`]),
 //! * spectral-gap estimation via deflated power iteration ([`spectral`]) and
@@ -60,9 +62,11 @@
 // width and mask, and `propagate_gather8_avx2`, its unmasked 8-lane AVX2
 // form) carry audited `allow(unsafe_code)` blocks — unchecked
 // CSR/neighbour indexing and raw-pointer lane loads justified by
-// construction invariants, plus an x86-64 prefetch hint — and so does the
-// round kernel's prefetch hint (`round::prefetch_read`).  Everything else in
-// the crate stays safe.
+// construction invariants, plus an x86-64 prefetch hint — and so do the
+// round kernel's prefetch hint (`round::prefetch_read`) and the worker's
+// hand-off (`Worker::join`), which erases the lifetime of the job it lends
+// the worker thread and cannot return before the worker is done with it.
+// Everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -87,6 +91,7 @@ pub mod stationary;
 pub mod telemetry;
 pub mod transition;
 pub mod walk;
+pub mod worker;
 
 pub use builder::GraphBuilder;
 pub use error::{GraphError, Result};

@@ -464,7 +464,7 @@ pub struct IntraShardTransition {
     shard_of: Arc<[u32]>,
     laziness: f64,
     /// `available[u]`: can `u` receive this round?  `None` is everyone.
-    available: Option<Vec<bool>>,
+    available: Option<Arc<[bool]>>,
 }
 
 impl IntraShardTransition {
@@ -499,16 +499,21 @@ impl IntraShardTransition {
     /// recipient is dark in `masks[t]` — the exact operator of a sharded
     /// deployment that refuses to cross the cut *and* suffers churn, which
     /// is how `ablation_shard` prices the edge cut under 20% Markov churn.
+    /// Shared masks (`Arc<[bool]>`) are held, not copied.
     ///
     /// # Errors
     ///
     /// [`GraphError::InvalidParameters`] on an empty mask sequence or a
     /// mask whose length differs from the node count.
-    pub fn availability_schedule(&self, masks: &[Vec<bool>]) -> Result<TimeVaryingModel> {
+    pub fn availability_schedule<M>(&self, masks: &[M]) -> Result<TimeVaryingModel>
+    where
+        M: Clone + Into<Arc<[bool]>>,
+    {
         let n = self.node_count();
         let schedule: Vec<DynTransition> = masks
             .iter()
             .map(|mask| {
+                let mask: Arc<[bool]> = mask.clone().into();
                 if mask.len() != n {
                     return Err(GraphError::InvalidParameters(format!(
                         "availability mask has {} entries for {n} nodes",
@@ -519,7 +524,7 @@ impl IntraShardTransition {
                     csr: Arc::clone(&self.csr),
                     shard_of: Arc::clone(&self.shard_of),
                     laziness: self.laziness,
-                    available: Some(mask.clone()),
+                    available: Some(mask),
                 }) as DynTransition)
             })
             .collect::<Result<_>>()?;
@@ -563,6 +568,10 @@ impl TransitionModel for IntraShardTransition {
                 }
             }
         }
+    }
+
+    fn availability(&self) -> Option<&[bool]> {
+        self.available.as_deref()
     }
 }
 
@@ -610,7 +619,7 @@ mod tests {
         }
         // Ragged masks are rejected.
         assert!(base.availability_schedule(&[vec![true; 59]]).is_err());
-        assert!(base.availability_schedule(&[]).is_err());
+        assert!(base.availability_schedule::<Vec<bool>>(&[]).is_err());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::walk::validate_laziness;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A backend that can evolve position distributions by one round.
@@ -142,18 +143,72 @@ pub trait TransitionModel {
             self.propagate_round_into(round, &row_in, out_row);
         }
     }
+
+    /// Whether [`TransitionModel::propagate_round_interleaved_rows_range`]
+    /// computes round `round` for a fraction of the cost of the whole
+    /// block, so a caller may split the round by destination range across
+    /// threads.  The default (`false`) keeps every block one unit of work.
+    fn has_range_kernel(&self, round: usize) -> bool {
+        let _ = round;
+        false
+    }
+
+    /// [`TransitionModel::propagate_round_interleaved_rows`] restricted to
+    /// the destinations `nodes`: `rows[l]` receives entries `nodes` of lane
+    /// `l`'s next state, bitwise what the whole-block call writes there.
+    /// Ranges never interact, so disjoint ranges of one round can run at
+    /// once.  The default steps the whole block into a scratch buffer and
+    /// copies the range out — correct, allocating, never fast; backends
+    /// that say so through [`TransitionModel::has_range_kernel`] override
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have length `lanes * n`, `nodes` does not
+    /// lie within `0..n`, or `rows` is not `lanes` slices of
+    /// `nodes.len()` entries.
+    fn propagate_round_interleaved_rows_range(
+        &self,
+        round: usize,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        rows: &mut [&mut [f64]],
+    ) {
+        let n = self.node_count();
+        assert_eq!(rows.len(), lanes, "one output slice per lane");
+        let mut block = vec![0.0; lanes * n];
+        self.propagate_round_interleaved_rows(round, lanes, input, &mut block);
+        for (row, next) in rows.iter_mut().zip(block.chunks(n)) {
+            row.copy_from_slice(&next[nodes.clone()]);
+        }
+    }
+
+    /// The availability mask this operator routes around, when it applies
+    /// a single one; `None` for operators that deliver to everyone (the
+    /// default) and for schedules, whose mask changes by round (ask their
+    /// per-round operator).
+    fn availability(&self) -> Option<&[bool]> {
+        None
+    }
 }
 
 /// Where a fused pull kernel stores the lanes it accumulated for one node.
-enum LaneOut<'a> {
+enum LaneOut<'a, 'r> {
     /// The input's interleaved layout: lane `l` of node `j` at
     /// `out[j * lanes + l]`.
     Interleaved(&'a mut [f64]),
     /// Row-major: lane `l` of node `j` at `out[l * n + j]`.
     Rows(&'a mut [f64]),
+    /// One slice per lane covering destinations `start..`: lane `l` of
+    /// node `j` at `rows[l][j - start]`.
+    Ranges {
+        rows: &'a mut [&'r mut [f64]],
+        start: usize,
+    },
 }
 
-impl LaneOut<'_> {
+impl LaneOut<'_, '_> {
     /// Stores lanes `offset..offset + L` of node `j`.
     #[inline(always)]
     fn put<const L: usize>(
@@ -172,6 +227,11 @@ impl LaneOut<'_> {
             LaneOut::Rows(out) => {
                 for (lane, &value) in acc.iter().enumerate() {
                     out[(offset + lane) * n + j] = value;
+                }
+            }
+            LaneOut::Ranges { rows, start } => {
+                for (row, &value) in rows[offset..offset + L].iter_mut().zip(acc) {
+                    row[j - *start] = value;
                 }
             }
         }
@@ -310,7 +370,9 @@ pub struct TransitionMatrix {
     /// Probability of staying put in one round (0 for the simple walk).
     laziness: f64,
     /// `available[u]`: can `u` receive this round?  `None` is everyone.
-    available: Option<Vec<bool>>,
+    /// Shared, so a schedule's per-round operators hold its masks rather
+    /// than copies.
+    available: Option<Arc<[bool]>>,
 }
 
 impl TransitionMatrix {
@@ -354,11 +416,12 @@ impl TransitionMatrix {
     /// * [`GraphError::InvalidParameters`] if `laziness ∉ [0, 1)` or the
     ///   mask length differs from the node count.
     pub fn masked(graph: &Graph, available: Vec<bool>, laziness: f64) -> Result<Self> {
-        Self::over(WalkCsr::of(graph)?, available, laziness)
+        Self::over(WalkCsr::of(graph)?, available.into(), laziness)
     }
 
-    /// A masked operator over an already-validated shared CSR.
-    pub(crate) fn over(csr: Arc<WalkCsr>, available: Vec<bool>, laziness: f64) -> Result<Self> {
+    /// A masked operator over an already-validated shared CSR, holding the
+    /// shared mask itself.
+    pub(crate) fn over(csr: Arc<WalkCsr>, available: Arc<[bool]>, laziness: f64) -> Result<Self> {
         validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
         let n = csr.node_count();
         if available.len() != n {
@@ -500,15 +563,29 @@ impl TransitionMatrix {
     /// callers have checked that the buffers hold `lanes * n` f64s, which
     /// the pull kernels' unchecked loads rely on.  A 1-lane block is the
     /// row layout, so it runs the scatter; wider blocks run the pull
-    /// kernel, masked or not as the operator is.
-    fn propagate_lanes(&self, lanes: usize, input: &[f64], mut out: LaneOut<'_>) {
-        if lanes == 1 {
-            let (LaneOut::Interleaved(output) | LaneOut::Rows(output)) = out;
-            return self.propagate_into(input, output);
+    /// kernel.
+    fn propagate_lanes(&self, lanes: usize, input: &[f64], out: LaneOut<'_, '_>) {
+        match out {
+            LaneOut::Interleaved(output) | LaneOut::Rows(output) if lanes == 1 => {
+                self.propagate_into(input, output)
+            }
+            out => self.pull_range(lanes, input, 0..self.node_count(), out),
         }
+    }
+
+    /// Pulls destinations `nodes` of every lane, masked or not as the
+    /// operator is.  The caller has checked that `input` holds `lanes * n`
+    /// f64s and that `nodes` lies within `0..n`.
+    fn pull_range(
+        &self,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        mut out: LaneOut<'_, '_>,
+    ) {
         match self.available {
-            None => self.pull_runs::<false>(lanes, input, &mut out),
-            Some(_) => self.pull_runs::<true>(lanes, input, &mut out),
+            None => self.pull_runs::<false>(lanes, input, nodes, &mut out),
+            Some(_) => self.pull_runs::<true>(lanes, input, nodes, &mut out),
         }
     }
 
@@ -518,27 +595,35 @@ impl TransitionMatrix {
     /// vectorize the per-edge loop (8 lanes of f64 = one cache line per
     /// gathered share).  Unmasked 8-lane runs take the AVX2 body on hosts
     /// that have it.  The arithmetic is identical in every arm.
-    fn pull_runs<const MASKED: bool>(&self, lanes: usize, input: &[f64], out: &mut LaneOut<'_>) {
+    fn pull_runs<const MASKED: bool>(
+        &self,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        out: &mut LaneOut<'_, '_>,
+    ) {
         for (offset, width) in lane_runs(lanes) {
+            let nodes = nodes.clone();
             match width {
                 8 => {
                     #[cfg(target_arch = "x86_64")]
                     if !MASKED && std::arch::is_x86_feature_detected!("avx2") {
                         // SAFETY: AVX2 was just checked, `lane_runs` keeps
                         // `offset + 8 <= lanes`, and the callers of
-                        // `propagate_lanes` checked that `input` holds
-                        // `n * lanes` f64s.
+                        // `pull_range` checked that `input` holds
+                        // `n * lanes` f64s and that `nodes` lies within
+                        // `0..n`.
                         #[allow(unsafe_code)]
                         unsafe {
-                            self.propagate_gather8_avx2(lanes, offset, input, out);
+                            self.propagate_gather8_avx2(lanes, offset, input, nodes, out);
                         }
                         continue;
                     }
-                    self.pull::<8, MASKED>(lanes, offset, input, out)
+                    self.pull::<8, MASKED>(lanes, offset, input, nodes, out)
                 }
-                4 => self.pull::<4, MASKED>(lanes, offset, input, out),
-                2 => self.pull::<2, MASKED>(lanes, offset, input, out),
-                _ => self.pull::<1, MASKED>(lanes, offset, input, out),
+                4 => self.pull::<4, MASKED>(lanes, offset, input, nodes, out),
+                2 => self.pull::<2, MASKED>(lanes, offset, input, nodes, out),
+                _ => self.pull::<1, MASKED>(lanes, offset, input, nodes, out),
             }
         }
     }
@@ -554,10 +639,10 @@ impl TransitionMatrix {
     ///
     /// # Safety
     ///
-    /// The host must support AVX2, `offset + 8 <= lanes`, and `input` must
-    /// hold `n * lanes` f64s; the loads also rely on the CSR's construction
-    /// invariants (every neighbour id is `< n`, `inv_degree` has `n`
-    /// entries).
+    /// The host must support AVX2, `offset + 8 <= lanes`, `input` must
+    /// hold `n * lanes` f64s and `nodes` must lie within `0..n`; the loads
+    /// also rely on the CSR's construction invariants (every neighbour id
+    /// is `< n`, `inv_degree` has `n` entries).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(unsafe_code)]
@@ -566,7 +651,8 @@ impl TransitionMatrix {
         lanes: usize,
         offset: usize,
         input: &[f64],
-        out: &mut LaneOut<'_>,
+        nodes: Range<usize>,
+        out: &mut LaneOut<'_, '_>,
     ) {
         use std::arch::x86_64::*;
         const PREFETCH_DISTANCE: usize = 8;
@@ -577,7 +663,7 @@ impl TransitionMatrix {
         let in_ptr = input.as_ptr();
         let edge_count = csr.neighbors.len();
         let mut acc = [0.0f64; 8];
-        for j in 0..n {
+        for j in nodes {
             let base = j * lanes + offset;
             let in_j0 = _mm256_loadu_pd(in_ptr.add(base));
             let in_j1 = _mm256_loadu_pd(in_ptr.add(base + 4));
@@ -618,8 +704,9 @@ impl TransitionMatrix {
         }
     }
 
-    /// The portable pull kernel: lanes `offset..offset + L` of an
-    /// interleaved block `lanes` wide, under the mask when `MASKED`.
+    /// The portable pull kernel: lanes `offset..offset + L` of the
+    /// destinations `nodes` of an interleaved block `lanes` wide, under the
+    /// mask when `MASKED`.
     ///
     /// Instead of scattering each node's share to its neighbours (a random
     /// read-for-ownership per edge, whose miss latency serializes the
@@ -645,14 +732,15 @@ impl TransitionMatrix {
     /// costs more than the arithmetic.  They rely on construction
     /// invariants: every neighbour id is `< n`, `inv_degree` has `n`
     /// entries, `offset + L <= lanes`, and the dispatcher asserted the
-    /// input holds `n * lanes` f64s.
+    /// input holds `n * lanes` f64s and `nodes` lies within `0..n`.
     #[allow(unsafe_code)]
     fn pull<const L: usize, const MASKED: bool>(
         &self,
         lanes: usize,
         offset: usize,
         input: &[f64],
-        out: &mut LaneOut<'_>,
+        nodes: Range<usize>,
+        out: &mut LaneOut<'_, '_>,
     ) {
         // How many edges ahead source lines are prefetched.  The masked
         // form looks twice as far, which measured faster at 1M nodes (its
@@ -664,7 +752,7 @@ impl TransitionMatrix {
         let move_factor = 1.0 - self.laziness;
         let in_ptr = input.as_ptr();
         let edge_count = csr.neighbors.len();
-        for j in 0..n {
+        for j in nodes {
             let base = j * lanes + offset;
             let own: &[f64; L] = input[base..base + L].try_into().expect("lane width");
             let mut stay = [0.0f64; L];
@@ -768,6 +856,40 @@ impl TransitionModel for TransitionMatrix {
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
         assert_eq!(output.len(), lanes * n, "output block has wrong length");
         self.propagate_lanes(lanes, input, LaneOut::Rows(output));
+    }
+
+    fn has_range_kernel(&self, _round: usize) -> bool {
+        true
+    }
+
+    /// Runs the pull kernel over `nodes` only — for every lane count,
+    /// since a single lane's range cannot take the scatter, which writes
+    /// anywhere.
+    fn propagate_round_interleaved_rows_range(
+        &self,
+        _round: usize,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        rows: &mut [&mut [f64]],
+    ) {
+        let n = self.node_count();
+        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
+        assert!(
+            nodes.start <= nodes.end && nodes.end <= n,
+            "destinations {nodes:?} outside 0..{n}"
+        );
+        assert_eq!(rows.len(), lanes, "one output slice per lane");
+        assert!(
+            rows.iter().all(|row| row.len() == nodes.len()),
+            "output slices must cover the destinations exactly"
+        );
+        let start = nodes.start;
+        self.pull_range(lanes, input, nodes, LaneOut::Ranges { rows, start });
+    }
+
+    fn availability(&self) -> Option<&[bool]> {
+        TransitionMatrix::availability(self)
     }
 }
 

@@ -10,11 +10,15 @@ use common::strategies;
 use network_shuffle::prelude::*;
 use ns_graph::connectivity::largest_connected_component;
 use ns_graph::distribution::PositionDistribution;
+use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::{self, DistributionEnsemble};
 use ns_graph::rng::seeded_rng;
-use ns_graph::transition::TransitionMatrix;
-use ns_graph::Graph;
+use ns_graph::transition::{TransitionMatrix, TransitionModel};
+use ns_graph::worker::Worker;
+use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
+use rand::Rng;
+use std::sync::{Condvar, Mutex};
 
 /// A small zoo of connected, non-bipartite irregular graphs.
 fn irregular_zoo() -> Vec<(&'static str, Graph)> {
@@ -372,6 +376,149 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
                                 .all(|(a, b)| a.to_bits() == b.to_bits()),
                             "{context}: checkpoint rows diverged at round {round}"
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Which thread of a two-thread round sweep runs which unit.
+#[derive(Debug, Clone, Copy)]
+enum Interleaving {
+    /// The worker runs every unit; the caller arrives once it is done.
+    WorkerOnly,
+    /// The worker runs the first unit (the first block's transpose, or a
+    /// 1-row block whole); the caller runs every unit after it.
+    CallerAfterFirst,
+    /// The two take turns, one unit each, the worker first.
+    Alternate,
+}
+
+/// Whose turn it is: the worker's (`false`) or the caller's (`true`).
+struct Baton {
+    turn: Mutex<bool>,
+    passed: Condvar,
+}
+
+impl Baton {
+    const WORKER: bool = false;
+    const CALLER: bool = true;
+
+    fn wait_for(&self, side: bool) {
+        let turn = self.turn.lock().unwrap();
+        drop(self.passed.wait_while(turn, |turn| *turn != side).unwrap());
+    }
+
+    fn pass_to(&self, side: bool) {
+        *self.turn.lock().unwrap() = side;
+        self.passed.notify_all();
+    }
+
+    /// Takes turns with the other side, one unit per turn, until no unit
+    /// is left.
+    fn alternate(&self, side: bool, sweep: impl Fn() -> bool) {
+        loop {
+            self.wait_for(side);
+            let ran = sweep();
+            self.pass_to(!side);
+            if !ran {
+                return;
+            }
+        }
+    }
+}
+
+/// Sweeps one round of `ensemble` under `model` on `worker` and this
+/// thread, forcing `order` through a baton — never a sleep.
+fn swept_round(
+    worker: &mut Worker,
+    ensemble: &mut DistributionEnsemble,
+    model: &(dyn TransitionModel + Sync),
+    order: Interleaving,
+) {
+    let baton = Baton {
+        turn: Mutex::new(Baton::WORKER),
+        passed: Condvar::new(),
+    };
+    let sweep = ensemble.round_sweep(model);
+    let job = || match order {
+        Interleaving::WorkerOnly => {
+            assert!(sweep.run(), "the worker ran the last unit");
+            baton.pass_to(Baton::CALLER);
+        }
+        Interleaving::CallerAfterFirst => {
+            assert!(sweep.run_unit());
+            baton.pass_to(Baton::CALLER);
+        }
+        Interleaving::Alternate => baton.alternate(Baton::WORKER, || sweep.run_unit()),
+    };
+    worker.join(&job, || match order {
+        Interleaving::WorkerOnly => {
+            baton.wait_for(Baton::CALLER);
+            assert!(!sweep.run_unit(), "the worker left a unit");
+        }
+        Interleaving::CallerAfterFirst => {
+            baton.wait_for(Baton::CALLER);
+            sweep.run();
+        }
+        Interleaving::Alternate => baton.alternate(Baton::CALLER, || sweep.run_unit()),
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One round swept by two threads — the worker and the caller, in each
+    /// forced interleaving — leaves every row bitwise where the serial
+    /// `advance(model, 1)` does: over the graph zoo, masked (a scheduled
+    /// model at round 2) and unmasked, laziness 0 and 0.3, and 1..=17 rows,
+    /// i.e. every lane run of 8, 4, 2 and 1 and up to three blocks.
+    #[test]
+    fn shared_sweeps_are_bitwise_the_serial_round_in_every_interleaving(
+        graph in strategies::graph_zoo(20..90),
+        seed in 0u64..1_000,
+    ) {
+        let n = graph.node_count();
+        prop_assume!(n >= 4 && graph.find_isolated_node().is_none());
+        let mut rng = seeded_rng(seed);
+        let mut worker = Worker::start("sweep-test").unwrap();
+        for laziness in [0.0, 0.3] {
+            let masks: Vec<Vec<bool>> = (0..3)
+                .map(|_| (0..n).map(|_| rng.gen::<f64>() >= 0.3).collect())
+                .collect();
+            let masked = TimeVaryingModel::from_availability(&graph, laziness, &masks).unwrap();
+            let unmasked = TransitionMatrix::with_laziness(&graph, laziness).unwrap();
+            let models: [(&str, &(dyn TransitionModel + Sync)); 2] =
+                [("unmasked", &unmasked), ("masked", &masked)];
+            for (name, model) in models {
+                for rows in 1..=17 {
+                    let origins: Vec<NodeId> = (0..rows).map(|_| rng.gen_range(0..n)).collect();
+                    // Two serial rounds first, so every row is spread out.
+                    let mut start = DistributionEnsemble::point_masses(n, &origins).unwrap();
+                    start.advance(model, 2);
+                    let mut serial = start.clone();
+                    serial.advance(model, 1);
+                    for order in [
+                        Interleaving::WorkerOnly,
+                        Interleaving::CallerAfterFirst,
+                        Interleaving::Alternate,
+                    ] {
+                        let mut swept = start.clone();
+                        swept_round(&mut worker, &mut swept, model, order);
+                        prop_assert_eq!(swept.time(), serial.time());
+                        for row in 0..rows {
+                            let same = swept
+                                .row(row)
+                                .iter()
+                                .zip(serial.row(row))
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            prop_assert!(
+                                same,
+                                "{} {:?}, laziness {}, {} rows: row {} diverged",
+                                name, order, laziness, rows, row
+                            );
+                        }
                     }
                 }
             }
