@@ -70,9 +70,9 @@ fn blocked_ensemble(transition: &TransitionMatrix, origins: &[usize], rounds: us
     let n = transition.node_count();
     let mut ensemble = DistributionEnsemble::point_masses(n, origins).expect("ensemble");
     ensemble.advance(transition, rounds);
-    (0..ensemble.sources())
-        .map(|row| ensemble.row_stats(row).sum_of_squares)
-        .sum()
+    let mut stats = Vec::new();
+    ensemble.stats_into(&mut stats);
+    stats.iter().map(|stats| stats.sum_of_squares).sum()
 }
 
 fn bench_kernels(c: &mut Criterion) {

@@ -63,8 +63,10 @@ fn main() {
     let epsilon_profile = |ensemble: &DistributionEnsemble| -> (f64, f64) {
         let mut worst = f64::NEG_INFINITY;
         let mut total = 0.0;
-        for row in 0..ensemble.sources() {
-            let eps = single_protocol_epsilon(&params, ensemble.row_stats(row).sum_of_squares)
+        let mut stats = Vec::new();
+        ensemble.stats_into(&mut stats);
+        for row in &stats {
+            let eps = single_protocol_epsilon(&params, row.sum_of_squares)
                 .expect("moments in domain")
                 .epsilon;
             worst = worst.max(eps);

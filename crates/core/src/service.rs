@@ -20,13 +20,15 @@
 //!    deterministic streams, traffic metrics streaming into a
 //!    [`TrafficRecorder`], while the streaming accountant advances its
 //!    tracked distributions by one round as shared work
-//!    ([`ns_graph::ensemble::RoundSweep`]): a persistent worker thread
-//!    starts the sweep during the engine step, and the calling thread
-//!    joins it, destination range by destination range, once its step
-//!    returns.  The engine never reads the accountant, every round's
-//!    operator is fixed before round 0, and every destination's adds keep
-//!    their order whichever thread runs them, so the round is bitwise the
-//!    serial step-then-advance.
+//!    ([`ns_graph::ensemble::RoundSweep`]).  The sweep reads the old rows
+//!    from one buffer and writes the new ones into the other, so its units
+//!    (destination ranges of a multi-row block, or a whole 1-row block)
+//!    never wait for each other: a persistent worker thread starts claiming
+//!    them during the engine step, and the calling thread claims the rest
+//!    once its step returns.  The engine never reads the accountant, every
+//!    round's operator is fixed before round 0, and every destination's
+//!    adds keep their order whichever thread runs them, so the round is
+//!    bitwise the serial step-then-advance.
 //! 3. **Quotes & gating** — [`ShuffleCoordinator::live_quote`] returns the
 //!    worst tracked user's current guarantee without stopping the run, in
 //!    O(tracked rows): each advance re-folds every tracked row's moments
@@ -197,7 +199,8 @@ pub struct StreamingAccountant {
     shard_starts: Vec<usize>,
     /// Row `r` is the exact position distribution of `origins[r]`'s report.
     ensemble: DistributionEnsemble,
-    /// `moments[r]` is `ensemble.row_stats(r)`, re-folded whenever the rows
+    /// `moments[r]` is row `r`'s [`RowStats`], re-folded (one pass per
+    /// block, [`DistributionEnsemble::stats_into`]) whenever the rows
     /// change, so a quote reads O(tracked rows) values instead of folding
     /// every row over all `n` users.
     moments: Vec<RowStats>,
@@ -319,10 +322,7 @@ impl StreamingAccountant {
     /// With the row count unchanged (every advance) the cache is rewritten
     /// in place, without allocating.
     fn refresh_moments(&mut self) {
-        let ensemble = &self.ensemble;
-        self.moments.clear();
-        self.moments
-            .extend((0..ensemble.sources()).map(|row| ensemble.row_stats(row)));
+        self.ensemble.stats_into(&mut self.moments);
     }
 
     /// Attaches (or detaches, with `None`) the accountant's phase timers
@@ -493,19 +493,15 @@ impl StreamingAccountant {
     /// Never today: the accountant is always at a round boundary.  The
     /// `Result` keeps the signature its callers propagate.
     pub fn checkpoint(&self) -> Result<AccountantCheckpoint> {
+        let rows = self.ensemble.row_groups(&self.shard_starts);
         Ok(AccountantCheckpoint {
             round: self.round,
-            shards: (0..self.shard_count())
-                .map(|shard| {
-                    let rows = self.shard_rows(shard);
-                    let mut flat = Vec::with_capacity(rows.len() * self.ensemble.node_count());
-                    for row in rows.clone() {
-                        flat.extend_from_slice(self.ensemble.row(row));
-                    }
-                    AccountantShardCheckpoint {
-                        origins: self.origins[rows].to_vec(),
-                        rows: flat,
-                    }
+            shards: rows
+                .into_iter()
+                .enumerate()
+                .map(|(shard, rows)| AccountantShardCheckpoint {
+                    origins: self.origins[self.shard_rows(shard)].to_vec(),
+                    rows,
                 })
                 .collect(),
         })
@@ -588,7 +584,7 @@ impl StreamingAccountant {
         }
         let mut origins = Vec::new();
         let mut shard_starts = vec![0];
-        let mut flat = Vec::with_capacity(checkpoint.shards.iter().map(|s| s.rows.len()).sum());
+        let mut rows: Vec<&[f64]> = Vec::new();
         for (s, shard_cp) in checkpoint.shards.iter().enumerate() {
             if shard_cp.origins.is_empty() || shard_cp.rows.len() != shard_cp.origins.len() * n {
                 return Err(Error::InvalidConfiguration(format!(
@@ -606,9 +602,10 @@ impl StreamingAccountant {
             }
             origins.extend_from_slice(&shard_cp.origins);
             shard_starts.push(origins.len());
-            flat.extend_from_slice(&shard_cp.rows);
+            // `n > 0`: the shard has an origin below it.
+            rows.extend(shard_cp.rows.chunks_exact(n));
         }
-        let ensemble = DistributionEnsemble::from_rows_at(origins.len(), flat, checkpoint.round)?;
+        let ensemble = DistributionEnsemble::from_rows_at(&rows, checkpoint.round)?;
         Ok((origins, shard_starts, ensemble))
     }
 
@@ -1682,13 +1679,13 @@ mod tests {
             true
         }
 
-        fn propagate_round_interleaved_rows_range(
+        fn propagate_round_interleaved_range(
             &self,
             round: usize,
             lanes: usize,
             input: &[f64],
             nodes: std::ops::Range<usize>,
-            rows: &mut [&mut [f64]],
+            out: &mut [f64],
         ) {
             let side = if std::thread::current().name() == Some("ns-accountant") {
                 ON_EXIT.with(|slot| {
@@ -1718,7 +1715,7 @@ mod tests {
             state.in_range += 1;
             drop(self.changed.wait_while(state, |s| !s.sprung).unwrap());
             self.inner
-                .propagate_round_interleaved_rows_range(round, lanes, input, nodes, rows);
+                .propagate_round_interleaved_range(round, lanes, input, nodes, out);
             let mut state = self.state.lock().unwrap();
             state.in_range -= 1;
             state.finished_elsewhere += 1;
@@ -1755,9 +1752,10 @@ mod tests {
                 state.in_range, 0,
                 "{target:?}: the panic resumed while a range was still running"
             );
-            // The other side finished the range it held when the trap
-            // sprang (and perhaps more, before it saw the abandonment).
-            assert!(state.finished_elsewhere >= 1, "{target:?}");
+            // No range waits for another, so the other side finished every
+            // range but the one that panicked (one range per node on this
+            // 40-node graph).
+            assert_eq!(state.finished_elsewhere, g.node_count() - 1, "{target:?}");
             drop(state);
             assert!(
                 !worker_exited.load(Ordering::SeqCst),

@@ -402,10 +402,6 @@ impl TransitionModel for TimeVaryingModel {
         self.propagate_round_into(0, p, out);
     }
 
-    fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
-        self.propagate_round_interleaved(0, lanes, input, output);
-    }
-
     fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
         self.operator(round).propagate_into(p, out);
     }
@@ -418,34 +414,23 @@ impl TransitionModel for TimeVaryingModel {
         output: &mut [f64],
     ) {
         self.operator(round)
-            .propagate_interleaved(lanes, input, output);
-    }
-
-    fn propagate_round_interleaved_rows(
-        &self,
-        round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-    ) {
-        self.operator(round)
-            .propagate_round_interleaved_rows(0, lanes, input, output);
+            .propagate_round_interleaved(0, lanes, input, output);
     }
 
     fn has_range_kernel(&self, round: usize) -> bool {
         self.operator(round).has_range_kernel(0)
     }
 
-    fn propagate_round_interleaved_rows_range(
+    fn propagate_round_interleaved_range(
         &self,
         round: usize,
         lanes: usize,
         input: &[f64],
         nodes: Range<usize>,
-        rows: &mut [&mut [f64]],
+        out: &mut [f64],
     ) {
         self.operator(round)
-            .propagate_round_interleaved_rows_range(0, lanes, input, nodes, rows);
+            .propagate_round_interleaved_range(0, lanes, input, nodes, out);
     }
 }
 
@@ -569,12 +554,12 @@ mod tests {
         ensemble.advance(&schedule, 2);
         let step1 = m_path.propagate(&[1.0, 0.0, 0.0]);
         let expected = m_tri.propagate(&step1);
-        assert_eq!(ensemble.row(0), expected.as_slice());
+        assert_eq!(ensemble.row_groups(&[0, 1]).concat(), expected);
         // Hold semantics: round 2 keeps applying the triangle operator.
         let mut held = DistributionEnsemble::point_masses(3, &[0]).unwrap();
         held.advance(&schedule, 3);
         let expected3 = m_tri.propagate(&expected);
-        assert_eq!(held.row(0), expected3.as_slice());
+        assert_eq!(held.row_groups(&[0, 1]).concat(), expected3);
         // Cycle semantics wrap back to the path operator.
         let cycling = TimeVaryingModel::cycling(vec![
             Arc::new(m_path.clone()) as DynTransition,
@@ -584,7 +569,7 @@ mod tests {
         let mut cycled = DistributionEnsemble::point_masses(3, &[0]).unwrap();
         cycled.advance(&cycling, 3);
         let expected_cycle = m_path.propagate(&expected);
-        assert_eq!(cycled.row(0), expected_cycle.as_slice());
+        assert_eq!(cycled.row_groups(&[0, 1]).concat(), expected_cycle);
     }
 
     #[test]
@@ -610,7 +595,7 @@ mod tests {
         // Round 0 is the plain walk; round 1 routes around the blackout.
         let mut ensemble = DistributionEnsemble::point_masses(n, &[n - 1]).unwrap();
         ensemble.advance(&model, 2);
-        let sum: f64 = ensemble.row(0).iter().sum();
+        let sum: f64 = ensemble.row_groups(&[0, 1]).concat().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 }

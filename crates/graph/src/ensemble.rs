@@ -8,37 +8,40 @@
 //! question — "what guarantee does user `o` actually get?" — requires
 //! evolving many distributions at once.
 //!
-//! [`DistributionEnsemble`] stores `sources` distributions as one flat
-//! row-major `sources × n` buffer and advances all of them with a blocked
-//! kernel: rows are processed [`LANES`] at a time, transposed (tiled) into
-//! an interleaved `n × lanes` scratch block, and evolved by
-//! [`TransitionModel::propagate_round_interleaved`], the last round writing
-//! row-major straight back into the rows
-//! ([`TransitionModel::propagate_round_interleaved_rows`]).  A one-round
-//! advance therefore needs a single scratch block, and the ensemble keeps
-//! it across calls, so a caller taking one round per call allocates nothing
-//! after its first.  For the CSR-backed
-//! [`crate::transition::TransitionMatrix`] this streams the offsets/neighbour
-//! arrays once per block instead of once per origin and turns the scattered
-//! per-edge updates into contiguous `lanes`-wide gathers, which is where the
-//! multi-× speedup over a naive per-origin `propagate` loop comes from
-//! (`crates/bench/benches/ensemble.rs`).
+//! [`DistributionEnsemble`] stores `sources` distributions in the layout its
+//! kernel reads and writes: rows `8b..8b + lanes` form block `b`, one
+//! interleaved `n × lanes` block in which entry `i` of the block's lane `l`
+//! sits at `i · lanes + l` (a 1-row block is its row).  A round is one call
+//! of [`TransitionModel::propagate_round_interleaved`] per block, from the
+//! block into a second buffer, with no transposes.  For the CSR-backed
+//! [`crate::transition::TransitionMatrix`] this streams the
+//! offsets/neighbour arrays once per block instead of once per origin and
+//! turns the scattered per-edge updates into contiguous `lanes`-wide
+//! gathers, which is where the multi-× speedup over a naive per-origin
+//! `propagate` loop comes from (`crates/bench/benches/ensemble.rs`).  The
+//! ensemble keeps the second buffer across calls, so a caller taking one
+//! round per call allocates nothing after its first.  Row-major rows exist
+//! only at the boundary: [`DistributionEnsemble::from_rows`] transposes rows
+//! in, [`DistributionEnsemble::row_groups`] (and
+//! [`DistributionEnsemble::into_flat`]) copy them out, and
+//! [`DistributionEnsemble::stats_into`] folds every block's lanes in one
+//! pass.
 //!
 //! Every lane reproduces the single-distribution update **bit for bit** (see
-//! `TransitionModel::propagate_interleaved`'s contract), so
+//! [`TransitionModel::propagate_round_interleaved`]'s contract), so
 //! [`crate::distribution::PositionDistribution`] is a thin view over a 1-row
 //! ensemble and exact multi-origin accounting agrees with the historical
-//! single-origin route exactly.  Blocks run one after another and never
-//! interact.
+//! single-origin route exactly.  Blocks never interact.
 //!
 //! One round can also run as shared work
-//! ([`DistributionEnsemble::round_sweep`]): each block is transposed once
-//! and then, when the model has a destination-range kernel
-//! ([`TransitionModel::has_range_kernel`]), split into 64 near-equal
-//! destination ranges that any thread calling [`RoundSweep::run`] claims in
-//! turn.  Every destination's adds keep their order and their code
-//! whichever thread runs its range, so the rows are bitwise the serial
-//! advance.
+//! ([`DistributionEnsemble::round_sweep`]): the old state is read from one
+//! buffer and the new one written to the other, so the round splits into
+//! independent units — 64 near-equal destination ranges per multi-lane
+//! block when the model has a destination-range kernel
+//! ([`TransitionModel::has_range_kernel`]), else whole blocks — that any
+//! thread calling [`RoundSweep::run`] claims in turn.  Every destination's
+//! adds keep their order and their code whichever thread runs its unit, so
+//! the rows are bitwise the serial advance.
 //!
 //! The module also provides bounded-memory drivers over *all* `n` origins
 //! ([`all_origin_moments`], [`all_origin_trajectories`]): the full ensemble
@@ -50,8 +53,10 @@ use crate::error::{GraphError, Result};
 use crate::graph::NodeId;
 use crate::transition::TransitionModel;
 use serde::{Deserialize, Serialize};
+use std::iter::Zip;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::slice::{Chunks, ChunksMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Rows per kernel block: 8 lanes × 8-byte f64 = one 64-byte cache line per
 /// delivered share.
@@ -60,7 +65,7 @@ pub const LANES: usize = 8;
 /// Per-buffer memory target of the streaming all-origin drivers, in bytes.
 const BATCH_TARGET_BYTES: usize = 64 << 20;
 
-/// Destination ranges each interleaved block of a [`RoundSweep`] is split
+/// Destination ranges each multi-lane block of a [`RoundSweep`] is split
 /// into (one per node on graphs with fewer nodes): enough that threads
 /// claiming them in turn finish within one small range of each other.
 const SWEEP_RANGES: usize = 64;
@@ -99,83 +104,107 @@ impl RowStats {
     }
 }
 
-/// Independent chains the max and min-positive folds are split across.
+/// Independent chains a 1-lane block's max and min-positive folds are split
+/// across.
 const CHAINS: usize = 4;
 
-/// The running fold behind [`RowStats`]: `Σx²` as one chain in index order,
-/// the max and the min over positive entries as [`CHAINS`] independent
-/// chains (entry `i` feeds chain `i % CHAINS`) merged at the end.
+/// The running fold behind [`RowStats`] over the `L` lanes of an
+/// interleaved block: per lane, `Σx²` as one chain in node order, and the
+/// max and the min over positive entries as `C` independent chains (node `i`
+/// feeds chain `i % C`) merged at the end.
 ///
-/// The split chains are bitwise the single ordered fold: `f64::max`
-/// ignores NaN, so the max of the non-NaN entries is the same value in any
-/// order up to the sign of a zero; the min skips every non-positive entry,
-/// so it has no signed zeros; and a zero max means no entry is positive,
-/// where the support ratio is 1 whatever the zero's sign.
-struct Moments {
-    sum_of_squares: f64,
-    max: [f64; CHAINS],
-    min_positive: [f64; CHAINS],
+/// Every form is bitwise the single ordered fold of each lane: `Σx²` keeps
+/// its order; `f64::max` ignores NaN, so the max of the non-NaN entries is
+/// the same value in any order up to the sign of a zero; the min skips
+/// every non-positive entry, so it has no signed zeros; and a zero max
+/// means no entry is positive, where the support ratio is 1 whatever the
+/// zero's sign.  A 1-lane block splits its max and min over [`CHAINS`]
+/// chains so they do not serialize; wider blocks get that parallelism from
+/// their lanes and keep one chain each.
+struct Moments<const L: usize, const C: usize> {
+    sum_of_squares: [f64; L],
+    max: [[f64; L]; C],
+    min_positive: [[f64; L]; C],
 }
 
-impl Moments {
+impl<const L: usize, const C: usize> Moments<L, C> {
     fn new() -> Self {
         Moments {
-            sum_of_squares: 0.0,
-            max: [f64::NAN; CHAINS],
-            min_positive: [f64::INFINITY; CHAINS],
+            sum_of_squares: [0.0; L],
+            max: [[f64::NAN; L]; C],
+            min_positive: [[f64::INFINITY; L]; C],
         }
     }
 
+    /// Folds one node's `L` lanes into chain `chain`.
     #[inline(always)]
-    fn push(&mut self, chain: usize, x: f64) {
-        self.sum_of_squares += x * x;
-        self.max[chain] = self.max[chain].max(x);
-        if x > 0.0 {
-            self.min_positive[chain] = self.min_positive[chain].min(x);
+    fn push(&mut self, chain: usize, node: &[f64]) {
+        for (lane, &x) in node[..L].iter().enumerate() {
+            self.sum_of_squares[lane] += x * x;
+            self.max[chain][lane] = self.max[chain][lane].max(x);
+            if x > 0.0 {
+                self.min_positive[chain][lane] = self.min_positive[chain][lane].min(x);
+            }
         }
     }
 
-    fn finish(self) -> RowStats {
-        let max = self.max.into_iter().fold(f64::NAN, f64::max);
-        let min_nonzero = self.min_positive.into_iter().fold(f64::INFINITY, f64::min);
-        let support_ratio = if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
-            1.0
-        } else {
-            max / min_nonzero
-        };
-        RowStats {
-            sum_of_squares: self.sum_of_squares,
-            support_ratio,
+    fn finish(self, out: &mut [RowStats]) {
+        for (lane, stats) in out.iter_mut().enumerate() {
+            let max = self.max.iter().map(|m| m[lane]).fold(f64::NAN, f64::max);
+            let min_nonzero = self
+                .min_positive
+                .iter()
+                .map(|m| m[lane])
+                .fold(f64::INFINITY, f64::min);
+            let support_ratio =
+                if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
+                    1.0
+                } else {
+                    max / min_nonzero
+                };
+            *stats = RowStats {
+                sum_of_squares: self.sum_of_squares[lane],
+                support_ratio,
+            };
         }
     }
 }
 
-/// Computes [`RowStats`] from a distribution's entries in index order.
+/// [`block_stats`] at a compile-time lane count `L` and `C` chains.
+fn fold_block<const L: usize, const C: usize>(block: &[f64], out: &mut [RowStats]) {
+    let mut moments = Moments::<L, C>::new();
+    let mut groups = block.chunks_exact(L * C);
+    for group in &mut groups {
+        for chain in 0..C {
+            moments.push(chain, &group[chain * L..]);
+        }
+    }
+    for (chain, node) in groups.remainder().chunks_exact(L).enumerate() {
+        moments.push(chain, node);
+    }
+    moments.finish(out);
+}
+
+/// Every lane's [`RowStats`] of an interleaved block `lanes` wide, in one
+/// pass over the block; `out` has `lanes` entries.
 ///
 /// The results replicate `degree::sum_of_squares` and
-/// `PositionDistribution::support_ratio` bit for bit (the `Σx²` fold order
-/// is theirs element for element; see [`Moments`] for the max and min), so
-/// the stats of an ensemble row are bitwise equal to the single-distribution
-/// routes.
-fn stats_of(row: &[f64]) -> RowStats {
-    lane_stats_of(row, 1, 0)
-}
-
-/// [`stats_of`] over lane `lane` of an interleaved block of `lanes` lanes:
-/// the entries `block[i * lanes + lane]` in node order.
-#[inline]
-fn lane_stats_of(block: &[f64], lanes: usize, lane: usize) -> RowStats {
-    let mut moments = Moments::new();
-    let mut groups = block.chunks_exact(lanes * CHAINS);
-    for group in &mut groups {
-        for chain in 0..CHAINS {
-            moments.push(chain, group[chain * lanes + lane]);
-        }
+/// `PositionDistribution::support_ratio` of each lane bit for bit (the `Σx²`
+/// fold order is theirs element for element; see [`Moments`] for the max
+/// and min), so the stats of an ensemble row are bitwise equal to the
+/// single-distribution routes.
+fn block_stats(block: &[f64], lanes: usize, out: &mut [RowStats]) {
+    match lanes {
+        1 => fold_block::<1, CHAINS>(block, out),
+        2 => fold_block::<2, 1>(block, out),
+        3 => fold_block::<3, 1>(block, out),
+        4 => fold_block::<4, 1>(block, out),
+        5 => fold_block::<5, 1>(block, out),
+        6 => fold_block::<6, 1>(block, out),
+        7 => fold_block::<7, 1>(block, out),
+        8 => fold_block::<8, 1>(block, out),
+        _ => unreachable!("a block holds 1..={LANES} lanes, not {lanes}"),
     }
-    for (chain, node) in groups.remainder().chunks_exact(lanes).enumerate() {
-        moments.push(chain, node[lane]);
-    }
-    moments.finish()
 }
 
 /// Per-round, per-row statistics recorded by
@@ -230,33 +259,35 @@ impl EnsembleTrajectory {
 /// A batch of position distributions evolved in lockstep under one
 /// transition model.
 ///
-/// Rows are stored contiguously (`sources × n`, row-major); row `r` is the
-/// distribution of source `r`'s report.  See the [module docs](self) for the
-/// kernel design.  Deliberately not (de)serializable: deserialization would
-/// bypass the shape/probability invariants the constructors enforce.  The
-/// durable runtime instead round-trips ensembles through
-/// [`DistributionEnsemble::row`] / [`DistributionEnsemble::from_rows_at`],
-/// which re-validates every row and restores the round clock on load.
+/// Row `r` is the distribution of source `r`'s report, stored in its
+/// block's interleaved layout; see the [module docs](self).  Deliberately
+/// not (de)serializable: deserialization would bypass the shape/probability
+/// invariants the constructors enforce.  The durable runtime instead
+/// round-trips ensembles through [`DistributionEnsemble::row_groups`] /
+/// [`DistributionEnsemble::from_rows_at`], which re-validates every row and
+/// restores the round clock on load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistributionEnsemble {
     sources: usize,
     nodes: usize,
-    /// Row-major `sources × nodes` probability buffer.
+    /// The rows, [`LANES`] to a block, each block interleaved: row `r`'s
+    /// entry `i` at `(r - l)·n + i·lanes + l`, where `l = r % LANES` and
+    /// `lanes` is the block's row count.
     data: Vec<f64>,
     /// Rounds applied so far.
     time: usize,
-    /// Kernel scratch kept between advances.
-    workspace: Workspace,
+    /// The second buffer, kept between advances.
+    spare: Spare,
 }
 
-/// The interleaved kernel scratch an ensemble keeps between advances, so a
-/// caller taking one round per call (the streaming accountant) allocates
-/// nothing after its first call.  Pure scratch, never part of the
-/// ensemble's value: clones start empty and equality ignores it.
+/// The second buffer an ensemble keeps between advances: one block of
+/// scratch for an offline advance, every row's previous state for a shared
+/// round.  Pure scratch, never part of the ensemble's value: clones start
+/// empty and equality ignores it.
 #[derive(Default)]
-struct Workspace(Vec<f64>);
+struct Spare(Vec<f64>);
 
-impl Workspace {
+impl Spare {
     /// The first `len` entries, growing the buffer when it is shorter.
     fn take(&mut self, len: usize) -> &mut [f64] {
         if self.0.len() < len {
@@ -266,33 +297,21 @@ impl Workspace {
     }
 }
 
-impl Clone for Workspace {
+impl Clone for Spare {
     fn clone(&self) -> Self {
-        Workspace::default()
+        Spare::default()
     }
 }
 
-impl PartialEq for Workspace {
+impl PartialEq for Spare {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl std::fmt::Debug for Workspace {
+impl std::fmt::Debug for Spare {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Workspace({} f64)", self.0.len())
-    }
-}
-
-/// Scratch needed to advance blocks of up to `lanes` rows of `n` entries by
-/// `rounds` rounds: a ping-pong row for 1-row blocks, else one
-/// interleaved block, plus a second one when intermediate rounds need
-/// somewhere to land.
-fn workspace_len(n: usize, lanes: usize, rounds: usize) -> usize {
-    match (lanes, rounds) {
-        (1, _) => n,
-        (_, 1) => lanes * n,
-        _ => 2 * lanes * n,
+        write!(f, "Spare({} f64)", self.0.len())
     }
 }
 
@@ -315,15 +334,17 @@ impl DistributionEnsemble {
             });
         }
         let mut data = vec![0.0; origins.len() * n];
-        for (row, &origin) in origins.iter().enumerate() {
-            data[row * n + origin] = 1.0;
+        for (block, origins) in data.chunks_mut(LANES * n).zip(origins.chunks(LANES)) {
+            for (lane, &origin) in origins.iter().enumerate() {
+                block[origin * origins.len() + lane] = 1.0;
+            }
         }
         Ok(DistributionEnsemble {
             sources: origins.len(),
             nodes: n,
             data,
             time: 0,
-            workspace: Workspace::default(),
+            spare: Spare::default(),
         })
     }
 
@@ -357,48 +378,54 @@ impl DistributionEnsemble {
                 flat.len()
             )));
         }
-        let n = flat.len() / sources;
-        for (row, chunk) in flat.chunks_exact(n).enumerate() {
-            if chunk.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-                return Err(GraphError::InvalidParameters(format!(
-                    "row {row} has a negative or non-finite entry"
-                )));
-            }
-            let total: f64 = chunk.iter().sum();
-            if (total - 1.0).abs() > 1e-9 {
-                return Err(GraphError::InvalidParameters(format!(
-                    "row {row} sums to {total}, expected 1"
-                )));
-            }
-        }
-        Ok(DistributionEnsemble {
-            sources,
-            nodes: n,
-            data: flat,
-            time: 0,
-            workspace: Workspace::default(),
-        })
+        let rows: Vec<&[f64]> = flat.chunks_exact(flat.len() / sources).collect();
+        Self::from_rows_at(&rows, 0)
     }
 
-    /// [`DistributionEnsemble::from_rows`] restored at an explicit round
-    /// clock — the durable runtime's snapshot-restore constructor.  A
-    /// mid-run ensemble is not at round 0: scheduled operators
-    /// ([`crate::dynamic::TimeVaryingModel`]) index their schedule by this
-    /// clock, so restoring rows without the clock would silently replay the
-    /// wrong operators.  Validation is identical to `from_rows`.
+    /// Restores an ensemble from its rows, one slice each, at an explicit
+    /// round clock — the durable runtime's snapshot-restore constructor.
+    /// The rows are validated as in [`DistributionEnsemble::from_rows`] and
+    /// transposed straight into the blocks, so a restore from a checkpoint's
+    /// per-shard rows makes no flat copy of them.  A mid-run ensemble is not
+    /// at round 0: scheduled operators ([`crate::dynamic::TimeVaryingModel`])
+    /// index their schedule by this clock, so restoring rows without the
+    /// clock would silently replay the wrong operators.
     ///
     /// # Errors
     ///
-    /// Same as [`DistributionEnsemble::from_rows`].
-    pub fn from_rows_at(sources: usize, flat: Vec<f64>, time: usize) -> Result<Self> {
-        let mut ensemble = Self::from_rows(sources, flat)?;
+    /// [`GraphError::InvalidParameters`] if no rows are given, the rows are
+    /// empty or differ in length, or some row is not a probability
+    /// distribution.
+    pub fn from_rows_at(rows: &[&[f64]], time: usize) -> Result<Self> {
+        let n = rows.first().map_or(0, |row| row.len());
+        if n == 0 || rows.iter().any(|row| row.len() != n) {
+            return Err(GraphError::InvalidParameters(format!(
+                "cannot restore {} rows that are empty or differ in length",
+                rows.len()
+            )));
+        }
+        for (index, row) in rows.iter().enumerate() {
+            if row.iter().any(|&x| x < 0.0 || !x.is_finite()) {
+                return Err(GraphError::InvalidParameters(format!(
+                    "row {index} has a negative or non-finite entry"
+                )));
+            }
+            let total: f64 = row.iter().sum();
+            if (total - 1.0).abs() > 1e-9 {
+                return Err(GraphError::InvalidParameters(format!(
+                    "row {index} sums to {total}, expected 1"
+                )));
+            }
+        }
+        let mut ensemble = Self::interleaved(rows, n);
         ensemble.time = time;
         Ok(ensemble)
     }
 
     /// Wraps distributions whose invariants the caller already guarantees
     /// (used by [`crate::distribution::PositionDistribution`] to avoid
-    /// re-validating on every delegated step).
+    /// re-validating on every delegated step).  A single row is its own
+    /// block and is kept as it is; more rows are transposed into blocks.
     ///
     /// # Panics
     ///
@@ -410,12 +437,32 @@ impl DistributionEnsemble {
             flat.len()
         );
         let nodes = flat.len() / sources;
+        if sources == 1 {
+            return DistributionEnsemble {
+                sources,
+                nodes,
+                data: flat,
+                time: 0,
+                spare: Spare::default(),
+            };
+        }
+        let rows: Vec<&[f64]> = flat.chunks_exact(nodes).collect();
+        Self::interleaved(&rows, nodes)
+    }
+
+    /// An ensemble at round 0 holding `rows` (`n` entries each), transposed
+    /// into blocks.
+    fn interleaved(rows: &[&[f64]], n: usize) -> Self {
+        let mut data = vec![0.0; rows.len() * n];
+        for (rows, block) in rows.chunks(LANES).zip(data.chunks_mut(LANES * n)) {
+            transpose(rows, block);
+        }
         DistributionEnsemble {
-            sources,
-            nodes,
-            data: flat,
+            sources: rows.len(),
+            nodes: n,
+            data,
             time: 0,
-            workspace: Workspace::default(),
+            spare: Spare::default(),
         }
     }
 
@@ -434,33 +481,92 @@ impl DistributionEnsemble {
         self.time
     }
 
-    /// The distribution of source `row`.
+    /// The blocks of [`LANES`] rows (the last may be shorter), each
+    /// interleaved.
+    fn blocks(&self) -> Chunks<'_, f64> {
+        self.data.chunks(LANES * self.nodes)
+    }
+
+    /// The rows copied out row-major in consecutive groups: group `k`
+    /// holds rows `bounds[k]..bounds[k + 1]`, row after row (`n` entries
+    /// each).  One tiled pass over each block the groups cover, however
+    /// they cut it — a checkpoint taking every shard's rows reads the rows
+    /// once.
     ///
     /// # Panics
     ///
-    /// Panics if `row >= sources`.
-    pub fn row(&self, row: usize) -> &[f64] {
-        &self.data[row * self.nodes..(row + 1) * self.nodes]
+    /// Panics unless `bounds` is non-decreasing and at most `sources`.
+    pub fn row_groups(&self, bounds: &[usize]) -> Vec<Vec<f64>> {
+        assert!(
+            bounds.windows(2).all(|pair| pair[0] <= pair[1])
+                && bounds.last().is_none_or(|&end| end <= self.sources),
+            "row bounds {bounds:?} must rise within 0..={}",
+            self.sources
+        );
+        let n = self.nodes;
+        let mut groups: Vec<Vec<f64>> = bounds
+            .windows(2)
+            .map(|pair| vec![0.0; (pair[1] - pair[0]) * n])
+            .collect();
+        let start = bounds.first().copied().unwrap_or(0);
+        let end = bounds.last().copied().unwrap_or(0);
+        // One output row per row copied, in row order.
+        let mut rows: Vec<&mut [f64]> = groups.iter_mut().flat_map(|g| g.chunks_mut(n)).collect();
+        for (index, block) in self.blocks().enumerate() {
+            let (first, lanes) = (index * LANES, block.len() / n);
+            let take = start.clamp(first, first + lanes)..end.clamp(first, first + lanes);
+            if !take.is_empty() {
+                let out = &mut rows[take.start - start..take.end - start];
+                untranspose(block, lanes, take.start - first..take.end - first, out);
+            }
+        }
+        groups
     }
 
-    /// Consumes the ensemble, returning the flat row-major buffer.
+    /// Consumes the ensemble, returning its rows as one flat row-major
+    /// buffer (a single row is returned as it is).
     pub fn into_flat(self) -> Vec<f64> {
-        self.data
+        if self.sources == 1 {
+            return self.data;
+        }
+        let mut groups = self.row_groups(&[0, self.sources]);
+        groups.pop().expect("one group of rows")
     }
 
-    /// The accounting moments (`Σ_i P_i²`, support ratio) of one row.
+    /// The accounting moments (`Σ_i P_i²`, support ratio) of one row — a
+    /// one-row query that folds the row's whole block; use
+    /// [`DistributionEnsemble::stats_into`] for every row.
     ///
     /// # Panics
     ///
     /// Panics if `row >= sources`.
     pub fn row_stats(&self, row: usize) -> RowStats {
-        stats_of(self.row(row))
+        assert!(row < self.sources, "row {row} outside 0..{}", self.sources);
+        let block = self.blocks().nth(row / LANES).expect("row is in range");
+        let lanes = block.len() / self.nodes;
+        let mut stats = [RowStats::default(); LANES];
+        block_stats(block, lanes, &mut stats[..lanes]);
+        stats[row % LANES]
+    }
+
+    /// Every row's accounting moments, in row order, written over `out`:
+    /// one pass per block.  Reuses `out`'s allocation.
+    pub fn stats_into(&self, out: &mut Vec<RowStats>) {
+        out.clear();
+        let mut stats = [RowStats::default(); LANES];
+        for block in self.blocks() {
+            let lanes = block.len() / self.nodes;
+            block_stats(block, lanes, &mut stats[..lanes]);
+            out.extend_from_slice(&stats[..lanes]);
+        }
     }
 
     /// The component-wise worst (largest) moments over all rows — a valid
     /// input for a guarantee that must cover every source at once.
     pub fn worst_stats(&self) -> RowStats {
-        RowStats::worst_of((0..self.sources).map(|row| self.row_stats(row)))
+        let mut stats = Vec::with_capacity(self.sources);
+        self.stats_into(&mut stats);
+        RowStats::worst_of(stats)
     }
 
     /// Advances every row by `rounds` rounds under `model`.
@@ -498,8 +604,10 @@ impl DistributionEnsemble {
     /// any number of threads may join by calling [`RoundSweep::run`] on the
     /// returned sweep.  Once the sweep has run to the end, the rows and the
     /// clock are bitwise what [`DistributionEnsemble::advance`]`(model, 1)`
-    /// leaves, whichever threads ran which part.  The clock moves when the
-    /// sweep is made, and the ensemble stays borrowed until it is dropped.
+    /// leaves, whichever threads ran which part.  The clock moves and the
+    /// two buffers swap when the sweep is made — the rows read as the new
+    /// state only once every unit has run — and the ensemble stays borrowed
+    /// until the sweep is dropped.
     ///
     /// # Panics
     ///
@@ -516,21 +624,26 @@ impl DistributionEnsemble {
         let n = self.nodes;
         let round = self.time;
         self.time += 1;
-        let scratch = self
-            .workspace
-            .take(workspace_len(n, LANES.min(self.sources), 1));
+        // The old state stays in the spare buffer, read by every unit; the
+        // units write the new state into `data`.
+        self.spare.0.resize(self.data.len(), 0.0);
+        std::mem::swap(&mut self.data, &mut self.spare.0);
+        let ranged = model.has_range_kernel(round);
+        let input: &'a [f64] = &self.spare.0;
+        let unfinished = input
+            .chunks(LANES * n)
+            .map(|block| ranges_of(block.len() / n, n, ranged))
+            .sum();
         RoundSweep {
             model,
-            n,
             round,
-            scratch: RwLock::new(scratch),
             claims: Mutex::new(Claims {
-                blocks: self.data.chunks_mut(LANES * n),
-                phase: Phase::NextBlock,
-                in_flight: 0,
-                abandoned: false,
+                n,
+                blocks: input.chunks(LANES * n).zip(self.data.chunks_mut(LANES * n)),
+                current: None,
+                ranged,
+                unfinished,
             }),
-            settled: Condvar::new(),
         }
     }
 
@@ -553,247 +666,143 @@ impl DistributionEnsemble {
             return;
         }
         let n = self.nodes;
-        let scratch = self
-            .workspace
-            .take(workspace_len(n, LANES.min(self.sources), rounds));
+        let scratch = self.spare.take(LANES.min(self.sources) * n);
         let mut stats = stats.map(|stats| stats.chunks_mut(LANES * rounds));
-        for rows in self.data.chunks_mut(LANES * n) {
-            let block_stats = stats.as_mut().and_then(Iterator::next);
-            advance_block(model, n, base_round, rounds, rows, scratch, block_stats);
+        for block in self.data.chunks_mut(LANES * n) {
+            let trajectory = stats.as_mut().and_then(Iterator::next);
+            advance_block(model, n, base_round, rounds, block, scratch, trajectory);
         }
+    }
+}
+
+/// The units a block is cut into: 64 destination ranges (one per node on
+/// graphs with fewer nodes) for a multi-lane block under a model with a
+/// range kernel, else the whole block — a 1-row block keeps its scatter.
+fn ranges_of(lanes: usize, n: usize, ranged: bool) -> usize {
+    if lanes > 1 && ranged {
+        SWEEP_RANGES.min(n)
+    } else {
+        1
     }
 }
 
 /// One round of a [`DistributionEnsemble`] as shared work
 /// ([`DistributionEnsemble::round_sweep`]).
 ///
-/// The round is a sequence of units, claimed in order under one lock.
-/// Each block of [`LANES`] rows starts with one unit that no other unit
-/// overlaps, because the blocks share one scratch buffer: it transposes
-/// the block into the scratch or, for a 1-row block or a model without a
-/// range kernel, advances the whole block.  A transposed block is then cut
-/// into up to 64 destination ranges, handed out as disjoint per-row output
-/// slices, which run at once on whichever threads claim them.  A unit that
-/// panics marks the sweep abandoned and wakes every waiter, so the other
-/// threads stop claiming instead of waiting for it.
+/// Every unit reads the old state and writes its own disjoint chunk of the
+/// new one: one destination range of a block, written as one contiguous
+/// interleaved chunk, or a whole block.  Units are claimed in order from
+/// one lock and never wait for each other, so a unit that panics strands
+/// no one: the other threads finish what is left.
 pub struct RoundSweep<'a, M: ?Sized> {
     model: &'a M,
-    n: usize,
     /// The absolute round the sweep applies.
     round: usize,
-    /// The interleaved block: written by a block's first unit, read by its
-    /// ranges.
-    scratch: RwLock<&'a mut [f64]>,
     claims: Mutex<Claims<'a>>,
-    /// Signalled when a unit others may be waiting for finishes, and when
-    /// the sweep is abandoned.
-    settled: Condvar,
 }
 
 /// The claim state of a [`RoundSweep`].
 struct Claims<'a> {
-    /// Blocks not yet started, [`LANES`] rows each (the last may be
-    /// shorter).
-    blocks: std::slice::ChunksMut<'a, f64>,
-    phase: Phase<'a>,
-    /// Units claimed and not yet finished.
-    in_flight: usize,
-    /// A unit panicked: nothing more is claimed.
-    abandoned: bool,
-}
-
-/// Where a [`RoundSweep`] stands.
-enum Phase<'a> {
-    /// The next unit starts the next block, once no unit is in flight.
-    NextBlock,
-    /// A block's first unit is running.
-    Starting,
-    /// The current block's destination ranges are being handed out.
-    Ranges(Ranges<'a>),
-}
-
-/// One claimed unit of a [`RoundSweep`].
-enum Unit<'a> {
-    /// A block's first unit, over the block's rows.
-    Start(&'a mut [f64]),
-    /// One destination range of the current block.
-    Range(RangeUnit<'a>),
-}
-
-/// A destination range and the rows' slices over it.
-struct RangeUnit<'a> {
-    nodes: Range<usize>,
-    /// `rows[l]` covers `nodes` of the block's row `l`, for `l < lanes`.
-    rows: [&'a mut [f64]; LANES],
-    lanes: usize,
-}
-
-/// The destination ranges of one transposed block, handed out in node
-/// order as disjoint per-row output slices.
-struct Ranges<'a> {
-    /// Per row, the entries not handed out yet.
-    tails: [&'a mut [f64]; LANES],
-    lanes: usize,
     n: usize,
+    /// Each block not yet started: its old state beside the chunk of the
+    /// new state it writes.
+    blocks: Zip<Chunks<'a, f64>, ChunksMut<'a, f64>>,
+    /// The block whose ranges are being handed out.
+    current: Option<Block<'a>>,
+    /// Whether the model has a range kernel this round.
+    ranged: bool,
+    /// Units not yet finished.
+    unfinished: usize,
+}
+
+/// A block being handed out range by range, in node order.
+struct Block<'a> {
+    input: &'a [f64],
+    lanes: usize,
+    /// The output not handed out yet.
+    tail: &'a mut [f64],
     /// Ranges in the block, and how many were handed out.
     count: usize,
     taken: usize,
 }
 
-impl<'a> Ranges<'a> {
-    fn new(rows: &'a mut [f64], n: usize) -> Self {
-        let lanes = rows.len() / n;
-        let mut tails: [&'a mut [f64]; LANES] = Default::default();
-        for (tail, row) in tails.iter_mut().zip(rows.chunks_mut(n)) {
-            *tail = row;
-        }
-        Ranges {
-            tails,
-            lanes,
-            n,
-            count: SWEEP_RANGES.min(n),
-            taken: 0,
-        }
-    }
+/// One claimed unit: destinations `nodes` of one block, whose next state
+/// lands in `out` (`out[(j − nodes.start)·lanes + l]`).
+struct Unit<'a> {
+    input: &'a [f64],
+    lanes: usize,
+    nodes: Range<usize>,
+    out: &'a mut [f64],
 }
 
-impl<'a> Iterator for Ranges<'a> {
-    type Item = RangeUnit<'a>;
-
-    fn next(&mut self) -> Option<RangeUnit<'a>> {
-        if self.taken == self.count {
-            return None;
+impl<'a> Claims<'a> {
+    /// The next unit in order, or `None` once every unit is handed out.
+    fn next_unit(&mut self) -> Option<Unit<'a>> {
+        let n = self.n;
+        loop {
+            if let Some(block) = self.current.as_mut().filter(|b| b.taken < b.count) {
+                // Range `r` covers `r·n/count .. (r+1)·n/count`: never
+                // empty, as `count <= n`.
+                let start = block.taken * n / block.count;
+                block.taken += 1;
+                let end = block.taken * n / block.count;
+                let (out, tail) =
+                    std::mem::take(&mut block.tail).split_at_mut((end - start) * block.lanes);
+                block.tail = tail;
+                return Some(Unit {
+                    input: block.input,
+                    lanes: block.lanes,
+                    nodes: start..end,
+                    out,
+                });
+            }
+            let (input, tail) = self.blocks.next()?;
+            let lanes = input.len() / n;
+            self.current = Some(Block {
+                input,
+                lanes,
+                tail,
+                count: ranges_of(lanes, n, self.ranged),
+                taken: 0,
+            });
         }
-        // Range `r` covers `r·n/count .. (r+1)·n/count`: never empty, as
-        // `count <= n`.
-        let start = self.taken * self.n / self.count;
-        self.taken += 1;
-        let end = self.taken * self.n / self.count;
-        let mut rows: [&'a mut [f64]; LANES] = Default::default();
-        for (row, tail) in rows.iter_mut().zip(&mut self.tails[..self.lanes]) {
-            let (head, rest) = std::mem::take(tail).split_at_mut(end - start);
-            *row = head;
-            *tail = rest;
-        }
-        Some(RangeUnit {
-            nodes: start..end,
-            rows,
-            lanes: self.lanes,
-        })
     }
 }
 
 impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
-    /// Claims and runs units until none is left to claim, waiting while
-    /// the next unit depends on one still running elsewhere.  Returns
-    /// `true` on exactly one call per completed sweep: the one that
-    /// finished its last unit (what a caller timing the sweep keys on).
+    /// Claims and runs units until none is left to claim.  Returns `true`
+    /// on exactly one call per completed sweep: the one that finished its
+    /// last unit (what a caller timing the sweep keys on).  A sweep one of
+    /// whose units panicked never completes.
     pub fn run(&self) -> bool {
         let mut finished = false;
-        while let Some(unit) = self.claim() {
-            finished |= self.execute(unit);
+        while let Some(last) = self.run_one() {
+            finished |= last;
         }
         finished
     }
 
-    /// Claims and runs one unit, waiting first while the next unit depends
-    /// on one still running elsewhere; `false` when no unit was left to
-    /// claim.  Lets a caller choose which thread runs which unit.
+    /// Claims and runs one unit; `false` when no unit was left to claim.
+    /// Lets a caller choose which thread runs which unit.
     pub fn run_unit(&self) -> bool {
-        self.claim().map(|unit| self.execute(unit)).is_some()
+        self.run_one().is_some()
     }
 
-    /// The next unit, or `None` once every unit is claimed or the sweep is
-    /// abandoned.
-    fn claim(&self) -> Option<Unit<'a>> {
-        let mut guard = self.lock();
-        loop {
-            let claims = &mut *guard;
-            if claims.abandoned {
-                return None;
-            }
-            if let Phase::Ranges(ranges) = &mut claims.phase {
-                if let Some(range) = ranges.next() {
-                    claims.in_flight += 1;
-                    return Some(Unit::Range(range));
-                }
-                claims.phase = Phase::NextBlock;
-            }
-            if matches!(claims.phase, Phase::NextBlock) {
-                if claims.blocks.len() == 0 {
-                    return None;
-                }
-                if claims.in_flight == 0 {
-                    claims.phase = Phase::Starting;
-                    claims.in_flight += 1;
-                    return claims.blocks.next().map(Unit::Start);
-                }
-            }
-            // A block's first unit, or the last ranges before the next
-            // block reuses the scratch, are still running.
-            guard = self
-                .settled
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Runs a claimed unit; returns whether it was the sweep's last.
-    fn execute(&self, unit: Unit<'a>) -> bool {
-        let abandon = AbandonOnUnwind(self);
-        let next = match unit {
-            Unit::Start(rows) => Some(self.start_block(rows)),
-            Unit::Range(RangeUnit {
-                nodes,
-                mut rows,
-                lanes,
-            }) => {
-                let scratch = self.scratch.read().unwrap_or_else(PoisonError::into_inner);
-                self.model.propagate_round_interleaved_rows_range(
-                    self.round,
-                    lanes,
-                    &scratch[..lanes * self.n],
-                    nodes,
-                    &mut rows[..lanes],
-                );
-                None
-            }
-        };
-        drop(abandon);
-        let mut claims = self.lock();
-        claims.in_flight -= 1;
-        let wake = next.is_some() || claims.in_flight == 0;
-        if let Some(phase) = next {
-            claims.phase = phase;
-        }
-        let exhausted = match &claims.phase {
-            Phase::NextBlock => true,
-            Phase::Starting => false,
-            Phase::Ranges(ranges) => ranges.taken == ranges.count,
-        };
-        let finished = claims.in_flight == 0 && exhausted && claims.blocks.len() == 0;
-        drop(claims);
-        if wake {
-            self.settled.notify_all();
-        }
-        finished
-    }
-
-    /// A block's first unit: transposes the block for its ranges, or
-    /// advances it whole when it is a single row (whose scatter beats the
-    /// 1-lane pull) or the model has no range kernel.  Returns the phase
-    /// that follows.
-    fn start_block(&self, rows: &'a mut [f64]) -> Phase<'a> {
-        let n = self.n;
-        let lanes = rows.len() / n;
-        let mut scratch = self.scratch.write().unwrap_or_else(PoisonError::into_inner);
-        if lanes > 1 && self.model.has_range_kernel(self.round) {
-            transpose_into(lanes, n, rows, &mut scratch[..lanes * n]);
-            Phase::Ranges(Ranges::new(rows, n))
+    /// Runs the next unit; `None` when none is left, else whether it was
+    /// the sweep's last to finish.
+    fn run_one(&self) -> Option<bool> {
+        let unit = self.lock().next_unit()?;
+        if unit.out.len() == unit.input.len() {
+            self.model
+                .propagate_round_interleaved(self.round, unit.lanes, unit.input, unit.out);
         } else {
-            advance_block(self.model, n, self.round, 1, rows, &mut scratch, None);
-            Phase::NextBlock
+            self.model.propagate_round_interleaved_range(
+                self.round, unit.lanes, unit.input, unit.nodes, unit.out,
+            );
         }
+        let mut claims = self.lock();
+        claims.unfinished -= 1;
+        Some(claims.unfinished == 0)
     }
 }
 
@@ -805,99 +814,83 @@ impl<'a, M: ?Sized> RoundSweep<'a, M> {
     }
 }
 
-/// Marks its sweep abandoned if the unit it guards unwinds, and wakes
-/// every waiter.
-struct AbandonOnUnwind<'s, 'a, M: ?Sized>(&'s RoundSweep<'a, M>);
-
-impl<M: ?Sized> Drop for AbandonOnUnwind<'_, '_, M> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().abandoned = true;
-            self.0.settled.notify_all();
-        }
-    }
-}
-
-/// Advances one block of `rows.len() / n` rows by `rounds` rounds through
-/// the interleaved kernel, starting from absolute round `base_round` (the
-/// ensemble's clock before the advance; step `t` of the block is executed
-/// as `propagate_round_*(base_round + t, …)`, which is what lets
+/// Advances one interleaved block by `rounds` rounds, starting from
+/// absolute round `base_round` (the ensemble's clock before the advance;
+/// step `t` of the block is executed as
+/// `propagate_round_interleaved(base_round + t, …)`, which is what lets
 /// time-varying models schedule a distinct operator per round).
 ///
-/// The block is transposed into the interleaved layout once; intermediate
-/// rounds ping-pong between two interleaved buffers and the last round
-/// writes row-major straight back into `rows`
-/// ([`TransitionModel::propagate_round_interleaved_rows`]), so a one-round
-/// advance needs a single interleaved buffer.  `scratch` holds at least
-/// [`workspace_len`] entries for the block, and `rounds` is at least 1.
-/// `block_stats`, when given, has length `lanes * rounds` laid out
+/// Rounds ping-pong between the block and `scratch` (at least the block's
+/// length), and the result is copied home when `rounds` is odd.
+/// `trajectory`, when given, has length `lanes * rounds` laid out
 /// `[lane * rounds + (t - 1)]`.
 fn advance_block<M: TransitionModel + ?Sized>(
     model: &M,
     n: usize,
     base_round: usize,
     rounds: usize,
-    rows: &mut [f64],
+    block: &mut [f64],
     scratch: &mut [f64],
-    mut block_stats: Option<&mut [RowStats]>,
+    mut trajectory: Option<&mut [RowStats]>,
 ) {
-    let lanes = rows.len() / n;
-    if lanes == 1 {
-        // Single-row fast path: the row *is* the "interleaved" buffer, so
-        // double-buffer against one scratch row directly — no transposes.
-        // This keeps `PositionDistribution`'s per-step cost at the
-        // historical `propagate` level.
-        let mut current: &mut [f64] = rows;
-        let mut next: &mut [f64] = &mut scratch[..n];
-        for t in 0..rounds {
-            model.propagate_round_into(base_round + t, current, next);
-            std::mem::swap(&mut current, &mut next);
-            if let Some(stats) = block_stats.as_deref_mut() {
-                stats[t] = stats_of(current);
-            }
-        }
-        if !rounds.is_multiple_of(2) {
-            // The result landed in the scratch buffer; move it home.
-            next.copy_from_slice(current);
-        }
-        return;
-    }
-    let (interleaved, spare) = scratch.split_at_mut(lanes * n);
-    transpose_into(lanes, n, rows, interleaved);
-    let mut current: &mut [f64] = interleaved;
-    let mut next: &mut [f64] = &mut spare[..if rounds > 1 { lanes * n } else { 0 }];
-    for t in 0..rounds - 1 {
+    let lanes = block.len() / n;
+    let mut current: &mut [f64] = block;
+    let mut next: &mut [f64] = &mut scratch[..lanes * n];
+    let mut stats = [RowStats::default(); LANES];
+    for t in 0..rounds {
         model.propagate_round_interleaved(base_round + t, lanes, current, next);
         std::mem::swap(&mut current, &mut next);
-        if let Some(stats) = block_stats.as_deref_mut() {
-            for lane in 0..lanes {
-                stats[lane * rounds + t] = lane_stats_of(current, lanes, lane);
+        if let Some(trajectory) = trajectory.as_deref_mut() {
+            block_stats(current, lanes, &mut stats[..lanes]);
+            for (lane, stats) in stats[..lanes].iter().enumerate() {
+                trajectory[lane * rounds + t] = *stats;
             }
         }
     }
-    model.propagate_round_interleaved_rows(base_round + rounds - 1, lanes, current, rows);
-    if let Some(stats) = block_stats {
-        for (lane, row) in rows.chunks(n).enumerate() {
-            stats[lane * rounds + rounds - 1] = stats_of(row);
-        }
+    if !rounds.is_multiple_of(2) {
+        // The result landed in the scratch buffer; move it home.
+        next.copy_from_slice(current);
     }
 }
 
-/// Transposes `rows` row-major rows of length `n` from `src` into the
-/// interleaved layout `dst[i * rows + r] = src[r * n + i]`, a buffer of
-/// exactly `rows * n` entries.  The pass is tiled over nodes so the strided
-/// writes stay within a cache-resident window; it is a pure copy — every
-/// destination value is bitwise a source value.
-fn transpose_into(rows: usize, n: usize, src: &[f64], dst: &mut [f64]) {
-    // Tile width: 128 nodes * 8 bytes = 1 KiB of each row's window, and the
-    // write side touches 128 packs at a time — both L1-resident.
-    const TILE: usize = 128;
+/// Tile width of the (un)transposes: 128 nodes × 8 bytes = 1 KiB of each
+/// row's window, and the strided side touches 128 nodes at a time — both
+/// L1-resident.
+const TILE: usize = 128;
+
+/// Transposes `rows` (`n` entries each) into the interleaved block `dst`:
+/// `dst[i * lanes + r] = rows[r][i]`, where `lanes = rows.len()`.  The pass
+/// is tiled over nodes so the strided writes stay within a cache-resident
+/// window; it is a pure copy — every destination value is bitwise a source
+/// value.
+fn transpose(rows: &[&[f64]], dst: &mut [f64]) {
+    let lanes = rows.len();
+    let n = dst.len() / lanes;
     let mut start = 0;
     while start < n {
         let end = (start + TILE).min(n);
-        for (r, row) in src.chunks(n).enumerate() {
-            for (i, &x) in row[start..end].iter().enumerate() {
-                dst[(start + i) * rows + r] = x;
+        let tile = &mut dst[start * lanes..end * lanes];
+        for (lane, row) in rows.iter().enumerate() {
+            for (node, &x) in tile.chunks_exact_mut(lanes).zip(&row[start..end]) {
+                node[lane] = x;
+            }
+        }
+        start = end;
+    }
+}
+
+/// Copies lanes `take` of an interleaved block `lanes` wide out row-major,
+/// lane `l` into `out[l - take.start]`: `out[l - take.start][i] =
+/// block[i * lanes + l]`.  Tiled like [`transpose`], and as pure a copy.
+fn untranspose(block: &[f64], lanes: usize, take: Range<usize>, out: &mut [&mut [f64]]) {
+    let n = block.len() / lanes;
+    let mut start = 0;
+    while start < n {
+        let end = (start + TILE).min(n);
+        let tile = &block[start * lanes..end * lanes];
+        for (row, lane) in out.iter_mut().zip(take.clone()) {
+            for (x, node) in row[start..end].iter_mut().zip(tile.chunks_exact(lanes)) {
+                *x = node[lane];
             }
         }
         start = end;
@@ -916,7 +909,7 @@ fn batch_rows(n: usize) -> usize {
 /// returns each origin's final accounting moments, streaming origins through
 /// bounded-memory batches: a batch targets 64 MiB of rows but never shrinks
 /// below one [`LANES`]-row block, so per-batch memory is tens of MB up to
-/// `n ≈ 1M` and grows as `O(LANES · n)` beyond that (plus the same again in
+/// `n ≈ 1M` and grows as `O(LANES · n)` beyond that (plus one block of
 /// kernel scratch).
 ///
 /// This is the exact multi-origin route of the accountant: entry `o` is the
@@ -936,15 +929,15 @@ pub fn all_origin_moments<M: TransitionModel + ?Sized>(
     }
     let batch = batch_rows(n);
     let mut out = Vec::with_capacity(n);
+    let mut stats = Vec::with_capacity(batch);
     let mut start = 0usize;
     while start < n {
         let end = (start + batch).min(n);
         let origins: Vec<NodeId> = (start..end).collect();
         let mut ensemble = DistributionEnsemble::point_masses(n, &origins)?;
         ensemble.advance(model, rounds);
-        for row in 0..ensemble.sources() {
-            out.push(ensemble.row_stats(row));
-        }
+        ensemble.stats_into(&mut stats);
+        out.extend_from_slice(&stats);
         start = end;
     }
     Ok(out)
@@ -996,8 +989,9 @@ mod tests {
     use crate::distribution::PositionDistribution;
     use crate::generators;
     use crate::rng::seeded_rng;
-    use crate::transition::{BlackBoxModel, TransitionMatrix, TransitionModel};
+    use crate::transition::{TransitionMatrix, TransitionModel};
     use crate::Graph;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn irregular_graph(seed: u64) -> Graph {
         generators::barabasi_albert(150, 3, &mut seeded_rng(seed)).unwrap()
@@ -1016,6 +1010,10 @@ mod tests {
             .collect()
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn constructors_validate() {
         assert!(DistributionEnsemble::point_masses(0, &[]).is_err());
@@ -1028,7 +1026,7 @@ mod tests {
         let ok = DistributionEnsemble::from_rows(2, vec![1.0, 0.0, 0.25, 0.75]).unwrap();
         assert_eq!(ok.sources(), 2);
         assert_eq!(ok.node_count(), 2);
-        assert_eq!(ok.row(1), &[0.25, 0.75]);
+        assert_eq!(ok.row_groups(&[1, 2]).concat(), [0.25, 0.75]);
     }
 
     #[test]
@@ -1042,7 +1040,48 @@ mod tests {
         assert_eq!(ensemble.time(), 13);
         let expected = naive_rows(&t, &origins, 13);
         for (row, exp) in expected.iter().enumerate() {
-            assert_eq!(ensemble.row(row), exp.as_slice(), "row {row} diverged");
+            assert_eq!(
+                ensemble.row_groups(&[row, row + 1]).concat(),
+                *exp,
+                "row {row} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_round_trip_through_the_interleaved_layout_bitwise() {
+        let g = irregular_graph(9);
+        let t = TransitionMatrix::with_laziness(&g, 0.1).unwrap();
+        // Every block shape up to three blocks, the last one ragged.
+        for sources in 1..=17 {
+            let origins: Vec<usize> = (0..sources).map(|i| i * 17 % 150).collect();
+            let mut evolved = DistributionEnsemble::point_masses(150, &origins).unwrap();
+            evolved.advance(&t, 5);
+            let flat = evolved.row_groups(&[0, sources]).concat();
+            let rows: Vec<&[f64]> = flat.chunks(150).collect();
+            let restored = DistributionEnsemble::from_rows_at(&rows, 5).unwrap();
+            assert_eq!(restored.time(), 5);
+            assert_eq!(restored, evolved, "{sources} rows");
+            for start in 0..=sources {
+                for end in start..=sources {
+                    assert_eq!(
+                        bits(&restored.row_groups(&[start, end]).concat()),
+                        bits(&flat[start * 150..end * 150]),
+                        "{sources} rows, copy-out of {start}..{end}"
+                    );
+                }
+            }
+            let every_row: Vec<usize> = (0..=sources).collect();
+            let copied = restored.row_groups(&every_row);
+            assert_eq!(
+                bits(&copied.concat()),
+                bits(&flat),
+                "{sources} rows, one group per row"
+            );
+            let rows: Vec<&[f64]> = copied.iter().map(Vec::as_slice).collect();
+            let again = DistributionEnsemble::from_rows_at(&rows, 5).unwrap();
+            assert_eq!(again, restored, "{sources} rows");
+            assert_eq!(bits(&restored.into_flat()), bits(&flat), "{sources} rows");
         }
     }
 
@@ -1067,23 +1106,48 @@ mod tests {
         assert_eq!(trajectory.row(2)[rounds - 1], trajectory.after(2, rounds));
     }
 
+    /// The walk operator behind only the single-distribution update, so
+    /// every block takes the trait's default whole-block path — the one
+    /// `IntraShardTransition` takes.
+    struct ScatterOnly(TransitionMatrix);
+
+    impl TransitionModel for ScatterOnly {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
+            self.0.propagate_into(p, out);
+        }
+    }
+
     #[test]
-    fn black_box_model_agrees_with_the_matrix_backend() {
+    fn the_default_block_path_agrees_with_the_matrix_backend() {
         let g = irregular_graph(3);
         let t = TransitionMatrix::new(&g).unwrap();
-        let t_for_closure = t.clone();
-        let black_box = BlackBoxModel::new(150, move |p: &[f64], out: &mut [f64]| {
-            t_for_closure.propagate_into(p, out)
-        })
-        .unwrap();
-        let origins: Vec<usize> = (0..10).collect();
+        let scatter_only = ScatterOnly(t.clone());
+        // 9 origins: an 8-lane block (gathered lane by lane) and a 1-row one.
+        let origins: Vec<usize> = (0..9).collect();
         let mut via_matrix = DistributionEnsemble::point_masses(150, &origins).unwrap();
         via_matrix.advance(&t, 9);
-        let mut via_black_box = DistributionEnsemble::point_masses(150, &origins).unwrap();
-        via_black_box.advance(&black_box, 9);
-        for row in 0..origins.len() {
-            assert_eq!(via_matrix.row(row), via_black_box.row(row), "row {row}");
-        }
+        let mut via_default = DistributionEnsemble::point_masses(150, &origins).unwrap();
+        via_default.advance(&scatter_only, 9);
+        assert_eq!(
+            bits(&via_default.row_groups(&[0, 9]).concat()),
+            bits(&via_matrix.row_groups(&[0, 9]).concat())
+        );
+        // One more round, as a sweep two threads share.
+        via_matrix.advance(&t, 1);
+        let sweep = via_default.round_sweep(&scatter_only);
+        std::thread::scope(|scope| {
+            scope.spawn(|| sweep.run());
+            sweep.run();
+        });
+        assert_eq!(via_default.time(), 10);
+        assert_eq!(
+            bits(&via_default.row_groups(&[0, 9]).concat()),
+            bits(&via_matrix.row_groups(&[0, 9]).concat())
+        );
     }
 
     #[test]
@@ -1094,13 +1158,15 @@ mod tests {
         let t = TransitionMatrix::with_laziness(&g, 0.1).unwrap();
         let mut ensemble = DistributionEnsemble::all_origins(n).unwrap();
         ensemble.advance(&t, 25);
-        for row in 0..n {
-            let sum: f64 = ensemble.row(row).iter().sum();
+        for (row, dist) in ensemble.row_groups(&[0, n]).concat().chunks(n).enumerate() {
+            let sum: f64 = dist.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {row} sums to {sum}");
-            assert!(ensemble.row(row).iter().all(|&x| x >= 0.0));
+            assert!(dist.iter().all(|&x| x >= 0.0));
         }
         let worst = ensemble.worst_stats();
-        let best = (0..n).map(|r| ensemble.row_stats(r).sum_of_squares);
+        let mut stats = Vec::new();
+        ensemble.stats_into(&mut stats);
+        let best = stats.iter().map(|s| s.sum_of_squares);
         assert!(worst.sum_of_squares >= best.fold(0.0, f64::max) - 1e-15);
     }
 
@@ -1139,14 +1205,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_of_matches_the_historical_helpers() {
+    fn row_stats_match_the_historical_helpers() {
         let p = [0.0, 0.2, 0.5, 0.3, 0.0];
-        let stats = stats_of(&p);
+        let stats = DistributionEnsemble::from_rows(1, p.to_vec())
+            .unwrap()
+            .row_stats(0);
         assert_eq!(stats.sum_of_squares, crate::degree::sum_of_squares(&p));
         let dist = PositionDistribution::from_probabilities(p.to_vec()).unwrap();
         assert_eq!(stats.support_ratio, dist.support_ratio().unwrap());
         // Degenerate all-zero input falls back to ratio 1.
-        assert_eq!(stats_of(&[0.0, 0.0]).support_ratio, 1.0);
+        let zero = DistributionEnsemble::from_rows_unchecked(1, vec![0.0, 0.0]);
+        assert_eq!(zero.row_stats(0).support_ratio, 1.0);
     }
 
     #[test]
@@ -1170,28 +1239,56 @@ mod tests {
         }
     }
 
-    /// A model without a range kernel whose every step panics.
-    struct Exploding(usize);
+    /// The walk operator whose first destination range panics; counts the
+    /// ranges it finishes.
+    struct PanicsOnce {
+        inner: TransitionMatrix,
+        armed: AtomicBool,
+        finished: AtomicUsize,
+    }
 
-    impl TransitionModel for Exploding {
+    impl TransitionModel for PanicsOnce {
         fn node_count(&self) -> usize {
-            self.0
+            self.inner.node_count()
         }
 
-        fn propagate_into(&self, _: &[f64], _: &mut [f64]) {
-            panic!("exploded");
+        fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
+            self.inner.propagate_into(p, out);
+        }
+
+        fn has_range_kernel(&self, _round: usize) -> bool {
+            true
+        }
+
+        fn propagate_round_interleaved_range(
+            &self,
+            round: usize,
+            lanes: usize,
+            input: &[f64],
+            nodes: Range<usize>,
+            out: &mut [f64],
+        ) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("the first range panics");
+            }
+            self.inner
+                .propagate_round_interleaved_range(round, lanes, input, nodes, out);
+            self.finished.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     #[test]
-    fn a_panicking_unit_abandons_the_sweep_without_stranding_waiters() {
-        // Two blocks with no range kernel: two units, each excluding every
-        // other.  Whichever thread claims the first panics; the other
-        // either waits for it and is woken, or finds the sweep abandoned —
-        // it must return, not hang, and claim nothing.
-        let origins: Vec<usize> = (0..12).collect();
-        let mut ensemble = DistributionEnsemble::point_masses(30, &origins).unwrap();
-        let model = Exploding(30);
+    fn a_panicking_unit_leaves_every_other_unit_to_the_other_thread() {
+        // An 8-lane and a 4-lane block: 128 ranges, none waiting on
+        // another.  Whichever thread runs the first range panics; the other
+        // must run every range left, and the sweep never completes.
+        let origins: Vec<usize> = (0..12).map(|i| i * 13 % 150).collect();
+        let mut ensemble = DistributionEnsemble::point_masses(150, &origins).unwrap();
+        let model = PanicsOnce {
+            inner: TransitionMatrix::new(&irregular_graph(8)).unwrap(),
+            armed: AtomicBool::new(true),
+            finished: AtomicUsize::new(0),
+        };
         let sweep = ensemble.round_sweep(&model);
         let outcomes = std::thread::scope(|scope| {
             let threads = [scope.spawn(|| sweep.run()), scope.spawn(|| sweep.run())];
@@ -1201,12 +1298,16 @@ mod tests {
             outcomes.iter().filter(|outcome| outcome.is_err()).count(),
             1
         );
-        assert!(outcomes.iter().any(|outcome| matches!(outcome, Ok(false))));
-        assert!(!sweep.run_unit(), "an abandoned sweep hands out nothing");
+        assert!(
+            outcomes.iter().all(|outcome| !matches!(outcome, Ok(true))),
+            "a sweep with a panicked unit never completes"
+        );
+        assert_eq!(model.finished.load(Ordering::SeqCst), 2 * SWEEP_RANGES - 1);
+        assert!(!sweep.run_unit(), "every unit was handed out");
     }
 
-    /// The single ordered fold `stats_of` replaced, kept as the reference
-    /// its split chains must reproduce bit for bit.
+    /// The single ordered fold the block folds replaced, kept as the
+    /// reference they must reproduce bit for bit.
     fn reference_stats_of(values: impl Iterator<Item = f64>) -> RowStats {
         let mut sum_of_squares = 0.0f64;
         let mut max = f64::NAN;
@@ -1259,16 +1360,42 @@ mod tests {
             vec![-1.0, -0.5, 0.125, -0.0],
             vec![f64::NEG_INFINITY, f64::NAN],
         ];
+        let mut stats = [RowStats::default()];
         for row in &rows {
-            // Every length, including those not divisible by the chain
-            // count, and every rotation so each entry meets every chain.
+            // The 1-lane fold's split chains: every length, including those
+            // not divisible by the chain count, and every rotation so each
+            // entry meets every chain.
             for len in 0..=row.len() {
                 for shift in 0..len.max(1) {
                     let mut values = row[..len].to_vec();
                     values.rotate_left(shift);
                     let want = reference_stats_of(values.iter().copied());
-                    assert_same_bits(stats_of(&values), want, &format!("{values:?}"));
+                    block_stats(&values, 1, &mut stats);
+                    assert_same_bits(stats[0], want, &format!("{values:?}"));
                 }
+            }
+            // The fused block fold: ensembles of 1..=9 rows (every block
+            // width, then a ragged second block), row `r` holding the row
+            // rotated by `r`, so each entry meets every lane.
+            for sources in 1..=9 {
+                let lanes: Vec<Vec<f64>> = (0..sources)
+                    .map(|r| {
+                        let mut values = row.clone();
+                        values.rotate_left(r % row.len());
+                        values
+                    })
+                    .collect();
+                let ensemble = DistributionEnsemble::from_rows_unchecked(sources, lanes.concat());
+                let mut all = Vec::new();
+                ensemble.stats_into(&mut all);
+                assert_eq!(all.len(), sources);
+                for (r, values) in lanes.iter().enumerate() {
+                    let want = reference_stats_of(values.iter().copied());
+                    let what = format!("row {r} of {sources}: {values:?}");
+                    assert_same_bits(all[r], want, &what);
+                    assert_same_bits(ensemble.row_stats(r), want, &what);
+                }
+                assert_eq!(bits(&ensemble.into_flat()), bits(&lanes.concat()));
             }
         }
     }

@@ -61,11 +61,13 @@
 // `transition.rs` (`TransitionMatrix::pull`, portable and generic over lane
 // width and mask, and `propagate_gather8_avx2`, its unmasked 8-lane AVX2
 // form) carry audited `allow(unsafe_code)` blocks — unchecked
-// CSR/neighbour indexing and raw-pointer lane loads justified by
-// construction invariants, plus an x86-64 prefetch hint — and so do the
-// round kernel's prefetch hint (`round::prefetch_read`) and the worker's
-// hand-off (`Worker::join`), which erases the lifetime of the job it lends
-// the worker thread and cannot return before the worker is done with it.
+// CSR/neighbour indexing, raw-pointer lane loads and the AVX2 body's
+// stores into the interleaved output chunk, justified by construction
+// invariants and the checks of their one caller, plus an x86-64 prefetch
+// hint — and so do the round kernel's prefetch hint
+// (`round::prefetch_read`) and the worker's hand-off (`Worker::join`),
+// which erases the lifetime of the job it lends the worker thread and
+// cannot return before the worker is done with it.
 // Everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,6 +120,6 @@ pub mod prelude {
     };
     pub use crate::spectral::{SpectralAnalysis, SpectralOptions};
     pub use crate::stationary::stationary_distribution;
-    pub use crate::transition::{BlackBoxModel, TransitionMatrix, TransitionModel};
+    pub use crate::transition::{TransitionMatrix, TransitionModel};
     pub use crate::walk::WalkConfig;
 }

@@ -13,8 +13,11 @@
 //! one topology, and has two kernels: a scalar scatter
 //! ([`TransitionMatrix::propagate_into`]) and a pull kernel for interleaved
 //! blocks of distributions, generic over lane width and over masked or not,
-//! with an AVX2 body for unmasked 8-lane runs.  Every lane of the pull
-//! kernel is bitwise the scatter.
+//! with an AVX2 body for unmasked 8-lane runs.  The pull kernel reads a
+//! block in the ensemble's interleaved layout and writes the same layout,
+//! for the whole block or for one destination range of it as one
+//! contiguous chunk ([`TransitionModel::propagate_round_interleaved_range`]).
+//! Every lane of the pull kernel is bitwise the scatter.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -25,13 +28,12 @@ use std::sync::Arc;
 /// A backend that can evolve position distributions by one round.
 ///
 /// The distribution-ensemble kernel ([`crate::ensemble`]) consumes the walk
-/// only through this trait, so the concrete [`TransitionMatrix`] and
-/// black-box backends (dynamic graphs, availability-dependent routing, …)
-/// plug in interchangeably.  Implementors only have to provide the
-/// single-distribution update; the batched interleaved form has a default
-/// implementation that routes each lane through [`TransitionModel::propagate_into`],
-/// and backends with structure to exploit (like the CSR matrix) override it
-/// with a fused kernel.
+/// only through this trait.  Implementors only have to provide the
+/// single-distribution update: the batched interleaved form has a default
+/// that routes each lane through [`TransitionModel::propagate_round_into`]
+/// (the path the cut-restricted
+/// [`crate::partition::IntraShardTransition`] takes), and
+/// [`TransitionMatrix`] overrides it with its fused pull kernel.
 pub trait TransitionModel {
     /// Number of nodes the distributions range over.
     fn node_count(&self) -> usize;
@@ -40,47 +42,12 @@ pub trait TransitionModel {
     /// `out`.  Both slices have length [`TransitionModel::node_count`].
     fn propagate_into(&self, p: &[f64], out: &mut [f64]);
 
-    /// One step applied to `lanes` distributions stored interleaved:
-    /// `input[i * lanes + l]` is entry `i` of distribution `l`.
-    ///
-    /// The contract mirrors [`TransitionModel::propagate_into`] lane by lane:
-    /// each lane's output must be exactly what `propagate_into` would have
-    /// produced for that lane alone (the ensemble kernel's parity guarantees
-    /// rest on this).  The default implementation gathers each lane into a
-    /// scratch row and delegates; override it when the backend can fuse the
-    /// lanes (see [`TransitionMatrix::propagate_interleaved`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or `output` do not have length `lanes * n`.
-    fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
-        let n = self.node_count();
-        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(
-            output.len(),
-            lanes * n,
-            "interleaved output has wrong length"
-        );
-        let mut row_in = vec![0.0; n];
-        let mut row_out = vec![0.0; n];
-        for lane in 0..lanes {
-            for i in 0..n {
-                row_in[i] = input[i * lanes + lane];
-            }
-            self.propagate_into(&row_in, &mut row_out);
-            for i in 0..n {
-                output[i * lanes + lane] = row_out[i];
-            }
-        }
-    }
-
     /// [`TransitionModel::propagate_into`] for the step taken at absolute
     /// round `round` (0-based: the step evolving `P(round)` to
     /// `P(round + 1)`).
     ///
     /// Static backends ignore `round` — the default delegates to
-    /// [`TransitionModel::propagate_into`], so every existing implementor is
-    /// unchanged bit for bit.  Time-varying backends (see
+    /// [`TransitionModel::propagate_into`].  Time-varying backends (see
     /// [`crate::dynamic::TimeVaryingModel`]) override this to dispatch to
     /// the operator scheduled for that round.  The ensemble kernel drives
     /// models exclusively through the round-aware entry points, threading
@@ -91,9 +58,18 @@ pub trait TransitionModel {
         self.propagate_into(p, out);
     }
 
-    /// [`TransitionModel::propagate_interleaved`] for the step taken at
-    /// absolute round `round`; same contract and default-delegation rules as
-    /// [`TransitionModel::propagate_round_into`].
+    /// The step at absolute round `round` applied to `lanes` distributions
+    /// stored interleaved: `input[i * lanes + l]` is entry `i` of
+    /// distribution `l`, and its next state lands in
+    /// `output[i * lanes + l]`.
+    ///
+    /// Each lane's output must be exactly what
+    /// [`TransitionModel::propagate_round_into`] produces for that lane
+    /// alone (the ensemble kernel's parity guarantees rest on this).  The
+    /// default runs a single lane, which is its own row, in place, and
+    /// otherwise gathers each lane into a scratch row and delegates —
+    /// correct and allocating; backends that can fuse the lanes override
+    /// it.
     ///
     /// # Panics
     ///
@@ -105,46 +81,30 @@ pub trait TransitionModel {
         input: &[f64],
         output: &mut [f64],
     ) {
-        let _ = round;
-        self.propagate_interleaved(lanes, input, output);
-    }
-
-    /// [`TransitionModel::propagate_round_interleaved`] with a row-major
-    /// result: `input[i * lanes + l]` is entry `i` of distribution `l`, and
-    /// that distribution's next state lands in `output[l * n..(l + 1) * n]`.
-    ///
-    /// This is the ensemble's one-buffer round: a block's rows are
-    /// transposed into one interleaved scratch and the step writes the
-    /// next state straight back into the rows, with no second scratch and
-    /// no transpose back.  Same per-lane bitwise contract as
-    /// [`TransitionModel::propagate_interleaved`].  The default gathers
-    /// each lane into a scratch row and runs
-    /// [`TransitionModel::propagate_round_into`] into its output row —
-    /// correct, allocating, never fast; fused backends override it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or `output` do not have length `lanes * n`.
-    fn propagate_round_interleaved_rows(
-        &self,
-        round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-    ) {
         let n = self.node_count();
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(output.len(), lanes * n, "output block has wrong length");
+        assert_eq!(
+            output.len(),
+            lanes * n,
+            "interleaved output has wrong length"
+        );
+        if lanes == 1 {
+            return self.propagate_round_into(round, input, output);
+        }
         let mut row_in = vec![0.0; n];
-        for (lane, out_row) in output.chunks_mut(n).enumerate() {
+        let mut row_out = vec![0.0; n];
+        for lane in 0..lanes {
             for (i, x) in row_in.iter_mut().enumerate() {
                 *x = input[i * lanes + lane];
             }
-            self.propagate_round_into(round, &row_in, out_row);
+            self.propagate_round_into(round, &row_in, &mut row_out);
+            for (i, &x) in row_out.iter().enumerate() {
+                output[i * lanes + lane] = x;
+            }
         }
     }
 
-    /// Whether [`TransitionModel::propagate_round_interleaved_rows_range`]
+    /// Whether [`TransitionModel::propagate_round_interleaved_range`]
     /// computes round `round` for a fraction of the cost of the whole
     /// block, so a caller may split the round by destination range across
     /// threads.  The default (`false`) keeps every block one unit of work.
@@ -153,35 +113,31 @@ pub trait TransitionModel {
         false
     }
 
-    /// [`TransitionModel::propagate_round_interleaved_rows`] restricted to
-    /// the destinations `nodes`: `rows[l]` receives entries `nodes` of lane
-    /// `l`'s next state, bitwise what the whole-block call writes there.
-    /// Ranges never interact, so disjoint ranges of one round can run at
-    /// once.  The default steps the whole block into a scratch buffer and
-    /// copies the range out — correct, allocating, never fast; backends
-    /// that say so through [`TransitionModel::has_range_kernel`] override
-    /// it.
+    /// [`TransitionModel::propagate_round_interleaved`] restricted to the
+    /// destinations `nodes`: `out` is those destinations' interleaved
+    /// chunk, entry `j` of lane `l` at `out[(j - nodes.start) * lanes + l]`,
+    /// bitwise what the whole-block call writes at `j * lanes + l`.  Ranges
+    /// never interact, so disjoint ranges of one round can run at once.
+    /// The default steps the whole block into a scratch buffer and copies
+    /// the range out — correct, allocating, never fast; backends that say
+    /// so through [`TransitionModel::has_range_kernel`] override it.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not have length `lanes * n`, `nodes` does not
-    /// lie within `0..n`, or `rows` is not `lanes` slices of
-    /// `nodes.len()` entries.
-    fn propagate_round_interleaved_rows_range(
+    /// lie within `0..n`, or `out` does not have length
+    /// `nodes.len() * lanes`.
+    fn propagate_round_interleaved_range(
         &self,
         round: usize,
         lanes: usize,
         input: &[f64],
         nodes: Range<usize>,
-        rows: &mut [&mut [f64]],
+        out: &mut [f64],
     ) {
-        let n = self.node_count();
-        assert_eq!(rows.len(), lanes, "one output slice per lane");
-        let mut block = vec![0.0; lanes * n];
-        self.propagate_round_interleaved_rows(round, lanes, input, &mut block);
-        for (row, next) in rows.iter_mut().zip(block.chunks(n)) {
-            row.copy_from_slice(&next[nodes.clone()]);
-        }
+        let mut block = vec![0.0; input.len()];
+        self.propagate_round_interleaved(round, lanes, input, &mut block);
+        out.copy_from_slice(&block[nodes.start * lanes..nodes.end * lanes]);
     }
 
     /// The availability mask this operator routes around, when it applies
@@ -190,51 +146,6 @@ pub trait TransitionModel {
     /// per-round operator).
     fn availability(&self) -> Option<&[bool]> {
         None
-    }
-}
-
-/// Where a fused pull kernel stores the lanes it accumulated for one node.
-enum LaneOut<'a, 'r> {
-    /// The input's interleaved layout: lane `l` of node `j` at
-    /// `out[j * lanes + l]`.
-    Interleaved(&'a mut [f64]),
-    /// Row-major: lane `l` of node `j` at `out[l * n + j]`.
-    Rows(&'a mut [f64]),
-    /// One slice per lane covering destinations `start..`: lane `l` of
-    /// node `j` at `rows[l][j - start]`.
-    Ranges {
-        rows: &'a mut [&'r mut [f64]],
-        start: usize,
-    },
-}
-
-impl LaneOut<'_, '_> {
-    /// Stores lanes `offset..offset + L` of node `j`.
-    #[inline(always)]
-    fn put<const L: usize>(
-        &mut self,
-        n: usize,
-        lanes: usize,
-        offset: usize,
-        j: usize,
-        acc: &[f64; L],
-    ) {
-        match self {
-            LaneOut::Interleaved(out) => {
-                let base = j * lanes + offset;
-                out[base..base + L].copy_from_slice(acc);
-            }
-            LaneOut::Rows(out) => {
-                for (lane, &value) in acc.iter().enumerate() {
-                    out[(offset + lane) * n + j] = value;
-                }
-            }
-            LaneOut::Ranges { rows, start } => {
-                for (row, &value) in rows[offset..offset + L].iter_mut().zip(acc) {
-                    row[j - *start] = value;
-                }
-            }
-        }
     }
 }
 
@@ -255,44 +166,6 @@ fn lane_runs(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
         offset += width;
         Some((offset - width, width))
     })
-}
-
-/// A black-box transition backend defined by a closure.
-///
-/// This is the escape hatch for transition structures that are only
-/// available as a simulator — time-varying graphs, availability-dependent
-/// routing — which the paper lists as future work.  The closure receives the
-/// current distribution and must write the next one; it is used through
-/// [`TransitionModel`], so everything built on the ensemble kernel (exact
-/// accounting, trajectory sweeps) works unchanged.
-#[derive(Debug, Clone)]
-pub struct BlackBoxModel<F> {
-    node_count: usize,
-    update: F,
-}
-
-impl<F: Fn(&[f64], &mut [f64])> BlackBoxModel<F> {
-    /// Wraps `update` as a transition model over `node_count` nodes.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EmptyGraph`] if `node_count == 0`.
-    pub fn new(node_count: usize, update: F) -> Result<Self> {
-        if node_count == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        Ok(BlackBoxModel { node_count, update })
-    }
-}
-
-impl<F: Fn(&[f64], &mut [f64])> TransitionModel for BlackBoxModel<F> {
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        (self.update)(p, out);
-    }
 }
 
 /// The walk operator's topology: the graph's CSR with `u32` neighbour ids,
@@ -533,59 +406,40 @@ impl TransitionMatrix {
         }
     }
 
-    /// One step applied to `lanes` interleaved distributions
-    /// (`input[i * lanes + l]` is entry `i` of lane `l`) in a single fused
-    /// sweep of the CSR structure.
+    /// Pulls destinations `nodes` of every lane of the interleaved block
+    /// `input` into `out`, their interleaved chunk
+    /// (`out[(j - nodes.start) * lanes + l]`), masked or not as the
+    /// operator is.
     ///
-    /// This is the hot kernel behind [`crate::ensemble::DistributionEnsemble`]:
-    /// the offsets/neighbour arrays — the dominant memory traffic of
+    /// This is the hot kernel behind
+    /// [`crate::ensemble::DistributionEnsemble`]: the offsets/neighbour
+    /// arrays — the dominant memory traffic of
     /// [`TransitionMatrix::propagate_into`] — are streamed once per *block*
     /// of lanes instead of once per distribution, and every gathered share
     /// updates `lanes` adjacent f64s (one cache line for 8 lanes) instead of
-    /// a single scattered one.  Lane `l`'s result is bit-for-bit identical to
-    /// `propagate_into` applied to lane `l` alone.
+    /// a single scattered one.  Lane `l`'s result is bit-for-bit identical
+    /// to `propagate_into` applied to lane `l` alone.
     ///
     /// # Panics
     ///
-    /// Panics if `input` or `output` do not have length `lanes * n`.
-    pub fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
+    /// Panics unless `input` holds `lanes * n` f64s, `nodes` lies within
+    /// `0..n` and `out` holds `nodes.len() * lanes` f64s — what the pull
+    /// bodies' unchecked loads and stores rely on.
+    fn pull_range(&self, lanes: usize, input: &[f64], nodes: Range<usize>, out: &mut [f64]) {
         let n = self.node_count();
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(
-            output.len(),
-            lanes * n,
-            "interleaved output has wrong length"
+        assert!(
+            nodes.start <= nodes.end && nodes.end <= n,
+            "destinations {nodes:?} outside 0..{n}"
         );
-        self.propagate_lanes(lanes, input, LaneOut::Interleaved(output));
-    }
-
-    /// Dispatches `lanes` interleaved lanes, storing through `out`; both
-    /// callers have checked that the buffers hold `lanes * n` f64s, which
-    /// the pull kernels' unchecked loads rely on.  A 1-lane block is the
-    /// row layout, so it runs the scatter; wider blocks run the pull
-    /// kernel.
-    fn propagate_lanes(&self, lanes: usize, input: &[f64], out: LaneOut<'_, '_>) {
-        match out {
-            LaneOut::Interleaved(output) | LaneOut::Rows(output) if lanes == 1 => {
-                self.propagate_into(input, output)
-            }
-            out => self.pull_range(lanes, input, 0..self.node_count(), out),
-        }
-    }
-
-    /// Pulls destinations `nodes` of every lane, masked or not as the
-    /// operator is.  The caller has checked that `input` holds `lanes * n`
-    /// f64s and that `nodes` lies within `0..n`.
-    fn pull_range(
-        &self,
-        lanes: usize,
-        input: &[f64],
-        nodes: Range<usize>,
-        mut out: LaneOut<'_, '_>,
-    ) {
+        assert_eq!(
+            out.len(),
+            nodes.len() * lanes,
+            "output chunk must cover the destinations exactly"
+        );
         match self.available {
-            None => self.pull_runs::<false>(lanes, input, nodes, &mut out),
-            Some(_) => self.pull_runs::<true>(lanes, input, nodes, &mut out),
+            None => self.pull_runs::<false>(lanes, input, nodes, out),
+            Some(_) => self.pull_runs::<true>(lanes, input, nodes, out),
         }
     }
 
@@ -600,7 +454,7 @@ impl TransitionMatrix {
         lanes: usize,
         input: &[f64],
         nodes: Range<usize>,
-        out: &mut LaneOut<'_, '_>,
+        out: &mut [f64],
     ) {
         for (offset, width) in lane_runs(lanes) {
             let nodes = nodes.clone();
@@ -609,10 +463,10 @@ impl TransitionMatrix {
                     #[cfg(target_arch = "x86_64")]
                     if !MASKED && std::arch::is_x86_feature_detected!("avx2") {
                         // SAFETY: AVX2 was just checked, `lane_runs` keeps
-                        // `offset + 8 <= lanes`, and the callers of
-                        // `pull_range` checked that `input` holds
-                        // `n * lanes` f64s and that `nodes` lies within
-                        // `0..n`.
+                        // `offset + 8 <= lanes`, and `pull_range` checked
+                        // that `input` holds `n * lanes` f64s, that `nodes`
+                        // lies within `0..n` and that `out` holds
+                        // `nodes.len() * lanes` f64s.
                         #[allow(unsafe_code)]
                         unsafe {
                             self.propagate_gather8_avx2(lanes, offset, input, nodes, out);
@@ -640,9 +494,10 @@ impl TransitionMatrix {
     /// # Safety
     ///
     /// The host must support AVX2, `offset + 8 <= lanes`, `input` must
-    /// hold `n * lanes` f64s and `nodes` must lie within `0..n`; the loads
-    /// also rely on the CSR's construction invariants (every neighbour id
-    /// is `< n`, `inv_degree` has `n` entries).
+    /// hold `n * lanes` f64s, `nodes` must lie within `0..n` and `out` must
+    /// hold `nodes.len() * lanes` f64s; the loads also rely on the CSR's
+    /// construction invariants (every neighbour id is `< n`, `inv_degree`
+    /// has `n` entries).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(unsafe_code)]
@@ -652,17 +507,17 @@ impl TransitionMatrix {
         offset: usize,
         input: &[f64],
         nodes: Range<usize>,
-        out: &mut LaneOut<'_, '_>,
+        out: &mut [f64],
     ) {
         use std::arch::x86_64::*;
         const PREFETCH_DISTANCE: usize = 8;
         let csr = &*self.csr;
-        let n = csr.node_count();
         let move_factor = _mm256_set1_pd(1.0 - self.laziness);
         let laziness = _mm256_set1_pd(self.laziness);
         let in_ptr = input.as_ptr();
+        let out_ptr = out.as_mut_ptr();
+        let start = nodes.start;
         let edge_count = csr.neighbors.len();
-        let mut acc = [0.0f64; 8];
         for j in nodes {
             let base = j * lanes + offset;
             let in_j0 = _mm256_loadu_pd(in_ptr.add(base));
@@ -698,15 +553,16 @@ impl TransitionMatrix {
                 acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(laziness, in_j0));
                 acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(laziness, in_j1));
             }
-            _mm256_storeu_pd(acc.as_mut_ptr(), acc0);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(4), acc1);
-            out.put::<8>(n, lanes, offset, j, &acc);
+            let ob = (j - start) * lanes + offset;
+            _mm256_storeu_pd(out_ptr.add(ob), acc0);
+            _mm256_storeu_pd(out_ptr.add(ob + 4), acc1);
         }
     }
 
     /// The portable pull kernel: lanes `offset..offset + L` of the
     /// destinations `nodes` of an interleaved block `lanes` wide, under the
-    /// mask when `MASKED`.
+    /// mask when `MASKED`, stored at `out[(j - nodes.start) * lanes +
+    /// offset..]`.
     ///
     /// Instead of scattering each node's share to its neighbours (a random
     /// read-for-ownership per edge, whose miss latency serializes the
@@ -740,7 +596,7 @@ impl TransitionMatrix {
         offset: usize,
         input: &[f64],
         nodes: Range<usize>,
-        out: &mut LaneOut<'_, '_>,
+        out: &mut [f64],
     ) {
         // How many edges ahead source lines are prefetched.  The masked
         // form looks twice as far, which measured faster at 1M nodes (its
@@ -748,12 +604,14 @@ impl TransitionMatrix {
         let prefetch_distance = if MASKED { 16 } else { 8 };
         let csr = &*self.csr;
         let mask = self.available.as_deref().unwrap_or_default();
-        let n = csr.node_count();
         let move_factor = 1.0 - self.laziness;
         let in_ptr = input.as_ptr();
         let edge_count = csr.neighbors.len();
+        let start = nodes.start;
         for j in nodes {
             let base = j * lanes + offset;
+            let stored = (j - start) * lanes + offset;
+            let out = &mut out[stored..stored + L];
             let own: &[f64; L] = input[base..base + L].try_into().expect("lane width");
             let mut stay = [0.0f64; L];
             for lane in 0..L {
@@ -778,7 +636,7 @@ impl TransitionMatrix {
                     }
                 }
                 if !mask[j] {
-                    out.put::<L>(n, lanes, offset, j, &stay);
+                    out.copy_from_slice(&stay);
                     continue;
                 }
             }
@@ -816,7 +674,7 @@ impl TransitionMatrix {
                     acc[lane] += stay[lane];
                 }
             }
-            out.put::<L>(n, lanes, offset, j, &acc);
+            out.copy_from_slice(&acc);
         }
     }
 
@@ -841,21 +699,20 @@ impl TransitionModel for TransitionMatrix {
         TransitionMatrix::propagate_into(self, p, out);
     }
 
-    fn propagate_interleaved(&self, lanes: usize, input: &[f64], output: &mut [f64]) {
-        TransitionMatrix::propagate_interleaved(self, lanes, input, output);
-    }
-
-    fn propagate_round_interleaved_rows(
+    /// A single lane is its own row and runs the scatter; wider blocks run
+    /// the pull kernel over every destination.
+    fn propagate_round_interleaved(
         &self,
         _round: usize,
         lanes: usize,
         input: &[f64],
         output: &mut [f64],
     ) {
-        let n = self.node_count();
-        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(output.len(), lanes * n, "output block has wrong length");
-        self.propagate_lanes(lanes, input, LaneOut::Rows(output));
+        if lanes == 1 {
+            self.propagate_into(input, output);
+        } else {
+            self.pull_range(lanes, input, 0..self.node_count(), output);
+        }
     }
 
     fn has_range_kernel(&self, _round: usize) -> bool {
@@ -865,27 +722,15 @@ impl TransitionModel for TransitionMatrix {
     /// Runs the pull kernel over `nodes` only — for every lane count,
     /// since a single lane's range cannot take the scatter, which writes
     /// anywhere.
-    fn propagate_round_interleaved_rows_range(
+    fn propagate_round_interleaved_range(
         &self,
         _round: usize,
         lanes: usize,
         input: &[f64],
         nodes: Range<usize>,
-        rows: &mut [&mut [f64]],
+        out: &mut [f64],
     ) {
-        let n = self.node_count();
-        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert!(
-            nodes.start <= nodes.end && nodes.end <= n,
-            "destinations {nodes:?} outside 0..{n}"
-        );
-        assert_eq!(rows.len(), lanes, "one output slice per lane");
-        assert!(
-            rows.iter().all(|row| row.len() == nodes.len()),
-            "output slices must cover the destinations exactly"
-        );
-        let start = nodes.start;
-        self.pull_range(lanes, input, nodes, LaneOut::Ranges { rows, start });
+        self.pull_range(lanes, input, nodes, out);
     }
 
     fn availability(&self) -> Option<&[bool]> {
@@ -1018,8 +863,8 @@ mod tests {
         let mut ensemble =
             crate::ensemble::DistributionEnsemble::point_masses(n, &[0, 5, n - 1]).unwrap();
         ensemble.advance(&masked, 6);
-        for row in 0..3 {
-            let sum: f64 = ensemble.row(row).iter().sum();
+        for (row, dist) in ensemble.row_groups(&[0, 3]).concat().chunks(n).enumerate() {
+            let sum: f64 = dist.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {row} sums to {sum}");
         }
         // One step from a point mass: unavailable neighbours receive nothing,

@@ -10,8 +10,9 @@
 //!   columns the round's edits can reach and every tracked row as raw f64
 //!   bit patterns;
 //! * the walk operator's pull kernel, masked and unmasked (the portable
-//!   body and, on AVX2 hosts, the unmasked 8-lane AVX2 body), lane by lane
-//!   against the scalar scatter reference;
+//!   body and, on AVX2 hosts, the unmasked 8-lane AVX2 body), over whole
+//!   blocks and destination ranges, lane by lane against the scalar scatter
+//!   reference;
 //! * [`DynamicGraph`] snapshots after a small and a large wave of edits
 //!   against a from-scratch build of the same edge set.
 
@@ -133,9 +134,12 @@ fn build_delta_trace() -> String {
             write!(out, " {c}").unwrap();
         }
         out.push('\n');
-        for (r, _) in origins.iter().enumerate() {
+        for (r, row) in dense.row_groups(&[0, origins.len()])[0]
+            .chunks(n)
+            .enumerate()
+        {
             write!(out, "round {round} row {r}").unwrap();
-            for &p in dense.row(r) {
+            for &p in row {
                 write!(out, " {:016x}", p.to_bits()).unwrap();
             }
             out.push('\n');
@@ -175,15 +179,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The walk operator's pull kernel, directly: every lane of an
-    /// interleaved step — written back interleaved and written row-major —
-    /// is bitwise the scalar scatter reference
-    /// ([`TransitionMatrix::propagate_into`]), compared through `to_bits`
-    /// so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9 and 16
-    /// (every compile-time width and ragged split; unmasked 8- and 16-lane
-    /// blocks run the AVX2 body on hosts that have it), laziness 0 and
-    /// 0.15, no mask, and masks from all-available to all-dark with dark
-    /// point-mass origins, over three evolving steps from point masses
-    /// mixed with dense random rows.
+    /// interleaved step — the whole block, and destination ranges of it
+    /// (empty, one node, ending at `n`, and one drawn at random), each
+    /// written as its own interleaved chunk — is bitwise the scalar scatter
+    /// reference ([`TransitionMatrix::propagate_into`]), compared through
+    /// `to_bits` so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9
+    /// and 16 (every compile-time width and ragged split; unmasked 8- and
+    /// 16-lane blocks run the AVX2 body on hosts that have it; a whole
+    /// 1-lane block runs the scatter itself), laziness 0 and 0.15, no
+    /// mask, and masks from all-available to all-dark with dark point-mass
+    /// origins, over three evolving steps from point masses mixed with
+    /// dense random rows.
     #[test]
     fn pull_kernel_matches_the_scalar_scatter_per_lane(
         graph in strategies::graph_zoo(20..70),
@@ -233,26 +239,28 @@ proptest! {
                     for step in 0..3 {
                         let input: Vec<f64> =
                             (0..n).flat_map(|i| rows.iter().map(move |row| row[i])).collect();
-                        let mut interleaved = vec![f64::NAN; lanes * n];
-                        op.propagate_interleaved(lanes, &input, &mut interleaved);
-                        let mut row_major = vec![f64::NAN; lanes * n];
-                        op.propagate_round_interleaved_rows(0, lanes, &input, &mut row_major);
+                        let mut block = vec![f64::NAN; lanes * n];
+                        op.propagate_round_interleaved(0, lanes, &input, &mut block);
+                        let (a, b) = (rng.gen_range(0..n + 1), rng.gen_range(0..n + 1));
+                        let one = rng.gen_range(0..n);
+                        let mut outputs = vec![(0..n, block)];
+                        for nodes in [a..a, one..one + 1, a.min(b)..n, a.min(b)..a.max(b)] {
+                            let mut chunk = vec![f64::NAN; nodes.len() * lanes];
+                            op.propagate_round_interleaved_range(0, lanes, &input, nodes.clone(), &mut chunk);
+                            outputs.push((nodes, chunk));
+                        }
                         for (lane, row) in rows.iter_mut().enumerate() {
                             let mut want = vec![f64::NAN; n];
                             op.propagate_into(row, &mut want);
-                            for (i, w) in want.iter().enumerate() {
-                                prop_assert_eq!(
-                                    w.to_bits(),
-                                    interleaved[i * lanes + lane].to_bits(),
-                                    "interleaved lane {} of {} diverged at node {} (step {}, dark {:?}, laziness {})",
-                                    lane, lanes, i, step, dark, laziness
-                                );
-                                prop_assert_eq!(
-                                    w.to_bits(),
-                                    row_major[lane * n + i].to_bits(),
-                                    "row-major lane {} of {} diverged at node {} (step {}, dark {:?}, laziness {})",
-                                    lane, lanes, i, step, dark, laziness
-                                );
+                            for (nodes, out) in &outputs {
+                                for j in nodes.clone() {
+                                    prop_assert_eq!(
+                                        want[j].to_bits(),
+                                        out[(j - nodes.start) * lanes + lane].to_bits(),
+                                        "destinations {:?}: lane {} of {} diverged at node {} (step {}, dark {:?}, laziness {})",
+                                        nodes, lane, lanes, j, step, dark, laziness
+                                    );
+                                }
                             }
                             *row = want;
                         }

@@ -55,7 +55,7 @@ fn exact_ensemble_rows_match_position_distribution_bitwise() {
             let mut single = PositionDistribution::point_mass(n, origin).unwrap();
             single.advance(&transition, 12);
             assert_eq!(
-                full.row(origin),
+                full.row_groups(&[origin, origin + 1]).concat(),
                 single.probabilities(),
                 "{name}: origin {origin} diverged from the single-origin route"
             );
@@ -175,9 +175,10 @@ fn streaming_moments_match_materialized_ensemble() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every row's moments — read from the rows, and recorded per round by
-    /// a tracked advance from the interleaved block — are bitwise the
-    /// single ordered fold over the row in index order.
+    /// Every row's moments — read from the rows one at a time and all in
+    /// one pass, and recorded per round by a tracked advance from the
+    /// interleaved block — are bitwise the single ordered fold over the row
+    /// in index order.
     #[test]
     fn row_moments_are_bitwise_the_ordered_fold(
         graph in strategies::graph_zoo(60..220),
@@ -191,13 +192,16 @@ proptest! {
         let mut ensemble = DistributionEnsemble::point_masses(nodes, &origins).unwrap();
         for t in 1..=rounds {
             let trajectory = ensemble.advance_tracked(&transition, 2);
+            let mut all = Vec::new();
+            ensemble.stats_into(&mut all);
             for row in 0..origins.len() {
                 let mut stepped = DistributionEnsemble::point_masses(nodes, &origins[row..=row])
                     .unwrap();
                 stepped.advance(&transition, 2 * t - 1);
-                let midway = ordered_fold(stepped.row(0));
-                let want = ordered_fold(ensemble.row(row));
+                let midway = ordered_fold(&stepped.row_groups(&[0, 1]).concat());
+                let want = ordered_fold(&ensemble.row_groups(&[row, row + 1]).concat());
                 prop_assert_eq!(bits(ensemble.row_stats(row)), bits(want), "row {}", row);
+                prop_assert_eq!(bits(all[row]), bits(want), "row {}", row);
                 prop_assert_eq!(bits(trajectory.after(row, 2)), bits(want), "row {}", row);
                 prop_assert_eq!(bits(trajectory.after(row, 1)), bits(midway), "row {}", row);
             }
@@ -388,8 +392,8 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
 enum Interleaving {
     /// The worker runs every unit; the caller arrives once it is done.
     WorkerOnly,
-    /// The worker runs the first unit (the first block's transpose, or a
-    /// 1-row block whole); the caller runs every unit after it.
+    /// The worker runs the first unit (the first block's first range, or
+    /// a 1-row block whole); the caller runs every unit after it.
     CallerAfterFirst,
     /// The two take turns, one unit each, the worker first.
     Alternate,
@@ -509,9 +513,9 @@ proptest! {
                         prop_assert_eq!(swept.time(), serial.time());
                         for row in 0..rows {
                             let same = swept
-                                .row(row)
+                                .row_groups(&[row, row + 1]).concat()
                                 .iter()
-                                .zip(serial.row(row))
+                                .zip(serial.row_groups(&[row, row + 1]).concat())
                                 .all(|(a, b)| a.to_bits() == b.to_bits());
                             prop_assert!(
                                 same,
