@@ -1,35 +1,50 @@
 //! Blocked distribution-ensemble kernel vs. the naive per-origin loop.
 //!
-//! On a 100k-node Chung–Lu graph, a batch of origins is evolved to the
-//! accounting horizon either through the blocked interleaved kernel or
-//! through the naive loop — one full `propagate_into` CSR sweep per origin
-//! per round.  Besides the criterion-style per-path timings,
-//! `bench_speedup_ratio` times both paths back to back on identical inputs
-//! and prints the ratio directly.
+//! On a 100k-node Chung–Lu graph, a batch of rows is evolved either through
+//! the blocked interleaved kernel (`DistributionEnsemble::advance`) or
+//! through the naive loop — one full `propagate_round_into` CSR sweep per
+//! row per round.  Three cases:
+//!
+//! * 64 rows under the static walk (eight 8-lane blocks);
+//! * 8 rows under the static walk (one block, the unmasked 8-lane pull);
+//! * 8 rows under a bursty Markov on/off outage schedule (fail 0.01,
+//!   recover 0.04: a fifth of the users dark in each round) through
+//!   `TimeVaryingModel`, the masked 8-lane pull a churning deployment's
+//!   accountant runs every round.
+//!
+//! One protocol times every case: the rows and the operators are built
+//! outside the timer, both routes run one untimed warm-up advance, then
+//! each repetition times one `ROUNDS`-round advance of each route,
+//! alternating which goes first.  Both routes keep evolving the same rows,
+//! so after the last repetition their rows must agree bit for bit (the
+//! bench panics otherwise).  Each case prints the median and quartiles of
+//! both routes and the ratio of the medians.
 //!
 //! Interpreting the ratio: the blocked kernel streams the CSR arrays once
-//! per 8 origins instead of once per origin and delivers 8 lanes per edge
-//! through two AVX2 accumulator chains, so its advantage scales with how
+//! per 8 rows instead of once per row and gathers 8 lanes per edge into
+//! one register accumulator (one AVX-512F vector on hosts that have it,
+//! else two AVX2 vectors), so its advantage scales with how
 //! much the naive loop pays for re-streaming the graph.  On hosts whose
 //! last-level cache swallows the whole problem (CSR + both buffers), the
-//! naive loop pays nothing and the measured gap narrows to the SIMD factor;
-//! container-class vCPUs with 2 MB L2 and a large shared L3 are the worst
-//! case, and the sparsity short-cut of `propagate_into` (zero-mass nodes
-//! are skipped) further flatters the naive loop in the pre-mixing rounds.
+//! naive loop pays little and the gap narrows to the SIMD factor; and the
+//! sparsity short-cut of `propagate_into` (zero-mass nodes are skipped)
+//! flatters the naive loop while rows are still concentrated.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use network_shuffle::faults::OutageModel;
 use ns_graph::connectivity::largest_connected_component;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::rng::seeded_rng;
-use ns_graph::transition::TransitionMatrix;
+use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use ns_graph::Graph;
+use std::hint::black_box;
 use std::time::Instant;
 
 const NODES: usize = 100_000;
-const SOURCES: usize = 64;
-/// Rounds per origin: the accounting horizon (≈ the mixing time of the
-/// benchmark graph), where exact `Σ P²` values are actually consumed.
+/// Rounds per timed advance: the accounting horizon (≈ the mixing time of
+/// the benchmark graph).
 const ROUNDS: usize = 20;
+/// Timed repetitions of each route per case.
+const REPS: usize = 9;
 
 /// A 100k-node Chung–Lu graph with a mildly heavy-tailed expected-degree
 /// sequence (mean ≈ 6) — the irregular-topology setting the exact
@@ -42,83 +57,156 @@ fn graph() -> Graph {
     largest_connected_component(&raw).0
 }
 
-fn origins(n: usize) -> Vec<usize> {
-    (0..SOURCES).map(|i| i * (n / SOURCES)).collect()
+/// `rows` origins spread evenly over the nodes.
+fn origins(n: usize, rows: usize) -> Vec<usize> {
+    (0..rows).map(|i| i * (n / rows)).collect()
 }
 
-/// The naive route: each origin evolved independently, every round paying a
-/// full sweep of the CSR offsets/neighbour arrays.
-fn naive_per_origin(transition: &TransitionMatrix, origins: &[usize], rounds: usize) -> f64 {
-    let n = transition.node_count();
-    let mut current = vec![0.0f64; n];
-    let mut next = vec![0.0f64; n];
-    let mut checksum = 0.0;
-    for &origin in origins {
-        current.fill(0.0);
-        current[origin] = 1.0;
-        for _ in 0..rounds {
-            transition.propagate_into(&current, &mut next);
-            std::mem::swap(&mut current, &mut next);
-        }
-        checksum += current.iter().map(|x| x * x).sum::<f64>();
+/// A way of evolving a batch of rows.
+trait Route {
+    /// Evolves every row by `rounds` rounds.
+    fn advance(&mut self, rounds: usize);
+    /// The rows, row-major.
+    fn rows(&self) -> Vec<f64>;
+}
+
+/// Every row in one ensemble, 8 to an interleaved block.
+struct Blocked<'a, M: ?Sized> {
+    model: &'a M,
+    ensemble: DistributionEnsemble,
+}
+
+impl<M: TransitionModel + ?Sized> Route for Blocked<'_, M> {
+    fn advance(&mut self, rounds: usize) {
+        self.ensemble.advance(self.model, rounds);
     }
-    checksum
+
+    fn rows(&self) -> Vec<f64> {
+        self.ensemble.clone().into_flat()
+    }
 }
 
-/// The blocked route: all origins in one ensemble, lanes interleaved.
-fn blocked_ensemble(transition: &TransitionMatrix, origins: &[usize], rounds: usize) -> f64 {
-    let n = transition.node_count();
-    let mut ensemble = DistributionEnsemble::point_masses(n, origins).expect("ensemble");
-    ensemble.advance(transition, rounds);
-    let mut stats = Vec::new();
-    ensemble.stats_into(&mut stats);
-    stats.iter().map(|stats| stats.sum_of_squares).sum()
+/// Each row evolved on its own: one full sweep of the operator per row per
+/// round.
+struct Naive<'a, M: ?Sized> {
+    model: &'a M,
+    rows: Vec<Vec<f64>>,
+    scratch: Vec<f64>,
+    time: usize,
 }
 
-fn bench_kernels(c: &mut Criterion) {
-    let graph = graph();
-    let transition = TransitionMatrix::new(&graph).expect("transition");
-    let origins = origins(graph.node_count());
-    let mut group = c.benchmark_group("ensemble_100k");
-    group.sample_size(10);
-    group.bench_function("blocked_64x20", |b| {
-        b.iter(|| black_box(blocked_ensemble(&transition, &origins, ROUNDS)));
-    });
-    group.bench_function("naive_64x20", |b| {
-        b.iter(|| black_box(naive_per_origin(&transition, &origins, ROUNDS)));
-    });
-    group.finish();
+impl<M: TransitionModel + ?Sized> Route for Naive<'_, M> {
+    fn advance(&mut self, rounds: usize) {
+        for row in &mut self.rows {
+            for t in 0..rounds {
+                self.model
+                    .propagate_round_into(self.time + t, row, &mut self.scratch);
+                std::mem::swap(row, &mut self.scratch);
+            }
+        }
+        self.time += rounds;
+    }
+
+    fn rows(&self) -> Vec<f64> {
+        self.rows.concat()
+    }
 }
 
-/// Times both kernels back to back and prints the speedup ratio — the
-/// number the acceptance criterion asks for.
-fn bench_speedup_ratio(_c: &mut Criterion) {
-    let graph = graph();
-    let transition = TransitionMatrix::new(&graph).expect("transition");
-    let origins = origins(graph.node_count());
-    let time = |f: &dyn Fn() -> f64| {
-        // One warm-up, then the best of three timed runs.
-        f();
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(f());
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+/// Point masses on `origins` over `n` nodes, both ways.
+fn routes<'a, M: TransitionModel + ?Sized>(
+    model: &'a M,
+    origins: &[usize],
+) -> (Blocked<'a, M>, Naive<'a, M>) {
+    let n = model.node_count();
+    let ensemble = DistributionEnsemble::point_masses(n, origins).expect("ensemble");
+    let rows = origins
+        .iter()
+        .map(|&origin| {
+            let mut row = vec![0.0; n];
+            row[origin] = 1.0;
+            row
+        })
+        .collect();
+    let naive = Naive {
+        model,
+        rows,
+        scratch: vec![0.0; n],
+        time: 0,
     };
-    let blocked = time(&|| blocked_ensemble(&transition, &origins, ROUNDS));
-    let naive = time(&|| naive_per_origin(&transition, &origins, ROUNDS));
-    let parity = (blocked_ensemble(&transition, &origins, ROUNDS)
-        - naive_per_origin(&transition, &origins, ROUNDS))
-    .abs();
+    (Blocked { model, ensemble }, naive)
+}
+
+/// Seconds one `ROUNDS`-round advance of `route` takes.
+fn timed(route: &mut dyn Route) -> f64 {
+    let start = Instant::now();
+    route.advance(black_box(ROUNDS));
+    black_box(&*route);
+    start.elapsed().as_secs_f64()
+}
+
+/// The median and the lower and upper quartiles, interpolated.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let position = q * (samples.len() - 1) as f64;
+        let (low, high) = (position.floor() as usize, position.ceil() as usize);
+        samples[low] + (samples[high] - samples[low]) * (position - low as f64)
+    };
+    [at(0.5), at(0.25), at(0.75)]
+}
+
+/// Times `blocked` against `naive` by the protocol in the module docs and
+/// prints one line.
+fn compare(case: &str, rows: usize, blocked: &mut dyn Route, naive: &mut dyn Route) {
+    blocked.advance(ROUNDS);
+    naive.advance(ROUNDS);
+    let (mut blocked_s, mut naive_s) = (Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        if rep % 2 == 0 {
+            blocked_s.push(timed(blocked));
+            naive_s.push(timed(naive));
+        } else {
+            naive_s.push(timed(naive));
+            blocked_s.push(timed(blocked));
+        }
+    }
+    let same = blocked
+        .rows()
+        .iter()
+        .zip(naive.rows())
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(
+        same,
+        "{case}: the blocked rows diverged from the naive rows"
+    );
+    let [b, b_low, b_high] = quartiles(blocked_s);
+    let [v, v_low, v_high] = quartiles(naive_s);
     println!(
-        "speedup: blocked ensemble {blocked:.3} s vs naive per-origin {naive:.3} s \
-         -> {:.2}x (n = {}, sources = {SOURCES}, rounds = {ROUNDS}, checksum delta = {parity:.1e})",
-        naive / blocked,
-        graph.node_count()
+        "speedup: {case}, {rows} rows: blocked ensemble {b:.4} s [{b_low:.4}–{b_high:.4}] \
+         vs naive per-origin {v:.4} s [{v_low:.4}–{v_high:.4}] -> {:.2}x \
+         (median [quartiles] of {REPS} alternating advances of {ROUNDS} rounds; rows bitwise equal)",
+        v / b
     );
 }
 
-criterion_group!(benches, bench_kernels, bench_speedup_ratio);
-criterion_main!(benches);
+fn main() {
+    let graph = graph();
+    let n = graph.node_count();
+    let walk = TransitionMatrix::new(&graph).expect("transition");
+    // Masks for the warm-up and every timed advance of both routes.
+    let schedule = OutageModel::MarkovOnOff {
+        fail: 0.01,
+        recover: 0.04,
+    }
+    .sample_schedule(n, (REPS + 1) * ROUNDS, 7)
+    .expect("schedule")
+    .time_varying_model(&graph, 0.0)
+    .expect("operator schedule");
+    println!("ensemble bench: n = {n}, m = {}", graph.edge_count());
+    for (case, rows) in [("unmasked", 64), ("unmasked", 8)] {
+        let (mut blocked, mut naive) = routes(&walk, &origins(n, rows));
+        compare(case, rows, &mut blocked, &mut naive);
+    }
+    let (mut blocked, mut naive) = routes(&schedule, &origins(n, 8));
+    compare("masked Markov on/off", 8, &mut blocked, &mut naive);
+}

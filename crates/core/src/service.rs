@@ -414,7 +414,9 @@ impl StreamingAccountant {
     /// One round: `drive` runs the sweep job (on as many threads as it
     /// likes, each calling it), then the moments are re-folded here.  With
     /// telemetry attached, `ns_acct_advance_ns` records the sweep from its
-    /// start until its last unit finishes, on whichever thread ran that.
+    /// start until its last unit finishes, on whichever thread ran that —
+    /// the round's preparation (a masked round's dark-neighbour counts,
+    /// run by the first unit) included.
     fn advance(&mut self, drive: impl FnOnce(&(dyn Fn() + Sync))) {
         let telemetry = self.telemetry.as_ref();
         let started = telemetry.map(|t| t.clock.now_ns());
@@ -1686,6 +1688,7 @@ mod tests {
             input: &[f64],
             nodes: std::ops::Range<usize>,
             out: &mut [f64],
+            dark: &ns_graph::transition::DarkCounts,
         ) {
             let side = if std::thread::current().name() == Some("ns-accountant") {
                 ON_EXIT.with(|slot| {
@@ -1715,7 +1718,7 @@ mod tests {
             state.in_range += 1;
             drop(self.changed.wait_while(state, |s| !s.sprung).unwrap());
             self.inner
-                .propagate_round_interleaved_range(round, lanes, input, nodes, out);
+                .propagate_round_interleaved_range(round, lanes, input, nodes, out, dark);
             let mut state = self.state.lock().unwrap();
             state.in_range -= 1;
             state.finished_elsewhere += 1;

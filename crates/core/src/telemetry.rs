@@ -30,7 +30,9 @@ use std::sync::{Arc, Mutex};
 pub mod names {
     /// Accountant sweep per round ([`advance_round`], or the two-thread
     /// sweep of a coordinator round), ns: from the sweep's start until its
-    /// last unit finishes, on whichever thread ran that unit.
+    /// last unit finishes, on whichever thread ran that unit.  A masked
+    /// round's dark-neighbour count pass, which the first unit runs before
+    /// any range, is inside it.
     ///
     /// [`advance_round`]: crate::service::StreamingAccountant::advance_round
     pub const ACCT_ADVANCE_NS: &str = "ns_acct_advance_ns";

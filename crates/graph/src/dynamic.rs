@@ -32,7 +32,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::transition::{TransitionMatrix, TransitionModel, WalkCsr};
+use crate::transition::{DarkCounts, TransitionMatrix, TransitionModel, WalkCsr};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -406,15 +406,20 @@ impl TransitionModel for TimeVaryingModel {
         self.operator(round).propagate_into(p, out);
     }
 
+    fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
+        self.operator(round).prepare_round(0, dark);
+    }
+
     fn propagate_round_interleaved(
         &self,
         round: usize,
         lanes: usize,
         input: &[f64],
         output: &mut [f64],
+        dark: &DarkCounts,
     ) {
         self.operator(round)
-            .propagate_round_interleaved(0, lanes, input, output);
+            .propagate_round_interleaved(0, lanes, input, output, dark);
     }
 
     fn has_range_kernel(&self, round: usize) -> bool {
@@ -428,9 +433,10 @@ impl TransitionModel for TimeVaryingModel {
         input: &[f64],
         nodes: Range<usize>,
         out: &mut [f64],
+        dark: &DarkCounts,
     ) {
         self.operator(round)
-            .propagate_round_interleaved_range(0, lanes, input, nodes, out);
+            .propagate_round_interleaved_range(0, lanes, input, nodes, out, dark);
     }
 }
 

@@ -51,12 +51,13 @@
 
 use crate::error::{GraphError, Result};
 use crate::graph::NodeId;
-use crate::transition::TransitionModel;
+use crate::simd::Isa;
+use crate::transition::{DarkCounts, TransitionModel};
 use serde::{Deserialize, Serialize};
 use std::iter::Zip;
 use std::ops::Range;
 use std::slice::{Chunks, ChunksMut};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Rows per kernel block: 8 lanes × 8-byte f64 = one 64-byte cache line per
 /// delivered share.
@@ -111,16 +112,20 @@ const CHAINS: usize = 4;
 /// The running fold behind [`RowStats`] over the `L` lanes of an
 /// interleaved block: per lane, `Σx²` as one chain in node order, and the
 /// max and the min over positive entries as `C` independent chains (node `i`
-/// feeds chain `i % C`) merged at the end.
+/// feeds chain `i % C`) merged at the end.  The max and the min are select
+/// forms — `x > max` from −∞, and `x < min` over positive `x` from +∞ —
+/// which compile to one vector compare or max/min per lane group.
 ///
-/// Every form is bitwise the single ordered fold of each lane: `Σx²` keeps
-/// its order; `f64::max` ignores NaN, so the max of the non-NaN entries is
-/// the same value in any order up to the sign of a zero; the min skips
-/// every non-positive entry, so it has no signed zeros; and a zero max
-/// means no entry is positive, where the support ratio is 1 whatever the
-/// zero's sign.  A 1-lane block splits its max and min over [`CHAINS`]
-/// chains so they do not serialize; wider blocks get that parallelism from
-/// their lanes and keep one chain each.
+/// Every form is bitwise the single ordered fold of each lane (`f64::max`
+/// from NaN, `f64::min` over positive entries): `Σx²` keeps its order;
+/// both maxima skip NaN, so they are the max of the non-NaN entries in any
+/// order up to the sign of a zero, and differ otherwise only where no entry
+/// is a number (NaN against −∞, both non-finite, so the support ratio is 1
+/// either way); the min skips every non-positive entry, so it has no
+/// signed zeros; and a zero max means no entry is positive, where the
+/// support ratio is 1 whatever the zero's sign.  A 1-lane block splits its
+/// max and min over [`CHAINS`] chains so they do not serialize; wider
+/// blocks get that parallelism from their lanes and keep one chain each.
 struct Moments<const L: usize, const C: usize> {
     sum_of_squares: [f64; L],
     max: [[f64; L]; C],
@@ -131,7 +136,7 @@ impl<const L: usize, const C: usize> Moments<L, C> {
     fn new() -> Self {
         Moments {
             sum_of_squares: [0.0; L],
-            max: [[f64::NAN; L]; C],
+            max: [[f64::NEG_INFINITY; L]; C],
             min_positive: [[f64::INFINITY; L]; C],
         }
     }
@@ -141,21 +146,24 @@ impl<const L: usize, const C: usize> Moments<L, C> {
     fn push(&mut self, chain: usize, node: &[f64]) {
         for (lane, &x) in node[..L].iter().enumerate() {
             self.sum_of_squares[lane] += x * x;
-            self.max[chain][lane] = self.max[chain][lane].max(x);
-            if x > 0.0 {
-                self.min_positive[chain][lane] = self.min_positive[chain][lane].min(x);
-            }
+            self.max[chain][lane] = select_max(self.max[chain][lane], x);
+            let positive = if x > 0.0 { x } else { f64::INFINITY };
+            self.min_positive[chain][lane] = select_min(self.min_positive[chain][lane], positive);
         }
     }
 
     fn finish(self, out: &mut [RowStats]) {
         for (lane, stats) in out.iter_mut().enumerate() {
-            let max = self.max.iter().map(|m| m[lane]).fold(f64::NAN, f64::max);
+            let max = self
+                .max
+                .iter()
+                .map(|m| m[lane])
+                .fold(f64::NEG_INFINITY, select_max);
             let min_nonzero = self
                 .min_positive
                 .iter()
                 .map(|m| m[lane])
-                .fold(f64::INFINITY, f64::min);
+                .fold(f64::INFINITY, select_min);
             let support_ratio =
                 if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
                     1.0
@@ -170,7 +178,28 @@ impl<const L: usize, const C: usize> Moments<L, C> {
     }
 }
 
+/// `x` if it exceeds `max`, else `max`: never NaN unless `max` is.
+#[inline(always)]
+fn select_max(max: f64, x: f64) -> f64 {
+    if x > max {
+        x
+    } else {
+        max
+    }
+}
+
+/// `x` if it is below `min`, else `min`: never NaN unless `min` is.
+#[inline(always)]
+fn select_min(min: f64, x: f64) -> f64 {
+    if x < min {
+        x
+    } else {
+        min
+    }
+}
+
 /// [`block_stats`] at a compile-time lane count `L` and `C` chains.
+#[inline(always)]
 fn fold_block<const L: usize, const C: usize>(block: &[f64], out: &mut [RowStats]) {
     let mut moments = Moments::<L, C>::new();
     let mut groups = block.chunks_exact(L * C);
@@ -186,14 +215,55 @@ fn fold_block<const L: usize, const C: usize>(block: &[f64], out: &mut [RowStats
 }
 
 /// Every lane's [`RowStats`] of an interleaved block `lanes` wide, in one
-/// pass over the block; `out` has `lanes` entries.
+/// pass over the block; `out` has `lanes` entries.  The fold is compiled
+/// for the host's widest instruction set ([`Isa::detected`]).
 ///
 /// The results replicate `degree::sum_of_squares` and
 /// `PositionDistribution::support_ratio` of each lane bit for bit (the `Σx²`
 /// fold order is theirs element for element; see [`Moments`] for the max
 /// and min), so the stats of an ensemble row are bitwise equal to the
-/// single-distribution routes.
+/// single-distribution routes, whichever instruction set folds them.
 fn block_stats(block: &[f64], lanes: usize, out: &mut [RowStats]) {
+    block_stats_in(Isa::detected(), block, lanes, out);
+}
+
+/// [`block_stats`] compiled for `isa`.
+///
+/// # Panics
+///
+/// Panics if the host cannot run `isa`.
+#[allow(unsafe_code)]
+fn block_stats_in(isa: Isa, block: &[f64], lanes: usize, out: &mut [RowStats]) {
+    assert!(isa <= Isa::detected(), "this host cannot run {isa:?} code");
+    match isa {
+        // SAFETY: the host runs `isa`, just checked.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { block_stats_avx512(block, lanes, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { block_stats_avx2(block, lanes, out) },
+        _ => fold_lanes(block, lanes, out),
+    }
+}
+
+/// [`fold_lanes`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn block_stats_avx512(block: &[f64], lanes: usize, out: &mut [RowStats]) {
+    fold_lanes(block, lanes, out);
+}
+
+/// [`fold_lanes`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_stats_avx2(block: &[f64], lanes: usize, out: &mut [RowStats]) {
+    fold_lanes(block, lanes, out);
+}
+
+/// [`fold_block`] at the block's lane count, inlined into each
+/// instruction set's caller.
+#[inline(always)]
+fn fold_lanes(block: &[f64], lanes: usize, out: &mut [RowStats]) {
     match lanes {
         1 => fold_block::<1, CHAINS>(block, out),
         2 => fold_block::<2, 1>(block, out),
@@ -280,21 +350,16 @@ pub struct DistributionEnsemble {
     spare: Spare,
 }
 
-/// The second buffer an ensemble keeps between advances: one block of
-/// scratch for an offline advance, every row's previous state for a shared
-/// round.  Pure scratch, never part of the ensemble's value: clones start
-/// empty and equality ignores it.
+/// The buffers an ensemble keeps between advances: the second buffer of
+/// rows — one block of scratch for an offline advance, every row's
+/// previous state for a shared round — and the per-round dark-neighbour
+/// counts its masked rounds read ([`TransitionModel::prepare_round`]).
+/// Pure scratch, never part of the ensemble's value: clones start empty and
+/// equality ignores it.
 #[derive(Default)]
-struct Spare(Vec<f64>);
-
-impl Spare {
-    /// The first `len` entries, growing the buffer when it is shorter.
-    fn take(&mut self, len: usize) -> &mut [f64] {
-        if self.0.len() < len {
-            self.0.resize(len, 0.0);
-        }
-        &mut self.0[..len]
-    }
+struct Spare {
+    rows: Vec<f64>,
+    dark: DarkCounts,
 }
 
 impl Clone for Spare {
@@ -311,7 +376,7 @@ impl PartialEq for Spare {
 
 impl std::fmt::Debug for Spare {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Spare({} f64)", self.0.len())
+        write!(f, "Spare({} f64)", self.rows.len())
     }
 }
 
@@ -626,10 +691,11 @@ impl DistributionEnsemble {
         self.time += 1;
         // The old state stays in the spare buffer, read by every unit; the
         // units write the new state into `data`.
-        self.spare.0.resize(self.data.len(), 0.0);
-        std::mem::swap(&mut self.data, &mut self.spare.0);
+        let Spare { rows, dark } = &mut self.spare;
+        rows.resize(self.data.len(), 0.0);
+        std::mem::swap(&mut self.data, rows);
         let ranged = model.has_range_kernel(round);
-        let input: &'a [f64] = &self.spare.0;
+        let input: &'a [f64] = rows;
         let unfinished = input
             .chunks(LANES * n)
             .map(|block| ranges_of(block.len() / n, n, ranged))
@@ -643,7 +709,9 @@ impl DistributionEnsemble {
                 current: None,
                 ranged,
                 unfinished,
+                unprepared: Some(dark),
             }),
+            dark: OnceLock::new(),
         }
     }
 
@@ -666,11 +734,17 @@ impl DistributionEnsemble {
             return;
         }
         let n = self.nodes;
-        let scratch = self.spare.take(LANES.min(self.sources) * n);
+        let Spare { rows, dark } = &mut self.spare;
+        let len = LANES.min(self.sources) * n;
+        if rows.len() < len {
+            rows.resize(len, 0.0);
+        }
+        let scratch = &mut rows[..len];
         let mut stats = stats.map(|stats| stats.chunks_mut(LANES * rounds));
         for block in self.data.chunks_mut(LANES * n) {
             let trajectory = stats.as_mut().and_then(Iterator::next);
-            advance_block(model, n, base_round, rounds, block, scratch, trajectory);
+            let rounds = base_round..base_round + rounds;
+            advance_block(model, n, rounds, block, scratch, dark, trajectory);
         }
     }
 }
@@ -693,12 +767,18 @@ fn ranges_of(lanes: usize, n: usize, ranged: bool) -> usize {
 /// new one: one destination range of a block, written as one contiguous
 /// interleaved chunk, or a whole block.  Units are claimed in order from
 /// one lock and never wait for each other, so a unit that panics strands
-/// no one: the other threads finish what is left.
+/// no one: the other threads finish what is left.  The one exception is
+/// the round's preparation ([`TransitionModel::prepare_round`]): the first
+/// unit that needs it runs it, and a unit claimed meanwhile on another
+/// thread waits for it.
 pub struct RoundSweep<'a, M: ?Sized> {
     model: &'a M,
     /// The absolute round the sweep applies.
     round: usize,
     claims: Mutex<Claims<'a>>,
+    /// The round's dark counts, once the first unit that reads them has
+    /// prepared them.
+    dark: OnceLock<&'a DarkCounts>,
 }
 
 /// The claim state of a [`RoundSweep`].
@@ -713,6 +793,9 @@ struct Claims<'a> {
     ranged: bool,
     /// Units not yet finished.
     unfinished: usize,
+    /// The buffer the round's dark counts are prepared into, until the
+    /// first unit that reads them takes it.
+    unprepared: Option<&'a mut DarkCounts>,
 }
 
 /// A block being handed out range by range, in node order.
@@ -792,17 +875,39 @@ impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
     /// the sweep's last to finish.
     fn run_one(&self) -> Option<bool> {
         let unit = self.lock().next_unit()?;
-        if unit.out.len() == unit.input.len() {
-            self.model
-                .propagate_round_interleaved(self.round, unit.lanes, unit.input, unit.out);
-        } else {
-            self.model.propagate_round_interleaved_range(
-                self.round, unit.lanes, unit.input, unit.nodes, unit.out,
+        let (model, round) = (self.model, self.round);
+        if unit.out.len() != unit.input.len() {
+            model.propagate_round_interleaved_range(
+                round,
+                unit.lanes,
+                unit.input,
+                unit.nodes,
+                unit.out,
+                self.dark(),
             );
+        } else if unit.lanes > 1 {
+            model.propagate_round_interleaved(round, unit.lanes, unit.input, unit.out, self.dark());
+        } else {
+            // A 1-row block is its row.
+            model.propagate_round_into(round, unit.input, unit.out);
         }
         let mut claims = self.lock();
         claims.unfinished -= 1;
         Some(claims.unfinished == 0)
+    }
+
+    /// The round's dark counts: prepared by the first call, which every
+    /// other caller waits for.
+    fn dark(&self) -> &'a DarkCounts {
+        self.dark.get_or_init(|| {
+            let dark = self
+                .lock()
+                .unprepared
+                .take()
+                .expect("the round's preparation panicked on another thread");
+            self.model.prepare_round(self.round, dark);
+            dark
+        })
     }
 }
 
@@ -814,40 +919,48 @@ impl<'a, M: ?Sized> RoundSweep<'a, M> {
     }
 }
 
-/// Advances one interleaved block by `rounds` rounds, starting from
-/// absolute round `base_round` (the ensemble's clock before the advance;
-/// step `t` of the block is executed as
-/// `propagate_round_interleaved(base_round + t, …)`, which is what lets
-/// time-varying models schedule a distinct operator per round).
+/// Advances one interleaved block through the absolute rounds `rounds`
+/// (starting from the ensemble's clock before the advance, which is what
+/// lets time-varying models schedule a distinct operator per round): a
+/// 1-row block, which is its row, through
+/// [`TransitionModel::propagate_round_into`], a wider one through
+/// [`TransitionModel::propagate_round_interleaved`] after preparing each
+/// round into `dark`.
 ///
 /// Rounds ping-pong between the block and `scratch` (at least the block's
-/// length), and the result is copied home when `rounds` is odd.
-/// `trajectory`, when given, has length `lanes * rounds` laid out
-/// `[lane * rounds + (t - 1)]`.
+/// length), and the result is copied home when the round count is odd.
+/// `trajectory`, when given, has length `lanes * rounds.len()` laid out
+/// `[lane * rounds.len() + (t - 1)]`.
 fn advance_block<M: TransitionModel + ?Sized>(
     model: &M,
     n: usize,
-    base_round: usize,
-    rounds: usize,
+    rounds: Range<usize>,
     block: &mut [f64],
     scratch: &mut [f64],
+    dark: &mut DarkCounts,
     mut trajectory: Option<&mut [RowStats]>,
 ) {
     let lanes = block.len() / n;
+    let count = rounds.len();
     let mut current: &mut [f64] = block;
     let mut next: &mut [f64] = &mut scratch[..lanes * n];
     let mut stats = [RowStats::default(); LANES];
-    for t in 0..rounds {
-        model.propagate_round_interleaved(base_round + t, lanes, current, next);
+    for (t, round) in rounds.enumerate() {
+        if lanes == 1 {
+            model.propagate_round_into(round, current, next);
+        } else {
+            model.prepare_round(round, dark);
+            model.propagate_round_interleaved(round, lanes, current, next, dark);
+        }
         std::mem::swap(&mut current, &mut next);
         if let Some(trajectory) = trajectory.as_deref_mut() {
             block_stats(current, lanes, &mut stats[..lanes]);
             for (lane, stats) in stats[..lanes].iter().enumerate() {
-                trajectory[lane * rounds + t] = *stats;
+                trajectory[lane * count + t] = *stats;
             }
         }
     }
-    if !rounds.is_multiple_of(2) {
+    if !count.is_multiple_of(2) {
         // The result landed in the scratch buffer; move it home.
         next.copy_from_slice(current);
     }
@@ -864,6 +977,9 @@ const TILE: usize = 128;
 /// window; it is a pure copy — every destination value is bitwise a source
 /// value.
 fn transpose(rows: &[&[f64]], dst: &mut [f64]) {
+    if let [row] = rows {
+        return dst.copy_from_slice(row);
+    }
     let lanes = rows.len();
     let n = dst.len() / lanes;
     let mut start = 0;
@@ -883,6 +999,9 @@ fn transpose(rows: &[&[f64]], dst: &mut [f64]) {
 /// lane `l` into `out[l - take.start]`: `out[l - take.start][i] =
 /// block[i * lanes + l]`.  Tiled like [`transpose`], and as pure a copy.
 fn untranspose(block: &[f64], lanes: usize, take: Range<usize>, out: &mut [&mut [f64]]) {
+    if let (1, [row]) = (lanes, &mut *out) {
+        return row.copy_from_slice(block);
+    }
     let n = block.len() / lanes;
     let mut start = 0;
     while start < n {
@@ -1267,12 +1386,13 @@ mod tests {
             input: &[f64],
             nodes: Range<usize>,
             out: &mut [f64],
+            dark: &DarkCounts,
         ) {
             if self.armed.swap(false, Ordering::SeqCst) {
                 panic!("the first range panics");
             }
             self.inner
-                .propagate_round_interleaved_range(round, lanes, input, nodes, out);
+                .propagate_round_interleaved_range(round, lanes, input, nodes, out, dark);
             self.finished.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -1338,6 +1458,9 @@ mod tests {
         );
     }
 
+    /// Every fold instantiation this host runs, called directly — the
+    /// 1-lane split chains and every block width — against the ordered
+    /// fold, over rows of NaN, ±0, subnormals, ±∞ and negatives.
     #[test]
     fn split_chain_fold_is_bitwise_the_ordered_fold() {
         let tiny = f64::from_bits(1); // the smallest positive subnormal
@@ -1359,19 +1482,23 @@ mod tests {
             vec![f64::INFINITY, 0.5, 0.25],
             vec![-1.0, -0.5, 0.125, -0.0],
             vec![f64::NEG_INFINITY, f64::NAN],
+            vec![-0.0, f64::NEG_INFINITY, -0.0, f64::NEG_INFINITY],
+            vec![f64::NAN, 0.0, f64::INFINITY, tiny, -0.0],
         ];
-        let mut stats = [RowStats::default()];
+        let mut stats = [RowStats::default(); LANES];
         for row in &rows {
-            // The 1-lane fold's split chains: every length, including those
-            // not divisible by the chain count, and every rotation so each
-            // entry meets every chain.
+            // The 1-lane fold's split chains in every instantiation: every
+            // length, including those not divisible by the chain count, and
+            // every rotation so each entry meets every chain.
             for len in 0..=row.len() {
                 for shift in 0..len.max(1) {
                     let mut values = row[..len].to_vec();
                     values.rotate_left(shift);
                     let want = reference_stats_of(values.iter().copied());
-                    block_stats(&values, 1, &mut stats);
-                    assert_same_bits(stats[0], want, &format!("{values:?}"));
+                    for isa in Isa::supported() {
+                        block_stats_in(isa, &values, 1, &mut stats[..1]);
+                        assert_same_bits(stats[0], want, &format!("{isa:?}: {values:?}"));
+                    }
                 }
             }
             // The fused block fold: ensembles of 1..=9 rows (every block
@@ -1394,6 +1521,19 @@ mod tests {
                     let what = format!("row {r} of {sources}: {values:?}");
                     assert_same_bits(all[r], want, &what);
                     assert_same_bits(ensemble.row_stats(r), want, &what);
+                }
+                // Every instantiation of the fused fold, block by block.
+                for isa in Isa::supported() {
+                    for (b, block) in ensemble.blocks().enumerate() {
+                        let width = block.len() / row.len();
+                        block_stats_in(isa, block, width, &mut stats[..width]);
+                        for (lane, got) in stats[..width].iter().enumerate() {
+                            let values = &lanes[b * LANES + lane];
+                            let want = reference_stats_of(values.iter().copied());
+                            let what = format!("{isa:?}: lane {lane} of {width}: {values:?}");
+                            assert_same_bits(*got, want, &what);
+                        }
+                    }
                 }
                 assert_eq!(bits(&ensemble.into_flat()), bits(&lanes.concat()));
             }

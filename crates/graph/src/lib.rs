@@ -57,17 +57,25 @@
 //! assert!(t_mix > 0);
 //! ```
 
-// `deny` rather than `forbid`: the walk operator's two pull-kernel bodies in
-// `transition.rs` (`TransitionMatrix::pull`, portable and generic over lane
-// width and mask, and `propagate_gather8_avx2`, its unmasked 8-lane AVX2
-// form) carry audited `allow(unsafe_code)` blocks — unchecked
-// CSR/neighbour indexing, raw-pointer lane loads and the AVX2 body's
-// stores into the interleaved output chunk, justified by construction
-// invariants and the checks of their one caller, plus an x86-64 prefetch
-// hint — and so do the round kernel's prefetch hint
-// (`round::prefetch_read`) and the worker's hand-off (`Worker::join`),
-// which erases the lifetime of the job it lends the worker thread and
-// cannot return before the worker is done with it.
+// `deny` rather than `forbid`: these items carry audited
+// `allow(unsafe_code)`, each justified where it stands —
+// * the walk operator's one pull body in `transition.rs`
+//   (`TransitionMatrix::pull`, generic over the lane vector and over masked
+//   or not), its AVX2 and AVX-512F instantiations (`pull_avx2`,
+//   `pull_avx512`, `#[target_feature]` functions) and their dispatch
+//   (`pull_runs`): unchecked CSR/neighbour indexing, raw-pointer lane loads
+//   and stores into the interleaved output chunk, justified by construction
+//   invariants and the checks of their one checked entry (`pull_range`),
+//   plus an x86-64 prefetch hint;
+// * the lane vectors in `simd.rs` (`[f64; W]`, `Avx2x2`, `Avx512`): raw
+//   unaligned loads and stores and `std::arch` intrinsics whose contract is
+//   a host that runs their instruction set;
+// * the moments fold's calls into its AVX2 and AVX-512F compilations
+//   (`ensemble::block_stats_in`), made after checking the host runs them;
+// * the round kernel's prefetch hint (`round::prefetch_read`);
+// * the worker's hand-off (`Worker::join`), which erases the lifetime of
+//   the job it lends the worker thread and cannot return before the worker
+//   is done with it.
 // Everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,6 +96,7 @@ pub mod partition;
 pub mod rng;
 pub mod round;
 pub mod sharded_engine;
+mod simd;
 pub mod spectral;
 pub mod stationary;
 pub mod telemetry;
@@ -120,6 +129,6 @@ pub mod prelude {
     };
     pub use crate::spectral::{SpectralAnalysis, SpectralOptions};
     pub use crate::stationary::stationary_distribution;
-    pub use crate::transition::{TransitionMatrix, TransitionModel};
+    pub use crate::transition::{DarkCounts, TransitionMatrix, TransitionModel};
     pub use crate::walk::WalkConfig;
 }

@@ -12,15 +12,25 @@
 //! with `u32` neighbour ids behind an [`Arc`], shared by every operator over
 //! one topology, and has two kernels: a scalar scatter
 //! ([`TransitionMatrix::propagate_into`]) and a pull kernel for interleaved
-//! blocks of distributions, generic over lane width and over masked or not,
-//! with an AVX2 body for unmasked 8-lane runs.  The pull kernel reads a
-//! block in the ensemble's interleaved layout and writes the same layout,
-//! for the whole block or for one destination range of it as one
-//! contiguous chunk ([`TransitionModel::propagate_round_interleaved_range`]).
-//! Every lane of the pull kernel is bitwise the scatter.
+//! blocks of distributions.  The pull kernel has one body, generic over the
+//! lane vector it keeps in registers and over masked or not, instantiated
+//! per call for the host: 8-lane runs take one AVX-512F vector per node
+//! where the host has AVX-512F, else two AVX2 vectors; every other width,
+//! and hosts without AVX2, take `[f64; W]` lanes in baseline code.  A masked pull reads each node's
+//! count of unavailable neighbours from a [`DarkCounts`] buffer, filled
+//! once per round by [`TransitionModel::prepare_round`] (scattered from the
+//! dark nodes), instead of walking each neighbour list against the mask.
+//! The pull kernel reads a block in the ensemble's interleaved layout and
+//! writes the same layout, for the whole block or for one destination range
+//! of it as one contiguous chunk
+//! ([`TransitionModel::propagate_round_interleaved_range`]).  Every lane of
+//! every instantiation is bitwise the scatter.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{Avx2x2, Avx512};
+use crate::simd::{Isa, LaneVector};
 use crate::walk::validate_laziness;
 use std::ops::Range;
 use std::sync::Arc;
@@ -58,10 +68,21 @@ pub trait TransitionModel {
         self.propagate_into(p, out);
     }
 
+    /// Prepares the per-round state the interleaved kernels of round
+    /// `round` read, in `dark`: the masked walk operator fills its
+    /// unavailable-neighbour counts.  Callers run it once per round, before
+    /// any block or range of that round (a 1-lane block, which
+    /// [`TransitionModel::propagate_round_into`] steps, needs none).  The
+    /// default prepares nothing.
+    fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
+        let _ = (round, dark);
+    }
+
     /// The step at absolute round `round` applied to `lanes` distributions
     /// stored interleaved: `input[i * lanes + l]` is entry `i` of
     /// distribution `l`, and its next state lands in
-    /// `output[i * lanes + l]`.
+    /// `output[i * lanes + l]`.  `dark` is what
+    /// [`TransitionModel::prepare_round`] left for this round.
     ///
     /// Each lane's output must be exactly what
     /// [`TransitionModel::propagate_round_into`] produces for that lane
@@ -73,14 +94,17 @@ pub trait TransitionModel {
     ///
     /// # Panics
     ///
-    /// Panics if `input` or `output` do not have length `lanes * n`.
+    /// Panics if `input` or `output` do not have length `lanes * n`, or if
+    /// the backend reads `dark` and it was not prepared for this round.
     fn propagate_round_interleaved(
         &self,
         round: usize,
         lanes: usize,
         input: &[f64],
         output: &mut [f64],
+        dark: &DarkCounts,
     ) {
+        let _ = dark;
         let n = self.node_count();
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
         assert_eq!(
@@ -117,16 +141,18 @@ pub trait TransitionModel {
     /// destinations `nodes`: `out` is those destinations' interleaved
     /// chunk, entry `j` of lane `l` at `out[(j - nodes.start) * lanes + l]`,
     /// bitwise what the whole-block call writes at `j * lanes + l`.  Ranges
-    /// never interact, so disjoint ranges of one round can run at once.
-    /// The default steps the whole block into a scratch buffer and copies
-    /// the range out — correct, allocating, never fast; backends that say
-    /// so through [`TransitionModel::has_range_kernel`] override it.
+    /// never interact, so disjoint ranges of one round can run at once,
+    /// all reading one `dark`.  The default steps the whole block into a
+    /// scratch buffer and copies the range out — correct, allocating, never
+    /// fast; backends that say so through
+    /// [`TransitionModel::has_range_kernel`] override it.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not have length `lanes * n`, `nodes` does not
-    /// lie within `0..n`, or `out` does not have length
-    /// `nodes.len() * lanes`.
+    /// lie within `0..n`, `out` does not have length
+    /// `nodes.len() * lanes`, or the backend reads `dark` and it was not
+    /// prepared for this round.
     fn propagate_round_interleaved_range(
         &self,
         round: usize,
@@ -134,9 +160,10 @@ pub trait TransitionModel {
         input: &[f64],
         nodes: Range<usize>,
         out: &mut [f64],
+        dark: &DarkCounts,
     ) {
         let mut block = vec![0.0; input.len()];
-        self.propagate_round_interleaved(round, lanes, input, &mut block);
+        self.propagate_round_interleaved(round, lanes, input, &mut block, dark);
         out.copy_from_slice(&block[nodes.start * lanes..nodes.end * lanes]);
     }
 
@@ -216,6 +243,57 @@ impl WalkCsr {
     /// The sorted neighbour list of `u`.
     pub(crate) fn neighbors(&self, u: NodeId) -> &[u32] {
         &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
+    }
+}
+
+/// Each node's count of unavailable neighbours under one round's mask: the
+/// per-round state a masked pull reads instead of walking every neighbour
+/// list against the mask.
+///
+/// [`TransitionModel::prepare_round`] fills it (the masked
+/// [`TransitionMatrix`] scatters one count from each dark node to its
+/// neighbours: one pass over the dark nodes' neighbour lists), and the
+/// buffer is refilled in place round after round, so it allocates once.
+/// It remembers the topology and mask it was filled for, and a pull handed
+/// counts taken for another operator panics rather than read them.
+#[derive(Default)]
+pub struct DarkCounts {
+    counts: Vec<u32>,
+    /// The CSR and mask the counts were taken over, held to compare by
+    /// identity.
+    source: Option<(Arc<WalkCsr>, Arc<[bool]>)>,
+}
+
+impl DarkCounts {
+    /// Counts, for every node, its neighbours that `mask` marks
+    /// unavailable, scattering from the unavailable nodes (the CSR is
+    /// symmetric: `j ∈ N(d)` exactly when `d ∈ N(j)`).
+    fn fill(&mut self, csr: &Arc<WalkCsr>, mask: &Arc<[bool]>) {
+        self.counts.clear();
+        self.counts.resize(csr.node_count(), 0);
+        for (dark, _) in mask.iter().enumerate().filter(|(_, &up)| !up) {
+            for &k in csr.neighbors(dark) {
+                self.counts[k as usize] += 1;
+            }
+        }
+        self.source = Some((Arc::clone(csr), Arc::clone(mask)));
+    }
+
+    /// The counts, which must have been filled over `csr` and `mask`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if they were filled for another topology or mask, or never.
+    fn of(&self, csr: &Arc<WalkCsr>, mask: &Arc<[bool]>) -> &[u32] {
+        let prepared = self
+            .source
+            .as_ref()
+            .is_some_and(|(c, m)| Arc::ptr_eq(c, csr) && Arc::ptr_eq(m, mask));
+        assert!(
+            prepared,
+            "dark counts were not prepared for this operator's mask"
+        );
+        &self.counts
     }
 }
 
@@ -409,7 +487,7 @@ impl TransitionMatrix {
     /// Pulls destinations `nodes` of every lane of the interleaved block
     /// `input` into `out`, their interleaved chunk
     /// (`out[(j - nodes.start) * lanes + l]`), masked or not as the
-    /// operator is.
+    /// operator is; a masked pull reads `dark`.
     ///
     /// This is the hot kernel behind
     /// [`crate::ensemble::DistributionEnsemble`]: the offsets/neighbour
@@ -418,14 +496,25 @@ impl TransitionMatrix {
     /// of lanes instead of once per distribution, and every gathered share
     /// updates `lanes` adjacent f64s (one cache line for 8 lanes) instead of
     /// a single scattered one.  Lane `l`'s result is bit-for-bit identical
-    /// to `propagate_into` applied to lane `l` alone.
+    /// to `propagate_into` applied to lane `l` alone.  8-lane runs take the
+    /// body compiled for `isa`: the host's widest ([`Isa::detected`]) on
+    /// every production path, any the host runs in the tests.
     ///
     /// # Panics
     ///
     /// Panics unless `input` holds `lanes * n` f64s, `nodes` lies within
-    /// `0..n` and `out` holds `nodes.len() * lanes` f64s — what the pull
-    /// bodies' unchecked loads and stores rely on.
-    fn pull_range(&self, lanes: usize, input: &[f64], nodes: Range<usize>, out: &mut [f64]) {
+    /// `0..n`, `out` holds `nodes.len() * lanes` f64s and the host runs
+    /// `isa` — what the pull bodies' unchecked loads and stores rely on —
+    /// or if the operator is masked and `dark` was not prepared for it.
+    fn pull_range(
+        &self,
+        isa: Isa,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        out: &mut [f64],
+        dark: &DarkCounts,
+    ) {
         let n = self.node_count();
         assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
         assert!(
@@ -437,244 +526,203 @@ impl TransitionMatrix {
             nodes.len() * lanes,
             "output chunk must cover the destinations exactly"
         );
-        match self.available {
-            None => self.pull_runs::<false>(lanes, input, nodes, out),
-            Some(_) => self.pull_runs::<true>(lanes, input, nodes, out),
-        }
-    }
-
-    /// Runs every lane of an interleaved block through the pull kernel,
-    /// one run of lanes at a time at a compile-time width (see
-    /// [`lane_runs`]): a fixed trip count lets the compiler unroll and
-    /// vectorize the per-edge loop (8 lanes of f64 = one cache line per
-    /// gathered share).  Unmasked 8-lane runs take the AVX2 body on hosts
-    /// that have it.  The arithmetic is identical in every arm.
-    fn pull_runs<const MASKED: bool>(
-        &self,
-        lanes: usize,
-        input: &[f64],
-        nodes: Range<usize>,
-        out: &mut [f64],
-    ) {
-        for (offset, width) in lane_runs(lanes) {
-            let nodes = nodes.clone();
-            match width {
-                8 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if !MASKED && std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: AVX2 was just checked, `lane_runs` keeps
-                        // `offset + 8 <= lanes`, and `pull_range` checked
-                        // that `input` holds `n * lanes` f64s, that `nodes`
-                        // lies within `0..n` and that `out` holds
-                        // `nodes.len() * lanes` f64s.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            self.propagate_gather8_avx2(lanes, offset, input, nodes, out);
-                        }
-                        continue;
-                    }
-                    self.pull::<8, MASKED>(lanes, offset, input, nodes, out)
+        assert!(isa <= Isa::detected(), "this host cannot run {isa:?} code");
+        // SAFETY: every condition of `pull_runs` was asserted just above.
+        #[allow(unsafe_code)]
+        unsafe {
+            match &self.available {
+                None => self.pull_runs::<false>(isa, lanes, input, nodes, out, &[]),
+                Some(mask) => {
+                    let dark = dark.of(&self.csr, mask);
+                    self.pull_runs::<true>(isa, lanes, input, nodes, out, dark);
                 }
-                4 => self.pull::<4, MASKED>(lanes, offset, input, nodes, out),
-                2 => self.pull::<2, MASKED>(lanes, offset, input, nodes, out),
-                _ => self.pull::<1, MASKED>(lanes, offset, input, nodes, out),
             }
         }
     }
 
-    /// AVX2 instantiation of the unmasked 8-lane pull kernel.
-    ///
-    /// Emits exactly the portable kernel's arithmetic — per lane, each edge
-    /// contributes `(move_factor · mass) · inv_degree` via two `vmulpd`s
-    /// and one `vaddpd`, never an FMA — so results stay bitwise identical
-    /// to [`TransitionMatrix::pull`] and hence to
-    /// [`TransitionMatrix::propagate_into`]; only the instruction-level
-    /// parallelism changes (two independent 4-lane accumulator chains).
+    /// Runs every lane of an interleaved block through the pull body, one
+    /// run of lanes at a time at a compile-time width (see [`lane_runs`]):
+    /// 8-lane runs in the body compiled for `isa`, narrower ones in the
+    /// portable body, whose fixed trip count lets the compiler unroll the
+    /// per-edge loop.  The arithmetic is identical in every arm.
     ///
     /// # Safety
     ///
-    /// The host must support AVX2, `offset + 8 <= lanes`, `input` must
-    /// hold `n * lanes` f64s, `nodes` must lie within `0..n` and `out` must
-    /// hold `nodes.len() * lanes` f64s; the loads also rely on the CSR's
-    /// construction invariants (every neighbour id is `< n`, `inv_degree`
-    /// has `n` entries).
+    /// `input` holds `n * lanes` f64s, `nodes` lies within `0..n`, `out`
+    /// holds `nodes.len() * lanes` f64s and the host runs `isa` (what
+    /// [`TransitionMatrix::pull_range`] checks).
+    #[allow(unsafe_code)]
+    unsafe fn pull_runs<const MASKED: bool>(
+        &self,
+        isa: Isa,
+        lanes: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        out: &mut [f64],
+        dark: &[u32],
+    ) {
+        for (offset, width) in lane_runs(lanes) {
+            let nodes = nodes.clone();
+            // SAFETY: `lane_runs` keeps `offset + width <= lanes`, and the
+            // caller guarantees the rest of `pull`'s contract.
+            unsafe {
+                match (width, isa) {
+                    #[cfg(target_arch = "x86_64")]
+                    (8, Isa::Avx512) => {
+                        self.pull_avx512::<MASKED>(lanes, offset, input, nodes, out, dark)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    (8, Isa::Avx2) => {
+                        self.pull_avx2::<MASKED>(lanes, offset, input, nodes, out, dark)
+                    }
+                    (8, _) => self.pull::<[f64; 8], MASKED>(lanes, offset, input, nodes, out, dark),
+                    (4, _) => self.pull::<[f64; 4], MASKED>(lanes, offset, input, nodes, out, dark),
+                    (2, _) => self.pull::<[f64; 2], MASKED>(lanes, offset, input, nodes, out, dark),
+                    _ => self.pull::<[f64; 1], MASKED>(lanes, offset, input, nodes, out, dark),
+                }
+            }
+        }
+    }
+
+    /// The pull body compiled with AVX2: two 4-lane vectors per node.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX2, and the contract of
+    /// [`TransitionMatrix::pull`] holds for 8 lanes.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(unsafe_code)]
-    unsafe fn propagate_gather8_avx2(
+    unsafe fn pull_avx2<const MASKED: bool>(
         &self,
         lanes: usize,
         offset: usize,
         input: &[f64],
         nodes: Range<usize>,
         out: &mut [f64],
+        dark: &[u32],
     ) {
-        use std::arch::x86_64::*;
-        const PREFETCH_DISTANCE: usize = 8;
-        let csr = &*self.csr;
-        let move_factor = _mm256_set1_pd(1.0 - self.laziness);
-        let laziness = _mm256_set1_pd(self.laziness);
-        let in_ptr = input.as_ptr();
-        let out_ptr = out.as_mut_ptr();
-        let start = nodes.start;
-        let edge_count = csr.neighbors.len();
-        for j in nodes {
-            let base = j * lanes + offset;
-            let in_j0 = _mm256_loadu_pd(in_ptr.add(base));
-            let in_j1 = _mm256_loadu_pd(in_ptr.add(base + 4));
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut lazy_pending = true;
-            for idx in *csr.offsets.get_unchecked(j)..*csr.offsets.get_unchecked(j + 1) {
-                if idx + PREFETCH_DISTANCE < edge_count {
-                    let ahead = *csr.neighbors.get_unchecked(idx + PREFETCH_DISTANCE) as usize;
-                    _mm_prefetch(in_ptr.add(ahead * lanes + offset) as *const i8, _MM_HINT_T0);
-                }
-                let i = *csr.neighbors.get_unchecked(idx) as usize;
-                if lazy_pending && i > j {
-                    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(laziness, in_j0));
-                    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(laziness, in_j1));
-                    lazy_pending = false;
-                }
-                let inv_degree = _mm256_set1_pd(*csr.inv_degree.get_unchecked(i));
-                let ib = i * lanes + offset;
-                let v0 = _mm256_loadu_pd(in_ptr.add(ib));
-                let v1 = _mm256_loadu_pd(in_ptr.add(ib + 4));
-                acc0 = _mm256_add_pd(
-                    acc0,
-                    _mm256_mul_pd(_mm256_mul_pd(move_factor, v0), inv_degree),
-                );
-                acc1 = _mm256_add_pd(
-                    acc1,
-                    _mm256_mul_pd(_mm256_mul_pd(move_factor, v1), inv_degree),
-                );
-            }
-            if lazy_pending {
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(laziness, in_j0));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(laziness, in_j1));
-            }
-            let ob = (j - start) * lanes + offset;
-            _mm256_storeu_pd(out_ptr.add(ob), acc0);
-            _mm256_storeu_pd(out_ptr.add(ob + 4), acc1);
-        }
+        self.pull::<Avx2x2, MASKED>(lanes, offset, input, nodes, out, dark);
     }
 
-    /// The portable pull kernel: lanes `offset..offset + L` of the
-    /// destinations `nodes` of an interleaved block `lanes` wide, under the
-    /// mask when `MASKED`, stored at `out[(j - nodes.start) * lanes +
-    /// offset..]`.
+    /// The pull body compiled with AVX-512F: one 8-lane vector per node.
+    ///
+    /// # Safety
+    ///
+    /// The host supports AVX-512F, and the contract of
+    /// [`TransitionMatrix::pull`] holds for 8 lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[allow(unsafe_code)]
+    unsafe fn pull_avx512<const MASKED: bool>(
+        &self,
+        lanes: usize,
+        offset: usize,
+        input: &[f64],
+        nodes: Range<usize>,
+        out: &mut [f64],
+        dark: &[u32],
+    ) {
+        self.pull::<Avx512, MASKED>(lanes, offset, input, nodes, out, dark);
+    }
+
+    /// The pull body: lanes `offset..offset + W` of the destinations
+    /// `nodes` of an interleaved block `lanes` wide, held as one `V` of `W`
+    /// lanes per node, under the mask when `MASKED`, stored at
+    /// `out[(j - nodes.start) * lanes + offset..]`.
     ///
     /// Instead of scattering each node's share to its neighbours (a random
     /// read-for-ownership per edge, whose miss latency serializes the
     /// loop), each destination `j` gathers `move_factor · mass_i ·
-    /// inv_deg_i` from its sorted neighbour list into register
-    /// accumulators and stores its lanes once.  Random memory traffic
+    /// inv_deg_i` from its sorted neighbour list into a register
+    /// accumulator and stores its lanes once.  Random memory traffic
     /// becomes plain reads, which the core can keep many of in flight,
     /// helped along by an explicit prefetch a few edges ahead.
     ///
     /// Bit parity with [`TransitionMatrix::propagate_into`] per lane: the
     /// scatter accumulates `out[j]` in ascending source order, adding `j`'s
     /// own stay term (laziness plus, when masked, one share per unavailable
-    /// neighbour, accumulated in CSR neighbour order) when the sweep passes
-    /// `j`.  Neighbour lists are sorted ascending, so gathering in list
-    /// order and folding the stay term in at the first neighbour `> j`
-    /// reproduces that sequence of adds — and its roundings — exactly, and
-    /// an unavailable `j` receives only its stay term.  Zero-mass sources,
-    /// which the scatter skips, add `+0.0`, which never changes a
-    /// non-negative accumulation.  Unmasked, the dark-neighbour pass and
-    /// the dark-`j` store compile out.
+    /// neighbour — `dark[j]` of them) when the sweep passes `j`.  Neighbour
+    /// lists are sorted ascending, so gathering in list order and folding
+    /// the stay term in at the first neighbour `> j` reproduces that
+    /// sequence of adds — and its roundings — exactly, and an unavailable
+    /// `j` receives only its stay term.  Zero-mass sources, which the
+    /// scatter skips, add `+0.0`, which never changes a non-negative
+    /// accumulation.  Each lane multiplies and adds in that order with no
+    /// FMA, whatever `V` is.  Unmasked, the dark-count reads and the
+    /// dark-`j` store compile out.
     ///
-    /// The per-edge loads go through raw pointers because checked indexing
-    /// costs more than the arithmetic.  They rely on construction
-    /// invariants: every neighbour id is `< n`, `inv_degree` has `n`
-    /// entries, `offset + L <= lanes`, and the dispatcher asserted the
-    /// input holds `n * lanes` f64s and `nodes` lies within `0..n`.
+    /// # Safety
+    ///
+    /// The host runs `V`'s instruction set, `V` holds `W` lanes with
+    /// `offset + W <= lanes`, `input` holds `n * lanes` f64s, `nodes` lies
+    /// within `0..n` and `out` holds `nodes.len() * lanes` f64s.  The loads
+    /// also rely on the CSR's construction invariants: every neighbour id is
+    /// `< n`, `offsets` has `n + 1` entries and `inv_degree` has `n`.  The
+    /// mask and the counts are read with checked indexing.
+    #[inline(always)]
     #[allow(unsafe_code)]
-    fn pull<const L: usize, const MASKED: bool>(
+    unsafe fn pull<V: LaneVector, const MASKED: bool>(
         &self,
         lanes: usize,
         offset: usize,
         input: &[f64],
         nodes: Range<usize>,
         out: &mut [f64],
+        dark: &[u32],
     ) {
         // How many edges ahead source lines are prefetched.  The masked
-        // form looks twice as far, which measured faster at 1M nodes (its
-        // per-node dark-neighbour pass eats into the lead).
+        // form looks twice as far, which measured faster at 1M nodes.
         let prefetch_distance = if MASKED { 16 } else { 8 };
         let csr = &*self.csr;
         let mask = self.available.as_deref().unwrap_or_default();
-        let move_factor = 1.0 - self.laziness;
+        let move_factor = V::splat(1.0 - self.laziness);
+        let laziness = V::splat(self.laziness);
         let in_ptr = input.as_ptr();
+        let out_ptr = out.as_mut_ptr();
         let edge_count = csr.neighbors.len();
         let start = nodes.start;
         for j in nodes {
-            let base = j * lanes + offset;
-            let stored = (j - start) * lanes + offset;
-            let out = &mut out[stored..stored + L];
-            let own: &[f64; L] = input[base..base + L].try_into().expect("lane width");
-            let mut stay = [0.0f64; L];
-            for lane in 0..L {
-                stay[lane] = self.laziness * own[lane];
-            }
+            let own = V::load(in_ptr.add(j * lanes + offset));
+            let stored = out_ptr.add((j - start) * lanes + offset);
+            let mut stay = laziness.mul(own);
             if MASKED {
-                let dark = csr
-                    .neighbors(j)
-                    .iter()
-                    .filter(|&&k| !mask[k as usize])
-                    .count();
-                if dark > 0 {
-                    let inv_degree = csr.inv_degree(j);
-                    let mut share = [0.0f64; L];
-                    for lane in 0..L {
-                        share[lane] = move_factor * own[lane] * inv_degree;
-                    }
-                    for _ in 0..dark {
-                        for lane in 0..L {
-                            stay[lane] += share[lane];
-                        }
+                let count = dark[j];
+                if count > 0 {
+                    let share = move_factor.mul(own).mul(V::splat(csr.inv_degree(j)));
+                    for _ in 0..count {
+                        stay = stay.add(share);
                     }
                 }
                 if !mask[j] {
-                    out.copy_from_slice(&stay);
+                    stay.store(stored);
                     continue;
                 }
             }
-            let mut acc = [0.0f64; L];
+            let mut acc = V::splat(0.0);
             let mut stay_pending = true;
-            for idx in csr.offsets[j]..csr.offsets[j + 1] {
-                // SAFETY: see the function docs; `idx` stays inside node
-                // `j`'s CSR window, every neighbour id is `< n`, and the
-                // prefetch look-ahead is bounds-checked explicitly.
-                unsafe {
-                    #[cfg(target_arch = "x86_64")]
-                    if idx + prefetch_distance < edge_count {
-                        let ahead = *csr.neighbors.get_unchecked(idx + prefetch_distance) as usize;
-                        std::arch::x86_64::_mm_prefetch(
-                            in_ptr.add(ahead * lanes + offset) as *const i8,
-                            std::arch::x86_64::_MM_HINT_T0,
-                        );
-                    }
-                    let i = *csr.neighbors.get_unchecked(idx) as usize;
-                    if stay_pending && i > j {
-                        for lane in 0..L {
-                            acc[lane] += stay[lane];
-                        }
-                        stay_pending = false;
-                    }
-                    let inv_degree = *csr.inv_degree.get_unchecked(i);
-                    let in_i = in_ptr.add(i * lanes + offset);
-                    for (lane, acc_lane) in acc.iter_mut().enumerate() {
-                        *acc_lane += move_factor * *in_i.add(lane) * inv_degree;
-                    }
+            for idx in *csr.offsets.get_unchecked(j)..*csr.offsets.get_unchecked(j + 1) {
+                #[cfg(target_arch = "x86_64")]
+                if idx + prefetch_distance < edge_count {
+                    let ahead = *csr.neighbors.get_unchecked(idx + prefetch_distance) as usize;
+                    std::arch::x86_64::_mm_prefetch(
+                        in_ptr.add(ahead * lanes + offset) as *const i8,
+                        std::arch::x86_64::_MM_HINT_T0,
+                    );
                 }
+                let i = *csr.neighbors.get_unchecked(idx) as usize;
+                if stay_pending && i > j {
+                    acc = acc.add(stay);
+                    stay_pending = false;
+                }
+                let inv_degree = V::splat(*csr.inv_degree.get_unchecked(i));
+                let mass = V::load(in_ptr.add(i * lanes + offset));
+                acc = acc.add(move_factor.mul(mass).mul(inv_degree));
             }
             if stay_pending {
-                for lane in 0..L {
-                    acc[lane] += stay[lane];
-                }
+                acc = acc.add(stay);
             }
-            out.copy_from_slice(&acc);
+            acc.store(stored);
         }
     }
 
@@ -699,6 +747,14 @@ impl TransitionModel for TransitionMatrix {
         TransitionMatrix::propagate_into(self, p, out);
     }
 
+    /// Fills `dark` with this operator's unavailable-neighbour counts when
+    /// it has a mask; the unmasked operator reads none.
+    fn prepare_round(&self, _round: usize, dark: &mut DarkCounts) {
+        if let Some(mask) = &self.available {
+            dark.fill(&self.csr, mask);
+        }
+    }
+
     /// A single lane is its own row and runs the scatter; wider blocks run
     /// the pull kernel over every destination.
     fn propagate_round_interleaved(
@@ -707,11 +763,19 @@ impl TransitionModel for TransitionMatrix {
         lanes: usize,
         input: &[f64],
         output: &mut [f64],
+        dark: &DarkCounts,
     ) {
         if lanes == 1 {
             self.propagate_into(input, output);
         } else {
-            self.pull_range(lanes, input, 0..self.node_count(), output);
+            self.pull_range(
+                Isa::detected(),
+                lanes,
+                input,
+                0..self.node_count(),
+                output,
+                dark,
+            );
         }
     }
 
@@ -729,8 +793,9 @@ impl TransitionModel for TransitionMatrix {
         input: &[f64],
         nodes: Range<usize>,
         out: &mut [f64],
+        dark: &DarkCounts,
     ) {
-        self.pull_range(lanes, input, nodes, out);
+        self.pull_range(Isa::detected(), lanes, input, nodes, out, dark);
     }
 
     fn availability(&self) -> Option<&[bool]> {
@@ -742,6 +807,8 @@ impl TransitionModel for TransitionMatrix {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::rng::seeded_rng;
+    use rand::Rng;
 
     #[test]
     fn probabilities_of_simple_walk_on_path() {
@@ -908,6 +975,145 @@ mod tests {
             }
             assert_eq!(masked.probability(i, n), 0.0);
             assert_eq!(masked.probability(i, u32::MAX as usize + 1 + i), 0.0);
+        }
+    }
+
+    /// A 400-node graph whose hub 0 has degree 399 (above `u8::MAX`): a
+    /// star whose leaves are chained into a path.
+    fn hub_graph() -> Graph {
+        let n = 400;
+        let mut edges: Vec<(NodeId, NodeId)> = (1..n).map(|leaf| (0, leaf)).collect();
+        edges.extend((1..n - 1).map(|leaf| (leaf, leaf + 1)));
+        Graph::from_edges(n, &edges).unwrap()
+    }
+
+    /// `fraction` of the nodes unavailable, drawn at random.
+    fn random_mask(n: usize, fraction: f64, rng: &mut impl Rng) -> Vec<bool> {
+        (0..n).map(|_| rng.gen::<f64>() >= fraction).collect()
+    }
+
+    #[test]
+    fn dark_counts_match_a_brute_force_count() {
+        let mut rng = seeded_rng(11);
+        for g in [hub_graph(), masked_test_graph(8)] {
+            let n = g.node_count();
+            let mut hub_dark = vec![true; n];
+            hub_dark[0] = false;
+            let masks = [
+                vec![true; n],
+                hub_dark,
+                random_mask(n, 0.2, &mut rng),
+                random_mask(n, 0.7, &mut rng),
+                vec![false; n],
+            ];
+            // One buffer refilled mask after mask, as a schedule does.
+            let mut counts = DarkCounts::default();
+            for mask in masks {
+                let op = TransitionMatrix::masked(&g, mask.clone(), 0.1).unwrap();
+                op.prepare_round(0, &mut counts);
+                let want: Vec<u32> = g
+                    .nodes()
+                    .map(|j| {
+                        g.neighbors(j)
+                            .iter()
+                            .filter(|&&k| !mask[k as usize])
+                            .count() as u32
+                    })
+                    .collect();
+                assert_eq!(counts.counts, want);
+            }
+            // Everyone dark, last: the hub counts its whole degree.
+            assert_eq!(counts.counts[0] as usize, g.degree(0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dark counts were not prepared for this operator's mask")]
+    fn a_masked_pull_refuses_counts_prepared_for_another_mask() {
+        let g = masked_test_graph(9);
+        let n = g.node_count();
+        let prepared = TransitionMatrix::masked(&g, vec![true; n], 0.0).unwrap();
+        let other = TransitionMatrix::masked(&g, vec![true; n], 0.0).unwrap();
+        let mut counts = DarkCounts::default();
+        prepared.prepare_round(0, &mut counts);
+        let input = vec![1.0 / n as f64; 8 * n];
+        let mut out = vec![0.0; 8 * n];
+        other.propagate_round_interleaved(0, 8, &input, &mut out, &counts);
+    }
+
+    /// Every pull body this host runs, called directly rather than through
+    /// the dispatch: each lane of a step is bitwise the scatter, for the
+    /// whole block and for ranges of it (empty, the first and the last
+    /// node, and one drawn at random), unmasked and at dark fractions 0,
+    /// 0.2, 0.7 and 1, laziness 0 and 0.3, over three steps from point
+    /// masses (the first one dark) mixed with dense random rows.  Widths
+    /// 8, 13 and 16 put the 8-lane body at offsets 0 and 8 beside the
+    /// portable 4- and 1-lane runs.
+    #[test]
+    fn every_pull_body_matches_the_scatter_per_lane() {
+        let g = masked_test_graph(10);
+        let n = g.node_count();
+        let mut rng = seeded_rng(12);
+        for isa in Isa::supported() {
+            for laziness in [0.0, 0.3] {
+                for dark in [None, Some(0.0), Some(0.2), Some(0.7), Some(1.0)] {
+                    for lanes in [8, 13, 16] {
+                        let origins: Vec<NodeId> =
+                            (0..lanes).map(|_| rng.gen_range(0..n)).collect();
+                        let op = match dark {
+                            None => TransitionMatrix::with_laziness(&g, laziness).unwrap(),
+                            Some(fraction) => {
+                                let mut mask = random_mask(n, fraction, &mut rng);
+                                if fraction > 0.0 {
+                                    mask[origins[0]] = false;
+                                }
+                                TransitionMatrix::masked(&g, mask, laziness).unwrap()
+                            }
+                        };
+                        let mut rows: Vec<Vec<f64>> = origins
+                            .iter()
+                            .enumerate()
+                            .map(|(lane, &origin)| {
+                                let mut row = vec![0.0; n];
+                                if lane % 2 == 0 {
+                                    row[origin] = 1.0;
+                                } else {
+                                    row.iter_mut().for_each(|x| *x = rng.gen::<f64>());
+                                    let total: f64 = row.iter().sum();
+                                    row.iter_mut().for_each(|x| *x /= total);
+                                }
+                                row
+                            })
+                            .collect();
+                        let mut counts = DarkCounts::default();
+                        for step in 0..3 {
+                            op.prepare_round(step, &mut counts);
+                            let input: Vec<f64> = (0..n)
+                                .flat_map(|i| rows.iter().map(move |row| row[i]))
+                                .collect();
+                            let wants: Vec<Vec<f64>> =
+                                rows.iter().map(|row| op.propagate(row)).collect();
+                            let (a, b) = (rng.gen_range(0..n + 1), rng.gen_range(0..n + 1));
+                            for nodes in [0..n, a..a, 0..1, n - 1..n, a.min(b)..a.max(b)] {
+                                let mut out = vec![f64::NAN; nodes.len() * lanes];
+                                op.pull_range(isa, lanes, &input, nodes.clone(), &mut out, &counts);
+                                for (lane, want) in wants.iter().enumerate() {
+                                    for j in nodes.clone() {
+                                        assert_eq!(
+                                            out[(j - nodes.start) * lanes + lane].to_bits(),
+                                            want[j].to_bits(),
+                                            "{isa:?}, dark {dark:?}, laziness {laziness}, \
+                                             {lanes} lanes, step {step}, destinations \
+                                             {nodes:?}: lane {lane} diverged at node {j}"
+                                        );
+                                    }
+                                }
+                            }
+                            rows = wants;
+                        }
+                    }
+                }
+            }
         }
     }
 }

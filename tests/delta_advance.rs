@@ -9,10 +9,11 @@
 //!   with `NS_BLESS=1`): a fixed churn scenario records, per round, the
 //!   columns the round's edits can reach and every tracked row as raw f64
 //!   bit patterns;
-//! * the walk operator's pull kernel, masked and unmasked (the portable
-//!   body and, on AVX2 hosts, the unmasked 8-lane AVX2 body), over whole
-//!   blocks and destination ranges, lane by lane against the scalar scatter
-//!   reference;
+//! * the walk operator's pull kernel, masked and unmasked, in the bodies
+//!   the host dispatches to (on x86-64, 8-lane runs take AVX-512F or AVX2;
+//!   `transition.rs`'s unit tests call every body the host runs), over
+//!   whole blocks and destination ranges, lane by lane against the scalar
+//!   scatter reference;
 //! * [`DynamicGraph`] snapshots after a small and a large wave of edits
 //!   against a from-scratch build of the same edge set.
 
@@ -184,18 +185,19 @@ proptest! {
     /// written as its own interleaved chunk — is bitwise the scalar scatter
     /// reference ([`TransitionMatrix::propagate_into`]), compared through
     /// `to_bits` so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9
-    /// and 16 (every compile-time width and ragged split; unmasked 8- and
-    /// 16-lane blocks run the AVX2 body on hosts that have it; a whole
-    /// 1-lane block runs the scatter itself), laziness 0 and 0.15, no
-    /// mask, and masks from all-available to all-dark with dark point-mass
-    /// origins, over three evolving steps from point masses mixed with
-    /// dense random rows.
+    /// and 16 (every compile-time width and ragged split; 8-lane runs take
+    /// the body this host dispatches to, and `transition.rs`'s unit tests
+    /// call every body the host runs directly; a whole 1-lane block runs
+    /// the scatter itself), laziness 0 and 0.15, no mask, and masks from
+    /// all-available to all-dark with dark point-mass origins, each step
+    /// prepared through `prepare_round`, over three evolving steps from
+    /// point masses mixed with dense random rows.
     #[test]
     fn pull_kernel_matches_the_scalar_scatter_per_lane(
         graph in strategies::graph_zoo(20..70),
         seed in 0u64..1_000,
     ) {
-        use ns_graph::transition::TransitionModel;
+        use ns_graph::transition::{DarkCounts, TransitionModel};
         let n = graph.node_count();
         prop_assume!(n >= 4);
         prop_assume!(graph.find_isolated_node().is_none());
@@ -236,17 +238,19 @@ proptest! {
                             row
                         })
                         .collect();
+                    let mut counts = DarkCounts::default();
                     for step in 0..3 {
                         let input: Vec<f64> =
                             (0..n).flat_map(|i| rows.iter().map(move |row| row[i])).collect();
+                        op.prepare_round(step, &mut counts);
                         let mut block = vec![f64::NAN; lanes * n];
-                        op.propagate_round_interleaved(0, lanes, &input, &mut block);
+                        op.propagate_round_interleaved(0, lanes, &input, &mut block, &counts);
                         let (a, b) = (rng.gen_range(0..n + 1), rng.gen_range(0..n + 1));
                         let one = rng.gen_range(0..n);
                         let mut outputs = vec![(0..n, block)];
                         for nodes in [a..a, one..one + 1, a.min(b)..n, a.min(b)..a.max(b)] {
                             let mut chunk = vec![f64::NAN; nodes.len() * lanes];
-                            op.propagate_round_interleaved_range(0, lanes, &input, nodes.clone(), &mut chunk);
+                            op.propagate_round_interleaved_range(0, lanes, &input, nodes.clone(), &mut chunk, &counts);
                             outputs.push((nodes, chunk));
                         }
                         for (lane, row) in rows.iter_mut().enumerate() {

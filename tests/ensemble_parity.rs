@@ -13,7 +13,7 @@ use ns_graph::distribution::PositionDistribution;
 use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::{self, DistributionEnsemble};
 use ns_graph::rng::seeded_rng;
-use ns_graph::transition::{TransitionMatrix, TransitionModel};
+use ns_graph::transition::{DarkCounts, TransitionMatrix, TransitionModel};
 use ns_graph::worker::Worker;
 use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -397,6 +397,69 @@ enum Interleaving {
     CallerAfterFirst,
     /// The two take turns, one unit each, the worker first.
     Alternate,
+    /// The caller runs first, so it prepares the round (the dark counts)
+    /// while the worker waits; from inside the preparation it lets the
+    /// worker go, which claims a unit and waits for the counts unless the
+    /// preparation has already finished.  Then both run what is left.
+    CallerPrepares,
+}
+
+/// A model that lets the worker go from inside the round's preparation
+/// ([`Interleaving::CallerPrepares`]); otherwise the model it wraps.
+struct PassesInPrepare<'a> {
+    inner: &'a (dyn TransitionModel + Sync),
+    baton: Option<&'a Baton>,
+}
+
+impl TransitionModel for PassesInPrepare<'_> {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
+        self.inner.propagate_into(p, out);
+    }
+
+    fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
+        self.inner.propagate_round_into(round, p, out);
+    }
+
+    fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
+        if let Some(baton) = self.baton {
+            baton.pass_to(Baton::WORKER);
+            baton.wait_for(Baton::CALLER);
+        }
+        self.inner.prepare_round(round, dark);
+    }
+
+    fn propagate_round_interleaved(
+        &self,
+        round: usize,
+        lanes: usize,
+        input: &[f64],
+        output: &mut [f64],
+        dark: &DarkCounts,
+    ) {
+        self.inner
+            .propagate_round_interleaved(round, lanes, input, output, dark);
+    }
+
+    fn has_range_kernel(&self, round: usize) -> bool {
+        self.inner.has_range_kernel(round)
+    }
+
+    fn propagate_round_interleaved_range(
+        &self,
+        round: usize,
+        lanes: usize,
+        input: &[f64],
+        nodes: std::ops::Range<usize>,
+        out: &mut [f64],
+        dark: &DarkCounts,
+    ) {
+        self.inner
+            .propagate_round_interleaved_range(round, lanes, input, nodes, out, dark);
+    }
 }
 
 /// Whose turn it is: the worker's (`false`) or the caller's (`true`).
@@ -441,11 +504,20 @@ fn swept_round(
     model: &(dyn TransitionModel + Sync),
     order: Interleaving,
 ) {
+    let caller_prepares = matches!(order, Interleaving::CallerPrepares);
     let baton = Baton {
-        turn: Mutex::new(Baton::WORKER),
+        turn: Mutex::new(if caller_prepares {
+            Baton::CALLER
+        } else {
+            Baton::WORKER
+        }),
         passed: Condvar::new(),
     };
-    let sweep = ensemble.round_sweep(model);
+    let model = PassesInPrepare {
+        inner: model,
+        baton: caller_prepares.then_some(&baton),
+    };
+    let sweep = ensemble.round_sweep(&model);
     let job = || match order {
         Interleaving::WorkerOnly => {
             assert!(sweep.run(), "the worker ran the last unit");
@@ -456,6 +528,11 @@ fn swept_round(
             baton.pass_to(Baton::CALLER);
         }
         Interleaving::Alternate => baton.alternate(Baton::WORKER, || sweep.run_unit()),
+        Interleaving::CallerPrepares => {
+            baton.wait_for(Baton::WORKER);
+            baton.pass_to(Baton::CALLER);
+            sweep.run();
+        }
     };
     worker.join(&job, || match order {
         Interleaving::WorkerOnly => {
@@ -467,6 +544,11 @@ fn swept_round(
             sweep.run();
         }
         Interleaving::Alternate => baton.alternate(Baton::CALLER, || sweep.run_unit()),
+        Interleaving::CallerPrepares => {
+            sweep.run();
+            // A 1-row round prepares nothing: let the worker go here.
+            baton.pass_to(Baton::WORKER);
+        }
     });
 }
 
@@ -507,6 +589,7 @@ proptest! {
                         Interleaving::WorkerOnly,
                         Interleaving::CallerAfterFirst,
                         Interleaving::Alternate,
+                        Interleaving::CallerPrepares,
                     ] {
                         let mut swept = start.clone();
                         swept_round(&mut worker, &mut swept, model, order);
