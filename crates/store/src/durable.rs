@@ -58,7 +58,7 @@ use ns_graph::rng::SimRng;
 use ns_obs::{MetricsRegistry, TraceEvent, TraceWriter};
 use std::path::{Path, PathBuf};
 
-/// Name of the log segment inside a store directory.
+/// Name of the write-ahead log file inside a store directory.
 pub const WAL_FILE: &str = "wal.bin";
 
 /// Structured-trace JSONL the telemetry layer appends to inside a store
@@ -158,8 +158,6 @@ struct DurableTelemetry {
 struct RecoveryStats {
     rounds_replayed: u64,
     elapsed_ns: u64,
-    /// `(hits, misses, evictions)` of the WAL scan's page cache.
-    pool_stats: (u64, u64, u64),
 }
 
 impl<'g> DurableCoordinator<'g> {
@@ -380,7 +378,6 @@ impl<'g> DurableCoordinator<'g> {
         recovered.recovery_stats = Some(RecoveryStats {
             rounds_replayed: rounds.len().saturating_sub(start) as u64,
             elapsed_ns: recovery_started.elapsed().as_nanos() as u64,
-            pool_stats: scan.pool_stats,
         });
         Ok(recovered)
     }
@@ -495,7 +492,6 @@ impl<'g> DurableCoordinator<'g> {
         self.coordinator.set_telemetry(Some(service));
         if let Some(stats) = self.recovery_stats {
             store.replay_ns.record(stats.elapsed_ns);
-            store.record_pool_stats(stats.pool_stats);
             audit.record(TraceEvent::Recover {
                 rounds_replayed: stats.rounds_replayed,
                 elapsed_ns: stats.elapsed_ns,

@@ -8,7 +8,7 @@ pub type Result<T> = std::result::Result<T, StoreError>;
 /// Errors produced by the durable runtime.
 #[derive(Debug)]
 pub enum StoreError {
-    /// An I/O error from the segment, WAL or snapshot layer.
+    /// An I/O error from the WAL or snapshot layer.
     Io(std::io::Error),
     /// On-disk bytes failed validation — bad magic, checksum mismatch,
     /// impossible lengths.  Corruption is *expected* input (a torn tail, a

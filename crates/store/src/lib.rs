@@ -1,13 +1,12 @@
 //! # ns-store — the durable runtime
 //!
-//! A small storage engine, in the SimpleDB/bustub idiom, that makes a
-//! network-shuffle epoch crash-recoverable:
+//! A small storage layer that makes a network-shuffle epoch
+//! crash-recoverable:
 //!
-//! - [`page`] — fixed-size page segments, the only unit of disk I/O;
-//! - [`buffer`] — a tiny clock-eviction buffer pool over a segment;
 //! - [`checksum`] / [`codec`] — CRC-32 and the fixed little-endian codec
 //!   every on-disk byte goes through;
-//! - [`wal`] — the length-prefixed, checksummed write-ahead log;
+//! - [`wal`] — the length-prefixed, checksummed write-ahead log, one
+//!   append-only file;
 //! - [`records`] — the logical record set (admissions, schedule, rounds,
 //!   snapshot/finalize markers);
 //! - [`snapshot`] — atomic snapshot / meta / budget-ledger files;
@@ -36,12 +35,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod buffer;
 pub mod checksum;
 pub mod codec;
 pub mod durable;
 pub mod error;
-pub mod page;
 pub mod records;
 pub mod snapshot;
 pub mod telemetry;

@@ -64,30 +64,28 @@ pub fn write_atomic(path: &Path, magic: &[u8; 8], body: &[u8]) -> Result<()> {
 /// files, length mismatches or checksum failures.
 pub fn read_verified(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>> {
     let raw = fs::read(path)?;
-    if raw.len() < 16 {
+    let mut file = Decoder::new(&raw);
+    let (Ok(file_magic), Ok(len), Ok(crc)) = (file.take(8), file.u32(), file.u32()) else {
         return Err(StoreError::Corrupt(format!(
             "{}: {} bytes is too short for a framed file",
             path.display(),
             raw.len()
         )));
-    }
-    if &raw[..8] != magic {
+    };
+    if file_magic != magic {
         return Err(StoreError::Corrupt(format!(
-            "{}: bad magic {:?}",
-            path.display(),
-            &raw[..8]
+            "{}: bad magic {file_magic:?}",
+            path.display()
         )));
     }
-    let len = u32::from_le_bytes(raw[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(raw[12..16].try_into().unwrap());
-    if raw.len() != 16 + len {
+    let body = file.take(file.remaining())?;
+    if body.len() != len as usize {
         return Err(StoreError::Corrupt(format!(
             "{}: header claims {len} body bytes, file holds {}",
             path.display(),
-            raw.len() - 16
+            body.len()
         )));
     }
-    let body = &raw[16..];
     if crc32(body) != crc {
         return Err(StoreError::Corrupt(format!(
             "{}: body checksum mismatch",

@@ -1,4 +1,4 @@
-//! Durable-runtime telemetry: WAL latency histograms, buffer-pool and
+//! Durable-runtime telemetry: WAL latency histograms, the log's length and
 //! snapshot/replay accounting over the `ns-obs` registry.
 //!
 //! Same contract as the engine and service bundles: preregistered slots,
@@ -13,7 +13,8 @@ use ns_obs::{Clock, Gauge, Histogram, MetricsRegistry};
 
 /// Metric names the durable runtime registers (the README's catalogue).
 pub mod names {
-    /// WAL record append latency (buffered write + tail-page update), ns.
+    /// WAL record append latency (header and payload written to the file),
+    /// ns.
     pub const WAL_APPEND_NS: &str = "ns_wal_append_ns";
     /// WAL fsync latency — every sync, eager or group boundary, ns.
     pub const WAL_FSYNC_NS: &str = "ns_wal_fsync_ns";
@@ -26,12 +27,6 @@ pub mod names {
     /// Recovery replay latency (scan + snapshot load + round re-execution),
     /// ns.
     pub const REPLAY_NS: &str = "ns_replay_ns";
-    /// Buffer-pool page hits (cumulative, latest folded pool).
-    pub const POOL_HITS: &str = "ns_pool_hits";
-    /// Buffer-pool page misses.
-    pub const POOL_MISSES: &str = "ns_pool_misses";
-    /// Buffer-pool clock evictions.
-    pub const POOL_EVICTIONS: &str = "ns_pool_evictions";
 }
 
 /// Preregistered handles for the durable runtime.  Clone-cheap (`Arc`
@@ -45,9 +40,6 @@ pub struct StoreTelemetry {
     pub(crate) wal_len: Gauge,
     pub(crate) snapshot_write_ns: Histogram,
     pub(crate) replay_ns: Histogram,
-    pool_hits: Gauge,
-    pool_misses: Gauge,
-    pool_evictions: Gauge,
 }
 
 impl StoreTelemetry {
@@ -61,26 +53,7 @@ impl StoreTelemetry {
             wal_len: registry.gauge(names::WAL_LEN_BYTES),
             snapshot_write_ns: registry.histogram(names::SNAPSHOT_WRITE_NS),
             replay_ns: registry.histogram(names::REPLAY_NS),
-            pool_hits: registry.gauge(names::POOL_HITS),
-            pool_misses: registry.gauge(names::POOL_MISSES),
-            pool_evictions: registry.gauge(names::POOL_EVICTIONS),
         }
-    }
-
-    /// Publishes a [`crate::buffer::BufferPool`]'s cumulative counters —
-    /// pools are short-lived (one per scan/load), so the gauges hold the
-    /// latest folded pool's totals.
-    pub fn record_pool(&self, pool: &crate::buffer::BufferPool) {
-        let (hits, misses) = pool.stats();
-        self.record_pool_stats((hits, misses, pool.evictions()));
-    }
-
-    /// Publishes already-extracted `(hits, misses, evictions)` counters —
-    /// the [`crate::wal::WalScan::pool_stats`] form.
-    pub fn record_pool_stats(&self, (hits, misses, evictions): (u64, u64, u64)) {
-        self.pool_hits.set(hits);
-        self.pool_misses.set(misses);
-        self.pool_evictions.set(evictions);
     }
 }
 

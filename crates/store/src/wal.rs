@@ -1,4 +1,4 @@
-//! Length-prefixed, checksummed write-ahead log over page-granular segments.
+//! Length-prefixed, checksummed write-ahead log in one append-only file.
 //!
 //! Record framing on disk:
 //!
@@ -8,19 +8,19 @@
 //! └──────────┴───────────────┴───────────────┘
 //! ```
 //!
-//! Frames are packed back to back and freely span page boundaries.  A frame
-//! with `len == 0` and `crc == 0` is zero padding and reads as a clean end of
-//! log (real payloads always carry at least a one-byte record tag, and the
-//! CRC-32 of the empty string is 0).  The reader stops at the first frame
-//! that does not fully check out and reports *why* — a torn tail
-//! ([`TailStatus::Truncated`]) is silently expected after a crash, while a
-//! checksum mismatch ([`TailStatus::Corrupt`]) stops replay at the last
-//! valid record.
+//! Frames are packed back to back.  A frame with `len == 0` and `crc == 0`
+//! is zero padding and reads as a clean end of log (real payloads always
+//! carry at least a one-byte record tag, and the CRC-32 of the empty string
+//! is 0).  The reader stops at the first frame that does not fully check out
+//! and reports *why* — a torn tail ([`TailStatus::Truncated`]) is silently
+//! expected after a crash, while a checksum mismatch
+//! ([`TailStatus::Corrupt`]) stops replay at the last valid record.
 
-use crate::buffer::BufferPool;
 use crate::checksum::crc32;
+use crate::codec::Decoder;
 use crate::error::{Result, StoreError};
-use crate::page::{SegmentFile, PAGE_SIZE};
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 
 /// Upper bound on a single record's payload — anything larger is corruption,
@@ -47,66 +47,55 @@ pub struct WalScan {
     /// Byte length of the valid prefix; the writer reopens (and truncates)
     /// at this offset.
     pub valid_len: u64,
-    /// `(hits, misses, evictions)` of the page cache the scan read through —
-    /// the telemetry layer's buffer-pool source.
-    pub pool_stats: (u64, u64, u64),
     /// Why the scan stopped.
     pub tail: TailStatus,
 }
 
-/// Append-only WAL writer.  Appends buffer through an in-memory tail page
-/// and are written through to the OS immediately; durability is only
-/// guaranteed after [`WalWriter::sync`] (the group-commit point).
+/// Append-only WAL writer over a file opened for append.  Each frame is
+/// written through to the OS before [`WalWriter::append`] returns;
+/// durability is only guaranteed after [`WalWriter::sync`] (the
+/// group-commit point).
 #[derive(Debug)]
 pub struct WalWriter {
-    segment: SegmentFile,
-    /// The partially-filled last page of the log.
-    tail: Box<[u8]>,
-    /// Valid bytes in `tail`.
-    tail_len: usize,
-    /// Page number `tail` maps to.
-    tail_page: u64,
+    file: File,
+    /// Bytes of every frame written so far: the file's length.
+    len: u64,
 }
 
 impl WalWriter {
-    /// Opens the log at `path`, truncating it to `valid_len` (as reported by
-    /// [`scan_wal`]) so a torn tail is physically discarded before new
-    /// appends land.
+    /// Opens (creating if absent) the log at `path`, truncating it to
+    /// `valid_len` (as reported by [`scan_wal`]) so a torn tail is physically
+    /// discarded before new appends land.
     ///
     /// # Errors
     ///
-    /// I/O errors from open/truncate/read.
+    /// [`StoreError::InvalidState`] if `valid_len` lies past the end of the
+    /// file, before the file is changed (appends there would follow a zero
+    /// gap that a scan reads as the end of the log); I/O errors from
+    /// open/truncate.
     pub fn open<P: AsRef<Path>>(path: P, valid_len: u64) -> Result<Self> {
-        let mut segment = SegmentFile::open(path)?;
-        segment.truncate(valid_len)?;
-        let tail_page = valid_len / PAGE_SIZE as u64;
-        let tail_len = (valid_len % PAGE_SIZE as u64) as usize;
-        let mut tail = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        if tail_len > 0 {
-            let got = segment.read_page(tail_page, &mut tail)?;
-            if got < tail_len {
-                return Err(StoreError::Corrupt(format!(
-                    "wal tail page {tail_page} holds {got} bytes, expected at least {tail_len}"
-                )));
-            }
-            tail[tail_len..].fill(0);
+        let file = OpenOptions::new().append(true).create(true).open(path)?;
+        let file_len = file.metadata()?.len();
+        if valid_len > file_len {
+            return Err(StoreError::InvalidState(format!(
+                "cannot reopen a {file_len}-byte log at byte {valid_len}"
+            )));
         }
+        file.set_len(valid_len)?;
         Ok(WalWriter {
-            segment,
-            tail,
-            tail_len,
-            tail_page,
+            file,
+            len: valid_len,
         })
     }
 
     /// Logical byte length of the log (all appended frames).
     pub fn len(&self) -> u64 {
-        self.tail_page * PAGE_SIZE as u64 + self.tail_len as u64
+        self.len
     }
 
     /// Whether no frame has ever been appended.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Appends one framed record.  The bytes reach the OS before this
@@ -117,7 +106,7 @@ impl WalWriter {
     ///
     /// [`StoreError::InvalidState`] for a payload longer than
     /// [`MAX_RECORD_LEN`], before any byte is written; I/O errors from the
-    /// page writes.
+    /// writes.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
         if payload.len() as u64 > u64::from(MAX_RECORD_LEN) {
             return Err(StoreError::InvalidState(format!(
@@ -125,12 +114,10 @@ impl WalWriter {
                 payload.len()
             )));
         }
-        let len = (payload.len() as u32).to_le_bytes();
-        let crc = crc32(payload).to_le_bytes();
-        self.push(&len)?;
-        self.push(&crc)?;
-        self.push(payload)?;
-        self.flush_tail()
+        self.file.write_all(&frame_header(payload))?;
+        self.file.write_all(payload)?;
+        self.len += 8 + payload.len() as u64;
+        Ok(())
     }
 
     /// Appends only the first `keep` bytes of the frame for `payload`,
@@ -139,16 +126,15 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// I/O errors from the page writes.
+    /// I/O errors from the write.
     #[doc(hidden)]
     pub fn append_torn(&mut self, payload: &[u8], keep: usize) -> Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        let mut frame = frame_header(payload).to_vec();
         frame.extend_from_slice(payload);
-        let keep = keep.min(frame.len());
-        self.push(&frame[..keep])?;
-        self.flush_tail()
+        frame.truncate(keep);
+        self.file.write_all(&frame)?;
+        self.len += frame.len() as u64;
+        Ok(())
     }
 
     /// Forces every appended frame to stable storage — the group-commit
@@ -158,75 +144,43 @@ impl WalWriter {
     ///
     /// I/O errors from the sync.
     pub fn sync(&mut self) -> Result<()> {
-        self.segment.sync()
-    }
-
-    /// Copies `bytes` into the log through the tail page, writing each page
-    /// as it fills.
-    fn push(&mut self, mut bytes: &[u8]) -> Result<()> {
-        while !bytes.is_empty() {
-            let room = PAGE_SIZE - self.tail_len;
-            let take = room.min(bytes.len());
-            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
-            self.tail_len += take;
-            bytes = &bytes[take..];
-            if self.tail_len == PAGE_SIZE {
-                self.segment
-                    .write_page(self.tail_page, &self.tail, PAGE_SIZE)?;
-                self.tail_page += 1;
-                self.tail_len = 0;
-                self.tail.fill(0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes the partial tail page through to the OS.
-    fn flush_tail(&mut self) -> Result<()> {
-        if self.tail_len > 0 {
-            self.segment
-                .write_page(self.tail_page, &self.tail, self.tail_len)?;
-        }
+        self.file.sync_data()?;
         Ok(())
     }
 }
 
-/// Scans the WAL at `path` from the beginning, validating every frame.
+/// The 8-byte header framing `payload`: its length, then its CRC-32.
+fn frame_header(payload: &[u8]) -> [u8; 8] {
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// Scans the WAL at `path` from the beginning, validating every frame.  A
+/// missing file is an empty log: a store that crashed after writing its
+/// `meta.bin` but before creating the log has logged nothing.
 ///
 /// # Errors
 ///
-/// I/O errors from reading the segment.  Damaged *content* is not an error —
+/// I/O errors from reading the file.  Damaged *content* is not an error —
 /// it ends the scan with the appropriate [`TailStatus`].
 pub fn scan_wal<P: AsRef<Path>>(path: P) -> Result<WalScan> {
-    let segment = SegmentFile::open(path)?;
-    let mut pool = BufferPool::new(segment);
-    let file_len = pool.segment().len()?;
-    // Pull the log through the page cache into one contiguous buffer; WALs
-    // here are small (one epoch of round records) and the scan happens once
-    // per recovery.
-    let mut bytes = Vec::with_capacity(file_len as usize);
-    let mut page_no = 0u64;
-    while (bytes.len() as u64) < file_len {
-        let (page, valid) = pool.page(page_no)?;
-        bytes.extend_from_slice(&page[..valid]);
-        if valid < PAGE_SIZE {
-            break;
-        }
-        page_no += 1;
-    }
-    let (hits, misses) = pool.stats();
-    let pool_stats = (hits, misses, pool.evictions());
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e.into()),
+    };
+    let mut log = Decoder::new(&bytes);
     let mut records = Vec::new();
-    let mut offset = 0usize;
+    let mut valid_len = 0;
     let tail = loop {
-        if offset == bytes.len() {
+        if log.remaining() == 0 {
             break TailStatus::Clean;
         }
-        if bytes.len() - offset < 8 {
+        let (Ok(len), Ok(crc)) = (log.u32(), log.u32()) else {
             break TailStatus::Truncated;
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
+        };
         if len == 0 {
             // Zero padding: a clean end if the checksum word is also zero,
             // damage otherwise (no real record is empty — payloads always
@@ -237,24 +191,21 @@ pub fn scan_wal<P: AsRef<Path>>(path: P) -> Result<WalScan> {
                 TailStatus::Corrupt
             };
         }
-        if len > MAX_RECORD_LEN || (len as usize) > bytes.len() - offset - 8 {
-            break if len > MAX_RECORD_LEN {
-                TailStatus::Corrupt
-            } else {
-                TailStatus::Truncated
-            };
+        if len > MAX_RECORD_LEN {
+            break TailStatus::Corrupt;
         }
-        let payload = &bytes[offset + 8..offset + 8 + len as usize];
+        let Ok(payload) = log.take(len as usize) else {
+            break TailStatus::Truncated;
+        };
         if crc32(payload) != crc {
             break TailStatus::Corrupt;
         }
         records.push(payload.to_vec());
-        offset += 8 + len as usize;
+        valid_len = bytes.len() - log.remaining();
     };
     Ok(WalScan {
         records,
-        valid_len: offset as u64,
-        pool_stats,
+        valid_len: valid_len as u64,
         tail,
     })
 }
@@ -272,17 +223,24 @@ mod tests {
         path
     }
 
+    /// A payload the size of a `churn_sharded_1m` round record: RNG clocks
+    /// plus a 1,009,146-user outage mask.
+    fn churn_round_sized() -> Vec<u8> {
+        (0..126_219u32).map(|j| (j % 251) as u8).collect()
+    }
+
     #[test]
-    fn append_scan_roundtrip_across_page_boundaries() {
+    fn appended_records_scan_back_in_order() {
         let path = temp_wal("roundtrip.bin");
         let mut wal = WalWriter::open(&path, 0).unwrap();
         assert!(wal.is_empty());
-        let payloads: Vec<Vec<u8>> = (0..40u32)
+        let mut payloads: Vec<Vec<u8>> = (0..40u32)
             .map(|i| {
                 let n = 1 + (i as usize * 97) % 700;
                 (0..n).map(|j| (i as u8).wrapping_add(j as u8)).collect()
             })
             .collect();
+        payloads.insert(20, churn_round_sized());
         for p in &payloads {
             wal.append(p).unwrap();
         }
@@ -298,18 +256,44 @@ mod tests {
         let path = temp_wal("reopen.bin");
         let mut wal = WalWriter::open(&path, 0).unwrap();
         wal.append(b"first").unwrap();
-        wal.append(b"second").unwrap();
+        wal.append(&churn_round_sized()).unwrap();
         wal.sync().unwrap();
         let scan = scan_wal(&path).unwrap();
         let mut wal = WalWriter::open(&path, scan.valid_len).unwrap();
+        assert_eq!(wal.len(), scan.valid_len);
         wal.append(b"third").unwrap();
         wal.sync().unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.tail, TailStatus::Clean);
+        assert_eq!(scan.valid_len, wal.len());
         assert_eq!(
             scan.records,
-            vec![b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]
+            vec![b"first".to_vec(), churn_round_sized(), b"third".to_vec()]
         );
+    }
+
+    #[test]
+    fn reopening_past_the_end_is_refused_and_changes_nothing() {
+        let path = temp_wal("past_end.bin");
+        let mut wal = WalWriter::open(&path, 0).unwrap();
+        wal.append(b"alpha").unwrap();
+        wal.sync().unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(raw.len(), 13);
+        for valid_len in [113u64, 8192] {
+            assert!(
+                matches!(
+                    WalWriter::open(&path, valid_len),
+                    Err(StoreError::InvalidState(_))
+                ),
+                "valid_len {valid_len}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), raw, "valid_len {valid_len}");
+            let scan = scan_wal(&path).unwrap();
+            assert_eq!(scan.tail, TailStatus::Clean);
+            assert_eq!(scan.valid_len, 13);
+            assert_eq!(scan.records, vec![b"alpha".to_vec()]);
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! The corruption tests exercise the documented failure modes end to end:
 //! a truncated WAL tail is silently dropped, a flipped bit stops recovery at
 //! the last valid record, and a damaged snapshot falls back to an older one
-//! without giving up bitwise equality.
+//! without giving up bitwise equality.  Two mutation sweeps cut the golden
+//! epoch's files at every length and flip every byte: the log keeps exactly
+//! the frames before the damage, and the framed files refuse to load.
 
 use network_shuffle::prelude::{CoordinatorConfig, OutageSchedule, ShuffleCoordinator};
 use ns_dp::prelude::PrivacyGuarantee;
@@ -18,7 +20,8 @@ use ns_graph::generators::random_regular;
 use ns_graph::prelude::{Graph, Partition};
 use ns_graph::rng::seeded_rng;
 use ns_store::prelude::{
-    scan_wal, DurableConfig, DurableCoordinator, StoreError, TailStatus, WAL_FILE,
+    load_ledger, load_meta, load_snapshot, scan_wal, DurableConfig, DurableCoordinator, StoreError,
+    TailStatus, WAL_FILE,
 };
 use ns_suite::crash_harness::{accountant_params, outage_masks, payloads};
 use std::fmt::Write as _;
@@ -99,6 +102,90 @@ fn on_disk_format_matches_the_golden_dump() {
         dump, golden,
         "on-disk store format changed; if intentional, regenerate with NS_BLESS=1"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The golden log cut at every length keeps exactly the frames wholly before
+/// the cut, ending `Clean` at a frame boundary and `Truncated` elsewhere; the
+/// golden log with any one byte flipped keeps exactly the frames before the
+/// damaged one and never reads as a clean end.
+#[test]
+fn every_wal_cut_and_byte_flip_keeps_exactly_the_frames_before_it() {
+    let dir = temp_dir("wal_sweep");
+    run_golden_epoch(&dir);
+    let wal_path = dir.join(WAL_FILE);
+    let golden = fs::read(&wal_path).unwrap();
+    let full = scan_wal(&wal_path).unwrap();
+    assert_eq!(full.tail, TailStatus::Clean);
+    assert_eq!(full.valid_len, golden.len() as u64);
+    let frame_ends: Vec<usize> = full
+        .records
+        .iter()
+        .scan(0, |end, record| {
+            *end += 8 + record.len();
+            Some(*end)
+        })
+        .collect();
+    let frames_ending_by = |offset: usize| frame_ends.iter().take_while(|&&e| e <= offset).count();
+    for cut in 0..=golden.len() {
+        fs::write(&wal_path, &golden[..cut]).unwrap();
+        let scan = scan_wal(&wal_path).unwrap();
+        let kept = frames_ending_by(cut);
+        assert_eq!(scan.records, full.records[..kept], "cut at {cut}");
+        let kept_len = if kept == 0 { 0 } else { frame_ends[kept - 1] };
+        assert_eq!(scan.valid_len, kept_len as u64, "cut at {cut}");
+        let tail = if kept_len == cut {
+            TailStatus::Clean
+        } else {
+            TailStatus::Truncated
+        };
+        assert_eq!(scan.tail, tail, "cut at {cut}");
+    }
+    for at in 0..golden.len() {
+        let mut damaged = golden.clone();
+        damaged[at] ^= 0xFF;
+        fs::write(&wal_path, &damaged).unwrap();
+        let scan = scan_wal(&wal_path).unwrap();
+        let kept = frames_ending_by(at);
+        assert_eq!(scan.records, full.records[..kept], "flip at {at}");
+        assert_ne!(scan.tail, TailStatus::Clean, "flip at {at}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `meta.bin`, the snapshot and the ledger cut at every shorter length, or
+/// with any one byte flipped, fail to load as [`StoreError::Corrupt`].
+#[test]
+fn every_cut_and_byte_flip_of_the_framed_files_is_corrupt() {
+    let dir = temp_dir("framed_sweep");
+    run_golden_epoch(&dir);
+    type Load = fn(&Path) -> Result<(), StoreError>;
+    let loads: [(&str, Load); 3] = [
+        ("meta.bin", |dir| load_meta(dir).map(drop)),
+        ("snap-4.bin", |dir| load_snapshot(dir, 4).map(drop)),
+        ("ledger.bin", |dir| {
+            load_ledger(&dir.join("ledger.bin")).map(drop)
+        }),
+    ];
+    for (file, load) in loads {
+        let path = dir.join(file);
+        let golden = fs::read(&path).unwrap();
+        load(&dir).unwrap_or_else(|e| panic!("{file}: golden bytes must load: {e}"));
+        let cuts = (0..golden.len()).map(|cut| (format!("cut at {cut}"), golden[..cut].to_vec()));
+        let flips = (0..golden.len()).map(|at| {
+            let mut damaged = golden.clone();
+            damaged[at] ^= 0xFF;
+            (format!("flip at {at}"), damaged)
+        });
+        for (damage, bytes) in cuts.chain(flips) {
+            fs::write(&path, &bytes).unwrap();
+            let result = load(&dir);
+            assert!(
+                matches!(result, Err(StoreError::Corrupt(_))),
+                "{file} {damage}: got {result:?}"
+            );
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
