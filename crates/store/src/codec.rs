@@ -2,7 +2,10 @@
 //!
 //! All serialization in this crate is hand-rolled through these helpers:
 //! the workspace's `serde` is an offline marker-trait shim, and a durable
-//! format wants an explicit, stable byte layout anyway.  Widths are fixed —
+//! format wants an explicit, stable byte layout anyway.  The `put_*`
+//! functions append to a `Vec` (WAL records), `Word` writes one value into
+//! a fixed buffer (the framed files [`crate::snapshot`] streams to disk),
+//! and [`Decoder`] reads both back.  Widths are fixed —
 //! `usize` quantities are always written as `u64`, `f64`s as raw IEEE bits
 //! (`to_bits`/`from_bits`, which is what makes numeric state round-trip
 //! **bit for bit**) — so files written on any host read back identically.
@@ -22,11 +25,6 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends a `usize` as a `u64` (the only width `usize` is ever stored at).
 pub fn put_len(out: &mut Vec<u8>, v: usize) {
     put_u64(out, v as u64);
-}
-
-/// Appends an `f64` as its raw IEEE-754 bits.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
 }
 
 /// Appends a length-prefixed byte string.
@@ -52,6 +50,58 @@ pub fn put_mask(out: &mut Vec<u8>, mask: &[bool]) {
     if !mask.len().is_multiple_of(8) {
         out.push(byte);
     }
+}
+
+/// A fixed-width value at its stored width, for writers that encode into a
+/// fixed buffer rather than a `Vec` (the framed files of
+/// [`crate::snapshot`]).
+pub(crate) trait Word: Copy {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Writes the value into `dst`, which is exactly `WIDTH` bytes long.
+    fn put_le(self, dst: &mut [u8]);
+}
+
+impl Word for u8 {
+    const WIDTH: usize = 1;
+    fn put_le(self, dst: &mut [u8]) {
+        dst[0] = self;
+    }
+}
+
+impl Word for u32 {
+    const WIDTH: usize = 4;
+    fn put_le(self, dst: &mut [u8]) {
+        dst.copy_from_slice(&self.to_le_bytes());
+    }
+}
+
+impl Word for u64 {
+    const WIDTH: usize = 8;
+    fn put_le(self, dst: &mut [u8]) {
+        dst.copy_from_slice(&self.to_le_bytes());
+    }
+}
+
+impl Word for usize {
+    const WIDTH: usize = 8;
+    fn put_le(self, dst: &mut [u8]) {
+        (self as u64).put_le(dst);
+    }
+}
+
+impl Word for f64 {
+    const WIDTH: usize = 8;
+    fn put_le(self, dst: &mut [u8]) {
+        self.to_bits().put_le(dst);
+    }
+}
+
+/// A stored `u64` as a `usize`: corrupt where it does not fit (on 32-bit
+/// hosts) rather than silently wrapped.
+fn stored_usize(v: u64) -> Result<usize> {
+    usize::try_from(v)
+        .map_err(|_| StoreError::Corrupt(format!("stored length {v} overflows usize")))
 }
 
 /// A bounds-checked reader over an encoded buffer.  Overruns surface as
@@ -123,9 +173,7 @@ impl<'a> Decoder<'a> {
     // so clippy's len/is_empty pairing does not apply.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| StoreError::Corrupt(format!("stored length {v} overflows usize")))
+        stored_usize(self.u64()?)
     }
 
     /// Reads an `f64` from its raw bits.
@@ -135,6 +183,52 @@ impl<'a> Decoder<'a> {
     /// [`StoreError::Corrupt`] on overrun.
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Takes the bytes of `n` values `width` bytes wide in one bounds check,
+    /// so a corrupt count fails before anything is allocated for it.
+    fn array(&mut self, n: usize, width: usize) -> Result<&'a [u8]> {
+        let bytes = n.checked_mul(width).ok_or_else(|| {
+            StoreError::Corrupt(format!("{n} values of {width} bytes overflow usize"))
+        })?;
+        self.take(bytes)
+    }
+
+    /// Reads `n` little-endian `u32`s.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] on overrun.
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>> {
+        let (words, _) = self.array(n, 4)?.as_chunks::<4>();
+        Ok(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
+    }
+
+    /// Reads `n` `f64`s from their raw bits.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] on overrun.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>> {
+        let (words, _) = self.array(n, 8)?.as_chunks::<8>();
+        Ok(words
+            .iter()
+            .map(|w| f64::from_bits(u64::from_le_bytes(*w)))
+            .collect())
+    }
+
+    /// Reads `n` stored `u64`s back as `usize`s (see [`Decoder::len`]).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] on overrun or overflow.
+    pub fn lens(&mut self, n: usize) -> Result<Vec<usize>> {
+        let (words, _) = self.array(n, 8)?.as_chunks::<8>();
+        let mut out = Vec::with_capacity(n);
+        for w in words {
+            out.push(stored_usize(u64::from_le_bytes(*w))?);
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed byte string.
@@ -187,8 +281,8 @@ mod tests {
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 1);
         put_len(&mut buf, 12345);
-        put_f64(&mut buf, -0.0);
-        put_f64(&mut buf, f64::from_bits(0x7FF8_0000_0000_0001)); // a NaN payload
+        put_u64(&mut buf, (-0.0f64).to_bits());
+        put_u64(&mut buf, 0x7FF8_0000_0000_0001); // a NaN payload
         put_bytes(&mut buf, b"hello");
         let mask: Vec<bool> = (0..19).map(|i| i % 3 == 0).collect();
         put_mask(&mut buf, &mask);
@@ -219,6 +313,33 @@ mod tests {
         put_len(&mut buf, usize::MAX / 2);
         let mut d = Decoder::new(&buf);
         assert!(d.bytes().is_err());
+    }
+
+    #[test]
+    fn arrays_read_back_and_refuse_counts_past_the_buffer() {
+        let mut buf = Vec::new();
+        for v in [7u32, u32::MAX] {
+            put_u32(&mut buf, v);
+        }
+        for v in [0.5f64, -0.0] {
+            put_u64(&mut buf, v.to_bits());
+        }
+        put_len(&mut buf, 12345);
+        let mut d = Decoder::new(&buf);
+        assert_eq!(d.u32s(2).unwrap(), [7, u32::MAX]);
+        let f = d.f64s(2).unwrap();
+        assert_eq!(f[0].to_bits(), 0.5f64.to_bits());
+        assert_eq!(f[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(d.lens(1).unwrap(), [12345]);
+        d.finish().unwrap();
+        for n in [9usize, 1 << 40, usize::MAX / 4 + 1, usize::MAX] {
+            let mut d = Decoder::new(&buf);
+            assert!(matches!(d.u32s(n), Err(StoreError::Corrupt(_))), "{n}");
+            let mut d = Decoder::new(&buf);
+            assert!(matches!(d.f64s(n), Err(StoreError::Corrupt(_))), "{n}");
+            let mut d = Decoder::new(&buf);
+            assert!(matches!(d.lens(n), Err(StoreError::Corrupt(_))), "{n}");
+        }
     }
 
     #[test]
