@@ -10,11 +10,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use network_shuffle::simulation::reference::run_protocol_reference;
 use network_shuffle::simulation::{run_protocol, SimulationConfig};
 use ns_graph::generators::random_regular;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::sharded_engine::ShardedMixingEngine;
-use ns_graph::walk::WalkConfig;
 use ns_graph::Graph;
 use std::time::Instant;
 
@@ -58,16 +56,6 @@ fn bench_engine_rounds(c: &mut Criterion) {
     let graph = graph();
     let mut group = c.benchmark_group("engine_rounds_100k");
     group.sample_size(10);
-    group.bench_function("walker_order_30r", |b| {
-        let mut rng = seeded_rng(3);
-        b.iter(|| {
-            let mut engine = MixingEngine::one_walker_per_node(&graph).expect("engine");
-            engine
-                .run(WalkConfig::simple(ROUNDS), &mut rng)
-                .expect("run");
-            black_box(engine.positions().len())
-        });
-    });
     let partition = Partition::single_shard(&graph).expect("partition");
     group.bench_function("holder_order_30r", |b| {
         let mut seed = 4;

@@ -1,6 +1,7 @@
-//! Memory-bound round-loop throughput: report-moves/s of the unified
-//! kernel at populations where the position array and CSR no longer fit in
-//! cache, in both draw modes, with a steady-state allocation audit.
+//! Memory-bound round-loop throughput: report-moves/s of the 1-shard
+//! `ShardedMixingEngine` round at populations where the position array,
+//! the holder buckets and the CSR no longer fit in cache, in both draw
+//! modes, with a steady-state allocation audit.
 //!
 //! ```text
 //! cargo run --release -p ns-bench --bin roundloop
@@ -15,28 +16,20 @@
 //! the `fast` draw mode's lane buffers, branchless decide, u32 compression
 //! and prefetching target.
 //!
-//! Both sweep orders of the unified kernel are measured: `walker` is the
-//! pure transport round of `MixingEngine` (positions + CSR gather only),
-//! `holder` is the 1-shard `ShardedMixingEngine` round, which adds the
-//! per-node report buckets through the counting-sort merge.  One warm-up
-//! block runs before timing (it also settles the kernel arenas to their
-//! high-water marks); the timed block then counts allocations, so the
-//! emitted `allocs_per_round` doubles as the steady-state audit on the
+//! One warm-up block runs before timing (it also settles the kernel arenas
+//! to their high-water marks); the timed block then counts allocations, so
+//! the emitted `allocs_per_round` doubles as the steady-state audit on the
 //! memory-bound config.  Results go to stdout and, machine-readable, to
 //! `BENCH_roundloop.json` (override with `NS_ROUNDLOOP_OUT`), one entry per
-//! measured (order, mode) pair so the perf trajectory is diffable across
-//! PRs.
+//! measured draw mode so the perf trajectory is diffable across changes.
 //!
 //! Env knobs: `NS_ROUNDLOOP_N` (population, default 10M),
 //! `NS_ROUNDLOOP_ROUNDS` (timed rounds, default 10), `NS_ROUNDLOOP_MODE`
-//! (`compat`, `fast` or `both`, default `both`), `NS_ROUNDLOOP_ORDER`
-//! (`walker`, `holder` or `both`, default `both`), `NS_ROUNDLOOP_OUT`
+//! (`compat`, `fast` or `both`, default `both`), `NS_ROUNDLOOP_OUT`
 //! (output path).
 
 use ns_graph::generators::strided_circulant;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
-use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::telemetry::EngineTelemetry;
@@ -84,64 +77,40 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// One measured configuration.
 struct Measurement {
     mode: DrawMode,
-    order: &'static str,
     rounds: usize,
     moves_per_s: f64,
     allocs_per_round: f64,
 }
 
-/// Runs `rounds` timed rounds (after a warm-up block) in the given sweep
-/// order and returns throughput plus steady-state allocations per round.
-///
-/// Both sweep orders are the unified kernel: `walker` is the pure
-/// transport round (positions + CSR gather only — the configuration where
-/// the fast lane's prefetch lookahead does the most, since compat's inline
-/// draws leave nothing to prefetch against), `holder` additionally
-/// maintains the per-node report buckets through the counting-sort
-/// merge, whose scatter traffic is identical in both modes.
+/// Runs `rounds` timed holder-order rounds (after a warm-up block) in the
+/// given draw mode and returns throughput plus steady-state allocations
+/// per round.  The round maintains the per-node report buckets through the
+/// counting-sort merge, whose scatter traffic is identical in both modes.
 fn measure(
     graph: &Graph,
     partition: &Partition,
     mode: DrawMode,
-    order: &'static str,
     rounds: usize,
     laziness: f64,
     registry: &MetricsRegistry,
 ) -> Measurement {
     let n = graph.node_count();
+    let mut engine =
+        ShardedMixingEngine::one_walker_per_node(graph, partition, 0xB0B).expect("engine");
+    engine.set_draw_mode(mode);
     // Telemetry stays attached through the timed block: the allocs/round
     // audit below therefore covers the instrumented hot path, which must
     // record into its preregistered slots without allocating.
-    let telemetry = Some(EngineTelemetry::register(registry));
-    let seed = 0xB0B;
+    engine.set_telemetry(Some(EngineTelemetry::register(registry)));
     let warmup = rounds.clamp(2, 5);
-    // Keep each engine's final state observable so the loop cannot be
+    let (elapsed, allocs) = time_rounds(warmup, rounds, || {
+        engine.step(laziness, None, &mut ()).expect("round")
+    });
+    // Keep the engine's final state observable so the loop cannot be
     // elided.
-    let (elapsed, allocs) = match order {
-        "walker" => {
-            let mut engine = MixingEngine::one_walker_per_node(graph).expect("engine");
-            engine.set_draw_mode(mode);
-            engine.set_telemetry(telemetry);
-            let mut rng = seeded_rng(seed);
-            let timed = time_rounds(warmup, rounds, || engine.step(laziness, &mut rng));
-            assert_eq!(engine.round(), warmup + rounds);
-            timed
-        }
-        _ => {
-            let mut engine =
-                ShardedMixingEngine::one_walker_per_node(graph, partition, seed).expect("engine");
-            engine.set_draw_mode(mode);
-            engine.set_telemetry(telemetry);
-            let timed = time_rounds(warmup, rounds, || {
-                engine.step(laziness, None, &mut ()).expect("round")
-            });
-            assert_eq!(engine.round(), warmup + rounds);
-            timed
-        }
-    };
+    assert_eq!(engine.round(), warmup + rounds);
     Measurement {
         mode,
-        order,
         rounds,
         moves_per_s: (n * rounds) as f64 / elapsed,
         allocs_per_round: allocs as f64 / rounds as f64,
@@ -205,29 +174,19 @@ fn main() {
         _ => vec![DrawMode::Compat, DrawMode::Fast],
     };
 
-    let order_sel = std::env::var("NS_ROUNDLOOP_ORDER").unwrap_or_else(|_| "both".into());
-    let orders: Vec<&'static str> = match order_sel.as_str() {
-        "walker" => vec!["walker"],
-        "holder" => vec!["holder"],
-        _ => vec!["walker", "holder"],
-    };
-
     let partition = Partition::single_shard(&graph).expect("partition");
     let registry = MetricsRegistry::new();
     let mut results = Vec::new();
-    for &order in &orders {
-        for &mode in &modes {
-            let m = measure(&graph, &partition, mode, order, rounds, laziness, &registry);
-            println!(
-                "n={n} rounds={} order={} mode={} report-moves/s={:.3}M allocs/round={:.1}",
-                m.rounds,
-                m.order,
-                mode_name(m.mode),
-                m.moves_per_s / 1e6,
-                m.allocs_per_round
-            );
-            results.push(m);
-        }
+    for &mode in &modes {
+        let m = measure(&graph, &partition, mode, rounds, laziness, &registry);
+        println!(
+            "n={n} rounds={} mode={} report-moves/s={:.3}M allocs/round={:.1}",
+            m.rounds,
+            mode_name(m.mode),
+            m.moves_per_s / 1e6,
+            m.allocs_per_round
+        );
+        results.push(m);
     }
 
     // Hand-written JSON (the workspace's serde shim is a no-op, so emit the
@@ -238,10 +197,9 @@ fn main() {
         .iter()
         .map(|m| {
             format!(
-                "{{\"bench\": \"roundloop\", \"n\": {n}, \"rounds\": {}, \"order\": \"{}\", \
-                 \"mode\": \"{}\", \"report_moves_per_s\": {:.0}, \"allocs_per_round\": {:.2}}}",
+                "{{\"bench\": \"roundloop\", \"n\": {n}, \"rounds\": {}, \"mode\": \"{}\", \
+                 \"report_moves_per_s\": {:.0}, \"allocs_per_round\": {:.2}}}",
                 m.rounds,
-                m.order,
                 mode_name(m.mode),
                 m.moves_per_s,
                 m.allocs_per_round,

@@ -14,17 +14,17 @@
 //!   black-box simulator (e.g. dynamic graphs, availability-dependent
 //!   routing), which the paper lists as future work.
 //!
-//! Trials run on the same batched, struct-of-arrays
-//! [`ns_graph::mixing_engine::MixingEngine`] as the protocol simulation —
-//! one walker per origin, all origins per run — so a single run already
-//! provides `n` samples.
+//! Trials run on the engine the protocol simulation runs on, the 1-shard
+//! [`ns_graph::sharded_engine::ShardedMixingEngine`] — one walker per
+//! origin, all origins per run — so a single run already provides `n`
+//! samples.
 
 use crate::error::{Error, Result};
-use ns_graph::mixing_engine::MixingEngine;
-use ns_graph::rng::SimRng;
-use ns_graph::walk::WalkConfig;
+use ns_graph::partition::Partition;
+use ns_graph::round::DrawMode;
+use ns_graph::sharded_engine::ShardedMixingEngine;
+use ns_graph::walk::validate_laziness;
 use ns_graph::Graph;
-use rand_chacha::rand_core::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo estimation of the position-distribution moments.
@@ -50,13 +50,15 @@ pub struct EmpiricalMixing {
 /// collision estimator `(Σ_i c_i(c_i−1)) / (T(T−1))` where `c_i` counts how
 /// often the report landed on user `i`; it is averaged over all origins.
 ///
-/// Results depend only on `seed`: trial `k` runs the walker-order engine
-/// on its own ChaCha8 stream seeded from `seed` and `k`.
+/// Results depend only on `seed`: trial `k` runs the 1-shard holder-order
+/// engine in [`DrawMode::Fast`] on its own ChaCha8 stream, seeded from
+/// `seed` and `k`.
 ///
 /// # Errors
 ///
-/// * [`Error::InvalidConfiguration`] if `trials < 2`;
-/// * graph validation errors from the walk engine.
+/// * [`Error::InvalidConfiguration`] if `trials < 2` or
+///   `laziness ∉ [0, 1)`;
+/// * graph validation errors from the engine.
 pub fn estimate_mixing(
     graph: &Graph,
     rounds: usize,
@@ -69,10 +71,9 @@ pub fn estimate_mixing(
             "the collision estimator needs at least 2 trials, got {trials}"
         )));
     }
+    validate_laziness(laziness).map_err(Error::InvalidConfiguration)?;
+    let partition = Partition::single_shard(graph)?;
     let n = graph.node_count();
-    if n == 0 {
-        return Err(ns_graph::GraphError::EmptyGraph.into());
-    }
 
     // counts[origin][holder] would be n*n; store per-origin sparse counts via
     // a flat Vec<u32> only when n is small, otherwise accumulate collision
@@ -83,9 +84,11 @@ pub fn estimate_mixing(
     // Each trial is one batched engine run over all n walkers at once.
     for trial in 0..trials {
         let trial_seed = seed.wrapping_add(trial as u64).wrapping_mul(0x9e37_79b9);
-        let mut engine = MixingEngine::one_walker_per_node(graph)?;
-        let mut rng = SimRng::seed_from_u64(trial_seed);
-        engine.run(WalkConfig::lazy(rounds, laziness), &mut rng)?;
+        let mut engine = ShardedMixingEngine::one_walker_per_node(graph, &partition, trial_seed)?;
+        engine.set_draw_mode(DrawMode::Fast);
+        for _ in 0..rounds {
+            engine.step(laziness, None, &mut ())?;
+        }
         for (origin, &holder) in engine.positions().iter().enumerate() {
             *counts[origin].entry(holder as usize).or_insert(0) += 1;
         }
@@ -129,8 +132,18 @@ mod tests {
     fn validates_inputs() {
         let g = complete(5).unwrap();
         assert!(estimate_mixing(&g, 3, 0.0, 1, 1).is_err());
+        assert!(estimate_mixing(&g, 3, 1.0, 10, 1).is_err());
         let empty = Graph::from_edges(0, &[]).unwrap();
         assert!(estimate_mixing(&empty, 3, 0.0, 10, 1).is_err());
+    }
+
+    #[test]
+    fn estimates_depend_only_on_the_seed() {
+        let g = random_regular(60, 4, &mut seeded_rng(6)).unwrap();
+        let run = || estimate_mixing(&g, 6, 0.2, 20, 31).unwrap();
+        let (a, b) = (run(), run());
+        assert_eq!(a.sum_p_squared.to_bits(), b.sum_p_squared.to_bits());
+        assert_eq!(a.support_ratio.to_bits(), b.support_ratio.to_bits());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | spectral bound (Eq. 7) | [`Scenario::Stationary`] | any ergodic graph | `O(1)` per `t` after one spectral analysis | worst-case bound, can be loose pre-mixing |
 //! | exact single origin | [`Scenario::Symmetric`] | (near-)regular graphs, or one chosen user | `O(t·m)` | exact `Σ P²`/`ρ*` for that origin |
 //! | exact ensemble | [`Scenario::Exact`] | any ergodic graph — static, or a realized churn schedule attached via [`NetworkShuffleAccountant::with_schedule`] | `O(n·t·m)` via the batched [`ns_graph::ensemble`] kernel | exact per-user moments and the worst user's ε, on the walk that actually ran |
-//! | empirical | [`estimate_mixing`] | black-box / dynamic transition structures | `trials · O(t·(n+m))` on the batched walker engine | unbiased Monte-Carlo estimate, averaged over origins |
+//! | empirical | [`estimate_mixing`] | black-box / dynamic transition structures | `trials · O(t·(n+m))` on the 1-shard holder-order engine | unbiased Monte-Carlo estimate, averaged over origins |
 //!
 //! The routes cross-validate each other: the ensemble restricted to one row
 //! reproduces the symmetric route bit for bit, the exact values sit clearly

@@ -43,11 +43,11 @@ use crate::protocol::client::{FinalizeChoice, FinalizePolicy, SealedSubmission};
 use crate::protocol::ProtocolKind;
 use crate::report::Report;
 use crate::server::{CollectedReports, Curator};
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::SimRng;
+use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
-use ns_graph::walk::{validate_laziness, WalkConfig};
+use ns_graph::walk::validate_laziness;
 use ns_graph::Graph;
 use rand_chacha::rand_core::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -95,11 +95,6 @@ impl SimulationConfig {
     /// [`Error::InvalidConfiguration`] if `laziness ∉ [0, 1)`.
     pub fn validate(&self) -> Result<()> {
         validate_laziness(self.laziness).map_err(Error::InvalidConfiguration)
-    }
-
-    /// The walk configuration of the exchange phase.
-    pub fn walk(&self) -> WalkConfig {
-        WalkConfig::lazy(self.rounds, self.laziness)
     }
 }
 
@@ -322,9 +317,14 @@ where
 /// hold no report after `rounds` rounds — the number of dummy reports
 /// `A_single` will inject (the paper reports 7,080 for the Twitch graph).
 ///
+/// Trial `k` runs the 1-shard holder-order engine in [`DrawMode::Fast`],
+/// seeded with `seed + k`, so results depend only on `seed`.
+///
 /// # Errors
 ///
-/// Propagates engine construction errors.
+/// [`Error::InvalidConfiguration`] if `trials == 0` or
+/// `laziness ∉ [0, 1)`; engine construction errors for graphs the walk
+/// cannot run on.
 pub fn expected_empty_holders(
     graph: &Graph,
     rounds: usize,
@@ -332,14 +332,27 @@ pub fn expected_empty_holders(
     trials: usize,
     seed: u64,
 ) -> Result<f64> {
+    if trials == 0 {
+        return Err(Error::InvalidConfiguration(
+            "expected_empty_holders needs at least 1 trial, got 0".into(),
+        ));
+    }
+    validate_laziness(laziness).map_err(Error::InvalidConfiguration)?;
+    let partition = Partition::single_shard(graph)?;
     let mut total_empty = 0usize;
-    for trial in 0..trials.max(1) {
-        let mut rng = SimRng::seed_from_u64(seed.wrapping_add(trial as u64));
-        let mut engine = MixingEngine::one_walker_per_node(graph)?;
-        engine.run(WalkConfig::lazy(rounds, laziness), &mut rng)?;
+    for trial in 0..trials {
+        let mut engine = ShardedMixingEngine::one_walker_per_node(
+            graph,
+            &partition,
+            seed.wrapping_add(trial as u64),
+        )?;
+        engine.set_draw_mode(DrawMode::Fast);
+        for _ in 0..rounds {
+            engine.step(laziness, None, &mut ())?;
+        }
         total_empty += engine.load_vector().iter().filter(|&&l| l == 0).count();
     }
-    Ok(total_empty as f64 / trials.max(1) as f64)
+    Ok(total_empty as f64 / trials as f64)
 }
 
 /// The historical per-client simulation, preserved as the semantic baseline.
@@ -618,6 +631,24 @@ mod tests {
             (fraction - 0.368).abs() < 0.08,
             "empty fraction = {fraction}"
         );
+    }
+
+    #[test]
+    fn expected_empty_holders_rejects_zero_trials_and_bad_laziness() {
+        let g = generators::random_regular(20, 4, &mut ns_graph::rng::seeded_rng(9)).unwrap();
+        for (trials, laziness) in [(0, 0.0), (3, 1.0)] {
+            assert!(matches!(
+                expected_empty_holders(&g, 5, laziness, trials, 1),
+                Err(Error::InvalidConfiguration(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn expected_empty_holders_depends_only_on_the_seed() {
+        let g = generators::random_regular(120, 4, &mut ns_graph::rng::seeded_rng(10)).unwrap();
+        let run = || expected_empty_holders(&g, 15, 0.2, 3, 77).unwrap();
+        assert_eq!(run().to_bits(), run().to_bits());
     }
 
     /// The engine path must reproduce the reference loop bit for bit; the

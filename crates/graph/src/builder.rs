@@ -9,7 +9,8 @@ use crate::graph::{Graph, NodeId};
 /// single undirected edge) but rejects self-loops and out-of-range endpoints,
 /// because neither has a meaning in the communication-network model of the
 /// paper: a user does not relay a report to herself in one hop (laziness is
-/// modelled explicitly by the walk's laziness, [`crate::walk::WalkConfig::lazy`]).
+/// modelled explicitly by the walk's laziness,
+/// [`crate::transition::TransitionMatrix::with_laziness`]).
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     node_count: usize,

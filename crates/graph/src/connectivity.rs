@@ -53,7 +53,7 @@ pub fn is_connected(graph: &Graph) -> bool {
 ///
 /// Bipartite graphs never mix under the simple random walk because the walk
 /// alternates between the two sides; the paper's remedy is a lazy walk
-/// ([`crate::walk::WalkConfig::lazy`]).
+/// ([`crate::transition::TransitionMatrix::with_laziness`]).
 pub fn is_bipartite(graph: &Graph) -> bool {
     let n = graph.node_count();
     let mut color = vec![u8::MAX; n];

@@ -25,22 +25,20 @@
 //!   `Γ_G = n · Σ_i π_i²` ([`stationary`], [`degree`]),
 //! * spectral-gap estimation via deflated power iteration ([`spectral`]) and
 //!   the mixing-time rule `t ≈ α⁻¹ log n` ([`mixing`]),
-//! * one round kernel ([`round`]) behind two engines: walker-order rounds
-//!   over struct-of-arrays state with per-round availability masks
-//!   ([`mixing_engine`]), and the holder-order engine below,
 //! * time-varying topologies: a dynamic-graph delta layer with cached CSR
 //!   snapshots and per-round operator schedules — availability-masked walk
 //!   operators sharing one CSR — that drive the ensemble kernel through
 //!   products of distinct per-round transitions ([`dynamic`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
 //!   producing a node → shard assignment with cut and balance metrics
-//!   ([`partition`]), and the holder-order round executor with per-shard
-//!   ChaCha8 streams, one set of holder buckets over global node ids and
-//!   one counting-sort merge per round, streaming per-round traffic
-//!   metrics; under a 1-shard partition it is the monolithic protocol
-//!   round ([`sharded_engine`]),
-//! * the walk configuration (rounds, laziness) shared by both engines and
-//!   the protocol layer ([`walk`]),
+//!   ([`partition`]), and the one engine, the holder-order round executor
+//!   over the round kernel ([`round`]), with per-shard ChaCha8 streams,
+//!   per-round availability masks, one set of holder buckets over global
+//!   node ids and one counting-sort merge per round, streaming per-round
+//!   traffic metrics; under a 1-shard partition it is the monolithic
+//!   protocol round ([`sharded_engine`]),
+//! * the laziness rule shared by the engine and the protocol layer
+//!   ([`walk`]),
 //! * simple edge-list I/O ([`io`]).
 //!
 //! # Example
@@ -91,7 +89,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod mixing;
-pub mod mixing_engine;
 pub mod partition;
 pub mod rng;
 pub mod round;
@@ -121,7 +118,6 @@ pub mod prelude {
     pub use crate::error::{GraphError, Result};
     pub use crate::graph::{Graph, NodeId};
     pub use crate::mixing::{mixing_time, sum_p_squared_bound, tv_bound};
-    pub use crate::mixing_engine::MixingEngine;
     pub use crate::partition::{IntraShardTransition, Partition, Shard};
     pub use crate::sharded_engine::{
         shard_stream, EngineCheckpoint, RoundObserver, RoundStats, ShardCheckpoint,
@@ -130,5 +126,4 @@ pub mod prelude {
     pub use crate::spectral::{SpectralAnalysis, SpectralOptions};
     pub use crate::stationary::stationary_distribution;
     pub use crate::transition::{DarkCounts, TransitionMatrix, TransitionModel};
-    pub use crate::walk::WalkConfig;
 }

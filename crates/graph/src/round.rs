@@ -1,21 +1,20 @@
 //! The round-execution kernel: the holder-order decide/merge pair behind
-//! [`crate::sharded_engine::ShardedMixingEngine`] and the walker-order
-//! sweeps behind [`crate::mixing_engine::MixingEngine`].
+//! [`crate::sharded_engine::ShardedMixingEngine`], the one engine.
 //!
 //! A holder-order round (Algorithms 1–2 of the paper: users in id order,
 //! each user's reports in arrival order, every report forwarded to a
 //! uniformly random neighbour) runs in two phases over one
-//! [`HolderBuckets`] CSR keyed by global node id:
+//! `HolderBuckets` CSR keyed by global node id:
 //!
-//! * [`decide_holder_moves`] / [`decide_holder_moves_fast`] — the **decide
+//! * `decide_holder_moves` / `decide_holder_moves_fast` — the **decide
 //!   phase**: sweep one shard's holders in ascending id order (run by run
 //!   of consecutive ids, [`crate::partition::Shard::runs`]), each holder's
 //!   bucket in order, drawing every walker's move from the shard's stream
 //!   through the one sampling rule of the draw mode.  Survivors (lazy
 //!   stays *and* masked bounces) and deliveries (in send order) go to the
-//!   shard's [`RoundArena`].  Shards only read the shared buckets and
+//!   shard's `RoundArena`.  Shards only read the shared buckets and
 //!   write their own arena and stream, so they may run in any order.
-//! * [`HolderBuckets::merge`] — the **merge phase**: one counting sort over
+//! * `HolderBuckets::merge` — the **merge phase**: one counting sort over
 //!   every node that rebuilds the buckets from every shard's survivors
 //!   (first, in previous bucket order) and then every shard's deliveries
 //!   in ascending shard id, each in send order.  That canonical order is a
@@ -26,13 +25,15 @@
 //!   `load[u]` is `u`'s new bucket length, and `sent[u]` is what `u` held
 //!   at the round's start minus its survivors.
 //!
-//! [`sweep_walker_order`] is the degenerate walker-order form (no buckets,
-//! no statistics) behind `MixingEngine::step` / `step_masked`.
+//! These items are crate-private: the engine's `step` checks the laziness
+//! and the mask length before it builds a plan, so the kernel's unchecked
+//! mask and bucket indexing is reachable only through that validated path.
+//! [`DrawMode`] is the kernel's one public item.
 //!
 //! # The `RoundPlan` contract
 //!
 //! A plan is a *view*: the topology may be a static CSR [`Graph`] or a
-//! [`crate::dynamic::DynamicGraph`] snapshot (engines re-read their graph
+//! [`crate::dynamic::DynamicGraph`] snapshot (the engine re-reads its graph
 //! every round, so `retarget` composes with every plan).  The mask, when
 //! present, must cover every node of that topology.  The kernel
 //! guarantees:
@@ -64,8 +65,8 @@
 //!   the engine asserts after the merge that survivors + arrivals (bounced
 //!   walkers are survivors) equal its walker count.
 //! * **No steady-state allocation.**  The decide scratch lives in each
-//!   shard's [`RoundArena`] and the counting-sort scratch in the
-//!   [`HolderBuckets`]; both are reused, so after warm-up rounds allocate
+//!   shard's `RoundArena` and the counting-sort scratch in the
+//!   `HolderBuckets`; both are reused, so after warm-up rounds allocate
 //!   nothing (audited by `tests/engine_allocations.rs`).
 
 use crate::graph::{Graph, NodeId};
@@ -99,10 +100,10 @@ fn lazy_threshold(laziness: f64) -> u64 {
 }
 
 /// Software-prefetches the cache line holding `data[idx]` (no-op off
-/// x86_64, and for out-of-range `idx`).  The round kernel's gathers are
-/// data-dependent random accesses over arrays far larger than cache at the
-/// scales that matter, so issuing the loads a few iterations ahead hides
-/// most of the DRAM latency the sweep otherwise stalls on.
+/// x86_64, and for out-of-range `idx`).  The engine's exchange phase writes
+/// positions at data-dependent random indices, over an array far larger
+/// than cache at the scales that matter, so issuing the loads a few
+/// iterations ahead hides most of the DRAM latency it otherwise stalls on.
 #[inline(always)]
 #[allow(unsafe_code)]
 pub(crate) fn prefetch_read<T>(data: &[T], idx: usize) {
@@ -124,9 +125,8 @@ pub(crate) fn prefetch_read<T>(data: &[T], idx: usize) {
 /// Samples one walker's move at node `at`: `None` to stay (lazy draw), else
 /// the uniformly chosen neighbour.
 ///
-/// This is the single definition of the per-walker sampling rule.  Every
-/// round form (walker order, holder order, sharded) draws through it, in
-/// the same order — one `f64` for the lazy decision (only when
+/// This is the single definition of the per-walker sampling rule of
+/// [`DrawMode::Compat`]: one `f64` for the lazy decision (only when
 /// `laziness > 0`), then one uniform index — which is what keeps the
 /// draw-for-draw parity contract with the historical loops in one place.
 #[inline]
@@ -147,32 +147,11 @@ pub(crate) fn sample_move<R: Rng + ?Sized>(
     Some(nbrs[rng.gen_range(0..nbrs.len())] as NodeId)
 }
 
-/// [`sample_move`] under an optional availability mask: the draw sequence
-/// is identical (one lazy `f64`, then one uniform index), but a chosen
-/// recipient that is unavailable turns the move into a stay — the report
-/// could not be delivered this round.  With `None` (or an all-available
-/// mask) this is exactly [`sample_move`], so masked rounds degenerate to
-/// the static forms bit for bit, RNG stream included.
-#[inline]
-pub(crate) fn sample_move_masked<R: Rng + ?Sized>(
-    graph: &Graph,
-    at: NodeId,
-    laziness: f64,
-    available: Option<&[bool]>,
-    rng: &mut R,
-) -> Option<NodeId> {
-    let dest = sample_move(graph, at, laziness, rng)?;
-    match available {
-        Some(mask) if !mask[dest] => None,
-        _ => Some(dest),
-    }
-}
-
 /// One round's execution inputs: the topology view, the walk's laziness and
 /// an optional availability mask.  See the [module docs](self) for the
 /// contract.
 #[derive(Debug, Clone, Copy)]
-pub struct RoundPlan<'a> {
+pub(crate) struct RoundPlan<'a> {
     /// The topology walkers move on this round — a static CSR or a
     /// [`crate::dynamic::DynamicGraph`] snapshot.
     pub graph: &'a Graph,
@@ -187,7 +166,7 @@ pub struct RoundPlan<'a> {
 /// to their steady-state capacity during the first rounds and are only
 /// ever cleared afterwards, so warm rounds perform no heap allocation.
 #[derive(Debug, Clone, Default)]
-pub struct RoundArena {
+pub(crate) struct RoundArena {
     /// Survivors of the decide phase: holder node of each kept walker,
     /// grouped by holder in ascending sweep order.
     pub(crate) kept_nodes: Vec<u32>,
@@ -233,7 +212,7 @@ impl RoundArena {
 /// 1]]`, in bucket order, the per-node statistics of the last merge, and
 /// the merge's counting-sort scratch.
 #[derive(Debug, Clone, Default)]
-pub struct HolderBuckets {
+pub(crate) struct HolderBuckets {
     /// CSR offsets, one entry per node plus the terminator.
     starts: Vec<usize>,
     /// Walker ids, bucketed by node.
@@ -405,7 +384,7 @@ impl HolderBuckets {
 /// Survivors — lazy stays *and* masked bounces — are appended to `arena`,
 /// and every delivery is appended to the arena's delivery buffers (see
 /// [`RoundArena::deliveries`]) in send order.
-pub fn decide_holder_moves<R: Rng + ?Sized>(
+pub(crate) fn decide_holder_moves<R: Rng + ?Sized>(
     plan: &RoundPlan<'_>,
     holders: &[Range<NodeId>],
     buckets: &HolderBuckets,
@@ -420,9 +399,8 @@ pub fn decide_holder_moves<R: Rng + ?Sized>(
     for run in holders {
         for u in run.clone() {
             for &w in buckets.held_by(u) {
-                // Same draw sequence as `sample_move_masked`; unrolled so a
-                // bounce (move drawn, recipient dark) is distinguishable
-                // from a lazy stay (no move drawn) for the bounce count.
+                // A bounce (move drawn, recipient dark) is told apart from
+                // a lazy stay (no move drawn) for the bounce count.
                 match sample_move(plan.graph, u, plan.laziness, rng) {
                     Some(dest) if plan.available.is_none_or(|mask| mask[dest]) => {
                         arena.deliver_dests.push(dest as u32);
@@ -453,7 +431,7 @@ pub fn decide_holder_moves<R: Rng + ?Sized>(
 /// the loop carries no data-dependent branch.  Total stream consumption is
 /// the number of walkers the swept holders hold, masked or not — counted
 /// run by run before the sweep, so the lane never draws past the last one.
-pub fn decide_holder_moves_fast<R: Rng + ?Sized>(
+pub(crate) fn decide_holder_moves_fast<R: Rng + ?Sized>(
     plan: &RoundPlan<'_>,
     holders: &[Range<NodeId>],
     buckets: &HolderBuckets,
@@ -516,84 +494,6 @@ pub fn decide_holder_moves_fast<R: Rng + ?Sized>(
     arena.bounced = bounced;
 }
 
-/// The walker-order round in [`DrawMode::Compat`]: sweep `positions` once,
-/// moving every walker through the plan's sampling rule (an unavailable
-/// chosen recipient means the walker stays).  No buckets, no statistics —
-/// the cheapest round form.
-pub fn sweep_walker_order<R: Rng + ?Sized>(
-    plan: &RoundPlan<'_>,
-    positions: &mut [u32],
-    rng: &mut R,
-) {
-    for pos in positions.iter_mut() {
-        if let Some(dest) = sample_move_masked(
-            plan.graph,
-            *pos as NodeId,
-            plan.laziness,
-            plan.available,
-            rng,
-        ) {
-            *pos = dest as u32;
-        }
-    }
-}
-
-/// How many iterations ahead the fast sweep prefetches the CSR offset pair
-/// of an upcoming position (stage 1 of the software pipeline).
-const PF_FAR: usize = 16;
-/// How many iterations ahead the fast sweep prefetches the neighbour row an
-/// upcoming position gathers from (stage 2 — its offset was prefetched
-/// `PF_FAR`` - ``PF_NEAR` iterations earlier, so reading it here is a
-/// likely hit).
-const PF_NEAR: usize = 8;
-
-/// The walker-order round in [`DrawMode::Fast`]: lane-buffered draws and a
-/// two-stage software-prefetched CSR gather.
-///
-/// Positions are swept in `LANE_CHUNK`-sized chunks; each chunk's draws
-/// are filled into `lane` in whole ChaCha8 blocks, then consumed by a loop
-/// that prefetches the offset pair of the position `PF_FAR` iterations
-/// ahead and the neighbour row of the position `PF_NEAR` iterations ahead
-/// — the two dependent random loads of the gather, each issued early enough
-/// to overlap DRAM latency with useful work.  Per-walker consumption is one
-/// `u64`, identical to the fast holder decide.
-pub fn sweep_walker_order_fast<R: Rng + ?Sized>(
-    plan: &RoundPlan<'_>,
-    positions: &mut [u32],
-    lane: &mut Vec<u64>,
-    rng: &mut R,
-) {
-    let total = positions.len();
-    if lane.len() < LANE_CHUNK.min(total) {
-        lane.resize(LANE_CHUNK.min(total), 0);
-    }
-    let (offsets, neighbors) = plan.graph.csr_parts();
-    let threshold = lazy_threshold(plan.laziness);
-    let mut done = 0usize;
-    while done < total {
-        let chunk_len = LANE_CHUNK.min(total - done);
-        rng.fill_u64(&mut lane[..chunk_len]);
-        let chunk = &mut positions[done..done + chunk_len];
-        for i in 0..chunk_len {
-            if i + PF_FAR < chunk_len {
-                prefetch_read(offsets, chunk[i + PF_FAR] as usize);
-            }
-            if i + PF_NEAR < chunk_len {
-                prefetch_read(neighbors, offsets[chunk[i + PF_NEAR] as usize]);
-            }
-            let pos = chunk[i] as usize;
-            let r = lane[i];
-            let off = offsets[pos];
-            let deg = (offsets[pos + 1] - off) as u64;
-            let dest = neighbors[off + (((r >> 32) * deg) >> 32) as usize];
-            let stay = ((r as u32 as u64) < threshold)
-                | plan.available.is_some_and(|mask| !mask[dest as usize]);
-            chunk[i] = if stay { chunk[i] } else { dest };
-        }
-        done += chunk_len;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,105 +540,6 @@ mod tests {
             for &w in buckets.held_by(u) {
                 assert_eq!(positions[w as usize] as usize, u);
             }
-        }
-    }
-
-    #[test]
-    fn all_available_mask_is_bitwise_the_unmasked_plan() {
-        let g = generators::random_regular(40, 4, &mut seeded_rng(3)).unwrap();
-        let mask = vec![true; 40];
-        let unmasked = RoundPlan {
-            graph: &g,
-            laziness: 0.3,
-            available: None,
-        };
-        let masked = RoundPlan {
-            available: Some(&mask),
-            ..unmasked
-        };
-        let mut a: Vec<u32> = (0..40).collect();
-        let mut b = a.clone();
-        let mut rng_a = seeded_rng(4);
-        let mut rng_b = seeded_rng(4);
-        for _ in 0..10 {
-            sweep_walker_order(&unmasked, &mut a, &mut rng_a);
-            sweep_walker_order(&masked, &mut b, &mut rng_b);
-        }
-        assert_eq!(a, b);
-        use rand::Rng;
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
-    fn fast_mode_masked_degeneracy_and_consumption_match_unmasked() {
-        // All-available mask ≡ unmasked, bitwise, in fast mode too — and
-        // both consume exactly one u64 per walker per round.
-        let g = generators::random_regular(48, 4, &mut seeded_rng(5)).unwrap();
-        let mask = vec![true; 48];
-        let unmasked = RoundPlan {
-            graph: &g,
-            laziness: 0.3,
-            available: None,
-        };
-        let masked = RoundPlan {
-            available: Some(&mask),
-            ..unmasked
-        };
-        let mut a: Vec<u32> = (0..48).collect();
-        let mut b = a.clone();
-        let mut rng_a = seeded_rng(6);
-        let mut rng_b = seeded_rng(6);
-        let mut reference = seeded_rng(6);
-        let mut lane_a = Vec::new();
-        let mut lane_b = Vec::new();
-        for _ in 0..8 {
-            sweep_walker_order_fast(&unmasked, &mut a, &mut lane_a, &mut rng_a);
-            sweep_walker_order_fast(&masked, &mut b, &mut lane_b, &mut rng_b);
-        }
-        assert_eq!(a, b);
-        use rand::Rng;
-        for _ in 0..8 * 48 {
-            reference.gen::<u64>();
-        }
-        let expect = reference.gen::<u64>();
-        assert_eq!(rng_a.gen::<u64>(), expect, "fast sweep over/under-consumed");
-        assert_eq!(rng_b.gen::<u64>(), expect, "masked fast sweep diverged");
-    }
-
-    #[test]
-    fn fast_decide_agrees_with_fast_sweep_on_destinations() {
-        // Holder-order fast decide and walker-order fast sweep share the
-        // per-walker draw rule; with one walker per node and the holder
-        // sweep visiting walkers in node order, round 1 must move walker w
-        // to the same destination the sweep computes from the same stream.
-        let g = generators::random_regular(32, 4, &mut seeded_rng(7)).unwrap();
-        let n = g.node_count();
-        let plan = RoundPlan {
-            graph: &g,
-            laziness: 0.25,
-            available: None,
-        };
-        let mut arena = RoundArena::new();
-        let everyone = 0..n;
-        let holders = std::slice::from_ref(&everyone);
-        let mut positions: Vec<u32> = (0..n as u32).collect();
-        let buckets = HolderBuckets::from_positions(n, &positions);
-        let mut rng = seeded_rng(8);
-        decide_holder_moves_fast(&plan, holders, &buckets, &mut arena, &mut rng);
-        let mut lane = Vec::new();
-        let mut sweep_rng = seeded_rng(8);
-        sweep_walker_order_fast(&plan, &mut positions, &mut lane, &mut sweep_rng);
-        let (dests, walkers) = arena.deliveries();
-        assert_eq!(
-            dests.len() + arena.kept_nodes.len(),
-            n,
-            "every walker survives or is delivered"
-        );
-        for (&d, &w) in dests.iter().zip(walkers) {
-            assert_eq!(positions[w as usize], d);
-        }
-        for (&u, &w) in arena.kept_nodes.iter().zip(&arena.kept_walkers) {
-            assert_eq!(positions[w as usize], u, "survivor moved");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Holder-order exchange rounds over a partition, with deterministic RNG
-//! splitting — the one engine every holder-order caller runs on.
+//! splitting — the one engine every caller runs on.
 //!
 //! [`ShardedMixingEngine`] keeps one set of holder buckets over global
-//! node ids ([`crate::round::HolderBuckets`]).  Each round, every shard of a
-//! [`crate::partition::Partition`] sweeps its own holders with the round
-//! kernel's decide phase ([`crate::round::decide_holder_moves`]), drawing
+//! node ids (the round kernel's `HolderBuckets`, [`crate::round`]).  Each
+//! round, every shard of a [`crate::partition::Partition`] sweeps its own
+//! holders with the kernel's decide phase (`decide_holder_moves`), drawing
 //! from its own stream into its own arena; one counting-sort merge then
 //! rebuilds the buckets from all shards' survivors and deliveries.  Every
 //! scenario axis the kernel supports composes here: masked rounds (a
@@ -28,8 +28,8 @@
 //!   [`shard_stream`]`(seed, 0)` is exactly `SimRng::seed_from_u64(seed)`,
 //!   the sweep visits nodes in id order and each node's walkers in bucket
 //!   order, and the merge appends arrivals in global send order — draw for
-//!   draw the historical message-passing loop (`tests/unified_kernel.rs`,
-//!   and the holder scenarios of `tests/golden_round_traces.rs`).  For
+//!   draw the historical message-passing loop (`tests/unified_kernel.rs`
+//!   and `tests/golden_round_traces.rs`).  For
 //!   `k > 1` the split streams are a *different but equally distributed*
 //!   realization of the same walk.
 //!
@@ -517,13 +517,12 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// Swaps in a new topology for subsequent rounds — the churn runtime's
-    /// per-round topology hook, mirroring
-    /// [`crate::mixing_engine::MixingEngine::retarget`].  Walker positions,
-    /// buckets, RNG streams and the round counter carry over unchanged;
-    /// only where walkers can move *next* changes.  The node count must
-    /// match (the partition's shard assignment stays valid: users are
-    /// stable, churn rewires edges and availability, not identity) and the
-    /// new topology must have no isolated nodes.
+    /// per-round topology hook.  Walker positions, buckets, RNG streams and
+    /// the round counter carry over unchanged; only where walkers can move
+    /// *next* changes.  The node count must match (the partition's shard
+    /// assignment stays valid: users are stable, churn rewires edges and
+    /// availability, not identity) and the new topology must have no
+    /// isolated nodes.
     ///
     /// Pass [`Cow::Owned`] for a topology with no stable home to borrow
     /// from, such as each round's

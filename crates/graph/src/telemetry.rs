@@ -1,19 +1,20 @@
-//! The engines' telemetry bundle: preregistered `ns-obs` handles for the
+//! The engine's telemetry bundle: preregistered `ns-obs` handles for the
 //! per-round phase breakdown.
 //!
-//! Engines carry an `Option<EngineTelemetry>` (default `None` — the
-//! no-op path).  Attaching one adds phase span timers and counters
-//! around the existing round structure; it never draws randomness,
-//! never branches on recorded values and never touches engine state, so
-//! an instrumented run is **bitwise identical** to a bare one (pinned by
-//! `tests/observability.rs` against the golden round traces).  All
-//! recording writes into slots registered up front: steady-state rounds
-//! stay allocation-free with telemetry attached (audited by
-//! `tests/engine_allocations.rs`).
+//! [`crate::sharded_engine::ShardedMixingEngine`] carries an
+//! `Option<EngineTelemetry>` (default `None` — the no-op path).  Attaching
+//! one adds phase span timers and counters around the existing round
+//! structure; it never draws randomness, never branches on recorded values
+//! and never touches engine state, so an instrumented run is **bitwise
+//! identical** to a bare one (pinned against the golden round traces by
+//! `tests/golden_round_traces.rs`, and on the graph zoo by
+//! `tests/observability.rs`).  All recording writes into slots registered
+//! up front: steady-state rounds stay allocation-free with telemetry
+//! attached (audited by `tests/engine_allocations.rs`).
 
 use ns_obs::{Clock, Counter, Histogram, MetricsRegistry};
 
-/// Metric names the engines register (the README's catalogue).
+/// Metric names the engine registers (the README's catalogue).
 pub mod names {
     /// Decide-phase duration per round (holder sweeps + draws), ns.
     pub const DECIDE_NS: &str = "ns_round_decide_ns";
@@ -28,8 +29,8 @@ pub mod names {
     pub const ROUNDS_TOTAL: &str = "ns_rounds_total";
 }
 
-/// Preregistered phase-timing handles, shared by the walker-order and the
-/// holder-order engine.  Clone-cheap (`Arc` bumps).
+/// Preregistered phase-timing handles of the engine's round phases.
+/// Clone-cheap (`Arc` bumps).
 #[derive(Clone, Debug)]
 pub struct EngineTelemetry {
     pub(crate) clock: Clock,

@@ -22,8 +22,9 @@
 //! **inert**.  Observers only read state and write into their own atomic
 //! slots — they never touch RNG streams, engine state or control flow —
 //! so a run with full telemetry attached is bitwise identical to a run
-//! with none (pinned by `tests/observability.rs` against the golden
-//! round traces).
+//! with none (pinned against the golden round traces by
+//! `tests/golden_round_traces.rs`, and on a graph zoo and a durable run by
+//! `tests/observability.rs`).
 //!
 //! Environment knobs (consumed by the durable runtime and the bench
 //! bins, centralized here): `NS_OBS` enables telemetry where it is

@@ -22,15 +22,17 @@
 //! static quote drifts.  The example then replays the blackout through the
 //! protocol engine (failed deliveries stay put, are never counted as
 //! traffic) and finishes with live topology churn: edges rewiring under a
-//! `DynamicGraph` whose per-round CSR snapshots feed one persistent engine
-//! through `MixingEngine::retarget`.
+//! `DynamicGraph` whose per-round CSR snapshots feed one persistent 1-shard
+//! engine through `ShardedMixingEngine::retarget`.
 
 use network_shuffle::prelude::*;
 use ns_graph::dynamic::DynamicGraph;
 use ns_graph::generators::barabasi_albert;
-use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_obs::say;
 use rand::Rng;
+use std::borrow::Cow;
 
 const TOPIC: &str = "churn_deployment";
 
@@ -170,10 +172,12 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         }
         snapshots.push(dynamic.snapshot().clone());
     }
-    let mut engine = MixingEngine::one_walker_per_node(&snapshots[0])?;
+    let partition = Partition::single_shard(&snapshots[0])?;
+    let mut engine =
+        ShardedMixingEngine::one_walker_per_node(&snapshots[0], &partition, walk_rng.gen())?;
     for snapshot in &snapshots {
-        engine.retarget(snapshot)?;
-        engine.step(0.0, &mut walk_rng);
+        engine.retarget(Cow::Borrowed(snapshot))?;
+        engine.step(0.0, None, &mut ())?;
     }
     assert_eq!(engine.round(), rounds);
     let empty = engine.load_vector().iter().filter(|&&x| x == 0).count();

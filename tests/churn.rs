@@ -22,8 +22,10 @@ use network_shuffle::prelude::*;
 use ns_graph::distribution::PositionDistribution;
 use ns_graph::dynamic::{DynTransition, TimeVaryingModel};
 use ns_graph::ensemble::DistributionEnsemble;
-use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
+use ns_graph::round::DrawMode;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::transition::TransitionMatrix;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -95,15 +97,18 @@ fn iid_dropout_through_the_engine_matches_the_lazy_walk_moments() {
     // trials, each trial with fresh i.i.d. availability masks and no
     // intrinsic laziness (all staying comes from failed deliveries).
     let outage = dropout.outage_model();
+    let partition = Partition::single_shard(&g).unwrap();
     let mut counts = vec![vec![0u32; n]; rounds];
     for trial in 0..trials {
         let schedule = outage
             .sample_schedule(n, rounds, 1_000 + trial as u64)
             .unwrap();
-        let mut engine = MixingEngine::with_starts(&g, vec![origin]).unwrap();
-        let mut rng = seeded_rng(500_000 + trial as u64);
+        let mut engine =
+            ShardedMixingEngine::with_starts(&g, &partition, vec![origin], 500_000 + trial as u64)
+                .unwrap();
+        engine.set_draw_mode(DrawMode::Fast);
         for (t, round_counts) in counts.iter_mut().enumerate() {
-            engine.step_masked(0.0, schedule.mask(t), &mut rng).unwrap();
+            engine.step(0.0, Some(schedule.mask(t)), &mut ()).unwrap();
             round_counts[engine.position(0)] += 1;
         }
     }

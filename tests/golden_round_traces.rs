@@ -1,30 +1,34 @@
 //! Golden-trace regression tests for the unified round kernel.
 //!
 //! The traces in `tests/golden/round_traces.txt` were generated by the
-//! **pre-refactor** engines — the separate `MixingEngine::step_holder`,
-//! `MixingEngine::step_holder_masked`, walker-order `step`/`step_masked`
-//! and `ShardedMixingEngine::step` round loops, before they were merged
-//! into the single `ns_graph::round` plan executor.  Every scenario records
-//! the full per-round observable state (walker positions, holder bucket
-//! orders, sent/load statistics) plus one post-run RNG draw per stream, so
-//! any deviation in sampling order, merge order or stream consumption fails
+//! **pre-refactor** engines — separate plain and masked holder-order round
+//! loops and `ShardedMixingEngine::step`, before they were merged into the
+//! single `ns_graph::round` plan executor.  Every scenario records the full
+//! per-round observable state (walker positions, holder bucket orders,
+//! sent/load statistics) plus one post-run RNG draw per stream, so any
+//! deviation in sampling order, merge order or stream consumption fails
 //! the comparison bit for bit.
 //!
-//! The holder scenarios were captured from `MixingEngine::step_holder` and
-//! `step_holder_masked` drawing from `seeded_rng(101)`; they now run on the
-//! 1-shard `ShardedMixingEngine` seeded with 101, whose stream is that same
+//! The holder scenarios were captured from the plain and masked loops
+//! drawing from `seeded_rng(101)`; they now run on the 1-shard
+//! `ShardedMixingEngine` seeded with 101, whose stream is that same
 //! `seeded_rng(101)` (pinned by the stream-identity scenario).
+//!
+//! The same scenarios also run with a live `EngineTelemetry` attached to
+//! every engine and must reproduce the same bytes: telemetry that drew
+//! randomness, skewed a merge order or consumed a stream would fail them.
 //!
 //! Regenerate with `NS_BLESS=1 cargo test --test golden_round_traces` —
 //! but only ever from a commit whose engines are proven equivalent to the
 //! pre-refactor ones, or the goldens stop being pre-refactor evidence.
 
 use ns_graph::generators;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::{shard_stream, RoundObserver, RoundStats, ShardedMixingEngine};
+use ns_graph::telemetry::{names, EngineTelemetry};
+use ns_obs::MetricsRegistry;
 use rand::Rng;
 use std::fmt::Write as _;
 
@@ -46,39 +50,32 @@ fn mask_for_round(n: usize, round: usize) -> Vec<bool> {
         .collect()
 }
 
-/// Records one engine round's observable state into the trace.
-fn record_round(
-    out: &mut String,
-    round: usize,
-    positions: &[u32],
-    holders: &[Vec<usize>],
-    stats: Option<(&[usize], &[usize])>,
-) {
+/// Records one engine round's observable state into the trace: positions,
+/// holder buckets, and the sent/load statistics `tap` copied.
+fn record_round(out: &mut String, round: usize, engine: &ShardedMixingEngine<'_>, tap: &StatsTap) {
     write!(out, "round {round} positions").unwrap();
-    for &p in positions {
+    for &p in engine.positions() {
         write!(out, " {p}").unwrap();
     }
     out.push('\n');
     write!(out, "round {round} holders").unwrap();
-    for bucket in holders {
+    for bucket in engine.walkers_by_holder() {
         out.push_str(" |");
-        for &w in bucket {
+        for w in bucket {
             write!(out, " {w}").unwrap();
         }
     }
     out.push('\n');
-    if let Some((sent, load)) = stats {
-        write!(out, "round {round} sent").unwrap();
-        for &s in sent {
-            write!(out, " {s}").unwrap();
-        }
-        out.push('\n');
-        write!(out, "round {round} load").unwrap();
-        for &l in load {
-            write!(out, " {l}").unwrap();
-        }
-        out.push('\n');
+    write!(out, "round {round} sent").unwrap();
+    for &s in &tap.sent {
+        write!(out, " {s}").unwrap();
     }
+    out.push('\n');
+    write!(out, "round {round} load").unwrap();
+    for &l in &tap.load {
+        write!(out, " {l}").unwrap();
+    }
+    out.push('\n');
 }
 
 /// A `RoundObserver` that copies each round's sent/load vectors.
@@ -95,7 +92,12 @@ impl RoundObserver for StatsTap {
     }
 }
 
-fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
+fn trace_holder_rounds(
+    out: &mut String,
+    masked: bool,
+    mode: DrawMode,
+    registry: Option<&MetricsRegistry>,
+) {
     let g = generators::barabasi_albert(80, 3, &mut seeded_rng(11)).unwrap();
     let n = g.node_count();
     let partition = Partition::single_shard(&g).unwrap();
@@ -107,54 +109,23 @@ fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
         .unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &partition, 101).unwrap();
         engine.set_draw_mode(mode);
+        engine.set_telemetry(registry.map(EngineTelemetry::register));
         for round in 1..=6 {
             let mut tap = StatsTap::default();
             let mask = masked.then(|| mask_for_round(n, round));
             engine.step(laziness, mask.as_deref(), &mut tap).unwrap();
-            record_round(
-                out,
-                round,
-                engine.positions(),
-                &engine.walkers_by_holder(),
-                Some((&tap.sent, &tap.load)),
-            );
+            record_round(out, round, &engine, &tap);
         }
         writeln!(out, "rng-draw {}", engine.shard_rng_mut(0).gen::<u64>()).unwrap();
     }
 }
 
-fn trace_walker_rounds(out: &mut String, masked: bool, mode: DrawMode) {
-    let g = generators::random_regular(64, 4, &mut seeded_rng(12)).unwrap();
-    let n = g.node_count();
-    for laziness in [0.0, 0.25] {
-        writeln!(
-            out,
-            "# scenario walker masked={masked} n={n} laziness={laziness}"
-        )
-        .unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
-        engine.set_draw_mode(mode);
-        let mut rng = seeded_rng(202);
-        for round in 1..=6 {
-            if masked {
-                let mask = mask_for_round(n, round);
-                engine.step_masked(laziness, &mask, &mut rng).unwrap();
-            } else {
-                engine.step(laziness, &mut rng);
-            }
-            record_round(
-                out,
-                round,
-                engine.positions(),
-                &engine.walkers_by_holder(),
-                None,
-            );
-        }
-        writeln!(out, "rng-draw {}", rng.gen::<u64>()).unwrap();
-    }
-}
-
-fn trace_sharded_rounds(out: &mut String, shards: usize, mode: DrawMode) {
+fn trace_sharded_rounds(
+    out: &mut String,
+    shards: usize,
+    mode: DrawMode,
+    registry: Option<&MetricsRegistry>,
+) {
     let g = generators::random_regular(90, 4, &mut seeded_rng(13)).unwrap();
     let n = g.node_count();
     let partition = if shards == 1 {
@@ -170,16 +141,11 @@ fn trace_sharded_rounds(out: &mut String, shards: usize, mode: DrawMode) {
         .unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &partition, 303).unwrap();
         engine.set_draw_mode(mode);
+        engine.set_telemetry(registry.map(EngineTelemetry::register));
         for round in 1..=6 {
             let mut tap = StatsTap::default();
             engine.step(laziness, None, &mut tap).unwrap();
-            record_round(
-                out,
-                round,
-                engine.positions(),
-                &engine.walkers_by_holder(),
-                Some((&tap.sent, &tap.load)),
-            );
+            record_round(out, round, &engine, &tap);
         }
         for s in 0..shards {
             writeln!(
@@ -202,23 +168,37 @@ fn trace_stream_identity(out: &mut String) {
     writeln!(out, "shard0 {}", shard0.gen::<u64>()).unwrap();
 }
 
-fn build_trace(mode: DrawMode) -> String {
+/// Rounds the scenarios below step: 4 builders × 2 lazinesses × 6 rounds.
+const TRACED_ROUNDS: u64 = 4 * 2 * 6;
+
+/// Runs every scenario, with `registry`'s telemetry attached to every
+/// engine when one is given.
+fn build_trace(mode: DrawMode, registry: Option<&MetricsRegistry>) -> String {
     let mut out = String::new();
-    trace_holder_rounds(&mut out, false, mode);
-    trace_holder_rounds(&mut out, true, mode);
-    trace_walker_rounds(&mut out, false, mode);
-    trace_walker_rounds(&mut out, true, mode);
-    trace_sharded_rounds(&mut out, 1, mode);
-    trace_sharded_rounds(&mut out, 3, mode);
+    trace_holder_rounds(&mut out, false, mode, registry);
+    trace_holder_rounds(&mut out, true, mode, registry);
+    trace_sharded_rounds(&mut out, 1, mode, registry);
+    trace_sharded_rounds(&mut out, 3, mode, registry);
     trace_stream_identity(&mut out);
     out
 }
 
-fn check_against_golden(trace: &str, path: &str, what: &str) {
+/// Compares the trace of `mode` against the golden file at `path`.  Under
+/// `NS_BLESS=1` a bare run rewrites the file instead, and an instrumented
+/// run compares nothing: only bare engines bless.
+fn check_against_golden(
+    mode: DrawMode,
+    registry: Option<&MetricsRegistry>,
+    path: &str,
+    what: &str,
+) {
+    let trace = build_trace(mode, registry);
     if std::env::var("NS_BLESS").is_ok() {
-        std::fs::create_dir_all("tests/golden").unwrap();
-        std::fs::write(path, trace).unwrap();
-        eprintln!("blessed {path} ({} bytes)", trace.len());
+        if registry.is_none() {
+            std::fs::create_dir_all("tests/golden").unwrap();
+            std::fs::write(path, &trace).unwrap();
+            eprintln!("blessed {path} ({} bytes)", trace.len());
+        }
         return;
     }
     let golden = std::fs::read_to_string(path)
@@ -238,13 +218,25 @@ fn check_against_golden(trace: &str, path: &str, what: &str) {
     );
 }
 
+/// The scenarios with telemetry attached reproduce the golden file, and
+/// the telemetry saw every round it was attached for (so the comparison is
+/// not vacuous).
+fn check_instrumented_against_golden(mode: DrawMode, path: &str, what: &str) {
+    let registry = MetricsRegistry::new();
+    check_against_golden(mode, Some(&registry), path, what);
+    assert_eq!(
+        registry.counter(names::ROUNDS_TOTAL).get(),
+        TRACED_ROUNDS,
+        "telemetry missed rounds"
+    );
+}
+
+const COMPAT_WHAT: &str = "from a pre-refactor-equivalent build";
+const FAST_WHAT: &str = "from a build whose fast mode passed the statistical-equivalence suite";
+
 #[test]
 fn engines_reproduce_pre_refactor_traces_bitwise() {
-    check_against_golden(
-        &build_trace(DrawMode::Compat),
-        GOLDEN_PATH,
-        "from a pre-refactor-equivalent build",
-    );
+    check_against_golden(DrawMode::Compat, None, GOLDEN_PATH, COMPAT_WHAT);
 }
 
 /// Fast mode is pinned the same way: the one-u64-per-walker stream is part
@@ -252,9 +244,15 @@ fn engines_reproduce_pre_refactor_traces_bitwise() {
 /// must re-bless deliberately.
 #[test]
 fn fast_mode_reproduces_blessed_traces_bitwise() {
-    check_against_golden(
-        &build_trace(DrawMode::Fast),
-        GOLDEN_FAST_PATH,
-        "from a build whose fast mode passed the statistical-equivalence suite",
-    );
+    check_against_golden(DrawMode::Fast, None, GOLDEN_FAST_PATH, FAST_WHAT);
+}
+
+#[test]
+fn instrumented_engines_reproduce_the_golden_traces_bitwise() {
+    check_instrumented_against_golden(DrawMode::Compat, GOLDEN_PATH, COMPAT_WHAT);
+}
+
+#[test]
+fn instrumented_fast_mode_reproduces_the_golden_traces_bitwise() {
+    check_instrumented_against_golden(DrawMode::Fast, GOLDEN_FAST_PATH, FAST_WHAT);
 }

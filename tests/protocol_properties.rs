@@ -114,24 +114,6 @@ proptest! {
         }
     }
 
-    /// Walker-order positions always remain valid nodes and the load vector
-    /// always sums to the number of walkers.
-    #[test]
-    fn walk_engine_invariants(
-        graph in strategies::degree_bounded(10..150, 3..8),
-        rounds in 1usize..30,
-        laziness in 0.0f64..0.9,
-        seed in 0u64..1_000,
-    ) {
-        let n = graph.node_count();
-        let mut engine = ns_graph::mixing_engine::MixingEngine::one_walker_per_node(&graph).unwrap();
-        let mut rng = ns_graph::rng::seeded_rng(seed);
-        engine.run(ns_graph::walk::WalkConfig::lazy(rounds, laziness), &mut rng).unwrap();
-        prop_assert!(engine.positions().iter().all(|&p| (p as usize) < n));
-        prop_assert_eq!(engine.load_vector().iter().sum::<usize>(), n);
-        prop_assert_eq!(engine.round(), rounds);
-    }
-
     /// Determinism: identical seeds produce identical curator views.
     #[test]
     fn simulation_is_deterministic(

@@ -14,7 +14,7 @@
 //! * the 1-shard coordinator under a realized outage schedule is bitwise
 //!   `run_protocol_under_outages` — the composed service path degenerates
 //!   to the monolithic churn path exactly;
-//! * both engines' masked rounds reject a wrong-length mask with a
+//! * the engine's masked round rejects a wrong-length mask with a
 //!   classified error before touching any state or any stream.
 
 mod common;
@@ -25,7 +25,6 @@ use network_shuffle::service::{CoordinatorConfig, ShuffleCoordinator};
 use network_shuffle::simulation::{
     run_protocol_under_outages, SimulationConfig, SimulationOutcome,
 };
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
@@ -240,49 +239,35 @@ fn one_shard_coordinator_under_outages_is_bitwise_run_protocol_under_outages() {
     }
 }
 
-/// A mask whose length is not `n` is a classified error on both masked
-/// round forms — walker order (`MixingEngine::step_masked`) and holder
-/// order (the 1-shard `ShardedMixingEngine::step`) — returned before any
-/// state changes or any RNG draw: round counters, positions, holder
-/// buckets and both streams' next draws are exactly what they were.
+/// A mask whose length is not `n` is a classified error on the masked
+/// holder-order round (the 1-shard `ShardedMixingEngine::step`), returned
+/// before any state changes or any RNG draw: the round counter, positions,
+/// holder buckets and the stream's next draw are exactly what they were.
 #[test]
 fn wrong_length_masks_are_rejected_before_any_state_changes() {
     let g = ns_graph::generators::random_regular(40, 4, &mut seeded_rng(51)).unwrap();
     let n = g.node_count();
     let partition = Partition::single_shard(&g).unwrap();
-    let mut walker = MixingEngine::one_walker_per_node(&g).unwrap();
     let mut holder = ShardedMixingEngine::one_walker_per_node(&g, &partition, 52).unwrap();
-    let mut rng = seeded_rng(52);
-    walker.step(0.2, &mut rng);
     holder.step(0.2, None, &mut ()).unwrap();
-    let rounds = (walker.round(), holder.round());
-    let positions = (walker.positions().to_vec(), holder.positions().to_vec());
+    let round = holder.round();
+    let positions = holder.positions().to_vec();
     let holders = holder.walkers_by_holder();
-    let mut twin = rng.clone();
-    let mut holder_twin = holder.shard_rng_mut(0).clone();
+    let mut twin = holder.shard_rng_mut(0).clone();
     for len in [n - 1, n + 1] {
         let mask = vec![true; len];
-        let walker_order = walker.step_masked(0.2, &mask, &mut rng);
-        let holder_order = holder.step(0.2, Some(&mask), &mut ());
-        for result in [walker_order, holder_order] {
-            assert!(
-                matches!(result, Err(GraphError::InvalidParameters(_))),
-                "a {len}-entry mask over {n} nodes: {result:?}"
-            );
-        }
-        assert_eq!((walker.round(), holder.round()), rounds);
-        assert_eq!(walker.positions(), positions.0.as_slice());
-        assert_eq!(holder.positions(), positions.1.as_slice());
+        let result = holder.step(0.2, Some(&mask), &mut ());
+        assert!(
+            matches!(result, Err(GraphError::InvalidParameters(_))),
+            "a {len}-entry mask over {n} nodes: {result:?}"
+        );
+        assert_eq!(holder.round(), round);
+        assert_eq!(holder.positions(), positions.as_slice());
         assert_eq!(holder.walkers_by_holder(), holders);
     }
     assert_eq!(
-        rng.gen::<u64>(),
-        twin.gen::<u64>(),
-        "a rejected walker-order round drew randomness"
-    );
-    assert_eq!(
         holder.shard_rng_mut(0).gen::<u64>(),
-        holder_twin.gen::<u64>(),
+        twin.gen::<u64>(),
         "a rejected holder-order round drew randomness"
     );
 }
