@@ -10,18 +10,21 @@
 //! * **privacy of the cut-restricted deployment** — the worst user's
 //!   **exact** central ε (`A_single`) when cross-shard exchange is
 //!   *disabled* (a cut-crossing delivery bounces back), computed by
-//!   evolving **all** origins through the batched ensemble kernel under
-//!   [`IntraShardTransition`].  The `k = 1` row is the ordinary full-graph
-//!   walk, so the column directly prices the edge cut in ε: mass confined
-//!   to a shard floors at the shard-local collision probability and the
-//!   mixing-time budget buys correspondingly less;
-//! * **the cut under churn** — the same exact accounting with the
-//!   cut-restricted operator additionally masked by a realized **20%
-//!   Markov on-off schedule** (the `ablation_churn` scenario), so the two
-//!   prior ablations meet in one table: the `*_churn` columns price edge
-//!   cut × bursty churn jointly, and the gap to the static intra-shard
-//!   columns is what churn costs a deployment that also refuses to cross
-//!   the cut.
+//!   evolving **all** origins through the batched ensemble kernel.  A
+//!   bounced delivery is Section 4.5's dropout walk with every out-of-shard
+//!   recipient unavailable, so each shard's origins evolve in their own
+//!   ensemble under the walk operator masked to that shard
+//!   ([`TransitionMatrix::masked`]).  The `k = 1` row is the ordinary
+//!   full-graph walk, so the column directly prices the edge cut in ε: mass
+//!   confined to a shard floors at the shard-local collision probability
+//!   and the mixing-time budget buys correspondingly less;
+//! * **the cut under churn** — the same exact accounting under a realized
+//!   **20% Markov on-off schedule** (the `ablation_churn` scenario): round
+//!   `t` masks every recipient outside the shard or dark in round `t`
+//!   ([`TimeVaryingModel::from_availability`]), so the two prior ablations
+//!   meet in one table: the `*_churn` columns price edge cut × bursty churn
+//!   jointly, and the gap to the static intra-shard columns is what churn
+//!   costs a deployment that also refuses to cross the cut.
 //!
 //! ```text
 //! cargo run --release -p ns-bench --bin ablation_shard
@@ -30,15 +33,16 @@
 use network_shuffle::prelude::*;
 use ns_bench::{fmt, print_table, scale_divisor, write_csv, DELTA, SEED};
 use ns_datasets::Dataset;
+use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::DistributionEnsemble;
-use ns_graph::partition::{IntraShardTransition, Partition};
+use ns_graph::partition::Partition;
 use ns_graph::sharded_engine::ShardedMixingEngine;
+use ns_graph::transition::TransitionMatrix;
 use std::time::Instant;
 
 fn main() {
     let epsilon_0 = 2.0;
-    // Exact all-origin accounting is O(n · t · (n + m)) here (the
-    // cut-restricted operator uses the generic lane path): run on a
+    // Exact all-origin accounting is O(n · t · (n + m)): run on a
     // quarter-scale Twitch stand-in like the churn ablation.
     let divisor = scale_divisor(Dataset::Twitch).max(4);
     let generated = Dataset::Twitch
@@ -58,21 +62,22 @@ fn main() {
         graph.edge_count()
     );
 
-    // Exact (worst, mean) epsilon of the cut-restricted walk at a horizon:
-    // evolve every origin under the intra-shard operator and fold.
-    let epsilon_profile = |ensemble: &DistributionEnsemble| -> (f64, f64) {
-        let mut worst = f64::NEG_INFINITY;
-        let mut total = 0.0;
+    // Writes each origin's exact epsilon after the ensemble's rounds into
+    // its slot of `eps`: row `r` of the ensemble is the report of
+    // `origins[r]`.
+    let record_epsilons = |ensemble: &DistributionEnsemble, origins: &[usize], eps: &mut [f64]| {
         let mut stats = Vec::new();
         ensemble.stats_into(&mut stats);
-        for row in &stats {
-            let eps = single_protocol_epsilon(&params, row.sum_of_squares)
+        for (&origin, row) in origins.iter().zip(&stats) {
+            eps[origin] = single_protocol_epsilon(&params, row.sum_of_squares)
                 .expect("moments in domain")
                 .epsilon;
-            worst = worst.max(eps);
-            total += eps;
         }
-        (worst, total / ensemble.sources() as f64)
+    };
+    // (worst, mean) over every origin, summed in origin order.
+    let profile = |eps: &[f64]| -> (f64, f64) {
+        let worst = eps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        (worst, eps.iter().sum::<f64>() / n as f64)
     };
 
     // The churn cell: one realized 20% Markov on-off schedule (the
@@ -115,25 +120,46 @@ fn main() {
         }
         let rounds_per_s = throughput_rounds as f64 / start.elapsed().as_secs_f64();
 
-        // Exact accounting of the cut-restricted walk, one pass per horizon.
-        let model = IntraShardTransition::new(graph, &partition, 0.0).expect("operator");
-        let mut ensemble = DistributionEnsemble::all_origins(n).expect("ensemble");
-        ensemble.advance(&model, t_mix);
-        let (worst_tmix, mean_tmix) = epsilon_profile(&ensemble);
-        ensemble.advance(&model, t_mix);
-        let (_, mean_2tmix) = epsilon_profile(&ensemble);
+        // Exact accounting of the cut-restricted walk: each shard's origins
+        // evolve under the walk masked to the shard, one pass per horizon,
+        // and again under the shard mask joined with the churn of each
+        // round.
+        let mut eps_tmix = vec![0.0; n];
+        let mut eps_2tmix = vec![0.0; n];
+        let mut eps_churn_tmix = vec![0.0; n];
+        for (s, shard) in partition.shards().iter().enumerate() {
+            let in_shard: Vec<bool> = (0..n).map(|u| partition.shard_of(u) == s).collect();
+            let origins = shard.nodes();
+            let confined =
+                TransitionMatrix::masked(graph, in_shard.clone(), 0.0).expect("operator");
+            let mut ensemble = DistributionEnsemble::point_masses(n, origins).expect("ensemble");
+            ensemble.advance(&confined, t_mix);
+            record_epsilons(&ensemble, origins, &mut eps_tmix);
+            ensemble.advance(&confined, t_mix);
+            record_epsilons(&ensemble, origins, &mut eps_2tmix);
+
+            let masks: Vec<Vec<bool>> = (0..t_mix)
+                .map(|t| {
+                    let up = churn_schedule.mask(t);
+                    in_shard
+                        .iter()
+                        .zip(up)
+                        .map(|(&home, &up)| home && up)
+                        .collect()
+                })
+                .collect();
+            let churned = TimeVaryingModel::from_availability(graph, 0.0, &masks)
+                .expect("churned operator schedule");
+            let mut ensemble = DistributionEnsemble::point_masses(n, origins).expect("ensemble");
+            ensemble.advance(&churned, t_mix);
+            record_epsilons(&ensemble, origins, &mut eps_churn_tmix);
+        }
+        let (worst_tmix, mean_tmix) = profile(&eps_tmix);
+        let (_, mean_2tmix) = profile(&eps_2tmix);
+        let (worst_churn_tmix, mean_churn_tmix) = profile(&eps_churn_tmix);
         if k == 1 {
             baseline_tmix = mean_tmix;
         }
-
-        // The same cut-restricted walk under the realized Markov churn:
-        // every origin evolves through the per-round masked operator.
-        let churned_model = model
-            .availability_schedule(churn_schedule.masks().shared())
-            .expect("churned operator schedule");
-        let mut churned = DistributionEnsemble::all_origins(n).expect("ensemble");
-        churned.advance(&churned_model, t_mix);
-        let (worst_churn_tmix, mean_churn_tmix) = epsilon_profile(&churned);
 
         println!(
             "k = {k:>2}: cut {:>5.1}%, imbalance {:.3}, {:>3} cut-isolated, {rounds_per_s:.0} \

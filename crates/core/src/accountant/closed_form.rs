@@ -13,8 +13,10 @@
 //! reproduces the paper's numerical figures.
 
 use crate::error::{Error, Result};
+use crate::protocol::ProtocolKind;
 use ns_dp::conversion::{approximate_to_pure, union_bound_delta};
 use ns_dp::types::PrivacyGuarantee;
+use ns_graph::ensemble::RowStats;
 
 /// Parameters shared by all the accounting formulas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,6 +169,27 @@ pub fn single_protocol_epsilon(
     let sum_p_squared = validate_sum_p_squared(params.n, sum_p_squared)?;
     let epsilon = single_protocol_epsilon_at(params.epsilon_0, params, sum_p_squared);
     Ok(PrivacyGuarantee::new(epsilon, params.delta)?)
+}
+
+/// The central guarantee `protocol` earns from one report's accounting
+/// moments: [`all_protocol_epsilon`] on `(Σ_i P_i², ρ*)` for `A_all`,
+/// [`single_protocol_epsilon`] on `Σ_i P_i²` for `A_single` — the one rule
+/// the offline and the streaming accountant apply to every origin.
+///
+/// # Errors
+///
+/// [`Error::InvalidConfiguration`] on out-of-range inputs.
+pub(crate) fn guarantee_from_stats(
+    protocol: ProtocolKind,
+    params: &AccountantParams,
+    stats: &RowStats,
+) -> Result<PrivacyGuarantee> {
+    match protocol {
+        ProtocolKind::All => {
+            all_protocol_epsilon(params, stats.sum_of_squares, stats.support_ratio)
+        }
+        ProtocolKind::Single => single_protocol_epsilon(params, stats.sum_of_squares),
+    }
 }
 
 /// Approximate-DP corollary of Theorems 5.3/5.4: the local randomizer is

@@ -18,17 +18,15 @@
 //!   route can only bound the worst case.  Origins are streamed through
 //!   bounded-memory batches, so the route scales to 100k+-node graphs.
 
-use crate::accountant::closed_form::{
-    all_protocol_epsilon, single_protocol_epsilon, AccountantParams,
-};
+use crate::accountant::closed_form::{guarantee_from_stats, AccountantParams};
 use crate::error::{Error, Result};
 use crate::protocol::ProtocolKind;
 use ns_dp::types::PrivacyGuarantee;
 use ns_graph::dynamic::TimeVaryingModel;
-use ns_graph::ensemble::{self, DistributionEnsemble, EnsembleTrajectory, RowStats};
+use ns_graph::ensemble::{self, DistributionEnsemble, RowStats};
 use ns_graph::mixing::MixingProfile;
 use ns_graph::spectral::SpectralOptions;
-use ns_graph::transition::TransitionMatrix;
+use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use ns_graph::{Graph, NodeId};
 
 /// Which analysis scenario of Section 4.2 to apply.
@@ -143,7 +141,6 @@ impl NetworkShuffleAccountant {
     /// [`Error::InvalidConfiguration`] if the schedule's node count differs
     /// from the graph's.
     pub fn with_schedule(mut self, schedule: TimeVaryingModel) -> Result<Self> {
-        use ns_graph::transition::TransitionModel as _;
         if schedule.node_count() != self.node_count {
             return Err(Error::InvalidConfiguration(format!(
                 "schedule covers {} users but the accountant graph has {}",
@@ -160,23 +157,12 @@ impl NetworkShuffleAccountant {
         self.schedule.as_ref()
     }
 
-    /// Drops the attached schedule, reverting the exact routes to the
-    /// static walk.
-    pub fn without_schedule(mut self) -> Self {
-        self.schedule = None;
-        self
-    }
-
-    /// Streams all-origin trajectories from the model the exact routes are
-    /// bound to: the attached schedule when present, the static matrix
-    /// otherwise.
-    fn exact_trajectories<F>(&self, rounds: usize, visit: F) -> Result<()>
-    where
-        F: FnMut(usize, &EnsembleTrajectory) -> Result<()>,
-    {
+    /// The model the exact routes evolve origins through: the attached
+    /// schedule when present, the static matrix otherwise.
+    fn exact_model(&self) -> &dyn TransitionModel {
         match &self.schedule {
-            Some(model) => ensemble::all_origin_trajectories(model, rounds, visit),
-            None => ensemble::all_origin_trajectories(&self.transition, rounds, visit),
+            Some(model) => model,
+            None => &self.transition,
         }
     }
 
@@ -222,10 +208,7 @@ impl NetworkShuffleAccountant {
             Scenario::Stationary => Ok((self.mixing.sum_p_squared_bound_clamped(rounds), 1.0)),
             Scenario::Symmetric { origin } => {
                 let mut ensemble = DistributionEnsemble::point_masses(self.node_count, &[origin])?;
-                match &self.schedule {
-                    Some(model) => ensemble.advance(model, rounds),
-                    None => ensemble.advance(&self.transition, rounds),
-                }
+                ensemble.advance(self.exact_model(), rounds);
                 let stats = ensemble.row_stats(0);
                 Ok((stats.sum_of_squares, stats.support_ratio))
             }
@@ -251,10 +234,7 @@ impl NetworkShuffleAccountant {
     /// [`Error::Graph`] on degenerate graphs (cannot happen for a
     /// successfully constructed accountant).
     pub fn exact_moments(&self, rounds: usize) -> Result<Vec<RowStats>> {
-        match &self.schedule {
-            Some(model) => ensemble::all_origin_moments(model, rounds).map_err(Into::into),
-            None => ensemble::all_origin_moments(&self.transition, rounds).map_err(Into::into),
-        }
+        Ok(ensemble::all_origin_moments(self.exact_model(), rounds)?)
     }
 
     /// The per-origin central guarantees of the exact scenario: entry `o`
@@ -272,7 +252,7 @@ impl NetworkShuffleAccountant {
         self.check_population(params)?;
         self.exact_moments(rounds)?
             .iter()
-            .map(|stats| Self::guarantee_from_stats(protocol, params, stats))
+            .map(|stats| guarantee_from_stats(protocol, params, stats))
             .collect()
     }
 
@@ -297,20 +277,6 @@ impl NetworkShuffleAccountant {
             .max_by(|(_, a), (_, b)| a.epsilon.total_cmp(&b.epsilon))
             .expect("accountants require n >= 2");
         Ok(worst)
-    }
-
-    /// Evaluates the closed form for one origin's moments.
-    fn guarantee_from_stats(
-        protocol: ProtocolKind,
-        params: &AccountantParams,
-        stats: &RowStats,
-    ) -> Result<PrivacyGuarantee> {
-        match protocol {
-            ProtocolKind::All => {
-                all_protocol_epsilon(params, stats.sum_of_squares, stats.support_ratio)
-            }
-            ProtocolKind::Single => single_protocol_epsilon(params, stats.sum_of_squares),
-        }
     }
 
     /// Shared `params.n == node_count` validation.
@@ -347,11 +313,12 @@ impl NetworkShuffleAccountant {
                 .worst_user_guarantee(protocol, params, rounds)
                 .map(|(_, guarantee)| guarantee);
         }
-        let (sum_sq, rho) = self.sum_p_squared(scenario, rounds)?;
-        match protocol {
-            ProtocolKind::All => all_protocol_epsilon(params, sum_sq, rho),
-            ProtocolKind::Single => single_protocol_epsilon(params, sum_sq),
-        }
+        let (sum_of_squares, support_ratio) = self.sum_p_squared(scenario, rounds)?;
+        let stats = RowStats {
+            sum_of_squares,
+            support_ratio,
+        };
+        guarantee_from_stats(protocol, params, &stats)
     }
 
     /// The central guarantee at the paper's default stopping time
@@ -399,38 +366,35 @@ impl NetworkShuffleAccountant {
         match scenario {
             Scenario::Stationary => {
                 for t in 1..=max_rounds {
-                    let sum_sq = self.mixing.sum_p_squared_bound_clamped(t);
-                    let guarantee = match protocol {
-                        ProtocolKind::All => all_protocol_epsilon(params, sum_sq, 1.0)?,
-                        ProtocolKind::Single => single_protocol_epsilon(params, sum_sq)?,
+                    let stats = RowStats {
+                        sum_of_squares: self.mixing.sum_p_squared_bound_clamped(t),
+                        support_ratio: 1.0,
                     };
+                    let guarantee = guarantee_from_stats(protocol, params, &stats)?;
                     out.push((t, guarantee.epsilon));
                 }
             }
             Scenario::Symmetric { origin } => {
                 let mut ensemble = DistributionEnsemble::point_masses(self.node_count, &[origin])?;
-                let trajectory = match &self.schedule {
-                    Some(model) => ensemble.advance_tracked(model, max_rounds),
-                    None => ensemble.advance_tracked(&self.transition, max_rounds),
-                };
+                let trajectory = ensemble.advance_tracked(self.exact_model(), max_rounds);
                 for (t, stats) in trajectory.row(0).iter().enumerate() {
-                    let guarantee = Self::guarantee_from_stats(protocol, params, stats)?;
+                    let guarantee = guarantee_from_stats(protocol, params, stats)?;
                     out.push((t + 1, guarantee.epsilon));
                 }
             }
             Scenario::Exact => {
                 let mut worst = vec![f64::NEG_INFINITY; max_rounds];
-                self.exact_trajectories(max_rounds, |_, trajectory| -> Result<()> {
+                let model = self.exact_model();
+                ensemble::all_origin_trajectories(model, max_rounds, |_, trajectory| {
                     for row in 0..trajectory.sources() {
                         for (t, stats) in trajectory.row(row).iter().enumerate() {
-                            let epsilon =
-                                Self::guarantee_from_stats(protocol, params, stats)?.epsilon;
+                            let epsilon = guarantee_from_stats(protocol, params, stats)?.epsilon;
                             if epsilon > worst[t] {
                                 worst[t] = epsilon;
                             }
                         }
                     }
-                    Ok(())
+                    Ok::<_, Error>(())
                 })?;
                 out.extend(worst.into_iter().enumerate().map(|(t, eps)| (t + 1, eps)));
             }
@@ -667,9 +631,7 @@ mod tests {
     fn constant_schedule_reproduces_static_exact_accounting_bitwise() {
         let g = ns_graph::generators::two_degree_class(30, 4, 14).unwrap();
         let accountant = NetworkShuffleAccountant::new(&g).unwrap();
-        let schedule =
-            TimeVaryingModel::constant(std::sync::Arc::new(accountant.transition().clone()))
-                .unwrap();
+        let schedule = TimeVaryingModel::new(vec![accountant.transition().clone()]).unwrap();
         let scheduled = accountant.clone().with_schedule(schedule).unwrap();
         let rounds = 8;
         assert_eq!(
@@ -713,9 +675,6 @@ mod tests {
                 .sum_p_squared(Scenario::Symmetric { origin: 7 }, rounds)
                 .unwrap()
         );
-        // Detaching restores the static route object.
-        let detached = scheduled.without_schedule();
-        assert!(detached.schedule().is_none());
     }
 
     #[test]
@@ -791,12 +750,7 @@ mod tests {
         let g = regular_graph(50, 4, 16);
         let accountant = NetworkShuffleAccountant::new(&g).unwrap();
         let other = regular_graph(20, 4, 17);
-        let schedule =
-            TimeVaryingModel::from_matrices(vec![ns_graph::transition::TransitionMatrix::new(
-                &other,
-            )
-            .unwrap()])
-            .unwrap();
+        let schedule = TimeVaryingModel::new(vec![TransitionMatrix::new(&other).unwrap()]).unwrap();
         assert!(accountant.with_schedule(schedule).is_err());
     }
 

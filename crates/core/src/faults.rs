@@ -399,10 +399,10 @@ impl OutageSchedule {
         &self.masks[round.min(self.masks.len() - 1)]
     }
 
-    /// All per-round masks, in round order — the raw history for lifting
-    /// onto other operators (e.g.
-    /// [`ns_graph::partition::IntraShardTransition::availability_schedule`])
-    /// or for logging.
+    /// All per-round masks, in round order — the raw history the durable
+    /// log records.  Lifting a schedule onto the walk goes through
+    /// [`OutageSchedule::time_varying_model`], or [`OutageSchedule::mask`]
+    /// per round for a mask combined with another (a shard's membership).
     pub fn masks(&self) -> ScheduleMasks<'_> {
         ScheduleMasks(&self.masks)
     }
@@ -440,13 +440,7 @@ impl OutageSchedule {
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleMasks<'a>(&'a [Arc<[bool]>]);
 
-impl<'a> ScheduleMasks<'a> {
-    /// The masks as the schedule shares them: operators built from these
-    /// hold the schedule's buffers, not copies.
-    pub fn shared(self) -> &'a [Arc<[bool]>] {
-        self.0
-    }
-
+impl ScheduleMasks<'_> {
     /// Owned copies, one vector per round — the form the durable log
     /// records.
     pub fn to_vec(self) -> Vec<Vec<bool>> {

@@ -75,9 +75,7 @@
 //! [`crate::simulation::run_protocol_under_outages`] on that schedule, and
 //! a fully-available schedule degenerates to the static path.
 
-use crate::accountant::closed_form::{
-    all_protocol_epsilon, single_protocol_epsilon, AccountantParams,
-};
+use crate::accountant::closed_form::{guarantee_from_stats, AccountantParams};
 use crate::crypto::Envelope;
 use crate::error::{Error, Result};
 use crate::faults::{OutageModel, OutageSchedule};
@@ -98,6 +96,7 @@ use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use ns_graph::walk::validate_laziness;
 use ns_graph::worker::Worker;
 use ns_graph::{Graph, NodeId};
+use std::sync::Arc;
 
 /// Configuration of a sharded shuffle deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,18 +154,11 @@ impl CoordinatorConfig {
 }
 
 /// The per-round operator the streaming accountant evolves through: the
-/// static lazy walk or the realized per-round schedule of a churning
-/// deployment.
-#[derive(Debug, Clone)]
-enum StreamingOperator {
-    /// The static lazy-walk matrix — every round applies the same operator.
-    Static(TransitionMatrix),
-    /// A realized per-round operator schedule (availability-masked rounds);
-    /// round `t` of the walk applies `schedule.operator(t)`, exactly like
-    /// the offline [`crate::accountant::NetworkShuffleAccountant::with_schedule`]
-    /// route.
-    Scheduled(TimeVaryingModel),
-}
+/// static lazy walk ([`TransitionMatrix`]), or the realized per-round
+/// schedule of a churning deployment ([`TimeVaryingModel`]), whose round
+/// `t` applies `schedule.operator(t)` exactly like the offline
+/// [`crate::accountant::NetworkShuffleAccountant::with_schedule`] route.
+type Operator = Arc<dyn TransitionModel + Send + Sync>;
 
 /// The tracked state behind a [`StreamingAccountant`]: origin ids shard
 /// after shard, each shard's first row (plus the end), and the rows.
@@ -191,7 +183,7 @@ type Tracked = (Vec<NodeId>, Vec<usize>, DistributionEnsemble);
 /// interact, so the fused layout is bitwise the per-shard one.
 #[derive(Debug, Clone)]
 pub struct StreamingAccountant {
-    operator: StreamingOperator,
+    operator: Operator,
     /// Global ids of the tracked origins, shard after shard; within a
     /// shard in tracking order (degree ascending, ties by id).
     origins: Vec<NodeId>,
@@ -225,12 +217,7 @@ impl StreamingAccountant {
         tracked_per_shard: usize,
     ) -> Result<Self> {
         let transition = TransitionMatrix::with_laziness(graph, laziness)?;
-        Self::with_operator(
-            graph,
-            partition,
-            StreamingOperator::Static(transition),
-            tracked_per_shard,
-        )
+        Self::with_operator(graph, partition, Arc::new(transition), tracked_per_shard)
     }
 
     /// Builds the accountant for a deployment under a realized per-round
@@ -255,18 +242,13 @@ impl StreamingAccountant {
                 graph.node_count()
             )));
         }
-        Self::with_operator(
-            graph,
-            partition,
-            StreamingOperator::Scheduled(schedule),
-            tracked_per_shard,
-        )
+        Self::with_operator(graph, partition, Arc::new(schedule), tracked_per_shard)
     }
 
     fn with_operator(
         graph: &Graph,
         partition: &Partition,
-        operator: StreamingOperator,
+        operator: Operator,
         tracked_per_shard: usize,
     ) -> Result<Self> {
         if partition.node_count() != graph.node_count() {
@@ -303,7 +285,7 @@ impl StreamingAccountant {
 
     /// An accountant over `tracked` rows at round `round`, its moment cache
     /// folded from the rows.
-    fn assemble(operator: StreamingOperator, tracked: Tracked, round: usize) -> Self {
+    fn assemble(operator: Operator, tracked: Tracked, round: usize) -> Self {
         let (origins, shard_starts, ensemble) = tracked;
         let mut accountant = StreamingAccountant {
             operator,
@@ -355,7 +337,7 @@ impl StreamingAccountant {
                 self.ensemble.node_count()
             )));
         }
-        self.operator = StreamingOperator::Scheduled(schedule);
+        self.operator = Arc::new(schedule);
         Ok(())
     }
 
@@ -364,23 +346,9 @@ impl StreamingAccountant {
         self.round
     }
 
-    /// Whether the accountant evolves through a realized operator schedule
-    /// (vs. the static lazy walk).
-    pub fn is_scheduled(&self) -> bool {
-        matches!(self.operator, StreamingOperator::Scheduled(_))
-    }
-
     /// Total tracked origins across all shards.
     pub fn tracked_count(&self) -> usize {
         self.origins.len()
-    }
-
-    /// The operator the tracked distributions evolve through.
-    fn held(operator: &StreamingOperator) -> &(dyn TransitionModel + Sync) {
-        match operator {
-            StreamingOperator::Static(matrix) => matrix,
-            StreamingOperator::Scheduled(schedule) => schedule,
-        }
     }
 
     /// Advances every tracked distribution by one round through the
@@ -420,7 +388,7 @@ impl StreamingAccountant {
     fn advance(&mut self, drive: impl FnOnce(&(dyn Fn() + Sync))) {
         let telemetry = self.telemetry.as_ref();
         let started = telemetry.map(|t| t.clock.now_ns());
-        let sweep = self.ensemble.round_sweep(Self::held(&self.operator));
+        let sweep = self.ensemble.round_sweep(&*self.operator);
         drive(&|| {
             if let (true, Some(t), Some(started)) = (sweep.run(), telemetry, started) {
                 t.advance_ns
@@ -531,7 +499,7 @@ impl StreamingAccountant {
     ) -> Result<Self> {
         let n = graph.node_count();
         let tracked = Self::tracked_state(checkpoint, partition.shard_count(), n)?;
-        let operator = match schedule {
+        let operator: Operator = match schedule {
             Some(model) => {
                 if model.node_count() != n {
                     return Err(Error::InvalidConfiguration(format!(
@@ -539,9 +507,9 @@ impl StreamingAccountant {
                         model.node_count()
                     )));
                 }
-                StreamingOperator::Scheduled(model)
+                Arc::new(model)
             }
-            None => StreamingOperator::Static(TransitionMatrix::with_laziness(graph, laziness)?),
+            None => Arc::new(TransitionMatrix::with_laziness(graph, laziness)?),
         };
         Ok(StreamingAccountant::assemble(
             operator,
@@ -690,21 +658,6 @@ pub struct CoordinatorCheckpoint {
     pub recorder_messages: Vec<usize>,
     /// Per-user peak held-report counts so far.
     pub recorder_peaks: Vec<usize>,
-}
-
-/// Evaluates the closed form for one origin's moments (the same rule the
-/// offline accountant applies).
-fn guarantee_from_stats(
-    protocol: ProtocolKind,
-    params: &AccountantParams,
-    stats: &RowStats,
-) -> Result<PrivacyGuarantee> {
-    match protocol {
-        ProtocolKind::All => {
-            all_protocol_epsilon(params, stats.sum_of_squares, stats.support_ratio)
-        }
-        ProtocolKind::Single => single_protocol_epsilon(params, stats.sum_of_squares),
-    }
 }
 
 /// The sharded shuffle coordinator: admission, rounds, live quotes,
@@ -1188,13 +1141,12 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
 mod tests {
     use super::*;
     use crate::accountant::{NetworkShuffleAccountant, Scenario};
-    use ns_graph::dynamic::DynTransition;
     use ns_graph::generators;
     use ns_graph::rng::seeded_rng;
     use std::cell::RefCell;
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Condvar, Mutex};
 
     fn graph(n: usize, k: usize, seed: u64) -> Graph {
         generators::random_regular(n, k, &mut seeded_rng(seed)).unwrap()
@@ -1352,7 +1304,6 @@ mod tests {
         let time_varying = schedule.time_varying_model(&g, 0.0).unwrap();
         let mut streaming =
             StreamingAccountant::with_schedule(&g, &p, time_varying.clone(), usize::MAX).unwrap();
-        assert!(streaming.is_scheduled());
         assert_eq!(streaming.tracked_count(), n);
         let offline = NetworkShuffleAccountant::new(&g)
             .unwrap()
@@ -1628,7 +1579,7 @@ mod tests {
     }
 
     /// What a [`RangeTrap`] has seen.
-    #[derive(Default)]
+    #[derive(Debug, Default)]
     struct TrapState {
         worker_entered: bool,
         caller_entered: bool,
@@ -1646,6 +1597,7 @@ mod tests {
     /// finishes it only after the panic has started — so the panic always
     /// strikes while the other side is touching the rows, whichever side
     /// reaches the sweep first.
+    #[derive(Debug)]
     struct RangeTrap {
         inner: TransitionMatrix,
         target: Side,
@@ -1673,12 +1625,12 @@ mod tests {
             self.inner.node_count()
         }
 
-        fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-            self.inner.propagate_into(p, out);
+        fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
+            self.inner.propagate_round_into(round, p, out);
         }
 
-        fn has_range_kernel(&self, _round: usize) -> bool {
-            true
+        fn prepare_round(&self, round: usize, dark: &mut ns_graph::transition::DarkCounts) {
+            self.inner.prepare_round(round, dark);
         }
 
         fn propagate_round_interleaved_range(
@@ -1744,8 +1696,7 @@ mod tests {
                 changed: Condvar::new(),
                 worker_exited: Arc::clone(&worker_exited),
             });
-            let schedule = TimeVaryingModel::new(vec![Arc::clone(&trap) as DynTransition]).unwrap();
-            coordinator.accountant.operator = StreamingOperator::Scheduled(schedule);
+            coordinator.accountant.operator = Arc::clone(&trap) as Operator;
             let run = std::panic::catch_unwind(AssertUnwindSafe(|| coordinator.run_rounds(1)));
             let panic = run.expect_err("the trapped range's panic must resume on the caller");
             let message = panic.downcast_ref::<String>().unwrap();

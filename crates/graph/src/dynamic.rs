@@ -16,15 +16,14 @@
 //!   materialized back into a CSR snapshot on demand (one pass over the
 //!   adjacency lists, cached until the next edge change), and the masked
 //!   operator of its current state ([`DynamicGraph::masked_operator`]).
-//! * [`TimeVaryingModel`] — a per-round schedule of transition operators
-//!   implementing [`TransitionModel`].  The ensemble kernel drives models
-//!   through the round-aware entry points
-//!   ([`TransitionModel::propagate_round_interleaved`]), so a
+//! * [`TimeVaryingModel`] — a per-round schedule of [`TransitionMatrix`]
+//!   operators implementing [`TransitionModel`].  The ensemble kernel
+//!   passes its absolute round to every [`TransitionModel`] call, so a
 //!   [`crate::ensemble::DistributionEnsemble`] evolves exactly through the
 //!   *product of distinct per-round transitions* with no new kernel: the
-//!   schedule simply swaps which operator each round applies.  A constant
-//!   schedule therefore reproduces the static results bitwise — the
-//!   degeneracy the tests pin down.
+//!   schedule simply swaps which operator each round applies.  A
+//!   one-operator schedule therefore reproduces the static results bitwise
+//!   — the degeneracy the tests pin down.
 //!
 //! The adjacency lists take each edge update in `O(deg)`, and the CSR
 //! snapshot is rebuilt only when a snapshot is asked for after an edge
@@ -35,9 +34,6 @@ use crate::graph::{Graph, NodeId};
 use crate::transition::{DarkCounts, TransitionMatrix, TransitionModel, WalkCsr};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// A shared, type-erased transition operator usable as one schedule entry.
-pub type DynTransition = Arc<dyn TransitionModel + Send + Sync>;
 
 /// A mutable communication network: an undirected graph under edge
 /// insertions/removals plus a per-node availability mask.
@@ -245,103 +241,42 @@ impl DynamicGraph {
     }
 }
 
-/// A per-round schedule of transition operators: the walk applies
-/// `operator(0)` between `t = 0` and `t = 1`, `operator(1)` next, and so on.
+/// A per-round schedule of walk operators: the walk applies `operator(0)`
+/// between `t = 0` and `t = 1`, `operator(1)` next, and so on, and holds the
+/// last operator once the schedule is exhausted ("the outage persists").
 ///
-/// Implements [`TransitionModel`] by overriding the round-aware entry
-/// points, so the existing ensemble kernel — and everything built on it
-/// (exact per-user accounting, ε-vs-rounds sweeps, trajectory drivers) —
-/// evolves distributions through the exact product of per-round operators
-/// with no new kernel code.  Driving a schedule through the *non*-round
-/// entry points applies the round-0 operator; the batched drivers always
-/// use the round-aware forms.
-///
-/// After the schedule's last entry the behaviour is either **hold** (keep
-/// applying the final operator; the default, matching "the outage persists")
-/// or **cycle** (wrap around; for periodic availability patterns).
-#[derive(Clone)]
+/// Implements [`TransitionModel`] by handing each round to that round's
+/// operator, so the ensemble kernel — and everything built on it (exact
+/// per-user accounting, ε-vs-rounds sweeps, trajectory drivers) — evolves
+/// distributions through the exact product of per-round operators with no
+/// kernel of its own.
+#[derive(Debug, Clone)]
 pub struct TimeVaryingModel {
-    node_count: usize,
-    schedule: Vec<DynTransition>,
-    cycle: bool,
-}
-
-impl std::fmt::Debug for TimeVaryingModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimeVaryingModel")
-            .field("node_count", &self.node_count)
-            .field("schedule_len", &self.schedule.len())
-            .field("cycle", &self.cycle)
-            .finish()
-    }
+    /// Never empty; every operator covers the same nodes.
+    schedule: Vec<TransitionMatrix>,
 }
 
 impl TimeVaryingModel {
-    fn build(schedule: Vec<DynTransition>, cycle: bool) -> Result<Self> {
+    /// A schedule of `schedule`'s operators, one per round.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameters`] if the schedule is empty or the
+    /// operators disagree on the node count.
+    pub fn new(schedule: Vec<TransitionMatrix>) -> Result<Self> {
         let Some(first) = schedule.first() else {
             return Err(GraphError::InvalidParameters(
                 "a time-varying model needs at least one scheduled operator".into(),
             ));
         };
         let node_count = first.node_count();
-        if node_count == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
         if let Some(bad) = schedule.iter().position(|m| m.node_count() != node_count) {
             return Err(GraphError::InvalidParameters(format!(
                 "scheduled operator {bad} has {} nodes, expected {node_count}",
                 schedule[bad].node_count()
             )));
         }
-        Ok(TimeVaryingModel {
-            node_count,
-            schedule,
-            cycle,
-        })
-    }
-
-    /// A schedule that holds its last operator forever once exhausted.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if the schedule is empty or the
-    /// operators disagree on the node count.
-    pub fn new(schedule: Vec<DynTransition>) -> Result<Self> {
-        Self::build(schedule, false)
-    }
-
-    /// A schedule that repeats periodically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TimeVaryingModel::new`].
-    pub fn cycling(schedule: Vec<DynTransition>) -> Result<Self> {
-        Self::build(schedule, true)
-    }
-
-    /// The constant schedule: one operator for every round.  This is the
-    /// static-degeneracy case — results are bitwise identical to using the
-    /// operator directly.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EmptyGraph`] if the operator has no nodes.
-    pub fn constant(operator: DynTransition) -> Result<Self> {
-        Self::build(vec![operator], false)
-    }
-
-    /// Convenience: a schedule of owned [`TransitionMatrix`] operators.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TimeVaryingModel::new`].
-    pub fn from_matrices(matrices: Vec<TransitionMatrix>) -> Result<Self> {
-        Self::new(
-            matrices
-                .into_iter()
-                .map(|m| Arc::new(m) as DynTransition)
-                .collect(),
-        )
+        Ok(TimeVaryingModel { schedule })
     }
 
     /// A schedule of masked [`TransitionMatrix`] operators
@@ -362,12 +297,9 @@ impl TimeVaryingModel {
         // most its n-bool mask, so a t_mix-length schedule stays
         // O(n + m + t·n) instead of O(t · (n + m)).
         let csr = WalkCsr::of(graph)?;
-        let schedule: Vec<DynTransition> = masks
+        let schedule = masks
             .iter()
-            .map(|mask| {
-                TransitionMatrix::over(Arc::clone(&csr), mask.clone().into(), laziness)
-                    .map(|op| Arc::new(op) as DynTransition)
-            })
+            .map(|mask| TransitionMatrix::over(Arc::clone(&csr), mask.clone().into(), laziness))
             .collect::<Result<_>>()?;
         Self::new(schedule)
     }
@@ -377,29 +309,15 @@ impl TimeVaryingModel {
         self.schedule.len()
     }
 
-    /// Whether the schedule cycles (vs. holding its last operator).
-    pub fn is_cycling(&self) -> bool {
-        self.cycle
-    }
-
     /// The operator applied at absolute round `round`.
-    pub fn operator(&self, round: usize) -> &(dyn TransitionModel + Send + Sync) {
-        let index = if self.cycle {
-            round % self.schedule.len()
-        } else {
-            round.min(self.schedule.len() - 1)
-        };
-        &*self.schedule[index]
+    pub fn operator(&self, round: usize) -> &TransitionMatrix {
+        &self.schedule[round.min(self.schedule.len() - 1)]
     }
 }
 
 impl TransitionModel for TimeVaryingModel {
     fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        self.propagate_round_into(0, p, out);
+        self.schedule[0].node_count()
     }
 
     fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
@@ -408,22 +326,6 @@ impl TransitionModel for TimeVaryingModel {
 
     fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
         self.operator(round).prepare_round(0, dark);
-    }
-
-    fn propagate_round_interleaved(
-        &self,
-        round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-        dark: &DarkCounts,
-    ) {
-        self.operator(round)
-            .propagate_round_interleaved(0, lanes, input, output, dark);
-    }
-
-    fn has_range_kernel(&self, round: usize) -> bool {
-        self.operator(round).has_range_kernel(0)
     }
 
     fn propagate_round_interleaved_range(
@@ -536,7 +438,7 @@ mod tests {
         let g = test_graph(9);
         let n = g.node_count();
         let matrix = TransitionMatrix::with_laziness(&g, 0.1).unwrap();
-        let schedule = TimeVaryingModel::constant(Arc::new(matrix.clone())).unwrap();
+        let schedule = TimeVaryingModel::new(vec![matrix.clone()]).unwrap();
         let origins: Vec<usize> = (0..n).step_by(2).collect();
         let mut static_e = DistributionEnsemble::point_masses(n, &origins).unwrap();
         let static_t = static_e.advance_tracked(&matrix, 11);
@@ -554,8 +456,7 @@ mod tests {
         let triangle = generators::cycle(3).unwrap();
         let m_path = TransitionMatrix::new(&path).unwrap();
         let m_tri = TransitionMatrix::new(&triangle).unwrap();
-        let schedule =
-            TimeVaryingModel::from_matrices(vec![m_path.clone(), m_tri.clone()]).unwrap();
+        let schedule = TimeVaryingModel::new(vec![m_path.clone(), m_tri.clone()]).unwrap();
         let mut ensemble = DistributionEnsemble::point_masses(3, &[0]).unwrap();
         ensemble.advance(&schedule, 2);
         let step1 = m_path.propagate(&[1.0, 0.0, 0.0]);
@@ -566,16 +467,6 @@ mod tests {
         held.advance(&schedule, 3);
         let expected3 = m_tri.propagate(&expected);
         assert_eq!(held.row_groups(&[0, 1]).concat(), expected3);
-        // Cycle semantics wrap back to the path operator.
-        let cycling = TimeVaryingModel::cycling(vec![
-            Arc::new(m_path.clone()) as DynTransition,
-            Arc::new(m_tri) as DynTransition,
-        ])
-        .unwrap();
-        let mut cycled = DistributionEnsemble::point_masses(3, &[0]).unwrap();
-        cycled.advance(&cycling, 3);
-        let expected_cycle = m_path.propagate(&expected);
-        assert_eq!(cycled.row_groups(&[0, 1]).concat(), expected_cycle);
     }
 
     #[test]
@@ -583,7 +474,7 @@ mod tests {
         assert!(TimeVaryingModel::new(Vec::new()).is_err());
         let small = TransitionMatrix::new(&generators::cycle(3).unwrap()).unwrap();
         let large = TransitionMatrix::new(&generators::cycle(5).unwrap()).unwrap();
-        assert!(TimeVaryingModel::from_matrices(vec![small, large]).is_err());
+        assert!(TimeVaryingModel::new(vec![small, large]).is_err());
     }
 
     #[test]

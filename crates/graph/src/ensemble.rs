@@ -11,10 +11,11 @@
 //! [`DistributionEnsemble`] stores `sources` distributions in the layout its
 //! kernel reads and writes: rows `8b..8b + lanes` form block `b`, one
 //! interleaved `n × lanes` block in which entry `i` of the block's lane `l`
-//! sits at `i · lanes + l` (a 1-row block is its row).  A round is one call
-//! of [`TransitionModel::propagate_round_interleaved`] per block, from the
-//! block into a second buffer, with no transposes.  For the CSR-backed
-//! [`crate::transition::TransitionMatrix`] this streams the
+//! sits at `i · lanes + l` (a 1-row block is its row).  A round steps each
+//! block from one buffer into a second, with no transposes: a multi-row
+//! block through [`TransitionModel::propagate_round_interleaved_range`], a
+//! 1-row block through [`TransitionModel::propagate_round_into`].  For the
+//! CSR-backed [`crate::transition::TransitionMatrix`] this streams the
 //! offsets/neighbour arrays once per block instead of once per origin and
 //! turns the scattered per-edge updates into contiguous `lanes`-wide
 //! gathers, which is where the multi-× speedup over a naive per-origin
@@ -28,7 +29,7 @@
 //! pass.
 //!
 //! Every lane reproduces the single-distribution update **bit for bit** (see
-//! [`TransitionModel::propagate_round_interleaved`]'s contract), so
+//! [`TransitionModel::propagate_round_interleaved_range`]'s contract), so
 //! [`crate::distribution::PositionDistribution`] is a thin view over a 1-row
 //! ensemble and exact multi-origin accounting agrees with the historical
 //! single-origin route exactly.  Blocks never interact.
@@ -37,9 +38,8 @@
 //! ([`DistributionEnsemble::round_sweep`]): the old state is read from one
 //! buffer and the new one written to the other, so the round splits into
 //! independent units — 64 near-equal destination ranges per multi-lane
-//! block when the model has a destination-range kernel
-//! ([`TransitionModel::has_range_kernel`]), else whole blocks — that any
-//! thread calling [`RoundSweep::run`] claims in turn.  Every destination's
+//! block, and each 1-row block whole — that any thread calling
+//! [`RoundSweep::run`] claims in turn.  Every destination's
 //! adds keep their order and their code whichever thread runs its unit, so
 //! the rows are bitwise the serial advance.
 //!
@@ -694,11 +694,10 @@ impl DistributionEnsemble {
         let Spare { rows, dark } = &mut self.spare;
         rows.resize(self.data.len(), 0.0);
         std::mem::swap(&mut self.data, rows);
-        let ranged = model.has_range_kernel(round);
         let input: &'a [f64] = rows;
         let unfinished = input
             .chunks(LANES * n)
-            .map(|block| ranges_of(block.len() / n, n, ranged))
+            .map(|block| ranges_of(block.len() / n, n))
             .sum();
         RoundSweep {
             model,
@@ -707,7 +706,6 @@ impl DistributionEnsemble {
                 n,
                 blocks: input.chunks(LANES * n).zip(self.data.chunks_mut(LANES * n)),
                 current: None,
-                ranged,
                 unfinished,
                 unprepared: Some(dark),
             }),
@@ -750,10 +748,10 @@ impl DistributionEnsemble {
 }
 
 /// The units a block is cut into: 64 destination ranges (one per node on
-/// graphs with fewer nodes) for a multi-lane block under a model with a
-/// range kernel, else the whole block — a 1-row block keeps its scatter.
-fn ranges_of(lanes: usize, n: usize, ranged: bool) -> usize {
-    if lanes > 1 && ranged {
+/// graphs with fewer nodes) for a multi-lane block, else the whole block —
+/// a 1-row block keeps its scatter.
+fn ranges_of(lanes: usize, n: usize) -> usize {
+    if lanes > 1 {
         SWEEP_RANGES.min(n)
     } else {
         1
@@ -764,10 +762,10 @@ fn ranges_of(lanes: usize, n: usize, ranged: bool) -> usize {
 /// ([`DistributionEnsemble::round_sweep`]).
 ///
 /// Every unit reads the old state and writes its own disjoint chunk of the
-/// new one: one destination range of a block, written as one contiguous
-/// interleaved chunk, or a whole block.  Units are claimed in order from
-/// one lock and never wait for each other, so a unit that panics strands
-/// no one: the other threads finish what is left.  The one exception is
+/// new one: one destination range of a multi-row block, written as one
+/// contiguous interleaved chunk, or a whole 1-row block.  Units are claimed
+/// in order from one lock and never wait for each other, so a unit that
+/// panics strands no one: the other threads finish what is left.  The one exception is
 /// the round's preparation ([`TransitionModel::prepare_round`]): the first
 /// unit that needs it runs it, and a unit claimed meanwhile on another
 /// thread waits for it.
@@ -789,8 +787,6 @@ struct Claims<'a> {
     blocks: Zip<Chunks<'a, f64>, ChunksMut<'a, f64>>,
     /// The block whose ranges are being handed out.
     current: Option<Block<'a>>,
-    /// Whether the model has a range kernel this round.
-    ranged: bool,
     /// Units not yet finished.
     unfinished: usize,
     /// The buffer the round's dark counts are prepared into, until the
@@ -845,7 +841,7 @@ impl<'a> Claims<'a> {
                 input,
                 lanes,
                 tail,
-                count: ranges_of(lanes, n, self.ranged),
+                count: ranges_of(lanes, n),
                 taken: 0,
             });
         }
@@ -876,7 +872,7 @@ impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
     fn run_one(&self) -> Option<bool> {
         let unit = self.lock().next_unit()?;
         let (model, round) = (self.model, self.round);
-        if unit.out.len() != unit.input.len() {
+        if unit.lanes > 1 {
             model.propagate_round_interleaved_range(
                 round,
                 unit.lanes,
@@ -885,8 +881,6 @@ impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
                 unit.out,
                 self.dark(),
             );
-        } else if unit.lanes > 1 {
-            model.propagate_round_interleaved(round, unit.lanes, unit.input, unit.out, self.dark());
         } else {
             // A 1-row block is its row.
             model.propagate_round_into(round, unit.input, unit.out);
@@ -924,8 +918,8 @@ impl<'a, M: ?Sized> RoundSweep<'a, M> {
 /// lets time-varying models schedule a distinct operator per round): a
 /// 1-row block, which is its row, through
 /// [`TransitionModel::propagate_round_into`], a wider one through
-/// [`TransitionModel::propagate_round_interleaved`] after preparing each
-/// round into `dark`.
+/// [`TransitionModel::propagate_round_interleaved_range`] over every
+/// destination after preparing each round into `dark`.
 ///
 /// Rounds ping-pong between the block and `scratch` (at least the block's
 /// length), and the result is copied home when the round count is odd.
@@ -950,7 +944,7 @@ fn advance_block<M: TransitionModel + ?Sized>(
             model.propagate_round_into(round, current, next);
         } else {
             model.prepare_round(round, dark);
-            model.propagate_round_interleaved(round, lanes, current, next, dark);
+            model.propagate_round_interleaved_range(round, lanes, current, 0..n, next, dark);
         }
         std::mem::swap(&mut current, &mut next);
         if let Some(trajectory) = trajectory.as_deref_mut() {
@@ -1225,50 +1219,6 @@ mod tests {
         assert_eq!(trajectory.row(2)[rounds - 1], trajectory.after(2, rounds));
     }
 
-    /// The walk operator behind only the single-distribution update, so
-    /// every block takes the trait's default whole-block path — the one
-    /// `IntraShardTransition` takes.
-    struct ScatterOnly(TransitionMatrix);
-
-    impl TransitionModel for ScatterOnly {
-        fn node_count(&self) -> usize {
-            self.0.node_count()
-        }
-
-        fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-            self.0.propagate_into(p, out);
-        }
-    }
-
-    #[test]
-    fn the_default_block_path_agrees_with_the_matrix_backend() {
-        let g = irregular_graph(3);
-        let t = TransitionMatrix::new(&g).unwrap();
-        let scatter_only = ScatterOnly(t.clone());
-        // 9 origins: an 8-lane block (gathered lane by lane) and a 1-row one.
-        let origins: Vec<usize> = (0..9).collect();
-        let mut via_matrix = DistributionEnsemble::point_masses(150, &origins).unwrap();
-        via_matrix.advance(&t, 9);
-        let mut via_default = DistributionEnsemble::point_masses(150, &origins).unwrap();
-        via_default.advance(&scatter_only, 9);
-        assert_eq!(
-            bits(&via_default.row_groups(&[0, 9]).concat()),
-            bits(&via_matrix.row_groups(&[0, 9]).concat())
-        );
-        // One more round, as a sweep two threads share.
-        via_matrix.advance(&t, 1);
-        let sweep = via_default.round_sweep(&scatter_only);
-        std::thread::scope(|scope| {
-            scope.spawn(|| sweep.run());
-            sweep.run();
-        });
-        assert_eq!(via_default.time(), 10);
-        assert_eq!(
-            bits(&via_default.row_groups(&[0, 9]).concat()),
-            bits(&via_matrix.row_groups(&[0, 9]).concat())
-        );
-    }
-
     #[test]
     fn rows_stay_probability_distributions() {
         let g = generators::stochastic_block_model(120, 4, 0.2, 0.02, &mut seeded_rng(4)).unwrap();
@@ -1360,6 +1310,7 @@ mod tests {
 
     /// The walk operator whose first destination range panics; counts the
     /// ranges it finishes.
+    #[derive(Debug)]
     struct PanicsOnce {
         inner: TransitionMatrix,
         armed: AtomicBool,
@@ -1371,12 +1322,12 @@ mod tests {
             self.inner.node_count()
         }
 
-        fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-            self.inner.propagate_into(p, out);
+        fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
+            self.inner.propagate_round_into(round, p, out);
         }
 
-        fn has_range_kernel(&self, _round: usize) -> bool {
-            true
+        fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
+            self.inner.prepare_round(round, dark);
         }
 
         fn propagate_round_interleaved_range(

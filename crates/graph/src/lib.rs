@@ -12,22 +12,22 @@
 //!   topologies,
 //! * connectivity / bipartiteness checks that decide ergodicity of the walk
 //!   ([`connectivity`], Theorem 4.3 of the paper),
-//! * the walk operator `M = A B⁻¹`, with or without an availability mask,
-//!   and the evolution of the position probability distribution
+//! * the one walk operator `M = A B⁻¹`, with or without an availability
+//!   mask (a dark or out-of-shard recipient bounces the report back), and
+//!   the evolution of the position probability distribution
 //!   `P(t+1) = Mᵀ P(t)` ([`transition`], [`distribution`]),
 //! * batched evolution of whole *ensembles* of position distributions — one
-//!   per report origin — through a blocked, lane-interleaved kernel behind
-//!   the [`transition::TransitionModel`] trait, enabling exact multi-origin
-//!   accounting on irregular graphs ([`ensemble`]); one round of it can run
-//!   as shared work split by destination range, beside a persistent
-//!   [`worker`] thread,
+//!   per report origin — through that operator's blocked, lane-interleaved
+//!   pull kernel, enabling exact multi-origin accounting on irregular graphs
+//!   ([`ensemble`]); one round of it can run as shared work split by
+//!   destination range, beside a persistent [`worker`] thread,
 //! * the stationary distribution `k / 2m` and the irregularity measure
 //!   `Γ_G = n · Σ_i π_i²` ([`stationary`], [`degree`]),
 //! * spectral-gap estimation via deflated power iteration ([`spectral`]) and
 //!   the mixing-time rule `t ≈ α⁻¹ log n` ([`mixing`]),
 //! * time-varying topologies: a dynamic-graph delta layer with cached CSR
-//!   snapshots and per-round operator schedules — availability-masked walk
-//!   operators sharing one CSR — that drive the ensemble kernel through
+//!   snapshots and per-round schedules of availability-masked walk
+//!   operators sharing one CSR, which drive the ensemble kernel through
 //!   products of distinct per-round transitions ([`dynamic`]),
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
 //!   producing a node → shard assignment with cut and balance metrics
@@ -113,12 +113,12 @@ pub mod prelude {
     };
     pub use crate::degree::DegreeStats;
     pub use crate::distribution::PositionDistribution;
-    pub use crate::dynamic::{DynTransition, DynamicGraph, TimeVaryingModel};
+    pub use crate::dynamic::{DynamicGraph, TimeVaryingModel};
     pub use crate::ensemble::{DistributionEnsemble, EnsembleTrajectory, RowStats};
     pub use crate::error::{GraphError, Result};
     pub use crate::graph::{Graph, NodeId};
     pub use crate::mixing::{mixing_time, sum_p_squared_bound, tv_bound};
-    pub use crate::partition::{IntraShardTransition, Partition, Shard};
+    pub use crate::partition::{Partition, Shard};
     pub use crate::sharded_engine::{
         shard_stream, EngineCheckpoint, RoundObserver, RoundStats, ShardCheckpoint,
         ShardedMixingEngine,

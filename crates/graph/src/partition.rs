@@ -30,21 +30,17 @@
 //! so a partition can be recomputed anywhere and the sharded engine's
 //! seed-only determinism contract extends through it.
 //!
-//! [`IntraShardTransition`] models the privacy cost of *not* crossing the
-//! cut: the walk operator of a deployment whose cross-shard exchange is
-//! disabled (a chosen cut-crossing delivery bounces back to the holder).
-//! Evolving it through the ensemble kernel prices the edge-cut fraction in
-//! ε directly — the `ablation_shard` experiment.  It sweeps the walk
-//! operator's shared `u32` CSR with its own scatter, and its availability
-//! schedule's rounds share that CSR and the shard assignment, each adding
-//! only its mask.
+//! A deployment whose cross-shard exchange is disabled walks the dropout
+//! walk of Section 4.5 with every out-of-shard recipient unavailable: a
+//! chosen cut-crossing delivery bounces back to the holder.  So the privacy
+//! cost of *not* crossing the cut is the walk operator under a shard's
+//! membership mask ([`crate::transition::TransitionMatrix::masked`]),
+//! evolved from that shard's origins — the `ablation_shard` experiment,
+//! which prices the edge-cut fraction in ε that way.
 
-use crate::dynamic::{DynTransition, TimeVaryingModel};
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
-use crate::transition::{TransitionModel, WalkCsr};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// How many label-propagation refinement sweeps [`Partition::new`] runs.
 const REFINEMENT_SWEEPS: usize = 12;
@@ -445,136 +441,6 @@ fn refine(graph: &Graph, shard_count: usize, shard_of: &mut [u32]) {
     }
 }
 
-/// The random-walk operator of a deployment whose cross-shard exchange is
-/// disabled: a report at `u` draws a uniform neighbour as usual, but a draw
-/// that crosses the cut bounces back to the holder (the delivery is never
-/// attempted).  Entry-wise: `stay(u) = laziness + (1 − laziness) ·
-/// cut_deg(u)/deg(u)`, and each intra-shard neighbour receives
-/// `(1 − laziness)/deg(u)`.
-///
-/// This operator is generally **not** ergodic across shards — mass started
-/// in a shard never leaves it, so `Σ_i P_i(t)²` floors at the shard-local
-/// stationary collision probability instead of the global one.  Evolving it
-/// with [`crate::ensemble`] therefore prices the partition's edge cut in ε:
-/// the gap to the full-graph walk at the same `t` is exactly what
-/// cross-shard traffic buys (`ablation_shard`).
-#[derive(Debug, Clone)]
-pub struct IntraShardTransition {
-    csr: Arc<WalkCsr>,
-    shard_of: Arc<[u32]>,
-    laziness: f64,
-    /// `available[u]`: can `u` receive this round?  `None` is everyone.
-    available: Option<Arc<[bool]>>,
-}
-
-impl IntraShardTransition {
-    /// Builds the cut-restricted operator for `graph` under `partition`.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if the partition does not cover the
-    /// graph or `laziness ∉ [0, 1)`; [`GraphError::IsolatedNode`] /
-    /// [`GraphError::EmptyGraph`] for degenerate graphs.
-    pub fn new(graph: &Graph, partition: &Partition, laziness: f64) -> Result<Self> {
-        if partition.node_count() != graph.node_count() {
-            return Err(GraphError::InvalidParameters(format!(
-                "partition covers {} nodes but the graph has {}",
-                partition.node_count(),
-                graph.node_count()
-            )));
-        }
-        crate::walk::validate_laziness(laziness).map_err(GraphError::InvalidParameters)?;
-        Ok(IntraShardTransition {
-            csr: WalkCsr::of(graph)?,
-            shard_of: partition.shard_of.as_slice().into(),
-            laziness,
-            available: None,
-        })
-    }
-
-    /// Lifts the cut-restricted operator onto a realized availability
-    /// history: one operator per round, all sharing this one's CSR and
-    /// shard assignment.  Round `t` of the resulting [`TimeVaryingModel`]
-    /// bounces a draw back to its holder when it crosses the cut **or** its
-    /// recipient is dark in `masks[t]` — the exact operator of a sharded
-    /// deployment that refuses to cross the cut *and* suffers churn, which
-    /// is how `ablation_shard` prices the edge cut under 20% Markov churn.
-    /// Shared masks (`Arc<[bool]>`) are held, not copied.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] on an empty mask sequence or a
-    /// mask whose length differs from the node count.
-    pub fn availability_schedule<M>(&self, masks: &[M]) -> Result<TimeVaryingModel>
-    where
-        M: Clone + Into<Arc<[bool]>>,
-    {
-        let n = self.node_count();
-        let schedule: Vec<DynTransition> = masks
-            .iter()
-            .map(|mask| {
-                let mask: Arc<[bool]> = mask.clone().into();
-                if mask.len() != n {
-                    return Err(GraphError::InvalidParameters(format!(
-                        "availability mask has {} entries for {n} nodes",
-                        mask.len()
-                    )));
-                }
-                Ok(Arc::new(IntraShardTransition {
-                    csr: Arc::clone(&self.csr),
-                    shard_of: Arc::clone(&self.shard_of),
-                    laziness: self.laziness,
-                    available: Some(mask),
-                }) as DynTransition)
-            })
-            .collect::<Result<_>>()?;
-        TimeVaryingModel::new(schedule)
-    }
-}
-
-impl TransitionModel for IntraShardTransition {
-    fn node_count(&self) -> usize {
-        self.csr.node_count()
-    }
-
-    /// The cut-restricted sweep: a draw bounces back to the holder when it
-    /// crosses the cut or its recipient is dark.  Each bounce adds to
-    /// `out[i]` on its own, in CSR neighbour order, and the accumulation
-    /// order is the same with and without a mask, so an all-available mask
-    /// is bitwise the unmasked operator.
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        let n = self.node_count();
-        assert_eq!(p.len(), n, "input distribution has wrong length");
-        assert_eq!(out.len(), n, "output buffer has wrong length");
-        let csr = &*self.csr;
-        let available = self.available.as_deref();
-        let move_factor = 1.0 - self.laziness;
-        out.fill(0.0);
-        for i in 0..n {
-            let mass = p[i];
-            if mass == 0.0 {
-                continue;
-            }
-            out[i] += self.laziness * mass;
-            let share = move_factor * mass * csr.inv_degree(i);
-            let home = self.shard_of[i];
-            for &j in csr.neighbors(i) {
-                let j = j as usize;
-                let deliverable = self.shard_of[j] == home && available.is_none_or(|mask| mask[j]);
-                if deliverable {
-                    out[j] += share;
-                } else {
-                    out[i] += share;
-                }
-            }
-        }
-    }
-
-    fn availability(&self) -> Option<&[bool]> {
-        self.available.as_deref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,43 +449,6 @@ mod tests {
 
     fn test_graph(n: usize, k: usize, seed: u64) -> Graph {
         generators::random_regular(n, k, &mut seeded_rng(seed)).unwrap()
-    }
-
-    #[test]
-    fn masked_intra_shard_schedule_degenerates_and_conserves() {
-        let g = test_graph(60, 4, 30);
-        let p = Partition::new(&g, 3).unwrap();
-        let base = IntraShardTransition::new(&g, &p, 0.1).unwrap();
-        // All-available schedule: bitwise the unmasked operator per round.
-        let all_up = vec![vec![true; 60]; 4];
-        let schedule = base.availability_schedule(&all_up).unwrap();
-        let mut plain = crate::ensemble::DistributionEnsemble::point_masses(60, &[0, 7]).unwrap();
-        let mut masked = crate::ensemble::DistributionEnsemble::point_masses(60, &[0, 7]).unwrap();
-        plain.advance(&base, 4);
-        masked.advance(&schedule, 4);
-        assert_eq!(plain, masked);
-        // A real mask conserves mass, never delivers to dark nodes and
-        // never crosses the cut.
-        let mask: Vec<bool> = (0..60).map(|u| u % 3 != 1).collect();
-        let schedule = base
-            .availability_schedule(std::slice::from_ref(&mask))
-            .unwrap();
-        let origin = 5;
-        let mut p0 = vec![0.0; 60];
-        p0[origin] = 1.0;
-        let mut out = vec![0.0; 60];
-        TransitionModel::propagate_into(schedule.operator(0), &p0, &mut out);
-        assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let home = p.shard_of(origin);
-        for (j, &mass) in out.iter().enumerate() {
-            if j != origin && mass > 0.0 {
-                assert!(mask[j], "delivered to dark node {j}");
-                assert_eq!(p.shard_of(j), home, "crossed the cut to {j}");
-            }
-        }
-        // Ragged masks are rejected.
-        assert!(base.availability_schedule(&[vec![true; 59]]).is_err());
-        assert!(base.availability_schedule::<Vec<bool>>(&[]).is_err());
     }
 
     #[test]
@@ -724,54 +553,5 @@ mod tests {
             "cut fraction = {}",
             p.edge_cut_fraction()
         );
-    }
-
-    #[test]
-    fn intra_shard_transition_conserves_mass_and_respects_the_cut() {
-        let g = test_graph(100, 6, 8);
-        let p = Partition::new(&g, 4).unwrap();
-        let model = IntraShardTransition::new(&g, &p, 0.1).unwrap();
-        let origin = 17;
-        let mut dist = vec![0.0; 100];
-        dist[origin] = 1.0;
-        let mut out = vec![0.0; 100];
-        for _ in 0..25 {
-            model.propagate_into(&dist, &mut out);
-            std::mem::swap(&mut dist, &mut out);
-        }
-        let total: f64 = dist.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        // Mass never escapes the origin's shard.
-        let home = p.shard_of(origin);
-        for (u, &mass) in dist.iter().enumerate() {
-            if p.shard_of(u) != home {
-                assert_eq!(mass, 0.0, "mass leaked to node {u}");
-            }
-        }
-    }
-
-    #[test]
-    fn intra_shard_transition_with_one_shard_matches_the_matrix() {
-        let g = test_graph(80, 4, 9);
-        let p = Partition::single_shard(&g).unwrap();
-        let restricted = IntraShardTransition::new(&g, &p, 0.2).unwrap();
-        let full = crate::transition::TransitionMatrix::with_laziness(&g, 0.2).unwrap();
-        let mut dist = vec![1.0 / 80.0; 80];
-        dist[0] += 0.5;
-        dist[1] -= 0.5;
-        let mut a = vec![0.0; 80];
-        let mut b = vec![0.0; 80];
-        restricted.propagate_into(&dist, &mut a);
-        full.propagate_into(&dist, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn intra_shard_transition_validates() {
-        let g = test_graph(50, 4, 10);
-        let other = test_graph(40, 4, 11);
-        let p = Partition::new(&g, 2).unwrap();
-        assert!(IntraShardTransition::new(&other, &p, 0.0).is_err());
-        assert!(IntraShardTransition::new(&g, &p, 1.0).is_err());
     }
 }

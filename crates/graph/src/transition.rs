@@ -21,10 +21,14 @@
 //! once per round by [`TransitionModel::prepare_round`] (scattered from the
 //! dark nodes), instead of walking each neighbour list against the mask.
 //! The pull kernel reads a block in the ensemble's interleaved layout and
-//! writes the same layout, for the whole block or for one destination range
-//! of it as one contiguous chunk
-//! ([`TransitionModel::propagate_round_interleaved_range`]).  Every lane of
-//! every instantiation is bitwise the scatter.
+//! writes the same layout for one destination range of it, as one
+//! contiguous chunk ([`TransitionModel::propagate_round_interleaved_range`];
+//! a whole block is the range `0..n`).  Every lane of every instantiation
+//! is bitwise the scatter.
+//!
+//! A deployment that refuses to cross the shard cut, or that loses users to
+//! churn, is this same operator under a mask: every out-of-shard or dark
+//! recipient is unavailable, so a report sent there stays put.
 
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, NodeId};
@@ -35,123 +39,48 @@ use crate::walk::validate_laziness;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A backend that can evolve position distributions by one round.
+/// The one-round walk, as the distribution-ensemble kernel
+/// ([`crate::ensemble`]) drives it.
 ///
-/// The distribution-ensemble kernel ([`crate::ensemble`]) consumes the walk
-/// only through this trait.  Implementors only have to provide the
-/// single-distribution update: the batched interleaved form has a default
-/// that routes each lane through [`TransitionModel::propagate_round_into`]
-/// (the path the cut-restricted
-/// [`crate::partition::IntraShardTransition`] takes), and
-/// [`TransitionMatrix`] overrides it with its fused pull kernel.
-pub trait TransitionModel {
+/// [`TransitionMatrix`] and its per-round schedule
+/// ([`crate::dynamic::TimeVaryingModel`]) implement it; it stays a trait so
+/// the sweep's tests can substitute models that panic or hand off between
+/// threads at chosen points.  Every method takes the absolute round (0-based:
+/// the step evolving `P(round)` to `P(round + 1)`), which a static operator
+/// ignores and a schedule uses to pick that round's operator: the ensemble
+/// threads its own clock through, so one kernel serves static and
+/// time-varying walks alike.
+pub trait TransitionModel: std::fmt::Debug {
     /// Number of nodes the distributions range over.
     fn node_count(&self) -> usize;
 
-    /// One step of the distribution update, writing `P(t+1) = Mᵀ P(t)` into
-    /// `out`.  Both slices have length [`TransitionModel::node_count`].
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]);
+    /// One step of one distribution at round `round`, writing
+    /// `P(t+1) = Mᵀ P(t)` into `out`: the scatter a 1-row block runs.  Both
+    /// slices have length [`TransitionModel::node_count`].
+    fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]);
 
-    /// [`TransitionModel::propagate_into`] for the step taken at absolute
-    /// round `round` (0-based: the step evolving `P(round)` to
-    /// `P(round + 1)`).
-    ///
-    /// Static backends ignore `round` — the default delegates to
-    /// [`TransitionModel::propagate_into`].  Time-varying backends (see
-    /// [`crate::dynamic::TimeVaryingModel`]) override this to dispatch to
-    /// the operator scheduled for that round.  The ensemble kernel drives
-    /// models exclusively through the round-aware entry points, threading
-    /// its own absolute clock through, which is what lets one kernel serve
-    /// static and dynamic topologies alike.
-    fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
-        let _ = round;
-        self.propagate_into(p, out);
-    }
+    /// Prepares the per-round state the range kernel of round `round`
+    /// reads, in `dark`: a masked operator fills its unavailable-neighbour
+    /// counts, an unmasked one nothing.  Callers run it once per round,
+    /// before any multi-row range of that round.
+    fn prepare_round(&self, round: usize, dark: &mut DarkCounts);
 
-    /// Prepares the per-round state the interleaved kernels of round
-    /// `round` read, in `dark`: the masked walk operator fills its
-    /// unavailable-neighbour counts.  Callers run it once per round, before
-    /// any block or range of that round (a 1-lane block, which
-    /// [`TransitionModel::propagate_round_into`] steps, needs none).  The
-    /// default prepares nothing.
-    fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
-        let _ = (round, dark);
-    }
-
-    /// The step at absolute round `round` applied to `lanes` distributions
-    /// stored interleaved: `input[i * lanes + l]` is entry `i` of
-    /// distribution `l`, and its next state lands in
-    /// `output[i * lanes + l]`.  `dark` is what
-    /// [`TransitionModel::prepare_round`] left for this round.
-    ///
-    /// Each lane's output must be exactly what
+    /// The step at round `round` of `lanes` distributions stored
+    /// interleaved (`input[i * lanes + l]` is entry `i` of distribution
+    /// `l`), for the destinations `nodes` only: entry `j` of lane `l` lands
+    /// at `out[(j - nodes.start) * lanes + l]`.  A whole block is the range
+    /// `0..n`.  Each lane's entries are bitwise what
     /// [`TransitionModel::propagate_round_into`] produces for that lane
-    /// alone (the ensemble kernel's parity guarantees rest on this).  The
-    /// default runs a single lane, which is its own row, in place, and
-    /// otherwise gathers each lane into a scratch row and delegates —
-    /// correct and allocating; backends that can fuse the lanes override
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or `output` do not have length `lanes * n`, or if
-    /// the backend reads `dark` and it was not prepared for this round.
-    fn propagate_round_interleaved(
-        &self,
-        round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-        dark: &DarkCounts,
-    ) {
-        let _ = dark;
-        let n = self.node_count();
-        assert_eq!(input.len(), lanes * n, "interleaved input has wrong length");
-        assert_eq!(
-            output.len(),
-            lanes * n,
-            "interleaved output has wrong length"
-        );
-        if lanes == 1 {
-            return self.propagate_round_into(round, input, output);
-        }
-        let mut row_in = vec![0.0; n];
-        let mut row_out = vec![0.0; n];
-        for lane in 0..lanes {
-            for (i, x) in row_in.iter_mut().enumerate() {
-                *x = input[i * lanes + lane];
-            }
-            self.propagate_round_into(round, &row_in, &mut row_out);
-            for (i, &x) in row_out.iter().enumerate() {
-                output[i * lanes + lane] = x;
-            }
-        }
-    }
-
-    /// Whether [`TransitionModel::propagate_round_interleaved_range`]
-    /// computes round `round` for a fraction of the cost of the whole
-    /// block, so a caller may split the round by destination range across
-    /// threads.  The default (`false`) keeps every block one unit of work.
-    fn has_range_kernel(&self, round: usize) -> bool {
-        let _ = round;
-        false
-    }
-
-    /// [`TransitionModel::propagate_round_interleaved`] restricted to the
-    /// destinations `nodes`: `out` is those destinations' interleaved
-    /// chunk, entry `j` of lane `l` at `out[(j - nodes.start) * lanes + l]`,
-    /// bitwise what the whole-block call writes at `j * lanes + l`.  Ranges
-    /// never interact, so disjoint ranges of one round can run at once,
-    /// all reading one `dark`.  The default steps the whole block into a
-    /// scratch buffer and copies the range out — correct, allocating, never
-    /// fast; backends that say so through
-    /// [`TransitionModel::has_range_kernel`] override it.
+    /// alone (the ensemble kernel's parity guarantees rest on this), and
+    /// ranges never interact, so disjoint ranges of one round can run at
+    /// once, all reading the `dark` that
+    /// [`TransitionModel::prepare_round`] left for this round.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not have length `lanes * n`, `nodes` does not
     /// lie within `0..n`, `out` does not have length
-    /// `nodes.len() * lanes`, or the backend reads `dark` and it was not
+    /// `nodes.len() * lanes`, or the model reads `dark` and it was not
     /// prepared for this round.
     fn propagate_round_interleaved_range(
         &self,
@@ -161,19 +90,7 @@ pub trait TransitionModel {
         nodes: Range<usize>,
         out: &mut [f64],
         dark: &DarkCounts,
-    ) {
-        let mut block = vec![0.0; input.len()];
-        self.propagate_round_interleaved(round, lanes, input, &mut block, dark);
-        out.copy_from_slice(&block[nodes.start * lanes..nodes.end * lanes]);
-    }
-
-    /// The availability mask this operator routes around, when it applies
-    /// a single one; `None` for operators that deliver to everyone (the
-    /// default) and for schedules, whose mask changes by round (ask their
-    /// per-round operator).
-    fn availability(&self) -> Option<&[bool]> {
-        None
-    }
+    );
 }
 
 /// Splits `lanes` interleaved lanes into `(offset, width)` runs of the
@@ -198,10 +115,10 @@ fn lane_runs(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
 /// The walk operator's topology: the graph's CSR with `u32` neighbour ids,
 /// as in [`Graph`], plus reciprocal degrees.  Copied once per graph and
 /// shared behind an [`Arc`] by every operator built over that topology —
-/// a whole schedule of per-round masks, or the cut-restricted operator's
-/// rounds ([`crate::partition::IntraShardTransition`]).  The kernels sweep
-/// this copy rather than the graph's own arrays, which measured about 20%
-/// slower in the scatter.
+/// a whole schedule of per-round masks
+/// ([`crate::dynamic::TimeVaryingModel::from_availability`]).  The kernels
+/// sweep this copy rather than the graph's own arrays, which measured about
+/// 20% slower in the scatter.
 #[derive(Debug)]
 pub(crate) struct WalkCsr {
     /// Reciprocal degrees `1 / deg(i)`.
@@ -743,8 +660,8 @@ impl TransitionModel for TransitionMatrix {
         TransitionMatrix::node_count(self)
     }
 
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        TransitionMatrix::propagate_into(self, p, out);
+    fn propagate_round_into(&self, _round: usize, p: &[f64], out: &mut [f64]) {
+        self.propagate_into(p, out);
     }
 
     /// Fills `dark` with this operator's unavailable-neighbour counts when
@@ -753,34 +670,6 @@ impl TransitionModel for TransitionMatrix {
         if let Some(mask) = &self.available {
             dark.fill(&self.csr, mask);
         }
-    }
-
-    /// A single lane is its own row and runs the scatter; wider blocks run
-    /// the pull kernel over every destination.
-    fn propagate_round_interleaved(
-        &self,
-        _round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-        dark: &DarkCounts,
-    ) {
-        if lanes == 1 {
-            self.propagate_into(input, output);
-        } else {
-            self.pull_range(
-                Isa::detected(),
-                lanes,
-                input,
-                0..self.node_count(),
-                output,
-                dark,
-            );
-        }
-    }
-
-    fn has_range_kernel(&self, _round: usize) -> bool {
-        true
     }
 
     /// Runs the pull kernel over `nodes` only — for every lane count,
@@ -796,10 +685,6 @@ impl TransitionModel for TransitionMatrix {
         dark: &DarkCounts,
     ) {
         self.pull_range(Isa::detected(), lanes, input, nodes, out, dark);
-    }
-
-    fn availability(&self) -> Option<&[bool]> {
-        TransitionMatrix::availability(self)
     }
 }
 
@@ -1038,7 +923,7 @@ mod tests {
         prepared.prepare_round(0, &mut counts);
         let input = vec![1.0 / n as f64; 8 * n];
         let mut out = vec![0.0; 8 * n];
-        other.propagate_round_interleaved(0, 8, &input, &mut out, &counts);
+        other.propagate_round_interleaved_range(0, 8, &input, 0..n, &mut out, &counts);
     }
 
     /// Every pull body this host runs, called directly rather than through

@@ -318,12 +318,8 @@ impl<'g> DurableCoordinator<'g> {
         let mut charged_origins: Vec<NodeId> = Vec::new();
         let mut seen_origins = vec![false; graph.node_count()];
         for batch in batches {
-            for &(origin, _) in &batch {
-                if origin < seen_origins.len() && !seen_origins[origin] {
-                    seen_origins[origin] = true;
-                    charged_origins.push(origin);
-                }
-            }
+            let origins = batch.iter().map(|&(origin, _)| origin);
+            note_first_admissions(&mut seen_origins, &mut charged_origins, origins);
             coordinator.admit(batch)?;
         }
         if let Some(schedule) = schedule {
@@ -680,12 +676,7 @@ impl<'g> DurableCoordinator<'g> {
         // Admission is all-or-nothing; only mark origins once it succeeded.
         let origins: Vec<NodeId> = batch.iter().map(|&(origin, _)| origin).collect();
         self.coordinator.admit(batch)?;
-        for origin in origins {
-            if origin < self.seen_origins.len() && !self.seen_origins[origin] {
-                self.seen_origins[origin] = true;
-                self.charged_origins.push(origin);
-            }
-        }
+        note_first_admissions(&mut self.seen_origins, &mut self.charged_origins, origins);
         Ok(())
     }
 
@@ -763,24 +754,7 @@ impl<'g> DurableCoordinator<'g> {
     /// Coordinator errors; WAL/snapshot I/O errors.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<()> {
         for _ in 0..rounds {
-            let round = self.coordinator.round();
-            {
-                let engine = self.coordinator.engine().ok_or_else(|| {
-                    StoreError::InvalidState("call begin_exchange() before running rounds".into())
-                })?;
-                self.clocks.clear();
-                for shard in 0..engine.shard_count() {
-                    self.clocks.push(engine.rng_clock(shard));
-                }
-                let mask = self.coordinator.outages().map(|s| s.mask(round));
-                encode_round(
-                    &mut self.scratch,
-                    round as u64,
-                    self.coordinator.config().draw_mode,
-                    &self.clocks,
-                    mask,
-                );
-            }
+            self.stage_round_record()?;
             {
                 let _span = self
                     .telemetry
@@ -825,6 +799,19 @@ impl<'g> DurableCoordinator<'g> {
     /// WAL I/O errors; [`StoreError::InvalidState`] before the exchange.
     #[doc(hidden)]
     pub fn simulate_torn_round_append(&mut self, keep: usize) -> Result<()> {
+        self.stage_round_record()?;
+        self.wal.append_torn(&self.scratch, keep)?;
+        self.wal.sync()
+    }
+
+    /// Encodes the record the next round logs into the scratch buffer: its
+    /// round, the draw mode, every shard's RNG clock (staged in the reused
+    /// clock buffer) and the round's outage mask.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::InvalidState`] before the exchange.
+    fn stage_round_record(&mut self) -> Result<()> {
         let round = self.coordinator.round();
         let engine = self.coordinator.engine().ok_or_else(|| {
             StoreError::InvalidState("call begin_exchange() before running rounds".into())
@@ -841,8 +828,7 @@ impl<'g> DurableCoordinator<'g> {
             &self.clocks,
             mask,
         );
-        self.wal.append_torn(&self.scratch, keep)?;
-        self.wal.sync()
+        Ok(())
     }
 
     /// Forces a durable snapshot of the current round right now.
@@ -960,6 +946,22 @@ impl<'g> DurableCoordinator<'g> {
         self.flush_observability()?;
         let outcome = self.coordinator.finalize(make_dummy)?;
         Ok((outcome, quote))
+    }
+}
+
+/// Appends each of `origins` admitted for the first time to `charged`, in
+/// first-admission order — the users finalize charges, each once.  `seen`
+/// marks who was admitted before; an out-of-range origin is never charged.
+fn note_first_admissions(
+    seen: &mut [bool],
+    charged: &mut Vec<NodeId>,
+    origins: impl IntoIterator<Item = NodeId>,
+) {
+    for origin in origins {
+        if origin < seen.len() && !seen[origin] {
+            seen[origin] = true;
+            charged.push(origin);
+        }
     }
 }
 

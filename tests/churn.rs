@@ -20,7 +20,7 @@ mod common;
 use common::strategies;
 use network_shuffle::prelude::*;
 use ns_graph::distribution::PositionDistribution;
-use ns_graph::dynamic::{DynTransition, TimeVaryingModel};
+use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
@@ -28,14 +28,13 @@ use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::transition::TransitionMatrix;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Constant schedules degenerate to the static matrix bitwise.
 #[test]
 fn constant_schedule_is_bitwise_static() {
     let g = ns_graph::generators::barabasi_albert(300, 3, &mut seeded_rng(1)).unwrap();
     let matrix = TransitionMatrix::with_laziness(&g, 0.2).unwrap();
-    let schedule = TimeVaryingModel::constant(Arc::new(matrix.clone())).unwrap();
+    let schedule = TimeVaryingModel::new(vec![matrix.clone()]).unwrap();
     let origins: Vec<usize> = (0..300).step_by(2).collect();
     let rounds = 12;
 
@@ -223,9 +222,9 @@ proptest! {
     }
 }
 
-/// End-to-end: an accountant with an attached cycled day/night schedule
-/// quotes a worse (or equal) exact guarantee than the static walk at the
-/// same budget, and the scheduled run stays deterministic.
+/// End-to-end: an accountant with an attached alternating day/night
+/// schedule quotes a worse (or equal) exact guarantee than the static walk
+/// at the same budget, and the scheduled run stays deterministic.
 #[test]
 fn scheduled_accounting_is_deterministic_and_dominated_by_outages() {
     let g = ns_graph::generators::random_regular(150, 4, &mut seeded_rng(6)).unwrap();
@@ -234,16 +233,25 @@ fn scheduled_accounting_is_deterministic_and_dominated_by_outages() {
     for slot in night.iter_mut().take(50) {
         *slot = false;
     }
-    let day_op = TransitionMatrix::masked(&g, vec![true; 150], 0.0).unwrap();
-    let night_op = TransitionMatrix::masked(&g, night, 0.0).unwrap();
-    let schedule = TimeVaryingModel::cycling(vec![
-        Arc::new(day_op) as DynTransition,
-        Arc::new(night_op) as DynTransition,
+    let day = TransitionMatrix::masked(&g, vec![true; 150], 0.0).unwrap();
+    let night = TransitionMatrix::masked(&g, night, 0.0).unwrap();
+    let rounds = 10;
+    let schedule = TimeVaryingModel::new(vec![
+        day.clone(),
+        night.clone(),
+        day.clone(),
+        night.clone(),
+        day.clone(),
+        night.clone(),
+        day.clone(),
+        night.clone(),
+        day,
+        night,
     ])
     .unwrap();
+    assert_eq!(schedule.schedule_len(), rounds);
     let churned = accountant.clone().with_schedule(schedule).unwrap();
     let params = AccountantParams::with_defaults(150, 1.0).unwrap();
-    let rounds = 10;
     let static_eps = accountant
         .central_guarantee(ProtocolKind::Single, Scenario::Exact, &params, rounds)
         .unwrap()

@@ -179,16 +179,16 @@ fn delta_advance_reproduces_blessed_goldens() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The walk operator's pull kernel, directly: every lane of an
-    /// interleaved step — the whole block, and destination ranges of it
-    /// (empty, one node, ending at `n`, and one drawn at random), each
-    /// written as its own interleaved chunk — is bitwise the scalar scatter
-    /// reference ([`TransitionMatrix::propagate_into`]), compared through
-    /// `to_bits` so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9
-    /// and 16 (every compile-time width and ragged split; 8-lane runs take
-    /// the body this host dispatches to, and `transition.rs`'s unit tests
-    /// call every body the host runs directly; a whole 1-lane block runs
-    /// the scatter itself), laziness 0 and 0.15, no mask, and masks from
+    /// The walk operator's range kernel, directly: every lane of an
+    /// interleaved step — the whole block (the range `0..n`), and
+    /// destination ranges of it (empty, one node, ending at `n`, and one
+    /// drawn at random), each written as its own interleaved chunk — is
+    /// bitwise the scalar scatter reference
+    /// ([`TransitionMatrix::propagate_into`]), compared through `to_bits` so
+    /// a `-0.0` for `0.0` would fail.  Covers lane counts 1–9 and 16 (every
+    /// compile-time width and ragged split; 8-lane runs take the body this
+    /// host dispatches to, and `transition.rs`'s unit tests call every body
+    /// the host runs directly), laziness 0 and 0.15, no mask, and masks from
     /// all-available to all-dark with dark point-mass origins, each step
     /// prepared through `prepare_round`, over three evolving steps from
     /// point masses mixed with dense random rows.
@@ -244,7 +244,7 @@ proptest! {
                             (0..n).flat_map(|i| rows.iter().map(move |row| row[i])).collect();
                         op.prepare_round(step, &mut counts);
                         let mut block = vec![f64::NAN; lanes * n];
-                        op.propagate_round_interleaved(0, lanes, &input, &mut block, &counts);
+                        op.propagate_round_interleaved_range(0, lanes, &input, 0..n, &mut block, &counts);
                         let (a, b) = (rng.gen_range(0..n + 1), rng.gen_range(0..n + 1));
                         let one = rng.gen_range(0..n);
                         let mut outputs = vec![(0..n, block)];

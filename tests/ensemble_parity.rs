@@ -406,6 +406,7 @@ enum Interleaving {
 
 /// A model that lets the worker go from inside the round's preparation
 /// ([`Interleaving::CallerPrepares`]); otherwise the model it wraps.
+#[derive(Debug)]
 struct PassesInPrepare<'a> {
     inner: &'a (dyn TransitionModel + Sync),
     baton: Option<&'a Baton>,
@@ -414,10 +415,6 @@ struct PassesInPrepare<'a> {
 impl TransitionModel for PassesInPrepare<'_> {
     fn node_count(&self) -> usize {
         self.inner.node_count()
-    }
-
-    fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        self.inner.propagate_into(p, out);
     }
 
     fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
@@ -430,22 +427,6 @@ impl TransitionModel for PassesInPrepare<'_> {
             baton.wait_for(Baton::CALLER);
         }
         self.inner.prepare_round(round, dark);
-    }
-
-    fn propagate_round_interleaved(
-        &self,
-        round: usize,
-        lanes: usize,
-        input: &[f64],
-        output: &mut [f64],
-        dark: &DarkCounts,
-    ) {
-        self.inner
-            .propagate_round_interleaved(round, lanes, input, output, dark);
-    }
-
-    fn has_range_kernel(&self, round: usize) -> bool {
-        self.inner.has_range_kernel(round)
     }
 
     fn propagate_round_interleaved_range(
@@ -463,6 +444,7 @@ impl TransitionModel for PassesInPrepare<'_> {
 }
 
 /// Whose turn it is: the worker's (`false`) or the caller's (`true`).
+#[derive(Debug)]
 struct Baton {
     turn: Mutex<bool>,
     passed: Condvar,

@@ -9,15 +9,20 @@
 //!   the assignment;
 //! * one shard is exactly the single-shard assignment;
 //! * the quality metrics are well-defined and the partition is
-//!   deterministic.
+//!   deterministic;
+//! * the walk operator masked to a shard is the cut-restricted walk of a
+//!   deployment that never crosses the cut.
 
 mod common;
 
 use common::strategies;
-use ns_graph::partition::{IntraShardTransition, Partition};
-use ns_graph::transition::TransitionModel;
-use ns_graph::Graph;
+use ns_graph::ensemble::DistributionEnsemble;
+use ns_graph::partition::Partition;
+use ns_graph::rng::seeded_rng;
+use ns_graph::transition::TransitionMatrix;
+use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
+use rand::Rng;
 
 /// Checks every structural invariant of one partition.
 fn check_partition(graph: &Graph, partition: &Partition) {
@@ -102,36 +107,125 @@ proptest! {
         prop_assert_eq!(one.shard(0).nodes(), single.shard(0).nodes());
     }
 
-    /// The cut-restricted operator conserves mass and confines it to the
-    /// origin's shard on any zoo graph.
+    /// A deployment that never crosses the cut walks the walk operator
+    /// masked to the shard its report started in.  For every shard, under
+    /// the in-shard mask and under its AND with a random availability mask,
+    /// the masked operator conserves mass, keeps it inside the shard, never
+    /// delivers to a dark node, and stays within 1e-12 of
+    /// [`cut_restricted_step`], for a 1-row block (the scatter) and for a
+    /// multi-row ensemble (an 8-row and a 3-row block, the pull kernel).
+    /// Under one shard the in-shard mask is bitwise the unmasked walk.
     #[test]
-    fn intra_shard_operator_confines_mass(
+    fn shard_masked_walk_is_the_cut_restricted_walk(
         graph in strategies::graph_zoo(40..150),
         shards in 2usize..6,
+        seed in 0u64..1_000,
     ) {
         let n = graph.node_count();
-        prop_assume!(n >= 16);
-        let k = shards.min(n);
-        let partition = Partition::new(&graph, k).unwrap();
-        let model = IntraShardTransition::new(&graph, &partition, 0.0).unwrap();
-        let origin = n / 2;
-        let mut dist = vec![0.0; n];
-        dist[origin] = 1.0;
-        let mut out = vec![0.0; n];
-        for _ in 0..8 {
-            model.propagate_into(&dist, &mut out);
-            std::mem::swap(&mut dist, &mut out);
-        }
-        let total: f64 = dist.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        let home = partition.shard_of(origin);
-        for (u, &mass) in dist.iter().enumerate() {
-            prop_assert!(
-                partition.shard_of(u) == home || mass == 0.0,
-                "mass {} leaked to node {} outside shard {}", mass, u, home
-            );
+        prop_assume!(n >= 16 && graph.find_isolated_node().is_none());
+        let partition = Partition::new(&graph, shards.min(n)).unwrap();
+        let mut rng = seeded_rng(seed);
+        for laziness in [0.0, 0.2] {
+            for (s, shard) in partition.shards().iter().enumerate() {
+                let in_shard: Vec<bool> = (0..n).map(|u| partition.shard_of(u) == s).collect();
+                let up: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= 0.3).collect();
+                let churned: Vec<bool> = in_shard.iter().zip(&up).map(|(&a, &b)| a && b).collect();
+                for (available, mask) in [(vec![true; n], in_shard), (up, churned)] {
+                    let op = TransitionMatrix::masked(&graph, mask.clone(), laziness).unwrap();
+                    let origins: Vec<NodeId> = (0..11)
+                        .map(|_| shard.nodes()[rng.gen_range(0..shard.len())])
+                        .collect();
+                    let mut naive: Vec<Vec<f64>> = origins
+                        .iter()
+                        .map(|&origin| {
+                            let mut row = vec![0.0; n];
+                            row[origin] = 1.0;
+                            row
+                        })
+                        .collect();
+                    let mut one_row = DistributionEnsemble::point_masses(n, &origins[..1]).unwrap();
+                    let mut rows = DistributionEnsemble::point_masses(n, &origins).unwrap();
+                    for round in 1..=6 {
+                        one_row.advance(&op, 1);
+                        rows.advance(&op, 1);
+                        for row in naive.iter_mut() {
+                            *row = cut_restricted_step(&graph, &partition, &available, laziness, row);
+                        }
+                        let one = one_row.row_groups(&[0, 1]).concat();
+                        let all = rows.row_groups(&[0, origins.len()]).concat();
+                        let walked = one.chunks(n).chain(all.chunks(n));
+                        let expected = naive.iter().take(1).chain(&naive);
+                        let starts = origins.iter().take(1).chain(&origins);
+                        for ((got, want), &origin) in walked.zip(expected).zip(starts) {
+                            let total: f64 = got.iter().sum();
+                            prop_assert!((total - 1.0).abs() < 1e-12, "round {}: mass {}", round, total);
+                            for u in 0..n {
+                                prop_assert!(
+                                    (got[u] - want[u]).abs() < 1e-12,
+                                    "round {}, shard {}: node {} holds {} against {}",
+                                    round, s, u, got[u], want[u]
+                                );
+                                prop_assert!(
+                                    partition.shard_of(u) == s || got[u] == 0.0,
+                                    "mass {} leaked to node {} outside shard {}", got[u], u, s
+                                );
+                                // A dark node keeps what it started with and
+                                // is never delivered to.
+                                prop_assert!(
+                                    mask[u] || u == origin || got[u] == 0.0,
+                                    "delivered to dark node {}", u
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+
+            // One shard: the in-shard mask is the unmasked walk, bit for bit.
+            let single = Partition::single_shard(&graph).unwrap();
+            let in_shard: Vec<bool> = (0..n).map(|u| single.shard_of(u) == 0).collect();
+            let masked = TransitionMatrix::masked(&graph, in_shard, laziness).unwrap();
+            let plain = TransitionMatrix::with_laziness(&graph, laziness).unwrap();
+            for sources in [1, 11] {
+                let origins: Vec<NodeId> = (0..sources).map(|_| rng.gen_range(0..n)).collect();
+                let mut a = DistributionEnsemble::point_masses(n, &origins).unwrap();
+                let mut b = a.clone();
+                a.advance(&masked, 6);
+                b.advance(&plain, 6);
+                let bits = |e: DistributionEnsemble| -> Vec<u64> {
+                    e.into_flat().iter().map(|x| x.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(a), bits(b), "{} rows", sources);
+            }
         }
     }
+}
+
+/// One round of the cut-restricted walk, written out as the deployment runs
+/// it: a report at `i` stays with probability `laziness`, else draws a
+/// uniform neighbour `j`, and stays too when `j` is in another shard or
+/// unavailable.
+fn cut_restricted_step(
+    graph: &Graph,
+    partition: &Partition,
+    available: &[bool],
+    laziness: f64,
+    p: &[f64],
+) -> Vec<f64> {
+    let mut out = vec![0.0; p.len()];
+    for (i, &mass) in p.iter().enumerate() {
+        out[i] += laziness * mass;
+        let share = (1.0 - laziness) * mass / graph.degree(i) as f64;
+        for &j in graph.neighbors(i) {
+            let j = j as usize;
+            if partition.shard_of(j) == partition.shard_of(i) && available[j] {
+                out[j] += share;
+            } else {
+                out[i] += share;
+            }
+        }
+    }
+    out
 }
 
 /// The explicit-assignment constructor enforces the same invariants as the
