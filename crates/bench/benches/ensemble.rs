@@ -27,7 +27,7 @@
 //! much the naive loop pays for re-streaming the graph.  On hosts whose
 //! last-level cache swallows the whole problem (CSR + both buffers), the
 //! naive loop pays little and the gap narrows to the SIMD factor; and the
-//! sparsity short-cut of `propagate_into` (zero-mass nodes are skipped)
+//! sparsity short-cut of the scalar scatter (zero-mass nodes are skipped)
 //! flatters the naive loop while rows are still concentrated.
 
 use network_shuffle::faults::OutageModel;
@@ -82,7 +82,9 @@ impl<M: TransitionModel + ?Sized> Route for Blocked<'_, M> {
     }
 
     fn rows(&self) -> Vec<f64> {
-        self.ensemble.clone().into_flat()
+        self.ensemble
+            .row_groups(&[0, self.ensemble.sources()])
+            .concat()
     }
 }
 

@@ -992,13 +992,26 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
     /// # Errors
     ///
     /// [`Error::InvalidConfiguration`] if the exchange phase has not
-    /// started, or the checkpoint's walker/user counts do not match the
-    /// admitted population; engine/accountant restore validation errors.
+    /// started, the checkpoint's walker/user counts do not match the
+    /// admitted population, or its accountant or recorder clock differs
+    /// from its engine's round; engine/accountant restore validation
+    /// errors.  A refused checkpoint leaves the coordinator unchanged.
     pub fn install_checkpoint(&mut self, checkpoint: &CoordinatorCheckpoint) -> Result<()> {
         if self.engine.is_none() {
             return Err(Error::InvalidConfiguration(
                 "call begin_exchange() before installing a checkpoint".into(),
             ));
+        }
+        // The accountant and the recorder advance in lockstep with the
+        // engine; an accountant at another round would evolve each engine
+        // round under another round's operator.
+        let round = checkpoint.engine.round;
+        if checkpoint.accountant.round != round || checkpoint.recorder_rounds != round {
+            return Err(Error::InvalidConfiguration(format!(
+                "checkpoint clocks disagree: engine at round {round}, accountant at {}, \
+                 recorder at {}",
+                checkpoint.accountant.round, checkpoint.recorder_rounds
+            )));
         }
         if checkpoint.engine.positions.len() != self.origins.len() {
             return Err(Error::InvalidConfiguration(format!(
@@ -1196,7 +1209,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_accountant_with_all_origins_matches_the_offline_route() {
+    fn streaming_accountant_tracking_every_origin_matches_the_offline_route() {
         let g = ns_graph::generators::two_degree_class(30, 4, 5).unwrap();
         let p = Partition::new(&g, 3).unwrap();
         let mut streaming = StreamingAccountant::new(&g, &p, 0.0, usize::MAX).unwrap();
@@ -1291,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_accountant_with_all_origins_matches_the_offline_schedule_route() {
+    fn scheduled_accountant_tracking_every_origin_matches_the_offline_schedule_route() {
         let g = ns_graph::generators::two_degree_class(30, 4, 5).unwrap();
         let n = g.node_count();
         let p = Partition::new(&g, 3).unwrap();
@@ -1500,6 +1513,21 @@ mod tests {
         let mut bad = cp.clone();
         bad.accountant.shards[0].rows[0] += 0.5;
         assert!(c.install_checkpoint(&bad).is_err());
+        // So are accountant and recorder clocks that disagree with the
+        // engine's round, and the coordinator keeps its state.
+        c.run_rounds(1).unwrap();
+        let before = c.checkpoint().unwrap();
+        let mut early_accountant = cp.clone();
+        early_accountant.accountant.round -= 1;
+        let mut late_recorder = cp.clone();
+        late_recorder.recorder_rounds += 1;
+        for bad in [early_accountant, late_recorder] {
+            assert!(matches!(
+                c.install_checkpoint(&bad),
+                Err(Error::InvalidConfiguration(_))
+            ));
+            assert_eq!(c.checkpoint().unwrap(), before);
+        }
         assert!(c.install_checkpoint(&cp).is_ok());
     }
 

@@ -278,7 +278,9 @@ pub(crate) fn collect_final_round<P>(
 ///
 /// # Errors
 ///
-/// Propagates randomizer and simulation errors.
+/// Propagates randomizer and simulation errors, including, under `A_single`,
+/// the randomizer's error for a `dummy_value` outside its domain (checked
+/// before any round runs; `A_all` never draws a dummy).
 pub fn run_protocol_with_randomizer<A, X>(
     graph: &Graph,
     values: &[X],
@@ -303,13 +305,19 @@ where
         payloads.push(randomizer.randomize(value, &mut randomize_rng)?);
     }
     // Dummy payloads are fresh randomizations of the dummy value, as in
-    // Algorithm 2 line 10 (`A_ldp(0)`).
+    // Algorithm 2 line 10 (`A_ldp(0)`).  Only `A_single` draws them; it
+    // randomizes the value once up front, on a copy of the dummy stream, so
+    // a value outside the domain is refused before any round runs and the
+    // stream the dummies draw from is untouched.
     let dummy_seed = config.seed ^ 0xd0_0d1e5_u64;
     let mut dummy_rng = SimRng::seed_from_u64(dummy_seed);
+    if config.protocol == ProtocolKind::Single {
+        randomizer.randomize(dummy_value, &mut dummy_rng.clone())?;
+    }
     run_protocol(graph, payloads, config, move |_rng| {
         randomizer
             .randomize(dummy_value, &mut dummy_rng)
-            .expect("dummy value must be in the randomizer's domain")
+            .expect("the dummy value was randomized before the rounds")
     })
 }
 
@@ -617,6 +625,15 @@ mod tests {
             &0usize,
         )
         .is_err());
+        // Some user ends empty-handed and draws a dummy, so a dummy value
+        // outside the domain is an error, not a panic; `A_all` never draws
+        // a dummy and accepts any value.
+        assert!(outcome.collected.dummy_count() > 0);
+        let single = SimulationConfig::single(10, 9);
+        let refused = run_protocol_with_randomizer(&g, &values, &rr, single, &7usize);
+        assert!(matches!(refused, Err(Error::Dp(_))), "{refused:?}");
+        let all = SimulationConfig::all(10, 9);
+        assert!(run_protocol_with_randomizer(&g, &values, &rr, all, &7usize).is_ok());
     }
 
     #[test]

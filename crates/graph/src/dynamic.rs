@@ -321,7 +321,7 @@ impl TransitionModel for TimeVaryingModel {
     }
 
     fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
-        self.operator(round).propagate_into(p, out);
+        self.operator(round).propagate_round_into(0, p, out);
     }
 
     fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
@@ -459,14 +459,15 @@ mod tests {
         let schedule = TimeVaryingModel::new(vec![m_path.clone(), m_tri.clone()]).unwrap();
         let mut ensemble = DistributionEnsemble::point_masses(3, &[0]).unwrap();
         ensemble.advance(&schedule, 2);
-        let step1 = m_path.propagate(&[1.0, 0.0, 0.0]);
-        let expected = m_tri.propagate(&step1);
-        assert_eq!(ensemble.row_groups(&[0, 1]).concat(), expected);
+        let mut expected = DistributionEnsemble::point_masses(3, &[0]).unwrap();
+        expected.advance(&m_path, 1);
+        expected.advance(&m_tri, 1);
+        assert_eq!(ensemble, expected);
         // Hold semantics: round 2 keeps applying the triangle operator.
         let mut held = DistributionEnsemble::point_masses(3, &[0]).unwrap();
         held.advance(&schedule, 3);
-        let expected3 = m_tri.propagate(&expected);
-        assert_eq!(held.row_groups(&[0, 1]).concat(), expected3);
+        expected.advance(&m_tri, 1);
+        assert_eq!(held, expected);
     }
 
     #[test]

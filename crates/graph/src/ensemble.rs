@@ -19,20 +19,21 @@
 //! offsets/neighbour arrays once per block instead of once per origin and
 //! turns the scattered per-edge updates into contiguous `lanes`-wide
 //! gathers, which is where the multi-× speedup over a naive per-origin
-//! `propagate` loop comes from (`crates/bench/benches/ensemble.rs`).  The
+//! scatter loop comes from (`crates/bench/benches/ensemble.rs`).  The
 //! ensemble keeps the second buffer across calls, so a caller taking one
-//! round per call allocates nothing after its first.  Row-major rows exist
-//! only at the boundary: [`DistributionEnsemble::from_rows`] transposes rows
-//! in, [`DistributionEnsemble::row_groups`] (and
-//! [`DistributionEnsemble::into_flat`]) copy them out, and
-//! [`DistributionEnsemble::stats_into`] folds every block's lanes in one
-//! pass.
+//! round per call allocates nothing after its first.  Rows come in as point
+//! masses ([`DistributionEnsemble::point_masses`]) or, on a restore,
+//! row-major ([`DistributionEnsemble::from_rows_at`] transposes them in).
+//! They go out row-major through [`DistributionEnsemble::row_groups`], and
+//! as accounting moments through [`DistributionEnsemble::row_stats`] and
+//! [`DistributionEnsemble::stats_into`], which folds every block's lanes in
+//! one pass.
 //!
-//! Every lane reproduces the single-distribution update **bit for bit** (see
-//! [`TransitionModel::propagate_round_interleaved_range`]'s contract), so
-//! [`crate::distribution::PositionDistribution`] is a thin view over a 1-row
-//! ensemble and exact multi-origin accounting agrees with the historical
-//! single-origin route exactly.  Blocks never interact.
+//! Every lane reproduces the scalar scatter of its row **bit for bit** (see
+//! [`TransitionModel::propagate_round_interleaved_range`]'s contract), so a
+//! single origin is simply a 1-row ensemble, and exact multi-origin
+//! accounting agrees with each origin stepped alone exactly.  Blocks never
+//! interact.
 //!
 //! One round can also run as shared work
 //! ([`DistributionEnsemble::round_sweep`]): the old state is read from one
@@ -218,11 +219,11 @@ fn fold_block<const L: usize, const C: usize>(block: &[f64], out: &mut [RowStats
 /// pass over the block; `out` has `lanes` entries.  The fold is compiled
 /// for the host's widest instruction set ([`Isa::detected`]).
 ///
-/// The results replicate `degree::sum_of_squares` and
-/// `PositionDistribution::support_ratio` of each lane bit for bit (the `Σx²`
-/// fold order is theirs element for element; see [`Moments`] for the max
-/// and min), so the stats of an ensemble row are bitwise equal to the
-/// single-distribution routes, whichever instruction set folds them.
+/// The results replicate the single ordered fold of each lane bit for bit
+/// (`Σx²` in node order, element for element as `degree::sum_of_squares`
+/// adds it; see [`Moments`] for the max and min), so a row's stats are the
+/// same whichever block it sits in and whichever instruction set folds
+/// them.
 fn block_stats(block: &[f64], lanes: usize, out: &mut [RowStats]) {
     block_stats_in(Isa::detected(), block, lanes, out);
 }
@@ -300,20 +301,6 @@ impl EnsembleTrajectory {
     /// Number of tracked rounds.
     pub fn rounds(&self) -> usize {
         self.rounds
-    }
-
-    /// Stats of `row` after `t` rounds (`t` in `1..=rounds`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` or `t` is out of range.
-    pub fn after(&self, row: usize, t: usize) -> RowStats {
-        assert!(
-            (1..=self.rounds).contains(&t),
-            "round {t} outside 1..={}",
-            self.rounds
-        );
-        self.stats[row * self.rounds + (t - 1)]
     }
 
     /// The per-round stats of one row, index `t - 1` holding round `t`.
@@ -413,48 +400,15 @@ impl DistributionEnsemble {
         })
     }
 
-    /// The full identity ensemble: one point-mass row per node.
-    ///
-    /// This materializes an `n × n` buffer — fine for analysis-sized graphs,
-    /// but for large `n` prefer the streaming [`all_origin_moments`] /
-    /// [`all_origin_trajectories`] drivers, which never hold more than a
-    /// bounded batch of rows.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::EmptyGraph`] if `n == 0`.
-    pub fn all_origins(n: usize) -> Result<Self> {
-        let origins: Vec<NodeId> = (0..n).collect();
-        Self::point_masses(n, &origins)
-    }
-
-    /// Wraps `sources` explicit distributions given as one flat row-major
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidParameters`] if the buffer shape is inconsistent
-    /// or some row is not a probability distribution (finite, non-negative,
-    /// summing to 1 within `1e-9`).
-    pub fn from_rows(sources: usize, flat: Vec<f64>) -> Result<Self> {
-        if sources == 0 || flat.is_empty() || !flat.len().is_multiple_of(sources) {
-            return Err(GraphError::InvalidParameters(format!(
-                "cannot split a buffer of {} entries into {sources} rows",
-                flat.len()
-            )));
-        }
-        let rows: Vec<&[f64]> = flat.chunks_exact(flat.len() / sources).collect();
-        Self::from_rows_at(&rows, 0)
-    }
-
     /// Restores an ensemble from its rows, one slice each, at an explicit
     /// round clock — the durable runtime's snapshot-restore constructor.
-    /// The rows are validated as in [`DistributionEnsemble::from_rows`] and
-    /// transposed straight into the blocks, so a restore from a checkpoint's
-    /// per-shard rows makes no flat copy of them.  A mid-run ensemble is not
-    /// at round 0: scheduled operators ([`crate::dynamic::TimeVaryingModel`])
-    /// index their schedule by this clock, so restoring rows without the
-    /// clock would silently replay the wrong operators.
+    /// Every row must be a probability distribution (finite, non-negative,
+    /// summing to 1 within `1e-9`), and the rows are transposed straight
+    /// into the blocks, so a restore from a checkpoint's per-shard rows
+    /// makes no flat copy of them.  A mid-run ensemble is not at round 0:
+    /// scheduled operators ([`crate::dynamic::TimeVaryingModel`]) index
+    /// their schedule by this clock, so restoring rows without the clock
+    /// would silently replay the wrong operators.
     ///
     /// # Errors
     ///
@@ -487,36 +441,8 @@ impl DistributionEnsemble {
         Ok(ensemble)
     }
 
-    /// Wraps distributions whose invariants the caller already guarantees
-    /// (used by [`crate::distribution::PositionDistribution`] to avoid
-    /// re-validating on every delegated step).  A single row is its own
-    /// block and is kept as it is; more rows are transposed into blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer cannot be split into `sources` non-empty rows.
-    pub fn from_rows_unchecked(sources: usize, flat: Vec<f64>) -> Self {
-        assert!(
-            sources > 0 && !flat.is_empty() && flat.len().is_multiple_of(sources),
-            "cannot split a buffer of {} entries into {sources} rows",
-            flat.len()
-        );
-        let nodes = flat.len() / sources;
-        if sources == 1 {
-            return DistributionEnsemble {
-                sources,
-                nodes,
-                data: flat,
-                time: 0,
-                spare: Spare::default(),
-            };
-        }
-        let rows: Vec<&[f64]> = flat.chunks_exact(nodes).collect();
-        Self::interleaved(&rows, nodes)
-    }
-
     /// An ensemble at round 0 holding `rows` (`n` entries each), transposed
-    /// into blocks.
+    /// into blocks, unchecked.
     fn interleaved(rows: &[&[f64]], n: usize) -> Self {
         let mut data = vec![0.0; rows.len() * n];
         for (rows, block) in rows.chunks(LANES).zip(data.chunks_mut(LANES * n)) {
@@ -588,16 +514,6 @@ impl DistributionEnsemble {
         groups
     }
 
-    /// Consumes the ensemble, returning its rows as one flat row-major
-    /// buffer (a single row is returned as it is).
-    pub fn into_flat(self) -> Vec<f64> {
-        if self.sources == 1 {
-            return self.data;
-        }
-        let mut groups = self.row_groups(&[0, self.sources]);
-        groups.pop().expect("one group of rows")
-    }
-
     /// The accounting moments (`Σ_i P_i²`, support ratio) of one row — a
     /// one-row query that folds the row's whole block; use
     /// [`DistributionEnsemble::stats_into`] for every row.
@@ -624,14 +540,6 @@ impl DistributionEnsemble {
             block_stats(block, lanes, &mut stats[..lanes]);
             out.extend_from_slice(&stats[..lanes]);
         }
-    }
-
-    /// The component-wise worst (largest) moments over all rows — a valid
-    /// input for a guarantee that must cover every source at once.
-    pub fn worst_stats(&self) -> RowStats {
-        let mut stats = Vec::with_capacity(self.sources);
-        self.stats_into(&mut stats);
-        RowStats::worst_of(stats)
     }
 
     /// Advances every row by `rounds` rounds under `model`.
@@ -1099,7 +1007,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::PositionDistribution;
     use crate::generators;
     use crate::rng::seeded_rng;
     use crate::transition::{TransitionMatrix, TransitionModel};
@@ -1110,17 +1017,28 @@ mod tests {
         generators::barabasi_albert(150, 3, &mut seeded_rng(seed)).unwrap()
     }
 
-    /// Reference: evolve each origin independently through the historical
-    /// single-distribution route.
+    /// Reference: evolve each origin alone through the scalar scatter.
     fn naive_rows(t: &TransitionMatrix, origins: &[usize], rounds: usize) -> Vec<Vec<f64>> {
+        let n = t.node_count();
         origins
             .iter()
             .map(|&o| {
-                let mut d = PositionDistribution::point_mass(t.node_count(), o).unwrap();
-                d.advance(t, rounds);
-                d.probabilities().to_vec()
+                let mut row = vec![0.0; n];
+                row[o] = 1.0;
+                let mut next = vec![0.0; n];
+                for round in 0..rounds {
+                    t.propagate_round_into(round, &row, &mut next);
+                    std::mem::swap(&mut row, &mut next);
+                }
+                row
             })
             .collect()
+    }
+
+    /// Point masses on every node, `0..n`.
+    fn every_origin(n: usize) -> DistributionEnsemble {
+        let origins: Vec<usize> = (0..n).collect();
+        DistributionEnsemble::point_masses(n, &origins).unwrap()
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1132,13 +1050,16 @@ mod tests {
         assert!(DistributionEnsemble::point_masses(0, &[]).is_err());
         assert!(DistributionEnsemble::point_masses(4, &[]).is_err());
         assert!(DistributionEnsemble::point_masses(4, &[4]).is_err());
-        assert!(DistributionEnsemble::from_rows(0, vec![]).is_err());
-        assert!(DistributionEnsemble::from_rows(2, vec![1.0, 0.0, 0.5]).is_err());
-        assert!(DistributionEnsemble::from_rows(1, vec![0.5, 0.6]).is_err());
-        assert!(DistributionEnsemble::from_rows(1, vec![-0.5, 1.5]).is_err());
-        let ok = DistributionEnsemble::from_rows(2, vec![1.0, 0.0, 0.25, 0.75]).unwrap();
+        assert!(DistributionEnsemble::from_rows_at(&[], 0).is_err());
+        assert!(DistributionEnsemble::from_rows_at(&[&[]], 0).is_err());
+        assert!(DistributionEnsemble::from_rows_at(&[&[1.0, 0.0], &[1.0]], 0).is_err());
+        assert!(DistributionEnsemble::from_rows_at(&[&[0.5, 0.6]], 0).is_err());
+        assert!(DistributionEnsemble::from_rows_at(&[&[-0.5, 1.5]], 0).is_err());
+        assert!(DistributionEnsemble::from_rows_at(&[&[f64::NAN, 1.0]], 0).is_err());
+        let ok = DistributionEnsemble::from_rows_at(&[&[1.0, 0.0], &[0.25, 0.75]], 3).unwrap();
         assert_eq!(ok.sources(), 2);
         assert_eq!(ok.node_count(), 2);
+        assert_eq!(ok.time(), 3);
         assert_eq!(ok.row_groups(&[1, 2]).concat(), [0.25, 0.75]);
     }
 
@@ -1194,7 +1115,6 @@ mod tests {
             let rows: Vec<&[f64]> = copied.iter().map(Vec::as_slice).collect();
             let again = DistributionEnsemble::from_rows_at(&rows, 5).unwrap();
             assert_eq!(again, restored, "{sources} rows");
-            assert_eq!(bits(&restored.into_flat()), bits(&flat), "{sources} rows");
         }
     }
 
@@ -1212,11 +1132,10 @@ mod tests {
             let mut stepped = DistributionEnsemble::point_masses(150, &origins).unwrap();
             stepped.advance(&t, t_round);
             for row in 0..3 {
-                assert_eq!(trajectory.after(row, t_round), stepped.row_stats(row));
+                assert_eq!(trajectory.row(row)[t_round - 1], stepped.row_stats(row));
             }
         }
         assert_eq!(trajectory.row(1).len(), rounds);
-        assert_eq!(trajectory.row(2)[rounds - 1], trajectory.after(2, rounds));
     }
 
     #[test]
@@ -1225,18 +1144,13 @@ mod tests {
         let g = crate::connectivity::largest_connected_component(&g).0;
         let n = g.node_count();
         let t = TransitionMatrix::with_laziness(&g, 0.1).unwrap();
-        let mut ensemble = DistributionEnsemble::all_origins(n).unwrap();
+        let mut ensemble = every_origin(n);
         ensemble.advance(&t, 25);
         for (row, dist) in ensemble.row_groups(&[0, n]).concat().chunks(n).enumerate() {
             let sum: f64 = dist.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {row} sums to {sum}");
             assert!(dist.iter().all(|&x| x >= 0.0));
         }
-        let worst = ensemble.worst_stats();
-        let mut stats = Vec::new();
-        ensemble.stats_into(&mut stats);
-        let best = stats.iter().map(|s| s.sum_of_squares);
-        assert!(worst.sum_of_squares >= best.fold(0.0, f64::max) - 1e-15);
     }
 
     #[test]
@@ -1245,7 +1159,7 @@ mod tests {
         let t = TransitionMatrix::new(&g).unwrap();
         let moments = all_origin_moments(&t, 8).unwrap();
         assert_eq!(moments.len(), 150);
-        let mut full = DistributionEnsemble::all_origins(150).unwrap();
+        let mut full = every_origin(150);
         full.advance(&t, 8);
         for (origin, stats) in moments.iter().enumerate() {
             assert_eq!(*stats, full.row_stats(origin), "origin {origin}");
@@ -1261,7 +1175,7 @@ mod tests {
             for row in 0..trajectory.sources() {
                 assert!(!seen[first + row]);
                 seen[first + row] = true;
-                assert!(trajectory.after(row, 3).sum_of_squares > 0.0);
+                assert!(trajectory.row(row)[2].sum_of_squares > 0.0);
             }
             Ok::<(), GraphError>(())
         })
@@ -1276,14 +1190,14 @@ mod tests {
     #[test]
     fn row_stats_match_the_historical_helpers() {
         let p = [0.0, 0.2, 0.5, 0.3, 0.0];
-        let stats = DistributionEnsemble::from_rows(1, p.to_vec())
+        let stats = DistributionEnsemble::from_rows_at(&[&p], 0)
             .unwrap()
             .row_stats(0);
-        assert_eq!(stats.sum_of_squares, crate::degree::sum_of_squares(&p));
-        let dist = PositionDistribution::from_probabilities(p.to_vec()).unwrap();
-        assert_eq!(stats.support_ratio, dist.support_ratio().unwrap());
+        assert_same_bits(stats, reference_stats_of(p.iter().copied()), "one row");
+        // The support ratio skips the zero entries: 0.5 / 0.2.
+        assert!((stats.support_ratio - 2.5).abs() < 1e-12);
         // Degenerate all-zero input falls back to ratio 1.
-        let zero = DistributionEnsemble::from_rows_unchecked(1, vec![0.0, 0.0]);
+        let zero = DistributionEnsemble::interleaved(&[&[0.0, 0.0]], 2);
         assert_eq!(zero.row_stats(0).support_ratio, 1.0);
     }
 
@@ -1463,7 +1377,8 @@ mod tests {
                         values
                     })
                     .collect();
-                let ensemble = DistributionEnsemble::from_rows_unchecked(sources, lanes.concat());
+                let slices: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
+                let ensemble = DistributionEnsemble::interleaved(&slices, row.len());
                 let mut all = Vec::new();
                 ensemble.stats_into(&mut all);
                 assert_eq!(all.len(), sources);
@@ -1486,7 +1401,8 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(bits(&ensemble.into_flat()), bits(&lanes.concat()));
+                let copied = ensemble.row_groups(&[0, sources]).concat();
+                assert_eq!(bits(&copied), bits(&lanes.concat()));
             }
         }
     }

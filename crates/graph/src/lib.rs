@@ -15,7 +15,7 @@
 //! * the one walk operator `M = A B⁻¹`, with or without an availability
 //!   mask (a dark or out-of-shard recipient bounces the report back), and
 //!   the evolution of the position probability distribution
-//!   `P(t+1) = Mᵀ P(t)` ([`transition`], [`distribution`]),
+//!   `P(t+1) = Mᵀ P(t)` ([`transition`]),
 //! * batched evolution of whole *ensembles* of position distributions — one
 //!   per report origin — through that operator's blocked, lane-interleaved
 //!   pull kernel, enabling exact multi-origin accounting on irregular graphs
@@ -81,7 +81,6 @@
 pub mod builder;
 pub mod connectivity;
 pub mod degree;
-pub mod distribution;
 pub mod dynamic;
 pub mod ensemble;
 pub mod error;
@@ -112,7 +111,6 @@ pub mod prelude {
         connected_components, is_bipartite, largest_connected_component,
     };
     pub use crate::degree::DegreeStats;
-    pub use crate::distribution::PositionDistribution;
     pub use crate::dynamic::{DynamicGraph, TimeVaryingModel};
     pub use crate::ensemble::{DistributionEnsemble, EnsembleTrajectory, RowStats};
     pub use crate::error::{GraphError, Result};

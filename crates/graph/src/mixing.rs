@@ -157,8 +157,12 @@ mod tests {
         let mut rng = crate::rng::seeded_rng(11);
         let g = generators::random_regular(200, 6, &mut rng).unwrap();
         let profile = MixingProfile::compute(&g, SpectralOptions::default()).unwrap();
-        let exact = crate::distribution::sum_of_squares_trajectory(&g, 0, 60, 0.0).unwrap();
-        for (t, &value) in exact.iter().enumerate() {
+        let transition = crate::transition::TransitionMatrix::new(&g).unwrap();
+        let mut row = crate::ensemble::DistributionEnsemble::point_masses(200, &[0]).unwrap();
+        let start = row.row_stats(0);
+        let tracked = row.advance_tracked(&transition, 60);
+        let exact = std::iter::once(&start).chain(tracked.row(0));
+        for (t, value) in exact.map(|stats| stats.sum_of_squares).enumerate() {
             let bound = profile.sum_p_squared_bound(t);
             assert!(
                 value <= bound + 1e-9,

@@ -68,7 +68,8 @@ mod tests {
         let g = generators::star(6).unwrap();
         let pi = stationary_distribution(&g).unwrap();
         let m = crate::transition::TransitionMatrix::new(&g).unwrap();
-        let next = m.propagate(&pi);
+        let mut next = vec![0.0; pi.len()];
+        crate::transition::TransitionModel::propagate_round_into(&m, 0, &pi, &mut next);
         for (a, b) in pi.iter().zip(next.iter()) {
             assert!((a - b).abs() < 1e-12);
         }

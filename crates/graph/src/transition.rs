@@ -10,21 +10,22 @@
 //! dropout form under an availability mask (Section 4.5), in which a report
 //! sent to an unavailable user stays where it is.  It keeps the graph's CSR
 //! with `u32` neighbour ids behind an [`Arc`], shared by every operator over
-//! one topology, and has two kernels: a scalar scatter
-//! ([`TransitionMatrix::propagate_into`]) and a pull kernel for interleaved
-//! blocks of distributions.  The pull kernel has one body, generic over the
-//! lane vector it keeps in registers and over masked or not, instantiated
-//! per call for the host: 8-lane runs take one AVX-512F vector per node
-//! where the host has AVX-512F, else two AVX2 vectors; every other width,
-//! and hosts without AVX2, take `[f64; W]` lanes in baseline code.  A masked pull reads each node's
-//! count of unavailable neighbours from a [`DarkCounts`] buffer, filled
-//! once per round by [`TransitionModel::prepare_round`] (scattered from the
-//! dark nodes), instead of walking each neighbour list against the mask.
-//! The pull kernel reads a block in the ensemble's interleaved layout and
-//! writes the same layout for one destination range of it, as one
-//! contiguous chunk ([`TransitionModel::propagate_round_interleaved_range`];
-//! a whole block is the range `0..n`).  Every lane of every instantiation
-//! is bitwise the scatter.
+//! one topology, and has two kernels: a scalar scatter for one distribution
+//! ([`TransitionModel::propagate_round_into`]) and a pull kernel for
+//! interleaved blocks of distributions.  The pull kernel has one body,
+//! generic over the lane vector it keeps in registers and over masked or
+//! not, instantiated per call for the host: 8-lane runs take one AVX-512F
+//! vector per node where the host has AVX-512F, else two AVX2 vectors; every
+//! other width, and hosts without AVX2, take `[f64; W]` lanes in baseline
+//! code.  A masked pull reads each node's count of unavailable neighbours
+//! from a [`DarkCounts`] buffer, filled once per round by
+//! [`TransitionModel::prepare_round`] (scattered from the dark nodes),
+//! instead of walking each neighbour list against the mask.  The pull
+//! kernel reads a block in the ensemble's interleaved layout and writes the
+//! same layout for one destination range of it, as one contiguous chunk
+//! ([`TransitionModel::propagate_round_interleaved_range`]; a whole block is
+//! the range `0..n`).  Every lane of every instantiation is bitwise the
+//! scatter.
 //!
 //! A deployment that refuses to cross the shard cut, or that loses users to
 //! churn, is this same operator under a mask: every out-of-shard or dark
@@ -346,31 +347,6 @@ impl TransitionMatrix {
         }
     }
 
-    /// One step of the distribution update: returns `P(t+1) = Mᵀ P(t)`.
-    ///
-    /// The output is allocated; use [`TransitionMatrix::propagate_into`] to
-    /// reuse buffers in hot loops.
-    pub fn propagate(&self, p: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; p.len()];
-        self.propagate_into(p, &mut out);
-        out
-    }
-
-    /// One step of the distribution update writing into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `out` do not have length `n`.
-    pub fn propagate_into(&self, p: &[f64], out: &mut [f64]) {
-        let n = self.node_count();
-        assert_eq!(p.len(), n, "input distribution has wrong length");
-        assert_eq!(out.len(), n, "output buffer has wrong length");
-        match self.available.as_deref() {
-            None => self.scatter::<false>(&[], p, out),
-            Some(mask) => self.scatter::<true>(mask, p, out),
-        }
-    }
-
     /// The scalar scatter: node `i` sends `(1 − laziness) · P_i / deg(i)`
     /// to each neighbour and keeps `laziness · P_i`; when `MASKED`, a share
     /// aimed at an unavailable neighbour joins the kept mass instead, one
@@ -408,13 +384,13 @@ impl TransitionMatrix {
     ///
     /// This is the hot kernel behind
     /// [`crate::ensemble::DistributionEnsemble`]: the offsets/neighbour
-    /// arrays — the dominant memory traffic of
-    /// [`TransitionMatrix::propagate_into`] — are streamed once per *block*
-    /// of lanes instead of once per distribution, and every gathered share
-    /// updates `lanes` adjacent f64s (one cache line for 8 lanes) instead of
-    /// a single scattered one.  Lane `l`'s result is bit-for-bit identical
-    /// to `propagate_into` applied to lane `l` alone.  8-lane runs take the
-    /// body compiled for `isa`: the host's widest ([`Isa::detected`]) on
+    /// arrays — the dominant memory traffic of the scalar scatter
+    /// ([`TransitionModel::propagate_round_into`]) — are streamed once per
+    /// *block* of lanes instead of once per distribution, and every gathered
+    /// share updates `lanes` adjacent f64s (one cache line for 8 lanes)
+    /// instead of a single scattered one.  Lane `l`'s result is bit-for-bit
+    /// identical to the scatter applied to lane `l` alone.  8-lane runs take
+    /// the body compiled for `isa`: the host's widest ([`Isa::detected`]) on
     /// every production path, any the host runs in the tests.
     ///
     /// # Panics
@@ -556,18 +532,17 @@ impl TransitionMatrix {
     /// becomes plain reads, which the core can keep many of in flight,
     /// helped along by an explicit prefetch a few edges ahead.
     ///
-    /// Bit parity with [`TransitionMatrix::propagate_into`] per lane: the
-    /// scatter accumulates `out[j]` in ascending source order, adding `j`'s
-    /// own stay term (laziness plus, when masked, one share per unavailable
-    /// neighbour — `dark[j]` of them) when the sweep passes `j`.  Neighbour
-    /// lists are sorted ascending, so gathering in list order and folding
-    /// the stay term in at the first neighbour `> j` reproduces that
-    /// sequence of adds — and its roundings — exactly, and an unavailable
-    /// `j` receives only its stay term.  Zero-mass sources, which the
-    /// scatter skips, add `+0.0`, which never changes a non-negative
-    /// accumulation.  Each lane multiplies and adds in that order with no
-    /// FMA, whatever `V` is.  Unmasked, the dark-count reads and the
-    /// dark-`j` store compile out.
+    /// Bit parity with the scatter per lane: the scatter accumulates
+    /// `out[j]` in ascending source order, adding `j`'s own stay term
+    /// (laziness plus, when masked, one share per unavailable neighbour —
+    /// `dark[j]` of them) when the sweep passes `j`.  Neighbour lists are
+    /// sorted ascending, so gathering in list order and folding the stay
+    /// term in at the first neighbour `> j` reproduces that sequence of adds
+    /// — and its roundings — exactly, and an unavailable `j` receives only
+    /// its stay term.  Zero-mass sources, which the scatter skips, add
+    /// `+0.0`, which never changes a non-negative accumulation.  Each lane
+    /// multiplies and adds in that order with no FMA, whatever `V` is.
+    /// Unmasked, the dark-count reads and the dark-`j` store compile out.
     ///
     /// # Safety
     ///
@@ -642,17 +617,6 @@ impl TransitionMatrix {
             acc.store(stored);
         }
     }
-
-    /// Evolves a distribution for `steps` rounds, returning `P(t)`.
-    pub fn evolve(&self, p0: &[f64], steps: usize) -> Vec<f64> {
-        let mut current = p0.to_vec();
-        let mut scratch = vec![0.0; p0.len()];
-        for _ in 0..steps {
-            self.propagate_into(&current, &mut scratch);
-            std::mem::swap(&mut current, &mut scratch);
-        }
-        current
-    }
 }
 
 impl TransitionModel for TransitionMatrix {
@@ -660,8 +624,19 @@ impl TransitionModel for TransitionMatrix {
         TransitionMatrix::node_count(self)
     }
 
+    /// The scalar scatter, masked or not as the operator is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `out` do not have length `n`.
     fn propagate_round_into(&self, _round: usize, p: &[f64], out: &mut [f64]) {
-        self.propagate_into(p, out);
+        let n = self.node_count();
+        assert_eq!(p.len(), n, "input distribution has wrong length");
+        assert_eq!(out.len(), n, "output buffer has wrong length");
+        match self.available.as_deref() {
+            None => self.scatter::<false>(&[], p, out),
+            Some(mask) => self.scatter::<true>(mask, p, out),
+        }
     }
 
     /// Fills `dark` with this operator's unavailable-neighbour counts when
@@ -691,9 +666,25 @@ impl TransitionModel for TransitionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::DistributionEnsemble;
     use crate::generators;
     use crate::rng::seeded_rng;
     use rand::Rng;
+
+    /// One scalar step of `p` under `m`.
+    fn scattered(m: &TransitionMatrix, p: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; p.len()];
+        m.propagate_round_into(0, p, &mut out);
+        out
+    }
+
+    /// A point mass on `origin` after `rounds` rounds under `m`, stepped as
+    /// a 1-row ensemble.
+    fn evolved_point_mass(m: &TransitionMatrix, origin: NodeId, rounds: usize) -> Vec<f64> {
+        let mut row = DistributionEnsemble::point_masses(m.node_count(), &[origin]).unwrap();
+        row.advance(m, rounds);
+        row.row_groups(&[0, 1]).concat()
+    }
 
     #[test]
     fn probabilities_of_simple_walk_on_path() {
@@ -722,7 +713,7 @@ mod tests {
         let mut p = vec![0.0; 6];
         p[2] = 0.7;
         p[5] = 0.3;
-        let q = m.propagate(&p);
+        let q = scattered(&m, &p);
         assert!((q.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(q.iter().all(|&x| x >= 0.0));
     }
@@ -731,9 +722,7 @@ mod tests {
     fn point_mass_on_star_leaf_moves_to_hub() {
         let g = generators::star(4).unwrap();
         let m = TransitionMatrix::new(&g).unwrap();
-        let mut p = vec![0.0; 4];
-        p[1] = 1.0; // a leaf
-        let q = m.propagate(&p);
+        let q = evolved_point_mass(&m, 1, 1); // from a leaf
         assert!((q[0] - 1.0).abs() < 1e-12);
     }
 
@@ -741,9 +730,7 @@ mod tests {
     fn evolve_converges_towards_stationary_on_odd_cycle() {
         let g = generators::cycle(5).unwrap();
         let m = TransitionMatrix::new(&g).unwrap();
-        let mut p0 = vec![0.0; 5];
-        p0[0] = 1.0;
-        let p = m.evolve(&p0, 500);
+        let p = evolved_point_mass(&m, 0, 500);
         for &x in &p {
             assert!((x - 0.2).abs() < 1e-6);
         }
@@ -753,15 +740,13 @@ mod tests {
     fn lazy_walk_mixes_on_bipartite_graph() {
         let g = generators::cycle(4).unwrap();
         let lazy = TransitionMatrix::with_laziness(&g, 0.5).unwrap();
-        let mut p0 = vec![0.0; 4];
-        p0[0] = 1.0;
-        let p = lazy.evolve(&p0, 300);
+        let p = evolved_point_mass(&lazy, 0, 300);
         for &x in &p {
             assert!((x - 0.25).abs() < 1e-6);
         }
         // The non-lazy walk oscillates and never mixes.
         let simple = TransitionMatrix::new(&g).unwrap();
-        let q = simple.evolve(&p0, 300);
+        let q = evolved_point_mass(&simple, 0, 300);
         assert!((q[0] - 0.5).abs() < 1e-9);
         assert!((q[1] - 0.0).abs() < 1e-9);
     }
@@ -796,8 +781,8 @@ mod tests {
             p[3] = 0.25;
             p[17] = 0.75;
             for _ in 0..9 {
-                let a = matrix.propagate(&p);
-                assert_eq!(a, masked.propagate(&p));
+                let a = scattered(&matrix, &p);
+                assert_eq!(a, scattered(&masked, &p));
                 p = a;
             }
         }
@@ -812,8 +797,7 @@ mod tests {
             available[u] = false;
         }
         let masked = TransitionMatrix::masked(&g, available.clone(), 0.2).unwrap();
-        let mut ensemble =
-            crate::ensemble::DistributionEnsemble::point_masses(n, &[0, 5, n - 1]).unwrap();
+        let mut ensemble = DistributionEnsemble::point_masses(n, &[0, 5, n - 1]).unwrap();
         ensemble.advance(&masked, 6);
         for (row, dist) in ensemble.row_groups(&[0, 3]).concat().chunks(n).enumerate() {
             let sum: f64 = dist.iter().sum();
@@ -822,9 +806,7 @@ mod tests {
         // One step from a point mass: unavailable neighbours receive nothing,
         // the redirected shares stay at the origin.
         let origin = 1;
-        let mut p = vec![0.0; n];
-        p[origin] = 1.0;
-        let out = masked.propagate(&p);
+        let out = evolved_point_mass(&masked, origin, 1);
         let unavailable_nbrs = g
             .neighbors(origin)
             .iter()
@@ -846,9 +828,7 @@ mod tests {
         let available: Vec<bool> = (0..n).map(|u| u % 4 != 1).collect();
         let masked = TransitionMatrix::masked(&g, available.clone(), 0.15).unwrap();
         for i in 0..n {
-            let mut point = vec![0.0; n];
-            point[i] = 1.0;
-            let row = masked.propagate(&point);
+            let row = evolved_point_mass(&masked, i, 1);
             let probabilities: Vec<f64> = (0..n).map(|j| masked.probability(i, j)).collect();
             let sum: f64 = probabilities.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12, "row {i} sums to {sum}");
@@ -977,7 +957,7 @@ mod tests {
                                 .flat_map(|i| rows.iter().map(move |row| row[i]))
                                 .collect();
                             let wants: Vec<Vec<f64>> =
-                                rows.iter().map(|row| op.propagate(row)).collect();
+                                rows.iter().map(|row| scattered(&op, row)).collect();
                             let (a, b) = (rng.gen_range(0..n + 1), rng.gen_range(0..n + 1));
                             for nodes in [0..n, a..a, 0..1, n - 1..n, a.min(b)..a.max(b)] {
                                 let mut out = vec![f64::NAN; nodes.len() * lanes];

@@ -260,7 +260,9 @@ fn take_u32_vec(d: &mut Decoder<'_>) -> Result<Vec<u32>> {
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] on any structural mismatch, before allocating
-/// for an array the body cannot hold.
+/// for an array the body cannot hold, and when the accountant's or the
+/// traffic recorder's clock differs from the engine's round (a coordinator
+/// only ever captures them in lockstep).
 pub fn decode_checkpoint(body: &[u8]) -> Result<CoordinatorCheckpoint> {
     let mut d = Decoder::new(body);
     let round = d.len()?;
@@ -308,6 +310,12 @@ pub fn decode_checkpoint(body: &[u8]) -> Result<CoordinatorCheckpoint> {
     let recorder_messages = take_usize_vec(&mut d)?;
     let recorder_peaks = take_usize_vec(&mut d)?;
     d.finish()?;
+    if accountant_round != round || recorder_rounds != round {
+        return Err(StoreError::Corrupt(format!(
+            "snapshot clocks disagree: engine at round {round}, accountant at \
+             {accountant_round}, recorder at {recorder_rounds}"
+        )));
+    }
     Ok(CoordinatorCheckpoint {
         engine,
         accountant,
@@ -725,6 +733,24 @@ mod tests {
         }
         write_raw_frame(&path, SNAPSHOT_MAGIC, &body);
         load_snapshot(&dir, 9).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_whose_clocks_disagree_is_corrupt() {
+        let dir = temp_dir("clocks");
+        let mut early_accountant = sample_checkpoint();
+        early_accountant.accountant.round -= 1;
+        let mut late_recorder = sample_checkpoint();
+        late_recorder.recorder_rounds += 1;
+        for bad in [early_accountant, late_recorder] {
+            save_snapshot(&dir, &bad).unwrap();
+            assert!(matches!(
+                load_snapshot(&dir, 9),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        save_snapshot(&dir, &sample_checkpoint()).unwrap();
+        assert_eq!(load_snapshot(&dir, 9).unwrap(), sample_checkpoint());
     }
 
     #[test]

@@ -19,14 +19,13 @@ mod common;
 
 use common::strategies;
 use network_shuffle::prelude::*;
-use ns_graph::distribution::PositionDistribution;
 use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
 use ns_graph::sharded_engine::ShardedMixingEngine;
-use ns_graph::transition::TransitionMatrix;
+use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use proptest::prelude::*;
 
 /// Constant schedules degenerate to the static matrix bitwise.
@@ -114,20 +113,24 @@ fn iid_dropout_through_the_engine_matches_the_lazy_walk_moments() {
 
     // Exact trajectory of the equivalent lazy walk.
     let lazy = TransitionMatrix::with_laziness(&g, dropout.as_laziness()).unwrap();
-    let mut exact = PositionDistribution::point_mass(n, origin).unwrap();
+    let mut exact = DistributionEnsemble::point_masses(n, &[origin]).unwrap();
     for (t, round_counts) in counts.iter().enumerate() {
-        exact.step(&lazy);
+        exact.advance(&lazy, 1);
         let empirical: Vec<f64> = round_counts
             .iter()
             .map(|&c| c as f64 / trials as f64)
             .collect();
         // Total-variation distance of the realized distribution (the
-        // un-halved L1 of Definition 4.4)…
-        let tv = exact.tv_distance(&empirical);
+        // un-halved L1 of Definition 4.4: Σ_i |P_i − Q_i|)…
+        let tv: f64 = exact.row_groups(&[0, 1])[0]
+            .iter()
+            .zip(&empirical)
+            .map(|(p, q)| (p - q).abs())
+            .sum();
         assert!(tv < 0.25, "round {}: TV distance {tv}", t + 1);
         // …and the accounting moment itself.
         let empirical_sum_sq: f64 = empirical.iter().map(|p| p * p).sum();
-        let exact_sum_sq = exact.sum_of_squares();
+        let exact_sum_sq = exact.row_stats(0).sum_of_squares;
         assert!(
             (empirical_sum_sq - exact_sum_sq).abs() / exact_sum_sq < 0.2,
             "round {}: empirical sum of squares {empirical_sum_sq} vs exact {exact_sum_sq}",
@@ -138,7 +141,7 @@ fn iid_dropout_through_the_engine_matches_the_lazy_walk_moments() {
     // argument means the i.i.d. schedule's *average* operator is the lazy
     // walk, so after several rounds the lazy trajectory must have left the
     // point mass far behind (sanity that the walk actually mixed here).
-    assert!(exact.sum_of_squares() < 0.15);
+    assert!(exact.row_stats(0).sum_of_squares < 0.15);
 }
 
 /// The laziness equivalence is an expectation over masks, and the exact
@@ -167,7 +170,7 @@ fn averaged_masked_operators_converge_to_the_lazy_matrix() {
     for _ in 0..trials {
         let mask: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= q).collect();
         let masked = TransitionMatrix::masked(&g, mask, 0.0).unwrap();
-        masked.propagate_into(&p, &mut out);
+        masked.propagate_round_into(0, &p, &mut out);
         for (m, &o) in mean.iter_mut().zip(out.iter()) {
             *m += o;
         }
@@ -175,7 +178,8 @@ fn averaged_masked_operators_converge_to_the_lazy_matrix() {
     for m in mean.iter_mut() {
         *m /= trials as f64;
     }
-    let expected = lazy.propagate(&p);
+    let mut expected = vec![0.0f64; n];
+    lazy.propagate_round_into(0, &p, &mut expected);
     let l1: f64 = mean
         .iter()
         .zip(expected.iter())

@@ -184,14 +184,14 @@ proptest! {
     /// destination ranges of it (empty, one node, ending at `n`, and one
     /// drawn at random), each written as its own interleaved chunk — is
     /// bitwise the scalar scatter reference
-    /// ([`TransitionMatrix::propagate_into`]), compared through `to_bits` so
-    /// a `-0.0` for `0.0` would fail.  Covers lane counts 1–9 and 16 (every
-    /// compile-time width and ragged split; 8-lane runs take the body this
-    /// host dispatches to, and `transition.rs`'s unit tests call every body
-    /// the host runs directly), laziness 0 and 0.15, no mask, and masks from
-    /// all-available to all-dark with dark point-mass origins, each step
-    /// prepared through `prepare_round`, over three evolving steps from
-    /// point masses mixed with dense random rows.
+    /// ([`TransitionModel::propagate_round_into`]), compared through
+    /// `to_bits` so a `-0.0` for `0.0` would fail.  Covers lane counts 1–9
+    /// and 16 (every compile-time width and ragged split; 8-lane runs take
+    /// the body this host dispatches to, and `transition.rs`'s unit tests
+    /// call every body the host runs directly), laziness 0 and 0.15, no
+    /// mask, and masks from all-available to all-dark with dark point-mass
+    /// origins, each step prepared through `prepare_round`, over three
+    /// evolving steps from point masses mixed with dense random rows.
     #[test]
     fn pull_kernel_matches_the_scalar_scatter_per_lane(
         graph in strategies::graph_zoo(20..70),
@@ -255,7 +255,7 @@ proptest! {
                         }
                         for (lane, row) in rows.iter_mut().enumerate() {
                             let mut want = vec![f64::NAN; n];
-                            op.propagate_into(row, &mut want);
+                            op.propagate_round_into(0, row, &mut want);
                             for (nodes, out) in &outputs {
                                 for j in nodes.clone() {
                                     prop_assert_eq!(

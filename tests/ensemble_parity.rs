@@ -1,15 +1,14 @@
 //! Parity and dominance tests for the distribution-ensemble kernel.
 //!
 //! The refactor's contract: the blocked multi-origin kernel must agree with
-//! the historical single-distribution route bit for bit, and the exact
-//! route must relate to the spectral bound the way the theory says.
+//! the scalar scatter of each origin stepped alone bit for bit, and the
+//! exact route must relate to the spectral bound the way the theory says.
 
 mod common;
 
 use common::strategies;
 use network_shuffle::prelude::*;
 use ns_graph::connectivity::largest_connected_component;
-use ns_graph::distribution::PositionDistribution;
 use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::{self, DistributionEnsemble};
 use ns_graph::rng::seeded_rng;
@@ -40,28 +39,43 @@ fn irregular_zoo() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// `Scenario::Exact` restricted to one row reproduces
-/// `PositionDistribution::advance` bit for bit — including rows that sit in
-/// the middle of a multi-lane block.
+/// Point masses on every node, `0..n`: the `n × n` ensemble of
+/// `Scenario::Exact`.
+fn every_origin(n: usize) -> DistributionEnsemble {
+    let origins: Vec<NodeId> = (0..n).collect();
+    DistributionEnsemble::point_masses(n, &origins).unwrap()
+}
+
+/// `Scenario::Exact` restricted to one row reproduces the scalar scatter
+/// (`TransitionModel::propagate_round_into`) of that origin stepped alone,
+/// bit for bit — including rows that sit in the middle of a multi-lane
+/// block — and so do its moments.
 #[test]
-fn exact_ensemble_rows_match_position_distribution_bitwise() {
+fn exact_ensemble_rows_match_the_scalar_scatter_bitwise() {
     for (name, graph) in irregular_zoo() {
         let n = graph.node_count();
         let transition = TransitionMatrix::with_laziness(&graph, 0.1).unwrap();
-        let mut full = DistributionEnsemble::all_origins(n).unwrap();
+        let mut full = every_origin(n);
         full.advance(&transition, 12);
         // Spot-check a spread of origins, including block boundaries.
         for origin in [0usize, 1, 7, 8, 9, n / 2, n - 2, n - 1] {
-            let mut single = PositionDistribution::point_mass(n, origin).unwrap();
-            single.advance(&transition, 12);
-            assert_eq!(
-                full.row_groups(&[origin, origin + 1]).concat(),
-                single.probabilities(),
+            let mut single = vec![0.0; n];
+            single[origin] = 1.0;
+            let mut next = vec![0.0; n];
+            for round in 0..12 {
+                transition.propagate_round_into(round, &single, &mut next);
+                std::mem::swap(&mut single, &mut next);
+            }
+            let row = full.row_groups(&[origin, origin + 1]).concat();
+            assert!(
+                row.iter()
+                    .zip(&single)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{name}: origin {origin} diverged from the single-origin route"
             );
             assert_eq!(
-                full.row_stats(origin).sum_of_squares,
-                single.sum_of_squares(),
+                bits(full.row_stats(origin)),
+                bits(ordered_fold(&single)),
                 "{name}: origin {origin} stats diverged"
             );
         }
@@ -164,7 +178,7 @@ fn streaming_moments_match_materialized_ensemble() {
     let n = graph.node_count();
     let transition = TransitionMatrix::new(&graph).unwrap();
     let moments = ensemble::all_origin_moments(&transition, 7).unwrap();
-    let mut full = DistributionEnsemble::all_origins(n).unwrap();
+    let mut full = every_origin(n);
     full.advance(&transition, 7);
     assert_eq!(moments.len(), n);
     for (origin, stats) in moments.iter().enumerate() {
@@ -202,8 +216,8 @@ proptest! {
                 let want = ordered_fold(&ensemble.row_groups(&[row, row + 1]).concat());
                 prop_assert_eq!(bits(ensemble.row_stats(row)), bits(want), "row {}", row);
                 prop_assert_eq!(bits(all[row]), bits(want), "row {}", row);
-                prop_assert_eq!(bits(trajectory.after(row, 2)), bits(want), "row {}", row);
-                prop_assert_eq!(bits(trajectory.after(row, 1)), bits(midway), "row {}", row);
+                prop_assert_eq!(bits(trajectory.row(row)[1]), bits(want), "row {}", row);
+                prop_assert_eq!(bits(trajectory.row(row)[0]), bits(midway), "row {}", row);
             }
         }
     }
@@ -370,7 +384,7 @@ fn fused_streaming_accountant_is_bitwise_the_per_shard_ensembles() {
                     for (shard_cp, (origins, ensemble)) in checkpoint.shards.iter().zip(&reference)
                     {
                         assert_eq!(&shard_cp.origins, origins, "{context}");
-                        let expected = ensemble.clone().into_flat();
+                        let expected = ensemble.row_groups(&[0, ensemble.sources()]).concat();
                         assert_eq!(shard_cp.rows.len(), expected.len(), "{context}");
                         assert!(
                             shard_cp

@@ -193,7 +193,8 @@ proptest! {
                 a.advance(&masked, 6);
                 b.advance(&plain, 6);
                 let bits = |e: DistributionEnsemble| -> Vec<u64> {
-                    e.into_flat().iter().map(|x| x.to_bits()).collect()
+                    let rows = e.row_groups(&[0, e.sources()]).concat();
+                    rows.iter().map(|x| x.to_bits()).collect()
                 };
                 prop_assert_eq!(bits(a), bits(b), "{} rows", sources);
             }

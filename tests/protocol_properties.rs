@@ -9,7 +9,7 @@ mod common;
 
 use common::strategies;
 use network_shuffle::prelude::*;
-use ns_graph::distribution::PositionDistribution;
+use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::generators::random_regular;
 use ns_graph::transition::TransitionMatrix;
 use proptest::prelude::*;
@@ -93,7 +93,8 @@ proptest! {
     }
 
     /// The transition matrix conserves probability mass and keeps every
-    /// entry non-negative, for arbitrary connected graphs and laziness.
+    /// entry non-negative, for arbitrary connected graphs and laziness: one
+    /// origin's distribution, stepped as a 1-row ensemble.
     #[test]
     fn transition_preserves_probability(
         graph in strategies::connected_gnp(5..200, 0.05..0.5),
@@ -103,14 +104,16 @@ proptest! {
         prop_assume!(graph.node_count() >= 2);
         let transition = TransitionMatrix::with_laziness(&graph, laziness).unwrap();
         let origin = origin_choice % graph.node_count();
-        let mut dist = PositionDistribution::point_mass(graph.node_count(), origin).unwrap();
+        let mut dist = DistributionEnsemble::point_masses(graph.node_count(), &[origin]).unwrap();
         for _ in 0..10 {
-            dist.step(&transition);
-            let total: f64 = dist.probabilities().iter().sum();
+            dist.advance(&transition, 1);
+            let row = dist.row_groups(&[0, 1]).concat();
+            let total: f64 = row.iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-9);
-            prop_assert!(dist.probabilities().iter().all(|&x| x >= -1e-15));
-            prop_assert!(dist.sum_of_squares() <= 1.0 + 1e-9);
-            prop_assert!(dist.sum_of_squares() >= 1.0 / graph.node_count() as f64 - 1e-9);
+            prop_assert!(row.iter().all(|&x| x >= -1e-15));
+            let sum_of_squares = dist.row_stats(0).sum_of_squares;
+            prop_assert!(sum_of_squares <= 1.0 + 1e-9);
+            prop_assert!(sum_of_squares >= 1.0 / graph.node_count() as f64 - 1e-9);
         }
     }
 
