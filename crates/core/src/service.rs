@@ -31,8 +31,8 @@
 //!    bitwise the serial step-then-advance.
 //! 3. **Quotes & gating** — [`ShuffleCoordinator::live_quote`] returns the
 //!    worst tracked user's current guarantee without stopping the run, in
-//!    O(tracked rows): each advance re-folds every tracked row's moments
-//!    once, and quotes (the live quote, the durable runtime's per-round
+//!    O(tracked rows): each advance folds every tracked row's moments once,
+//!    inside its sweep, and quotes (the live quote, the durable runtime's per-round
 //!    trace quote, the admission audit) read them;
 //!    [`ShuffleCoordinator::run_until_epsilon`] keeps exchanging until a
 //!    target ε is met (or a round budget runs out).
@@ -170,8 +170,9 @@ type Tracked = (Vec<NodeId>, Vec<usize>, DistributionEnsemble);
 /// the deployment's *realized* per-round operator — the static (lazy) walk,
 /// or, under churn, the round's actual masked operator — one round per call
 /// to [`StreamingAccountant::advance_round`], through the batched ensemble
-/// kernel.  Each advance also re-folds every tracked row's [`RowStats`], so
-/// a quote at the engine's current round costs O(tracked rows), and the
+/// kernel.  Each advance also folds every tracked row's [`RowStats`] inside
+/// its sweep, so a quote at the engine's current round costs O(tracked
+/// rows), and the
 /// evolution is bitwise the offline ensemble route (static or
 /// [`crate::accountant::NetworkShuffleAccountant::with_schedule`])
 /// restricted to the tracked rows — so with every origin tracked the live
@@ -191,10 +192,11 @@ pub struct StreamingAccountant {
     shard_starts: Vec<usize>,
     /// Row `r` is the exact position distribution of `origins[r]`'s report.
     ensemble: DistributionEnsemble,
-    /// `moments[r]` is row `r`'s [`RowStats`], re-folded (one pass per
-    /// block, [`DistributionEnsemble::stats_into`]) whenever the rows
-    /// change, so a quote reads O(tracked rows) values instead of folding
-    /// every row over all `n` users.
+    /// `moments[r]` is row `r`'s [`RowStats`], folded whenever the rows
+    /// change — by each round's sweep, range by range as they finish, and
+    /// by [`DistributionEnsemble::stats_into`] when rows are installed — so
+    /// a quote reads O(tracked rows) values instead of folding every row
+    /// over all `n` users.
     moments: Vec<RowStats>,
     round: usize,
     /// Phase timers and worst-moment gauges; `None` (the default) is the
@@ -300,9 +302,8 @@ impl StreamingAccountant {
         accountant
     }
 
-    /// Re-folds every tracked row's moments into the cache the quotes read.
-    /// With the row count unchanged (every advance) the cache is rewritten
-    /// in place, without allocating.
+    /// Re-folds every tracked row's moments into the cache the quotes read,
+    /// for rows that did not come out of a sweep (a build or an install).
     fn refresh_moments(&mut self) {
         self.ensemble.stats_into(&mut self.moments);
     }
@@ -354,8 +355,8 @@ impl StreamingAccountant {
     /// Advances every tracked distribution by one round through the
     /// deployment's realized operator (the ensembles carry the absolute
     /// round clock, so a scheduled accountant applies `operator(t)` at
-    /// round `t`), then re-folds every row's moments for the quotes.  The
-    /// round's sweep runs on this thread alone.
+    /// round `t`), folding every row's moments for the quotes as it goes.
+    /// The round's sweep runs on this thread alone.
     pub fn advance_round(&mut self) {
         self.advance(|sweep| sweep());
     }
@@ -380,22 +381,24 @@ impl StreamingAccountant {
     }
 
     /// One round: `drive` runs the sweep job (on as many threads as it
-    /// likes, each calling it), then the moments are re-folded here.  With
-    /// telemetry attached, `ns_acct_advance_ns` records the sweep from its
-    /// start until its last unit finishes, on whichever thread ran that —
-    /// the round's preparation (a masked round's dark-neighbour counts,
-    /// run by the first unit) included.
+    /// likes, each calling it), which also folds every row's moments into
+    /// the cache the quotes read.  With telemetry attached,
+    /// `ns_acct_advance_ns` records the sweep from its start until its last
+    /// range is folded, on whichever thread folded that — the round's
+    /// preparation (a masked round's dark-neighbour counts, run by the
+    /// first unit) and the moments fold included.
     fn advance(&mut self, drive: impl FnOnce(&(dyn Fn() + Sync))) {
         let telemetry = self.telemetry.as_ref();
         let started = telemetry.map(|t| t.clock.now_ns());
-        let sweep = self.ensemble.round_sweep(&*self.operator);
+        let sweep = self
+            .ensemble
+            .round_sweep(&*self.operator, &mut self.moments);
         drive(&|| {
             if let (true, Some(t), Some(started)) = (sweep.run(), telemetry, started) {
                 t.advance_ns
                     .record(t.clock.now_ns().saturating_sub(started));
             }
         });
-        self.refresh_moments();
         self.round += 1;
     }
 

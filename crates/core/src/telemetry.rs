@@ -30,9 +30,10 @@ use std::sync::{Arc, Mutex};
 pub mod names {
     /// Accountant sweep per round ([`advance_round`], or the two-thread
     /// sweep of a coordinator round), ns: from the sweep's start until its
-    /// last unit finishes, on whichever thread ran that unit.  A masked
+    /// last range is folded, on whichever thread folded it.  A masked
     /// round's dark-neighbour count pass, which the first unit runs before
-    /// any range, is inside it.
+    /// any range, and the moments fold, which the sweep runs as its ranges
+    /// finish, are inside it.
     ///
     /// [`advance_round`]: crate::service::StreamingAccountant::advance_round
     pub const ACCT_ADVANCE_NS: &str = "ns_acct_advance_ns";

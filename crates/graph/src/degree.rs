@@ -64,18 +64,9 @@ impl DegreeStats {
     }
 }
 
-/// Computes `Γ_G = n Σ_i π_i²` directly from the stationary distribution.
-///
-/// Equivalent to [`DegreeStats::compute`]'s `irregularity` field but useful
-/// when the stationary distribution is already at hand; also works for an
-/// arbitrary position distribution `P` (giving the time-dependent
-/// `Γ_G(t) = n Σ_i P_i(t)²` used in the finite-time analysis).
-pub fn irregularity_from_distribution(p: &[f64]) -> f64 {
-    let n = p.len() as f64;
-    n * p.iter().map(|x| x * x).sum::<f64>()
-}
-
 /// `Σ_i P_i²` of a distribution — the quantity the privacy theorems consume.
+/// `n` times it is the irregularity `Γ_G = n Σ_i π_i²` at the stationary
+/// distribution, and the time-dependent `Γ_G(t)` at a position distribution.
 pub fn sum_of_squares(p: &[f64]) -> f64 {
     p.iter().map(|x| x * x).sum()
 }
@@ -116,14 +107,14 @@ mod tests {
     #[test]
     fn irregularity_from_uniform_distribution_is_one() {
         let p = vec![0.25; 4];
-        assert!((irregularity_from_distribution(&p) - 1.0).abs() < 1e-12);
+        assert!((4.0 * sum_of_squares(&p) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn irregularity_from_point_mass_is_n() {
         let mut p = vec![0.0; 8];
         p[3] = 1.0;
-        assert!((irregularity_from_distribution(&p) - 8.0).abs() < 1e-12);
+        assert!((8.0 * sum_of_squares(&p) - 8.0).abs() < 1e-12);
         assert!((sum_of_squares(&p) - 1.0).abs() < 1e-12);
     }
 
@@ -132,7 +123,7 @@ mod tests {
         let g = generators::star(7).unwrap();
         let stats = DegreeStats::compute(&g).unwrap();
         let pi = crate::stationary::stationary_distribution(&g).unwrap();
-        let gamma = irregularity_from_distribution(&pi);
+        let gamma = pi.len() as f64 * sum_of_squares(&pi);
         assert!((stats.irregularity - gamma).abs() < 1e-9);
     }
 }

@@ -42,7 +42,10 @@
 //! block, and each 1-row block whole — that any thread calling
 //! [`RoundSweep::run`] claims in turn.  Every destination's
 //! adds keep their order and their code whichever thread runs its unit, so
-//! the rows are bitwise the serial advance.
+//! the rows are bitwise the serial advance.  The sweep also folds every
+//! row's moments as its ranges finish, in node order, so they are bitwise
+//! [`DistributionEnsemble::stats_into`] over the new rows without a pass
+//! after the round.
 //!
 //! The module also provides bounded-memory drivers over *all* `n` origins
 //! ([`all_origin_moments`], [`all_origin_trajectories`]): the full ensemble
@@ -127,6 +130,10 @@ const CHAINS: usize = 4;
 /// support ratio is 1 whatever the zero's sign.  A 1-lane block splits its
 /// max and min over [`CHAINS`] chains so they do not serialize; wider
 /// blocks get that parallelism from their lanes and keep one chain each.
+///
+/// This is the register form of one fold call; between calls the state
+/// rests in a [`RunningMoments`], so a block may be folded a destination
+/// range at a time, in node order, with the bits of one pass.
 struct Moments<const L: usize, const C: usize> {
     sum_of_squares: [f64; L],
     max: [[f64; L]; C],
@@ -134,11 +141,28 @@ struct Moments<const L: usize, const C: usize> {
 }
 
 impl<const L: usize, const C: usize> Moments<L, C> {
-    fn new() -> Self {
+    /// The fold where `running` left it.
+    #[inline(always)]
+    fn resume(running: &RunningMoments) -> Self {
+        const { assert!(L * C <= LANES) };
         Moments {
-            sum_of_squares: [0.0; L],
-            max: [[f64::NEG_INFINITY; L]; C],
-            min_positive: [[f64::INFINITY; L]; C],
+            sum_of_squares: std::array::from_fn(|lane| running.sum_of_squares[lane]),
+            max: std::array::from_fn(|chain| {
+                std::array::from_fn(|lane| running.max[chain * L + lane])
+            }),
+            min_positive: std::array::from_fn(|chain| {
+                std::array::from_fn(|lane| running.min_positive[chain * L + lane])
+            }),
+        }
+    }
+
+    /// Leaves the fold in `running`.
+    #[inline(always)]
+    fn suspend(&self, running: &mut RunningMoments) {
+        running.sum_of_squares[..L].copy_from_slice(&self.sum_of_squares);
+        for chain in 0..C {
+            running.max[chain * L..][..L].copy_from_slice(&self.max[chain]);
+            running.min_positive[chain * L..][..L].copy_from_slice(&self.min_positive[chain]);
         }
     }
 
@@ -152,18 +176,39 @@ impl<const L: usize, const C: usize> Moments<L, C> {
             self.min_positive[chain][lane] = select_min(self.min_positive[chain][lane], positive);
         }
     }
+}
 
-    fn finish(self, out: &mut [RowStats]) {
+/// A block's [`Moments`] between fold calls, at run-time width: lane `l` of
+/// chain `c` at `c · lanes + l` (one chain per lane of a multi-lane block,
+/// [`CHAINS`] of a 1-lane one).
+#[derive(Debug, Clone, Copy)]
+struct RunningMoments {
+    sum_of_squares: [f64; LANES],
+    max: [f64; LANES],
+    min_positive: [f64; LANES],
+}
+
+impl RunningMoments {
+    /// The fold of no node.
+    fn new() -> Self {
+        RunningMoments {
+            sum_of_squares: [0.0; LANES],
+            max: [f64::NEG_INFINITY; LANES],
+            min_positive: [f64::INFINITY; LANES],
+        }
+    }
+
+    /// The [`RowStats`] of a block `lanes` wide whose every node is
+    /// folded, one per entry of `out`: each lane's chains merged, then its
+    /// support ratio.
+    fn finish(&self, lanes: usize, out: &mut [RowStats]) {
+        let chains = if lanes == 1 { CHAINS } else { 1 };
         for (lane, stats) in out.iter_mut().enumerate() {
-            let max = self
-                .max
-                .iter()
-                .map(|m| m[lane])
+            let max = (0..chains)
+                .map(|chain| self.max[chain * lanes + lane])
                 .fold(f64::NEG_INFINITY, select_max);
-            let min_nonzero = self
-                .min_positive
-                .iter()
-                .map(|m| m[lane])
+            let min_nonzero = (0..chains)
+                .map(|chain| self.min_positive[chain * lanes + lane])
                 .fold(f64::INFINITY, select_min);
             let support_ratio =
                 if !max.is_finite() || !min_nonzero.is_finite() || min_nonzero == 0.0 {
@@ -199,11 +244,11 @@ fn select_min(min: f64, x: f64) -> f64 {
     }
 }
 
-/// [`block_stats`] at a compile-time lane count `L` and `C` chains.
+/// [`fold_in`] at a compile-time lane count `L` and `C` chains.
 #[inline(always)]
-fn fold_block<const L: usize, const C: usize>(block: &[f64], out: &mut [RowStats]) {
-    let mut moments = Moments::<L, C>::new();
-    let mut groups = block.chunks_exact(L * C);
+fn fold_block<const L: usize, const C: usize>(nodes: &[f64], running: &mut RunningMoments) {
+    let mut moments = Moments::<L, C>::resume(running);
+    let mut groups = nodes.chunks_exact(L * C);
     for group in &mut groups {
         for chain in 0..C {
             moments.push(chain, &group[chain * L..]);
@@ -212,7 +257,7 @@ fn fold_block<const L: usize, const C: usize>(block: &[f64], out: &mut [RowStats
     for (chain, node) in groups.remainder().chunks_exact(L).enumerate() {
         moments.push(chain, node);
     }
-    moments.finish(out);
+    moments.suspend(running);
 }
 
 /// Every lane's [`RowStats`] of an interleaved block `lanes` wide, in one
@@ -233,47 +278,61 @@ fn block_stats(block: &[f64], lanes: usize, out: &mut [RowStats]) {
 /// # Panics
 ///
 /// Panics if the host cannot run `isa`.
-#[allow(unsafe_code)]
 fn block_stats_in(isa: Isa, block: &[f64], lanes: usize, out: &mut [RowStats]) {
+    let mut running = RunningMoments::new();
+    fold_in(isa, block, lanes, &mut running);
+    running.finish(lanes, out);
+}
+
+/// Folds `nodes`, whole nodes of an interleaved block `lanes` wide, into
+/// `running`, in node order, compiled for `isa`.  Folding a block's
+/// destination ranges in node order, one call each, is bitwise one call
+/// over the block: every chain of a multi-lane block is one chain.
+///
+/// # Panics
+///
+/// Panics if the host cannot run `isa`.
+#[allow(unsafe_code)]
+fn fold_in(isa: Isa, nodes: &[f64], lanes: usize, running: &mut RunningMoments) {
     assert!(isa <= Isa::detected(), "this host cannot run {isa:?} code");
     match isa {
         // SAFETY: the host runs `isa`, just checked.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { block_stats_avx512(block, lanes, out) },
+        Isa::Avx512 => unsafe { fold_avx512(nodes, lanes, running) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { block_stats_avx2(block, lanes, out) },
-        _ => fold_lanes(block, lanes, out),
+        Isa::Avx2 => unsafe { fold_avx2(nodes, lanes, running) },
+        _ => fold_lanes(nodes, lanes, running),
     }
 }
 
 /// [`fold_lanes`] compiled with AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn block_stats_avx512(block: &[f64], lanes: usize, out: &mut [RowStats]) {
-    fold_lanes(block, lanes, out);
+fn fold_avx512(nodes: &[f64], lanes: usize, running: &mut RunningMoments) {
+    fold_lanes(nodes, lanes, running);
 }
 
 /// [`fold_lanes`] compiled with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn block_stats_avx2(block: &[f64], lanes: usize, out: &mut [RowStats]) {
-    fold_lanes(block, lanes, out);
+fn fold_avx2(nodes: &[f64], lanes: usize, running: &mut RunningMoments) {
+    fold_lanes(nodes, lanes, running);
 }
 
 /// [`fold_block`] at the block's lane count, inlined into each
 /// instruction set's caller.
 #[inline(always)]
-fn fold_lanes(block: &[f64], lanes: usize, out: &mut [RowStats]) {
+fn fold_lanes(nodes: &[f64], lanes: usize, running: &mut RunningMoments) {
     match lanes {
-        1 => fold_block::<1, CHAINS>(block, out),
-        2 => fold_block::<2, 1>(block, out),
-        3 => fold_block::<3, 1>(block, out),
-        4 => fold_block::<4, 1>(block, out),
-        5 => fold_block::<5, 1>(block, out),
-        6 => fold_block::<6, 1>(block, out),
-        7 => fold_block::<7, 1>(block, out),
-        8 => fold_block::<8, 1>(block, out),
+        1 => fold_block::<1, CHAINS>(nodes, running),
+        2 => fold_block::<2, 1>(nodes, running),
+        3 => fold_block::<3, 1>(nodes, running),
+        4 => fold_block::<4, 1>(nodes, running),
+        5 => fold_block::<5, 1>(nodes, running),
+        6 => fold_block::<6, 1>(nodes, running),
+        7 => fold_block::<7, 1>(nodes, running),
+        8 => fold_block::<8, 1>(nodes, running),
         _ => unreachable!("a block holds 1..={LANES} lanes, not {lanes}"),
     }
 }
@@ -339,14 +398,18 @@ pub struct DistributionEnsemble {
 
 /// The buffers an ensemble keeps between advances: the second buffer of
 /// rows — one block of scratch for an offline advance, every row's
-/// previous state for a shared round — and the per-round dark-neighbour
-/// counts its masked rounds read ([`TransitionModel::prepare_round`]).
-/// Pure scratch, never part of the ensemble's value: clones start empty and
-/// equality ignores it.
+/// previous state for a shared round — the per-round dark-neighbour
+/// counts its masked rounds read ([`TransitionModel::prepare_round`]), and
+/// a shared round's fold bookkeeping (see [`RoundSweep`]).  Pure scratch,
+/// never part of the ensemble's value: clones start empty and equality
+/// ignores it.
 #[derive(Default)]
 struct Spare {
     rows: Vec<f64>,
     dark: DarkCounts,
+    folds: Vec<BlockFold>,
+    /// The allocation of a sweep's `Claims::done`, kept between sweeps.
+    done: Vec<Option<&'static [f64]>>,
 }
 
 impl Clone for Spare {
@@ -575,17 +638,24 @@ impl DistributionEnsemble {
 
     /// One round of every row under `model`, set up as shared work that
     /// any number of threads may join by calling [`RoundSweep::run`] on the
-    /// returned sweep.  Once the sweep has run to the end, the rows and the
-    /// clock are bitwise what [`DistributionEnsemble::advance`]`(model, 1)`
-    /// leaves, whichever threads ran which part.  The clock moves and the
+    /// returned sweep, and each row's moments after the round, folded
+    /// inside the sweep into `stats` (resized to one entry per row).  Once
+    /// the sweep has run to the end, the rows and the clock are bitwise
+    /// what [`DistributionEnsemble::advance`]`(model, 1)` leaves and
+    /// `stats` is bitwise what [`DistributionEnsemble::stats_into`] then
+    /// reads, whichever threads ran which part.  The clock moves and the
     /// two buffers swap when the sweep is made — the rows read as the new
-    /// state only once every unit has run — and the ensemble stays borrowed
-    /// until the sweep is dropped.
+    /// state only once every unit has run — and the ensemble and `stats`
+    /// stay borrowed until the sweep is dropped.
     ///
     /// # Panics
     ///
     /// Panics if `model.node_count()` differs from the ensemble's.
-    pub fn round_sweep<'a, M>(&'a mut self, model: &'a M) -> RoundSweep<'a, M>
+    pub fn round_sweep<'a, M>(
+        &'a mut self,
+        model: &'a M,
+        stats: &'a mut Vec<RowStats>,
+    ) -> RoundSweep<'a, M>
     where
         M: TransitionModel + Sync + ?Sized,
     {
@@ -599,14 +669,23 @@ impl DistributionEnsemble {
         self.time += 1;
         // The old state stays in the spare buffer, read by every unit; the
         // units write the new state into `data`.
-        let Spare { rows, dark } = &mut self.spare;
+        let Spare {
+            rows,
+            dark,
+            folds,
+            done,
+        } = &mut self.spare;
         rows.resize(self.data.len(), 0.0);
         std::mem::swap(&mut self.data, rows);
         let input: &'a [f64] = rows;
-        let unfinished = input
+        let units = input
             .chunks(LANES * n)
             .map(|block| ranges_of(block.len() / n, n))
             .sum();
+        folds.clear();
+        let mut finished_units = std::mem::take(done);
+        finished_units.resize(units, None);
+        stats.resize(self.sources, RowStats::default());
         RoundSweep {
             model,
             round,
@@ -614,8 +693,13 @@ impl DistributionEnsemble {
                 n,
                 blocks: input.chunks(LANES * n).zip(self.data.chunks_mut(LANES * n)),
                 current: None,
-                unfinished,
+                handed: 0,
+                unfinished: units,
                 unprepared: Some(dark),
+                stats,
+                folds,
+                done: finished_units,
+                home: done,
             }),
             dark: OnceLock::new(),
         }
@@ -640,7 +724,7 @@ impl DistributionEnsemble {
             return;
         }
         let n = self.nodes;
-        let Spare { rows, dark } = &mut self.spare;
+        let Spare { rows, dark, .. } = &mut self.spare;
         let len = LANES.min(self.sources) * n;
         if rows.len() < len {
             rows.resize(len, 0.0);
@@ -667,16 +751,28 @@ fn ranges_of(lanes: usize, n: usize) -> usize {
 }
 
 /// One round of a [`DistributionEnsemble`] as shared work
-/// ([`DistributionEnsemble::round_sweep`]).
+/// ([`DistributionEnsemble::round_sweep`]), with every row's moments folded
+/// as the round's ranges finish.
 ///
 /// Every unit reads the old state and writes its own disjoint chunk of the
 /// new one: one destination range of a multi-row block, written as one
 /// contiguous interleaved chunk, or a whole 1-row block.  Units are claimed
 /// in order from one lock and never wait for each other, so a unit that
-/// panics strands no one: the other threads finish what is left.  The one exception is
-/// the round's preparation ([`TransitionModel::prepare_round`]): the first
-/// unit that needs it runs it, and a unit claimed meanwhile on another
-/// thread waits for it.
+/// panics strands no one: the other threads finish what is left.  The one
+/// exception is the round's preparation ([`TransitionModel::prepare_round`]):
+/// the first unit that needs it runs it, and a unit claimed meanwhile on
+/// another thread waits for it.
+///
+/// The moments fold rides along.  A 1-row block is folded by the thread
+/// that ran its scatter, right after it.  A multi-row block's fold is one
+/// chain per lane in node order, so it is folded range by range, in node
+/// order, as its ranges finish: the thread that finishes the block's next
+/// range to fold folds it and then every finished successor, while a range
+/// that finishes early is left, recorded, to that thread.  Each block's
+/// [`RowStats`] land once its last range is folded, bitwise what
+/// [`DistributionEnsemble::stats_into`] reads from the finished rows.  The
+/// fold's bookkeeping lives in buffers the ensemble keeps between sweeps,
+/// so a settled round allocates nothing.
 pub struct RoundSweep<'a, M: ?Sized> {
     model: &'a M,
     /// The absolute round the sweep applies.
@@ -687,7 +783,7 @@ pub struct RoundSweep<'a, M: ?Sized> {
     dark: OnceLock<&'a DarkCounts>,
 }
 
-/// The claim state of a [`RoundSweep`].
+/// The claim and fold state of a [`RoundSweep`].
 struct Claims<'a> {
     n: usize,
     /// Each block not yet started: its old state beside the chunk of the
@@ -695,11 +791,23 @@ struct Claims<'a> {
     blocks: Zip<Chunks<'a, f64>, ChunksMut<'a, f64>>,
     /// The block whose ranges are being handed out.
     current: Option<Block<'a>>,
-    /// Units not yet finished.
+    /// Units handed out so far.
+    handed: usize,
+    /// Units not yet folded.
     unfinished: usize,
     /// The buffer the round's dark counts are prepared into, until the
     /// first unit that reads them takes it.
     unprepared: Option<&'a mut DarkCounts>,
+    /// Every row's moments, written block by block as each block's fold
+    /// completes.
+    stats: &'a mut [RowStats],
+    /// Each started block's fold, in block order.
+    folds: &'a mut Vec<BlockFold>,
+    /// Each unit's new state, in unit order, from when it has run until it
+    /// is folded.
+    done: Vec<Option<&'a [f64]>>,
+    /// Where `done`'s allocation goes back once the sweep completes.
+    home: &'a mut Vec<Option<&'static [f64]>>,
 }
 
 /// A block being handed out range by range, in node order.
@@ -713,13 +821,30 @@ struct Block<'a> {
     taken: usize,
 }
 
-/// One claimed unit: destinations `nodes` of one block, whose next state
-/// lands in `out` (`out[(j − nodes.start)·lanes + l]`).
+/// One block's moments fold during a [`RoundSweep`].
+#[derive(Debug, Clone, Copy)]
+struct BlockFold {
+    lanes: usize,
+    /// Units in the block, and the index of its first in unit order.
+    ranges: usize,
+    first: usize,
+    /// Ranges folded so far, in node order.
+    folded: usize,
+    /// Whether a thread is folding the block's ranges now.
+    folding: bool,
+    moments: RunningMoments,
+}
+
+/// One claimed unit: destinations `nodes` of block `block`, whose next
+/// state lands in `out` (`out[(j − nodes.start)·lanes + l]`); `index`
+/// counts units in claim order.
 struct Unit<'a> {
     input: &'a [f64],
     lanes: usize,
     nodes: Range<usize>,
     out: &'a mut [f64],
+    block: usize,
+    index: usize,
 }
 
 impl<'a> Claims<'a> {
@@ -736,31 +861,75 @@ impl<'a> Claims<'a> {
                 let (out, tail) =
                     std::mem::take(&mut block.tail).split_at_mut((end - start) * block.lanes);
                 block.tail = tail;
+                self.handed += 1;
                 return Some(Unit {
                     input: block.input,
                     lanes: block.lanes,
                     nodes: start..end,
                     out,
+                    block: self.folds.len() - 1,
+                    index: self.handed - 1,
                 });
             }
             let (input, tail) = self.blocks.next()?;
             let lanes = input.len() / n;
+            let count = ranges_of(lanes, n);
             self.current = Some(Block {
                 input,
                 lanes,
                 tail,
-                count: ranges_of(lanes, n),
+                count,
                 taken: 0,
+            });
+            self.folds.push(BlockFold {
+                lanes,
+                ranges: count,
+                first: self.handed,
+                folded: 0,
+                folding: false,
+                moments: RunningMoments::new(),
             });
         }
     }
+
+    /// The next range of `block` to fold, if it has run; it is taken.
+    fn next_to_fold(&mut self, block: usize) -> Option<&'a [f64]> {
+        let fold = &self.folds[block];
+        if fold.folded == fold.ranges {
+            return None;
+        }
+        self.done[fold.first + fold.folded].take()
+    }
+
+    /// Counts one unit folded; whether it was the sweep's last.  The last
+    /// one hands the sweep's bookkeeping back to the ensemble.
+    fn count_folded(&mut self) -> bool {
+        self.unfinished -= 1;
+        let last = self.unfinished == 0;
+        if last {
+            *self.home = recycled(std::mem::take(&mut self.done));
+        }
+        last
+    }
+}
+
+/// `slots`, emptied, as a buffer for borrows of another lifetime: the
+/// buffer that keeps a sweep's finished chunks goes back to the ensemble
+/// between sweeps this way.  Collecting an emptied vector through `map`
+/// into one of an element of the same layout reuses its allocation in
+/// place, which the allocation audits pin (`tests/accountant_allocations.rs`,
+/// `tests/coordinator_allocations.rs`).
+fn recycled<'b>(mut slots: Vec<Option<&[f64]>>) -> Vec<Option<&'b [f64]>> {
+    slots.clear();
+    slots.into_iter().map(|_| None).collect()
 }
 
 impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
     /// Claims and runs units until none is left to claim.  Returns `true`
-    /// on exactly one call per completed sweep: the one that finished its
-    /// last unit (what a caller timing the sweep keys on).  A sweep one of
-    /// whose units panicked never completes.
+    /// on exactly one call per completed sweep: the one that folded its
+    /// last range, after which every unit has run and every row's moments
+    /// are written (what a caller timing the sweep keys on).  A sweep one
+    /// of whose units panicked never completes.
     pub fn run(&self) -> bool {
         let mut finished = false;
         while let Some(last) = self.run_one() {
@@ -769,33 +938,70 @@ impl<'a, M: TransitionModel + Sync + ?Sized> RoundSweep<'a, M> {
         finished
     }
 
-    /// Claims and runs one unit; `false` when no unit was left to claim.
-    /// Lets a caller choose which thread runs which unit.
+    /// Claims and runs one unit, and folds what it can; `false` when no
+    /// unit was left to claim.  Lets a caller choose which thread runs
+    /// which unit.
     pub fn run_unit(&self) -> bool {
         self.run_one().is_some()
     }
 
-    /// Runs the next unit; `None` when none is left, else whether it was
-    /// the sweep's last to finish.
+    /// Runs the next unit and folds what it can; `None` when no unit was
+    /// left, else whether the sweep completed here.
     fn run_one(&self) -> Option<bool> {
-        let unit = self.lock().next_unit()?;
+        let Unit {
+            input,
+            lanes,
+            nodes,
+            out,
+            block,
+            index,
+        } = self.lock().next_unit()?;
         let (model, round) = (self.model, self.round);
-        if unit.lanes > 1 {
-            model.propagate_round_interleaved_range(
-                round,
-                unit.lanes,
-                unit.input,
-                unit.nodes,
-                unit.out,
-                self.dark(),
-            );
+        if lanes > 1 {
+            let dark = self.dark();
+            model.propagate_round_interleaved_range(round, lanes, input, nodes, out, dark);
+            Some(self.fold_ranges(block, index, out))
         } else {
-            // A 1-row block is its row.
-            model.propagate_round_into(round, unit.input, unit.out);
+            // A 1-row block is its row, folded whole here.
+            model.propagate_round_into(round, input, out);
+            let mut stats = [RowStats::default()];
+            block_stats(out, 1, &mut stats);
+            let mut claims = self.lock();
+            claims.stats[block * LANES] = stats[0];
+            claims.folds[block].folded = 1;
+            Some(claims.count_folded())
         }
+    }
+
+    /// Records unit `index`, a range of multi-row `block`, as run with new
+    /// state `out`, then — unless another thread is folding `block` —
+    /// folds every range of `block` that is next in node order and has
+    /// run.  Returns whether the sweep completed here.
+    fn fold_ranges(&self, block: usize, index: usize, out: &'a [f64]) -> bool {
         let mut claims = self.lock();
-        claims.unfinished -= 1;
-        Some(claims.unfinished == 0)
+        claims.done[index] = Some(out);
+        if claims.folds[block].folding {
+            return false;
+        }
+        claims.folds[block].folding = true;
+        let mut completed = false;
+        while let Some(chunk) = claims.next_to_fold(block) {
+            let BlockFold {
+                lanes, mut moments, ..
+            } = claims.folds[block];
+            drop(claims);
+            fold_in(Isa::detected(), chunk, lanes, &mut moments);
+            claims = self.lock();
+            let fold = &mut claims.folds[block];
+            fold.moments = moments;
+            fold.folded += 1;
+            if fold.folded == fold.ranges {
+                moments.finish(lanes, &mut claims.stats[block * LANES..][..lanes]);
+            }
+            completed |= claims.count_folded();
+        }
+        claims.folds[block].folding = false;
+        completed
     }
 
     /// The round's dark counts: prepared by the first call, which every
@@ -1201,24 +1407,48 @@ mod tests {
         assert_eq!(zero.row_stats(0).support_ratio, 1.0);
     }
 
+    fn stats_bits(stats: &[RowStats]) -> Vec<(u64, u64)> {
+        stats
+            .iter()
+            .map(|s| (s.sum_of_squares.to_bits(), s.support_ratio.to_bits()))
+            .collect()
+    }
+
+    /// Two threads share each sweep; exactly one `run` reports it finished,
+    /// and only once the last unit has run and the last range is folded:
+    /// at that moment every block's fold is complete and the moments it
+    /// wrote are bitwise `stats_into` over the serial round's rows.
     #[test]
     fn exactly_one_run_reports_the_finished_sweep() {
         let g = irregular_graph(7);
         let t = TransitionMatrix::with_laziness(&g, 0.2).unwrap();
-        for rows in [1usize, 8, 13] {
+        for rows in [1usize, 8, 13, 17] {
             let origins: Vec<usize> = (0..rows).map(|i| i * 11 % 150).collect();
             let mut serial = DistributionEnsemble::point_masses(150, &origins).unwrap();
             let mut swept = serial.clone();
             serial.advance(&t, 1);
-            let sweep = swept.round_sweep(&t);
+            let mut want = Vec::new();
+            serial.stats_into(&mut want);
+            let mut stats = vec![RowStats::default(); 3];
+            let sweep = swept.round_sweep(&t, &mut stats);
+            let run = || {
+                let finished = sweep.run();
+                if finished {
+                    let claims = sweep.lock();
+                    assert!(claims.folds.iter().all(|f| f.folded == f.ranges));
+                    assert_eq!(stats_bits(claims.stats), stats_bits(&want), "{rows} rows");
+                }
+                finished
+            };
             let finished = std::thread::scope(|scope| {
-                let other = scope.spawn(|| sweep.run());
-                let here = sweep.run();
+                let other = scope.spawn(run);
+                let here = run();
                 [other.join().unwrap(), here]
             });
             assert_eq!(finished.iter().filter(|&&f| f).count(), 1, "{rows} rows");
             assert!(!sweep.run(), "a finished sweep has nothing left");
             assert_eq!(swept, serial, "{rows} rows");
+            assert_eq!(stats_bits(&stats), stats_bits(&want), "{rows} rows");
         }
     }
 
@@ -1274,7 +1504,8 @@ mod tests {
             armed: AtomicBool::new(true),
             finished: AtomicUsize::new(0),
         };
-        let sweep = ensemble.round_sweep(&model);
+        let mut stats = Vec::new();
+        let sweep = ensemble.round_sweep(&model, &mut stats);
         let outcomes = std::thread::scope(|scope| {
             let threads = [scope.spawn(|| sweep.run()), scope.spawn(|| sweep.run())];
             threads.map(|thread| thread.join())

@@ -13,8 +13,9 @@
 //!   tolerance;
 //! * each shard lists its nodes in ascending global id (a node's position
 //!   in that list is its local id, which the engine's checkpoint layout
-//!   uses), and the same nodes as maximal runs of consecutive ids, which
-//!   the engine sweeps.  A partition is only this assignment: the engine
+//!   uses), and the same nodes as maximal runs of consecutive ids, whose
+//!   buckets the engine copies a run at a time.  A partition is only this
+//!   assignment: the engine
 //!   keeps its buckets over global ids and samples neighbours from the one
 //!   global CSR, so no per-shard graph copies are built;
 //! * quality is quantified by [`Partition::edge_cut_fraction`] (fraction of
@@ -66,8 +67,9 @@ impl Shard {
     }
 
     /// The shard's nodes as maximal runs of consecutive global ids,
-    /// ascending — a single run `0..n` under the 1-shard partition.  The
-    /// engine sweeps a shard's holders run by run.
+    /// ascending — a single run `0..n` under the 1-shard partition.  A
+    /// run's holder buckets are one contiguous slice, which the engine
+    /// counts and copies a run at a time.
     pub fn runs(&self) -> &[Range<NodeId>] {
         &self.runs
     }

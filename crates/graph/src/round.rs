@@ -6,20 +6,23 @@
 //! uniformly random neighbour) runs in two phases over one
 //! `HolderBuckets` CSR keyed by global node id:
 //!
-//! * `decide_holder_moves` / `decide_holder_moves_fast` — the **decide
-//!   phase**: sweep one shard's holders in ascending id order (run by run
-//!   of consecutive ids, [`crate::partition::Shard::runs`]), each holder's
-//!   bucket in order, drawing every walker's move from the shard's stream
-//!   through the one sampling rule of the draw mode.  Survivors (lazy
-//!   stays *and* masked bounces) and deliveries (in send order) go to the
-//!   shard's `RoundArena`.  Shards only read the shared buckets and
-//!   write their own arena and stream, so they may run in any order.
+//! * `RoundArena::decide_compat` / `RoundArena::decide_fast` — the
+//!   **decide phase**: one sweep of every holder in ascending global id,
+//!   each holder's bucket in order (the engine hands the kernel one range
+//!   of holders at a time: the whole id space under one shard, else one
+//!   node).  Every walker draws its move from its holder's shard's stream
+//!   through the one sampling rule of the draw mode, and lands in that
+//!   shard's `RoundArena`: survivors (lazy stays *and* masked bounces) and
+//!   deliveries (in send order).  An arena keeps its draw cursor from one
+//!   range of its shard's holders to the next (`RoundArena::open` and
+//!   `close` bracket the phase), so each shard's draws, arena contents and
+//!   stream consumption are exactly those of a sweep over that shard's
+//!   holders alone.
 //! * `HolderBuckets::merge` — the **merge phase**: one counting sort over
 //!   every node that rebuilds the buckets from every shard's survivors
 //!   (first, in previous bucket order) and then every shard's deliveries
 //!   in ascending shard id, each in send order.  That canonical order is a
-//!   fixed function of the per-shard draws, so a round does not depend on
-//!   the order shards were sampled in; under one shard it is the
+//!   fixed function of the per-shard draws; under one shard it is the
 //!   historical message-passing loop (survivors first, then arrivals in
 //!   global send order).  The merge also yields the round's statistics:
 //!   `load[u]` is `u`'s new bucket length, and `sent[u]` is what `u` held
@@ -162,7 +165,7 @@ pub(crate) struct RoundPlan<'a> {
     pub available: Option<&'a [bool]>,
 }
 
-/// Decide-phase scratch of one holder range — one per shard.  Buffers grow
+/// Decide-phase scratch of one shard.  Buffers grow
 /// to their steady-state capacity during the first rounds and are only
 /// ever cleared afterwards, so warm rounds perform no heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -185,6 +188,25 @@ pub(crate) struct RoundArena {
     /// is not a bounce (no delivery was attempted); under `None` or an
     /// all-available mask this is always 0.
     pub(crate) bounced: u64,
+    /// Where the decide phase in progress stands between its runs.
+    cursor: DrawCursor,
+}
+
+/// The position of a decide phase between two of its runs: the fast draw's
+/// lane and stream cursors and the two outcome cursors.  Compat draws use
+/// none of it.
+#[derive(Debug, Clone, Copy, Default)]
+struct DrawCursor {
+    /// Walkers the phase decides: the lane never draws past them.
+    total: usize,
+    /// Values drawn from the stream into the lane so far.
+    drawn: usize,
+    /// Next unread lane slot, and the slots the last refill filled.
+    lane_pos: usize,
+    lane_len: usize,
+    /// Survivors and deliveries written so far.
+    kept: usize,
+    sent: usize,
 }
 
 impl RoundArena {
@@ -375,123 +397,163 @@ impl HolderBuckets {
     }
 }
 
-/// The decide phase of one holder-order round over one holder range, in
-/// [`DrawMode::Compat`].
-///
-/// `holders` lists the range's nodes as ascending runs of consecutive ids,
-/// swept in that order.  Each holder's bucket is visited in order and
-/// every walker draws one move from `rng` through the plan's sampling rule.
-/// Survivors — lazy stays *and* masked bounces — are appended to `arena`,
-/// and every delivery is appended to the arena's delivery buffers (see
-/// [`RoundArena::deliveries`]) in send order.
-pub(crate) fn decide_holder_moves<R: Rng + ?Sized>(
-    plan: &RoundPlan<'_>,
-    holders: &[Range<NodeId>],
-    buckets: &HolderBuckets,
-    arena: &mut RoundArena,
-    rng: &mut R,
-) {
-    arena.kept_nodes.clear();
-    arena.kept_walkers.clear();
-    arena.deliver_dests.clear();
-    arena.deliver_walkers.clear();
-    arena.bounced = 0;
-    for run in holders {
-        for u in run.clone() {
+impl RoundArena {
+    /// Opens the decide phase of one round over a shard that holds `total`
+    /// walkers: empties the survivor and delivery buffers and resets the
+    /// bounce count and the draw cursor.  In [`DrawMode::Fast`] the buffers
+    /// are sized to `total` (each walker is written to both outcome slots)
+    /// and the lane draws exactly `total` values over the phase; compat
+    /// draws ignore `total`.
+    pub(crate) fn open(&mut self, mode: DrawMode, total: usize) {
+        self.bounced = 0;
+        self.cursor = DrawCursor {
+            total,
+            ..DrawCursor::default()
+        };
+        match mode {
+            DrawMode::Compat => {
+                self.kept_nodes.clear();
+                self.kept_walkers.clear();
+                self.deliver_dests.clear();
+                self.deliver_walkers.clear();
+            }
+            DrawMode::Fast => {
+                self.kept_nodes.resize(total, 0);
+                self.kept_walkers.resize(total, 0);
+                self.deliver_dests.resize(total, 0);
+                self.deliver_walkers.resize(total, 0);
+                if self.lane.len() < LANE_CHUNK.min(total) {
+                    self.lane.resize(LANE_CHUNK.min(total), 0);
+                }
+            }
+        }
+    }
+
+    /// Closes the decide phase [`RoundArena::open`] began: in
+    /// [`DrawMode::Fast`] the outcome buffers are cut to what the sweep
+    /// kept and delivered.
+    pub(crate) fn close(&mut self, mode: DrawMode) {
+        if mode == DrawMode::Fast {
+            let DrawCursor {
+                total, kept, sent, ..
+            } = self.cursor;
+            debug_assert_eq!(
+                kept + sent,
+                total,
+                "round conservation violated: every walker must survive or be delivered"
+            );
+            self.kept_nodes.truncate(kept);
+            self.kept_walkers.truncate(kept);
+            self.deliver_dests.truncate(sent);
+            self.deliver_walkers.truncate(sent);
+        }
+    }
+
+    /// Decides the walkers held by the nodes `nodes` in
+    /// [`DrawMode::Compat`], continuing the phase [`RoundArena::open`]
+    /// began.
+    ///
+    /// Each holder's bucket is visited in order and every walker draws one
+    /// move from `rng` through the plan's sampling rule.  Survivors — lazy
+    /// stays *and* masked bounces — are appended to the arena, and every
+    /// delivery to its delivery buffers (see [`RoundArena::deliveries`]) in
+    /// send order.
+    pub(crate) fn decide_compat<R: Rng + ?Sized>(
+        &mut self,
+        plan: &RoundPlan<'_>,
+        nodes: Range<NodeId>,
+        buckets: &HolderBuckets,
+        rng: &mut R,
+    ) {
+        for u in nodes {
             for &w in buckets.held_by(u) {
                 // A bounce (move drawn, recipient dark) is told apart from
                 // a lazy stay (no move drawn) for the bounce count.
                 match sample_move(plan.graph, u, plan.laziness, rng) {
                     Some(dest) if plan.available.is_none_or(|mask| mask[dest]) => {
-                        arena.deliver_dests.push(dest as u32);
-                        arena.deliver_walkers.push(w);
+                        self.deliver_dests.push(dest as u32);
+                        self.deliver_walkers.push(w);
                     }
                     stay => {
-                        arena.bounced += stay.is_some() as u64;
-                        arena.kept_nodes.push(u as u32);
-                        arena.kept_walkers.push(w);
+                        self.bounced += stay.is_some() as u64;
+                        self.kept_nodes.push(u as u32);
+                        self.kept_walkers.push(w);
                     }
                 }
             }
         }
     }
-}
 
-/// The decide phase in [`DrawMode::Fast`]: lane-buffered draws, branchless
-/// select.
-///
-/// The sweep order and the survivor/delivery grouping are identical to
-/// [`decide_holder_moves`]; only the per-walker draw differs.  Each walker
-/// consumes one `u64` from the lane buffer (refilled from `rng` in whole
-/// ChaCha8 blocks, `LANE_CHUNK` draws at a time): laziness is an integer
-/// compare on the low 32 bits, the neighbour is the multiply-shift
-/// reduction of the high 32 bits over the holder's degree, and the
-/// stay/deliver choice is an arithmetic select — both outcome slots are
-/// written unconditionally and the matching cursor advances by the flag, so
-/// the loop carries no data-dependent branch.  Total stream consumption is
-/// the number of walkers the swept holders hold, masked or not — counted
-/// run by run before the sweep, so the lane never draws past the last one.
-pub(crate) fn decide_holder_moves_fast<R: Rng + ?Sized>(
-    plan: &RoundPlan<'_>,
-    holders: &[Range<NodeId>],
-    buckets: &HolderBuckets,
-    arena: &mut RoundArena,
-    rng: &mut R,
-) {
-    let total: usize = holders.iter().map(|run| buckets.held_in(run).len()).sum();
-    arena.kept_nodes.resize(total, 0);
-    arena.kept_walkers.resize(total, 0);
-    arena.deliver_dests.resize(total, 0);
-    arena.deliver_walkers.resize(total, 0);
-    if arena.lane.len() < LANE_CHUNK.min(total) {
-        arena.lane.resize(LANE_CHUNK.min(total), 0);
-    }
-    let (offsets, neighbors) = plan.graph.csr_parts();
-    let threshold = lazy_threshold(plan.laziness);
-    let mut kept_len = 0usize;
-    let mut sent_len = 0usize;
-    let mut drawn = 0usize;
-    let mut lane_pos = 0usize;
-    let mut lane_len = 0usize;
-    let mut bounced = 0u64;
-    for run in holders {
-        for u in run.clone() {
+    /// Decides the walkers held by the nodes `nodes` in
+    /// [`DrawMode::Fast`]: lane-buffered draws, branchless select.
+    ///
+    /// The sweep order and the survivor/delivery grouping are those of
+    /// [`RoundArena::decide_compat`]; only the per-walker draw differs.
+    /// Each walker consumes one `u64` from the lane buffer (refilled from
+    /// `rng` in whole ChaCha8 blocks, `LANE_CHUNK` draws at a time, never
+    /// past the `total` walkers the phase was opened for): laziness is an
+    /// integer compare on the low 32 bits, the neighbour is the
+    /// multiply-shift reduction of the high 32 bits over the holder's
+    /// degree, and the stay/deliver choice is an arithmetic select — both
+    /// outcome slots are written unconditionally and the matching cursor
+    /// advances by the flag, so the loop carries no data-dependent branch.
+    /// The cursors live in locals for the call and in the arena between
+    /// calls, so a phase's draws are the same however its holders are cut
+    /// into ranges.
+    pub(crate) fn decide_fast<R: Rng + ?Sized>(
+        &mut self,
+        plan: &RoundPlan<'_>,
+        nodes: Range<NodeId>,
+        buckets: &HolderBuckets,
+        rng: &mut R,
+    ) {
+        let (offsets, neighbors) = plan.graph.csr_parts();
+        let threshold = lazy_threshold(plan.laziness);
+        let DrawCursor {
+            total,
+            mut drawn,
+            mut lane_pos,
+            mut lane_len,
+            mut kept,
+            mut sent,
+        } = self.cursor;
+        let mut bounced = 0u64;
+        for u in nodes {
             let row = &neighbors[offsets[u]..offsets[u + 1]];
             let deg = row.len() as u64;
             debug_assert!(deg > 0, "isolated nodes are rejected at construction");
             for &w in buckets.held_by(u) {
                 if lane_pos == lane_len {
                     lane_len = LANE_CHUNK.min(total - drawn);
-                    rng.fill_u64(&mut arena.lane[..lane_len]);
+                    rng.fill_u64(&mut self.lane[..lane_len]);
                     drawn += lane_len;
                     lane_pos = 0;
                 }
-                let r = arena.lane[lane_pos];
+                let r = self.lane[lane_pos];
                 lane_pos += 1;
                 let dest = row[(((r >> 32) * deg) >> 32) as usize];
                 let lazy = (r as u32 as u64) < threshold;
                 let dark = plan.available.is_some_and(|mask| !mask[dest as usize]);
                 let stay = lazy | dark;
                 bounced += (!lazy & dark) as u64;
-                arena.kept_nodes[kept_len] = u as u32;
-                arena.kept_walkers[kept_len] = w;
-                kept_len += stay as usize;
-                arena.deliver_dests[sent_len] = dest;
-                arena.deliver_walkers[sent_len] = w;
-                sent_len += !stay as usize;
+                self.kept_nodes[kept] = u as u32;
+                self.kept_walkers[kept] = w;
+                kept += stay as usize;
+                self.deliver_dests[sent] = dest;
+                self.deliver_walkers[sent] = w;
+                sent += !stay as usize;
             }
         }
+        self.bounced += bounced;
+        self.cursor = DrawCursor {
+            total,
+            drawn,
+            lane_pos,
+            lane_len,
+            kept,
+            sent,
+        };
     }
-    debug_assert_eq!(
-        kept_len + sent_len,
-        total,
-        "round conservation violated: every walker must survive or be delivered"
-    );
-    arena.kept_nodes.truncate(kept_len);
-    arena.kept_walkers.truncate(kept_len);
-    arena.deliver_dests.truncate(sent_len);
-    arena.deliver_walkers.truncate(sent_len);
-    arena.bounced = bounced;
 }
 
 #[cfg(test)]
@@ -513,12 +575,12 @@ mod tests {
             available: None,
         };
         let mut arena = RoundArena::new();
-        let everyone = 0..n;
-        let holders = std::slice::from_ref(&everyone);
         let mut positions: Vec<u32> = (0..n as u32).collect();
         let mut buckets = HolderBuckets::from_positions(n, &positions);
         let mut rng = seeded_rng(2);
-        decide_holder_moves(&plan, holders, &buckets, &mut arena, &mut rng);
+        arena.open(DrawMode::Compat, n);
+        arena.decide_compat(&plan, 0..n, &buckets, &mut rng);
+        arena.close(DrawMode::Compat);
         let (dests, walkers) = arena.deliveries();
         for (&d, &w) in dests.iter().zip(walkers) {
             positions[w as usize] = d;
@@ -540,6 +602,61 @@ mod tests {
             for &w in buckets.held_by(u) {
                 assert_eq!(positions[w as usize] as usize, u);
             }
+        }
+    }
+
+    /// A phase cut into ranges — node by node, as a shard's holders are
+    /// between other shards' nodes, or at arbitrary cuts — draws, keeps
+    /// and delivers exactly what one range over the same holders does, in
+    /// both draw modes and across lane refills.
+    #[test]
+    fn a_decide_phase_is_the_same_however_its_holders_are_cut() {
+        let g = generators::random_regular(3_000, 4, &mut seeded_rng(3)).unwrap();
+        let n = g.node_count();
+        let mask: Vec<bool> = (0..n).map(|u| u % 7 != 3).collect();
+        let plan = RoundPlan {
+            graph: &g,
+            laziness: 0.3,
+            available: Some(&mask),
+        };
+        // Two walkers per node, so the fast lane refills mid-range.
+        let positions: Vec<u32> = (0..2 * n as u32).map(|w| w % n as u32).collect();
+        let buckets = HolderBuckets::from_positions(n, &positions);
+        let cuts = [0, 1, 2, 700, 701, 2_048, 2_999, n];
+        for mode in [DrawMode::Compat, DrawMode::Fast] {
+            let decided = |ranges: &[Range<NodeId>]| {
+                let mut arena = RoundArena::new();
+                let mut rng = seeded_rng(4);
+                arena.open(mode, 2 * n);
+                for nodes in ranges {
+                    match mode {
+                        DrawMode::Compat => {
+                            arena.decide_compat(&plan, nodes.clone(), &buckets, &mut rng)
+                        }
+                        DrawMode::Fast => {
+                            arena.decide_fast(&plan, nodes.clone(), &buckets, &mut rng)
+                        }
+                    }
+                }
+                arena.close(mode);
+                let (_, counter, cursor) = rng.state();
+                let RoundArena {
+                    kept_nodes,
+                    kept_walkers,
+                    deliver_dests,
+                    deliver_walkers,
+                    bounced,
+                    ..
+                } = arena;
+                let outcome = (kept_nodes, kept_walkers, deliver_dests, deliver_walkers);
+                (outcome, bounced, counter, cursor)
+            };
+            let whole = decided(std::slice::from_ref(&(0..n)));
+            let pieces: Vec<Range<NodeId>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+            assert_eq!(decided(&pieces), whole, "{mode:?}, cut");
+            let nodes: Vec<Range<NodeId>> = (0..n).map(|u| u..u + 1).collect();
+            assert_eq!(decided(&nodes), whole, "{mode:?}, node by node");
+            assert!(whole.1 > 0, "{mode:?}: the mask bounced nothing");
         }
     }
 }

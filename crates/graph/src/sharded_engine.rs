@@ -3,10 +3,11 @@
 //!
 //! [`ShardedMixingEngine`] keeps one set of holder buckets over global
 //! node ids (the round kernel's `HolderBuckets`, [`crate::round`]).  Each
-//! round, every shard of a [`crate::partition::Partition`] sweeps its own
-//! holders with the kernel's decide phase (`decide_holder_moves`), drawing
-//! from its own stream into its own arena; one counting-sort merge then
-//! rebuilds the buckets from all shards' survivors and deliveries.  Every
+//! round, the kernel's decide phase sweeps every holder once, in ascending
+//! global id, each node drawing from the stream of its shard of a
+//! [`crate::partition::Partition`] into that shard's arena; one
+//! counting-sort merge then rebuilds the buckets from all shards'
+//! survivors and deliveries.  Every
 //! scenario axis the kernel supports composes here: masked rounds (a
 //! delivery to an unavailable recipient bounces back and rejoins its
 //! holder's bucket as a survivor) and live topology churn
@@ -14,15 +15,18 @@
 //! point, [`ShardedMixingEngine::step`].  The design contracts:
 //!
 //! * **Seed-only determinism.**  Shard `s` draws from its own ChaCha8 stream
-//!   ([`shard_stream`]), and a round's result depends only on
-//!   `(seed, partition, starts)` — never on the order shards were executed
-//!   in ([`ShardedMixingEngine::step_in_order`] is the audit hook).
-//! * **Canonical merge order.**  After the sampling phase, each node's
+//!   ([`shard_stream`]) over its own nodes in ascending id, each bucket in
+//!   order, and a round's result depends only on `(seed, partition,
+//!   starts)`.  The one sweep interleaves the shards' nodes, but a shard's
+//!   draws, survivors, deliveries and stream consumption are exactly those
+//!   of a sweep over its holders alone (`tests/sharded_engine.rs` predicts
+//!   every position, bucket and RNG clock from that per-shard stream
+//!   model).
+//! * **Canonical merge order.**  After the decide phase, each node's
 //!   next-round bucket lists its survivors first (in previous bucket order)
 //!   and then its arrivals grouped by *source shard id* in ascending order,
 //!   each group in that shard's send order.  This is a fixed function of the
-//!   per-shard draws, which is what makes the exchange phase
-//!   execution-order-free.
+//!   per-shard draws.
 //! * **1-shard degeneracy.**  Under [`crate::partition::Partition::single_shard`]
 //!   the engine is the classic monolithic holder-order round:
 //!   [`shard_stream`]`(seed, 0)` is exactly `SimRng::seed_from_u64(seed)`,
@@ -45,6 +49,7 @@ use crate::round::{self, DrawMode, HolderBuckets, RoundArena, RoundPlan};
 use crate::telemetry::EngineTelemetry;
 use rand_chacha::rand_core::SeedableRng;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Per-round measurements streamed to a [`RoundObserver`].
 #[derive(Debug)]
@@ -287,9 +292,8 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// Selects how subsequent rounds draw randomness.  Switching modes
-    /// changes the realization of the walk but not its distribution; both
-    /// determinism contracts (seed-only, shard-order-free) hold in both
-    /// modes.
+    /// changes the realization of the walk but not its distribution; the
+    /// seed-only determinism contract holds in both modes.
     pub fn set_draw_mode(&mut self, mode: DrawMode) {
         self.draw_mode = mode;
     }
@@ -557,7 +561,8 @@ impl<'g> ShardedMixingEngine<'g> {
     /// exactly how the kernel accounts it (not sent, not an arrival).  An
     /// all-available mask is bit-for-bit `None`.
     ///
-    /// The sampling phase runs inline, shard by shard in ascending order.
+    /// The decide phase runs inline on the calling thread: one sweep of
+    /// every holder in ascending id.
     ///
     /// # Errors
     ///
@@ -571,43 +576,7 @@ impl<'g> ShardedMixingEngine<'g> {
         observer: &mut O,
     ) -> Result<()> {
         self.validate_round(laziness, mask)?;
-        self.sample(laziness, mask, None);
-        self.merge_round(observer);
-        Ok(())
-    }
-
-    /// [`ShardedMixingEngine::step`] with the per-shard sampling phase run
-    /// inline in an explicit shard order — the determinism audit hook: any
-    /// permutation of `0..shard_count` must produce bitwise identical
-    /// results, because shards only touch their own stream and arena and
-    /// the merge order is canonical.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedMixingEngine::step`], and
-    /// [`GraphError::InvalidParameters`] if `order` is not a permutation of
-    /// `0..shard_count`; the engine is unchanged on error.
-    pub fn step_in_order<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        mask: Option<&[bool]>,
-        order: &[usize],
-        observer: &mut O,
-    ) -> Result<()> {
-        self.validate_round(laziness, mask)?;
-        let k = self.shards.len();
-        // Quadratic in k, but allocation-free; shard counts are small.
-        let is_permutation = order.len() == k
-            && order
-                .iter()
-                .enumerate()
-                .all(|(i, &s)| s < k && !order[..i].contains(&s));
-        if !is_permutation {
-            return Err(GraphError::InvalidParameters(format!(
-                "shard order {order:?} is not a permutation of 0..{k}"
-            )));
-        }
-        self.sample(laziness, mask, Some(order));
+        self.decide(laziness, mask);
         self.merge_round(observer);
         Ok(())
     }
@@ -639,10 +608,9 @@ impl<'g> ShardedMixingEngine<'g> {
             .expect("invalid round");
     }
 
-    /// The round-boundary checks [`ShardedMixingEngine::step`] and
-    /// [`ShardedMixingEngine::step_in_order`] make before any state
-    /// changes — for a caller that commits other work to a round before
-    /// stepping it.
+    /// The round-boundary checks [`ShardedMixingEngine::step`] makes
+    /// before any state changes — for a caller that commits other work to
+    /// a round before stepping it.
     ///
     /// # Errors
     ///
@@ -660,37 +628,52 @@ impl<'g> ShardedMixingEngine<'g> {
         }
     }
 
-    /// The sampling phase: every shard's decide sweep, inline in `order`
-    /// when one is given, otherwise in ascending shard order.  Each shard
-    /// reads the shared buckets and touches only its own stream and arena,
-    /// so the order never changes the result.
-    fn sample(&mut self, laziness: f64, mask: Option<&[bool]>, order: Option<&[usize]>) {
-        let sampling = Sampling {
-            plan: RoundPlan {
-                graph: &self.graph,
-                laziness,
-                available: mask,
-            },
-            partition: self.partition,
-            buckets: &self.buckets,
-            mode: self.draw_mode,
-            telemetry: self.telemetry.as_ref(),
+    /// The decide phase: one sweep of every holder in ascending global id,
+    /// each node drawing every move from its shard's stream through the
+    /// engine-wide sampling rule (compat or fast) into its shard's arena.
+    /// Each arena keeps its draw cursor from one of its shard's nodes to
+    /// the next, so every shard draws, keeps and delivers exactly what a
+    /// sweep over its own holders alone would.
+    fn decide(&mut self, laziness: f64, mask: Option<&[bool]>) {
+        let _span = self.telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
+        let plan = RoundPlan {
+            graph: &self.graph,
+            laziness,
+            available: mask,
         };
-        match order {
-            Some(order) => {
-                for &s in order {
-                    sampling.sample_shard(s, &mut self.shards[s]);
-                }
-            }
-            None => {
-                for (s, state) in self.shards.iter_mut().enumerate() {
-                    sampling.sample_shard(s, state);
-                }
-            }
+        let (mode, buckets) = (self.draw_mode, &self.buckets);
+        for (state, shard) in self.shards.iter_mut().zip(self.partition.shards()) {
+            // Only fast draws need the count up front: the lane must not
+            // draw past the shard's last walker.
+            let total = match mode {
+                DrawMode::Compat => 0,
+                DrawMode::Fast => shard
+                    .runs()
+                    .iter()
+                    .map(|run| buckets.held_in(run).len())
+                    .sum(),
+            };
+            state.arena.open(mode, total);
+        }
+        let (partition, shards) = (self.partition, &mut self.shards);
+        match mode {
+            DrawMode::Compat => sweep_holders(partition, shards, |state, nodes| {
+                state
+                    .arena
+                    .decide_compat(&plan, nodes, buckets, &mut state.rng)
+            }),
+            DrawMode::Fast => sweep_holders(partition, shards, |state, nodes| {
+                state
+                    .arena
+                    .decide_fast(&plan, nodes, buckets, &mut state.rng)
+            }),
+        }
+        for state in &mut self.shards {
+            state.arena.close(mode);
         }
     }
 
-    /// The exchange and merge phases: folds the sampling phase's mask
+    /// The exchange and merge phases: folds the decide phase's mask
     /// bounces into the attached telemetry, writes every delivered
     /// walker's new position, rebuilds the buckets and the round's
     /// statistics with one counting sort over all shards' survivors and
@@ -743,31 +726,23 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 }
 
-/// What every shard's sampling sweep of one round reads.
-struct Sampling<'a> {
-    plan: RoundPlan<'a>,
-    partition: &'a Partition,
-    buckets: &'a HolderBuckets,
-    mode: DrawMode,
-    telemetry: Option<&'a EngineTelemetry>,
-}
-
-impl Sampling<'_> {
-    /// The sampling phase for one shard: the kernel's decide sweep over the
-    /// shard's nodes in ascending id order, run by run, drawing every move from the
-    /// shard's own stream through the engine-wide sampling rule (compat or
-    /// fast).  Survivors — lazy stays *and* masked bounces — and every
-    /// delivery, in send order, land in the shard's arena.
-    fn sample_shard(&self, shard: usize, state: &mut ShardState) {
-        let _span = self.telemetry.map(|t| t.decide_ns.span(&t.clock));
-        let holders = self.partition.shard(shard).runs();
-        let ShardState { rng, arena } = state;
-        match self.mode {
-            DrawMode::Compat => {
-                round::decide_holder_moves(&self.plan, holders, self.buckets, arena, rng)
-            }
-            DrawMode::Fast => {
-                round::decide_holder_moves_fast(&self.plan, holders, self.buckets, arena, rng)
+/// Hands every holder of `partition` to `decide` with its shard's state,
+/// in ascending node id: under one shard as the one run `0..n`, whose
+/// draw loop then keeps its cursors in locals throughout, and otherwise
+/// node by node.  Node by node beats run by run (1.4 nodes a run in the 1M
+/// churn benchmark's partition): finding the next run is a chain of
+/// dependent loads, while the next node is the next index.
+fn sweep_holders(
+    partition: &Partition,
+    shards: &mut [ShardState],
+    mut decide: impl FnMut(&mut ShardState, Range<NodeId>),
+) {
+    let n = partition.node_count();
+    match shards {
+        [only] => decide(only, 0..n),
+        _ => {
+            for u in 0..n {
+                decide(&mut shards[partition.shard_of(u)], u..u + 1);
             }
         }
     }
@@ -817,31 +792,6 @@ mod tests {
         }
     }
 
-    /// Any shard order, masked or not: bitwise the same rounds.
-    #[test]
-    fn shard_sampling_schedule_does_not_change_the_result() {
-        let g = graph(300, 6, 5);
-        let p = Partition::new(&g, 4).unwrap();
-        let mask: Vec<bool> = (0..300).map(|u| u % 5 != 2).collect();
-        let mut step = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        let mut backward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        let mut rotated = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        for round in 0..15 {
-            let mask = (round % 3 == 0).then_some(mask.as_slice());
-            step.step(0.1, mask, &mut ()).unwrap();
-            backward
-                .step_in_order(0.1, mask, &[3, 2, 1, 0], &mut ())
-                .unwrap();
-            rotated
-                .step_in_order(0.1, mask, &[2, 3, 0, 1], &mut ())
-                .unwrap();
-        }
-        assert_eq!(step.positions(), backward.positions());
-        assert_eq!(step.positions(), rotated.positions());
-        assert_eq!(step.walkers_by_holder(), backward.walkers_by_holder());
-        assert_eq!(step.walkers_by_holder(), rotated.walkers_by_holder());
-    }
-
     #[test]
     fn malformed_rounds_are_rejected_before_any_state_changes() {
         let g = graph(30, 4, 6);
@@ -851,10 +801,6 @@ mod tests {
         let positions = engine.positions().to_vec();
         let short_mask = vec![true; 29];
         let rejected = [
-            engine.step_in_order(0.0, None, &[0, 0], &mut ()),
-            engine.step_in_order(0.0, None, &[0, 2], &mut ()),
-            engine.step_in_order(0.0, None, &[1], &mut ()),
-            engine.step_in_order(0.0, Some(&short_mask), &[0, 1], &mut ()),
             engine.step(0.0, Some(&short_mask), &mut ()),
             engine.step(1.0, None, &mut ()),
         ];

@@ -168,30 +168,85 @@ impl WalkCsr {
 /// per-round state a masked pull reads instead of walking every neighbour
 /// list against the mask.
 ///
-/// [`TransitionModel::prepare_round`] fills it (the masked
-/// [`TransitionMatrix`] scatters one count from each dark node to its
-/// neighbours: one pass over the dark nodes' neighbour lists), and the
-/// buffer is refilled in place round after round, so it allocates once.
-/// It remembers the topology and mask it was filled for, and a pull handed
+/// [`TransitionModel::prepare_round`] fills it.  The first fill, and any
+/// fill over another topology, is a refill: one count scattered from each
+/// dark node to its neighbours (the CSR is symmetric: `j ∈ N(d)` exactly
+/// when `d ∈ N(j)`).  A fill over the topology of the previous one updates
+/// the previous counts instead, from the nodes whose availability flipped —
+/// plus one per neighbour of a node gone dark, minus one per neighbour of a
+/// node back up — whenever fewer nodes flipped than are dark, so a churn
+/// schedule whose masks change little from round to round walks few
+/// neighbour lists (constant-time maintenance of a counting query under
+/// updates).  One pass over the two masks lists the flipped nodes and
+/// counts the dark ones; the update then walks the listed nodes' neighbour
+/// lists back to back.  A fill for the mask already counted does nothing.
+/// Both buffers are sized to the node count by a refill and reused round
+/// after round, so only the first fill over a topology allocates.  It
+/// remembers the topology and mask it was filled for, and a pull handed
 /// counts taken for another operator panics rather than read them.
 #[derive(Default)]
 pub struct DarkCounts {
     counts: Vec<u32>,
+    /// The nodes whose availability flipped since the counted mask, in id
+    /// order: scratch of the fill in progress.
+    flipped: Vec<u32>,
     /// The CSR and mask the counts were taken over, held to compare by
-    /// identity.
+    /// identity (and, for the mask, to tell which nodes flipped since).
     source: Option<(Arc<WalkCsr>, Arc<[bool]>)>,
 }
 
 impl DarkCounts {
     /// Counts, for every node, its neighbours that `mask` marks
-    /// unavailable, scattering from the unavailable nodes (the CSR is
-    /// symmetric: `j ∈ N(d)` exactly when `d ∈ N(j)`).
+    /// unavailable: by delta from the previous fill's mask when that fill
+    /// was over `csr` and fewer nodes flipped than are dark, else by a
+    /// refill from the dark nodes.
     fn fill(&mut self, csr: &Arc<WalkCsr>, mask: &Arc<[bool]>) {
-        self.counts.clear();
-        self.counts.resize(csr.node_count(), 0);
-        for (dark, _) in mask.iter().enumerate().filter(|(_, &up)| !up) {
-            for &k in csr.neighbors(dark) {
-                self.counts[k as usize] += 1;
+        if self.counted(csr, mask) {
+            return;
+        }
+        let previous = match self.source.take() {
+            Some((counted, previous)) if Arc::ptr_eq(&counted, csr) => Some(previous),
+            _ => None,
+        };
+        let flipped = &mut self.flipped;
+        let delta = previous.is_some_and(|previous| {
+            flipped.clear();
+            let mut dark = 0;
+            for (node, (&was, &up)) in previous.iter().zip(mask.iter()).enumerate() {
+                if was != up {
+                    flipped.push(node as u32);
+                }
+                dark += !up as usize;
+            }
+            flipped.len() < dark
+        });
+        let counts = &mut self.counts;
+        if delta {
+            // One dense pass over the flipped nodes' neighbour lists, which
+            // keeps several lists' misses in flight at once.
+            for &node in flipped.iter() {
+                let node = node as usize;
+                if mask[node] {
+                    for &k in csr.neighbors(node) {
+                        counts[k as usize] -= 1;
+                    }
+                } else {
+                    for &k in csr.neighbors(node) {
+                        counts[k as usize] += 1;
+                    }
+                }
+            }
+        } else {
+            counts.clear();
+            counts.resize(csr.node_count(), 0);
+            // A later delta lists at most every node: room for that is
+            // made here, so fills after the first allocate nothing.
+            flipped.clear();
+            flipped.reserve(csr.node_count());
+            for (dark, _) in mask.iter().enumerate().filter(|(_, &up)| !up) {
+                for &k in csr.neighbors(dark) {
+                    counts[k as usize] += 1;
+                }
             }
         }
         self.source = Some((Arc::clone(csr), Arc::clone(mask)));
@@ -203,15 +258,18 @@ impl DarkCounts {
     ///
     /// Panics if they were filled for another topology or mask, or never.
     fn of(&self, csr: &Arc<WalkCsr>, mask: &Arc<[bool]>) -> &[u32] {
-        let prepared = self
-            .source
-            .as_ref()
-            .is_some_and(|(c, m)| Arc::ptr_eq(c, csr) && Arc::ptr_eq(m, mask));
         assert!(
-            prepared,
+            self.counted(csr, mask),
             "dark counts were not prepared for this operator's mask"
         );
         &self.counts
+    }
+
+    /// Whether the counts were taken over exactly `csr` and `mask`.
+    fn counted(&self, csr: &Arc<WalkCsr>, mask: &Arc<[bool]>) -> bool {
+        self.source
+            .as_ref()
+            .is_some_and(|(c, m)| Arc::ptr_eq(c, csr) && Arc::ptr_eq(m, mask))
     }
 }
 
@@ -857,25 +915,67 @@ mod tests {
         (0..n).map(|_| rng.gen::<f64>() >= fraction).collect()
     }
 
+    /// How a fill is expected to have reached its counts.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fill {
+        /// Nothing done: the mask was counted already.
+        Kept,
+        /// Updated from the flipped nodes.
+        Delta,
+        /// Scattered afresh from the dark nodes.
+        Refill,
+    }
+
+    /// One buffer driven through a sequence of masks on one graph and then
+    /// on another, as a schedule and a switch of topology would drive it,
+    /// matching a brute-force count after every fill.  Before each fill a
+    /// sentinel is added to one count: a refill must wipe it, a delta or a
+    /// repeat must carry it — which tells which path each fill took.
     #[test]
     fn dark_counts_match_a_brute_force_count() {
         let mut rng = seeded_rng(11);
+        let mut counts = DarkCounts::default();
         for g in [hub_graph(), masked_test_graph(8)] {
             let n = g.node_count();
+            let csr = WalkCsr::of(&g).unwrap();
+            let start: Arc<[bool]> = random_mask(n, 0.2, &mut rng).into();
+            // A few flips both ways, the hub (node 0 of the hub graph)
+            // among them.
+            let dark: Vec<usize> = (1..n).filter(|&u| !start[u]).take(2).collect();
+            let up: Vec<usize> = (1..n).filter(|&u| start[u]).take(2).collect();
+            let flip = |mask: &[bool], nodes: &[usize]| -> Arc<[bool]> {
+                let mut mask = mask.to_vec();
+                for &u in nodes {
+                    mask[u] = !mask[u];
+                }
+                mask.into()
+            };
+            let few = [0, dark[0], dark[1], up[0], up[1]];
+            let flipped = flip(&start, &few);
+            let complement: Arc<[bool]> = flipped.iter().map(|&up| !up).collect();
             let mut hub_dark = vec![true; n];
             hub_dark[0] = false;
-            let masks = [
-                vec![true; n],
-                hub_dark,
-                random_mask(n, 0.2, &mut rng),
-                random_mask(n, 0.7, &mut rng),
-                vec![false; n],
+            // Mostly dark but for the hub: one more flip than dark nodes
+            // from `hub_dark`.
+            let mut mostly_dark = random_mask(n, 0.7, &mut rng);
+            mostly_dark[0] = true;
+            let steps = [
+                // The first fill, or the first over this graph's CSR.
+                (Arc::clone(&start), Fill::Refill),
+                (Arc::clone(&start), Fill::Kept),
+                // Equal contents in another mask: no node flips.
+                (start.iter().copied().collect(), Fill::Delta),
+                (Arc::clone(&flipped), Fill::Delta),
+                // Every node flips, as under i.i.d. dropout.
+                (Arc::clone(&complement), Fill::Refill),
+                (flip(&complement, &few), Fill::Delta),
+                (vec![false; n].into(), Fill::Delta),
+                (vec![true; n].into(), Fill::Refill),
+                (hub_dark.into(), Fill::Refill),
+                (mostly_dark.into(), Fill::Refill),
+                (vec![false; n].into(), Fill::Delta),
             ];
-            // One buffer refilled mask after mask, as a schedule does.
-            let mut counts = DarkCounts::default();
-            for mask in masks {
-                let op = TransitionMatrix::masked(&g, mask.clone(), 0.1).unwrap();
-                op.prepare_round(0, &mut counts);
+            for (step, (mask, fill)) in steps.into_iter().enumerate() {
                 let want: Vec<u32> = g
                     .nodes()
                     .map(|j| {
@@ -885,7 +985,17 @@ mod tests {
                             .count() as u32
                     })
                     .collect();
-                assert_eq!(counts.counts, want);
+                if let Some(first) = counts.counts.first_mut() {
+                    *first += 1_000;
+                }
+                let op = TransitionMatrix::over(Arc::clone(&csr), mask, 0.1).unwrap();
+                op.prepare_round(0, &mut counts);
+                let carried = counts.counts.len() == n && counts.counts[0] == want[0] + 1_000;
+                assert_eq!(carried, fill != Fill::Refill, "step {step}: not a {fill:?}");
+                if carried {
+                    counts.counts[0] -= 1_000;
+                }
+                assert_eq!(counts.counts, want, "step {step} ({fill:?})");
             }
             // Everyone dark, last: the hub counts its whole degree.
             assert_eq!(counts.counts[0] as usize, g.degree(0));

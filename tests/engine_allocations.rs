@@ -6,7 +6,7 @@
 //! round must allocate nothing, with or without telemetry attached (spans,
 //! counters and histograms record into preregistered slots).  The 1-shard
 //! `step` is the monolithic holder round every protocol run uses, and the
-//! 4-shard `step` and `step_in_order` are the sharded round.  A counting
+//! 4-shard `step` is the sharded round.  A counting
 //! global allocator proves it; the allocator is per binary, which is why
 //! this audit has its own test target.  Counts are per thread, so the test
 //! harness's own bookkeeping on other threads never leaks in; every round
@@ -132,14 +132,6 @@ fn settled_rounds_allocate_nothing() {
                 let mut sharded = engine(&four, 6);
                 let allocations = settled_allocations(|| sharded.step(0.2, mask, &mut ()).unwrap());
                 assert_eq!(allocations, 0, "step at k = 4, {label}");
-
-                let mut ordered = engine(&four, 6);
-                let allocations = settled_allocations(|| {
-                    ordered
-                        .step_in_order(0.2, mask, &[0, 1, 2, 3], &mut ())
-                        .unwrap()
-                });
-                assert_eq!(allocations, 0, "step_in_order at k = 4, {label}");
             }
         }
     }

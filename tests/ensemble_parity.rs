@@ -416,27 +416,48 @@ enum Interleaving {
     /// worker go, which claims a unit and waits for the counts unless the
     /// preparation has already finished.  Then both run what is left.
     CallerPrepares,
+    /// The worker claims the first unit and holds it, unfinished, while
+    /// the caller runs every unit after it: every later range of the first
+    /// block finishes before the first, so the worker folds them all once
+    /// its own range is done, and the worker's fold is the sweep's last.
+    WorkerLags,
 }
 
-/// A model that lets the worker go from inside the round's preparation
-/// ([`Interleaving::CallerPrepares`]); otherwise the model it wraps.
+/// A model that hands the baton to the other side from inside the round's
+/// preparation ([`Interleaving::CallerPrepares`]) or from inside the
+/// sweep's first unit ([`Interleaving::WorkerLags`]), and waits to get it
+/// back; otherwise the model it wraps.
 #[derive(Debug)]
-struct PassesInPrepare<'a> {
+struct PassesTheBaton<'a> {
     inner: &'a (dyn TransitionModel + Sync),
-    baton: Option<&'a Baton>,
+    in_prepare: Option<&'a Baton>,
+    /// Taken by the first unit.
+    in_first_unit: Mutex<Option<&'a Baton>>,
 }
 
-impl TransitionModel for PassesInPrepare<'_> {
+impl PassesTheBaton<'_> {
+    /// The first unit's hand-off: to the caller, and back.
+    fn first_unit(&self) {
+        let baton = self.in_first_unit.lock().unwrap().take();
+        if let Some(baton) = baton {
+            baton.pass_to(Baton::CALLER);
+            baton.wait_for(Baton::WORKER);
+        }
+    }
+}
+
+impl TransitionModel for PassesTheBaton<'_> {
     fn node_count(&self) -> usize {
         self.inner.node_count()
     }
 
     fn propagate_round_into(&self, round: usize, p: &[f64], out: &mut [f64]) {
+        self.first_unit();
         self.inner.propagate_round_into(round, p, out);
     }
 
     fn prepare_round(&self, round: usize, dark: &mut DarkCounts) {
-        if let Some(baton) = self.baton {
+        if let Some(baton) = self.in_prepare {
             baton.pass_to(Baton::WORKER);
             baton.wait_for(Baton::CALLER);
         }
@@ -452,6 +473,7 @@ impl TransitionModel for PassesInPrepare<'_> {
         out: &mut [f64],
         dark: &DarkCounts,
     ) {
+        self.first_unit();
         self.inner
             .propagate_round_interleaved_range(round, lanes, input, nodes, out, dark);
     }
@@ -493,13 +515,14 @@ impl Baton {
 }
 
 /// Sweeps one round of `ensemble` under `model` on `worker` and this
-/// thread, forcing `order` through a baton — never a sleep.
+/// thread, forcing `order` through a baton — never a sleep — and returns
+/// the moments the sweep folded.
 fn swept_round(
     worker: &mut Worker,
     ensemble: &mut DistributionEnsemble,
     model: &(dyn TransitionModel + Sync),
     order: Interleaving,
-) {
+) -> Vec<ensemble::RowStats> {
     let caller_prepares = matches!(order, Interleaving::CallerPrepares);
     let baton = Baton {
         turn: Mutex::new(if caller_prepares {
@@ -509,11 +532,13 @@ fn swept_round(
         }),
         passed: Condvar::new(),
     };
-    let model = PassesInPrepare {
+    let model = PassesTheBaton {
         inner: model,
-        baton: caller_prepares.then_some(&baton),
+        in_prepare: caller_prepares.then_some(&baton),
+        in_first_unit: Mutex::new(matches!(order, Interleaving::WorkerLags).then_some(&baton)),
     };
-    let sweep = ensemble.round_sweep(&model);
+    let mut stats = Vec::new();
+    let sweep = ensemble.round_sweep(&model, &mut stats);
     let job = || match order {
         Interleaving::WorkerOnly => {
             assert!(sweep.run(), "the worker ran the last unit");
@@ -529,6 +554,7 @@ fn swept_round(
             baton.pass_to(Baton::CALLER);
             sweep.run();
         }
+        Interleaving::WorkerLags => assert!(sweep.run(), "the worker folded the last range"),
     };
     worker.join(&job, || match order {
         Interleaving::WorkerOnly => {
@@ -545,7 +571,17 @@ fn swept_round(
             // A 1-row round prepares nothing: let the worker go here.
             baton.pass_to(Baton::WORKER);
         }
+        Interleaving::WorkerLags => {
+            baton.wait_for(Baton::CALLER);
+            assert!(!sweep.run(), "the caller ran ahead of an unfolded range");
+            baton.pass_to(Baton::WORKER);
+        }
     });
+    stats
+}
+
+fn stats_bits(stats: &[ensemble::RowStats]) -> Vec<(u64, u64)> {
+    stats.iter().copied().map(bits).collect()
 }
 
 proptest! {
@@ -553,9 +589,11 @@ proptest! {
 
     /// One round swept by two threads — the worker and the caller, in each
     /// forced interleaving — leaves every row bitwise where the serial
-    /// `advance(model, 1)` does: over the graph zoo, masked (a scheduled
-    /// model at round 2) and unmasked, laziness 0 and 0.3, and 1..=17 rows,
-    /// i.e. every lane run of 8, 4, 2 and 1 and up to three blocks.
+    /// `advance(model, 1)` does, and folds moments bitwise what
+    /// `stats_into` reads from those rows: over the graph zoo, masked (a
+    /// scheduled model at round 2) and unmasked, laziness 0 and 0.3, and
+    /// 1..=17 rows, i.e. every lane run of 8, 4, 2 and 1, up to three
+    /// blocks, and 1-row remainder blocks.
     #[test]
     fn shared_sweeps_are_bitwise_the_serial_round_in_every_interleaving(
         graph in strategies::graph_zoo(20..90),
@@ -581,14 +619,23 @@ proptest! {
                     start.advance(model, 2);
                     let mut serial = start.clone();
                     serial.advance(model, 1);
+                    let mut want = Vec::new();
+                    serial.stats_into(&mut want);
                     for order in [
                         Interleaving::WorkerOnly,
                         Interleaving::CallerAfterFirst,
                         Interleaving::Alternate,
                         Interleaving::CallerPrepares,
+                        Interleaving::WorkerLags,
                     ] {
                         let mut swept = start.clone();
-                        swept_round(&mut worker, &mut swept, model, order);
+                        let stats = swept_round(&mut worker, &mut swept, model, order);
+                        prop_assert_eq!(
+                            stats_bits(&stats),
+                            stats_bits(&want),
+                            "{} {:?}, laziness {}, {} rows: folded moments diverged",
+                            name, order, laziness, rows
+                        );
                         prop_assert_eq!(swept.time(), serial.time());
                         for row in 0..rows {
                             let same = swept

@@ -11,8 +11,10 @@
 //! * under the canonical 1-shard partition the service path on top of it
 //!   is **bit for bit** [`run_protocol`]: walk, submissions and
 //!   [`TrafficMetrics`];
-//! * for `k > 1` the result is a pure function of `(seed, partition)`:
-//!   invariant to the order shards are sampled in;
+//! * every shard draws from its own stream (`shard_stream(seed, s)`) over
+//!   its own nodes in ascending id, each bucket in order, so positions,
+//!   buckets and every shard's RNG clock follow from a per-shard stream
+//!   model that knows only the seed, the partition and the sampling rule;
 //! * the k-shard stream split is a *different but equally distributed*
 //!   realization of the same walk: aggregate mixing statistics agree with
 //!   the 1-shard run within Monte-Carlo tolerance.
@@ -25,11 +27,11 @@ use network_shuffle::service::{CoordinatorConfig, ShuffleCoordinator};
 use network_shuffle::simulation::{run_protocol, SimulationConfig, SimulationOutcome};
 use ns_graph::partition::Partition;
 use ns_graph::prelude::{RoundObserver, RoundStats};
-use ns_graph::rng::seeded_rng;
+use ns_graph::rng::{seeded_rng, SimRng};
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::ShardedMixingEngine;
+use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
 use proptest::prelude::*;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 fn curator_view<P: Copy>(outcome: &SimulationOutcome<P>) -> Vec<(usize, usize, bool, P)> {
     outcome
@@ -172,15 +174,69 @@ fn multi_shard_runs_are_statistically_equivalent_to_single_engine_runs() {
     assert!((empty_sharded - (-1.0f64).exp()).abs() < 0.02);
 }
 
+/// One round of the per-shard stream model, written from the round
+/// contract alone: shard `s` draws from its own stream (`streams[s]`) over
+/// its nodes in ascending id, each bucket in order.  In `Compat` a walker
+/// takes a lazy `f64` when `laziness > 0`, then `gen_range` over its
+/// holder's degree; in `Fast` it takes one `next_u64` (which the engine's
+/// bulk `fill_u64` equals by contract), lazy when the low 32 bits fall
+/// below `floor(laziness · 2^32)`, moving to neighbour `(hi · deg) >> 32`
+/// of the high 32 bits.  A move to an unavailable recipient stays.  Each
+/// node's next bucket lists its survivors in bucket order, then its
+/// arrivals by source shard ascending, each shard's in send order.
+fn stream_model_round(
+    graph: &ns_graph::Graph,
+    partition: &Partition,
+    laziness: f64,
+    mask: Option<&[bool]>,
+    mode: DrawMode,
+    buckets: &[Vec<usize>],
+    streams: &mut [SimRng],
+) -> Vec<Vec<usize>> {
+    let threshold = (laziness * 4_294_967_296.0) as u64;
+    let mut next: Vec<Vec<usize>> = vec![Vec::new(); buckets.len()];
+    let mut sends: Vec<Vec<(usize, usize)>> = vec![Vec::new(); streams.len()];
+    for ((shard, rng), sends) in partition.shards().iter().zip(streams).zip(&mut sends) {
+        for &u in shard.nodes() {
+            let nbrs = graph.neighbors(u);
+            for &w in &buckets[u] {
+                let dest = match mode {
+                    DrawMode::Compat => {
+                        if laziness > 0.0 && rng.gen::<f64>() < laziness {
+                            None
+                        } else {
+                            Some(nbrs[rng.gen_range(0..nbrs.len())] as usize)
+                        }
+                    }
+                    DrawMode::Fast => {
+                        let r = rng.next_u64();
+                        let dest = nbrs[(((r >> 32) * nbrs.len() as u64) >> 32) as usize] as usize;
+                        ((r as u32 as u64) >= threshold).then_some(dest)
+                    }
+                };
+                match dest.filter(|&v| mask.is_none_or(|m| m[v])) {
+                    Some(v) => sends.push((v, w)),
+                    None => next[u].push(w),
+                }
+            }
+        }
+    }
+    for (v, w) in sends.into_iter().flatten() {
+        next[v].push(w);
+    }
+    next
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Cross-shard determinism on the graph zoo: a k-shard round sequence
-    /// is bitwise invariant to the shard sampling order, and `step` is
-    /// bitwise both explicit orders, for any graph family, shard count,
-    /// laziness and round budget.
+    /// The engine's one decide sweep interleaves the shards' runs, yet each
+    /// shard's draws are those of a sweep over its own holders alone: on
+    /// the graph zoo, for k in 1..7, in both draw modes, masked or not,
+    /// [`stream_model_round`] predicts every round's positions and buckets
+    /// and, from its own streams, every shard's RNG clock.
     #[test]
-    fn sharded_rounds_are_invariant_to_execution_order(
+    fn every_shard_draws_its_own_stream_over_its_own_nodes(
         graph in strategies::graph_zoo(40..160),
         shards in 1usize..7,
         rounds in 1usize..10,
@@ -192,21 +248,33 @@ proptest! {
         let laziness = laziness_pct as f64 / 100.0;
         let partition = Partition::new(&graph, k).unwrap();
         let seed = 0xC0FFEE;
-
-        let mut forward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut backward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut stepped = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let ascending: Vec<usize> = (0..k).collect();
-        let reversed: Vec<usize> = (0..k).rev().collect();
-        for _ in 0..rounds {
-            forward.step_in_order(laziness, None, &ascending, &mut ()).unwrap();
-            backward.step_in_order(laziness, None, &reversed, &mut ()).unwrap();
-            stepped.step(laziness, None, &mut ()).unwrap();
+        for mode in [DrawMode::Compat, DrawMode::Fast] {
+            for masked in [false, true] {
+                let mut engine =
+                    ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+                engine.set_draw_mode(mode);
+                let mut streams: Vec<SimRng> = (0..k).map(|s| shard_stream(seed, s)).collect();
+                let mut buckets: Vec<Vec<usize>> = (0..n).map(|u| vec![u]).collect();
+                for round in 0..rounds {
+                    let mask = masked.then(|| mask_for_round(n, round));
+                    engine.step(laziness, mask.as_deref(), &mut ()).unwrap();
+                    buckets = stream_model_round(
+                        &graph, &partition, laziness, mask.as_deref(), mode, &buckets, &mut streams,
+                    );
+                    let label = format!("k = {k}, {mode:?}, masked {masked}, round {}", round + 1);
+                    prop_assert_eq!(engine.walkers_by_holder(), buckets.clone(), "{}", &label);
+                    for (u, held) in buckets.iter().enumerate() {
+                        for &w in held {
+                            prop_assert_eq!(engine.position(w), u, "{}", &label);
+                        }
+                    }
+                    for (s, stream) in streams.iter().enumerate() {
+                        let (_, counter, cursor) = stream.state();
+                        prop_assert_eq!(engine.rng_clock(s), (counter, cursor), "{}: shard {}", &label, s);
+                    }
+                }
+            }
         }
-        prop_assert_eq!(forward.positions(), backward.positions());
-        prop_assert_eq!(forward.positions(), stepped.positions());
-        prop_assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
-        prop_assert_eq!(forward.walkers_by_holder(), stepped.walkers_by_holder());
     }
 }
 

@@ -124,8 +124,7 @@ proptest! {
     }
 
     /// (c) An all-available mask through the sharded path is bitwise the
-    /// unmasked sharded round, for any shard count — and stays invariant
-    /// to the shard sampling order.
+    /// unmasked sharded round, for any shard count.
     #[test]
     fn all_available_masks_are_bitwise_the_unmasked_sharded_round(
         graph in strategies::graph_zoo(20..120),
@@ -142,17 +141,12 @@ proptest! {
         let mask = vec![true; n];
         let mut masked = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut plain = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut reordered = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let reversed: Vec<usize> = (0..k).rev().collect();
         for _ in 0..rounds {
             masked.step(laziness, Some(&mask), &mut ()).unwrap();
             plain.step(laziness, None, &mut ()).unwrap();
-            reordered.step_in_order(laziness, Some(&mask), &reversed, &mut ()).unwrap();
         }
         prop_assert_eq!(masked.positions(), plain.positions());
         prop_assert_eq!(masked.walkers_by_holder(), plain.walkers_by_holder());
-        prop_assert_eq!(masked.positions(), reordered.positions());
-        prop_assert_eq!(masked.walkers_by_holder(), reordered.walkers_by_holder());
     }
 }
 
