@@ -1,46 +1,34 @@
 //! Micro-benchmarks of the privacy accountant (closed forms and sweeps).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use network_shuffle::prelude::*;
+use ns_bench::timer::bench;
 use ns_graph::generators::random_regular;
 use ns_graph::rng::seeded_rng;
 
-fn bench_closed_forms(c: &mut Criterion) {
+fn main() {
     let params = AccountantParams::with_defaults(100_000, 1.0).expect("params");
     let sum_p_sq = 5.0 / 100_000.0;
-    c.bench_function("closed_form_all", |b| {
-        b.iter(|| black_box(all_protocol_epsilon(&params, sum_p_sq, 1.0).expect("eps")))
+    bench("closed_form_all", || {
+        all_protocol_epsilon(&params, sum_p_sq, 1.0).expect("eps")
     });
-    c.bench_function("closed_form_single", |b| {
-        b.iter(|| black_box(single_protocol_epsilon(&params, sum_p_sq).expect("eps")))
+    bench("closed_form_single", || {
+        single_protocol_epsilon(&params, sum_p_sq).expect("eps")
     });
-}
 
-fn bench_graph_accountant(c: &mut Criterion) {
     let graph = random_regular(5_000, 8, &mut seeded_rng(1)).expect("graph");
-    let mut group = c.benchmark_group("graph_accountant");
-    group.sample_size(10);
-    group.bench_function("construct_n5000", |b| {
-        b.iter(|| black_box(NetworkShuffleAccountant::new(&graph).expect("accountant")))
+    bench("graph_accountant/construct_n5000", || {
+        NetworkShuffleAccountant::new(&graph).expect("accountant")
     });
     let accountant = NetworkShuffleAccountant::new(&graph).expect("accountant");
     let params = AccountantParams::with_defaults(5_000, 1.0).expect("params");
-    group.bench_function("epsilon_vs_rounds_symmetric_50", |b| {
-        b.iter(|| {
-            black_box(
-                accountant
-                    .epsilon_vs_rounds(
-                        ProtocolKind::All,
-                        Scenario::Symmetric { origin: 0 },
-                        &params,
-                        50,
-                    )
-                    .expect("sweep"),
+    bench("graph_accountant/epsilon_vs_rounds_symmetric_50", || {
+        accountant
+            .epsilon_vs_rounds(
+                ProtocolKind::All,
+                Scenario::Symmetric { origin: 0 },
+                &params,
+                50,
             )
-        })
+            .expect("sweep")
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_closed_forms, bench_graph_accountant);
-criterion_main!(benches);

@@ -12,13 +12,12 @@
 //!   `TimeVaryingModel`, the masked 8-lane pull a churning deployment's
 //!   accountant runs every round.
 //!
-//! One protocol times every case: the rows and the operators are built
-//! outside the timer, both routes run one untimed warm-up advance, then
-//! each repetition times one `ROUNDS`-round advance of each route,
-//! alternating which goes first.  Both routes keep evolving the same rows,
-//! so after the last repetition their rows must agree bit for bit (the
-//! bench panics otherwise).  Each case prints the median and quartiles of
-//! both routes and the ratio of the medians.
+//! The rows and the operators are built outside the timer; both routes
+//! then take turns on the shared timer (`ns_bench::timer`), one call being
+//! one `ROUNDS`-round advance.  Both routes keep evolving the same rows, so
+//! once both have advanced equally often their rows must agree bit for bit
+//! (the bench panics otherwise).  Each case prints the median and quartiles
+//! of both routes and the ratio of the medians.
 //!
 //! Interpreting the ratio: the blocked kernel streams the CSR arrays once
 //! per 8 rows instead of once per row and gathers 8 lanes per edge into
@@ -31,20 +30,17 @@
 //! flatters the naive loop while rows are still concentrated.
 
 use network_shuffle::faults::OutageModel;
+use ns_bench::timer::{alternating, SAMPLES};
 use ns_graph::connectivity::largest_connected_component;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::rng::seeded_rng;
 use ns_graph::transition::{TransitionMatrix, TransitionModel};
 use ns_graph::Graph;
-use std::hint::black_box;
-use std::time::Instant;
 
 const NODES: usize = 100_000;
 /// Rounds per timed advance: the accounting horizon (≈ the mixing time of
 /// the benchmark graph).
 const ROUNDS: usize = 20;
-/// Timed repetitions of each route per case.
-const REPS: usize = 9;
 
 /// A 100k-node Chung–Lu graph with a mildly heavy-tailed expected-degree
 /// sequence (mean ≈ 6) — the irregular-topology setting the exact
@@ -66,6 +62,8 @@ fn origins(n: usize, rows: usize) -> Vec<usize> {
 trait Route {
     /// Evolves every row by `rounds` rounds.
     fn advance(&mut self, rounds: usize);
+    /// Rounds evolved so far.
+    fn time(&self) -> usize;
     /// The rows, row-major.
     fn rows(&self) -> Vec<f64>;
 }
@@ -79,6 +77,10 @@ struct Blocked<'a, M: ?Sized> {
 impl<M: TransitionModel + ?Sized> Route for Blocked<'_, M> {
     fn advance(&mut self, rounds: usize) {
         self.ensemble.advance(self.model, rounds);
+    }
+
+    fn time(&self) -> usize {
+        self.ensemble.time()
     }
 
     fn rows(&self) -> Vec<f64> {
@@ -107,6 +109,10 @@ impl<M: TransitionModel + ?Sized> Route for Naive<'_, M> {
             }
         }
         self.time += rounds;
+    }
+
+    fn time(&self) -> usize {
+        self.time
     }
 
     fn rows(&self) -> Vec<f64> {
@@ -138,39 +144,18 @@ fn routes<'a, M: TransitionModel + ?Sized>(
     (Blocked { model, ensemble }, naive)
 }
 
-/// Seconds one `ROUNDS`-round advance of `route` takes.
-fn timed(route: &mut dyn Route) -> f64 {
-    let start = Instant::now();
-    route.advance(black_box(ROUNDS));
-    black_box(&*route);
-    start.elapsed().as_secs_f64()
-}
-
-/// The median and the lower and upper quartiles, interpolated.
-fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
-    samples.sort_by(f64::total_cmp);
-    let at = |q: f64| {
-        let position = q * (samples.len() - 1) as f64;
-        let (low, high) = (position.floor() as usize, position.ceil() as usize);
-        samples[low] + (samples[high] - samples[low]) * (position - low as f64)
-    };
-    [at(0.5), at(0.25), at(0.75)]
-}
-
 /// Times `blocked` against `naive` by the protocol in the module docs and
 /// prints one line.
 fn compare(case: &str, rows: usize, blocked: &mut dyn Route, naive: &mut dyn Route) {
-    blocked.advance(ROUNDS);
-    naive.advance(ROUNDS);
-    let (mut blocked_s, mut naive_s) = (Vec::new(), Vec::new());
-    for rep in 0..REPS {
-        if rep % 2 == 0 {
-            blocked_s.push(timed(blocked));
-            naive_s.push(timed(naive));
-        } else {
-            naive_s.push(timed(naive));
-            blocked_s.push(timed(blocked));
-        }
+    let mut advance_blocked = || blocked.advance(ROUNDS);
+    let mut advance_naive = || naive.advance(ROUNDS);
+    let spreads = alternating(&mut [&mut advance_blocked as &mut dyn FnMut(), &mut advance_naive]);
+    // A route the timer ran in batches has advanced more often.
+    while blocked.time() < naive.time() {
+        blocked.advance(ROUNDS);
+    }
+    while naive.time() < blocked.time() {
+        naive.advance(ROUNDS);
     }
     let same = blocked
         .rows()
@@ -181,13 +166,11 @@ fn compare(case: &str, rows: usize, blocked: &mut dyn Route, naive: &mut dyn Rou
         same,
         "{case}: the blocked rows diverged from the naive rows"
     );
-    let [b, b_low, b_high] = quartiles(blocked_s);
-    let [v, v_low, v_high] = quartiles(naive_s);
+    let (b, v) = (spreads[0], spreads[1]);
     println!(
-        "speedup: {case}, {rows} rows: blocked ensemble {b:.4} s [{b_low:.4}–{b_high:.4}] \
-         vs naive per-origin {v:.4} s [{v_low:.4}–{v_high:.4}] -> {:.2}x \
-         (median [quartiles] of {REPS} alternating advances of {ROUNDS} rounds; rows bitwise equal)",
-        v / b
+        "speedup: {case}, {rows} rows: blocked ensemble {b} vs naive per-origin {v} -> {:.2}x \
+         (median [quartiles] of {SAMPLES} alternating advances of {ROUNDS} rounds; rows bitwise equal)",
+        v.median / b.median
     );
 }
 
@@ -195,12 +178,13 @@ fn main() {
     let graph = graph();
     let n = graph.node_count();
     let walk = TransitionMatrix::new(&graph).expect("transition");
-    // Masks for the warm-up and every timed advance of both routes.
+    // Masks for the warm-up and every timed advance of a route the timer
+    // runs advance by advance; the schedule holds its last mask after that.
     let schedule = OutageModel::MarkovOnOff {
         fail: 0.01,
         recover: 0.04,
     }
-    .sample_schedule(n, (REPS + 1) * ROUNDS, 7)
+    .sample_schedule(n, (SAMPLES + 1) * ROUNDS, 7)
     .expect("schedule")
     .time_varying_model(&graph, 0.0)
     .expect("operator schedule");

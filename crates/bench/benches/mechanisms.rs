@@ -1,46 +1,31 @@
 //! Micro-benchmarks of the local randomizers.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ns_bench::timer::bench;
 use ns_dp::mechanisms::{Laplace, PrivUnit, RandomizedResponse};
 use ns_dp::rng::seeded_rng;
 use ns_dp::LocalRandomizer;
 
-fn bench_randomized_response(c: &mut Criterion) {
+fn main() {
     let rr = RandomizedResponse::new(16, 1.0).expect("mechanism");
     let mut rng = seeded_rng(1);
-    c.bench_function("randomized_response_k16", |b| {
-        b.iter(|| black_box(rr.randomize(&3, &mut rng).expect("report")))
+    bench("randomized_response_k16", || {
+        rr.randomize(&3, &mut rng).expect("report")
     });
-}
 
-fn bench_laplace(c: &mut Criterion) {
     let lap = Laplace::new(0.0, 1.0, 1.0).expect("mechanism");
     let mut rng = seeded_rng(2);
-    c.bench_function("laplace_unit_interval", |b| {
-        b.iter(|| black_box(lap.randomize(&0.5, &mut rng).expect("report")))
+    bench("laplace_unit_interval", || {
+        lap.randomize(&0.5, &mut rng).expect("report")
     });
-}
 
-fn bench_priv_unit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("priv_unit");
-    group.sample_size(20);
-    group.bench_function("construct_d200", |b| {
-        b.iter(|| black_box(PrivUnit::new(200, 1.0).expect("mechanism")))
+    bench("priv_unit/construct_d200", || {
+        PrivUnit::new(200, 1.0).expect("mechanism")
     });
     let mech = PrivUnit::new(200, 1.0).expect("mechanism");
     let mut input = vec![0.0; 200];
     input[0] = 1.0;
     let mut rng = seeded_rng(3);
-    group.bench_function("randomize_d200", |b| {
-        b.iter(|| black_box(mech.randomize(&input, &mut rng).expect("report")))
+    bench("priv_unit/randomize_d200", || {
+        mech.randomize(&input, &mut rng).expect("report")
     });
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_randomized_response,
-    bench_laplace,
-    bench_priv_unit
-);
-criterion_main!(benches);

@@ -1,43 +1,35 @@
 //! Micro-benchmarks of full protocol executions (Table 3's measured side).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use network_shuffle::prelude::*;
+use ns_bench::timer::bench;
 use ns_graph::generators::random_regular;
 use ns_graph::rng::seeded_rng;
 
-fn bench_protocol_runs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("protocol_run");
-    group.sample_size(10);
-    for &n in &[500usize, 2_000] {
+fn main() {
+    for n in [500usize, 2_000] {
         let graph = random_regular(n, 8, &mut seeded_rng(1)).expect("graph");
         let payloads: Vec<u32> = (0..n as u32).collect();
-        group.bench_with_input(BenchmarkId::new("a_all_20_rounds", n), &n, |b, _| {
-            b.iter(|| {
-                let outcome = run_protocol(
-                    &graph,
-                    payloads.clone(),
-                    SimulationConfig::all(20, 7),
-                    |_| 0u32,
-                )
-                .expect("run");
-                black_box(outcome.collected.report_count())
-            });
+        bench(&format!("protocol_run/a_all_20_rounds/{n}"), || {
+            run_protocol(
+                &graph,
+                payloads.clone(),
+                SimulationConfig::all(20, 7),
+                |_| 0u32,
+            )
+            .expect("run")
+            .collected
+            .report_count()
         });
-        group.bench_with_input(BenchmarkId::new("a_single_20_rounds", n), &n, |b, _| {
-            b.iter(|| {
-                let outcome = run_protocol(
-                    &graph,
-                    payloads.clone(),
-                    SimulationConfig::single(20, 7),
-                    |_| 0u32,
-                )
-                .expect("run");
-                black_box(outcome.collected.dummy_count())
-            });
+        bench(&format!("protocol_run/a_single_20_rounds/{n}"), || {
+            run_protocol(
+                &graph,
+                payloads.clone(),
+                SimulationConfig::single(20, 7),
+                |_| 0u32,
+            )
+            .expect("run")
+            .collected
+            .dummy_count()
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_protocol_runs);
-criterion_main!(benches);

@@ -1,31 +1,19 @@
 //! Micro-benchmarks of the spectral-gap estimation used by the accountant.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ns_bench::timer::bench;
 use ns_graph::generators::{barabasi_albert, random_regular};
 use ns_graph::rng::seeded_rng;
 use ns_graph::spectral::{SpectralAnalysis, SpectralOptions};
 
-fn bench_spectral_gap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spectral_gap");
-    group.sample_size(10);
-    for &n in &[1_000usize, 5_000] {
+fn main() {
+    for n in [1_000usize, 5_000] {
         let regular = random_regular(n, 8, &mut seeded_rng(1)).expect("graph");
-        group.bench_with_input(BenchmarkId::new("regular_k8", n), &n, |b, _| {
-            b.iter(|| {
-                let s = SpectralAnalysis::compute(&regular, SpectralOptions::default());
-                black_box(s.spectral_gap())
-            });
+        bench(&format!("spectral_gap/regular_k8/{n}"), || {
+            SpectralAnalysis::compute(&regular, SpectralOptions::default()).spectral_gap()
         });
         let scale_free = barabasi_albert(n, 5, &mut seeded_rng(2)).expect("graph");
-        group.bench_with_input(BenchmarkId::new("barabasi_albert_m5", n), &n, |b, _| {
-            b.iter(|| {
-                let s = SpectralAnalysis::compute(&scale_free, SpectralOptions::default());
-                black_box(s.spectral_gap())
-            });
+        bench(&format!("spectral_gap/barabasi_albert_m5/{n}"), || {
+            SpectralAnalysis::compute(&scale_free, SpectralOptions::default()).spectral_gap()
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_spectral_gap);
-criterion_main!(benches);

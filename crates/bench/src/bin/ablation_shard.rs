@@ -1,14 +1,10 @@
-//! Sharding ablation — what the edge cut costs, in throughput and in ε.
+//! Sharding ablation — what the edge cut costs in ε.
 //!
 //! On the Twitch stand-in, the shard count is swept and three things are
 //! measured per `k`:
 //!
 //! * **partition quality** — edge-cut fraction and shard imbalance of the
 //!   deterministic degree-balanced partitioner;
-//! * **engine throughput** — rounds/s of the multi-shard engine (the full
-//!   walk: cross-shard deliveries are routed through the exchange phase),
-//!   timed over 100-round bursts repeated for at least half a second and
-//!   at least three bursts, and reported as the median burst's rate;
 //! * **privacy of the cut-restricted deployment** — the worst user's
 //!   **exact** central ε (`A_single`) when cross-shard exchange is
 //!   *disabled* (a cut-crossing delivery bounces back), computed by
@@ -28,6 +24,10 @@
 //!   jointly, and the gap to the static intra-shard columns is what churn
 //!   costs a deployment that also refuses to cross the cut.
 //!
+//! Every column is a function of the seed, so two runs write the same CSV.
+//! The engine's throughput per shard count is the `sharded_mixing` bench's
+//! k-sweep.
+//!
 //! ```text
 //! cargo run --release -p ns-bench --bin ablation_shard
 //! ```
@@ -38,16 +38,7 @@ use ns_datasets::Dataset;
 use ns_graph::dynamic::TimeVaryingModel;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::partition::Partition;
-use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::transition::TransitionMatrix;
-use std::time::{Duration, Instant};
-
-/// Rounds per timed engine burst.
-const BURST_ROUNDS: usize = 100;
-/// The engine is timed over bursts until at least this long has passed…
-const MIN_TIMING: Duration = Duration::from_millis(500);
-/// …and at least this many bursts have run.
-const MIN_BURSTS: usize = 3;
 
 fn main() {
     let epsilon_0 = 2.0;
@@ -104,7 +95,6 @@ fn main() {
         "edge_cut_fraction",
         "max_shard_imbalance",
         "cut_isolated_users",
-        "rounds_per_s",
         "worst_eps_intra_tmix",
         "mean_eps_intra_tmix",
         "mean_eps_intra_2tmix",
@@ -118,22 +108,6 @@ fn main() {
             continue;
         }
         let partition = Partition::new(graph, k).expect("partition");
-
-        // Throughput of the full sharded walk (cross-shard routing on): the
-        // median burst's rate (the upper middle one of an even count).
-        let mut engine =
-            ShardedMixingEngine::one_walker_per_node(graph, &partition, SEED).expect("engine");
-        let mut rates = Vec::new();
-        let timing = Instant::now();
-        while rates.len() < MIN_BURSTS || timing.elapsed() < MIN_TIMING {
-            let start = Instant::now();
-            for _ in 0..BURST_ROUNDS {
-                engine.step(0.0, None, &mut ()).expect("round");
-            }
-            rates.push(BURST_ROUNDS as f64 / start.elapsed().as_secs_f64());
-        }
-        rates.sort_by(f64::total_cmp);
-        let rounds_per_s = rates[rates.len() / 2];
 
         // Exact accounting of the cut-restricted walk: each shard's origins
         // evolve under the walk masked to the shard, one pass per horizon,
@@ -177,8 +151,8 @@ fn main() {
         }
 
         println!(
-            "k = {k:>2}: cut {:>5.1}%, imbalance {:.3}, {:>3} cut-isolated, {rounds_per_s:.0} \
-             rounds/s, mean eps(t_mix) = {} ({:.2}x the full-graph walk), worst = {}; \
+            "k = {k:>2}: cut {:>5.1}%, imbalance {:.3}, {:>3} cut-isolated, \
+             mean eps(t_mix) = {} ({:.2}x the full-graph walk), worst = {}; \
              under 20% markov churn mean = {}, worst = {}",
             100.0 * partition.edge_cut_fraction(),
             partition.max_shard_imbalance(),
@@ -194,7 +168,6 @@ fn main() {
             fmt(partition.edge_cut_fraction()),
             fmt(partition.max_shard_imbalance()),
             partition.cut_isolated_count().to_string(),
-            fmt(rounds_per_s),
             fmt(worst_tmix),
             fmt(mean_tmix),
             fmt(mean_2tmix),
@@ -204,14 +177,14 @@ fn main() {
     }
 
     print_table(
-        "Sharding ablation: partition quality, throughput, and the exact price of never crossing the cut — clear-sky and under 20% Markov churn",
+        "Sharding ablation: partition quality and the exact price of never crossing the cut — clear-sky and under 20% Markov churn",
         &headers,
         &rows,
     );
     write_csv("ablation_shard", &headers, &rows);
     println!(
-        "\nreading the table: the engine pays nothing for sharding (the walk is identical, only\n\
-         execution is split), but a deployment that *refuses* to cross the cut pays in epsilon —\n\
+        "\nreading the table: sharding alone changes nothing about the walk (only execution is\n\
+         split), but a deployment that *refuses* to cross the cut pays in epsilon —\n\
          confined reports floor at their shard's collision probability, and the floor rises\n\
          with the cut fraction. The exact accountant prices that trade directly. The *_churn\n\
          columns rerun the same accounting under a realized 20% Markov on-off schedule (the\n\

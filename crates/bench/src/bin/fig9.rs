@@ -11,15 +11,17 @@
 //! cargo run --release -p ns-bench --bin fig9
 //! ```
 //!
-//! Set `NS_BENCH_FAST=1` to use a reduced dimension / fewer trials for smoke
-//! tests.
+//! Set `NS_BENCH_FAST=1` (or `true`, `on`) to use a reduced dimension /
+//! fewer trials for smoke tests.
 
 use network_shuffle::prelude::*;
-use ns_bench::{dataset_graph, epsilon_at_mixing_time, fmt, print_table, write_csv, SEED};
+use ns_bench::{
+    dataset_graph, epsilon_at_mixing_time, fast_mode, fmt, print_table, write_csv, SEED,
+};
 use ns_datasets::{Dataset, MeanEstimationWorkload, WorkloadConfig};
 
 fn main() {
-    let fast = std::env::var("NS_BENCH_FAST").is_ok();
+    let fast = fast_mode();
     let dimension = if fast { 32 } else { 200 };
     let trials = if fast { 1 } else { 3 };
     let epsilon_grid: Vec<f64> = if fast {

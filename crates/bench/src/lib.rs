@@ -1,12 +1,15 @@
 //! Shared infrastructure for the experiment harness.
 //!
-//! Every table and figure of the paper's evaluation has a corresponding
-//! binary in `src/bin/` (see DESIGN.md's per-experiment index); this library
-//! holds the pieces they share: dataset caching with sensible default
-//! scaling, simple table/CSV emitters, and the common parameter grids.
+//! Every table and figure of the paper's evaluation has a binary in
+//! `src/bin/` named after it (`table3`, `fig4`, …); this library holds the
+//! pieces they share: dataset caching with sensible default scaling, simple
+//! table/CSV emitters, and the common parameter grids.  [`timer`] is the one
+//! timer of the micro-benchmarks in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod timer;
 
 use network_shuffle::accountant::closed_form::AccountantParams;
 use network_shuffle::accountant::NetworkShuffleAccountant;
@@ -35,16 +38,38 @@ pub fn base_scale_divisor(dataset: Dataset) -> usize {
 
 /// Returns the scale divisor to apply to a dataset.
 ///
-/// Defaults to [`base_scale_divisor`].  Set `NS_BENCH_SCALE` to an integer
-/// `k` to further divide every dataset by `k` (useful for smoke tests), or
-/// to `full` to force full scale everywhere.
+/// Defaults to [`base_scale_divisor`].  Set `NS_BENCH_SCALE` to a positive
+/// integer `k` to further divide every dataset by `k` (useful for smoke
+/// tests), or to `full` to force full scale everywhere.
+///
+/// # Panics
+///
+/// Panics if `NS_BENCH_SCALE` is set to anything else.
 pub fn scale_divisor(dataset: Dataset) -> usize {
-    let base = base_scale_divisor(dataset);
-    match std::env::var("NS_BENCH_SCALE") {
-        Ok(v) if v.eq_ignore_ascii_case("full") => 1,
-        Ok(v) => base * v.parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => base,
+    scaled_divisor(
+        base_scale_divisor(dataset),
+        std::env::var("NS_BENCH_SCALE").ok().as_deref(),
+    )
+}
+
+/// The divisor an `NS_BENCH_SCALE` setting makes of a dataset's `base`
+/// divisor; `None` is the variable unset.
+fn scaled_divisor(base: usize, setting: Option<&str>) -> usize {
+    match setting {
+        None => base,
+        Some(full) if full.eq_ignore_ascii_case("full") => 1,
+        Some(k) => match k.parse::<usize>() {
+            Ok(k) if k > 0 => base * k,
+            _ => panic!("NS_BENCH_SCALE must be `full` or a positive integer, not {k:?}"),
+        },
     }
+}
+
+/// Whether `NS_BENCH_FAST` asks for a binary's reduced smoke-run variant:
+/// on for the values `NS_OBS` accepts ([`ns_obs::flag_on`]), off when unset
+/// or set to anything else.
+pub fn fast_mode() -> bool {
+    std::env::var("NS_BENCH_FAST").is_ok_and(|v| ns_obs::flag_on(&v))
 }
 
 /// Generates (or regenerates) a dataset stand-in at the default scale.
@@ -388,42 +413,6 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<P
     Some(path)
 }
 
-/// Resolves a bench binary's output path: the `env_key` override when set
-/// to a non-empty value, otherwise `default`.  Every `NS_*_OUT` knob goes
-/// through here so the override semantics stay uniform across binaries.
-pub fn bench_output_path(env_key: &str, default: &str) -> PathBuf {
-    match std::env::var(env_key) {
-        Ok(value) if !value.trim().is_empty() => PathBuf::from(value),
-        _ => PathBuf::from(default),
-    }
-}
-
-/// Writes a `BENCH_*.json` artifact: the pre-rendered flat `entries` as a
-/// JSON array, closed with one `{"bench": "telemetry", ...}` entry
-/// embedding the metric snapshot of the registry the run was instrumented
-/// with.  The `roundloop` bench binary routes its output through here, so
-/// its artifact carries the phase-time and counter telemetry it was
-/// produced under alongside the measurements.
-///
-/// `entries` are raw JSON objects (the workspace serde shim is a no-op, so
-/// callers hand-write their bytes); leading whitespace is normalised to a
-/// two-space indent.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    entries: &[String],
-    telemetry: &ns_obs::MetricsRegistry,
-) -> std::io::Result<()> {
-    let mut all: Vec<String> = entries
-        .iter()
-        .map(|e| format!("  {}", e.trim_start()))
-        .collect();
-    all.push(format!(
-        "  {{\"bench\": \"telemetry\", \"metrics\": {}}}",
-        telemetry.render_json()
-    ));
-    std::fs::write(path, format!("[\n{}\n]\n", all.join(",\n")))
-}
-
 /// Formats a float with 4 significant-ish decimals for table cells.
 pub fn fmt(x: f64) -> String {
     if x == 0.0 {
@@ -450,29 +439,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn write_bench_json_appends_the_telemetry_entry() {
-        let registry = ns_obs::MetricsRegistry::new();
-        registry.counter("ns_test_counter").add(7);
-        let dir = std::env::temp_dir().join(format!("ns_bench_json_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        let entries = vec!["{\"bench\": \"x\", \"v\": 1}".to_string()];
-        write_bench_json(&path, &entries, &registry).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(text.starts_with("[\n"), "array open: {text}");
-        assert!(text.ends_with("]\n"), "array close: {text}");
-        assert!(
-            text.contains("  {\"bench\": \"x\", \"v\": 1},\n"),
-            "entry kept: {text}"
-        );
-        assert!(
-            text.contains("{\"bench\": \"telemetry\", \"metrics\": {\"ns_test_counter\": 7}}"),
-            "telemetry embedded: {text}"
-        );
-    }
-
-    #[test]
     fn linspace_endpoints() {
         let g = linspace(0.2, 2.0, 10);
         assert_eq!(g.len(), 10);
@@ -490,34 +456,23 @@ mod tests {
     }
 
     #[test]
-    fn bench_output_path_honors_the_env_override() {
-        // A key no other test (or the environment) touches.
-        let key = "NS_BENCH_OUTPUT_PATH_TEST_OUT";
-        std::env::remove_var(key);
-        assert_eq!(
-            bench_output_path(key, "BENCH_default.json"),
-            PathBuf::from("BENCH_default.json")
-        );
-        std::env::set_var(key, "custom/dir/out.json");
-        assert_eq!(
-            bench_output_path(key, "BENCH_default.json"),
-            PathBuf::from("custom/dir/out.json")
-        );
-        // Blank overrides fall back instead of producing an empty path.
-        std::env::set_var(key, "  ");
-        assert_eq!(
-            bench_output_path(key, "BENCH_default.json"),
-            PathBuf::from("BENCH_default.json")
-        );
-        std::env::remove_var(key);
+    fn scale_settings_parse_to_divisors() {
+        assert_eq!(base_scale_divisor(Dataset::Twitch), 1);
+        assert_eq!(base_scale_divisor(Dataset::Google), 10);
+        assert_eq!(scaled_divisor(10, None), 10);
+        assert_eq!(scaled_divisor(10, Some("full")), 1);
+        assert_eq!(scaled_divisor(10, Some("FULL")), 1);
+        assert_eq!(scaled_divisor(1, Some("4")), 4);
+        assert_eq!(scaled_divisor(10, Some("4")), 40);
     }
 
     #[test]
-    fn default_scale_divisors() {
-        // Without the env var set, only Google is scaled down.
-        if std::env::var("NS_BENCH_SCALE").is_err() {
-            assert_eq!(scale_divisor(Dataset::Twitch), 1);
-            assert_eq!(scale_divisor(Dataset::Google), 10);
+    fn unparsable_scale_settings_panic_naming_the_variable() {
+        for setting in ["0", "quarter", "-4", "2.5", ""] {
+            let panic =
+                std::panic::catch_unwind(|| scaled_divisor(1, Some(setting))).expect_err(setting);
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains("NS_BENCH_SCALE"), "{message}");
         }
     }
 }

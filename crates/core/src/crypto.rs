@@ -14,7 +14,7 @@
 //! enforces exactly that structure (opening with the wrong secret key is an
 //! error that tests can assert on), which is sufficient for a faithful
 //! simulation; a deployment would substitute an AEAD + PKI without touching
-//! the rest of the crate.  This substitution is recorded in DESIGN.md.
+//! the rest of the crate.
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};

@@ -5,8 +5,7 @@
 //! theorems depend on a graph only through its size `n`, its irregularity
 //! `Γ_G = ⟨k²⟩/⟨k⟩²` and its spectral gap, so this crate generates synthetic
 //! graphs calibrated to the *same `n` and `Γ_G`* as the originals (largest
-//! connected component, as in the paper).  See DESIGN.md for the full
-//! substitution rationale.
+//! connected component, as in the paper).
 //!
 //! The crate also provides the Gaussian-mixture workload of the paper's
 //! private mean-estimation study (Section 5.6 / Figure 9).

@@ -7,7 +7,7 @@
 //!   [`Histogram`]s).  Registration takes a mutex and may allocate;
 //!   **recording never does** — every hot-path update is one relaxed
 //!   atomic op on a slot created at setup time, so the counting-allocator
-//!   audits in `ns-bench` hold with telemetry enabled.
+//!   audits (`tests/*_allocations.rs`) hold with telemetry enabled.
 //! * [`Clock`] — the pluggable time source behind span timers: a real
 //!   monotonic clock for production and a deterministic [`FakeClock`]
 //!   for tests, so timing-dependent telemetry is testable bit for bit.
@@ -50,10 +50,13 @@ pub use trace::{TraceEvent, TraceWriter};
 /// bins) consult this once at setup; components that receive an explicit
 /// registry ignore it.
 pub fn env_enabled() -> bool {
-    matches!(
-        std::env::var("NS_OBS").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
+    std::env::var("NS_OBS").is_ok_and(|v| flag_on(&v))
+}
+
+/// Whether the value of an on/off environment variable turns it on: `1`,
+/// `true` or `on`.  Anything else, `0` and `off` included, is off.
+pub fn flag_on(value: &str) -> bool {
+    matches!(value, "1" | "true" | "on")
 }
 
 /// Ring capacity for new [`TraceWriter`]s: `NS_OBS_RING` if set and
@@ -69,4 +72,19 @@ pub fn env_ring_capacity() -> usize {
 /// Trace output path override (`NS_OBS_TRACE`), if any.
 pub fn env_trace_path() -> Option<std::path::PathBuf> {
     std::env::var_os("NS_OBS_TRACE").map(std::path::PathBuf::from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_on_values_turn_a_flag_on() {
+        for on in ["1", "true", "on"] {
+            assert!(flag_on(on), "{on}");
+        }
+        for off in ["0", "false", "off", "", "yes", "TRUE", " 1"] {
+            assert!(!flag_on(off), "{off:?}");
+        }
+    }
 }

@@ -330,40 +330,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// JSON exposition of every registered metric, sorted by name:
-    /// counters and gauges as bare numbers, histograms as
-    /// `{"count", "sum", "mean", "p50", "p90", "p99"}` objects.  The
-    /// bench writers embed this snapshot into their `BENCH_*.json`
-    /// artifacts.
-    pub fn render_json(&self) -> String {
-        let entries = self.entries.lock().expect("metrics registry poisoned");
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by_key(|&i| entries[i].name);
-        let mut parts = Vec::with_capacity(order.len());
-        for &i in &order {
-            let entry = &entries[i];
-            let value = match &entry.slot {
-                Slot::Counter(c) => c.get().to_string(),
-                Slot::Gauge(g) => g.get().to_string(),
-                Slot::Histogram(h) => {
-                    let count = h.count();
-                    let mean = h.sum().checked_div(count).unwrap_or(0);
-                    format!(
-                        "{{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                        count,
-                        h.sum(),
-                        mean,
-                        h.quantile_upper_bound(0.50),
-                        h.quantile_upper_bound(0.90),
-                        h.quantile_upper_bound(0.99),
-                    )
-                }
-            };
-            parts.push(format!("\"{}\": {}", entry.name, value));
-        }
-        format!("{{{}}}", parts.join(", "))
-    }
 }
 
 impl Default for MetricsRegistry {
