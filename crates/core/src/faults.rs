@@ -440,11 +440,16 @@ impl OutageSchedule {
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleMasks<'a>(&'a [Arc<[bool]>]);
 
-impl ScheduleMasks<'_> {
-    /// Owned copies, one vector per round — the form the durable log
-    /// records.
+impl<'a> ScheduleMasks<'a> {
+    /// The masks, borrowed, in round order — what the durable log encodes.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a [bool]> {
+        self.0.iter().map(|mask| &**mask)
+    }
+
+    /// Owned copies, one vector per round — the form a decoded log record
+    /// holds.
     pub fn to_vec(self) -> Vec<Vec<bool>> {
-        self.0.iter().map(|mask| mask.to_vec()).collect()
+        self.iter().map(<[bool]>::to_vec).collect()
     }
 }
 

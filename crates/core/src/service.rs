@@ -164,6 +164,19 @@ type Operator = Arc<dyn TransitionModel + Send + Sync>;
 /// after shard, each shard's first row (plus the end), and the rows.
 type Tracked = (Vec<NodeId>, Vec<usize>, DistributionEnsemble);
 
+/// The `count` lowest `(degree, id)` of `nodes`, in that order: a selection
+/// puts them first, and only they are sorted.
+fn lowest_degree(graph: &Graph, nodes: &[NodeId], count: usize) -> Vec<NodeId> {
+    let key = |&u: &NodeId| (graph.degree(u), u);
+    let mut lowest = nodes.to_vec();
+    if count < lowest.len() {
+        lowest.select_nth_unstable_by_key(count, key);
+        lowest.truncate(count);
+    }
+    lowest.sort_unstable_by_key(key);
+    lowest
+}
+
 /// Streaming exact accounting over per-shard tracked origins.
 ///
 /// The accountant evolves the tracked origins' position distributions under
@@ -268,13 +281,11 @@ impl StreamingAccountant {
         let mut origins = Vec::new();
         let mut shard_starts = vec![0];
         for shard in partition.shards() {
-            let mut tracked: Vec<NodeId> = shard.nodes().to_vec();
-            tracked.sort_by_key(|&u| (graph.degree(u), u));
-            tracked.truncate(tracked_per_shard.min(tracked.len()));
+            let mut tracked = lowest_degree(graph, shard.nodes(), tracked_per_shard);
             if tracked.is_empty() {
                 return Err(ns_graph::GraphError::EmptyGraph.into());
             }
-            origins.extend(tracked);
+            origins.append(&mut tracked);
             shard_starts.push(origins.len());
         }
         let ensemble = DistributionEnsemble::point_masses(graph.node_count(), &origins)?;
@@ -1209,6 +1220,24 @@ mod tests {
         assert!(
             ShuffleCoordinator::<u32>::new(&g, &p_other, CoordinatorConfig::all(1, 1)).is_err()
         );
+    }
+
+    #[test]
+    fn tracked_origins_are_the_full_sort_choice() {
+        // Many degree-2 users, so ties by id decide most picks.
+        let g = generators::barabasi_albert(300, 2, &mut seeded_rng(11)).unwrap();
+        let p = Partition::new(&g, 3).unwrap();
+        for count in [1, 2, usize::MAX].into_iter().chain(p.shard_sizes()) {
+            let accountant = StreamingAccountant::new(&g, &p, 0.0, count).unwrap();
+            let mut expected = Vec::new();
+            for shard in p.shards() {
+                let mut sorted = shard.nodes().to_vec();
+                sorted.sort_by_key(|&u| (g.degree(u), u));
+                sorted.truncate(count.min(sorted.len()));
+                expected.extend(sorted);
+            }
+            assert_eq!(accountant.origins, expected, "{count} per shard");
+        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! [`crate::sharded_engine`]) and a coordinator can account per shard:
 //!
 //! * every node is assigned to exactly one shard by a **degree-balanced
-//!   BFS growth** pass (shards grow from high-degree seeds until they reach
-//!   their share of the total degree mass) followed by a few deterministic
-//!   **label-propagation refinement** sweeps that pull nodes toward the
-//!   shard holding most of their neighbours without violating the balance
-//!   tolerance;
+//!   BFS growth** pass (shards `0..k − 1` grow from high-degree seeds until
+//!   they reach their share of the total degree mass; the last shard takes
+//!   every node left) followed by a few deterministic **label-propagation
+//!   refinement** sweeps that pull nodes toward the shard holding most of
+//!   their neighbours without violating the balance tolerance — after the
+//!   first, a sweep re-evaluates only the nodes whose decision may have
+//!   changed;
 //! * each shard lists its nodes in ascending global id (a node's position
 //!   in that list is its local id, which the engine's checkpoint layout
 //!   uses), and the same nodes as maximal runs of consecutive ids, whose
@@ -24,7 +26,8 @@
 //!   [`Partition::cut_isolated_count`] (nodes with no same-shard
 //!   neighbour) and [`Partition::max_shard_imbalance`] (largest shard node
 //!   count relative to the perfectly balanced `n / k`).  Both cut counts
-//!   come from one pass over the edges at construction.
+//!   come from one pass over the edges at construction; the 1-shard
+//!   partition cuts nothing and needs none.
 //!
 //! Everything is deterministic in `(graph, shard_count)`: no RNG is drawn,
 //! ties break toward smaller ids, and refinement sweeps nodes in id order —
@@ -144,7 +147,8 @@ impl Partition {
     /// The canonical 1-shard partition: every node in shard 0, local id =
     /// global id (also what [`Partition::new`] returns for one shard).
     /// Under this partition the sharded engine runs the monolithic
-    /// holder-order round.
+    /// holder-order round.  No edge is cut, and the only nodes without a
+    /// same-shard neighbour are those without any neighbour.
     ///
     /// # Errors
     ///
@@ -154,7 +158,17 @@ impl Partition {
         if n == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        Ok(Self::from_assignment_internal(graph, 1, vec![0; n]))
+        Ok(Partition {
+            node_count: n,
+            edge_count: graph.edge_count(),
+            cut_edge_count: 0,
+            cut_isolated_count: (0..n).filter(|&u| graph.degree(u) == 0).count(),
+            shard_of: vec![0; n],
+            shards: vec![Shard {
+                nodes: (0..n).collect(),
+                runs: std::iter::once(0..n).collect(),
+            }],
+        })
     }
 
     /// Builds a partition from an explicit node → shard assignment — the
@@ -307,73 +321,106 @@ impl Partition {
     }
 }
 
-/// Degree-balanced greedy graph growing: shard `s` grows from the
+/// Total degree mass `Σ (deg(u) + 1) = 2m + n`, which growth splits evenly
+/// and refinement's balance limit is measured against.
+fn total_weight(graph: &Graph) -> usize {
+    (0..graph.node_count()).map(|u| graph.degree(u) + 1).sum()
+}
+
+/// Every node in descending degree, ties by ascending id: a counting sort
+/// on degree, stable in id.
+fn by_descending_degree(graph: &Graph) -> Vec<NodeId> {
+    let n = graph.node_count();
+    let max_degree = (0..n).map(|u| graph.degree(u)).max().unwrap_or(0);
+    // `next[d]`: where the next node of degree `d` goes.
+    let mut next = vec![0usize; max_degree + 1];
+    for u in 0..n {
+        next[graph.degree(u)] += 1;
+    }
+    let mut start = 0;
+    for slot in next.iter_mut().rev() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![0; n];
+    for u in 0..n {
+        let slot = &mut next[graph.degree(u)];
+        order[*slot] = u;
+        *slot += 1;
+    }
+    order
+}
+
+/// Degree-balanced greedy graph growing: shard `s < k − 1` grows from the
 /// highest-degree unassigned node until it holds its share of the total
 /// degree mass (`(2m + n) / k`), always absorbing the frontier node with
 /// the most edges already inside the shard (ties: smallest id) — the
 /// BFS-with-gain-priority variant that follows community structure instead
 /// of hop distance.  Growth re-seeds when its frontier empties and stops
 /// early when exactly enough nodes remain to seed the shards still to come,
-/// so no shard ends up empty.
+/// so no shard ends up empty.  The last shard takes every node left.
+///
+/// The frontier is a max-heap of lazy `(gain, node)` entries, each packed
+/// into one `u64` — the gain in the high half, `!node` in the low half —
+/// so it pops the highest gain first and, among equal gains, the smallest
+/// id; an entry whose node was absorbed or whose gain has since risen is
+/// stale and skipped.
 fn grow_shards(graph: &Graph, shard_count: usize) -> Vec<u32> {
-    use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let n = graph.node_count();
     const UNASSIGNED: u32 = u32::MAX;
     let mut shard_of = vec![UNASSIGNED; n];
-    let total_weight: usize = (0..n).map(|u| graph.degree(u) + 1).sum();
-    let target = total_weight as f64 / shard_count as f64;
+    let target = total_weight(graph) as f64 / shard_count as f64;
     // Seeds are tried in descending degree (ties: ascending id); a cursor
     // walks this order so each re-seed scan is amortized O(n) overall.
-    let mut by_degree: Vec<NodeId> = (0..n).collect();
-    by_degree.sort_by_key(|&u| (Reverse(graph.degree(u)), u));
+    let by_degree = by_descending_degree(graph);
     let mut seed_cursor = 0usize;
     let mut unassigned = n;
-    // Gain of an unassigned frontier node = edges into the growing shard;
-    // the heap carries lazy (gain, node) entries, stale ones are skipped.
+    // Gain of an unassigned frontier node = edges into the growing shard.
     let mut gain = vec![0u32; n];
-    let mut frontier: BinaryHeap<(u32, Reverse<u32>)> = BinaryHeap::new();
-    for s in 0..shard_count as u32 {
-        let shards_after = shard_count as u32 - s - 1;
+    let mut frontier: BinaryHeap<u64> = BinaryHeap::new();
+    let last = shard_count as u32 - 1;
+    for s in 0..last {
+        let shards_after = (last - s) as usize;
         let mut load = 0.0;
-        frontier.clear();
-        // The last shard absorbs everything left.
-        while unassigned > shards_after as usize && (load < target || shards_after == 0) {
+        while unassigned > shards_after && load < target {
             let u = match frontier.pop() {
-                Some((g, Reverse(u)))
-                    if shard_of[u as usize] == UNASSIGNED && gain[u as usize] == g =>
-                {
+                Some(key) => {
+                    let u = !(key as u32) as usize;
+                    if shard_of[u] != UNASSIGNED || gain[u] != (key >> 32) as u32 {
+                        continue; // stale entry
+                    }
                     u
                 }
-                Some(_) => continue, // stale entry
                 None => {
-                    while seed_cursor < n && shard_of[by_degree[seed_cursor]] != UNASSIGNED {
+                    // Some node is unassigned (`unassigned > shards_after`),
+                    // so the cursor stops before the end.
+                    while shard_of[by_degree[seed_cursor]] != UNASSIGNED {
                         seed_cursor += 1;
                     }
-                    if seed_cursor == n {
-                        break;
-                    }
-                    by_degree[seed_cursor] as u32
+                    by_degree[seed_cursor]
                 }
             };
-            shard_of[u as usize] = s;
-            gain[u as usize] = 0;
+            shard_of[u] = s;
+            gain[u] = 0;
             unassigned -= 1;
-            load += (graph.degree(u as usize) + 1) as f64;
-            for &v in graph.neighbors(u as usize) {
-                let v = v as usize;
-                if shard_of[v] == UNASSIGNED {
-                    gain[v] += 1;
-                    frontier.push((gain[v], Reverse(v as u32)));
+            load += (graph.degree(u) + 1) as f64;
+            for &v in graph.neighbors(u) {
+                if shard_of[v as usize] == UNASSIGNED {
+                    let g = &mut gain[v as usize];
+                    *g += 1;
+                    frontier.push(u64::from(*g) << 32 | u64::from(!v));
                 }
             }
         }
-        // Reset the gains touched by this shard's (now abandoned) frontier.
-        for (_, Reverse(v)) in frontier.drain() {
-            gain[v as usize] = 0;
-        }
+        // Abandon this shard's frontier: the next shard grows from zero.
+        frontier.clear();
+        gain.fill(0);
     }
-    debug_assert!(shard_of.iter().all(|&s| s != UNASSIGNED));
+    for s in shard_of.iter_mut().filter(|s| **s == UNASSIGNED) {
+        *s = last;
+    }
     shard_of
 }
 
@@ -386,10 +433,18 @@ fn grow_shards(graph: &Graph, shard_count: usize) -> Vec<u32> {
 /// neighbourhood is across the cut — under a cut-restricted deployment such
 /// a user would be frozen forever) is rescued into its strongest
 /// neighbouring shard even when that shard is at its balance limit.
+///
+/// A sweep re-evaluates only the nodes whose decision may have changed
+/// since their last evaluation (all of them in the first sweep): those with
+/// a neighbour that moved since then, those whose move was refused for
+/// balance (loads change without a neighbour moving), and those skipped as
+/// their shard's last member.  Any other node's last evaluation read only
+/// its own shard and its neighbours' shards, none of which has changed, and
+/// found no stronger shard or moved to it — so skipping it moves exactly
+/// the nodes a full sweep moves, in the same order.
 fn refine(graph: &Graph, shard_count: usize, shard_of: &mut [u32]) {
     let n = graph.node_count();
-    let total_weight: usize = (0..n).map(|u| graph.degree(u) + 1).sum();
-    let load_limit = (total_weight as f64 / shard_count as f64) * (1.0 + BALANCE_TOLERANCE);
+    let load_limit = (total_weight(graph) as f64 / shard_count as f64) * (1.0 + BALANCE_TOLERANCE);
     let mut loads = vec![0.0f64; shard_count];
     let mut members = vec![0usize; shard_count];
     for (u, &s) in shard_of.iter().enumerate() {
@@ -399,11 +454,12 @@ fn refine(graph: &Graph, shard_count: usize, shard_of: &mut [u32]) {
     // Sparse per-node adjacency histogram, reset per node via a touched list.
     let mut adjacency = vec![0usize; shard_count];
     let mut touched: Vec<usize> = Vec::with_capacity(shard_count);
+    let mut dirty = vec![true; n];
     for _ in 0..REFINEMENT_SWEEPS {
         let mut moved = false;
         for u in 0..n {
             let cur = shard_of[u] as usize;
-            if members[cur] == 1 {
+            if !dirty[u] || members[cur] == 1 {
                 continue;
             }
             touched.clear();
@@ -423,15 +479,20 @@ fn refine(graph: &Graph, shard_count: usize, shard_of: &mut [u32]) {
                 }
             }
             let weight = (graph.degree(u) + 1) as f64;
+            // Only a strictly stronger shard improves, so `best != cur`.
             let improves = adjacency[best] > adjacency[cur];
             let fits = loads[best] + weight <= load_limit || adjacency[cur] == 0;
-            if best != cur && improves && fits {
+            dirty[u] = improves && !fits;
+            if improves && fits {
                 shard_of[u] = best as u32;
                 loads[cur] -= weight;
                 loads[best] += weight;
                 members[cur] -= 1;
                 members[best] += 1;
                 moved = true;
+                for &v in graph.neighbors(u) {
+                    dirty[v as usize] = true;
+                }
             }
             for &t in &touched {
                 adjacency[t] = 0;

@@ -413,6 +413,11 @@ impl TransitionMatrix {
     /// self-loop, so every `out[j]` accumulates in ascending source order,
     /// the sequence the pull kernels reproduce — and with an all-available
     /// mask the adds, hence every rounding, are the unmasked ones.
+    ///
+    /// The masked form branches on no flag: every `out[j]` gets an add,
+    /// of `+0.0` when `j` is dark (a non-negative sum keeps its bits), and
+    /// the dark neighbours are counted; the kept mass then takes one
+    /// `share` per dark neighbour, the same adds in the same order.
     fn scatter<const MASKED: bool>(&self, mask: &[bool], p: &[f64], out: &mut [f64]) {
         let csr = &*self.csr;
         let move_factor = 1.0 - self.laziness;
@@ -423,13 +428,19 @@ impl TransitionMatrix {
             }
             let mut stay = self.laziness * mass;
             let share = move_factor * mass * csr.inv_degree(i);
+            let mut dark = 0u32;
             for &j in csr.neighbors(i) {
                 let j = j as usize;
-                if !MASKED || mask[j] {
-                    out[j] += share;
+                if MASKED {
+                    let up = mask[j];
+                    out[j] += f64::from_bits(share.to_bits() & u64::from(up).wrapping_neg());
+                    dark += u32::from(!up);
                 } else {
-                    stay += share;
+                    out[j] += share;
                 }
+            }
+            for _ in 0..dark {
+                stay += share;
             }
             out[i] += stay;
         }

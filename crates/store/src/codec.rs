@@ -34,23 +34,40 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Appends a bool mask bit-packed into `⌈len/8⌉` bytes, length prefix
-/// included.
+/// included: flag `i` is bit `i % 8` of byte `i / 8`.
 pub fn put_mask(out: &mut Vec<u8>, mask: &[bool]) {
     put_len(out, mask.len());
-    let mut byte = 0u8;
-    for (i, &up) in mask.iter().enumerate() {
-        if up {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !mask.len().is_multiple_of(8) {
-        out.push(byte);
+    let (bytes, rest) = mask.as_chunks::<8>();
+    out.reserve(mask.len().div_ceil(8));
+    out.extend(bytes.iter().map(|flags| pack(flags)));
+    if !rest.is_empty() {
+        out.push(pack(rest));
     }
 }
+
+/// Up to 8 flags as one byte, flag `i` in bit `i`.
+fn pack(flags: &[bool]) -> u8 {
+    flags
+        .iter()
+        .enumerate()
+        .fold(0, |byte, (i, &up)| byte | u8::from(up) << i)
+}
+
+/// Every byte's 8 flags, bit `i` as flag `i`: [`Decoder::mask`] copies one
+/// entry per packed byte.
+const UNPACKED: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[byte][i] = byte >> i & 1 == 1;
+            i += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 /// A fixed-width value at its stored width, for writers that encode into a
 /// fixed buffer rather than a `Vec` (the framed files of
@@ -249,9 +266,12 @@ impl<'a> Decoder<'a> {
     pub fn mask(&mut self) -> Result<Vec<bool>> {
         let n = self.len()?;
         let packed = self.take(n.div_ceil(8))?;
-        Ok((0..n)
-            .map(|i| packed[i / 8] & (1 << (i % 8)) != 0)
-            .collect())
+        let mut mask = Vec::with_capacity(packed.len() * 8);
+        for &byte in packed {
+            mask.extend_from_slice(&UNPACKED[usize::from(byte)]);
+        }
+        mask.truncate(n);
+        Ok(mask)
     }
 
     /// Fails unless the whole buffer was consumed — trailing garbage in a
@@ -342,15 +362,54 @@ mod tests {
         }
     }
 
+    /// The mask encoding written out flag by flag: the length, then flag
+    /// `i` as bit `i % 8` of byte `i / 8`, unused high bits zero.
+    fn per_flag_encoding(mask: &[bool]) -> Vec<u8> {
+        let mut out = (mask.len() as u64).to_le_bytes().to_vec();
+        out.resize(8 + mask.len().div_ceil(8), 0);
+        for (i, &up) in mask.iter().enumerate() {
+            if up {
+                out[8 + i / 8] |= 1 << (i % 8);
+            }
+        }
+        out
+    }
+
+    /// Checks `put_mask` against the per-flag encoding, and the round trip.
+    fn check_mask(mask: &[bool]) {
+        let mut buf = Vec::new();
+        put_mask(&mut buf, mask);
+        assert_eq!(buf, per_flag_encoding(mask), "{} flags", mask.len());
+        let mut d = Decoder::new(&buf);
+        assert_eq!(d.mask().unwrap(), mask, "{} flags", mask.len());
+        d.finish().unwrap();
+    }
+
     #[test]
     fn empty_and_byte_aligned_masks() {
         for n in [0usize, 1, 7, 8, 9, 64] {
             let mask: Vec<bool> = (0..n).map(|i| i % 2 == 1).collect();
-            let mut buf = Vec::new();
-            put_mask(&mut buf, &mask);
-            let mut d = Decoder::new(&buf);
-            assert_eq!(d.mask().unwrap(), mask);
-            d.finish().unwrap();
+            check_mask(&mask);
         }
+        // Every length up to past the eighth byte, under patterns that set
+        // each bit position of a byte, alone and together.
+        for n in 0..=70usize {
+            for pattern in [0u64, u64::MAX, 0xA5C3_0F96_1E78_B42D] {
+                let mask: Vec<bool> = (0..n).map(|i| pattern >> (i % 64) & 1 == 1).collect();
+                check_mask(&mask);
+            }
+        }
+        // A random 1M-flag mask, from a SplitMix64 stream.
+        let mut state = 0x6D61_736Bu64;
+        let mask: Vec<bool> = (0..1 << 20)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) & 1 == 1
+            })
+            .collect();
+        check_mask(&mask);
     }
 }

@@ -40,7 +40,7 @@
 //! payloads — the only thing the protocol observes — are identical.
 
 use crate::error::{Result, StoreError};
-use crate::records::{encode_round, WalRecord};
+use crate::records::{encode_round, encode_schedule, WalRecord};
 use crate::snapshot::{
     load_ledger, load_meta, load_snapshot, save_ledger, save_meta, save_snapshot, snapshot_path,
     StoreMeta,
@@ -710,10 +710,7 @@ impl<'g> DurableCoordinator<'g> {
                 self.node_count
             )));
         }
-        let record = WalRecord::ScheduleAttached {
-            masks: schedule.masks().to_vec(),
-        };
-        record.encode(&mut self.scratch);
+        encode_schedule(&mut self.scratch, schedule.masks().iter());
         self.wal.append(&self.scratch)?;
         self.wal.sync()?;
         Ok(self.coordinator.with_outages(schedule)?)

@@ -123,6 +123,20 @@ pub fn encode_round(
     }
 }
 
+/// Encodes a schedule record straight into `out` from borrowed masks, one
+/// per round, so attaching a schedule copies no mask.
+pub(crate) fn encode_schedule<'a>(
+    out: &mut Vec<u8>,
+    masks: impl ExactSizeIterator<Item = &'a [bool]>,
+) {
+    out.clear();
+    out.push(tag::SCHEDULE_ATTACHED);
+    put_len(out, masks.len());
+    for mask in masks {
+        put_mask(out, mask);
+    }
+}
+
 impl WalRecord {
     /// Encodes the record into `out` (cleared first).
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -137,11 +151,7 @@ impl WalRecord {
                 }
             }
             WalRecord::ScheduleAttached { masks } => {
-                out.push(tag::SCHEDULE_ATTACHED);
-                put_len(out, masks.len());
-                for mask in masks {
-                    put_mask(out, mask);
-                }
+                encode_schedule(out, masks.iter().map(Vec::as_slice));
             }
             WalRecord::BeginExchange => out.push(tag::BEGIN_EXCHANGE),
             WalRecord::Round {
